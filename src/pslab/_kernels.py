@@ -1,32 +1,20 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Set ``PSLAB_NO_NUMBA=1`` to force the numpy path (also used automatically when
-numba is not importable).  ``benchmarks/bench_kernels.py`` compares the two.
+"""Hot numeric kernels, in numpy.
 
 Kernels:
+  * seg_point_distance - Hilbert distance from a point to a segment [q, z) in
+    the Klein unit ball
+  * ray_distances_lifted - distances from hyperboloid lifts to a ray from the
+    origin
   * batch_log_singular_values - log singular values of a stack of matrices
-  * shadow_membership - Hilbert-ball shadow tests (point vs. segment [q, z))
   * greedy_cover_count - greedy ball-covering counts for box dimension
 """
 
 import math
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("PSLAB_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-    prange = range
+# There is one backend; the benchmark records this flag with each result.
+USE_NUMBA = False
 
 # Shadow membership counts distances within TIE of the radius as inside.
 TIE = 1e-9
@@ -35,9 +23,8 @@ SEG_ITERS = 60
 
 
 # ---------------------------------------------------------------------------
-# scalar geometry in the Klein unit ball (numba-compatible)
+# scalar geometry in the Klein unit ball
 
-@njit(cache=True)
 def _hilbert_dist_ball(x, y):
     """Hilbert (= hyperbolic) distance between interior points of the unit ball."""
     vv = 0.0
@@ -65,44 +52,6 @@ def _hilbert_dist_ball(x, y):
     return 0.5 * math.log(num / den)
 
 
-@njit(cache=True)
-def _line_lower_bound(q, z, p):
-    """Distance from p to the complete geodesic through q and boundary point z.
-
-    A lower bound for the distance to the segment [q, z).  Hyperboloid model
-    with form diag(1, ..., 1, -1).
-    """
-    k = q.shape[0]
-    qq = 0.0
-    pp = 0.0
-    for i in range(k):
-        qq += q[i] * q[i]
-        pp += p[i] * p[i]
-    su = math.sqrt(max(1.0 - qq, 1e-300))
-    sw = math.sqrt(max(1.0 - pp, 1e-300))
-    # u = lift(q), w = lift(p), l = (z, 1) on the light cone
-    c = 0.0
-    a = 0.0
-    lw = 0.0
-    for i in range(k):
-        c += z[i] * q[i]
-        a += p[i] * q[i]
-        lw += z[i] * p[i]
-    c = (c - 1.0) / su           # <l, u>
-    a = -((a - 1.0) / (su * sw))  # -<w, u> = cosh d(p, q)
-    lw = (lw - 1.0) / sw         # <l, w>
-    # e = (l + c*u)/|c| is the unit tangent at u toward z; b = <w, e>
-    if c == 0.0 or not math.isfinite(c):
-        # q numerically on the boundary; no useful bound, force refinement
-        return 0.0
-    b = (lw - c * a) / abs(c)
-    f2 = a * a - b * b - 1.0
-    if not math.isfinite(f2) or f2 <= 0.0:
-        return 0.0
-    return math.asinh(math.sqrt(f2))
-
-
-@njit(cache=True)
 def _seg_point_distance(q, z, p):
     """min over t in [0,1) of d(q + t*(z - q), p), by guarded ternary search.
 
@@ -133,65 +82,6 @@ def _seg_point_distance(q, z, p):
     return d
 
 
-@njit(cache=True, parallel=True)
-def _shadow_membership_nb(starts, ps, zs, r):
-    n = ps.shape[0]
-    m = zs.shape[0]
-    out = np.zeros((n, m), dtype=np.bool_)
-    for i in prange(n):
-        q = starts[i]
-        p = ps[i]
-        for j in range(m):
-            if _line_lower_bound(q, zs[j], p) > r + 1e-6:
-                continue
-            if _seg_point_distance(q, zs[j], p) <= r + TIE:
-                out[i, j] = True
-    return out
-
-
-def _line_lower_bound_np(q, z, p):
-    """Vectorized _line_lower_bound: q, p are (n, k); z is (m, k); out (n, m)."""
-    su = np.sqrt(np.maximum(1.0 - np.sum(q * q, axis=1), 1e-300))
-    sw = np.sqrt(np.maximum(1.0 - np.sum(p * p, axis=1), 1e-300))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (q @ z.T - 1.0) / su[:, None]
-        a = -((np.sum(p * q, axis=1) - 1.0) / (su * sw))
-        lw = (p @ z.T - 1.0) / sw[:, None]
-        b = (lw - c * a[:, None]) / np.abs(c)
-        f2 = a[:, None] ** 2 - b ** 2 - 1.0
-    # non-finite entries (points at float-boundary) fall through to refinement
-    f2 = np.where(np.isfinite(f2), f2, 0.0)
-    return np.arcsinh(np.sqrt(np.maximum(f2, 0.0)))
-
-
-def _shadow_membership_np(starts, ps, zs, r, block=512):
-    n = starts.shape[0]
-    out = np.zeros((n, zs.shape[0]), dtype=bool)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        lb = _line_lower_bound_np(starts[lo:hi], zs, ps[lo:hi])
-        cand_i, cand_j = np.nonzero(lb <= r + 1e-6)
-        for i, j in zip(cand_i, cand_j):
-            if _seg_point_distance(starts[lo + i], zs[j], ps[lo + i]) <= r + TIE:
-                out[lo + i, j] = True
-    return out
-
-
-def shadow_membership(starts, ps, zs, r):
-    """Boolean (n, m) array: is zs[j] in the shadow O_r(starts[i], ps[i])?
-
-    Equivalently: does the segment from starts[i] to boundary point zs[j]
-    pass within Hilbert distance r of ps[i]?  All points live in the Klein
-    unit ball; zs on its boundary.
-    """
-    starts = np.ascontiguousarray(starts, dtype=float)
-    ps = np.ascontiguousarray(ps, dtype=float)
-    zs = np.ascontiguousarray(zs, dtype=float)
-    if USE_NUMBA:
-        return _shadow_membership_nb(starts, ps, zs, float(r))
-    return _shadow_membership_np(starts, ps, zs, float(r))
-
-
 def seg_point_distance(q, z, p):
     """Scalar min Hilbert distance from p to the segment [q, z) in the ball."""
     return _seg_point_distance(
@@ -202,235 +92,29 @@ def seg_point_distance(q, z, p):
 
 
 # ---------------------------------------------------------------------------
-# shadow tests on hyperboloid lifts
+# rays on hyperboloid lifts
 #
 # Deep orbit points are unrepresentable in the Klein chart (the chart gap
-# 1 - |x| underflows beyond distance ~18), so shadow tests work on the
+# 1 - |x| underflows beyond distance ~18), so ray tests work on the
 # unnormalized SO(2,1) lifts w = M(0,0,1) with w[2] = cosh(distance).
 
-@njit(cache=True)
-def _ray_from_origin_dist(w1, w2, w3, z1, z2):
-    """Distance from the lifted point w to the ray from the origin toward z."""
-    sh = math.hypot(w1, w2)
-    if sh == 0.0:
-        return 0.0
-    dot = (w1 * z1 + w2 * z2) / sh
-    if dot <= 0.0:
-        return math.acosh(max(w3, 1.0))
-    cross = abs(w1 * z2 - w2 * z1) / sh
-    # right triangle: sinh(dist to ray) = sinh(D) * sin(angle)
-    return math.asinh(sh * cross)
-
-
-@njit(cache=True, parallel=True)
-def _shadow_from_origin_nb(W, Z, r):
-    n = W.shape[0]
-    m = Z.shape[0]
-    out = np.zeros((n, m), dtype=np.bool_)
-    for i in prange(n):
-        for j in range(m):
-            d = _ray_from_origin_dist(W[i, 0], W[i, 1], W[i, 2], Z[j, 0], Z[j, 1])
-            if d <= r + TIE:
-                out[i, j] = True
-    return out
-
-
-def _shadow_from_origin_np(W, Z, r):
-    sh = np.hypot(W[:, 0], W[:, 1])[:, None]
-    ch = W[:, 2][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dot = (W[:, :2] @ Z.T) / sh
-        cross = np.abs(W[:, 0][:, None] * Z[:, 1] - W[:, 1][:, None] * Z[:, 0]) / sh
-    d = np.where(dot <= 0.0, np.arccosh(np.maximum(ch, 1.0)),
-                 np.arcsinh(sh * cross))
-    d = np.where(sh == 0.0, 0.0, d)
-    return d <= r + TIE
-
-
-def shadow_membership_lifted(W, Z, r):
-    """Boolean (n, m): is boundary point Z[j] in the shadow from the origin of
-    the r-ball at lift W[i] (does the ray [origin, Z[j]) pass within r)?
-
-    W rows are unnormalized hyperboloid lifts (w[2] = cosh distance); Z rows
-    are unit circle points.
-    """
-    W = np.ascontiguousarray(W, dtype=float)
-    Z = np.ascontiguousarray(Z, dtype=float)
-    if USE_NUMBA:
-        return _shadow_from_origin_nb(W, Z, float(r))
-    return _shadow_from_origin_np(W, Z, float(r))
-
-
-@njit(cache=True, parallel=True)
-def _shadow_mass_from_origin_nb(W, Z, ws, r):
-    n = W.shape[0]
-    m = Z.shape[0]
-    out = np.zeros(n)
-    for i in prange(n):
-        acc = 0.0
-        for j in range(m):
-            d = _ray_from_origin_dist(W[i, 0], W[i, 1], W[i, 2], Z[j, 0], Z[j, 1])
-            if d <= r + TIE:
-                acc += ws[j]
-        out[i] = acc
-    return out
-
-
-def shadow_mass_from_origin(W, Z, ws, r, block=256):
-    """Weight of {j : Z[j] in O_r(origin, W[i])} per row, without materializing
-    the full membership matrix."""
-    W = np.ascontiguousarray(W, dtype=float)
-    Z = np.ascontiguousarray(Z, dtype=float)
-    ws = np.ascontiguousarray(ws, dtype=float)
-    if USE_NUMBA:
-        return _shadow_mass_from_origin_nb(W, Z, ws, float(r))
-    out = np.empty(W.shape[0])
-    for lo in range(0, W.shape[0], block):
-        hi = min(lo + block, W.shape[0])
-        out[lo:hi] = _shadow_from_origin_np(W[lo:hi], Z, float(r)) @ ws
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _shadow_to_origin_nb(Minvs, Z, r):
-    n = Minvs.shape[0]
-    m = Z.shape[0]
-    out = np.zeros((n, m), dtype=np.bool_)
-    for i in prange(n):
-        M = Minvs[i]
-        w1 = M[0, 2]
-        w2 = M[1, 2]
-        w3 = M[2, 2]
-        if w3 < 0.0:
-            w1 = -w1
-            w2 = -w2
-            w3 = -w3
-        for j in range(m):
-            u1 = M[0, 0] * Z[j, 0] + M[0, 1] * Z[j, 1] + M[0, 2]
-            u2 = M[1, 0] * Z[j, 0] + M[1, 1] * Z[j, 1] + M[1, 2]
-            u3 = M[2, 0] * Z[j, 0] + M[2, 1] * Z[j, 1] + M[2, 2]
-            if u3 < 0.0:
-                u1 = -u1
-                u2 = -u2
-                u3 = -u3
-            nz = math.hypot(u1, u2)
-            if nz == 0.0:
-                continue
-            d = _ray_from_origin_dist(w1, w2, w3, u1 / nz, u2 / nz)
-            if d <= r + TIE:
-                out[i, j] = True
-    return out
-
-
-def _shadow_to_origin_np(Minvs, Z, r):
-    n = Minvs.shape[0]
-    out = np.zeros((n, Z.shape[0]), dtype=bool)
-    L = np.column_stack([Z, np.ones(Z.shape[0])])
-    for i in range(n):
-        M = Minvs[i]
-        w = M[:, 2].copy()
-        if w[2] < 0.0:
-            w = -w
-        U = L @ M.T
-        U[U[:, 2] < 0.0] *= -1.0
-        nz = np.hypot(U[:, 0], U[:, 1])
-        keep = nz > 0.0
-        Zi = np.empty_like(Z)
-        Zi[keep] = U[keep, :2] / nz[keep, None]
-        Zi[~keep] = 2.0  # off-circle sentinel, never within r
-        out[i] = _shadow_from_origin_np(w[None, :], Zi, r)[0]
-    return out
-
-
-def shadow_membership_to_origin(Minvs, Z, r):
-    """Boolean (n, m): is Z[j] in the shadow from orbit point i of the r-ball
-    at the origin?
-
-    Implemented by pulling the test back with the group element: z is in
-    O_r(g b0, b0) iff g^-1 z is in O_r(b0, g^-1 b0), which keeps every
-    quantity representable at depth.  Minvs[i] is the SO(2,1) matrix of the
-    inverse of element i.
-    """
-    Minvs = np.ascontiguousarray(Minvs, dtype=float)
-    Z = np.ascontiguousarray(Z, dtype=float)
-    if USE_NUMBA:
-        return _shadow_to_origin_nb(Minvs, Z, float(r))
-    return _shadow_to_origin_np(Minvs, Z, float(r))
-
-
-@njit(cache=True, parallel=True)
-def _shadow_mass_to_origin_nb(Minvs, Z, ws, r):
-    n = Minvs.shape[0]
-    m = Z.shape[0]
-    out = np.zeros(n)
-    for i in prange(n):
-        M = Minvs[i]
-        w1 = M[0, 2]
-        w2 = M[1, 2]
-        w3 = M[2, 2]
-        if w3 < 0.0:
-            w1 = -w1
-            w2 = -w2
-            w3 = -w3
-        acc = 0.0
-        for j in range(m):
-            u1 = M[0, 0] * Z[j, 0] + M[0, 1] * Z[j, 1] + M[0, 2]
-            u2 = M[1, 0] * Z[j, 0] + M[1, 1] * Z[j, 1] + M[1, 2]
-            u3 = M[2, 0] * Z[j, 0] + M[2, 1] * Z[j, 1] + M[2, 2]
-            if u3 < 0.0:
-                u1 = -u1
-                u2 = -u2
-                u3 = -u3
-            nz = math.hypot(u1, u2)
-            if nz == 0.0:
-                continue
-            d = _ray_from_origin_dist(w1, w2, w3, u1 / nz, u2 / nz)
-            if d <= r + TIE:
-                acc += ws[j]
-        out[i] = acc
-    return out
-
-
-def shadow_mass_to_origin(Minvs, Z, ws, r, block=64):
-    """Weight of {j : Z[j] in O_r(orbit point i, origin)} per row."""
-    Minvs = np.ascontiguousarray(Minvs, dtype=float)
-    Z = np.ascontiguousarray(Z, dtype=float)
-    ws = np.ascontiguousarray(ws, dtype=float)
-    if USE_NUMBA:
-        return _shadow_mass_to_origin_nb(Minvs, Z, ws, float(r))
-    out = np.empty(Minvs.shape[0])
-    for lo in range(0, Minvs.shape[0], block):
-        hi = min(lo + block, Minvs.shape[0])
-        out[lo:hi] = _shadow_to_origin_np(Minvs[lo:hi], Z, float(r)) @ ws
-    return out
-
-
 def ray_distances_lifted(W, z):
-    """Distances from the lifted points W to the single ray [origin, z)."""
-    W = np.ascontiguousarray(W, dtype=float)
+    """Distances from the lifted points W to the single ray [origin, z).
+
+    z is a unit circle point.  A point in front of the origin (w . z > 0)
+    closes a right triangle with the ray: sinh(dist) = sinh(D) sin(angle)
+    = |w x z|.  Any other point is nearest to the origin, at distance D.
+    """
+    W = np.asarray(W, dtype=float)
     z = np.asarray(z, dtype=float)
-    out = np.empty(W.shape[0])
-    for i in range(W.shape[0]):
-        out[i] = _ray_from_origin_dist(W[i, 0], W[i, 1], W[i, 2], z[0], z[1])
-    return out
+    along = W[:, 0] * z[0] + W[:, 1] * z[1]
+    across = np.abs(W[:, 0] * z[1] - W[:, 1] * z[0])
+    return np.where(along > 0.0, np.arcsinh(across),
+                    np.arccosh(np.maximum(W[:, 2], 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # batched log singular values
-
-@njit(cache=True, parallel=True)
-def _batch_log_sv_nb(mats):
-    n = mats.shape[0]
-    d = mats.shape[1]
-    out = np.empty((n, d))
-    for i in prange(n):
-        s = np.linalg.svd(mats[i], full_matrices=False)[1]
-        for j in range(d):
-            # tiny singular values of ill-conditioned products can round to 0;
-            # callers recover them from the inverse-word product
-            out[i, j] = math.log(max(s[j], 1e-300))
-    return out
-
 
 def batch_log_singular_values(mats):
     """log singular values (descending) for a stack of square matrices (n, d, d).
@@ -438,10 +122,7 @@ def batch_log_singular_values(mats):
     Values rounding to 0 are floored at 1e-300 before the log; callers that
     need accurate small singular values recover them from inverse products.
     """
-    mats = np.ascontiguousarray(mats, dtype=float)
-    if USE_NUMBA:
-        return _batch_log_sv_nb(mats)
-    sigma = np.linalg.svd(mats, compute_uv=False)
+    sigma = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
     return np.log(np.maximum(sigma, 1e-300))
 
 
@@ -452,42 +133,12 @@ METRIC_EUCLIDEAN = 0
 METRIC_CHORDAL = 1  # rows are unit vectors; dist = sin(angle), antipodes identified
 
 
-@njit(cache=True)
-def _pair_dist(a, b, metric):
-    if metric == METRIC_CHORDAL:
-        dot = 0.0
-        for i in range(a.shape[0]):
-            dot += a[i] * b[i]
-        if dot > 1.0:
-            dot = 1.0
-        elif dot < -1.0:
-            dot = -1.0
-        return math.sqrt(max(1.0 - dot * dot, 0.0))
-    acc = 0.0
-    for i in range(a.shape[0]):
-        diff = a[i] - b[i]
-        acc += diff * diff
-    return math.sqrt(acc)
+def greedy_cover_count(features, eps, metric=METRIC_EUCLIDEAN):
+    """Number of eps-balls a first-fit greedy pass needs to cover the rows.
 
-
-@njit(cache=True)
-def _greedy_cover_nb(features, eps, metric):
-    n = features.shape[0]
-    centers = np.empty(n, dtype=np.int64)
-    count = 0
-    for i in range(n):
-        covered = False
-        for c in range(count):
-            if _pair_dist(features[i], features[centers[c]], metric) <= eps:
-                covered = True
-                break
-        if not covered:
-            centers[count] = i
-            count += 1
-    return count
-
-
-def _greedy_cover_np(features, eps, metric):
+    Deterministic: points are scanned in the given (canonical) order.
+    """
+    features = np.asarray(features, dtype=float)
     centers = np.empty((0, features.shape[1]))
     for row in features:
         if centers.shape[0]:
@@ -500,14 +151,3 @@ def _greedy_cover_np(features, eps, metric):
                 continue
         centers = np.vstack([centers, row])
     return centers.shape[0]
-
-
-def greedy_cover_count(features, eps, metric=METRIC_EUCLIDEAN):
-    """Number of eps-balls a first-fit greedy pass needs to cover the rows.
-
-    Deterministic: points are scanned in the given (canonical) order.
-    """
-    features = np.ascontiguousarray(features, dtype=float)
-    if USE_NUMBA:
-        return int(_greedy_cover_nb(features, float(eps), metric))
-    return int(_greedy_cover_np(features, float(eps), metric))

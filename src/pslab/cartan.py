@@ -242,10 +242,6 @@ class Functional:
         return f"Functional(d={self.d}, {terms or '0'})"
 
 
-def eval_functional(phi, v):
-    return phi(v)
-
-
 def iota_star(phi, theta=None):
     """The dual involution: c_k -> c_{d-k}, so iota(omega_k) = omega_{d-k}."""
     if theta is not None:

@@ -333,7 +333,7 @@ HANDLERS = {
 }
 
 
-def execute(command, config, out_dir, workers=None):
+def execute(command, config, out_dir):
     """Run one subcommand; returns the manifest dict after writing artifacts."""
     validate_config(config)
     if "command" in config and config["command"] != command:
@@ -343,7 +343,6 @@ def execute(command, config, out_dir, workers=None):
     theta = build_theta(config, P)
     phi = build_phi(config.get("phi"), P.dimension)
     params = config.get("params", {})
-    workers = workers or config.get("workers") or int(os.environ.get("PSLAB_WORKERS", "1"))
 
     start = time.time()
     with warnings.catch_warnings(record=True) as caught:
@@ -363,7 +362,6 @@ def execute(command, config, out_dir, workers=None):
         "command": command,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "config": config,
-        "workers": workers,
         "results": {k: _fmt(v) if isinstance(v, float) else v
                     for k, v in results.items()},
         "versions": {
@@ -390,8 +388,7 @@ def _make_command(name):
     @click.option("--config", "config_path", required=True,
                   type=click.Path(exists=True, dir_okay=False))
     @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
-    @click.option("--workers", default=None, type=int)
-    def _cmd(config_path, out_dir, workers):
+    def _cmd(config_path, out_dir):
         try:
             with open(config_path, encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -400,7 +397,7 @@ def _make_command(name):
                                    "message": str(exc)}), err=True)
             raise SystemExit(2)
         try:
-            manifest = execute(name, config, out_dir, workers)
+            manifest = execute(name, config, out_dir)
         except ConfigInvalid as exc:
             click.echo(json.dumps({"error": "ConfigInvalid", "path": exc.path,
                                    "message": exc.reason}), err=True)

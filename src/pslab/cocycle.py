@@ -46,21 +46,9 @@ def kappa_theta(A, theta):
     return cartan.project_theta(cartan.kappa(A), theta)
 
 
-def nu_theta(A, theta):
-    return cartan.project_theta(cartan.jordan(A), theta)
-
-
 def phi_iwasawa(phi, A, F):
     return phi(iwasawa(A, F))
 
 
-def phi_gromov(phi, F, G):
-    return phi(gromov_product(F, G))
-
-
 def phi_kappa(phi, A, theta):
     return phi(kappa_theta(A, theta))
-
-
-def phi_nu(phi, A, theta):
-    return phi(nu_theta(A, theta))

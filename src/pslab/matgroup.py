@@ -223,16 +223,6 @@ def conjugacy_classes(P, n, primitive_only=False):
     return reps
 
 
-def nu_collision_report(P, reps, tol=1e-8):
-    """Pairs of class representatives with coinciding Jordan vectors."""
-    nus = [cartan.jordan(e.matrix) for e in reps]
-    collisions = []
-    for i, j in itertools.combinations(range(len(reps)), 2):
-        if np.max(np.abs(nus[i] - nus[j])) < tol:
-            collisions.append((reps[i].word, reps[j].word))
-    return collisions
-
-
 def exterior_power_rep(A, k):
     """Induced action on the k-th exterior power, lexicographic wedge basis."""
     A = np.asarray(A, dtype=float)

@@ -7,6 +7,7 @@ import numpy as np
 
 from . import cartan, cocycle, flags, matgroup
 from .errors import (
+    ConfigInvalid,
     InsufficientGap,
     NegativePhiOnCone,
     SubcriticalS,
@@ -78,7 +79,7 @@ def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTI
     at convergence, positive at divergence, at this s.
     """
     if s < 0:
-        raise ValueError("s must be >= 0")
+        raise ConfigInvalid("s", "must be >= 0")
     theta = cartan.validate_theta(theta, P.dimension)
     spheres = matgroup.word_spheres(P, n)
     values = _phi_values(P, phi, theta, spheres)
@@ -180,6 +181,9 @@ def _series_transition(values_by_sphere, n_max):
     )
 
 
+METHODS = ("sphere-regression", "series-transition", "both")
+
+
 def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     """Estimate the phi-critical exponent from the word ball of radius n_max.
 
@@ -188,7 +192,9 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     convergence transition of the partial sums), or "both".
     """
     if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+        raise ConfigInvalid("n_max", "must be >= 4")
+    if method not in METHODS:
+        raise ConfigInvalid("method", f"must be one of {METHODS}, not {method!r}")
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
@@ -199,9 +205,7 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
         return _sphere_regression(values, n_max)
     if method == "series-transition":
         return _series_transition(values, n_max)
-    if method == "both":
-        return _sphere_regression(values, n_max), _series_transition(values, n_max)
-    raise ValueError(f"unknown method {method!r}")
+    return _sphere_regression(values, n_max), _series_transition(values, n_max)
 
 
 MIN_S_MARGIN = 0.01

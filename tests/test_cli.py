@@ -24,8 +24,8 @@ def test_schema_loads_and_lists_all_commands():
 
 def test_validate_config_reports_field_path():
     with pytest.raises(ConfigInvalid) as exc:
-        cli.validate_config({"preset": "sl2-mild", "workers": 0})
-    assert exc.value.path == "workers"
+        cli.validate_config({"preset": "sl2-mild", "theta": [0]})
+    assert exc.value.path == "theta.0"
     with pytest.raises(ConfigInvalid) as exc:
         cli.validate_config({"dimension": 2})
     assert exc.value.path == "(root)"
@@ -98,11 +98,24 @@ def test_execute_rerun_is_byte_identical(tmp_path):
 def test_cli_exit_codes(tmp_path):
     runner = CliRunner()
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"preset": "sl2-mild", "workers": 0}))
+    bad.write_text(json.dumps({"preset": "sl2-mild", "theta": [0]}))
     result = runner.invoke(cli.main, ["kappa", "--config", str(bad)])
     assert result.exit_code == 2
     err = json.loads(result.stderr.strip().splitlines()[-1])
-    assert err["error"] == "ConfigInvalid" and err["path"] == "workers"
+    assert err["error"] == "ConfigInvalid" and err["path"] == "theta.0"
+
+    # out-of-range critical-exponent parameters are config errors
+    for path, params in (("n_max", {"n_max": 3}),
+                         ("method", {"n_max": 10, "method": "bogus"})):
+        bad.write_text(json.dumps({"command": "critical-exponent", "preset": "parabolic",
+                                   "theta": [1], "params": params}))
+        result = runner.invoke(cli.main, ["critical-exponent", "--config", str(bad),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        # no traceback: the run ended through the CLI's own exit, not a raise
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigInvalid" and err["path"] == path
 
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
@@ -136,8 +149,7 @@ def test_cli_success_prints_summary(tmp_path):
 
 def test_shipped_configs_validate():
     cfg_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
-    names = sorted(f for f in os.listdir(cfg_dir)
-                   if f.endswith(".json") and f != "schema.json")
+    names = sorted(f for f in os.listdir(cfg_dir) if f.endswith(".json"))
     assert len(names) == len(cli.COMMANDS)
     for name in names:
         with open(os.path.join(cfg_dir, name)) as fh:

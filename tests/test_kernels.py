@@ -1,57 +1,8 @@
+import math
+
 import numpy as np
 
 from pslab import _kernels
-
-
-def make_circle_data(rng, n_atoms=200, n_lifts=30):
-    ang = rng.uniform(-np.pi, np.pi, size=n_atoms)
-    zs = np.c_[np.cos(ang), np.sin(ang)]
-    ws = rng.uniform(0.0, 1.0, size=n_atoms)
-    ws /= ws.sum()
-    d = rng.uniform(0.3, 8.0, size=n_lifts)
-    oa = rng.uniform(-np.pi, np.pi, size=n_lifts)
-    lifts = np.c_[np.sinh(d) * np.cos(oa), np.sinh(d) * np.sin(oa), np.cosh(d)]
-    return zs, ws, lifts
-
-
-def test_backends_agree_shadow_membership(rng):
-    starts = rng.uniform(-0.5, 0.5, size=(20, 2))
-    ps = rng.uniform(-0.6, 0.6, size=(20, 2))
-    ang = rng.uniform(-np.pi, np.pi, size=50)
-    zs = np.c_[np.cos(ang), np.sin(ang)]
-    got = _kernels.shadow_membership(starts, ps, zs, 0.8)
-    ref = _kernels._shadow_membership_np(starts, ps, zs, 0.8)
-    assert np.array_equal(got, ref)
-
-
-def test_backends_agree_shadow_from_origin(rng):
-    zs, ws, lifts = make_circle_data(rng)
-    got = _kernels.shadow_membership_lifted(lifts, zs, 1.3)
-    ref = _kernels._shadow_from_origin_np(lifts, zs, 1.3)
-    assert np.array_equal(got, ref)
-    mass = _kernels.shadow_mass_from_origin(lifts, zs, ws, 1.3)
-    assert np.allclose(mass, ref @ ws, atol=1e-14)
-
-
-def test_backends_agree_shadow_to_origin(rng):
-    zs, ws, _ = make_circle_data(rng)
-    # random boosts: SO(2,1) matrices moving the origin to depth d
-    mats = []
-    for _ in range(15):
-        d = rng.uniform(0.2, 5.0)
-        a = rng.uniform(-np.pi, np.pi)
-        c, s = np.cos(a), np.sin(a)
-        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        B = np.array([[np.cosh(d), 0.0, np.sinh(d)],
-                      [0.0, 1.0, 0.0],
-                      [np.sinh(d), 0.0, np.cosh(d)]])
-        mats.append(R @ B @ R.T)
-    Minvs = np.stack(mats)
-    got = _kernels.shadow_membership_to_origin(Minvs, zs, 1.1)
-    ref = _kernels._shadow_to_origin_np(Minvs, zs, 1.1)
-    assert np.array_equal(got, ref)
-    mass = _kernels.shadow_mass_to_origin(Minvs, zs, ws, 1.1)
-    assert np.allclose(mass, ref @ ws, atol=1e-14)
 
 
 def test_batch_log_singular_values_matches_svd(rng):
@@ -62,12 +13,16 @@ def test_batch_log_singular_values_matches_svd(rng):
 
 
 def test_greedy_cover_backends_and_extremes(rng):
+    # k unit vectors 0.3 rad apart in one half-plane: chordal distances
+    # sin(0.3 j) all exceed eps = 0.25, so first fit opens k balls
+    k = 5
+    ang = 0.3 * np.arange(k)
+    spaced = np.c_[np.cos(ang), np.sin(ang), np.zeros(k)]
+    assert _kernels.greedy_cover_count(spaced, 0.25, _kernels.METRIC_CHORDAL) == k
+    assert _kernels.greedy_cover_count(spaced, 0.25) == k
+    # one ball of radius above every distance covers everything
     pts = rng.normal(size=(200, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    for eps in (0.01, 0.2, 2.1):
-        got = _kernels.greedy_cover_count(pts, eps, _kernels.METRIC_CHORDAL)
-        ref = _kernels._greedy_cover_np(pts, eps, _kernels.METRIC_CHORDAL)
-        assert got == ref
     assert _kernels.greedy_cover_count(pts, 2.1, _kernels.METRIC_CHORDAL) == 1
 
 
@@ -88,7 +43,7 @@ def test_seg_point_distance_endpoint_minimum():
     assert abs(d - _kernels._hilbert_dist_ball(q, p)) < 1e-9
 
 
-def test_ray_distances_lifted_on_axis():
+def test_ray_distances_lifted_on_axis(rng):
     # points on the ray itself are at distance 0; the antipodal point at
     # depth D is at distance D
     D = 2.5
@@ -99,3 +54,20 @@ def test_ray_distances_lifted_on_axis():
     dists = _kernels.ray_distances_lifted(W, np.array([1.0, 0.0]))
     assert abs(dists[0]) < 1e-12
     assert abs(dists[1] - D) < 1e-12
+
+    # random lifts at depth D and angle a from the ray: in front of the
+    # origin, the right triangle gives sinh(dist) = sinh(D) sin(a); behind
+    # it the nearest ray point is the origin, at distance D
+    depth = rng.uniform(0.1, 8.0, size=300)
+    a = rng.uniform(-np.pi, np.pi, size=300)
+    W = np.c_[np.sinh(depth) * np.cos(a), np.sinh(depth) * np.sin(a), np.cosh(depth)]
+    z = np.array([0.6, 0.8])
+    dists = _kernels.ray_distances_lifted(W, z)
+    ray = np.arctan2(z[1], z[0])
+    for Di, ai, got in zip(depth, a, dists):
+        angle = abs((ai - ray + np.pi) % (2 * np.pi) - np.pi)
+        if angle < np.pi / 2:
+            ref = math.asinh(math.sinh(Di) * math.sin(angle))
+        else:
+            ref = Di
+        assert abs(got - ref) < 1e-9 * max(1.0, ref)
