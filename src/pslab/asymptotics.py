@@ -40,13 +40,13 @@ def class_lengths(P, phi, n, theta=None, primitive_only=False):
     )
     proj = cartan.projection_matrix(P.dimension, theta)
     f = phi.covector() @ proj
-    reps = matgroup.conjugacy_classes(P, n, primitive_only)
+    words = matgroup.conjugacy_classes(P, n, primitive_only)
     lengths = np.array([
         float(f @ cartan.jordan_spliced(
-            e.matrix, P.word_matrix(matgroup.invert_word(e.word))))
-        for e in reps
+            P.word_matrix(w), P.word_matrix(matgroup.invert_word(w))))
+        for w in words
     ])
-    return lengths, [e.word for e in reps]
+    return lengths, words
 
 
 def count_closed_geodesics(

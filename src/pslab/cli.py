@@ -1,6 +1,7 @@
 """JSON-config CLI: experiment orchestration and deterministic CSV/manifest output."""
 
 import csv
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from . import (
     patterson,
     presets,
 )
-from .errors import ConfigInvalid, PslabError
+from .errors import BadIndex, ConfigInvalid, PslabError
 
 COMMANDS = (
     "kappa", "orbit", "limit-set", "critical-exponent", "ps-measure",
@@ -47,12 +48,21 @@ def _fmt(x):
     return x
 
 
-def validate_config(config):
-    try:
-        jsonschema.validate(config, load_schema())
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigInvalid(path, exc.message) from exc
+@functools.cache
+def _validator():
+    # the schema is checked once by the test suite, not on every run
+    return jsonschema.Draft202012Validator(load_schema())
+
+
+def validate_config(config, command=None):
+    """Check config against the schema; the params schema of ``command``
+    applies even when the config names no command."""
+    if command is not None and isinstance(config, dict) and "command" not in config:
+        config = {**config, "command": command}
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ConfigInvalid(path, error.message) from error
 
 
 def build_presentation(config):
@@ -97,53 +107,44 @@ def build_phi(spec, d, field="phi"):
         raise ConfigInvalid(field, str(exc)) from exc
 
 
-def _positive(params, key, default):
-    value = params.get(key, default)
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigInvalid(f"params.{key}", "must be a positive number")
-    return value
-
-
 def _family(params, P):
-    fam = params.get("family", "so" if P.dimension == 2 else "sym2")
-    if fam not in hilbert.FAMILIES:
-        raise ConfigInvalid("params.family", f"must be one of {hilbert.FAMILIES}")
-    return fam
+    return params.get("family", "so" if P.dimension == 2 else "sym2")
 
 
-def _word(params, key):
-    word = params.get(key)
-    if not isinstance(word, list) or not all(
-        isinstance(x, int) and x != 0 for x in word
-    ):
-        raise ConfigInvalid(f"params.{key}", "must be a list of nonzero integers")
-    return tuple(word)
+def _word(P, word, path):
+    """A config word as a tuple, with its letters checked against P."""
+    word = tuple(int(x) for x in word)
+    try:
+        P.word_matrix(word)
+    except BadIndex as exc:
+        raise ConfigInvalid(path, str(exc)) from exc
+    return word
 
 
 def run_kappa(P, theta, phi, params):
-    n = int(_positive(params, "n", 4))
+    n = int(params.get("n", 4))
     proj = cartan.projection_matrix(P.dimension, theta)
-    ball = matgroup.word_ball(P, n)
-    ks = matgroup.batch_kappa(ball)
+    ball = matgroup.word_spheres(P, n)
+    ks = matgroup.batch_kappa(ball.mats, ball.inv_mats)
     header = ["word"] + [f"kappa_{i + 1}" for i in range(P.dimension)] + ["phi_kappa_theta"]
     rows = [
-        [P.word_label(e.word), *k, phi(proj @ k)] for e, k in zip(ball, ks)
+        [P.word_label(w), *k, phi(proj @ k)] for w, k in zip(ball.words(), ks)
     ]
     return header, rows, {"ball_size": len(ball)}
 
 
 def run_orbit(P, theta, phi, params):
-    n = int(_positive(params, "n", 6))
+    n = int(params.get("n", 6))
     fam = hilbert.KleinFamily(P, _family(params, P))
-    ball = matgroup.word_ball(P, n)
-    pts = fam.orbit_points(ball)
+    ball = matgroup.word_spheres(P, n)
+    pts = fam.orbit_points(ball.mats)
     header = ["word", "x", "y"]
-    rows = [[P.word_label(e.word), p[0], p[1]] for e, p in zip(ball, pts)]
+    rows = [[P.word_label(w), p[0], p[1]] for w, p in zip(ball.words(), pts)]
     return header, rows, {"ball_size": len(ball)}
 
 
 def run_limit_set(P, theta, phi, params):
-    n = int(_positive(params, "n", 6))
+    n = int(params.get("n", 6))
     samples, skipped = flags.sample_limit_set(P, theta, n)
     d = P.dimension
     m = len(samples[0][0].frame[0]) if samples else 0
@@ -153,7 +154,7 @@ def run_limit_set(P, theta, phi, params):
 
 
 def run_critical_exponent(P, theta, phi, params):
-    n_max = int(_positive(params, "n_max", 10))
+    n_max = int(params.get("n_max", 10))
     method = params.get("method", "both")
     ests = patterson.critical_exponent(P, phi, n_max, theta, method=method)
     if not isinstance(ests, tuple):
@@ -167,12 +168,9 @@ def run_critical_exponent(P, theta, phi, params):
 
 
 def _measure(P, theta, phi, params):
-    n = int(_positive(params, "n", 8))
+    n = int(params.get("n", 8))
     est = patterson.critical_exponent(P, phi, max(n, 4), theta)
-    if "s" in params:
-        s = _positive(params, "s", None)
-    else:
-        s = est.delta_hat * _positive(params, "s_factor", 1.05)
+    s = params.get("s", est.delta_hat * params.get("s_factor", 1.05))
     mu = patterson.patterson_measure(
         P, phi, s, n, theta, delta_hat=est.delta_hat
     )
@@ -192,8 +190,8 @@ def run_ps_measure(P, theta, phi, params):
 
 
 def run_quasi_invariance(P, theta, phi, params):
-    alpha = _word(params, "alpha")
-    n = int(_positive(params, "n", 8))
+    alpha = _word(P, params["alpha"], "params.alpha")
+    n = int(params.get("n", 8))
     est = patterson.critical_exponent(P, phi, max(n, 4), theta)
     s = params.get("s", est.delta_hat * 1.05)
     stats = patterson.quasi_invariance_residual(P, phi, alpha, s, n, theta)
@@ -204,17 +202,15 @@ def run_quasi_invariance(P, theta, phi, params):
 
 def run_shadow_check(P, theta, phi, params):
     fam = _family(params, P)
-    n = int(_positive(params, "n", 8))
-    mu_n = int(_positive(params, "mu_n", 12))
+    n = int(params.get("n", 8))
+    mu_n = int(params.get("mu_n", 12))
     est = patterson.critical_exponent(P, phi, mu_n, theta)
-    s = est.delta_hat * _positive(params, "s_factor", 1.01)
+    s = est.delta_hat * params.get("s_factor", 1.01)
     mu = patterson.patterson_measure(P, phi, s, mu_n, theta, delta_hat=est.delta_hat)
     if params.get("outer_sphere", True):
         mu = patterson.outer_sphere_restriction(mu)
     r0, eps0 = hilbert.shadow_constants(P, mu, min(n, 3), fam)
     r = params.get("r", 2.0 * r0)
-    if r <= 0:
-        raise ConfigInvalid("params.r", "must be a positive number")
     report = hilbert.shadow_measure_check(P, mu, phi, est.delta_hat, r, n, fam, theta)
     header = ["sphere", "count", "rho_min", "rho_max", "spread"]
     rows = [
@@ -230,14 +226,12 @@ def run_shadow_check(P, theta, phi, params):
 
 def run_conicality(P, theta, phi, params):
     fam = _family(params, P)
-    r = _positive(params, "r", 2.0)
-    n = int(_positive(params, "n", 10))
+    r = params.get("r", 2.0)
+    n = int(params.get("n", 10))
     if "z" in params:
         z = params["z"]
-        if not isinstance(z, list) or len(z) != 2:
-            raise ConfigInvalid("params.z", "must be a 2-vector on the boundary circle")
     else:
-        word = _word(params, "fixed_point_of")
+        word = _word(P, params["fixed_point_of"], "params.fixed_point_of")
         family = hilbert.KleinFamily(P, fam)
         F = flags.attracting_fixed_flag(P.word_matrix(word), (1, P.dimension - 1)
                                         if P.dimension > 2 else (1,))
@@ -249,12 +243,12 @@ def run_conicality(P, theta, phi, params):
 
 
 def run_count_geodesics(P, theta, phi, params):
-    t_max = _positive(params, "t_max", 25.0)
-    n_max = int(_positive(params, "n_max", 10))
+    t_max = params.get("t_max", 25.0)
+    n_max = int(params.get("n_max", 10))
     table = asymptotics.count_closed_geodesics(
         P, phi, t_max, n_max=n_max, theta=theta,
-        primitive_only=bool(params.get("primitive_only", False)),
-        unoriented=bool(params.get("unoriented", False)),
+        primitive_only=params.get("primitive_only", False),
+        unoriented=params.get("unoriented", False),
     )
     header = ["T", "count", "prediction", "ratio", "certified"]
     rows = [
@@ -269,7 +263,7 @@ def run_count_geodesics(P, theta, phi, params):
 
 
 def run_box_dim(P, theta, phi, params):
-    n_max = int(_positive(params, "n_max", 8))
+    n_max = int(params.get("n_max", 8))
     report = asymptotics.hausdorff_vs_exponent_experiment(
         P, n_max, theta=theta, scale_grid=params.get("scales"),
     )
@@ -280,10 +274,8 @@ def run_box_dim(P, theta, phi, params):
 
 
 def run_entropy_drop(P, theta, phi, params):
-    words = params.get("subgroup")
-    if not isinstance(words, list) or not words:
-        raise ConfigInvalid("params.subgroup", "must be a nonempty list of words")
-    n_max = int(_positive(params, "n_max", 9))
+    words = [_word(P, w, f"params.subgroup.{i}") for i, w in enumerate(params["subgroup"])]
+    n_max = int(params.get("n_max", 9))
     report = patterson.entropy_drop_experiment(P, words, phi, n_max, theta)
     header = ["delta_ambient", "delta_subgroup", "gap", "limit_set_separation"]
     rows = [[
@@ -298,7 +290,7 @@ def run_entropy_drop(P, theta, phi, params):
 def run_concavity(P, theta, phi, params):
     phi2 = build_phi(params.get("phi2"), P.dimension, field="params.phi2")
     lambdas = params.get("lambdas", [round(0.1 * i, 1) for i in range(1, 10)])
-    n_max = int(_positive(params, "n_max", 9))
+    n_max = int(params.get("n_max", 9))
     report = patterson.concavity_experiment(P, phi, phi2, lambdas, n_max, theta)
     header = ["lambda", "delta_hat", "residual"]
     rows = [[row["lambda"], row["delta_hat"], row["residual"]] for row in report["rows"]]
@@ -309,7 +301,7 @@ def run_concavity(P, theta, phi, params):
 
 
 def run_limit_cone(P, theta, phi, params):
-    n = int(_positive(params, "n", 8))
+    n = int(params.get("n", 8))
     dirs = matgroup.limit_cone_sample(P, theta, n)
     header = [f"dir_{i + 1}" for i in range(dirs.shape[1])]
     rows = [list(v) for v in dirs]
@@ -335,7 +327,7 @@ HANDLERS = {
 
 def execute(command, config, out_dir):
     """Run one subcommand; returns the manifest dict after writing artifacts."""
-    validate_config(config)
+    validate_config(config, command)
     if "command" in config and config["command"] != command:
         raise ConfigInvalid("command", f"config names {config['command']!r}, "
                                        f"invoked as {command!r}")

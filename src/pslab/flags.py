@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cartan
+from . import cartan, matgroup
 from .errors import InsufficientGap, NotProximal, ThetaMismatch
 
 GAP_TOLERANCE = 1e-10
@@ -113,15 +113,13 @@ def sample_limit_set(P, theta, n, gap_tolerance=GAP_TOLERANCE):
     Returns (samples, skipped) where samples is a list of (Flag, word) and
     skipped counts the sphere elements failing the singular-gap test.
     """
-    from . import matgroup
-
     theta = cartan.validate_theta(theta, P.dimension)
     sphere = matgroup.word_spheres(P, n)[n]
     samples = []
     skipped = 0
-    for e in sphere:
+    for M, word in zip(sphere.mats, sphere.words()):
         try:
-            samples.append((u_theta(e.matrix, theta, gap_tolerance), e.word))
+            samples.append((u_theta(M, theta, gap_tolerance), word))
         except InsufficientGap:
             skipped += 1
     return samples, skipped

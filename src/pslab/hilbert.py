@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from . import _kernels, matgroup
+from . import _kernels, cartan, matgroup
 from .errors import (
     BoundaryPoint,
     NonSmoothBoundaryWarning,
@@ -256,28 +256,28 @@ class KleinFamily:
             M = matgroup.symmetric_power_rep(M, 3)
         return C_MINKOWSKI @ M @ C_MINKOWSKI_INV
 
+    def _lift(self, M):
+        w = self.minkowski_matrix(M) @ np.array([0.0, 0.0, 1.0])
+        return -w if w[2] < 0.0 else w
+
     def orbit_point(self, M):
         """Image of the basepoint (origin) under the group element."""
-        w = self.minkowski_matrix(M) @ np.array([0.0, 0.0, 1.0])
-        if w[2] < 0.0:
-            w = -w
+        w = self._lift(M)
         return w[:2] / w[2]
 
-    def orbit_points(self, elements):
-        return np.array([self.orbit_point(e.matrix) for e in elements])
+    def orbit_points(self, mats):
+        """Orbit points of a (N, d, d) stack of group elements."""
+        return np.array([self.orbit_point(M) for M in mats])
 
-    def lifted_orbit(self, elements):
+    def lifted_orbit(self, mats):
         """Unnormalized hyperboloid lifts of the orbit of the basepoint.
 
-        Row w has w[2] = cosh d(b0, gamma b0); unlike the Klein chart this
-        stays representable at any orbit depth.
+        Takes a (N, d, d) stack; row w has w[2] = cosh d(b0, gamma b0).
+        Unlike the Klein chart this stays representable at any orbit depth.
         """
-        out = np.empty((len(elements), 3))
-        for i, e in enumerate(elements):
-            w = self.minkowski_matrix(e.matrix) @ np.array([0.0, 0.0, 1.0])
-            if w[2] < 0.0:
-                w = -w
-            out[i] = w
+        out = np.empty((len(mats), 3))
+        for i, M in enumerate(mats):
+            out[i] = self._lift(M)
         return out
 
     def boundary_point(self, flag):
@@ -383,8 +383,7 @@ def shadow_constants(P, mu, n, family, r_grid=None):
     measure."""
     fam = KleinFamily(P, family)
     zs, ws = measure_boundary_image(fam, mu)
-    elements = [e for e in matgroup.word_ball(P, n) if e.word]
-    lifts = fam.lifted_orbit(elements)
+    lifts = fam.lifted_orbit(matgroup.word_spheres(P, n)[1:].mats)
     if r_grid is None:
         r_grid = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
     for r in r_grid:
@@ -418,20 +417,16 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     Returns per-sphere min/max/spread of rho over the word ball of radius n;
     bounded spread across spheres is the empirical Shadow Lemma constant.
     """
-    from . import cartan
-
     fam = KleinFamily(P, family)
     theta = cartan.validate_theta(theta or cartan.full_theta(P.dimension), P.dimension)
     zs, ws = measure_boundary_image(fam, mu)
     proj = cartan.projection_matrix(P.dimension, theta)
     rows = []
     lo_all, hi_all = np.inf, 0.0
-    for sphere_index, sphere in enumerate(matgroup.word_spheres(P, n)):
-        if sphere_index == 0:
-            continue
-        lifts = fam.lifted_orbit(sphere)
+    for sphere_index, sphere in enumerate(matgroup.word_spheres(P, n)[1:], 1):
+        lifts = fam.lifted_orbit(sphere.mats)
         masses = shadow_masses(zs, ws, lifts, r)
-        kth = matgroup.batch_kappa(sphere, proj)
+        kth = matgroup.batch_kappa(sphere.mats, sphere.inv_mats, proj)
         rho = masses * np.exp(delta * phi(kth))
         pos = rho[masses > 0.0]
         if pos.size == 0:
@@ -453,9 +448,6 @@ def conicality_score(P, z, r, n, family):
     fam = KleinFamily(P, family)
     z = np.asarray(z, dtype=float)
     z = z / np.linalg.norm(z)
-    counts = []
-    for sphere in matgroup.word_spheres(P, n)[1:]:
-        lifts = fam.lifted_orbit(sphere)
-        dists = _kernels.ray_distances_lifted(lifts, z)
-        counts.append(int(np.count_nonzero(dists < r)))
-    return counts
+    ball = matgroup.word_spheres(P, n)[1:]
+    dists = _kernels.ray_distances_lifted(fam.lifted_orbit(ball.mats), z)
+    return [int(np.count_nonzero(d < r)) for d in ball.split(dists)]

@@ -3,12 +3,20 @@
 Words are tuples of signed 1-based generator indices: +i is the i-th
 generator, -i its inverse.  Enumeration order is canonical: by length, then
 lexicographically with letters ordered +1, -1, +2, -2, ...
+
+A word ball is one ``WordBall``: row i of its arrays is one element,
+``mats[i]`` its matrix (the forward product of its word), ``inv_mats[i]`` the
+forward product of its inverted word, ``letter[i]`` its last letter and
+``parent[i]`` the row of its word with that letter removed.  Rows run in
+canonical order, so each sphere is a contiguous block of rows and a parent
+row always precedes its children.  Words are rebuilt from ``parent`` and
+``letter`` only where a label or a word is needed.
 """
 
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +67,8 @@ class GroupPresentation:
         return len(self.generators)
 
     def letter_matrix(self, letter):
+        if not 1 <= abs(letter) <= self.rank:
+            raise BadIndex(f"letter {letter} is not one of +-1..+-{self.rank}")
         return self._alphabet[_letter_key(letter)]
 
     def word_matrix(self, word):
@@ -75,21 +85,6 @@ class GroupPresentation:
         return ".".join(parts) or "e"
 
 
-@dataclass
-class GroupElement:
-    matrix: np.ndarray
-    word: tuple
-    word_length: int = field(default=None)
-    # inverse built from the inverse word: forward-stable where direct matrix
-    # inversion of a long ill-conditioned product is not
-    inverse_matrix: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.word = tuple(self.word)
-        if self.word_length is None:
-            self.word_length = len(self.word)
-
-
 def reduce_word(word):
     out = []
     for letter in word:
@@ -104,73 +99,121 @@ def invert_word(word):
     return tuple(-x for x in reversed(word))
 
 
-def word_spheres(P, n, cap=None):
-    """Freely reduced word spheres 0..n with matrices, in canonical order.
+@dataclass(eq=False, repr=False)
+class WordBall:
+    """Word spheres as one set of arrays (layout in the module docstring).
 
-    Returns a list of lists of GroupElement.  For non-free presentations,
-    elements whose matrices coincide (rounded to dedup_tolerance) with an
-    earlier element are dropped, with a warning recording the merge count.
+    Sphere j of this ball is rows offsets[j]:offsets[j+1] and holds words of
+    length first + j.  ``len`` counts elements; iterating yields the spheres.
+    Indexing with an int gives one sphere and with a slice a run of spheres,
+    as WordBalls over views of the same arrays.  ``parent`` holds rows of
+    the ball word_spheres returned, which views keep as ``whole``.
+    """
+
+    mats: np.ndarray  # (N, d, d) float
+    inv_mats: np.ndarray  # (N, d, d) float
+    parent: np.ndarray  # (N,) int32, -1 at the identity
+    letter: np.ndarray  # (N,) int8, 0 at the identity
+    offsets: np.ndarray  # (spheres + 1,) row offsets, offsets[0] == 0
+    first: int = 0
+    # None on the ball itself: a reference to itself would leave its arrays
+    # to the cycle collector
+    whole: "WordBall" = None
+
+    @property
+    def _whole(self):
+        return self if self.whole is None else self.whole
+
+    def __len__(self):
+        return len(self.mats)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self.offsets) - 1))
+
+    def __getitem__(self, key):
+        spheres = range(len(self.offsets) - 1)[key]
+        if isinstance(spheres, int):
+            spheres = range(spheres, spheres + 1)
+        if spheres.step != 1:
+            raise BadIndex("word-ball slices take no step")
+        lo, hi = spheres.start, max(spheres.start, spheres.stop)
+        a, b = self.offsets[lo], self.offsets[hi]
+        return WordBall(self.mats[a:b], self.inv_mats[a:b], self.parent[a:b],
+                        self.letter[a:b], self.offsets[lo:hi + 1] - a,
+                        self.first + lo, self._whole)
+
+    def split(self, values):
+        """Per-row values cut into one array per sphere."""
+        return np.split(values, self.offsets[1:-1])
+
+    def sphere_letters(self):
+        """One (count, k) int8 array of words per sphere of length k."""
+        for sphere in self:
+            out = np.empty((len(sphere), sphere.first), dtype=np.int8)
+            letters, rows = sphere.letter, sphere.parent
+            for i in range(sphere.first - 1, -1, -1):
+                out[:, i] = letters
+                letters, rows = self._whole.letter[rows], self._whole.parent[rows]
+            yield out
+
+    def words(self):
+        """The words of all rows, as tuples."""
+        return [tuple(w) for block in self.sphere_letters() for w in block.tolist()]
+
+
+def word_spheres(P, n, cap=None):
+    """Freely reduced word spheres 0..n with matrices, as one WordBall.
+
+    Each sphere is built in one step from the allowed (parent row, letter)
+    pairs of the previous one.  The cap is checked against the running total
+    plus the next sphere's candidate count before that sphere is allocated;
+    for a free presentation the total is free_ball_size(P.rank, n).  For
+    non-free presentations, elements whose matrices coincide (rounded to
+    dedup_tolerance) with an earlier element are dropped, with a warning
+    recording the merge count.
     """
     if n < 0:
         raise BadIndex("n must be >= 0")
     cap = cap or P.element_cap
-    d = P.dimension
-    letters = [s * i for i in range(1, P.rank + 1) for s in (1, -1)]
-    letters.sort(key=_letter_key)
+    # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
+    letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
+                       dtype=np.int8)
+    alphabet = np.stack(P._alphabet)
+    inv_alphabet = alphabet[np.arange(len(letters)) ^ 1]
 
-    seen = {} if not P.assume_free else None
+    def dedup_keys(M):
+        return np.round(M / P.dedup_tolerance).astype(np.int64)
+
+    eye = np.eye(P.dimension)[None]
+    mats, inv_mats = [eye], [eye]
+    parents, lasts = [np.full(1, -1, dtype=np.int32)], [np.zeros(1, dtype=np.int8)]
+    offsets = [0, 1]
+    seen = None if P.assume_free else {dedup_keys(eye)[0].tobytes()}
     merged = 0
-
-    def dedup_key(M):
-        return np.round(M / P.dedup_tolerance).astype(np.int64).tobytes()
-
-    spheres = [[GroupElement(np.eye(d), (), inverse_matrix=np.eye(d))]]
-    if seen is not None:
-        seen[dedup_key(np.eye(d))] = ()
-    total = 1
     for _ in range(n):
-        prev = spheres[-1]
-        parents = np.array([e.matrix for e in prev])
-        inv_parents = np.array([e.inverse_matrix for e in prev])
-        children = []
-        child_words = []
-        parent_idx = []
-        child_letters = []
-        for pi, e in enumerate(prev):
-            last = e.word[-1] if e.word else 0
-            for letter in letters:
-                if last == -letter:
-                    continue
-                parent_idx.append(pi)
-                child_letters.append(letter)
-                child_words.append(e.word + (letter,))
-        if not child_words:
-            spheres.append([])
-            continue
-        stack = np.stack([P.letter_matrix(c) for c in child_letters])
-        inv_stack = np.stack([P.letter_matrix(-c) for c in child_letters])
-        mats = np.matmul(parents[parent_idx], stack)
-        inv_mats = np.matmul(inv_stack, inv_parents[parent_idx])
-        for w, M, Minv in zip(child_words, mats, inv_mats):
-            if seen is not None:
-                key = dedup_key(M)
-                if key in seen:
-                    merged += 1
-                    continue
-                seen[key] = w
-            children.append(GroupElement(M, w, inverse_matrix=Minv))
-        total += len(children)
-        if total > cap:
+        allowed = letters[None, :] != -lasts[-1][:, None]
+        if offsets[-1] + np.count_nonzero(allowed) > cap:
             raise BudgetExceeded(f"element count exceeds cap {cap}")
-        spheres.append(children)
+        pi, li = np.nonzero(allowed)
+        M = np.matmul(mats[-1][pi], alphabet[li])
+        Minv = np.matmul(inv_alphabet[li], inv_mats[-1][pi])
+        if seen is not None:
+            keep = np.ones(len(M), dtype=bool)
+            for i, key in enumerate(dedup_keys(M)):
+                key = key.tobytes()
+                keep[i] = key not in seen
+                seen.add(key)
+            merged += int(np.count_nonzero(~keep))
+            pi, li, M, Minv = pi[keep], li[keep], M[keep], Minv[keep]
+        parents.append((pi + offsets[-2]).astype(np.int32))
+        lasts.append(letters[li])
+        mats.append(M)
+        inv_mats.append(Minv)
+        offsets.append(offsets[-1] + len(M))
     if merged:
         warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
-    return spheres
-
-
-def word_ball(P, n, cap=None):
-    """All freely reduced words of length <= n with matrices, canonical order."""
-    return [e for sphere in word_spheres(P, n, cap) for e in sphere]
+    return WordBall(np.concatenate(mats), np.concatenate(inv_mats),
+                    np.concatenate(parents), np.concatenate(lasts), np.array(offsets))
 
 
 def free_ball_size(rank, n):
@@ -179,10 +222,6 @@ def free_ball_size(rank, n):
         return 2 * n + 1
     q = 2 * rank - 1
     return 1 + 2 * rank * (q**n - 1) // (q - 1)
-
-
-def _is_cyclically_reduced(word):
-    return len(word) < 2 or word[0] != -word[-1]
 
 
 def _necklace_canon(word):
@@ -199,7 +238,7 @@ def _is_proper_power(word):
 
 
 def conjugacy_classes(P, n, primitive_only=False):
-    """One representative per cyclic class of cyclically reduced words, length <= n.
+    """One canonical word per cyclic class of cyclically reduced words, length <= n.
 
     gamma and gamma^-1 give distinct classes.  Only valid for free
     presentations (raises NotFree otherwise).
@@ -208,18 +247,16 @@ def conjugacy_classes(P, n, primitive_only=False):
         raise NotFree("conjugacy enumeration by cyclic words needs a free presentation")
     reps = []
     seen = set()
-    for sphere in word_spheres(P, n)[1:]:
-        for e in sphere:
-            w = e.word
-            if not _is_cyclically_reduced(w):
-                continue
-            canon = _necklace_canon(w)
+    for block in word_spheres(P, n)[1:].sphere_letters():
+        cyclically_reduced = block[block[:, 0] != -block[:, -1]]
+        for w in cyclically_reduced.tolist():
+            canon = _necklace_canon(tuple(w))
             if canon in seen:
                 continue
             seen.add(canon)
             if primitive_only and _is_proper_power(canon):
                 continue
-            reps.append(GroupElement(P.word_matrix(canon), canon))
+            reps.append(canon)
     return reps
 
 
@@ -272,28 +309,25 @@ def symmetric_power_rep(A, d):
     return out
 
 
-def batch_kappa(elements, projection=None):
-    """Cartan vectors for a list of GroupElements, optionally projected to a_theta."""
-    if not elements:
-        return np.zeros((0, 0))
-    mats = np.stack([e.matrix for e in elements])
+def batch_kappa(mats, inv_mats, projection=None):
+    """Cartan vectors of a stack of products, optionally projected to a_theta.
+
+    inv_mats[i] is the forward product of the inverted word of mats[i].
+    """
     logs = _kernels.batch_log_singular_values(mats)
-    if all(e.inverse_matrix is not None for e in elements):
-        # small singular values of a long product carry absolute error on the
-        # order of eps * sigma_1; the inverse-word product sees them as large
-        # singular values, so splice its (negated, reversed) top half in
-        inv_mats = np.stack([e.inverse_matrix for e in elements])
-        inv_logs = -_kernels.batch_log_singular_values(inv_mats)[:, ::-1]
-        d = mats.shape[1]
-        top = (d + 1) // 2
-        combined = logs.copy()
-        combined[:, top:] = inv_logs[:, top:]
-        if d % 2 == 1:
-            mid = d // 2
-            combined[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
-        logs = combined
+    # small singular values of a long product carry absolute error on the
+    # order of eps * sigma_1; the inverse-word product sees them as large
+    # singular values, so splice its (negated, reversed) top half in
+    inv_logs = -_kernels.batch_log_singular_values(inv_mats)[:, ::-1]
+    d = logs.shape[1]
+    top = (d + 1) // 2
+    combined = logs.copy()
+    combined[:, top:] = inv_logs[:, top:]
+    if d % 2 == 1:
+        mid = d // 2
+        combined[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
     # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
-    logs = logs - logs.mean(axis=1, keepdims=True)
+    logs = combined - combined.mean(axis=1, keepdims=True)
     if projection is not None:
         logs = logs @ projection.T
     return logs
@@ -305,10 +339,8 @@ def limit_cone_sample(P, theta, n, tol=1e-12):
         raise BadIndex("n must be >= 1")
     theta = cartan.validate_theta(theta, P.dimension)
     sphere = word_spheres(P, n)[n]
-    if not sphere:
-        return np.zeros((0, P.dimension))
     proj = cartan.projection_matrix(P.dimension, theta)
-    vecs = batch_kappa(sphere, proj)
+    vecs = batch_kappa(sphere.mats, sphere.inv_mats, proj)
     norms = np.linalg.norm(vecs, axis=1)
     keep = norms > tol
     return vecs[keep] / norms[keep, None]

@@ -1,7 +1,7 @@
 """Poincare series, critical exponents and Patterson-Sullivan approximants."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +46,10 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _phi_values(P, phi, theta, spheres):
-    """phi(kappa_theta(gamma)) per sphere, batched; sphere 0 is the identity."""
-    proj = cartan.projection_matrix(P.dimension, theta)
-    f = phi.covector() @ proj
-    out = []
-    for sphere in spheres:
-        if not sphere:
-            out.append(np.zeros(0))
-            continue
-        logs = matgroup.batch_kappa(sphere)
-        out.append(logs @ f)
-    return out
+def _phi_values(P, phi, theta, ball):
+    """phi(kappa_theta(gamma)) per sphere of the ball, in one batch."""
+    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
+    return ball.split(matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f)
 
 
 def _check_cone_positivity(P, phi, theta, values, fraction=NEGATIVE_CONE_FRACTION):
@@ -81,8 +73,7 @@ def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTI
     if s < 0:
         raise ConfigInvalid("s", "must be >= 0")
     theta = cartan.validate_theta(theta, P.dimension)
-    spheres = matgroup.word_spheres(P, n)
-    values = _phi_values(P, phi, theta, spheres)
+    values = _phi_values(P, phi, theta, matgroup.word_spheres(P, n))
     _check_cone_positivity(P, phi, theta, values, cone_fraction)
     per_sphere = np.array([np.exp(-s * v).sum() if v.size else 0.0 for v in values])
     total = float(per_sphere.sum())
@@ -198,8 +189,7 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
-    spheres = matgroup.word_spheres(P, n_max)
-    values = _phi_values(P, phi, theta, spheres)
+    values = _phi_values(P, phi, theta, matgroup.word_spheres(P, n_max))
     _check_cone_positivity(P, phi, theta, values)
     if method == "sphere-regression":
         return _sphere_regression(values, n_max)
@@ -225,20 +215,19 @@ def patterson_measure(
     )
     if delta_hat is not None and s < delta_hat * (1.0 + min_margin):
         raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
-    spheres = matgroup.word_spheres(P, n)
-    values = _phi_values(P, phi, theta, spheres)
+    ball = matgroup.word_spheres(P, n)
+    values = np.concatenate(_phi_values(P, phi, theta, ball))
     atoms = []
     excluded = 0
     raw = []
-    for sphere, vals in zip(spheres, values):
-        for e, t in zip(sphere, vals):
-            try:
-                F = flags.u_theta(e.matrix, theta, gap_tolerance)
-            except InsufficientGap:
-                excluded += 1
-                continue
-            atoms.append((F, e.word))
-            raw.append(t)
+    for M, word, t in zip(ball.mats, ball.words(), values):
+        try:
+            F = flags.u_theta(M, theta, gap_tolerance)
+        except InsufficientGap:
+            excluded += 1
+            continue
+        atoms.append((F, word))
+        raw.append(t)
     if not atoms:
         raise WindowEmpty("every enumerated element failed the gap test")
     raw = np.array(raw)
@@ -289,24 +278,18 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
     alpha_inv = P.word_matrix(matgroup.invert_word(tuple(alpha_word)))
     proj = cartan.projection_matrix(P.dimension, theta)
     f = phi.covector() @ proj
-    spheres = matgroup.word_spheres(P, n)
+    ball = matgroup.word_spheres(P, n)[1:]
+    # spliced batch kappa: the direct SVD of a deep product loses the small
+    # singular values, which would swamp the residual
+    base = ball.split(matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f)
+    shifted = ball.split(
+        matgroup.batch_kappa(alpha_inv @ ball.mats, ball.inv_mats @ alpha_mat) @ f)
     stats = []
-    for j, sphere in enumerate(spheres):
-        if j == 0 or not sphere:
-            continue
-        # spliced batch kappa: the direct SVD of a deep product loses the
-        # small singular values, which would swamp the residual
-        shifted = [
-            matgroup.GroupElement(alpha_inv @ e.matrix, e.word,
-                                  inverse_matrix=e.inverse_matrix @ alpha_mat)
-            for e in sphere
-        ]
-        base_vals = matgroup.batch_kappa(sphere) @ f
-        shift_vals = matgroup.batch_kappa(shifted) @ f
+    for j, (sphere, base_vals, shift_vals) in enumerate(zip(ball, base, shifted), 1):
         residuals = []
-        for e, t0, t1 in zip(sphere, base_vals, shift_vals):
+        for M, t0, t1 in zip(sphere.mats, base_vals, shift_vals):
             try:
-                F = flags.u_theta(e.matrix, theta)
+                F = flags.u_theta(M, theta)
             except InsufficientGap:
                 continue
             b = cocycle.phi_iwasawa(phi, alpha_inv, F)

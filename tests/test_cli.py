@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -18,6 +19,7 @@ def base_config(**overrides):
 
 def test_schema_loads_and_lists_all_commands():
     schema = cli.load_schema()
+    jsonschema.Draft202012Validator.check_schema(schema)
     assert set(schema["properties"]["command"]["enum"]) == set(cli.COMMANDS)
     assert set(cli.HANDLERS) == set(cli.COMMANDS)
 
@@ -113,6 +115,27 @@ def test_cli_exit_codes(tmp_path):
                                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         # no traceback: the run ended through the CLI's own exit, not a raise
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigInvalid" and err["path"] == path
+
+    # a letter outside +-1..+-rank names the word; an unknown or ill-typed
+    # params key names params, also when the config omits the command
+    for command, config, path in (
+        ("entropy-drop", {"params": {"subgroup": [[0]]}}, "params.subgroup.0"),
+        ("entropy-drop", {"params": {"subgroup": [[1], [5]]}}, "params.subgroup.1"),
+        ("quasi-invariance", {"params": {"alpha": [7]}}, "params.alpha"),
+        ("conicality", {"params": {"fixed_point_of": [3]}}, "params.fixed_point_of"),
+        ("kappa", {"command": "kappa", "params": {"m": 2}}, "params"),
+        ("kappa", {"params": {"m": 2}}, "params"),
+        ("kappa", {"params": {"n": True}}, "params.n"),
+        ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
+        ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
+    ):
+        bad.write_text(json.dumps({"preset": "fuchsian-schottky-1", **config}))
+        result = runner.invoke(cli.main, [command, "--config", str(bad),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigInvalid" and err["path"] == path

@@ -90,8 +90,7 @@ def test_orbit_distances_match_upper_half_plane():
     P = presets.fuchsian_schottky(1.6)
     fam = hilbert.KleinFamily(P, "so")
     dom = fam.domain
-    for e in matgroup.word_ball(P, 2):
-        g = e.matrix
+    for g in matgroup.word_spheres(P, 2).mats:
         cosh_d = np.trace(g.T @ g) / 2.0
         x = fam.orbit_point(g)
         assert abs(hilbert.hilbert_distance(dom, np.zeros(2), x)
@@ -100,9 +99,9 @@ def test_orbit_distances_match_upper_half_plane():
 
 def test_lifted_orbit_consistent_with_chart(sl2):
     fam = hilbert.KleinFamily(sl2, "so")
-    ball = matgroup.word_ball(sl2, 3)
-    lifts = fam.lifted_orbit(ball)
-    pts = fam.orbit_points(ball)
+    ball = matgroup.word_spheres(sl2, 3)
+    lifts = fam.lifted_orbit(ball.mats)
+    pts = fam.orbit_points(ball.mats)
     assert np.allclose(lifts[:, :2] / lifts[:, 2:], pts, atol=1e-10)
     assert np.all(lifts[:, 2] >= 1.0 - 1e-12)
 
@@ -154,9 +153,9 @@ def test_shadow_masses_agree_with_membership_kernel(rng):
 def test_shadow_masses_to_origin_agree_with_kernel(rng):
     P = presets.fuchsian_schottky(1.6)
     fam = hilbert.KleinFamily(P, "so")
-    ball = [e for e in matgroup.word_ball(P, 3) if e.word]
-    lifts = fam.lifted_orbit(ball)
-    Minvs = np.stack([fam.minkowski_matrix(e.inverse_matrix) for e in ball])
+    ball = matgroup.word_spheres(P, 3)[1:]
+    lifts = fam.lifted_orbit(ball.mats)
+    Minvs = np.stack([fam.minkowski_matrix(M) for M in ball.inv_mats])
     ang = rng.uniform(-np.pi, np.pi, size=300)
     zs = np.c_[np.cos(ang), np.sin(ang)]
     ws = rng.uniform(0.0, 1.0, size=300)

@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from pslab import cartan, matgroup, presets
-from pslab.errors import NotFree
+from pslab.errors import BadIndex, BudgetExceeded, NotFree
 
 
 def test_word_reduction_and_inversion():
@@ -25,15 +29,68 @@ def test_sphere_sizes_match_free_group(sl2):
 
 def test_sphere_order_is_canonical(sl2):
     sphere1 = matgroup.word_spheres(sl2, 1)[1]
-    assert [e.word for e in sphere1] == [(1,), (-1,), (2,), (-2,)]
+    assert sphere1.words() == [(1,), (-1,), (2,), (-2,)]
 
 
 def test_word_matrices_consistent(sl2):
-    for e in matgroup.word_ball(sl2, 3):
-        assert np.allclose(e.matrix, sl2.word_matrix(e.word), atol=1e-12)
+    ball = matgroup.word_spheres(sl2, 3)
+    for matrix, inverse_matrix, word in zip(ball.mats, ball.inv_mats, ball.words()):
+        assert np.allclose(matrix, sl2.word_matrix(word), atol=1e-12)
         assert np.allclose(
-            e.inverse_matrix, sl2.word_matrix(matgroup.invert_word(e.word)),
+            inverse_matrix, sl2.word_matrix(matgroup.invert_word(word)),
             atol=1e-10)
+
+
+def test_ball_matrices_equal_word_products(sl3):
+    # the same left-to-right products as word_matrix, so equal to the bit
+    ball = matgroup.word_spheres(sl3, 4)
+    for matrix, word in zip(ball.mats, ball.words()):
+        assert np.array_equal(matrix, sl3.word_matrix(word))
+
+
+def test_sphere_views_share_the_ball(sl2):
+    ball = matgroup.word_spheres(sl2, 4)
+    tail = ball[2:]
+    assert [len(s) for s in tail] == [12, 36, 108]
+    assert tail.words() == ball.words()[5:]
+    assert ball[-1].words() == tail[2].words()
+    assert np.shares_memory(tail[1].mats, ball.mats)
+    assert [v.size for v in ball.split(np.arange(len(ball)))] == [1, 4, 12, 36, 108]
+    assert all(len(w) == 4 for w in ball[4].words())
+
+
+def test_ball_is_freed_without_the_cycle_collector(sl2):
+    # balls are built over and over in one run; a reference cycle would keep
+    # each one's arrays alive until the cycle collector happens to run
+    gc.disable()
+    try:
+        ball = matgroup.word_spheres(sl2, 3)
+        tail = ball[1:]
+        freed = weakref.ref(ball)
+        del ball, tail
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_element_cap_checked_before_allocating():
+    # sphere 10 alone holds 78,732 elements; building it before the check took 70 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            matgroup.word_spheres(presets.sl2_mild(), 40, cap=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_letter_matrix_rejects_unknown_letters(sl2):
+    for letter in (0, 3, -3):
+        with pytest.raises(BadIndex):
+            sl2.letter_matrix(letter)
+    with pytest.raises(BadIndex):
+        sl2.word_matrix((1, 0))
 
 
 def test_non_free_presentation_merges_coincident_words():
@@ -41,13 +98,13 @@ def test_non_free_presentation_merges_coincident_words():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     P = matgroup.GroupPresentation(2, [R], assume_free=False)
     with pytest.warns(UserWarning, match="merged"):
-        ball = matgroup.word_ball(P, 6)
+        ball = matgroup.word_spheres(P, 6)
     assert len(ball) == 4
 
 
 def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
     reps = matgroup.conjugacy_classes(sl2, 2)
-    words = {e.word for e in reps}
+    words = set(reps)
     # one representative per necklace; (1, 2) covers (2, 1)
     assert (1, 2) in words and (2, 1) not in words
     # a word and its inverse are distinct classes
@@ -58,7 +115,7 @@ def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
 
 def test_conjugacy_classes_primitive_only(sl2):
     reps = matgroup.conjugacy_classes(sl2, 4, primitive_only=True)
-    words = {e.word for e in reps}
+    words = set(reps)
     assert (1,) in words and (1, 1) not in words
 
 
@@ -102,10 +159,10 @@ def test_symmetric_power_rep_rotation_orthogonal():
 
 
 def test_batch_kappa_matches_scalar_kappa(sl3):
-    ball = matgroup.word_ball(sl3, 4)
-    logs = matgroup.batch_kappa(ball)
-    for e, row in zip(ball[:40], logs[:40]):
-        assert np.allclose(row, cartan.kappa(e.matrix), atol=1e-9)
+    ball = matgroup.word_spheres(sl3, 4)
+    logs = matgroup.batch_kappa(ball.mats, ball.inv_mats)
+    for matrix, row in zip(ball.mats[:40], logs[:40]):
+        assert np.allclose(row, cartan.kappa(matrix), atol=1e-9)
 
 
 def test_limit_cone_sample_unit_directions(sl3):
