@@ -25,12 +25,6 @@ from . import (
 )
 from .errors import BadIndex, ConfigInvalid, PslabError
 
-COMMANDS = (
-    "kappa", "orbit", "limit-set", "critical-exponent", "ps-measure",
-    "quasi-invariance", "shadow-check", "conicality", "count-geodesics",
-    "box-dim", "entropy-drop", "concavity", "limit-cone",
-)
-
 CSV_SCHEMA_VERSION = 1
 
 
@@ -54,11 +48,7 @@ def _validator():
     return jsonschema.Draft202012Validator(load_schema())
 
 
-def validate_config(config, command=None):
-    """Check config against the schema; the params schema of ``command``
-    applies even when the config names no command."""
-    if command is not None and isinstance(config, dict) and "command" not in config:
-        config = {**config, "command": command}
+def validate_config(config):
     error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
     if error is not None:
         path = ".".join(str(p) for p in error.absolute_path) or "(root)"
@@ -107,15 +97,12 @@ def build_phi(spec, d, field="phi"):
         raise ConfigInvalid(field, str(exc)) from exc
 
 
-def _family(params, P):
-    return params.get("family", "so" if P.dimension == 2 else "sym2")
-
-
 def _word(P, word, path):
     """A config word as a tuple, with its letters checked against P."""
     word = tuple(int(x) for x in word)
     try:
-        P.word_matrix(word)
+        for letter in word:
+            P.letter_matrix(letter)
     except BadIndex as exc:
         raise ConfigInvalid(path, str(exc)) from exc
     return word
@@ -135,7 +122,7 @@ def run_kappa(P, theta, phi, params):
 
 def run_orbit(P, theta, phi, params):
     n = int(params.get("n", 6))
-    fam = hilbert.KleinFamily(P, _family(params, P))
+    fam = hilbert.KleinFamily(P, params.get("family", "so" if P.dimension == 2 else "sym2"))
     ball = matgroup.word_spheres(P, n)
     pts = fam.orbit_points(ball.mats)
     header = ["word", "x", "y"]
@@ -167,18 +154,11 @@ def run_critical_exponent(P, theta, phi, params):
     return header, rows, {"delta_hat": ests[0].delta_hat}
 
 
-def _measure(P, theta, phi, params):
+def run_ps_measure(P, theta, phi, params):
     n = int(params.get("n", 8))
     est = patterson.critical_exponent(P, phi, max(n, 4), theta)
     s = params.get("s", est.delta_hat * params.get("s_factor", 1.05))
-    mu = patterson.patterson_measure(
-        P, phi, s, n, theta, delta_hat=est.delta_hat
-    )
-    return mu, est
-
-
-def run_ps_measure(P, theta, phi, params):
-    mu, est = _measure(P, theta, phi, params)
+    mu = patterson.patterson_measure(P, phi, s, n, theta, delta_hat=est.delta_hat)
     header = ["word", "weight"]
     rows = [[P.word_label(word), w] for _, w, word in mu.atoms]
     depth = max(len(word) for _, _, word in mu.atoms)
@@ -201,7 +181,7 @@ def run_quasi_invariance(P, theta, phi, params):
 
 
 def run_shadow_check(P, theta, phi, params):
-    fam = _family(params, P)
+    fam = params.get("family", "so" if P.dimension == 2 else "sym2")
     n = int(params.get("n", 8))
     mu_n = int(params.get("mu_n", 12))
     est = patterson.critical_exponent(P, phi, mu_n, theta)
@@ -225,7 +205,7 @@ def run_shadow_check(P, theta, phi, params):
 
 
 def run_conicality(P, theta, phi, params):
-    fam = _family(params, P)
+    fam = params.get("family", "so" if P.dimension == 2 else "sym2")
     r = params.get("r", 2.0)
     n = int(params.get("n", 10))
     if "z" in params:
@@ -327,7 +307,8 @@ HANDLERS = {
 
 def execute(command, config, out_dir):
     """Run one subcommand; returns the manifest dict after writing artifacts."""
-    validate_config(config, command)
+    # the invoked command's params schema applies when the config names none
+    validate_config({"command": command, **config})
     if "command" in config and config["command"] != command:
         raise ConfigInvalid("command", f"config names {config['command']!r}, "
                                        f"invoked as {command!r}")
@@ -406,7 +387,7 @@ def _make_command(name):
     return main.command(name=name)(_cmd)
 
 
-for _name in COMMANDS:
+for _name in HANDLERS:
     _make_command(_name)
 
 

@@ -116,11 +116,6 @@ class ConvexDomain:
         t_minus = np.max(ts[av < 0.0])
         return float(t_minus), float(t_plus)
 
-    def boundary_point_toward(self, x, v):
-        """The boundary point hit by the ray from x in direction v."""
-        _, tp = self.chord(x, v)
-        return np.asarray(x, dtype=float) + tp * np.asarray(v, dtype=float)
-
 
 def _require_interior(dom, x):
     if dom.margin(x) <= BOUNDARY_TOLERANCE:

@@ -105,9 +105,10 @@ class WordBall:
 
     Sphere j of this ball is rows offsets[j]:offsets[j+1] and holds words of
     length first + j.  ``len`` counts elements; iterating yields the spheres.
-    Indexing with an int gives one sphere and with a slice a run of spheres,
-    as WordBalls over views of the same arrays.  ``parent`` holds rows of
-    the ball word_spheres returned, which views keep as ``whole``.
+    Indexing with an int gives one sphere and with a contiguous
+    slice a run of spheres, as WordBalls over views of the same arrays.
+    ``parent`` holds rows of the ball word_spheres returned, whose
+    ``(letter, parent)`` arrays every view keeps as ``whole``.
     """
 
     mats: np.ndarray  # (N, d, d) float
@@ -115,14 +116,10 @@ class WordBall:
     parent: np.ndarray  # (N,) int32, -1 at the identity
     letter: np.ndarray  # (N,) int8, 0 at the identity
     offsets: np.ndarray  # (spheres + 1,) row offsets, offsets[0] == 0
-    first: int = 0
-    # None on the ball itself: a reference to itself would leave its arrays
-    # to the cycle collector
-    whole: "WordBall" = None
-
-    @property
-    def _whole(self):
-        return self if self.whole is None else self.whole
+    first: int  # word length of sphere 0
+    # arrays, not the ball: a ball referring to itself is left to the cycle
+    # collector
+    whole: tuple
 
     def __len__(self):
         return len(self.mats)
@@ -131,16 +128,13 @@ class WordBall:
         return (self[j] for j in range(len(self.offsets) - 1))
 
     def __getitem__(self, key):
-        spheres = range(len(self.offsets) - 1)[key]
-        if isinstance(spheres, int):
-            spheres = range(spheres, spheres + 1)
-        if spheres.step != 1:
-            raise BadIndex("word-ball slices take no step")
-        lo, hi = spheres.start, max(spheres.start, spheres.stop)
+        if not isinstance(key, slice):
+            key = slice(key, key + 1 or None)  # -1 is the last sphere
+        lo, hi, _ = key.indices(len(self.offsets) - 1)
         a, b = self.offsets[lo], self.offsets[hi]
         return WordBall(self.mats[a:b], self.inv_mats[a:b], self.parent[a:b],
                         self.letter[a:b], self.offsets[lo:hi + 1] - a,
-                        self.first + lo, self._whole)
+                        self.first + lo, self.whole)
 
     def split(self, values):
         """Per-row values cut into one array per sphere."""
@@ -151,9 +145,10 @@ class WordBall:
         for sphere in self:
             out = np.empty((len(sphere), sphere.first), dtype=np.int8)
             letters, rows = sphere.letter, sphere.parent
+            all_letters, all_parents = self.whole
             for i in range(sphere.first - 1, -1, -1):
                 out[:, i] = letters
-                letters, rows = self._whole.letter[rows], self._whole.parent[rows]
+                letters, rows = all_letters[rows], all_parents[rows]
             yield out
 
     def words(self):
@@ -212,8 +207,9 @@ def word_spheres(P, n, cap=None):
         offsets.append(offsets[-1] + len(M))
     if merged:
         warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
-    return WordBall(np.concatenate(mats), np.concatenate(inv_mats),
-                    np.concatenate(parents), np.concatenate(lasts), np.array(offsets))
+    parent, letter = np.concatenate(parents), np.concatenate(lasts)
+    return WordBall(np.concatenate(mats), np.concatenate(inv_mats), parent, letter,
+                    np.array(offsets), 0, (letter, parent))
 
 
 def free_ball_size(rank, n):
@@ -222,11 +218,6 @@ def free_ball_size(rank, n):
         return 2 * n + 1
     q = 2 * rank - 1
     return 1 + 2 * rank * (q**n - 1) // (q - 1)
-
-
-def _necklace_canon(word):
-    rotations = [word[i:] + word[:i] for i in range(len(word))]
-    return min(rotations, key=word_key)
 
 
 def _is_proper_power(word):
@@ -249,8 +240,8 @@ def conjugacy_classes(P, n, primitive_only=False):
     seen = set()
     for block in word_spheres(P, n)[1:].sphere_letters():
         cyclically_reduced = block[block[:, 0] != -block[:, -1]]
-        for w in cyclically_reduced.tolist():
-            canon = _necklace_canon(tuple(w))
+        for w in map(tuple, cyclically_reduced.tolist()):
+            canon = min((w[i:] + w[:i] for i in range(len(w))), key=word_key)
             if canon in seen:
                 continue
             seen.add(canon)

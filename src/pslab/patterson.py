@@ -94,11 +94,8 @@ def _certified_rmax(values_by_sphere, n_max):
     Uses the minimal observed per-letter displacement m = min phi/|word|;
     the ball of radius n_max then contains every element below n_max * m.
     """
-    ratios = []
-    for length, vals in enumerate(values_by_sphere):
-        if length == 0 or vals.size == 0:
-            continue
-        ratios.append(vals.min() / length)
+    ratios = [vals.min() / length for length, vals in enumerate(values_by_sphere)
+              if length > 0 and vals.size > 0]
     if not ratios:
         raise WindowEmpty("no non-identity elements enumerated")
     return n_max * min(ratios)

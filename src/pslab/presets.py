@@ -44,11 +44,6 @@ def fuchsian_schottky(s=2.0):
 FUCHSIAN_SCHOTTKY_PARAMS = [1.6, 2.0, 2.6]
 
 
-def fuchsian_schottky_family():
-    """The three shipped Fuchsian Schottky examples."""
-    return [fuchsian_schottky(s) for s in FUCHSIAN_SCHOTTKY_PARAMS]
-
-
 def sym_power_presentation(P, d):
     """Image of a 2x2 presentation under the d-dimensional irreducible rep."""
     gens = [matgroup.symmetric_power_rep(g, d) for g in P.generators]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pslab import cli
+from pslab import cli, hilbert
 from pslab.errors import ConfigInvalid
 
 
@@ -20,8 +20,10 @@ def base_config(**overrides):
 def test_schema_loads_and_lists_all_commands():
     schema = cli.load_schema()
     jsonschema.Draft202012Validator.check_schema(schema)
-    assert set(schema["properties"]["command"]["enum"]) == set(cli.COMMANDS)
-    assert set(cli.HANDLERS) == set(cli.COMMANDS)
+    assert set(schema["properties"]["command"]["enum"]) == set(cli.HANDLERS)
+    # hilbert.KleinFamily owns the family list; the schema repeats it
+    assert tuple(schema["properties"]["params"]["properties"]["family"]["enum"]) \
+        == hilbert.FAMILIES
 
 
 def test_validate_config_reports_field_path():
@@ -131,6 +133,11 @@ def test_cli_exit_codes(tmp_path):
         ("kappa", {"params": {"n": True}}, "params.n"),
         ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
         ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
+        ("box-dim", {"params": {"scales": [0.3, 0.1, 0.03, 0.01]}}, "params.scales"),
+        # commands with a required params key need params
+        ("quasi-invariance", {}, "(root)"),
+        ("entropy-drop", {}, "(root)"),
+        ("conicality", {}, "(root)"),
     ):
         bad.write_text(json.dumps({"preset": "fuchsian-schottky-1", **config}))
         result = runner.invoke(cli.main, [command, "--config", str(bad),
@@ -173,7 +180,7 @@ def test_cli_success_prints_summary(tmp_path):
 def test_shipped_configs_validate():
     cfg_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
     names = sorted(f for f in os.listdir(cfg_dir) if f.endswith(".json"))
-    assert len(names) == len(cli.COMMANDS)
+    assert len(names) == len(cli.HANDLERS)
     for name in names:
         with open(os.path.join(cfg_dir, name)) as fh:
             config = json.load(fh)
