@@ -180,10 +180,10 @@ def hausdorff_vs_exponent_experiment(P, n_max, theta=None, scale_grid=None):
     )
     phi = cartan.Functional.alpha(1, P.dimension)
     est = patterson.critical_exponent(P, phi, n_max, theta)
-    samples, skipped = flags.sample_limit_set(P, theta, n_max)
-    if not samples:
+    samples, skipped, _ = flags.sample_limit_set(P, theta, n_max)
+    if not len(samples):
         raise WindowEmpty("limit-set sample is empty")
-    lines = np.array([F.frame[:, 0] for F, _ in samples])
+    lines = np.ascontiguousarray(samples.frame[:, :, 0])
     box = box_counting_dimension(lines, scale_grid, metric="chordal")
     return {
         "delta_hat": est.delta_hat,

@@ -18,23 +18,25 @@ DET_TOLERANCE = 1e-6
 
 
 def require_unimodular(A, tol=DET_TOLERANCE):
-    """Return A as a float array after the unit-determinant check.
+    """Return A, one matrix or a (N, d, d) stack, as floats after the
+    unit-determinant check of every matrix.
 
     Long word products make the determinant numerically ill-determined (its
     absolute error grows like eps * |A|^d), so the check widens with the
     matrix scale; actual renormalization happens in log-space downstream.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise NonUnimodular(None)
     if not np.isfinite(A).all():
         raise NonUnimodular(None)
     det = np.linalg.det(A)
-    d = A.shape[0]
-    scale = max(np.linalg.norm(A, "fro"), 1.0)
-    allowance = max(tol, 64 * d * np.finfo(float).eps * scale**d)
-    if not np.isfinite(det) or abs(det - 1.0) > allowance:
-        raise NonUnimodular(det)
+    d = A.shape[-1]
+    scale = np.maximum(np.sqrt((A * A).sum(axis=(-2, -1))), 1.0)
+    allowance = np.maximum(tol, 64 * d * np.finfo(float).eps * scale**d)
+    ok = np.abs(det - 1.0) <= allowance
+    if not ok.all():
+        raise NonUnimodular(np.extract(~ok, det)[0])
     return A
 
 
@@ -43,31 +45,32 @@ def kappa(A, tol=DET_TOLERANCE):
 
     The zero-sum normalization subtracts the mean log singular value, which
     equals the spec'd |det|^(-1/d) rescaling but stays accurate when the
-    determinant itself is dominated by round-off.
+    determinant itself is dominated by round-off.  A (N, d, d) stack gives
+    one row per matrix.
     """
     A = require_unimodular(A, tol)
     try:
         sigma = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    if sigma[-1] <= 0.0:
+    if (sigma[..., -1] <= 0.0).any():
         raise DecompositionFailure("vanishing singular value")
     logs = np.log(sigma)
-    return logs - logs.mean()
+    return logs - logs.mean(axis=-1, keepdims=True)
 
 
 def jordan(A, tol=DET_TOLERANCE):
-    """Jordan projection: sorted log moduli of (generalized) eigenvalues."""
+    """Jordan projection: sorted log moduli of (generalized) eigenvalues, per matrix of A."""
     A = require_unimodular(A, tol)
     try:
         eigvals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    moduli = np.sort(np.abs(eigvals))[::-1]
-    if moduli[-1] <= 0.0:
+    moduli = np.sort(np.abs(eigvals))[..., ::-1]
+    if (moduli[..., -1] <= 0.0).any():
         raise DecompositionFailure("vanishing eigenvalue modulus")
     logs = np.log(moduli)
-    return logs - logs.mean()
+    return logs - logs.mean(axis=-1, keepdims=True)
 
 
 def jordan_spliced(A, A_inv, tol=DET_TOLERANCE):
@@ -77,24 +80,25 @@ def jordan_spliced(A, A_inv, tol=DET_TOLERANCE):
     of order eps * |lambda_1|, so the bottom half of nu is taken from the
     inverse (negated and reversed), where those moduli are dominant; A_inv
     must be the forward product of the inverted word, not a matrix inverse.
+    Stacks of both give one row per pair.
     """
     A = require_unimodular(A, tol)
     A_inv = require_unimodular(A_inv, tol)
     try:
-        mf = np.sort(np.abs(np.linalg.eigvals(A)))[::-1]
-        mi = np.sort(np.abs(np.linalg.eigvals(A_inv)))[::-1]
+        mf = np.sort(np.abs(np.linalg.eigvals(A)))[..., ::-1]
+        mi = np.sort(np.abs(np.linalg.eigvals(A_inv)))[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
     logs_f = np.log(np.maximum(mf, 1e-300))
-    logs_i = -np.log(np.maximum(mi, 1e-300))[::-1]
-    d = A.shape[0]
+    logs_i = -np.log(np.maximum(mi, 1e-300))[..., ::-1]
+    d = A.shape[-1]
     top = (d + 1) // 2
     out = logs_f.copy()
-    out[top:] = logs_i[top:]
+    out[..., top:] = logs_i[..., top:]
     if d % 2 == 1:
         mid = d // 2
-        out[mid] = 0.5 * (logs_f[mid] + logs_i[mid])
-    return out - out.mean()
+        out[..., mid] = 0.5 * (logs_f[..., mid] + logs_i[..., mid])
+    return out - out.mean(axis=-1, keepdims=True)
 
 
 def validate_theta(theta, d):
@@ -131,13 +135,17 @@ def _constraint_matrix(d, theta):
 
 
 def vector_from_omegas(d, theta, omega_values):
-    """The unique zero-sum vector in a_theta with the given omega_k values."""
+    """The unique zero-sum vector in a_theta with the given omega_k values.
+
+    omega_values has shape (..., len(theta)); the result has shape (..., d).
+    """
     theta = validate_theta(theta, d)
     M = _constraint_matrix(d, theta)
-    rhs = np.zeros(d)
-    rhs[: len(theta)] = np.asarray(omega_values, dtype=float)
+    omega_values = np.asarray(omega_values, dtype=float)
+    rhs = np.zeros(omega_values.shape[:-1] + (d, 1))
+    rhs[..., : len(theta), 0] = omega_values
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.solve(M, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
 

@@ -132,12 +132,12 @@ def run_orbit(P, theta, phi, params):
 
 def run_limit_set(P, theta, phi, params):
     n = int(params.get("n", 6))
-    samples, skipped = flags.sample_limit_set(P, theta, n)
+    F, skipped, words = flags.sample_limit_set(P, theta, n)
     d = P.dimension
-    m = len(samples[0][0].frame[0]) if samples else 0
+    m = d if len(F) else 0
     header = ["word"] + [f"frame_{i + 1}_{j + 1}" for i in range(d) for j in range(m)]
-    rows = [[P.word_label(w), *F.frame.ravel()] for F, w in samples]
-    return header, rows, {"sample_size": len(samples), "skipped": skipped}
+    rows = [[P.word_label(w), *f.ravel()] for w, f in zip(words.tolist(), F.frame)]
+    return header, rows, {"sample_size": len(F), "skipped": skipped}
 
 
 def run_critical_exponent(P, theta, phi, params):
@@ -160,9 +160,10 @@ def run_ps_measure(P, theta, phi, params):
     s = params.get("s", est.delta_hat * params.get("s_factor", 1.05))
     mu = patterson.patterson_measure(P, phi, s, n, theta, delta_hat=est.delta_hat)
     header = ["word", "weight"]
-    rows = [[P.word_label(word), w] for _, w, word in mu.atoms]
-    depth = max(len(word) for _, _, word in mu.atoms)
-    inner = sum(w for _, w, word in mu.atoms if len(word) <= depth // 2)
+    words = mu.ball.words()
+    rows = [[P.word_label(words[i]), w] for i, w in zip(mu.atoms, mu.weights)]
+    lengths = mu.ball.lengths()[mu.atoms]
+    inner = sum(mu.weights[lengths <= lengths.max() // 2].tolist())
     return header, rows, {
         "s": mu.s, "delta_hat": est.delta_hat, "excluded": mu.excluded,
         "inner_half_mass": inner,
@@ -172,12 +173,10 @@ def run_ps_measure(P, theta, phi, params):
 def run_quasi_invariance(P, theta, phi, params):
     alpha = _word(P, params["alpha"], "params.alpha")
     n = int(params.get("n", 8))
-    est = patterson.critical_exponent(P, phi, max(n, 4), theta)
-    s = params.get("s", est.delta_hat * 1.05)
-    stats = patterson.quasi_invariance_residual(P, phi, alpha, s, n, theta)
+    stats = patterson.quasi_invariance_residual(P, phi, alpha, None, n, theta)
     header = ["sphere", "min", "median", "max", "count"]
     rows = [[st["sphere"], st["min"], st["median"], st["max"], st["count"]] for st in stats]
-    return header, rows, {"s": s, "alpha": P.word_label(alpha)}
+    return header, rows, {"alpha": P.word_label(alpha)}
 
 
 def run_shadow_check(P, theta, phi, params):
@@ -215,7 +214,7 @@ def run_conicality(P, theta, phi, params):
         family = hilbert.KleinFamily(P, fam)
         F = flags.attracting_fixed_flag(P.word_matrix(word), (1, P.dimension - 1)
                                         if P.dimension > 2 else (1,))
-        z = family.boundary_point(F)
+        z = family.boundary_point(F.frame)
     counts = hilbert.conicality_score(P, np.asarray(z, dtype=float), r, n, fam)
     header = ["sphere", "count"]
     rows = [[i + 1, c] for i, c in enumerate(counts)]

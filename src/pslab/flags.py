@@ -12,19 +12,22 @@ TRANSVERSALITY_TOLERANCE = 1e-10
 
 
 def qr_positive(M):
-    """QR with positive diagonal of R; deterministic orthonormal frame."""
+    """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames."""
     Q, R = np.linalg.qr(M)
-    signs = np.sign(np.diag(R))
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return Q * signs
+    return Q * signs[..., None, :]
 
 
 @dataclass(frozen=True)
 class Flag:
-    """Point of F_theta: nested column spans of an orthonormal frame.
+    """Points of F_theta: nested column spans of orthonormal frames.
 
-    The k-subspace (k in theta) is the span of the first k frame columns.
-    Equality of flags is span equality, tested through flag_distance.
+    ``frame`` is one (d, d) frame or a stack of them with leading axes, such
+    as (N, d, d); the operations below broadcast over the leading axes and
+    give a plain value for a single flag.  The k-subspace (k in theta) is the
+    span of the first k frame columns.  Equality of flags is span equality,
+    tested through flag_distance.
     """
 
     theta: tuple
@@ -34,15 +37,24 @@ class Flag:
         object.__setattr__(self, "theta", tuple(self.theta))
         frame = np.asarray(self.frame, dtype=float)
         object.__setattr__(self, "frame", frame)
-        if np.max(np.abs(frame.T @ frame - np.eye(frame.shape[0]))) > 1e-8:
+        gram = np.swapaxes(frame, -1, -2) @ frame
+        if frame.size and np.max(np.abs(gram - np.eye(frame.shape[-1]))) > 1e-8:
             raise ValueError("flag frame is not orthonormal")
 
     @property
     def dimension(self):
-        return self.frame.shape[0]
+        return self.frame.shape[-1]
+
+    def __len__(self):
+        """Number of flags in a stack."""
+        return len(self.frame)
+
+    def __getitem__(self, key):
+        """The flags of the stack rows picked by a numpy index."""
+        return Flag(self.theta, self.frame[key])
 
     def subspace(self, k):
-        return self.frame[:, :k]
+        return self.frame[..., :k]
 
 
 def make_flag(theta, columns):
@@ -51,21 +63,29 @@ def make_flag(theta, columns):
 
 
 def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
-    """Flag of leading left singular subspaces ("span of the k largest axes")."""
+    """Flags of leading left singular subspaces ("span of the k largest axes").
+
+    For one (d, d) matrix, returns its Flag and raises InsufficientGap when a
+    singular gap at some k in theta is not above gap_tolerance.  For a
+    (N, d, d) stack, returns (F, ok): ok marks the rows passing the gap test
+    and F stacks their flags, in row order.
+    """
     A = cartan.require_unimodular(A)
-    d = A.shape[0]
-    theta = cartan.validate_theta(theta, d)
+    theta = cartan.validate_theta(theta, A.shape[-1])
     U, sigma, _ = np.linalg.svd(A)
     logs = np.log(sigma)
-    for k in theta:
-        gap = logs[k - 1] - logs[k]
-        if gap <= gap_tolerance:
-            raise InsufficientGap(k, gap)
-    return Flag(theta, qr_positive(U))
+    gaps = logs[..., np.array(theta) - 1] - logs[..., theta]
+    ok = ~(gaps <= gap_tolerance).any(axis=-1)
+    if A.ndim == 2:
+        if not ok:
+            i = int(np.argmax(gaps <= gap_tolerance))
+            raise InsufficientGap(theta[i], gaps[i])
+        return Flag(theta, qr_positive(U))
+    return Flag(theta, qr_positive(U[ok])), ok
 
 
 def apply_matrix(A, F):
-    """The projective action of A on a flag, with frame re-orthonormalization."""
+    """The projective action of A on flags, with frame re-orthonormalization."""
     return Flag(F.theta, qr_positive(np.asarray(A, dtype=float) @ F.frame))
 
 
@@ -88,41 +108,34 @@ def is_transverse(F, G, tolerance=TRANSVERSALITY_TOLERANCE):
     return bool(witness > tolerance), witness
 
 
-def largest_principal_angle_sine(B1, B2):
-    """sin of the largest principal angle between equal-dim orthonormal bases."""
-    sigma = np.linalg.svd(B1.T @ B2, compute_uv=False)
-    smallest = np.clip(sigma[-1], -1.0, 1.0)
-    return float(np.sqrt(max(1.0 - smallest * smallest, 0.0)))
-
-
 def flag_distance(F, G):
-    """max over k in theta of sin(largest principal angle of F^k vs G^k)."""
+    """max over k in theta of sin(largest principal angle of F^k vs G^k).
+
+    The sine is sqrt(1 - s^2) for the smallest singular value s of the
+    pairing of the two orthonormal bases.  Stacks broadcast: one distance
+    per pair of rows, a float for two single flags.
+    """
     _check_compatible(F, G)
-    return max(
-        largest_principal_angle_sine(F.subspace(k), G.subspace(k)) for k in F.theta
-    )
-
-
-def flags_equal(F, G, tol=1e-7):
-    return flag_distance(F, G) < tol
+    out = None
+    for k in F.theta:
+        pairing = np.swapaxes(F.subspace(k), -1, -2) @ G.subspace(k)
+        smallest = np.clip(np.linalg.svd(pairing, compute_uv=False)[..., -1], -1.0, 1.0)
+        sine = np.sqrt(np.maximum(1.0 - smallest * smallest, 0.0))
+        out = sine if out is None else np.maximum(out, sine)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_limit_set(P, theta, n, gap_tolerance=GAP_TOLERANCE):
     """U_theta over the word sphere of radius n: a finite limit-set stand-in.
 
-    Returns (samples, skipped) where samples is a list of (Flag, word) and
-    skipped counts the sphere elements failing the singular-gap test.
+    Returns (F, skipped, words): F stacks the flags of the sphere elements
+    passing the singular-gap test, skipped counts the others and words is
+    the (len(F), n) int8 array of the kept elements' words.
     """
-    theta = cartan.validate_theta(theta, P.dimension)
     sphere = matgroup.word_spheres(P, n)[n]
-    samples = []
-    skipped = 0
-    for M, word in zip(sphere.mats, sphere.words()):
-        try:
-            samples.append((u_theta(M, theta, gap_tolerance), word))
-        except InsufficientGap:
-            skipped += 1
-    return samples, skipped
+    F, ok = u_theta(sphere.mats, theta, gap_tolerance)
+    (words,) = sphere.sphere_letters()
+    return F, int(np.count_nonzero(~ok)), words[ok]
 
 
 def attracting_fixed_flag(A, theta, gap_tolerance=GAP_TOLERANCE):

@@ -275,31 +275,24 @@ class KleinFamily:
             out[i] = self._lift(M)
         return out
 
-    def boundary_point(self, flag):
-        """Unit-circle image of a limit flag's line."""
-        v = flag.frame[:, 0]
+    def boundary_point(self, frames):
+        """Unit-circle images of the lines frames[..., :, 0] of limit flags.
+
+        One (d, d) frame gives a (2,) point, a (N, d, d) stack (N, 2) points.
+        """
+        v = np.asarray(frames)[..., :, 0]
         if self.family == "so":
-            a, b = v
-            u = np.array([2.0 * a * b, a * a - b * b, a * a + b * b])
+            a, b = v[..., 0], v[..., 1]
+            u = np.stack([2.0 * a * b, a * a - b * b, a * a + b * b], axis=-1)
         else:
-            u = C_MINKOWSKI @ v
-        if u[2] < 0.0:
-            u = -u
-        x = u[:2] / u[2]
-        n = np.linalg.norm(x)
-        if n <= 0.0:
+            u = (C_MINKOWSKI @ v[..., None])[..., 0]
+        u = np.where(u[..., 2:] < 0.0, -u, u)
+        x = u[..., :2] / u[..., 2:]
+        # a dot per row, as np.linalg.norm takes for one vector (shipped CSV bits)
+        n = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+        if (n <= 0.0).any():
             raise UnsupportedFamily("flag line does not meet the boundary model")
         return x / n
-
-    def boundary_points(self, flags):
-        return np.array([self.boundary_point(F) for F in flags])
-
-
-def measure_boundary_image(fam, mu):
-    """Atom boundary points and weights of an AtomicMeasure in the Klein disk."""
-    zs = fam.boundary_points([atom[0] for atom in mu.atoms])
-    ws = np.array([atom[1] for atom in mu.atoms])
-    return zs, ws
 
 
 class SortedBoundaryMeasure:
@@ -377,7 +370,7 @@ def shadow_constants(P, mu, n, family, r_grid=None):
     orbit back to the basepoint all carry positive measure, and that minimal
     measure."""
     fam = KleinFamily(P, family)
-    zs, ws = measure_boundary_image(fam, mu)
+    zs, ws = fam.boundary_point(mu.frames), mu.weights
     lifts = fam.lifted_orbit(matgroup.word_spheres(P, n)[1:].mats)
     if r_grid is None:
         r_grid = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
@@ -414,7 +407,7 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     """
     fam = KleinFamily(P, family)
     theta = cartan.validate_theta(theta or cartan.full_theta(P.dimension), P.dimension)
-    zs, ws = measure_boundary_image(fam, mu)
+    zs, ws = fam.boundary_point(mu.frames), mu.weights
     proj = cartan.projection_matrix(P.dimension, theta)
     rows = []
     lo_all, hi_all = np.inf, 0.0

@@ -136,6 +136,11 @@ class WordBall:
                         self.letter[a:b], self.offsets[lo:hi + 1] - a,
                         self.first + lo, self.whole)
 
+    def lengths(self):
+        """Word length of every row."""
+        spheres = len(self.offsets) - 1
+        return np.repeat(np.arange(self.first, self.first + spheres), np.diff(self.offsets))
+
     def split(self, values):
         """Per-row values cut into one array per sphere."""
         return np.split(values, self.offsets[1:-1])

@@ -8,7 +8,6 @@ import numpy as np
 from . import cartan, cocycle, flags, matgroup
 from .errors import (
     ConfigInvalid,
-    InsufficientGap,
     NegativePhiOnCone,
     SubcriticalS,
     WindowEmpty,
@@ -18,6 +17,8 @@ from .errors import (
 WINDOW_DROP_LOW = 0.20
 WINDOW_DROP_HIGH = 0.10
 NEGATIVE_CONE_FRACTION = 0.05
+# flag pairs per flag_distance call in the limit-set separation
+SEPARATION_CHUNK = 1 << 16
 
 
 @dataclass
@@ -31,16 +32,19 @@ class ExponentEstimate:
 
 @dataclass
 class AtomicMeasure:
-    """Finitely supported probability measure on flags (mu_s approximant)."""
+    """Finitely supported probability measure on flags (mu_s approximant).
 
-    atoms: list  # (Flag, weight, word) triples
+    Atom i has mass weights[i] at the flag with frame frames[i]; it comes
+    from the element in row atoms[i] of ball.
+    """
+
+    frames: np.ndarray  # (N, d, d)
+    weights: np.ndarray  # (N,)
+    atoms: np.ndarray  # (N,) int ball rows, increasing
+    ball: matgroup.WordBall
     s: float
     phi: cartan.Functional
     excluded: int = 0
-
-    @property
-    def weights(self):
-        return np.array([w for _, w, _ in self.atoms])
 
     def total_mass(self):
         return float(self.weights.sum())
@@ -214,28 +218,14 @@ def patterson_measure(
         raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
     ball = matgroup.word_spheres(P, n)
     values = np.concatenate(_phi_values(P, phi, theta, ball))
-    atoms = []
-    excluded = 0
-    raw = []
-    for M, word, t in zip(ball.mats, ball.words(), values):
-        try:
-            F = flags.u_theta(M, theta, gap_tolerance)
-        except InsufficientGap:
-            excluded += 1
-            continue
-        atoms.append((F, word))
-        raw.append(t)
-    if not atoms:
+    F, ok = flags.u_theta(ball.mats, theta, gap_tolerance)
+    if not ok.any():
         raise WindowEmpty("every enumerated element failed the gap test")
-    raw = np.array(raw)
+    raw = values[ok]
     w = np.exp(-s * (raw - raw.min()))
     w /= w.sum()
-    return AtomicMeasure(
-        atoms=[(F, float(wi), word) for (F, word), wi in zip(atoms, w)],
-        s=float(s),
-        phi=phi,
-        excluded=excluded,
-    )
+    return AtomicMeasure(F.frame, w, np.flatnonzero(ok), ball, float(s), phi,
+                         int(np.count_nonzero(~ok)))
 
 
 def outer_sphere_restriction(mu, min_length=None):
@@ -246,18 +236,17 @@ def outer_sphere_restriction(mu, min_length=None):
     self-similar: every shadow at probe depth is filled by atoms from a single
     sphere, so shadow-mass ratios carry no ball-truncation drift.
     """
+    lengths = mu.ball.lengths()[mu.atoms]
     if min_length is None:
-        min_length = max(len(word) for _, _, word in mu.atoms)
-    kept = [(F, w, word) for F, w, word in mu.atoms if len(word) >= min_length]
-    if not kept:
+        min_length = lengths.max()
+    keep = lengths >= min_length
+    if not keep.any():
         raise WindowEmpty(f"no atoms at word length >= {min_length}")
-    total = sum(w for _, w, _ in kept)
-    return AtomicMeasure(
-        atoms=[(F, w / total, word) for F, w, word in kept],
-        s=mu.s,
-        phi=mu.phi,
-        excluded=mu.excluded,
-    )
+    w = mu.weights[keep]
+    # cumsum adds left to right (w.sum() adds pairwise); the shipped
+    # shadow-check CSV depends on this rounding
+    return AtomicMeasure(mu.frames[keep], w / np.cumsum(w)[-1], mu.atoms[keep], mu.ball,
+                         mu.s, mu.phi, mu.excluded)
 
 
 def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
@@ -266,7 +255,8 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
     For gamma on each sphere, r(gamma) = |phi(kappa_theta(alpha^-1 gamma))
     - phi(kappa_theta(gamma)) - phi(B_theta(alpha^-1, U_theta(gamma)))|;
     vanishing residuals in the limit give the e^{-s phi(B)} density.
-    Returns a list of per-sphere dicts with min/median/max.
+    Elements failing the singular-gap test are left out.  Returns a list of
+    per-sphere dicts with min/median/max.  s is not used.
     """
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
@@ -278,21 +268,15 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
     ball = matgroup.word_spheres(P, n)[1:]
     # spliced batch kappa: the direct SVD of a deep product loses the small
     # singular values, which would swamp the residual
-    base = ball.split(matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f)
-    shifted = ball.split(
-        matgroup.batch_kappa(alpha_inv @ ball.mats, ball.inv_mats @ alpha_mat) @ f)
+    base = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
+    shifted = matgroup.batch_kappa(alpha_inv @ ball.mats, ball.inv_mats @ alpha_mat) @ f
+    F, ok = flags.u_theta(ball.mats, theta)
+    residuals = np.full(len(ball), np.nan)
+    residuals[ok] = np.abs(shifted[ok] - base[ok] - phi(cocycle.iwasawa(alpha_inv, F)))
     stats = []
-    for j, (sphere, base_vals, shift_vals) in enumerate(zip(ball, base, shifted), 1):
-        residuals = []
-        for M, t0, t1 in zip(sphere.mats, base_vals, shift_vals):
-            try:
-                F = flags.u_theta(M, theta)
-            except InsufficientGap:
-                continue
-            b = cocycle.phi_iwasawa(phi, alpha_inv, F)
-            residuals.append(abs(t1 - t0 - b))
-        if residuals:
-            arr = np.array(residuals)
+    for j, (arr, keep) in enumerate(zip(ball.split(residuals), ball.split(ok)), 1):
+        arr = arr[keep]
+        if arr.size:
             stats.append(
                 {
                     "sphere": j,
@@ -334,19 +318,27 @@ def entropy_drop_experiment(P, subgroup_words, phi, n_max, theta=None, sep_n=Non
     est = critical_exponent(P, phi, n_max, theta)
     est0 = critical_exponent(P0, phi, n_max, theta)
     sep_n = sep_n or min(n_max, 6)
-    amb, _ = flags.sample_limit_set(P, theta, sep_n)
-    sub, _ = flags.sample_limit_set(P0, theta, sep_n)
-    separation = 0.0
-    if amb and sub:
-        separation = max(
-            min(flags.flag_distance(F, G) for G, _ in sub) for F, _ in amb
-        )
+    amb, _, _ = flags.sample_limit_set(P, theta, sep_n)
+    sub, _, _ = flags.sample_limit_set(P0, theta, sep_n)
     return {
         "delta_ambient": est,
         "delta_subgroup": est0,
         "gap": est.delta_hat - est0.delta_hat,
-        "limit_set_separation": float(separation),
+        "limit_set_separation": limit_set_separation(amb, sub),
     }
+
+
+def limit_set_separation(F, G):
+    """max over flags f of F of min over flags g of G of flag_distance(f, g).
+
+    F and G are flag stacks; 0.0 when either is empty.  The pairs are taken
+    SEPARATION_CHUNK at a time.
+    """
+    if not (len(F) and len(G)):
+        return 0.0
+    rows = max(1, SEPARATION_CHUNK // len(G))
+    return float(max(flags.flag_distance(F[i:i + rows, None], G).min(axis=1).max()
+                     for i in range(0, len(F), rows)))
 
 
 def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):

@@ -127,6 +127,8 @@ def test_cli_exit_codes(tmp_path):
         ("entropy-drop", {"params": {"subgroup": [[0]]}}, "params.subgroup.0"),
         ("entropy-drop", {"params": {"subgroup": [[1], [5]]}}, "params.subgroup.1"),
         ("quasi-invariance", {"params": {"alpha": [7]}}, "params.alpha"),
+        # quasi_invariance_residual does not read s
+        ("quasi-invariance", {"params": {"alpha": [1], "s": 0.5}}, "params"),
         ("conicality", {"params": {"fixed_point_of": [3]}}, "params.fixed_point_of"),
         ("kappa", {"command": "kappa", "params": {"m": 2}}, "params"),
         ("kappa", {"params": {"m": 2}}, "params"),

@@ -84,11 +84,3 @@ def test_gromov_cocycle_relation(rng, sl3):
         ) - cocycle.gromov_product(F, G)
         rhs = -cocycle.iwasawa(A, F) + cartan.hat_iota(cocycle.iwasawa(A, G))
         assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_phi_helpers_consistent(rng, sl3):
-    phi = cartan.Functional.alpha(1, 3)
-    A = sl3.word_matrix((1, 2, -1))
-    F = random_flag(rng, 3, (1, 2))
-    assert abs(cocycle.phi_kappa(phi, A, (1, 2)) - phi(cocycle.kappa_theta(A, (1, 2)))) < 1e-12
-    assert abs(cocycle.phi_iwasawa(phi, A, F) - phi(cocycle.iwasawa(A, F))) < 1e-12

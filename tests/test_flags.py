@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pslab import cartan, flags, matgroup, presets
-from pslab.errors import InsufficientGap, NotProximal, ThetaMismatch
+from pslab import cartan, cocycle, flags, matgroup, presets
+from pslab.errors import InsufficientGap, NonUnimodular, NotProximal, ThetaMismatch
 
 
 def test_qr_positive_orthonormal_and_deterministic(rng):
@@ -55,18 +55,17 @@ def test_flag_distance_theta_mismatch():
 
 
 def test_sample_limit_set_counts(sl2):
-    samples, skipped = flags.sample_limit_set(sl2, (1,), 3)
-    assert len(samples) + skipped == 36
-    for F, word in samples:
-        assert len(word) == 3
-        assert F.theta == (1,)
+    F, skipped, words = flags.sample_limit_set(sl2, (1,), 3)
+    assert len(F) + skipped == 36
+    assert words.shape == (len(F), 3)
+    assert F.theta == (1,)
 
 
 def test_attracting_fixed_flag_is_fixed():
     P = presets.fuchsian_schottky(1.6)
     A = P.word_matrix((1, 2))
     F = flags.attracting_fixed_flag(A, (1,))
-    assert flags.flags_equal(flags.apply_matrix(A, F), F)
+    assert flags.flag_distance(flags.apply_matrix(A, F), F) < 1e-7
 
 
 def test_attracting_fixed_flag_matches_deep_cartan_flag():
@@ -81,3 +80,37 @@ def test_attracting_fixed_flag_needs_proximality():
     R = presets.rotation(0.3)
     with pytest.raises(NotProximal):
         flags.attracting_fixed_flag(R, (1,))
+
+
+@pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
+                                      (presets.sl3_zariski_dense(), (1, 2))])
+def test_stacked_flag_layer_equals_single_calls(P, theta):
+    ball = matgroup.word_spheres(P, 3)
+    d = P.dimension
+    # the identity fails the gap test; put a second copy mid-stack
+    mats = np.concatenate([ball.mats[:10], np.eye(d)[None], ball.mats[10:]])
+    F, ok = flags.u_theta(mats, theta)
+    assert len(ok) == len(mats) and np.flatnonzero(~ok).tolist() == [0, 10]
+    assert len(F) == len(mats) - 2
+    alpha = P.generators[0]
+    B_one = cocycle.iwasawa(alpha, F)
+    B_stack = cocycle.iwasawa(mats[ok], F)
+    for i, M in enumerate(mats[ok]):
+        single = flags.u_theta(M, theta)
+        assert np.array_equal(F.frame[i], single.frame)
+        assert np.array_equal(B_one[i], cocycle.iwasawa(alpha, single))
+        assert np.array_equal(B_stack[i], cocycle.iwasawa(M, single))
+    for i in np.flatnonzero(~ok):
+        with pytest.raises(InsufficientGap):
+            flags.u_theta(mats[i], theta)
+    # the Cartan and Jordan projections broadcast the same way
+    kappas, nus = cartan.kappa(ball.mats), cartan.jordan_spliced(ball.mats, ball.inv_mats)
+    for i, (M, M_inv) in enumerate(zip(ball.mats, ball.inv_mats)):
+        assert np.array_equal(kappas[i], cartan.kappa(M))
+        assert np.array_equal(nus[i], cartan.jordan_spliced(M, M_inv))
+    skewed = mats[ok].copy()
+    skewed[5] *= 1.1
+    with pytest.raises(NonUnimodular):
+        flags.u_theta(skewed, theta)
+    with pytest.raises(NonUnimodular):
+        cocycle.iwasawa(skewed, F)

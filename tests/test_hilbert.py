@@ -107,11 +107,14 @@ def test_lifted_orbit_consistent_with_chart(sl2):
 
 
 def test_boundary_points_on_unit_circle():
-    P = presets.fuchsian_schottky(1.6)
-    fam = hilbert.KleinFamily(P, "so")
-    samples, _ = flags.sample_limit_set(P, (1,), 4)
-    zs = fam.boundary_points([F for F, _ in samples])
-    assert np.allclose(np.linalg.norm(zs, axis=1), 1.0, atol=1e-12)
+    for P, family, theta in ((presets.fuchsian_schottky(1.6), "so", (1,)),
+                             (presets.schottky_so21(1.6), "sym2", (1, 2))):
+        fam = hilbert.KleinFamily(P, family)
+        F, _, _ = flags.sample_limit_set(P, theta, 4)
+        zs = fam.boundary_point(F.frame)
+        assert np.allclose(np.linalg.norm(zs, axis=1), 1.0, atol=1e-12)
+        for z, frame in zip(zs, F.frame):
+            assert np.array_equal(z, fam.boundary_point(frame))
 
 
 def test_sym2_family_matches_so_family():
@@ -170,7 +173,7 @@ def test_conicality_generator_axis_versus_parabolic_point():
     P = presets.fuchsian_schottky(1.6)
     fam = hilbert.KleinFamily(P, "so")
     F = flags.attracting_fixed_flag(P.generators[0], (1,))
-    z_axis = fam.boundary_point(F)
+    z_axis = fam.boundary_point(F.frame)
     counts = hilbert.conicality_score(P, z_axis, 2.0, 7, "so")
     assert all(c >= 1 for c in counts)
     # a generic circle point misses the limit set: deep spheres leave the ray

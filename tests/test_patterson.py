@@ -51,7 +51,7 @@ def test_patterson_measure_normalized_and_supercritical():
     mu = patterson.patterson_measure(P, ALPHA1_2, 1.1 * est.delta_hat, 6, (1,),
                                      delta_hat=est.delta_hat)
     assert abs(mu.total_mass() - 1.0) < 1e-12
-    assert all(w > 0.0 for _, w, _ in mu.atoms)
+    assert (mu.weights > 0.0).all()
     with pytest.raises(SubcriticalS):
         patterson.patterson_measure(P, ALPHA1_2, 0.5 * est.delta_hat, 6, (1,),
                                     delta_hat=est.delta_hat)
@@ -61,10 +61,10 @@ def test_outer_sphere_restriction():
     P = presets.fuchsian_schottky(2.0)
     mu = patterson.patterson_measure(P, ALPHA1_2, 1.0, 4, (1,))
     outer = patterson.outer_sphere_restriction(mu)
-    assert all(len(word) == 4 for _, _, word in outer.atoms)
+    assert (outer.ball.lengths()[outer.atoms] == 4).all()
     assert abs(outer.total_mass() - 1.0) < 1e-12
     partial = patterson.outer_sphere_restriction(mu, min_length=3)
-    assert {len(word) for _, _, word in partial.atoms} == {3, 4}
+    assert set(partial.ball.lengths()[partial.atoms].tolist()) == {3, 4}
     with pytest.raises(WindowEmpty):
         patterson.outer_sphere_restriction(mu, min_length=5)
 
@@ -113,3 +113,21 @@ def test_concavity_experiment_normalizes_endpoints():
     report = patterson.concavity_experiment(P, a1, a2, [0.0, 1.0], 6, (1, 2))
     for row in report["rows"]:
         assert abs(row["delta_hat"] - 1.0) < 0.05
+
+
+def test_limit_set_separation_matches_scalar_double_loop(monkeypatch):
+    from pslab import flags
+
+    P = presets.sl3_zariski_dense()
+    F, _, _ = flags.sample_limit_set(P, (1, 2), 3)
+    G, _, _ = flags.sample_limit_set(
+        patterson.subgroup_presentation(P, [[1], [2, 1, -2]]), (1, 2), 2)
+    F, G = F[:37], G[:11]
+    brute = max(min(flags.flag_distance(F[i], G[j]) for j in range(len(G)))
+                for i in range(len(F)))
+    # 100 pairs a chunk: 9 rows of F per chunk, the last one short
+    monkeypatch.setattr(patterson, "SEPARATION_CHUNK", 100)
+    assert patterson.limit_set_separation(F, G) == brute
+    assert patterson.limit_set_separation(G, F) == max(
+        min(flags.flag_distance(G[j], F[i]) for i in range(len(F))) for j in range(len(G)))
+    assert patterson.limit_set_separation(F[:0], G) == 0.0
