@@ -33,20 +33,16 @@ def class_lengths(P, phi, n, theta=None, primitive_only=False):
     """phi(nu_theta) per conjugacy class representative, lengths <= n.
 
     Class length uses the Jordan projection (conjugation-invariant); kappa is
-    not a class function.  Returns (lengths, words) in canonical class order.
+    not a class function.  Returns (lengths, reps): reps is the WordBall of
+    matgroup.conjugacy_classes, in canonical class order.
     """
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
     proj = cartan.projection_matrix(P.dimension, theta)
     f = phi.covector() @ proj
-    words = matgroup.conjugacy_classes(P, n, primitive_only)
-    lengths = np.array([
-        float(f @ cartan.jordan_spliced(
-            P.word_matrix(w), P.word_matrix(matgroup.invert_word(w))))
-        for w in words
-    ])
-    return lengths, words
+    reps = matgroup.conjugacy_classes(P, n, primitive_only)
+    return cartan.jordan_spliced(reps.mats, reps.inv_mats) @ f, reps
 
 
 def count_closed_geodesics(
@@ -62,12 +58,12 @@ def count_closed_geodesics(
     """
     if t_max <= 0:
         raise BadIndex("t_max must be positive")
-    lengths, words = class_lengths(P, phi, n_max, theta, primitive_only)
+    lengths, reps = class_lengths(P, phi, n_max, theta, primitive_only)
     pos = lengths > ZERO_LENGTH_TOLERANCE
     lengths = lengths[pos]
     if lengths.size == 0:
         raise WindowEmpty("no classes of positive length enumerated")
-    word_lens = np.array([len(w) for w, keep in zip(words, pos) if keep])
+    word_lens = reps.lengths()[pos]
     t_certified = float(n_max * np.min(lengths / word_lens))
     if delta_hat is None:
         delta_hat = patterson.critical_exponent(P, phi, max(n_max, 4), theta).delta_hat

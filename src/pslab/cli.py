@@ -124,7 +124,7 @@ def run_orbit(P, theta, phi, params):
     n = int(params.get("n", 6))
     fam = hilbert.KleinFamily(P, params.get("family", "so" if P.dimension == 2 else "sym2"))
     ball = matgroup.word_spheres(P, n)
-    pts = fam.orbit_points(ball.mats)
+    pts = fam.orbit_point(ball.mats)
     header = ["word", "x", "y"]
     rows = [[P.word_label(w), p[0], p[1]] for w, p in zip(ball.words(), pts)]
     return header, rows, {"ball_size": len(ball)}

@@ -247,33 +247,24 @@ class KleinFamily:
         self.domain = ConvexDomain.klein_ball(2)
 
     def minkowski_matrix(self, M):
+        """SO(2,1) image of one group element or of a (N, d, d) stack."""
         if self.family == "so":
             M = matgroup.symmetric_power_rep(M, 3)
         return C_MINKOWSKI @ M @ C_MINKOWSKI_INV
 
-    def _lift(self, M):
-        w = self.minkowski_matrix(M) @ np.array([0.0, 0.0, 1.0])
-        return -w if w[2] < 0.0 else w
-
-    def orbit_point(self, M):
-        """Image of the basepoint (origin) under the group element."""
-        w = self._lift(M)
-        return w[:2] / w[2]
-
-    def orbit_points(self, mats):
-        """Orbit points of a (N, d, d) stack of group elements."""
-        return np.array([self.orbit_point(M) for M in mats])
-
     def lifted_orbit(self, mats):
         """Unnormalized hyperboloid lifts of the orbit of the basepoint.
 
-        Takes a (N, d, d) stack; row w has w[2] = cosh d(b0, gamma b0).
-        Unlike the Klein chart this stays representable at any orbit depth.
+        (3,) for one matrix, (N, 3) for a (N, d, d) stack; w[..., 2] is cosh
+        d(b0, gamma b0), which unlike the Klein chart stays representable.
         """
-        out = np.empty((len(mats), 3))
-        for i, M in enumerate(mats):
-            out[i] = self._lift(M)
-        return out
+        w = self.minkowski_matrix(mats) @ np.array([0.0, 0.0, 1.0])
+        return np.where(w[..., 2:] < 0.0, -w, w)
+
+    def orbit_point(self, M):
+        """Image of the basepoint (origin) under one group element or a stack."""
+        w = self.lifted_orbit(M)
+        return w[..., :2] / w[..., 2:]
 
     def boundary_point(self, frames):
         """Unit-circle images of the lines frames[..., :, 0] of limit flags.
@@ -409,22 +400,17 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     theta = cartan.validate_theta(theta or cartan.full_theta(P.dimension), P.dimension)
     zs, ws = fam.boundary_point(mu.frames), mu.weights
     proj = cartan.projection_matrix(P.dimension, theta)
+    ball = matgroup.word_spheres(P, n)[1:]
+    masses = shadow_masses(zs, ws, fam.lifted_orbit(ball.mats), r)
+    rho = masses * np.exp(delta * phi(matgroup.batch_kappa(ball.mats, ball.inv_mats, proj)))
     rows = []
-    lo_all, hi_all = np.inf, 0.0
-    for sphere_index, sphere in enumerate(matgroup.word_spheres(P, n)[1:], 1):
-        lifts = fam.lifted_orbit(sphere.mats)
-        masses = shadow_masses(zs, ws, lifts, r)
-        kth = matgroup.batch_kappa(sphere.mats, sphere.inv_mats, proj)
-        rho = masses * np.exp(delta * phi(kth))
-        pos = rho[masses > 0.0]
-        if pos.size == 0:
-            rows.append(ShadowRow(sphere_index, 0, np.nan, np.nan, np.nan))
-            continue
-        lo, hi = float(pos.min()), float(pos.max())
-        lo_all, hi_all = min(lo_all, lo), max(hi_all, hi)
+    for sphere_index, (rh, m) in enumerate(zip(ball.split(rho), ball.split(masses)), 1):
+        pos = rh[m > 0.0]
+        lo, hi = (float(pos.min()), float(pos.max())) if pos.size else (np.nan, np.nan)
         rows.append(ShadowRow(sphere_index, int(pos.size), lo, hi, hi / lo))
+    pos = rho[masses > 0.0]
     return ShadowReport(float(r), float(delta), rows,
-                        float(hi_all / lo_all) if hi_all > 0.0 else np.nan)
+                        float(pos.max() / pos.min()) if pos.size else np.nan)
 
 
 def conicality_score(P, z, r, n, family):

@@ -27,8 +27,8 @@ DEFAULT_ELEMENT_CAP = 5_000_000
 
 
 def _letter_key(letter):
-    # +1, -1, +2, -2, ... -> 0, 1, 2, 3, ...
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+    # +1, -1, +2, -2, ... -> 0, 1, 2, 3, ...; an int or an int array
+    return 2 * (abs(letter) - 1) + (letter < 0)
 
 
 def word_key(word):
@@ -225,35 +225,41 @@ def free_ball_size(rank, n):
     return 1 + 2 * rank * (q**n - 1) // (q - 1)
 
 
-def _is_proper_power(word):
-    n = len(word)
-    for per in range(1, n):
-        if n % per == 0 and word == word[per:] + word[:per]:
-            return True
-    return False
+def _byte_words(block):
+    """Rows of a (count, k) letter array as byte strings in canonical word order."""
+    # codes start at 1: byte strings drop trailing NUL bytes
+    codes = np.ascontiguousarray(_letter_key(block.astype(np.intp)) + 1, dtype=np.uint8)
+    return codes.view(f"S{block.shape[1]}")[:, 0]
 
 
 def conjugacy_classes(P, n, primitive_only=False):
     """One canonical word per cyclic class of cyclically reduced words, length <= n.
 
-    gamma and gamma^-1 give distinct classes.  Only valid for free
-    presentations (raises NotFree otherwise).
+    A WordBall of the representatives in canonical class order (``len``
+    counts classes); ``inv_mats`` holds the forward products of the inverted
+    words.  A cyclically reduced word represents its class when no rotation
+    (all lie in its sorted sphere) is smaller; with primitive_only, when each
+    is larger, as a word equal to a rotation is a proper power.  gamma and
+    gamma^-1 give distinct classes.  Only valid for free presentations
+    (raises NotFree otherwise).
     """
     if not P.assume_free:
         raise NotFree("conjugacy enumeration by cyclic words needs a free presentation")
-    reps = []
-    seen = set()
-    for block in word_spheres(P, n)[1:].sphere_letters():
-        cyclically_reduced = block[block[:, 0] != -block[:, -1]]
-        for w in map(tuple, cyclically_reduced.tolist()):
-            canon = min((w[i:] + w[:i] for i in range(len(w))), key=word_key)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if primitive_only and _is_proper_power(canon):
-                continue
-            reps.append(canon)
-    return reps
+    ball = word_spheres(P, n)
+    keep = np.zeros(len(ball), dtype=bool)
+    inverse = np.zeros(len(ball), dtype=np.intp)
+    for k, block in enumerate(ball[1:].sphere_letters(), 1):
+        sphere = slice(ball.offsets[k], ball.offsets[k + 1])
+        words = _byte_words(block)
+        keep[sphere] = block[:, 0] != -block[:, -1]
+        for shift in range(1, k):
+            rotated = _byte_words(np.roll(block, -shift, axis=1))
+            keep[sphere] &= words < rotated if primitive_only else words <= rotated
+        inverse[sphere] = ball.offsets[k] + np.searchsorted(words, _byte_words(-block[:, ::-1]))
+    rows = np.flatnonzero(keep)
+    return WordBall(ball.mats[rows], ball.mats[inverse[rows]], ball.parent[rows],
+                    ball.letter[rows], np.searchsorted(rows, ball.offsets[1:]), 1,
+                    ball.whole)
 
 
 def exterior_power_rep(A, k):
@@ -278,30 +284,32 @@ def symmetric_power_rep(A, d):
     Acts on degree-(d-1) binary forms in the norm-corrected monomial basis
     sqrt(C(n, j)) x^(n-j) y^j, which makes images of rotations orthogonal (so
     Cartan projections behave like the SO(2,1)-model predicts for d=3).
+    One 2x2 matrix gives a (d, d) matrix, a (N, 2, 2) stack a (N, d, d) stack.
     """
     A = cartan.require_unimodular(A)
-    if A.shape != (2, 2):
-        raise BadIndex("symmetric_power_rep takes a 2x2 matrix")
+    if A.shape[-2:] != (2, 2):
+        raise BadIndex("symmetric_power_rep takes 2x2 matrices")
     if d < 2:
         raise BadIndex("d must be >= 2")
     n = d - 1
-    a, b = A[0]
-    c, e = A[1]
-    out = np.zeros((d, d))
+    a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    out = np.zeros(A.shape[:-2] + (d, d))
+    # float_power is C pow, as float ** is; ndarray ** squares by a * a
+    pw = np.float_power
     # basis vector j maps via substitution x -> a x + c y, y -> b x + e y
     for j in range(d):
         # expand (a x + c y)^(n-j) (b x + e y)^j
-        poly = np.zeros(d)
+        poly = np.zeros(A.shape[:-2] + (d,))
         for p in range(n - j + 1):
             for q in range(j + 1):
                 coeff = (
-                    math.comb(n - j, p) * a**p * c ** (n - j - p)
-                    * math.comb(j, q) * b**q * e ** (j - q)
+                    math.comb(n - j, p) * pw(a, p) * pw(c, n - j - p)
+                    * math.comb(j, q) * pw(b, q) * pw(e, j - q)
                 )
-                poly[n - (p + q)] += coeff
+                poly[..., n - (p + q)] += coeff
         scale_j = math.sqrt(math.comb(n, j))
         for i in range(d):
-            out[i, j] = poly[i] * scale_j / math.sqrt(math.comb(n, i))
+            out[..., i, j] = poly[..., i] * scale_j / math.sqrt(math.comb(n, i))
     return out
 
 

@@ -50,21 +50,25 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _phi_values(P, phi, theta, ball):
-    """phi(kappa_theta(gamma)) per sphere of the ball, in one batch."""
-    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
-    return ball.split(matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f)
+def _spliced_ball(P, n):
+    """The word ball of radius n and its spliced Cartan vectors, one row each."""
+    ball = matgroup.word_spheres(P, n)
+    return ball, matgroup.batch_kappa(ball.mats, ball.inv_mats)
 
 
-def _check_cone_positivity(P, phi, theta, values, fraction=NEGATIVE_CONE_FRACTION):
-    flat = np.concatenate([v for v in values[1:]]) if len(values) > 1 else np.zeros(0)
-    if flat.size == 0:
-        return
-    neg = np.count_nonzero(flat < -1e-9)
-    if neg / flat.size > fraction:
+def _sphere_values(P, phi, theta, ball, K, fraction=NEGATIVE_CONE_FRACTION):
+    """phi(kappa_theta) per sphere of the ball, from its spliced Cartan vectors K.
+
+    Raises NegativePhiOnCone when phi is negative on more than ``fraction``
+    of the non-identity elements.
+    """
+    values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
+    neg = np.count_nonzero(values[1:] < -1e-9)
+    if values.size > 1 and neg / (values.size - 1) > fraction:
         raise NegativePhiOnCone(
-            f"phi negative on {neg}/{flat.size} of the sampled cone"
+            f"phi negative on {neg}/{values.size - 1} of the sampled cone"
         )
+    return ball.split(values)
 
 
 def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTION):
@@ -77,8 +81,7 @@ def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTI
     if s < 0:
         raise ConfigInvalid("s", "must be >= 0")
     theta = cartan.validate_theta(theta, P.dimension)
-    values = _phi_values(P, phi, theta, matgroup.word_spheres(P, n))
-    _check_cone_positivity(P, phi, theta, values, cone_fraction)
+    values = _sphere_values(P, phi, theta, *_spliced_ball(P, n), cone_fraction)
     per_sphere = np.array([np.exp(-s * v).sum() if v.size else 0.0 for v in values])
     total = float(per_sphere.sum())
     inc = per_sphere[1:]
@@ -190,8 +193,7 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
-    values = _phi_values(P, phi, theta, matgroup.word_spheres(P, n_max))
-    _check_cone_positivity(P, phi, theta, values)
+    values = _sphere_values(P, phi, theta, *_spliced_ball(P, n_max))
     if method == "sphere-regression":
         return _sphere_regression(values, n_max)
     if method == "series-transition":
@@ -217,7 +219,8 @@ def patterson_measure(
     if delta_hat is not None and s < delta_hat * (1.0 + min_margin):
         raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
     ball = matgroup.word_spheres(P, n)
-    values = np.concatenate(_phi_values(P, phi, theta, ball))
+    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
+    values = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
     F, ok = flags.u_theta(ball.mats, theta, gap_tolerance)
     if not ok.any():
         raise WindowEmpty("every enumerated element failed the gap test")
@@ -351,15 +354,21 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
-    d1 = critical_exponent(P, phi1, n_max, theta).delta_hat
-    d2 = critical_exponent(P, phi2, n_max, theta).delta_hat
+    if n_max < 4:
+        raise ConfigInvalid("n_max", "must be >= 4")
+    ball, K = _spliced_ball(P, n_max)
+
+    def fit(phi):
+        return _sphere_regression(_sphere_values(P, phi, theta, ball, K), n_max)
+
+    d1 = fit(phi1).delta_hat
+    d2 = fit(phi2).delta_hat
     if d1 <= 0 or d2 <= 0:
         raise WindowEmpty("cannot normalize a vanishing exponent")
     n1, n2 = phi1 * d1, phi2 * d2
     rows = []
     for lam in lambdas:
-        blend = lam * n1 + (1.0 - lam) * n2
-        est = critical_exponent(P, blend, n_max, theta)
+        est = fit(lam * n1 + (1.0 - lam) * n2)
         rows.append({"lambda": float(lam), "delta_hat": est.delta_hat,
                      "residual": est.residual})
     return {"delta_phi1": d1, "delta_phi2": d2, "rows": rows}

@@ -2,12 +2,46 @@
 
 Brute-force references for the angular-window shadow masses in
 ``pslab.hilbert``: each tests every (orbit point, boundary point) pair, so
-``oracle(...) @ ws`` is the shadow mass the fast path must reproduce.
+``oracle(...) @ ws`` is the shadow mass the fast path must reproduce.  The
+one-matrix scalar references for the symmetric power and the hyperboloid
+lift are what the stacked paths must reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from pslab._kernels import TIE
+from pslab.hilbert import C_MINKOWSKI, C_MINKOWSKI_INV
+
+
+def symmetric_power_reference(A, d):
+    """symmetric_power_rep of one 2x2 matrix, one scalar product at a time."""
+    n = d - 1
+    a, b = A[0]
+    c, e = A[1]
+    out = np.zeros((d, d))
+    for j in range(d):
+        poly = np.zeros(d)
+        for p in range(n - j + 1):
+            for q in range(j + 1):
+                coeff = (
+                    math.comb(n - j, p) * a**p * c ** (n - j - p)
+                    * math.comb(j, q) * b**q * e ** (j - q)
+                )
+                poly[n - (p + q)] += coeff
+        scale_j = math.sqrt(math.comb(n, j))
+        for i in range(d):
+            out[i, j] = poly[i] * scale_j / math.sqrt(math.comb(n, i))
+    return out
+
+
+def lift_reference(M, family):
+    """Hyperboloid lift of the basepoint's image under one group element."""
+    if family == "so":
+        M = symmetric_power_reference(M, 3)
+    w = C_MINKOWSKI @ M @ C_MINKOWSKI_INV @ np.array([0.0, 0.0, 1.0])
+    return -w if w[2] < 0.0 else w
 
 
 def _shadow_from_origin_np(W, Z, r):

@@ -6,6 +6,7 @@ tolerances they were validated at.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -263,7 +264,11 @@ def test_concavity_along_segment():
 # -- 11: determinism of the shipped configs -----------------------------------
 
 def test_shipped_configs_deterministic(tmp_path):
-    cfg_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
+    root = os.path.join(os.path.dirname(__file__), "..")
+    cfg_dir = os.path.join(root, "configs")
+    # the seed-0 CSV hashes the benchmark checks; read here, never written
+    with open(os.path.join(root, "perfbench", "expected_csv_sha256.json")) as fh:
+        expected = json.load(fh)
     names = sorted(f for f in os.listdir(cfg_dir) if f.endswith(".json"))
     for name in names:
         with open(os.path.join(cfg_dir, name)) as fh:
@@ -275,3 +280,5 @@ def test_shipped_configs_deterministic(tmp_path):
             cli.execute(command, config, str(out))
             outputs.append((out / f"{command}.csv").read_bytes())
         assert outputs[0] == outputs[1], f"{name} not deterministic"
+        assert hashlib.sha256(outputs[0]).hexdigest() == expected[command], \
+            f"{name} CSV bytes moved"

@@ -10,8 +10,8 @@ ALPHA1_2 = cartan.Functional.alpha(1, 2)
 
 def test_class_lengths_match_translation_lengths():
     P = presets.fuchsian_schottky(1.6)
-    lengths, words = asymptotics.class_lengths(P, ALPHA1_2, 3, (1,))
-    by_word = dict(zip(words, lengths))
+    lengths, reps = asymptotics.class_lengths(P, ALPHA1_2, 3, (1,))
+    by_word = dict(zip(reps.words(), lengths))
     # a hyperbolic element with eigenvalues e^s, e^-s has alpha_1(nu) = 2s
     assert abs(by_word[(1,)] - 3.2) < 1e-9
     assert abs(by_word[(1, 1)] - 6.4) < 1e-9
@@ -21,8 +21,8 @@ def test_class_lengths_match_translation_lengths():
 
 def test_class_lengths_inverse_symmetric():
     P = presets.fuchsian_schottky(1.6)
-    lengths, words = asymptotics.class_lengths(P, ALPHA1_2, 4, (1,))
-    by_word = dict(zip(words, lengths))
+    lengths, reps = asymptotics.class_lengths(P, ALPHA1_2, 4, (1,))
+    by_word = dict(zip(reps.words(), lengths))
     for w, ell in by_word.items():
         canon = min(
             (matgroup.invert_word(w)[i:] + matgroup.invert_word(w)[:i]
@@ -30,6 +30,17 @@ def test_class_lengths_inverse_symmetric():
             key=matgroup.word_key,
         )
         assert abs(by_word[canon] - ell) < 1e-8
+
+
+@pytest.mark.parametrize("primitive_only", [False, True])
+def test_class_lengths_match_per_class_jordan(primitive_only):
+    P = presets.fuchsian_schottky(1.6)
+    lengths, reps = asymptotics.class_lengths(P, ALPHA1_2, 7, (1,), primitive_only)
+    f = ALPHA1_2.covector() @ cartan.projection_matrix(2, (1,))
+    per_class = [float(f @ cartan.jordan_spliced(
+        P.word_matrix(w), P.word_matrix(matgroup.invert_word(w)))) for w in reps.words()]
+    assert len(per_class) == len(reps) > 0
+    assert np.array_equal(lengths, np.array(per_class))
 
 
 def test_count_closed_geodesics_monotone_and_certified():

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps library functions by name and counts work from
 their arguments and results (sphere lengths of word_spheres, the stack length
 of batch_kappa, ...).  A traced small run of each workload must finish with
 no failed operation and with nonzero enumeration and Cartan-projection counts;
-on flag-geometry, u_theta must take fewer calls than the measure has atoms.
+on deep-ball, jordan_spliced must take fewer calls than there are conjugacy
+classes, and on flag-geometry u_theta fewer calls than the measure has atoms.
 """
 
 import json
@@ -32,9 +33,13 @@ def test_traced_small_run_keeps_the_tracer_contract(workload, tmp_path):
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     (run,) = doc["passes"]
     assert run["failed"] == 0, (run["errors"], run["checks"])
-    assert doc["stats"]["matgroup.word_spheres"]["elements"] > 0
-    assert doc["stats"]["matgroup.batch_kappa"]["elements"] > 0
+    stats = doc["stats"]
+    assert stats["matgroup.word_spheres"]["elements"] > 0
+    assert stats["matgroup.batch_kappa"]["elements"] > 0
+    if workload == "deep-ball":
+        # class lengths come from one stacked Jordan projection, not one per class
+        assert 0 < stats["cartan.jordan_spliced"]["calls"] \
+            < stats["matgroup.conjugacy_classes"]["reps"]
     if workload == "flag-geometry":
         # flags are extracted from whole stacks, not one call per atom
-        stats = doc["stats"]
         assert 0 < stats["flags.u_theta"]["calls"] < stats["patterson.patterson_measure"]["atoms"]

@@ -101,9 +101,23 @@ def test_lifted_orbit_consistent_with_chart(sl2):
     fam = hilbert.KleinFamily(sl2, "so")
     ball = matgroup.word_spheres(sl2, 3)
     lifts = fam.lifted_orbit(ball.mats)
-    pts = fam.orbit_points(ball.mats)
+    pts = fam.orbit_point(ball.mats)
     assert np.allclose(lifts[:, :2] / lifts[:, 2:], pts, atol=1e-10)
     assert np.all(lifts[:, 2] >= 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("family", ["so", "sym2"])
+def test_stacked_lifts_match_scalar_reference(family):
+    P = (presets.fuchsian_schottky if family == "so" else presets.schottky_so21)(1.6)
+    fam = hilbert.KleinFamily(P, family)
+    mats = matgroup.word_spheres(P, 6).mats
+    lifts = fam.lifted_orbit(mats)
+    reference = np.array([shadow_oracle.lift_reference(M, family) for M in mats])
+    assert lifts.shape == (len(mats), 3)
+    assert np.array_equal(lifts, reference)
+    assert np.array_equal(fam.orbit_point(mats), reference[:, :2] / reference[:, 2:])
+    assert np.array_equal(fam.lifted_orbit(mats[-1]), reference[-1])
+    assert np.array_equal(fam.orbit_point(mats[-1]), reference[-1, :2] / reference[-1, 2])
 
 
 def test_boundary_points_on_unit_circle():
@@ -158,7 +172,7 @@ def test_shadow_masses_to_origin_agree_with_kernel(rng):
     fam = hilbert.KleinFamily(P, "so")
     ball = matgroup.word_spheres(P, 3)[1:]
     lifts = fam.lifted_orbit(ball.mats)
-    Minvs = np.stack([fam.minkowski_matrix(M) for M in ball.inv_mats])
+    Minvs = fam.minkowski_matrix(ball.inv_mats)
     ang = rng.uniform(-np.pi, np.pi, size=300)
     zs = np.c_[np.cos(ang), np.sin(ang)]
     ws = rng.uniform(0.0, 1.0, size=300)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -104,7 +105,7 @@ def test_non_free_presentation_merges_coincident_words():
 
 def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
     reps = matgroup.conjugacy_classes(sl2, 2)
-    words = set(reps)
+    words = set(reps.words())
     # one representative per necklace; (1, 2) covers (2, 1)
     assert (1, 2) in words and (2, 1) not in words
     # a word and its inverse are distinct classes
@@ -115,8 +116,49 @@ def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
 
 def test_conjugacy_classes_primitive_only(sl2):
     reps = matgroup.conjugacy_classes(sl2, 4, primitive_only=True)
-    words = set(reps)
+    words = set(reps.words())
     assert (1,) in words and (1, 1) not in words
+
+
+def tuple_conjugacy_classes(P, n, primitive_only=False):
+    """The tuple-rotation enumeration: least rotation of each cyclic word, first seen first."""
+    def is_proper_power(word):
+        return any(len(word) % per == 0 and word == word[per:] + word[:per]
+                   for per in range(1, len(word)))
+
+    reps, seen = [], set()
+    for w in matgroup.word_spheres(P, n)[1:].words():
+        if len(w) > 1 and w[0] == -w[-1]:
+            continue
+        canon = min((w[i:] + w[:i] for i in range(len(w))), key=matgroup.word_key)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        if not (primitive_only and is_proper_power(canon)):
+            reps.append(canon)
+    return reps
+
+
+def rank3_schottky():
+    return matgroup.GroupPresentation(2, [presets.hyp_axis(p, q, 1.6)
+                                          for p, q in ((-1.2, 0.8), (2.0, 4.0), (6.0, 9.0))])
+
+
+@pytest.mark.parametrize("primitive_only", [False, True])
+@pytest.mark.parametrize("make, n", [(presets.cyclic_hyperbolic, 6),
+                                     (functools.partial(presets.fuchsian_schottky, 1.6), 8),
+                                     (rank3_schottky, 5)],
+                         ids=["rank1", "schottky", "rank3"])
+def test_conjugacy_classes_match_tuple_enumeration(make, n, primitive_only):
+    P = make()
+    reps = matgroup.conjugacy_classes(P, n, primitive_only)
+    words = reps.words()
+    assert words == tuple_conjugacy_classes(P, n, primitive_only)
+    assert len(reps) == len(words)
+    assert reps.lengths().tolist() == [len(w) for w in words]
+    assert np.array_equal(reps.mats, np.array([P.word_matrix(w) for w in words]))
+    assert np.array_equal(reps.inv_mats, np.array(
+        [P.word_matrix(matgroup.invert_word(w)) for w in words]))
 
 
 def test_conjugacy_classes_requires_free():
@@ -150,6 +192,18 @@ def test_symmetric_power_rep_homomorphism():
         matgroup.symmetric_power_rep(A, 4) @ matgroup.symmetric_power_rep(B, 4),
         atol=1e-9,
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_symmetric_power_rep_stack_matches_scalar_reference(d):
+    from conftest import random_sl2
+    from shadow_oracle import symmetric_power_reference
+
+    A = np.array(random_sl2(200, seed=5))
+    stacked = matgroup.symmetric_power_rep(A, d)
+    assert stacked.shape == (200, d, d)
+    assert np.array_equal(stacked, np.array([symmetric_power_reference(M, d) for M in A]))
+    assert np.array_equal(matgroup.symmetric_power_rep(A[7], d), stacked[7])
 
 
 def test_symmetric_power_rep_rotation_orthogonal():
