@@ -6,7 +6,8 @@ Kernels:
   * ray_distances_lifted - distances from hyperboloid lifts to a ray from the
     origin
   * batch_log_singular_values - log singular values of a stack of matrices
-  * greedy_cover_count - greedy ball-covering counts for box dimension
+  * greedy_cover_count - first-fit greedy ball-covering counts for box
+    dimension, swept once per centre rather than once per row
 """
 
 import math
@@ -136,18 +137,21 @@ METRIC_CHORDAL = 1  # rows are unit vectors; dist = sin(angle), antipodes identi
 def greedy_cover_count(features, eps, metric=METRIC_EUCLIDEAN):
     """Number of eps-balls a first-fit greedy pass needs to cover the rows.
 
-    Deterministic: points are scanned in the given (canonical) order.
+    Deterministic: points are scanned in the given (canonical) order.  A row
+    becomes a centre iff no earlier centre lies within eps of it.  The sweep
+    runs once per centre: the first remaining row is a centre, and one
+    vectorised distance call drops every remaining row within eps of it.
+    The work is O(rows * centres) in a few numpy calls per centre.
     """
-    features = np.asarray(features, dtype=float)
-    centers = np.empty((0, features.shape[1]))
-    for row in features:
-        if centers.shape[0]:
-            if metric == METRIC_CHORDAL:
-                dot = np.clip(centers @ row, -1.0, 1.0)
-                dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
-            else:
-                dists = np.linalg.norm(centers - row, axis=1)
-            if dists.min() <= eps:
-                continue
-        centers = np.vstack([centers, row])
-    return centers.shape[0]
+    rest = np.asarray(features, dtype=float)
+    count = 0
+    while rest.shape[0]:
+        center, rest = rest[0], rest[1:]
+        if metric == METRIC_CHORDAL:
+            dot = np.clip(rest @ center, -1.0, 1.0)
+            dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
+        else:
+            dists = np.linalg.norm(rest - center, axis=1)
+        rest = rest[~(dists <= eps)]
+        count += 1
+    return count

@@ -121,8 +121,12 @@ def _canonical_features(points, metric):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise BadIndex("points must be a 2-d array of coordinates")
+    if not np.isfinite(pts).all():
+        raise BadIndex("points must be finite")
     if metric == _kernels.METRIC_CHORDAL:
         norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        if not norms.all():
+            raise BadIndex("chordal points must be nonzero directions")
         pts = pts / norms
         # antipode identification: fix the sign of the leading nonzero entry
         lead = pts[np.arange(len(pts)), np.argmax(np.abs(pts) > 1e-12, axis=1)]

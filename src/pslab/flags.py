@@ -112,14 +112,20 @@ def flag_distance(F, G):
     """max over k in theta of sin(largest principal angle of F^k vs G^k).
 
     The sine is sqrt(1 - s^2) for the smallest singular value s of the
-    pairing of the two orthonormal bases.  Stacks broadcast: one distance
-    per pair of rows, a float for two single flags.
+    pairing of the two orthonormal bases.  For k = 1 the pairing is 1x1 and
+    s is the absolute value of its entry, which is what LAPACK returns, bit
+    for bit.  Stacks broadcast: one distance per pair of rows, a float for
+    two single flags.
     """
     _check_compatible(F, G)
     out = None
     for k in F.theta:
         pairing = np.swapaxes(F.subspace(k), -1, -2) @ G.subspace(k)
-        smallest = np.clip(np.linalg.svd(pairing, compute_uv=False)[..., -1], -1.0, 1.0)
+        if k == 1:
+            smallest = np.abs(pairing[..., 0, 0])
+        else:
+            smallest = np.linalg.svd(pairing, compute_uv=False)[..., -1]
+        smallest = np.clip(smallest, -1.0, 1.0)
         sine = np.sqrt(np.maximum(1.0 - smallest * smallest, 0.0))
         out = sine if out is None else np.maximum(out, sine)
     return float(out) if out.ndim == 0 else out

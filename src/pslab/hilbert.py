@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import _kernels, cartan, matgroup
 from .errors import (
@@ -52,6 +51,9 @@ class ConvexDomain:
             if eigs[0] <= 0.0:
                 raise BoundaryPoint("ellipsoid form must be positive definite")
         elif self.kind == "polytope":
+            # scipy is imported here, its only use, to keep it out of start-up
+            from scipy.spatial import ConvexHull
+
             self.vertices = np.asarray(self.vertices, dtype=float)
             hull = ConvexHull(self.vertices)
             # hull equations: A x + b <= 0 inside, rows unit-normalized

@@ -109,6 +109,27 @@ def test_box_dimension_rejects_short_grid():
         asymptotics.box_counting_dimension(np.eye(3), np.array([0.1, 0.01]))
 
 
+@pytest.mark.parametrize("metric", ["chordal", "euclidean"])
+def test_box_dimension_rejects_non_finite_rows(rng, metric):
+    pts = rng.normal(size=(50, 3))
+    for bad in (np.nan, np.inf):
+        pts[7, 1] = bad
+        with pytest.raises(BadIndex):
+            asymptotics.box_counting_dimension(pts, metric=metric)
+
+
+def test_box_dimension_rejects_zero_chordal_row(rng):
+    # a zero row has no direction: normalising it gave a silent NaN feature
+    pts = rng.normal(size=(50, 3))
+    pts[7] = 0.0
+    with pytest.raises(BadIndex):
+        asymptotics.box_counting_dimension(pts, metric="chordal")
+    # the origin is an ordinary Euclidean point
+    box = asymptotics.box_counting_dimension(pts, np.geomspace(3.0, 0.3, 5),
+                                             metric="euclidean")
+    assert np.all(box.counts >= 1)
+
+
 def test_box_dimension_saturation_raises(rng):
     pts = rng.normal(size=(40, 2))
     with pytest.raises(DegenerateScales):

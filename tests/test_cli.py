@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pslab
 from pslab import cli, hilbert
 from pslab.errors import ConfigInvalid
 
@@ -188,3 +191,13 @@ def test_shipped_configs_validate():
             config = json.load(fh)
         cli.validate_config(config)
         assert config["command"] == name[:-5]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only the polytope domain and costs start-up time and RSS
+    src = os.path.dirname(os.path.dirname(pslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pslab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

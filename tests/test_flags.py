@@ -54,6 +54,30 @@ def test_flag_distance_theta_mismatch():
         flags.flag_distance(F, H)
 
 
+def _svd_flag_distance(F, G):
+    # flag_distance with LAPACK's singular value for every k, 1x1 included
+    out = None
+    for k in F.theta:
+        pairing = np.swapaxes(F.subspace(k), -1, -2) @ G.subspace(k)
+        smallest = np.clip(np.linalg.svd(pairing, compute_uv=False)[..., -1], -1.0, 1.0)
+        sine = np.sqrt(np.maximum(1.0 - smallest * smallest, 0.0))
+        out = sine if out is None else np.maximum(out, sine)
+    return out
+
+
+@pytest.mark.parametrize("d, theta", [(2, (1,)), (3, (1,)), (3, (1, 2)), (3, (2,)),
+                                      (4, (1, 3)), (4, (2,))])
+def test_flag_distance_matches_svd_bit_for_bit(rng, d, theta):
+    # the k = 1 pairing's singular value is abs of its entry; k >= 2 keeps svd
+    F = flags.make_flag(theta, rng.normal(size=(60, d, d)))
+    near = F.frame + 1e-9 * rng.normal(size=F.frame.shape)
+    G = flags.make_flag(theta, np.concatenate([rng.normal(size=(40, d, d)), near]))
+    got = flags.flag_distance(F[:, None], G)
+    assert got.shape == (60, 100)
+    assert np.array_equal(got, _svd_flag_distance(F[:, None], G))
+    assert flags.flag_distance(F[3], G[70]) == _svd_flag_distance(F[3], G[70])
+
+
 def test_sample_limit_set_counts(sl2):
     F, skipped, words = flags.sample_limit_set(sl2, (1,), 3)
     assert len(F) + skipped == 36

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+import pytest
+from cover_oracle import greedy_cover_count_reference
 
 from pslab import _kernels
 
@@ -12,7 +14,7 @@ def test_batch_log_singular_values_matches_svd(rng):
     assert np.allclose(got, ref, atol=1e-10)
 
 
-def test_greedy_cover_backends_and_extremes(rng):
+def test_greedy_cover_extremes(rng):
     # k unit vectors 0.3 rad apart in one half-plane: chordal distances
     # sin(0.3 j) all exceed eps = 0.25, so first fit opens k balls
     k = 5
@@ -24,6 +26,55 @@ def test_greedy_cover_backends_and_extremes(rng):
     pts = rng.normal(size=(200, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     assert _kernels.greedy_cover_count(pts, 2.1, _kernels.METRIC_CHORDAL) == 1
+
+
+METRICS = [_kernels.METRIC_CHORDAL, _kernels.METRIC_EUCLIDEAN]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_greedy_cover_matches_per_row_oracle(metric, d):
+    rng = np.random.default_rng(100 + d)
+    for n in (1, 2, 37, 300, 800):
+        pts = rng.normal(size=(n, d))
+        if metric == _kernels.METRIC_CHORDAL:
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        for eps in (0.003, 0.05, 0.3, 1.0, 2.1):
+            assert (_kernels.greedy_cover_count(pts, eps, metric)
+                    == greedy_cover_count_reference(pts, eps, metric)), (n, eps)
+
+
+def _exact_rows(d):
+    # rows whose products and partial sums are exact in any order, so each
+    # distance has the same bits in every call: the 24-cell vertices (unit
+    # vectors with dots in {0, +-1/2, +-1}) for d = 4, else a half-integer grid
+    if d == 4:
+        axes = np.vstack([np.eye(4), -np.eye(4)])
+        halves = np.array(np.meshgrid(*[[-0.5, 0.5]] * 4)).reshape(4, -1).T
+        return np.vstack([axes, halves])
+    return np.array(np.meshgrid(*[np.arange(-3, 4) * 0.5] * d)).reshape(d, -1).T
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_greedy_cover_ties_count_as_covered(metric, d):
+    # eps set exactly to a pairwise distance: rows at distance eps are
+    # covered (<= eps), in the sweep as in the per-row oracle
+    rng = np.random.default_rng(200 + d)
+    rows = _exact_rows(d)
+    if metric == _kernels.METRIC_CHORDAL:
+        rows = rows[np.linalg.norm(rows, axis=1) == 1.0]
+    for _ in range(5):
+        pts = rows[rng.permutation(len(rows))]
+        for j in range(1, min(6, len(pts))):
+            if metric == _kernels.METRIC_CHORDAL:
+                dot = np.clip(pts[:1] @ pts[j], -1.0, 1.0)
+                eps = float(np.sqrt(np.maximum(1.0 - dot * dot, 0.0))[0])
+            else:
+                eps = float(np.linalg.norm(pts[:1] - pts[j], axis=1)[0])
+            for e in (eps, np.nextafter(eps, 0.0)):
+                assert (_kernels.greedy_cover_count(pts, e, metric)
+                        == greedy_cover_count_reference(pts, e, metric)), (j, e)
 
 
 def test_hilbert_dist_ball_kernel_symmetry(rng):
