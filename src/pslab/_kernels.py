@@ -1,16 +1,12 @@
 """Hot numeric kernels, in numpy.
 
 Kernels:
-  * seg_point_distance - Hilbert distance from a point to a segment [q, z) in
-    the Klein unit ball
   * ray_distances_lifted - distances from hyperboloid lifts to a ray from the
     origin
   * batch_log_singular_values - log singular values of a stack of matrices
   * greedy_cover_count - first-fit greedy ball-covering counts for box
     dimension, swept once per centre rather than once per row
 """
-
-import math
 
 import numpy as np
 
@@ -19,77 +15,6 @@ USE_NUMBA = False
 
 # Shadow membership counts distances within TIE of the radius as inside.
 TIE = 1e-9
-# Iterations of guarded ternary refinement along the segment.
-SEG_ITERS = 60
-
-
-# ---------------------------------------------------------------------------
-# scalar geometry in the Klein unit ball
-
-def _hilbert_dist_ball(x, y):
-    """Hilbert (= hyperbolic) distance between interior points of the unit ball."""
-    vv = 0.0
-    xv = 0.0
-    xx = 0.0
-    for i in range(x.shape[0]):
-        v = y[i] - x[i]
-        vv += v * v
-        xv += x[i] * v
-        xx += x[i] * x[i]
-    if vv < 1e-300:
-        return 0.0
-    c = xx - 1.0
-    disc = xv * xv - vv * c
-    if disc <= 0.0 or c >= 0.0:
-        # x on or outside the ball: no chord, treat as infinitely far
-        return math.inf
-    sq = math.sqrt(disc)
-    tm = (-xv - sq) / vv
-    tp = (-xv + sq) / vv
-    num = (1.0 - tm) * tp
-    den = (-tm) * (tp - 1.0)
-    if den <= 0.0 or num <= 0.0:
-        return math.inf
-    return 0.5 * math.log(num / den)
-
-
-def _seg_point_distance(q, z, p):
-    """min over t in [0,1) of d(q + t*(z - q), p), by guarded ternary search.
-
-    The distance along a projective segment in the ball is unimodal, and it
-    blows up at the boundary endpoint, so plain ternary search is safe.
-    """
-    k = q.shape[0]
-    y1 = np.empty(k)
-    y2 = np.empty(k)
-    lo = 0.0
-    hi = 1.0 - 1e-9
-    for _ in range(SEG_ITERS):
-        t1 = lo + (hi - lo) / 3.0
-        t2 = hi - (hi - lo) / 3.0
-        for i in range(k):
-            y1[i] = q[i] + t1 * (z[i] - q[i])
-            y2[i] = q[i] + t2 * (z[i] - q[i])
-        if _hilbert_dist_ball(y1, p) <= _hilbert_dist_ball(y2, p):
-            hi = t2
-        else:
-            lo = t1
-    for i in range(k):
-        y1[i] = q[i] + 0.5 * (lo + hi) * (z[i] - q[i])
-    d = _hilbert_dist_ball(y1, p)
-    dq = _hilbert_dist_ball(q, p)
-    if dq < d:
-        d = dq
-    return d
-
-
-def seg_point_distance(q, z, p):
-    """Scalar min Hilbert distance from p to the segment [q, z) in the ball."""
-    return _seg_point_distance(
-        np.ascontiguousarray(q, dtype=float),
-        np.ascontiguousarray(z, dtype=float),
-        np.ascontiguousarray(p, dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +73,9 @@ def greedy_cover_count(features, eps, metric=METRIC_EUCLIDEAN):
     while rest.shape[0]:
         center, rest = rest[0], rest[1:]
         if metric == METRIC_CHORDAL:
-            dot = np.clip(rest @ center, -1.0, 1.0)
+            # a per-pair sum, whose bits do not depend on how many rows
+            # share the call (a BLAS matrix-vector product's may)
+            dot = np.clip((rest * center).sum(axis=1), -1.0, 1.0)
             dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
         else:
             dists = np.linalg.norm(rest - center, axis=1)

@@ -90,6 +90,3 @@ class ConfigInvalid(PslabError):
         self.path = path
         self.reason = message
 
-
-class NonSmoothBoundaryWarning(UserWarning):
-    """Busemann limit at a polytope vertex may be chart-dependent."""

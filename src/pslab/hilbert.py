@@ -1,216 +1,20 @@
-"""Properly convex domains, the Hilbert metric, shadows and conicality.
+"""Hilbert geometry of the Klein disk: shadows and conicality.
 
-Domains live in a fixed affine chart (coordinates in R^k).  The ellipsoid
-case with the unit ball is the Klein model of hyperbolic k-space; shadow and
-conicality computations are specialized to it and to the two shipped group
-families with an explicit boundary identification ("so" and "sym2").
+The Klein disk is the Hilbert geometry of the unit disk, i.e. the hyperbolic
+plane.  Two shipped group families carry an explicit boundary
+identification with it ("so" and "sym2").  Orbit points are handled as
+unnormalized hyperboloid lifts rather than Klein-chart points, because the
+chart gap 1 - |x| underflows at orbit distance ~18; shadows from and to the
+basepoint are exact angular windows on the circle, and conicality counts
+orbit points near a ray.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, cartan, matgroup
-from .errors import (
-    BoundaryPoint,
-    NonSmoothBoundaryWarning,
-    UnsupportedFamily,
-)
-
-BOUNDARY_TOLERANCE = 1e-10
-# along-segment minimization budget for the generic (non-ball) path
-SEG_SAMPLES = 512
-SEG_REFINE = 40
-
-
-@dataclass
-class ConvexDomain:
-    """Bounded convex domain in an affine chart.
-
-    kind "ellipsoid": {x : (x - center)^T form (x - center) < 1} with form
-    positive definite.  kind "polytope": convex hull of the vertex list.
-    """
-
-    kind: str
-    basepoint: np.ndarray = None
-    form: np.ndarray = None
-    center: np.ndarray = None
-    vertices: np.ndarray = None
-    _facet_A: np.ndarray = field(default=None, repr=False)
-    _facet_b: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind == "ellipsoid":
-            self.form = np.asarray(self.form, dtype=float)
-            k = self.form.shape[0]
-            if self.center is None:
-                self.center = np.zeros(k)
-            self.center = np.asarray(self.center, dtype=float)
-            eigs = np.linalg.eigvalsh((self.form + self.form.T) / 2.0)
-            if eigs[0] <= 0.0:
-                raise BoundaryPoint("ellipsoid form must be positive definite")
-        elif self.kind == "polytope":
-            # scipy is imported here, its only use, to keep it out of start-up
-            from scipy.spatial import ConvexHull
-
-            self.vertices = np.asarray(self.vertices, dtype=float)
-            hull = ConvexHull(self.vertices)
-            # hull equations: A x + b <= 0 inside, rows unit-normalized
-            self._facet_A = hull.equations[:, :-1]
-            self._facet_b = hull.equations[:, -1]
-        else:
-            raise UnsupportedFamily(f"unknown domain kind {self.kind!r}")
-        if self.basepoint is None:
-            self.basepoint = (self.center.copy() if self.kind == "ellipsoid"
-                              else self.vertices.mean(axis=0))
-        self.basepoint = np.asarray(self.basepoint, dtype=float)
-        if self.margin(self.basepoint) <= BOUNDARY_TOLERANCE:
-            raise BoundaryPoint("basepoint not strictly interior")
-
-    @classmethod
-    def klein_ball(cls, dim=2, basepoint=None):
-        return cls("ellipsoid", form=np.eye(dim), basepoint=basepoint)
-
-    @classmethod
-    def from_vertices(cls, vertices, basepoint=None):
-        return cls("polytope", vertices=vertices, basepoint=basepoint)
-
-    @property
-    def dim(self):
-        if self.kind == "ellipsoid":
-            return self.form.shape[0]
-        return self.vertices.shape[1]
-
-    @property
-    def is_unit_ball(self):
-        return (self.kind == "ellipsoid"
-                and np.allclose(self.form, np.eye(self.dim), atol=1e-12)
-                and np.allclose(self.center, 0.0, atol=1e-12))
-
-    def margin(self, x):
-        """Positive inside, 0 on the boundary (gauge units, not distance)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "ellipsoid":
-            u = x - self.center
-            return 1.0 - float(u @ self.form @ u)
-        return float(np.min(-(self._facet_A @ x + self._facet_b)))
-
-    def chord(self, x, v):
-        """Parameters (t_minus, t_plus) with x + t*v on the boundary, t_minus < 0 < t_plus."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind == "ellipsoid":
-            u = x - self.center
-            a = float(v @ self.form @ v)
-            b = float(u @ self.form @ v)
-            c = float(u @ self.form @ u) - 1.0
-            disc = b * b - a * c
-            if a <= 0.0 or disc <= 0.0:
-                raise BoundaryPoint("chord through a non-interior point")
-            sq = np.sqrt(disc)
-            return (-b - sq) / a, (-b + sq) / a
-        av = self._facet_A @ v
-        ax = self._facet_A @ x + self._facet_b
-        with np.errstate(divide="ignore"):
-            ts = -ax / av
-        t_plus = np.min(ts[av > 0.0])
-        t_minus = np.max(ts[av < 0.0])
-        return float(t_minus), float(t_plus)
-
-
-def _require_interior(dom, x):
-    if dom.margin(x) <= BOUNDARY_TOLERANCE:
-        raise BoundaryPoint(f"point {np.asarray(x)} not strictly interior")
-
-
-def hilbert_distance(dom, x, y):
-    """Hilbert metric: half-log cross-ratio of (w, x, y, z) along the chord."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_interior(dom, x)
-    _require_interior(dom, y)
-    v = y - x
-    if np.linalg.norm(v) < 1e-15:
-        return 0.0
-    tm, tp = dom.chord(x, v)
-    # w = x + tm*v, z = x + tp*v; distances reduce to parameter ratios
-    return 0.5 * np.log(((1.0 - tm) * tp) / ((-tm) * (tp - 1.0)))
-
-
-@dataclass
-class BusemannValue:
-    value: float
-    error_bar: float
-    samples: np.ndarray
-
-    def __float__(self):
-        return float(self.value)
-
-
-def busemann_approx(dom, z, x, steps=26):
-    """Busemann function b_z(x) = lim d(y, x) - d(y, b0) along y -> z on [b0, z).
-
-    Approximated on the schedule y_k = b0 + (1 - 2^-k)(z - b0) with one
-    Richardson extrapolation step (the truncation error is first order in the
-    boundary gap for a smooth boundary point); error_bar is the spread of the
-    extrapolated tail.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _require_interior(dom, x)
-    if dom.kind == "polytope":
-        vdist = np.linalg.norm(dom.vertices - z, axis=1)
-        if vdist.min() < 1e-6:
-            warnings.warn("Busemann limit at a polytope vertex may be chart-dependent",
-                          NonSmoothBoundaryWarning)
-    b0 = dom.basepoint
-    steps = int(min(max(steps, 8), 28))
-    hs = []
-    for k in range(3, steps):
-        y = b0 + (1.0 - 2.0 ** (-k)) * (z - b0)
-        hs.append(hilbert_distance(dom, y, x) - hilbert_distance(dom, y, b0))
-    hs = np.array(hs)
-    rich = 2.0 * hs[1:] - hs[:-1]
-    tail = rich[-5:]
-    return BusemannValue(float(tail[-1]), float(tail.max() - tail.min()), hs)
-
-
-def seg_distance(dom, q, z, p):
-    """min over the segment [q, z) of the Hilbert distance to p."""
-    q = np.asarray(q, dtype=float)
-    z = np.asarray(z, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _require_interior(dom, q)
-    _require_interior(dom, p)
-    if dom.is_unit_ball:
-        return float(_kernels.seg_point_distance(q, z, p))
-    # dense sampling then local ternary refinement; robust when convexity of
-    # the along-segment distance is not guaranteed (polytopes)
-    ts = np.linspace(0.0, 1.0 - 1e-9, SEG_SAMPLES)
-    vals = np.array([hilbert_distance(dom, q + t * (z - q), p) for t in ts])
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, SEG_SAMPLES - 1)]
-    for _ in range(SEG_REFINE):
-        t1 = lo + (hi - lo) / 3.0
-        t2 = hi - (hi - lo) / 3.0
-        d1 = hilbert_distance(dom, q + t1 * (z - q), p)
-        d2 = hilbert_distance(dom, q + t2 * (z - q), p)
-        if d1 <= d2:
-            hi = t2
-        else:
-            lo = t1
-    tm = 0.5 * (lo + hi)
-    return float(min(vals[i], hilbert_distance(dom, q + tm * (z - q), p)))
-
-
-def shadow_contains(dom, b0, p, r, z):
-    """Is z in the shadow from b0 of the r-ball at p (segment [b0,z) meets it)?"""
-    if r <= 0.0:
-        raise BoundaryPoint("shadow radius must be positive")
-    # distances within TIE of r count as inside (fixed tie rule)
-    return seg_distance(dom, b0, z, p) <= r + _kernels.TIE
+from .errors import BoundaryPoint, UnsupportedFamily
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +50,6 @@ class KleinFamily:
             raise UnsupportedFamily("family 'sym2' needs a 3x3 presentation")
         self.P = P
         self.family = family
-        self.domain = ConvexDomain.klein_ball(2)
 
     def minkowski_matrix(self, M):
         """SO(2,1) image of one group element or of a (N, d, d) stack."""
@@ -292,8 +95,8 @@ class SortedBoundaryMeasure:
     """Atomic measure on the unit circle with prefix sums over sorted angles.
 
     Shadows from the basepoint are exact angular windows, so their masses
-    reduce to two binary searches; this is the scalable counterpart of the
-    pairwise membership kernels (which serve as the reference implementation).
+    reduce to two binary searches.  The pairwise membership kernels in the
+    test suite's shadow oracle are the reference they are checked against.
     """
 
     def __init__(self, zs, ws):
@@ -423,7 +226,10 @@ def conicality_score(P, z, r, n, family):
     """
     fam = KleinFamily(P, family)
     z = np.asarray(z, dtype=float)
-    z = z / np.linalg.norm(z)
+    norm = np.linalg.norm(z)
+    if not np.isfinite(norm) or norm == 0.0:
+        raise BoundaryPoint(f"conicality direction {z.tolist()} names no boundary point")
+    z = z / norm
     ball = matgroup.word_spheres(P, n)[1:]
     dists = _kernels.ray_distances_lifted(fam.lifted_orbit(ball.mats), z)
     return [int(np.count_nonzero(d < r)) for d in ball.split(dists)]

@@ -82,17 +82,24 @@ def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTI
         raise ConfigInvalid("s", "must be >= 0")
     theta = cartan.validate_theta(theta, P.dimension)
     values = _sphere_values(P, phi, theta, *_spliced_ball(P, n), cone_fraction)
-    per_sphere = np.array([np.exp(-s * v).sum() if v.size else 0.0 for v in values])
-    total = float(per_sphere.sum())
-    inc = per_sphere[1:]
+    per_sphere, tail_slope = _sphere_sums(values, s)
+    return float(per_sphere.sum()), tail_slope
+
+
+def _sphere_sums(values_by_sphere, s):
+    """Per-sphere sums of exp(-s * v) and their outer-half log-slope.
+
+    The slope is the mean log increment over the outer half of the
+    non-identity spheres that carry mass, or -inf when fewer than two do.
+    """
+    sums = np.array([np.exp(-s * v).sum() if v.size else 0.0 for v in values_by_sphere])
+    inc = sums[1:]
     inc = inc[inc > 0]
-    if inc.size >= 2:
-        logs = np.log(inc)
-        half = logs[inc.size // 2 :]
-        tail_slope = float(np.mean(np.diff(half))) if half.size >= 2 else float(np.diff(logs)[-1])
-    else:
-        tail_slope = -math.inf
-    return total, tail_slope
+    if inc.size < 2:
+        return sums, -math.inf
+    logs = np.log(inc)
+    half = logs[inc.size // 2 :]
+    return sums, float(np.mean(np.diff(half))) if half.size >= 2 else float(np.diff(logs)[-1])
 
 
 def _certified_rmax(values_by_sphere, n_max):
@@ -142,15 +149,7 @@ def _sphere_regression(values_by_sphere, n_max):
 def _series_transition(values_by_sphere, n_max):
     """Bisect s for the sign change of the per-sphere increment log-slope."""
     def tail_slope(s):
-        per = np.array(
-            [np.exp(-s * v).sum() if v.size else 0.0 for v in values_by_sphere[1:]]
-        )
-        per = per[per > 0]
-        if per.size < 2:
-            return -1.0
-        logs = np.log(per)
-        half = logs[per.size // 2 :]
-        return float(np.mean(np.diff(half))) if half.size >= 2 else float(np.diff(logs)[-1])
+        return _sphere_sums(values_by_sphere, s)[1]
 
     lo, hi = 0.0, 1.0
     while tail_slope(hi) > 0 and hi < 1e3:

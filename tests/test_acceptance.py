@@ -117,19 +117,13 @@ def test_exterior_power_identity():
 
 def test_hyperbolic_compatibility():
     a1 = cartan.Functional.alpha(1, 3)
+    # the hyperboloid lift of the orbit point B b0 has last coordinate cosh d(b0, B b0)
+    fam = hilbert.KleinFamily(presets.sl2_mild(), "so")
     for B in random_sl2(500, seed=11):
         sym = matgroup.symmetric_power_rep(B, 3)
         dist = np.arccosh(max(np.trace(B.T @ B) / 2.0, 1.0))
         assert abs(a1(cartan.kappa(sym)) - dist) < 1e-8
-
-    dom = hilbert.ConvexDomain.klein_ball(2)
-    rng = np.random.default_rng(13)
-    for _ in range(500):
-        x, y = rng.uniform(-0.65, 0.65, size=(2, 2))
-        lx = np.append(x, 1.0) / np.sqrt(1.0 - x @ x)
-        ly = np.append(y, 1.0) / np.sqrt(1.0 - y @ y)
-        hyper = np.arccosh(max(lx[2] * ly[2] - lx[0] * ly[0] - lx[1] * ly[1], 1.0))
-        assert abs(hilbert.hilbert_distance(dom, x, y) - hyper) < 1e-9
+        assert abs(np.arccosh(max(fam.lifted_orbit(B)[2], 1.0)) - dist) < 1e-8
 
 
 # -- 4 and 5: reference critical exponents ------------------------------------

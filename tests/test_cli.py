@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -169,6 +171,18 @@ def test_cli_exit_codes(tmp_path):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"] == "SubcriticalS"
 
+    # a zero conicality direction names no boundary point
+    domain.write_text(json.dumps({
+        "preset": "fuchsian-schottky-1", "command": "conicality",
+        "params": {"z": [0, 0], "n": 3},
+    }))
+    result = runner.invoke(cli.main, ["conicality", "--config", str(domain),
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "BoundaryPoint"
+
 
 def test_cli_success_prints_summary(tmp_path):
     runner = CliRunner()
@@ -194,10 +208,34 @@ def test_shipped_configs_validate():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy serves only the polytope domain and costs start-up time and RSS
+    # the library does not use scipy, whose import costs start-up time and RSS
     src = os.path.dirname(os.path.dirname(pslab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, pslab.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_third_party_imports_match_declared_dependencies():
+    # every third-party package the library imports is a declared
+    # dependency, and every declared dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    pkg = os.path.dirname(pslab.__file__)
+    imported = set()
+    for name in os.listdir(pkg):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"pslab"}
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(pkg)), "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", dep)[0] for dep in deps}
+    assert third_party == declared == {"numpy", "click", "jsonschema"}

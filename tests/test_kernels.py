@@ -77,21 +77,23 @@ def test_greedy_cover_ties_count_as_covered(metric, d):
                         == greedy_cover_count_reference(pts, e, metric)), (j, e)
 
 
-def test_hilbert_dist_ball_kernel_symmetry(rng):
-    for _ in range(30):
-        x, y = rng.uniform(-0.6, 0.6, size=(2, 2))
-        d1 = _kernels._hilbert_dist_ball(x, y)
-        d2 = _kernels._hilbert_dist_ball(y, x)
-        assert abs(d1 - d2) < 1e-10
-
-
-def test_seg_point_distance_endpoint_minimum():
-    # p next to the segment start: the minimum is at the endpoint q
-    q = np.array([0.0, 0.0])
-    z = np.array([1.0, 0.0])
-    p = np.array([-0.1, 0.0])
-    d = _kernels.seg_point_distance(q, z, p)
-    assert abs(d - _kernels._hilbert_dist_ball(q, p)) < 1e-9
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_greedy_cover_chordal_distance_is_per_pair(d):
+    # eps set to the chordal distance of one generic pair (c, x), computed on
+    # that pair alone, covers x whatever the number of rows in the call and
+    # wherever x stands among them; the filler rows are copies of the centre c,
+    # so the count is 1 iff x is covered
+    rng = np.random.default_rng(300 + d)
+    pts = rng.normal(size=(60, d))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    c = pts[0]
+    for x in pts[1:]:
+        dot = np.clip((x[None] * c).sum(axis=1), -1.0, 1.0)
+        eps = float(np.sqrt(np.maximum(1.0 - dot * dot, 0.0))[0])
+        for n, pos in ((2, 1), (9, 5), (64, 37), (203, 200)):
+            rows = np.tile(c, (n, 1))
+            rows[pos] = x
+            assert _kernels.greedy_cover_count(rows, eps, _kernels.METRIC_CHORDAL) == 1, (n, pos)
 
 
 def test_ray_distances_lifted_on_axis(rng):
