@@ -156,9 +156,9 @@ def run_critical_exponent(P, theta, phi, params):
 
 def run_ps_measure(P, theta, phi, params):
     n = int(params.get("n", 8))
-    est = patterson.critical_exponent(P, phi, max(n, 4), theta)
-    s = params.get("s", est.delta_hat * params.get("s_factor", 1.05))
-    mu = patterson.patterson_measure(P, phi, s, n, theta, delta_hat=est.delta_hat)
+    est, mu = patterson._exponent_and_measure(
+        P, phi, max(n, 4), n, theta,
+        lambda delta: params.get("s", delta * params.get("s_factor", 1.05)))
     header = ["word", "weight"]
     words = mu.ball.words()
     rows = [[P.word_label(words[i]), w] for i, w in zip(mu.atoms, mu.weights)]
@@ -183,9 +183,8 @@ def run_shadow_check(P, theta, phi, params):
     fam = params.get("family", "so" if P.dimension == 2 else "sym2")
     n = int(params.get("n", 8))
     mu_n = int(params.get("mu_n", 12))
-    est = patterson.critical_exponent(P, phi, mu_n, theta)
-    s = est.delta_hat * params.get("s_factor", 1.01)
-    mu = patterson.patterson_measure(P, phi, s, mu_n, theta, delta_hat=est.delta_hat)
+    est, mu = patterson._exponent_and_measure(
+        P, phi, mu_n, mu_n, theta, lambda delta: delta * params.get("s_factor", 1.01))
     if params.get("outer_sphere", True):
         mu = patterson.outer_sphere_restriction(mu)
     r0, eps0 = hilbert.shadow_constants(P, mu, min(n, 3), fam)
@@ -197,7 +196,7 @@ def run_shadow_check(P, theta, phi, params):
         for row in report.rows
     ]
     return header, rows, {
-        "delta_hat": est.delta_hat, "s": s, "r_0": r0, "eps_0": eps0, "r": r,
+        "delta_hat": est.delta_hat, "s": mu.s, "r_0": r0, "eps_0": eps0, "r": r,
         "spread": report.spread,
         "bound": float(np.exp(2 * r * est.delta_hat) / eps0),
     }

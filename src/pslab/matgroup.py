@@ -24,6 +24,10 @@ from . import _kernels, cartan
 from .errors import BadIndex, BudgetExceeded, NonUnimodular, NotFree
 
 DEFAULT_ELEMENT_CAP = 5_000_000
+# rows per step when word_spheres and batch_kappa fill their outputs: the
+# operands gathered for one step hold at most this many rows (word_spheres
+# takes at least one parent's children per step)
+BLOCK_ROWS = 1 << 13
 
 
 def _letter_key(letter):
@@ -122,7 +126,7 @@ class WordBall:
     whole: tuple
 
     def __len__(self):
-        return len(self.mats)
+        return len(self.parent)
 
     def __iter__(self):
         return (self[j] for j in range(len(self.offsets) - 1))
@@ -147,14 +151,24 @@ class WordBall:
 
     def sphere_letters(self):
         """One (count, k) int8 array of words per sphere of length k."""
-        for sphere in self:
-            out = np.empty((len(sphere), sphere.first), dtype=np.int8)
-            letters, rows = sphere.letter, sphere.parent
-            all_letters, all_parents = self.whole
-            for i in range(sphere.first - 1, -1, -1):
+        all_letters, all_parents = self.whole
+        for j in range(len(self.offsets) - 1):
+            a, b, k = self.offsets[j], self.offsets[j + 1], self.first + j
+            out = np.empty((b - a, k), dtype=np.int8)
+            letters, rows = self.letter[a:b], self.parent[a:b]
+            for i in range(k - 1, -1, -1):
                 out[:, i] = letters
                 letters, rows = all_letters[rows], all_parents[rows]
             yield out
+
+    def words_only(self):
+        """This ball with None for its matrices, which it then stops keeping alive.
+
+        len, lengths, split, sphere_letters and words still work; indexing
+        and iterating need the matrices.
+        """
+        return WordBall(None, None, self.parent, self.letter, self.offsets, self.first,
+                        self.whole)
 
     def words(self):
         """The words of all rows, as tuples."""
@@ -164,17 +178,26 @@ class WordBall:
 def word_spheres(P, n, cap=None):
     """Freely reduced word spheres 0..n with matrices, as one WordBall.
 
-    Each sphere is built in one step from the allowed (parent row, letter)
-    pairs of the previous one.  The cap is checked against the running total
-    plus the next sphere's candidate count before that sphere is allocated;
-    for a free presentation the total is free_ball_size(P.rank, n).  For
-    non-free presentations, elements whose matrices coincide (rounded to
-    dedup_tolerance) with an earlier element are dropped, with a warning
-    recording the merge count.
+    The ball's arrays are allocated once and each sphere is written into
+    them from the allowed (parent row, letter) pairs of the previous one, in
+    blocks of at most BLOCK_ROWS rows.  For a free presentation the
+    ball holds free_ball_size(P.rank, n) rows, checked against the cap
+    before anything is allocated.  For non-free presentations the cap is
+    checked against the running total plus the next sphere's candidate
+    count before that sphere is written; elements whose matrices coincide
+    (rounded to dedup_tolerance) with an earlier element are dropped, with a
+    warning recording the merge count.
     """
     if n < 0:
         raise BadIndex("n must be >= 0")
-    cap = cap or P.element_cap
+    if cap is None:
+        cap = P.element_cap
+    # exact for a free presentation, an upper bound otherwise; a non-free
+    # ball is checked sphere by sphere below, but its identity needs a row
+    rows = free_ball_size(P.rank, n)
+    if rows > cap and (P.assume_free or cap < 1):
+        raise BudgetExceeded(f"element count exceeds cap {cap}")
+    rows = min(rows, cap)
     # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
     letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
                        dtype=np.int8)
@@ -184,37 +207,52 @@ def word_spheres(P, n, cap=None):
     def dedup_keys(M):
         return np.round(M / P.dedup_tolerance).astype(np.int64)
 
-    eye = np.eye(P.dimension)[None]
-    mats, inv_mats = [eye], [eye]
-    parents, lasts = [np.full(1, -1, dtype=np.int32)], [np.zeros(1, dtype=np.int8)]
+    d = P.dimension
+    mats, inv_mats = np.empty((rows, d, d)), np.empty((rows, d, d))
+    parent, letter = np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int8)
+    mats[0] = inv_mats[0] = np.eye(d)
+    parent[0], letter[0] = -1, 0
     offsets = [0, 1]
-    seen = None if P.assume_free else {dedup_keys(eye)[0].tobytes()}
+    seen = None if P.assume_free else {dedup_keys(mats[:1])[0].tobytes()}
     merged = 0
+    # parent rows per step: their children, at most BLOCK_ROWS, are one block
+    step = max(1, BLOCK_ROWS // len(letters))
     for _ in range(n):
-        allowed = letters[None, :] != -lasts[-1][:, None]
-        if offsets[-1] + np.count_nonzero(allowed) > cap:
+        start, lo = offsets[-2], offsets[-1]
+        # every parent but the identity (letter 0) forbids one letter
+        hi = lo + (lo - start) * len(letters) - np.count_nonzero(letter[start:lo])
+        if hi > cap:
             raise BudgetExceeded(f"element count exceeds cap {cap}")
-        pi, li = np.nonzero(allowed)
-        M = np.matmul(mats[-1][pi], alphabet[li])
-        Minv = np.matmul(inv_alphabet[li], inv_mats[-1][pi])
+        a = lo
+        for p in range(start, lo, step):
+            # children in canonical order: by parent row, then by letter
+            pi, li = np.nonzero(letters != -letter[p:min(p + step, lo), None])
+            pi += p
+            b = a + len(pi)
+            parent[a:b], letter[a:b] = pi, letters[li]
+            np.matmul(mats[pi], alphabet[li], out=mats[a:b])
+            np.matmul(inv_alphabet[li], inv_mats[pi], out=inv_mats[a:b])
+            a = b
         if seen is not None:
-            keep = np.ones(len(M), dtype=bool)
-            for i, key in enumerate(dedup_keys(M)):
+            keep = np.ones(hi - lo, dtype=bool)
+            for i, key in enumerate(dedup_keys(mats[lo:hi])):
                 key = key.tobytes()
                 keep[i] = key not in seen
                 seen.add(key)
             merged += int(np.count_nonzero(~keep))
-            pi, li, M, Minv = pi[keep], li[keep], M[keep], Minv[keep]
-        parents.append((pi + offsets[-2]).astype(np.int32))
-        lasts.append(letters[li])
-        mats.append(M)
-        inv_mats.append(Minv)
-        offsets.append(offsets[-1] + len(M))
+            kept = lo + np.count_nonzero(keep)
+            for arr in (mats, inv_mats, parent, letter):
+                arr[lo:kept] = arr[lo:hi][keep]
+            hi = kept
+        offsets.append(hi)
     if merged:
         warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
-    parent, letter = np.concatenate(parents), np.concatenate(lasts)
-    return WordBall(np.concatenate(mats), np.concatenate(inv_mats), parent, letter,
-                    np.array(offsets), 0, (letter, parent))
+    if offsets[-1] < rows:
+        # only a non-free ball can end short; its rows were deduplicated one
+        # by one in Python, so the copy is small
+        mats, inv_mats, parent, letter = (
+            arr[:offsets[-1]].copy() for arr in (mats, inv_mats, parent, letter))
+    return WordBall(mats, inv_mats, parent, letter, np.array(offsets), 0, (letter, parent))
 
 
 def free_ball_size(rank, n):
@@ -316,25 +354,30 @@ def symmetric_power_rep(A, d):
 def batch_kappa(mats, inv_mats, projection=None):
     """Cartan vectors of a stack of products, optionally projected to a_theta.
 
-    inv_mats[i] is the forward product of the inverted word of mats[i].
+    inv_mats[i] is the forward product of the inverted word of mats[i].  The
+    vectors are spliced BLOCK_ROWS rows at a time into one output array.
     """
-    logs = _kernels.batch_log_singular_values(mats)
+    count, d = len(mats), mats.shape[-1]
+    out = np.empty((count, d))
     # small singular values of a long product carry absolute error on the
     # order of eps * sigma_1; the inverse-word product sees them as large
     # singular values, so splice its (negated, reversed) top half in
-    inv_logs = -_kernels.batch_log_singular_values(inv_mats)[:, ::-1]
-    d = logs.shape[1]
     top = (d + 1) // 2
-    combined = logs.copy()
-    combined[:, top:] = inv_logs[:, top:]
-    if d % 2 == 1:
-        mid = d // 2
-        combined[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
-    # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
-    logs = combined - combined.mean(axis=1, keepdims=True)
+    for a in range(0, count, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, count)
+        logs = _kernels.batch_log_singular_values(mats[a:b])
+        inv_logs = -_kernels.batch_log_singular_values(inv_mats[a:b])[:, ::-1]
+        block = out[a:b]
+        block[:, :top] = logs[:, :top]
+        block[:, top:] = inv_logs[:, top:]
+        if d % 2 == 1:
+            mid = d // 2
+            block[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
+        # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
+        block -= block.mean(axis=1, keepdims=True)
     if projection is not None:
-        logs = logs @ projection.T
-    return logs
+        out = out @ projection.T
+    return out
 
 
 def limit_cone_sample(P, theta, n, tol=1e-12):

@@ -35,7 +35,8 @@ class AtomicMeasure:
     """Finitely supported probability measure on flags (mu_s approximant).
 
     Atom i has mass weights[i] at the flag with frame frames[i]; it comes
-    from the element in row atoms[i] of ball.
+    from the element in row atoms[i] of ball, which keeps the words of its
+    rows but not their matrices.
     """
 
     frames: np.ndarray  # (N, d, d)
@@ -69,6 +70,54 @@ def _sphere_values(P, phi, theta, ball, K, fraction=NEGATIVE_CONE_FRACTION):
             f"phi negative on {neg}/{values.size - 1} of the sampled cone"
         )
     return ball.split(values)
+
+
+def _exponent_theta(P, n_max, theta, method):
+    """The checked theta of an exponent estimate, before any ball is built."""
+    if n_max < 4:
+        raise ConfigInvalid("n_max", "must be >= 4")
+    if method not in METHODS:
+        raise ConfigInvalid("method", f"must be one of {METHODS}, not {method!r}")
+    return cartan.validate_theta(
+        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
+    )
+
+
+def _require_supercritical(s, delta_hat, min_margin):
+    if delta_hat is not None and s < delta_hat * (1.0 + min_margin):
+        raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
+
+
+def _measure_from_ball(phi, s, theta, ball, values, gap_tolerance):
+    """patterson_measure from the ball and phi(kappa_theta) of its rows.
+
+    The measure keeps the ball's words, not its matrices.
+    """
+    F, ok = flags.u_theta(ball.mats, theta, gap_tolerance)
+    if not ok.any():
+        raise WindowEmpty("every enumerated element failed the gap test")
+    raw = values[ok]
+    w = np.exp(-s * (raw - raw.min()))
+    w /= w.sum()
+    return AtomicMeasure(F.frame, w, np.flatnonzero(ok), ball.words_only(), float(s), phi,
+                         int(np.count_nonzero(~ok)))
+
+
+def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
+    """The exponent estimate at radius n_max and mu_s over the radius-n ball, n <= n_max.
+
+    One spliced ball serves both; s is s_of_delta(delta_hat) and must be
+    supercritical for that estimate.
+    """
+    theta = _exponent_theta(P, n_max, theta, "sphere-regression")
+    ball, K = _spliced_ball(P, n_max)
+    est = _sphere_regression(_sphere_values(P, phi, theta, ball, K), n_max)
+    s = s_of_delta(est.delta_hat)
+    _require_supercritical(s, est.delta_hat, MIN_S_MARGIN)
+    values = K[:ball.offsets[n + 1]] @ (
+        phi.covector() @ cartan.projection_matrix(P.dimension, theta))
+    del K  # not kept through the flag extraction
+    return est, _measure_from_ball(phi, s, theta, ball[:n + 1], values, flags.GAP_TOLERANCE)
 
 
 def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTION):
@@ -185,13 +234,7 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     certified-complete window), "series-transition" (bisect the divergence/
     convergence transition of the partial sums), or "both".
     """
-    if n_max < 4:
-        raise ConfigInvalid("n_max", "must be >= 4")
-    if method not in METHODS:
-        raise ConfigInvalid("method", f"must be one of {METHODS}, not {method!r}")
-    theta = cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
+    theta = _exponent_theta(P, n_max, theta, method)
     values = _sphere_values(P, phi, theta, *_spliced_ball(P, n_max))
     if method == "sphere-regression":
         return _sphere_regression(values, n_max)
@@ -215,19 +258,11 @@ def patterson_measure(
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
-    if delta_hat is not None and s < delta_hat * (1.0 + min_margin):
-        raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
+    _require_supercritical(s, delta_hat, min_margin)
     ball = matgroup.word_spheres(P, n)
     f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
     values = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
-    F, ok = flags.u_theta(ball.mats, theta, gap_tolerance)
-    if not ok.any():
-        raise WindowEmpty("every enumerated element failed the gap test")
-    raw = values[ok]
-    w = np.exp(-s * (raw - raw.min()))
-    w /= w.sum()
-    return AtomicMeasure(F.frame, w, np.flatnonzero(ok), ball, float(s), phi,
-                         int(np.count_nonzero(~ok)))
+    return _measure_from_ball(phi, s, theta, ball, values, gap_tolerance)
 
 
 def outer_sphere_restriction(mu, min_length=None):

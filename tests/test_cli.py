@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import pslab
-from pslab import cli, hilbert
+from pslab import cli, hilbert, matgroup
 from pslab.errors import ConfigInvalid
 
 
@@ -102,6 +102,26 @@ def test_execute_rerun_is_byte_identical(tmp_path):
     cli.execute("kappa", config, str(tmp_path / "b"))
     assert (tmp_path / "a" / "kappa.csv").read_bytes() == \
         (tmp_path / "b" / "kappa.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, params, radii", [
+    ("ps-measure", {"n": 5}, [5]),
+    ("ps-measure", {"n": 3}, [4]),
+    # the shadow constants and the shadow check enumerate radius-3 balls of their own
+    ("shadow-check", {"n": 3, "mu_n": 5}, [5, 3, 3]),
+])
+def test_measure_commands_build_one_ball(command, params, radii, tmp_path, monkeypatch):
+    built = []
+    word_spheres = matgroup.word_spheres
+
+    def counted(P, n, cap=None):
+        built.append(n)
+        return word_spheres(P, n, cap)
+
+    monkeypatch.setattr(matgroup, "word_spheres", counted)
+    config = {"preset": "fuchsian-schottky-1", "theta": [1], "params": params}
+    cli.execute(command, config, str(tmp_path))
+    assert built == radii
 
 
 def test_cli_exit_codes(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -84,6 +85,73 @@ def test_element_cap_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def rotation_group():
+    return matgroup.GroupPresentation(2, [np.array([[0.0, -1.0], [1.0, 0.0]])],
+                                      assume_free=False)
+
+
+def test_cap_zero_is_a_cap():
+    for P in (presets.fuchsian_schottky(1.6), rotation_group()):
+        for n in (0, 3):
+            with pytest.raises(BudgetExceeded):
+                matgroup.word_spheres(P, n, cap=0)
+
+
+BALL_CASES = [(presets.cyclic_hyperbolic, 9),
+              (functools.partial(presets.fuchsian_schottky, 1.6), 6),
+              (lambda: rank3_schottky(), 4), (presets.schottky_so21, 5),
+              (presets.sl3_zariski_dense, 4), (rotation_group, 6)]
+BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "rotation"]
+
+
+@pytest.mark.parametrize("make, n", BALL_CASES, ids=BALL_IDS)
+def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
+    from ball_oracle import batch_kappa_reference, word_spheres_reference
+
+    # several blocks per sphere, the last one partial
+    monkeypatch.setattr(matgroup, "BLOCK_ROWS", 5)
+    P = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ball, ref = matgroup.word_spheres(P, n), word_spheres_reference(P, n)
+    for field in ("mats", "inv_mats", "parent", "letter", "offsets"):
+        got, want = getattr(ball, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert ball.words() == ref.words()
+    proj = cartan.projection_matrix(P.dimension, cartan.full_theta(P.dimension))
+    for projection in (None, proj):
+        assert np.array_equal(matgroup.batch_kappa(ball.mats, ball.inv_mats, projection),
+                              batch_kappa_reference(ref.mats, ref.inv_mats, projection))
+
+
+def test_non_free_cap_is_checked_sphere_by_sphere():
+    from ball_oracle import word_spheres_reference
+
+    P = rotation_group()
+    for cap in range(8):
+        outcomes = []
+        for build in (matgroup.word_spheres, word_spheres_reference):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    outcomes.append(build(P, 6, cap=cap).offsets.tolist())
+                except BudgetExceeded:
+                    outcomes.append("raised")
+        assert outcomes[0] == outcomes[1], cap
+
+
+def test_word_spheres_allocates_the_ball_once():
+    # the list-and-concatenate build peaked at about 2.2 times the ball
+    tracemalloc.start()
+    try:
+        ball = matgroup.word_spheres(presets.fuchsian_schottky(1.6), 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (ball.mats, ball.inv_mats, ball.parent, ball.letter))
+    assert peak <= 1.2 * size
 
 
 def test_letter_matrix_rejects_unknown_letters(sl2):

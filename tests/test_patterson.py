@@ -57,6 +57,33 @@ def test_patterson_measure_normalized_and_supercritical():
                                     delta_hat=est.delta_hat)
 
 
+def test_measure_keeps_words_not_matrices():
+    P = presets.fuchsian_schottky(2.0)
+    mu = patterson.patterson_measure(P, ALPHA1_2, 1.0, 4, (1,))
+    assert mu.ball.mats is None and mu.ball.inv_mats is None
+    ball = matgroup.word_spheres(P, 4)
+    assert len(mu.ball) == len(ball)
+    assert mu.ball.words() == ball.words()
+    assert np.array_equal(mu.ball.lengths(), ball.lengths())
+
+
+@pytest.mark.parametrize("n_max, n", [(6, 6), (4, 3)])
+def test_one_ball_gives_the_estimate_and_the_measure(n_max, n):
+    P = presets.fuchsian_schottky(1.6)
+    est, mu = patterson._exponent_and_measure(P, ALPHA1_2, n_max, n, (1,),
+                                              lambda delta: 1.05 * delta)
+    ref_est = patterson.critical_exponent(P, ALPHA1_2, n_max, (1,))
+    ref = patterson.patterson_measure(P, ALPHA1_2, 1.05 * ref_est.delta_hat, n, (1,),
+                                      delta_hat=ref_est.delta_hat)
+    assert est == ref_est
+    for field in ("frames", "weights", "atoms"):
+        assert np.array_equal(getattr(mu, field), getattr(ref, field)), field
+    assert (mu.s, mu.excluded) == (ref.s, ref.excluded)
+    assert mu.ball.words() == ref.ball.words()
+    with pytest.raises(SubcriticalS):
+        patterson._exponent_and_measure(P, ALPHA1_2, n_max, n, (1,), lambda delta: delta)
+
+
 def test_outer_sphere_restriction():
     P = presets.fuchsian_schottky(2.0)
     mu = patterson.patterson_measure(P, ALPHA1_2, 1.0, 4, (1,))
