@@ -49,7 +49,7 @@ def batch_log_singular_values(mats):
     need accurate small singular values recover them from inverse products.
     """
     sigma = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
-    return np.log(np.maximum(sigma, 1e-300))
+    return np.log(np.maximum(sigma, 1e-300, out=sigma), out=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,14 @@ class Flag:
         object.__setattr__(self, "theta", tuple(self.theta))
         frame = np.asarray(self.frame, dtype=float)
         object.__setattr__(self, "frame", frame)
-        gram = np.swapaxes(frame, -1, -2) @ frame
-        if frame.size and np.max(np.abs(gram - np.eye(frame.shape[-1]))) > 1e-8:
-            raise ValueError("flag frame is not orthonormal")
+        # checked matgroup.BLOCK_ROWS frames at a time, so a stack's check
+        # holds no stack-sized temporaries
+        eye = np.eye(frame.shape[-1])
+        stack = frame.reshape(-1, *frame.shape[-2:])
+        for a in range(0, len(stack), matgroup.BLOCK_ROWS):
+            block = stack[a:a + matgroup.BLOCK_ROWS]
+            if np.max(np.abs(np.swapaxes(block, -1, -2) @ block - eye)) > 1e-8:
+                raise ValueError("flag frame is not orthonormal")
 
     @property
     def dimension(self):
@@ -68,20 +73,36 @@ def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
     For one (d, d) matrix, returns its Flag and raises InsufficientGap when a
     singular gap at some k in theta is not above gap_tolerance.  For a
     (N, d, d) stack, returns (F, ok): ok marks the rows passing the gap test
-    and F stacks their flags, in row order.
+    and F stacks their flags, in row order.  A stack is read
+    matgroup.BLOCK_ROWS rows at a time into preallocated outputs.
     """
-    A = cartan.require_unimodular(A)
-    theta = cartan.validate_theta(theta, A.shape[-1])
-    U, sigma, _ = np.linalg.svd(A)
-    logs = np.log(sigma)
-    gaps = logs[..., np.array(theta) - 1] - logs[..., theta]
-    ok = ~(gaps <= gap_tolerance).any(axis=-1)
-    if A.ndim == 2:
-        if not ok:
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3:
+        A = cartan.require_unimodular(A)
+        theta = cartan.validate_theta(theta, A.shape[-1])
+        U, gaps = _left_singular_gaps(A, theta)
+        if (gaps <= gap_tolerance).any():
             i = int(np.argmax(gaps <= gap_tolerance))
             raise InsufficientGap(theta[i], gaps[i])
         return Flag(theta, qr_positive(U))
-    return Flag(theta, qr_positive(U[ok])), ok
+    theta = cartan.validate_theta(theta, A.shape[-1])
+    frames, ok = np.empty(A.shape), np.empty(len(A), dtype=bool)
+    kept = 0
+    for a in range(0, len(A), matgroup.BLOCK_ROWS):
+        b = min(a + matgroup.BLOCK_ROWS, len(A))
+        U, gaps = _left_singular_gaps(cartan.require_unimodular(A[a:b]), theta)
+        ok[a:b] = good = ~(gaps <= gap_tolerance).any(axis=-1)
+        count = int(np.count_nonzero(good))
+        frames[kept:kept + count] = qr_positive(U[good])
+        kept += count
+    return Flag(theta, frames[:kept]), ok
+
+
+def _left_singular_gaps(A, theta):
+    """Left singular vectors of A and its log singular gaps at each k in theta."""
+    U, sigma, _ = np.linalg.svd(A)
+    logs = np.log(sigma)
+    return U, logs[..., np.array(theta) - 1] - logs[..., theta]
 
 
 def apply_matrix(A, F):
@@ -136,12 +157,18 @@ def sample_limit_set(P, theta, n, gap_tolerance=GAP_TOLERANCE):
 
     Returns (F, skipped, words): F stacks the flags of the sphere elements
     passing the singular-gap test, skipped counts the others and words is
-    the (len(F), n) int8 array of the kept elements' words.
+    the (len(F), n) int8 array of the kept elements' words.  The sphere's
+    flags are read block by block as the walk writes its matrices.
     """
-    sphere = matgroup.word_spheres(P, n)[n]
-    F, ok = u_theta(sphere.mats, theta, gap_tolerance)
-    (words,) = sphere.sphere_letters()
-    return F, int(np.count_nonzero(~ok)), words[ok]
+    walk = matgroup._BallWalk(P, n)
+    frames, ok = [], []
+    for lo, mats, _ in walk:
+        F, good = u_theta(mats[walk.cut(lo, len(mats), n, n)], theta, gap_tolerance)
+        frames.append(F.frame)
+        ok.append(good)
+    ok = np.concatenate(ok)
+    (words,) = walk.ball()[n].sphere_letters()
+    return Flag(F.theta, np.concatenate(frames)), int(np.count_nonzero(~ok)), words[ok]
 
 
 def attracting_fixed_flag(A, theta, gap_tolerance=GAP_TOLERANCE):

@@ -11,6 +11,11 @@ forward product of its inverted word, ``letter[i]`` its last letter and
 canonical order, so each sphere is a contiguous block of rows and a parent
 row always precedes its children.  Words are rebuilt from ``parent`` and
 ``letter`` only where a label or a word is needed.
+
+Every ball is enumerated by one ``_BallWalk``, which hands out the matrices
+block by block.  ``word_spheres`` keeps them; paths that only need values of
+the matrices (spliced Cartan vectors, flags) read each block as it comes
+and keep a words-only ball, whose ``mats`` and ``inv_mats`` are None.
 """
 
 import itertools
@@ -24,9 +29,9 @@ from . import _kernels, cartan
 from .errors import BadIndex, BudgetExceeded, NonUnimodular, NotFree
 
 DEFAULT_ELEMENT_CAP = 5_000_000
-# rows per step when word_spheres and batch_kappa fill their outputs: the
-# operands gathered for one step hold at most this many rows (word_spheres
-# takes at least one parent's children per step)
+# rows per block of a ball walk, of batch_kappa and of a u_theta stack: the
+# operands gathered for one step hold at most this many rows (a walk takes at
+# least one parent's children per step)
 BLOCK_ROWS = 1 << 13
 
 
@@ -111,12 +116,13 @@ class WordBall:
     length first + j.  ``len`` counts elements; iterating yields the spheres.
     Indexing with an int gives one sphere and with a contiguous
     slice a run of spheres, as WordBalls over views of the same arrays.
-    ``parent`` holds rows of the ball word_spheres returned, whose
+    ``mats`` and ``inv_mats`` are None in a words-only ball.
+    ``parent`` holds rows of the whole walked ball, whose
     ``(letter, parent)`` arrays every view keeps as ``whole``.
     """
 
-    mats: np.ndarray  # (N, d, d) float
-    inv_mats: np.ndarray  # (N, d, d) float
+    mats: np.ndarray  # (N, d, d) float, or None
+    inv_mats: np.ndarray  # (N, d, d) float, or None
     parent: np.ndarray  # (N,) int32, -1 at the identity
     letter: np.ndarray  # (N,) int8, 0 at the identity
     offsets: np.ndarray  # (spheres + 1,) row offsets, offsets[0] == 0
@@ -136,9 +142,10 @@ class WordBall:
             key = slice(key, key + 1 or None)  # -1 is the last sphere
         lo, hi, _ = key.indices(len(self.offsets) - 1)
         a, b = self.offsets[lo], self.offsets[hi]
-        return WordBall(self.mats[a:b], self.inv_mats[a:b], self.parent[a:b],
-                        self.letter[a:b], self.offsets[lo:hi + 1] - a,
-                        self.first + lo, self.whole)
+        mats, inv_mats = (None if arr is None else arr[a:b]
+                          for arr in (self.mats, self.inv_mats))
+        return WordBall(mats, inv_mats, self.parent[a:b], self.letter[a:b],
+                        self.offsets[lo:hi + 1] - a, self.first + lo, self.whole)
 
     def lengths(self):
         """Word length of every row."""
@@ -161,98 +168,167 @@ class WordBall:
                 letters, rows = all_letters[rows], all_parents[rows]
             yield out
 
-    def words_only(self):
-        """This ball with None for its matrices, which it then stops keeping alive.
-
-        len, lengths, split, sphere_letters and words still work; indexing
-        and iterating need the matrices.
-        """
-        return WordBall(None, None, self.parent, self.letter, self.offsets, self.first,
-                        self.whole)
-
     def words(self):
         """The words of all rows, as tuples."""
         return [tuple(w) for block in self.sphere_letters() for w in block.tolist()]
 
 
+class _BallWalk:
+    """The rows of the word ball of radius n, written once each in canonical order.
+
+    Making a walk checks the element cap and allocates the whole-ball
+    ``parent`` and ``letter`` arrays: ``rows`` rows, exact for a free
+    presentation and an upper bound otherwise.  Iterating fills them and
+    yields ``(lo, mats, inv_mats)``, the products of ball rows lo:lo +
+    len(mats), in blocks of BLOCK_ROWS rows (the last one shorter) that may
+    span spheres; the next block overwrites these arrays.  The walk keeps the
+    matrices of the parent sphere and of the sphere being written, and never
+    those of sphere n; with keep_matrices it keeps every sphere's, in the
+    whole-ball ``products`` (forward products first, inverse ones second).
+    A walk is iterated once; after that ``ball()`` is the WordBall of the
+    walked rows.
+
+    Each sphere is written from the allowed (parent row, letter) pairs of the
+    previous one, at most BLOCK_ROWS rows per step.  For non-free
+    presentations the cap is checked against the running total plus the next
+    sphere's candidate count before that sphere is written; elements whose
+    matrices coincide (rounded to dedup_tolerance) with an earlier element are
+    dropped, with a warning recording the merge count.
+    """
+
+    def __init__(self, P, n, cap=None, keep_matrices=False):
+        if n < 0:
+            raise BadIndex("n must be >= 0")
+        self.P, self.n = P, n
+        self.cap = P.element_cap if cap is None else cap
+        # exact for a free presentation, an upper bound otherwise; a non-free
+        # ball is checked sphere by sphere, but its identity needs a row
+        rows = free_ball_size(P.rank, n)
+        if rows > self.cap and (P.assume_free or self.cap < 1):
+            raise BudgetExceeded(f"element count exceeds cap {self.cap}")
+        self.rows = rows = min(rows, self.cap)
+        d = P.dimension
+        self.parent, self.letter = np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int8)
+        self.products = np.empty((2, rows, d, d)) if keep_matrices else None
+        self.offsets = [0, 1]
+
+    def cut(self, lo, count, first, last):
+        """The slice of the block of ball rows lo:lo + count that holds spheres first..last.
+
+        Call it while that block is the one yielded: a sphere the walk has
+        not begun counts as starting at ``rows``.
+        """
+        def start(k):
+            return self.offsets[k] if k < len(self.offsets) else self.rows
+        return slice(min(max(start(first) - lo, 0), count),
+                     min(max(start(last + 1) - lo, 0), count))
+
+    def __iter__(self):
+        P, n, d = self.P, self.n, self.P.dimension
+        # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
+        letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
+                           dtype=np.int8)
+        alphabet = np.stack(P._alphabet)
+        inv_alphabet = alphabet[np.arange(len(letters)) ^ 1]
+
+        def dedup_keys(M):
+            return np.round(M / P.dedup_tolerance).astype(np.int64)
+
+        parent, letter, offsets, products = self.parent, self.letter, self.offsets, self.products
+        buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
+
+        def window(lo):
+            # where the products of rows lo:lo + BLOCK_ROWS are written
+            return buffer if products is None else products[:, lo:lo + BLOCK_ROWS]
+
+        block = window(0)
+        block[:, 0] = np.eye(d)
+        parent[0], letter[0] = -1, 0
+        fill = 1  # rows of the block written so far
+        sphere = block[:, :1].copy()
+        seen = None if P.assume_free else {dedup_keys(block[0, :1])[0].tobytes()}
+        merged = 0
+        # parent rows per step: their children, at most BLOCK_ROWS, are one step
+        step = max(1, BLOCK_ROWS // len(letters))
+        for k in range(1, n + 1):
+            start, lo = offsets[-2], offsets[-1]
+            # every parent but the identity (letter 0) forbids one letter
+            hi = lo + (lo - start) * len(letters) - np.count_nonzero(letter[start:lo])
+            if hi > self.cap:
+                raise BudgetExceeded(f"element count exceeds cap {self.cap}")
+            # the parents of sphere k + 1, unless the whole ball is kept; sphere
+            # n's only copy is the block
+            store = np.empty((2, hi - lo, d, d)) if products is None and k < n else None
+            a = lo
+            for p in range(start, lo, step):
+                # children in canonical order: by parent row, then by letter
+                pi, li = np.nonzero(letters != -letter[p:min(p + step, lo), None])
+                pi += p - start
+                i = 0
+                while i < len(pi):
+                    # the pairs that fit in the block
+                    j = min(len(pi), i + BLOCK_ROWS - fill)
+                    pj, lj = pi[i:j], li[i:j]
+                    out = block[:, fill:fill + j - i]
+                    np.matmul(sphere[0][pj], alphabet[lj], out=out[0])
+                    np.matmul(inv_alphabet[lj], sphere[1][pj], out=out[1])
+                    parents, lets = pj + start, letters[lj]
+                    if seen is not None:
+                        keep = np.ones(j - i, dtype=bool)
+                        for r, key in enumerate(dedup_keys(out[0])):
+                            key = key.tobytes()
+                            keep[r] = key not in seen
+                            seen.add(key)
+                        merged += int(np.count_nonzero(~keep))
+                        parents, lets = parents[keep], lets[keep]
+                        out = block[:, fill:fill + len(parents)]
+                        out[...] = block[:, fill:fill + j - i][:, keep]
+                    b = a + len(parents)
+                    parent[a:b], letter[a:b] = parents, lets
+                    if store is not None:
+                        store[:, a - lo:b - lo] = out
+                    fill += b - a
+                    a, i = b, j
+                    if fill == BLOCK_ROWS:
+                        yield a - fill, block[0], block[1]
+                        block = window(a)
+                        fill = 0
+            offsets.append(a)
+            if store is not None:
+                sphere = store[:, :a - lo]
+            elif products is not None:
+                sphere = products[:, lo:a]
+        if fill:
+            yield offsets[-1] - fill, block[0, :fill], block[1, :fill]
+        if merged:
+            warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
+
+    def ball(self):
+        """The walked rows as a WordBall, words only unless the walk kept matrices."""
+        products, parent, letter = self.products, self.parent, self.letter
+        end = self.offsets[-1]
+        if end < self.rows:
+            # only a non-free ball can end short; its rows were deduplicated
+            # one by one in Python, so the copy is small
+            parent, letter = parent[:end].copy(), letter[:end].copy()
+            if products is not None:
+                products = products[:, :end].copy()
+        mats, inv_mats = (None, None) if products is None else products
+        return WordBall(mats, inv_mats, parent, letter, np.array(self.offsets), 0,
+                        (letter, parent))
+
+
 def word_spheres(P, n, cap=None):
     """Freely reduced word spheres 0..n with matrices, as one WordBall.
 
-    The ball's arrays are allocated once and each sphere is written into
-    them from the allowed (parent row, letter) pairs of the previous one, in
-    blocks of at most BLOCK_ROWS rows.  For a free presentation the
-    ball holds free_ball_size(P.rank, n) rows, checked against the cap
-    before anything is allocated.  For non-free presentations the cap is
-    checked against the running total plus the next sphere's candidate
-    count before that sphere is written; elements whose matrices coincide
-    (rounded to dedup_tolerance) with an earlier element are dropped, with a
-    warning recording the merge count.
+    The ball's arrays are allocated once, after the cap check, and a
+    _BallWalk writes every row into them; see there for the cap of non-free
+    presentations and their merged words.
     """
-    if n < 0:
-        raise BadIndex("n must be >= 0")
-    if cap is None:
-        cap = P.element_cap
-    # exact for a free presentation, an upper bound otherwise; a non-free
-    # ball is checked sphere by sphere below, but its identity needs a row
-    rows = free_ball_size(P.rank, n)
-    if rows > cap and (P.assume_free or cap < 1):
-        raise BudgetExceeded(f"element count exceeds cap {cap}")
-    rows = min(rows, cap)
-    # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
-    letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
-                       dtype=np.int8)
-    alphabet = np.stack(P._alphabet)
-    inv_alphabet = alphabet[np.arange(len(letters)) ^ 1]
-
-    def dedup_keys(M):
-        return np.round(M / P.dedup_tolerance).astype(np.int64)
-
-    d = P.dimension
-    mats, inv_mats = np.empty((rows, d, d)), np.empty((rows, d, d))
-    parent, letter = np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int8)
-    mats[0] = inv_mats[0] = np.eye(d)
-    parent[0], letter[0] = -1, 0
-    offsets = [0, 1]
-    seen = None if P.assume_free else {dedup_keys(mats[:1])[0].tobytes()}
-    merged = 0
-    # parent rows per step: their children, at most BLOCK_ROWS, are one block
-    step = max(1, BLOCK_ROWS // len(letters))
-    for _ in range(n):
-        start, lo = offsets[-2], offsets[-1]
-        # every parent but the identity (letter 0) forbids one letter
-        hi = lo + (lo - start) * len(letters) - np.count_nonzero(letter[start:lo])
-        if hi > cap:
-            raise BudgetExceeded(f"element count exceeds cap {cap}")
-        a = lo
-        for p in range(start, lo, step):
-            # children in canonical order: by parent row, then by letter
-            pi, li = np.nonzero(letters != -letter[p:min(p + step, lo), None])
-            pi += p
-            b = a + len(pi)
-            parent[a:b], letter[a:b] = pi, letters[li]
-            np.matmul(mats[pi], alphabet[li], out=mats[a:b])
-            np.matmul(inv_alphabet[li], inv_mats[pi], out=inv_mats[a:b])
-            a = b
-        if seen is not None:
-            keep = np.ones(hi - lo, dtype=bool)
-            for i, key in enumerate(dedup_keys(mats[lo:hi])):
-                key = key.tobytes()
-                keep[i] = key not in seen
-                seen.add(key)
-            merged += int(np.count_nonzero(~keep))
-            kept = lo + np.count_nonzero(keep)
-            for arr in (mats, inv_mats, parent, letter):
-                arr[lo:kept] = arr[lo:hi][keep]
-            hi = kept
-        offsets.append(hi)
-    if merged:
-        warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
-    if offsets[-1] < rows:
-        # only a non-free ball can end short; its rows were deduplicated one
-        # by one in Python, so the copy is small
-        mats, inv_mats, parent, letter = (
-            arr[:offsets[-1]].copy() for arr in (mats, inv_mats, parent, letter))
-    return WordBall(mats, inv_mats, parent, letter, np.array(offsets), 0, (letter, parent))
+    walk = _BallWalk(P, n, cap, keep_matrices=True)
+    for _ in walk:
+        pass
+    return walk.ball()
 
 
 def free_ball_size(rank, n):
@@ -366,13 +442,13 @@ def batch_kappa(mats, inv_mats, projection=None):
     for a in range(0, count, BLOCK_ROWS):
         b = min(a + BLOCK_ROWS, count)
         logs = _kernels.batch_log_singular_values(mats[a:b])
-        inv_logs = -_kernels.batch_log_singular_values(inv_mats[a:b])[:, ::-1]
+        inv_logs = _kernels.batch_log_singular_values(inv_mats[a:b])[:, ::-1]
         block = out[a:b]
         block[:, :top] = logs[:, :top]
-        block[:, top:] = inv_logs[:, top:]
+        np.negative(inv_logs[:, top:], out=block[:, top:])
         if d % 2 == 1:
             mid = d // 2
-            block[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
+            block[:, mid] = 0.5 * (logs[:, mid] - inv_logs[:, mid])
         # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
         block -= block.mean(axis=1, keepdims=True)
     if projection is not None:
@@ -381,13 +457,21 @@ def batch_kappa(mats, inv_mats, projection=None):
 
 
 def limit_cone_sample(P, theta, n, tol=1e-12):
-    """Unit kappa_theta directions over the word sphere of radius n."""
+    """Unit kappa_theta directions over the word sphere of radius n.
+
+    The sphere's matrices are spliced block by block as the walk writes them.
+    """
     if n < 1:
         raise BadIndex("n must be >= 1")
     theta = cartan.validate_theta(theta, P.dimension)
-    sphere = word_spheres(P, n)[n]
+    walk = _BallWalk(P, n)
+    parts = []
+    for lo, mats, inv_mats in walk:
+        part = walk.cut(lo, len(mats), n, n)
+        parts.append(batch_kappa(mats[part], inv_mats[part]))
     proj = cartan.projection_matrix(P.dimension, theta)
-    vecs = batch_kappa(sphere.mats, sphere.inv_mats, proj)
+    # one product over the sphere, as batch_kappa makes it
+    vecs = np.concatenate(parts) @ proj.T
     norms = np.linalg.norm(vecs, axis=1)
     keep = norms > tol
     return vecs[keep] / norms[keep, None]

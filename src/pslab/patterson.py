@@ -52,9 +52,36 @@ class AtomicMeasure:
 
 
 def _spliced_ball(P, n):
-    """The word ball of radius n and its spliced Cartan vectors, one row each."""
-    ball = matgroup.word_spheres(P, n)
-    return ball, matgroup.batch_kappa(ball.mats, ball.inv_mats)
+    """The words of the radius-n ball and its spliced Cartan vectors, one row each."""
+    ball, K, _ = _walk_ball(P, n)
+    return ball, K
+
+
+def _walk_ball(P, n, flag_spheres=-1, theta=None, gap_tolerance=flags.GAP_TOLERANCE):
+    """_spliced_ball, plus the flags of the rows of spheres 0..flag_spheres (none at -1).
+
+    Returns (ball, K, (frames, ok)): ball holds the words only, and the
+    matrices are spliced (and passed to u_theta) one block at a time as the
+    walk writes them.  ok marks the flag rows passing the gap test and frames
+    stacks their U_theta frames in row order.
+    """
+    walk = matgroup._BallWalk(P, n)
+    d = P.dimension
+    K = np.empty((walk.rows, d))
+    flag_rows = (min(matgroup.free_ball_size(P.rank, flag_spheres), walk.rows)
+                 if flag_spheres >= 0 else 0)
+    frames, ok = np.empty((flag_rows, d, d)), np.empty(flag_rows, dtype=bool)
+    kept = 0
+    for lo, mats, inv_mats in walk:
+        K[lo:lo + len(mats)] = matgroup.batch_kappa(mats, inv_mats)
+        part = walk.cut(lo, len(mats), 0, flag_spheres)
+        if part.stop:
+            F, good = flags.u_theta(mats[part], theta, gap_tolerance)
+            ok[lo:lo + len(good)] = good
+            frames[kept:kept + len(F)] = F.frame
+            kept += len(F)
+    ball = walk.ball()
+    return ball, K[:len(ball)], (frames[:kept], ok[:ball.offsets[flag_spheres + 1]])
 
 
 def _sphere_values(P, phi, theta, ball, K, fraction=NEGATIVE_CONE_FRACTION):
@@ -88,18 +115,17 @@ def _require_supercritical(s, delta_hat, min_margin):
         raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
 
 
-def _measure_from_ball(phi, s, theta, ball, values, gap_tolerance):
-    """patterson_measure from the ball and phi(kappa_theta) of its rows.
+def _measure_from_flags(phi, s, ball, values, frames, ok):
+    """The mu_s approximant from phi(kappa_theta) of the flag rows and their flags.
 
     The measure keeps the ball's words, not its matrices.
     """
-    F, ok = flags.u_theta(ball.mats, theta, gap_tolerance)
     if not ok.any():
         raise WindowEmpty("every enumerated element failed the gap test")
     raw = values[ok]
     w = np.exp(-s * (raw - raw.min()))
     w /= w.sum()
-    return AtomicMeasure(F.frame, w, np.flatnonzero(ok), ball.words_only(), float(s), phi,
+    return AtomicMeasure(frames, w, np.flatnonzero(ok), ball, float(s), phi,
                          int(np.count_nonzero(~ok)))
 
 
@@ -110,14 +136,12 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     supercritical for that estimate.
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
-    ball, K = _spliced_ball(P, n_max)
+    ball, K, (frames, ok) = _walk_ball(P, n_max, n, theta)
     est = _sphere_regression(_sphere_values(P, phi, theta, ball, K), n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat, MIN_S_MARGIN)
-    values = K[:ball.offsets[n + 1]] @ (
-        phi.covector() @ cartan.projection_matrix(P.dimension, theta))
-    del K  # not kept through the flag extraction
-    return est, _measure_from_ball(phi, s, theta, ball[:n + 1], values, flags.GAP_TOLERANCE)
+    values = K[:len(ok)] @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
+    return est, _measure_from_flags(phi, s, ball[:n + 1], values, frames, ok)
 
 
 def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTION):
@@ -259,10 +283,9 @@ def patterson_measure(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
     _require_supercritical(s, delta_hat, min_margin)
-    ball = matgroup.word_spheres(P, n)
-    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
-    values = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
-    return _measure_from_ball(phi, s, theta, ball, values, gap_tolerance)
+    ball, K, (frames, ok) = _walk_ball(P, n, n, theta, gap_tolerance)
+    values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
+    return _measure_from_flags(phi, s, ball, values, frames, ok)
 
 
 def outer_sphere_restriction(mu, min_length=None):

@@ -111,14 +111,15 @@ def test_execute_rerun_is_byte_identical(tmp_path):
     ("shadow-check", {"n": 3, "mu_n": 5}, [5, 3, 3]),
 ])
 def test_measure_commands_build_one_ball(command, params, radii, tmp_path, monkeypatch):
+    # every ball, with or without its matrices, is one walk
     built = []
-    word_spheres = matgroup.word_spheres
 
-    def counted(P, n, cap=None):
-        built.append(n)
-        return word_spheres(P, n, cap)
+    class Counted(matgroup._BallWalk):
+        def __init__(self, P, n, *args, **kwargs):
+            built.append(n)
+            super().__init__(P, n, *args, **kwargs)
 
-    monkeypatch.setattr(matgroup, "word_spheres", counted)
+    monkeypatch.setattr(matgroup, "_BallWalk", Counted)
     config = {"preset": "fuchsian-schottky-1", "theta": [1], "params": params}
     cli.execute(command, config, str(tmp_path))
     assert built == radii
@@ -161,6 +162,12 @@ def test_cli_exit_codes(tmp_path):
         ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
         ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
         ("box-dim", {"params": {"scales": [0.3, 0.1, 0.03, 0.01]}}, "params.scales"),
+        # an empty word is a config error, not an identity element
+        ("quasi-invariance", {"params": {"alpha": []}}, "params.alpha"),
+        ("conicality", {"params": {"fixed_point_of": []}}, "params.fixed_point_of"),
+        ("entropy-drop", {"params": {"subgroup": [[]]}}, "params.subgroup.0"),
+        # the exponent fit needs four spheres; the path is shadow-check's own key
+        ("shadow-check", {"params": {"mu_n": 3}}, "params.mu_n"),
         # commands with a required params key need params
         ("quasi-invariance", {}, "(root)"),
         ("entropy-drop", {}, "(root)"),

@@ -108,11 +108,13 @@ def test_attracting_fixed_flag_needs_proximality():
 
 @pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
                                       (presets.sl3_zariski_dense(), (1, 2))])
-def test_stacked_flag_layer_equals_single_calls(P, theta):
+def test_stacked_flag_layer_equals_single_calls(P, theta, monkeypatch):
     ball = matgroup.word_spheres(P, 3)
     d = P.dimension
     # the identity fails the gap test; put a second copy mid-stack
     mats = np.concatenate([ball.mats[:10], np.eye(d)[None], ball.mats[10:]])
+    # u_theta reads a stack in blocks: the two identities fall in different ones
+    monkeypatch.setattr(matgroup, "BLOCK_ROWS", 7)
     F, ok = flags.u_theta(mats, theta)
     assert len(ok) == len(mats) and np.flatnonzero(~ok).tolist() == [0, 10]
     assert len(F) == len(mats) - 2
@@ -132,9 +134,35 @@ def test_stacked_flag_layer_equals_single_calls(P, theta):
     for i, (M, M_inv) in enumerate(zip(ball.mats, ball.inv_mats)):
         assert np.array_equal(kappas[i], cartan.kappa(M))
         assert np.array_equal(nus[i], cartan.jordan_spliced(M, M_inv))
+    empty, none_ok = flags.u_theta(mats[:0], theta)
+    assert len(empty) == 0 and none_ok.shape == (0,)
     skewed = mats[ok].copy()
     skewed[5] *= 1.1
     with pytest.raises(NonUnimodular):
         flags.u_theta(skewed, theta)
+    skewed = mats[ok].copy()
+    skewed[-1] *= 1.1
+    with pytest.raises(NonUnimodular):
+        flags.u_theta(skewed, theta)
     with pytest.raises(NonUnimodular):
         cocycle.iwasawa(skewed, F)
+
+
+@pytest.mark.parametrize("P, theta, n", [(presets.parabolic(), (1,), 12),
+                                         (presets.fuchsian_schottky(1.6), (1,), 4),
+                                         (presets.sl3_zariski_dense(), (1, 2), 3)])
+def test_limit_set_and_cone_read_one_sphere_of_the_walk(P, theta, n, monkeypatch):
+    sphere = matgroup.word_spheres(P, n)[n]
+    ref_F, ref_ok = flags.u_theta(sphere.mats, theta)
+    (ref_words,) = sphere.sphere_letters()
+    proj = cartan.projection_matrix(P.dimension, theta)
+    vecs = matgroup.batch_kappa(sphere.mats, sphere.inv_mats, proj)
+    norms = np.linalg.norm(vecs, axis=1)
+    ref_dirs = vecs[norms > 1e-12] / norms[norms > 1e-12, None]
+    # blocks of 5 rows span spheres
+    monkeypatch.setattr(matgroup, "BLOCK_ROWS", 5)
+    F, skipped, words = flags.sample_limit_set(P, theta, n)
+    assert np.array_equal(F.frame, ref_F.frame)
+    assert skipped == np.count_nonzero(~ref_ok)
+    assert np.array_equal(words, ref_words[ref_ok])
+    assert np.array_equal(matgroup.limit_cone_sample(P, theta, n), ref_dirs)

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pslab import cartan, matgroup, presets
+from pslab import cartan, matgroup, patterson, presets
 from pslab.errors import BadIndex, BudgetExceeded, NotFree
 
 
@@ -77,14 +77,18 @@ def test_ball_is_freed_without_the_cycle_collector(sl2):
 
 def test_element_cap_checked_before_allocating():
     # sphere 10 alone holds 78,732 elements; building it before the check took 70 MB
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded):
-            matgroup.word_spheres(presets.sl2_mild(), 40, cap=100_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
+    P = presets.sl2_mild()
+    P.element_cap = 100_000
+    # the whole ball with its matrices, and the streamed ball of the exponent fits
+    for build in (matgroup.word_spheres, patterson._spliced_ball):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                build(P, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, build
 
 
 def rotation_group():
@@ -93,10 +97,18 @@ def rotation_group():
 
 
 def test_cap_zero_is_a_cap():
+    phi = cartan.Functional.alpha(1, 2)
     for P in (presets.fuchsian_schottky(1.6), rotation_group()):
         for n in (0, 3):
             with pytest.raises(BudgetExceeded):
                 matgroup.word_spheres(P, n, cap=0)
+        # the streamed balls take the presentation's cap
+        P.element_cap = 0
+        for n in (0, 3):
+            for build in (patterson._spliced_ball,
+                          lambda P, n: patterson.patterson_measure(P, phi, 1.0, n, (1,))):
+                with pytest.raises(BudgetExceeded):
+                    build(P, n)
 
 
 BALL_CASES = [(presets.cyclic_hyperbolic, 9),

@@ -1,7 +1,11 @@
+import functools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from pslab import cartan, matgroup, patterson, presets
+from pslab import cartan, flags, matgroup, patterson, presets
 from pslab.errors import NegativePhiOnCone, SubcriticalS, WindowEmpty
 
 
@@ -158,3 +162,59 @@ def test_limit_set_separation_matches_scalar_double_loop(monkeypatch):
     assert patterson.limit_set_separation(G, F) == max(
         min(flags.flag_distance(G[j], F[i]) for i in range(len(F))) for j in range(len(G)))
     assert patterson.limit_set_separation(F[:0], G) == 0.0
+
+
+def rotation_and_hyperbolic():
+    # a non-free presentation whose words merge: a^4 = e
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return matgroup.GroupPresentation(2, [quarter, presets.hyp_axis(-1.2, 0.8, 1.6)],
+                                      assume_free=False)
+
+
+STREAM_CASES = [(presets.parabolic, 60, (1,)),
+                (functools.partial(presets.fuchsian_schottky, 1.6), 6, (1,)),
+                (functools.partial(presets.schottky_so21, 1.6), 5, (1, 2)),
+                (presets.sl3_zariski_dense, 4, (1, 2)),
+                (rotation_and_hyperbolic, 5, (1,))]
+STREAM_IDS = ["parabolic", "schottky", "schottky-d3", "zariski-d3", "non-free"]
+
+
+@pytest.mark.parametrize("block_rows", [5, matgroup.BLOCK_ROWS])
+@pytest.mark.parametrize("make, n, theta", STREAM_CASES, ids=STREAM_IDS)
+def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatch):
+    P = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = matgroup.word_spheres(P, n)
+        ref_K = matgroup.batch_kappa(ref.mats, ref.inv_mats)
+        # blocks of 5 rows span the spheres of every ball here
+        monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
+        ball, K, (frames, ok) = patterson._walk_ball(P, n, n - 1, theta)
+    if not P.assume_free:
+        assert len(ball) < matgroup.free_ball_size(P.rank, n)
+    assert ball.mats is None and ball.inv_mats is None
+    for field in ("parent", "letter", "offsets"):
+        got, want = getattr(ball, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert ball.words() == ref.words()
+    assert np.array_equal(K, ref_K)
+    # the flags of spheres 0..n-1, as u_theta gives them for the whole stack
+    ref_F, ref_ok = flags.u_theta(ref.mats[:ref.offsets[n]], theta)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(frames, ref_F.frame)
+
+
+@pytest.mark.parametrize("make, n", [(functools.partial(presets.schottky_so21, 1.6), 9),
+                                     (functools.partial(presets.fuchsian_schottky, 1.6), 10)],
+                         ids=["schottky-d3", "schottky"])
+def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
+    P = make()
+    phi = cartan.Functional.alpha(1, P.dimension)
+    tracemalloc.start()
+    try:
+        patterson.critical_exponent(P, phi, n, (1,) if P.dimension == 2 else (1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrices = 2 * matgroup.free_ball_size(P.rank, n) * P.dimension**2 * 8
+    assert peak < matrices
