@@ -252,8 +252,8 @@ class _BallWalk:
         step = max(1, BLOCK_ROWS // len(letters))
         for k in range(1, n + 1):
             start, lo = offsets[-2], offsets[-1]
-            # every parent but the identity (letter 0) forbids one letter
-            hi = lo + (lo - start) * len(letters) - np.count_nonzero(letter[start:lo])
+            # every parent but the identity, sphere 0, forbids one letter
+            hi = lo + (lo - start) * (len(letters) - (k > 1))
             if hi > self.cap:
                 raise BudgetExceeded(f"element count exceeds cap {self.cap}")
             # the parents of sphere k + 1, unless the whole ball is kept; sphere
