@@ -10,7 +10,6 @@ import warnings
 from importlib import resources
 
 import click
-import jsonschema
 import numpy as np
 
 from . import (
@@ -44,12 +43,18 @@ def _fmt(x):
 
 @functools.cache
 def _validator():
-    # the schema is checked once by the test suite, not on every run
+    # the schema is checked once by the test suite, not on every run;
+    # jsonschema is imported here, as its import costs every start-up and
+    # only validation needs it
+    import jsonschema
+
     return jsonschema.Draft202012Validator(load_schema())
 
 
 def validate_config(config):
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(config))
     if error is not None:
         path = ".".join(str(p) for p in error.absolute_path) or "(root)"
         raise ConfigInvalid(path, error.message) from error

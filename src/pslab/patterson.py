@@ -316,23 +316,32 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
     - phi(kappa_theta(gamma)) - phi(B_theta(alpha^-1, U_theta(gamma)))|;
     vanishing residuals in the limit give the e^{-s phi(B)} density.
     Elements failing the singular-gap test are left out.  Returns a list of
-    per-sphere dicts with min/median/max.  s is not used.
+    per-sphere dicts with min/median/max.  s is not used.  The ball is walked
+    block by block, and only the per-row residuals are kept.
     """
     theta = cartan.validate_theta(
         theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
     )
     alpha_mat = P.word_matrix(tuple(alpha_word))
     alpha_inv = P.word_matrix(matgroup.invert_word(tuple(alpha_word)))
-    proj = cartan.projection_matrix(P.dimension, theta)
-    f = phi.covector() @ proj
-    ball = matgroup.word_spheres(P, n)[1:]
-    # spliced batch kappa: the direct SVD of a deep product loses the small
-    # singular values, which would swamp the residual
-    base = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
-    shifted = matgroup.batch_kappa(alpha_inv @ ball.mats, ball.inv_mats @ alpha_mat) @ f
-    F, ok = flags.u_theta(ball.mats, theta)
-    residuals = np.full(len(ball), np.nan)
-    residuals[ok] = np.abs(shifted[ok] - base[ok] - phi(cocycle.iwasawa(alpha_inv, F)))
+    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
+    walk = matgroup._BallWalk(P, n)
+    residuals = np.full(walk.rows, np.nan)
+    ok = np.zeros(walk.rows, dtype=bool)
+    for lo, mats, inv_mats in walk:
+        part = walk.cut(lo, len(mats), 1, n)
+        mats, inv_mats = mats[part], inv_mats[part]
+        # spliced batch kappa: the direct SVD of a deep product loses the
+        # small singular values, which would swamp the residual
+        base = _row_products(matgroup.batch_kappa(mats, inv_mats), f)
+        shifted = _row_products(matgroup.batch_kappa(alpha_inv @ mats, inv_mats @ alpha_mat), f)
+        F, good = flags.u_theta(mats, theta)
+        rows = slice(lo + part.start, lo + part.stop)
+        ok[rows] = good
+        residuals[rows][good] = np.abs(shifted[good] - base[good]
+                                       - phi(cocycle.iwasawa(alpha_inv, F)))
+    ball = walk.ball()
+    residuals, ok, ball = residuals[1:len(ball)], ok[1:len(ball)], ball[1:]
     stats = []
     for j, (arr, keep) in enumerate(zip(ball.split(residuals), ball.split(ok)), 1):
         arr = arr[keep]
@@ -347,6 +356,18 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
                 }
             )
     return stats
+
+
+def _row_products(K, f):
+    """K @ f for the rows of K, each with the bits of one product over a longer stack.
+
+    numpy multiplies a single row by f as a dot product and two or more rows
+    by gemv, which may round differently; so a block of one row is
+    multiplied as two.
+    """
+    if len(K) == 1:
+        return (np.repeat(K, 2, axis=0) @ f)[:1]
+    return K @ f
 
 
 def pair_density(phi, delta, F, G):

@@ -234,14 +234,24 @@ def test_shipped_configs_validate():
         assert config["command"] == name[:-5]
 
 
-def test_cli_import_leaves_scipy_out():
-    # the library does not use scipy, whose import costs start-up time and RSS
+def _imported_with_cli(module):
+    """Whether a fresh interpreter has module loaded after `import pslab.cli`."""
     src = os.path.dirname(os.path.dirname(pslab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, pslab.cli; print('scipy' in sys.modules)"
+    code = f"import sys, pslab.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    # the library does not use scipy, whose import costs start-up time and RSS
+    assert not _imported_with_cli("scipy")
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # only config validation needs jsonschema, which it imports when called
+    assert not _imported_with_cli("jsonschema")
 
 
 def test_third_party_imports_match_declared_dependencies():

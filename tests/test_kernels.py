@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from cover_oracle import greedy_cover_count_reference
 
-from pslab import _kernels
+from pslab import _kernels, matgroup, presets
 
 
 def test_batch_log_singular_values_matches_svd(rng):
@@ -12,6 +13,140 @@ def test_batch_log_singular_values_matches_svd(rng):
     got = _kernels.batch_log_singular_values(mats)
     ref = np.log(np.linalg.svd(mats, compute_uv=False))
     assert np.allclose(got, ref, atol=1e-10)
+
+
+def _lapack_logs(mats):
+    return np.log(np.maximum(np.linalg.svd(mats, compute_uv=False), 1e-300))
+
+
+def _assert_same_bits(mats):
+    got, want = _kernels.batch_log_singular_values(mats), _lapack_logs(mats)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _samples(kind, count=100_000):
+    rng = np.random.default_rng({"normal": 1, "scaled": 2, "zeros": 3, "integers": 4}[kind])
+    if kind == "integers":
+        return rng.integers(-4, 5, size=(count, 2, 2)).astype(float)
+    x = rng.normal(size=(count, 2, 2))
+    if kind == "scaled":
+        x *= np.exp(rng.uniform(-30.0, 30.0, size=x.shape))
+    elif kind == "zeros":
+        x[rng.random(x.shape) < 0.3] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("kind", ["normal", "scaled", "zeros", "integers"])
+def test_2x2_singular_values_have_lapacks_bits(kind):
+    _assert_same_bits(_samples(kind))
+
+
+@pytest.mark.parametrize("make, n", [(lambda: presets.fuchsian_schottky(1.6), 10),
+                                     (lambda: presets.fuchsian_schottky(2.6), 10),
+                                     (presets.parabolic, 2000)],
+                         ids=["schottky-1.6", "schottky-2.6", "parabolic"])
+def test_2x2_singular_values_of_word_balls_have_lapacks_bits(make, n):
+    ball = matgroup.word_spheres(make(), n)
+    _assert_same_bits(ball.mats)
+    _assert_same_bits(ball.inv_mats)
+
+
+# rows outside the range where the 2x2 steps are exact, one per class
+FALLBACK_ROWS = {
+    "nan": [[np.nan, 1.0], [1.0, 1.0]],
+    "inf": [[1.0, 0.0], [np.inf, 1.0]],
+    # above BIGNUM: dgesdd rescales
+    "huge": [[1e200, 1.0], [1.0, 1.0]],
+    # below SMLNUM: dgesdd rescales
+    "tiny": [[1e-200, 0.0], [1e-200, 1e-200]],
+    # first column under dlarfg's safmin
+    "first-column": [[1e-295, 1.0], [1e-295, 1.0]],
+    # t * v2 underflows, and with it the emulated fma's low part
+    "product": [[1.0, 1e-160], [1e-160, 1e-160]],
+}
+
+
+class _CountingSvd:
+    """np.linalg.svd, counting the matrices it is given."""
+
+    def __init__(self, svd):
+        self.svd, self.rows = svd, 0
+
+    def __call__(self, a, *args, **kwargs):
+        self.rows += len(a)
+        return self.svd(a, *args, **kwargs)
+
+
+@pytest.fixture
+def counting_svd(monkeypatch):
+    counter = _CountingSvd(np.linalg.svd)
+    monkeypatch.setattr(_kernels.np.linalg, "svd", counter)
+    return counter
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_ROWS))
+def test_2x2_fallback_rows_go_to_lapack(name, counting_svd):
+    # the row between in-range rows, which keep the 2x2 path
+    mats = _samples("normal", 9)
+    mats[4] = FALLBACK_ROWS[name]
+    try:
+        got = _kernels.batch_log_singular_values(mats)
+    except np.linalg.LinAlgError:
+        got = None
+    assert counting_svd.rows == 1
+    if got is None:
+        with pytest.raises(np.linalg.LinAlgError):
+            _lapack_logs(mats)
+    else:
+        assert got.tobytes() == _lapack_logs(mats).tobytes()
+
+
+# in-range rows that take the rare branches of the 2x2 path
+RARE_ROWS = [
+    [[1e-200, 1e130], [0.0, 1e-200]],  # dlas2: fhmx / ga underflows to 0
+    [[1e-200, 1e130], [1e-250, 1e-200]],
+    [[0.0, 1.0], [0.0, 1.0]],  # dlas2: a zero on the diagonal
+    [[0.0, 1.0], [0.0, 0.0]],  # dlas2: a zero diagonal
+    [[0.0, 0.0], [1.0, 0.0]],  # a zero second column
+    [[2.0, 0.0], [0.0, 3.0]],  # dlarfg: a21 == 0 leaves the column
+    [[-0.0, 1.5], [1.3, 0.8]],  # dlarfg: the sign of a zero a11 picks beta's
+    [[0.0, 1.5], [1.3, 0.8]],
+    [[1.0, 2.0], [2.0, 4.0]],  # singular
+]
+
+
+def test_2x2_rare_branches_have_lapacks_bits(counting_svd):
+    mats = np.array(RARE_ROWS)
+    got = _kernels.batch_log_singular_values(mats)
+    assert counting_svd.rows == 0
+    assert got.tobytes() == _lapack_logs(mats).tobytes()
+
+
+def test_batch_kappa_never_reaches_lapack_in_range(counting_svd):
+    # a fallback mask that silently widens fails here, not only in the benchmark
+    ball = matgroup.word_spheres(presets.fuchsian_schottky(1.6), 10)
+    matgroup.batch_kappa(ball.mats, ball.inv_mats)
+    assert counting_svd.rows == 0
+
+
+def test_fma_rounds_once():
+    rng = np.random.default_rng(7)
+    count = 3000
+    a = rng.normal(size=count) * np.exp2(rng.integers(-200, 200, count))
+    b = rng.normal(size=count) * np.exp2(rng.integers(-200, 200, count))
+    c = rng.normal(size=count) * np.exp2(rng.integers(-400, 400, count))
+    # c close to -a * b: the sum cancels to its low bits
+    near = rng.random(count) < 0.5
+    c[near] = -(a * b)[near] * (1.0 + rng.normal(size=near.sum()) * 2.0**-40)
+    got = _kernels._fma(a, b, c)
+    for x, y, z, r in zip(a, b, c, got):
+        assert r == float(Fraction(x) * Fraction(y) + Fraction(z)), (x, y, z)
+    # a * b + c lies just above the midpoint between 1 and 1 + 2**-52; the
+    # low parts summed to nearest end on that midpoint, so rounding them to
+    # nearest, or a round-to-odd step that does not move, gives 1 (ties go
+    # to even)
+    one = np.array([1.0])
+    assert _kernels._fma(one + 2.0**-52, one * 2.0**-53 * (1 - 2.0**-53), one)[0] == 1 + 2.0**-52
 
 
 def test_greedy_cover_extremes(rng):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pslab import cartan, flags, matgroup, patterson, presets
+from pslab import cartan, cocycle, flags, matgroup, patterson, presets
 from pslab.errors import NegativePhiOnCone, SubcriticalS, WindowEmpty
 
 
@@ -107,6 +107,63 @@ def test_quasi_invariance_residuals_decay():
     # the cocycle defect vanishes as orbit flags converge to limit flags
     assert stats[-1]["median"] < 0.1 * stats[0]["median"]
     assert stats[-1]["median"] < 1e-3
+
+
+def _quasi_invariance_whole_ball(P, phi, alpha_word, n, theta):
+    """The per-row residuals of quasi_invariance_residual from whole-ball stacks."""
+    alpha_mat = P.word_matrix(tuple(alpha_word))
+    alpha_inv = P.word_matrix(matgroup.invert_word(tuple(alpha_word)))
+    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
+    ball = matgroup.word_spheres(P, n)[1:]
+    base = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
+    shifted = matgroup.batch_kappa(alpha_inv @ ball.mats, ball.inv_mats @ alpha_mat) @ f
+    F, ok = flags.u_theta(ball.mats, theta)
+    residuals = np.abs(shifted[ok] - base[ok] - phi(cocycle.iwasawa(alpha_inv, F)))
+    return np.split(residuals, np.cumsum([keep.sum() for keep in ball.split(ok)])[:-1])
+
+
+@pytest.mark.parametrize("make, alpha, n, theta", [
+    (functools.partial(presets.fuchsian_schottky, 1.6), (1,), 8, (1,)),
+    (functools.partial(presets.fuchsian_schottky, 2.0), (-2, 1), 9, (1,)),
+    (presets.schottky_so21, (1, 2), 6, (1, 2)),
+], ids=["schottky", "schottky-alpha-word", "schottky-d3"])
+def test_quasi_invariance_walk_matches_whole_ball(make, alpha, n, theta):
+    # the walked residuals have the bits of the whole-ball computation
+    P = make()
+    phi = cartan.Functional.alpha(1, P.dimension)
+    stats = patterson.quasi_invariance_residual(P, phi, alpha, None, n, theta)
+    spheres = _quasi_invariance_whole_ball(P, phi, alpha, n, theta)
+    want = [{"sphere": j, "min": float(r.min()), "median": float(np.median(r)),
+             "max": float(r.max()), "count": int(r.size)}
+            for j, r in enumerate(spheres, 1) if r.size]
+    assert stats == want
+
+
+def test_row_products_of_one_row_match_a_longer_stack(rng):
+    for d in (2, 3, 4):
+        K = rng.normal(size=(200, d)) * np.exp(rng.uniform(-5.0, 5.0, size=(200, d)))
+        f = rng.normal(size=d)
+        whole = K @ f
+        for i in range(len(K)):
+            assert patterson._row_products(K[i:i + 1], f)[0] == whole[i]
+        assert np.array_equal(patterson._row_products(K[3:9], f), whole[3:9])
+
+
+@pytest.mark.parametrize("make, n, theta", [
+    (functools.partial(presets.schottky_so21, 1.6), 10, (1, 2)),
+    (functools.partial(presets.fuchsian_schottky, 1.6), 10, (1,)),
+], ids=["schottky-d3", "schottky"])
+def test_quasi_invariance_does_not_hold_the_balls_matrices(make, n, theta):
+    P = make()
+    phi = cartan.Functional.alpha(1, P.dimension)
+    tracemalloc.start()
+    try:
+        patterson.quasi_invariance_residual(P, phi, (1,), None, n, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrices = 2 * matgroup.free_ball_size(P.rank, n) * P.dimension**2 * 8
+    assert peak < matrices
 
 
 def test_pair_density_matches_gromov_product(rng):
