@@ -115,20 +115,6 @@ def _check_compatible(F, G):
         raise ThetaMismatch(f"{F.theta} (d={F.dimension}) vs {G.theta} (d={G.dimension})")
 
 
-def is_transverse(F, G, tolerance=TRANSVERSALITY_TOLERANCE):
-    """(transverse?, witness): F^k + G^(d-k) = R^d for all k in theta.
-
-    The witness is the minimum over k of |det[basis F^k | basis G^(d-k)]|.
-    """
-    _check_compatible(F, G)
-    d = F.dimension
-    witness = np.inf
-    for k in F.theta:
-        M = np.hstack([F.subspace(k), G.subspace(d - k)])
-        witness = min(witness, abs(np.linalg.det(M)))
-    return bool(witness > tolerance), witness
-
-
 def flag_distance(F, G):
     """max over k in theta of sin(largest principal angle of F^k vs G^k).
 

@@ -30,18 +30,13 @@ from .errors import BadIndex, BudgetExceeded, NonUnimodular, NotFree
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 # rows per block of a ball walk, of batch_kappa and of a u_theta stack: the
-# operands gathered for one step hold at most this many rows (a walk takes at
-# least one parent's children per step)
+# operands gathered for one step hold at most this many rows
 BLOCK_ROWS = 1 << 13
 
 
 def _letter_key(letter):
-    # +1, -1, +2, -2, ... -> 0, 1, 2, 3, ...; an int or an int array
+    # +1, -1, +2, -2, ... -> 0, 1, 2, 3, ...
     return 2 * (abs(letter) - 1) + (letter < 0)
-
-
-def word_key(word):
-    return tuple(_letter_key(x) for x in word)
 
 
 @dataclass
@@ -92,16 +87,6 @@ class GroupPresentation:
             lab = self.labels[abs(letter) - 1]
             parts.append(lab if letter > 0 else lab + "'")
         return ".".join(parts) or "e"
-
-
-def reduce_word(word):
-    out = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def invert_word(word):
@@ -188,8 +173,11 @@ class _BallWalk:
     A walk is iterated once; after that ``ball()`` is the WordBall of the
     walked rows.
 
-    Each sphere is written from the allowed (parent row, letter) pairs of the
-    previous one, at most BLOCK_ROWS rows per step.  For non-free
+    Each sphere is written from the previous one, at most BLOCK_ROWS rows
+    per step: a step broadcasts a run of parent products over their rows of
+    a table of child letters, two matmul calls writing straight into the
+    block, and a parent whose children straddle the block's end is split
+    between two steps.  For non-free
     presentations the cap is checked against the running total plus the next
     sphere's candidate count before that sphere is written; elements whose
     matrices coincide (rounded to dedup_tolerance) with an earlier element are
@@ -225,11 +213,22 @@ class _BallWalk:
 
     def __iter__(self):
         P, n, d = self.P, self.n, self.P.dimension
+        q = 2 * P.rank
         # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
         letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
                            dtype=np.int8)
         alphabet = np.stack(P._alphabet)
-        inv_alphabet = alphabet[np.arange(len(letters)) ^ 1]
+        inv_alphabet = alphabet[np.arange(q) ^ 1]
+        # row l of the child tables belongs to a parent whose last letter is l
+        # (negative l wrapping to the end): every letter but -l, in canonical
+        # order; row 0 is not used.  The identity, with letter 0, is the only
+        # parent of sphere 1 and takes every letter, from the one row of the
+        # sphere-1 tables.
+        allowed = np.zeros((q + 1, q - 1), dtype=np.intp)
+        for j, lt in enumerate(letters):
+            allowed[lt] = [i for i in range(q) if i != j ^ 1]
+        tables = [(alphabet[None], inv_alphabet[None], letters[None]),
+                  (alphabet[allowed], inv_alphabet[allowed], letters[allowed])]
 
         def dedup_keys(M):
             return np.round(M / P.dedup_tolerance).astype(np.int64)
@@ -248,51 +247,68 @@ class _BallWalk:
         sphere = block[:, :1].copy()
         seen = None if P.assume_free else {dedup_keys(block[0, :1])[0].tobytes()}
         merged = 0
-        # parent rows per step: their children, at most BLOCK_ROWS, are one step
-        step = max(1, BLOCK_ROWS // len(letters))
         for k in range(1, n + 1):
+            fwd_tab, inv_tab, let_tab = tables[k > 1]
+            c = let_tab.shape[1]  # children per parent
             start, lo = offsets[-2], offsets[-1]
-            # every parent but the identity, sphere 0, forbids one letter
-            hi = lo + (lo - start) * (len(letters) - (k > 1))
+            hi = lo + (lo - start) * c
             if hi > self.cap:
                 raise BudgetExceeded(f"element count exceeds cap {self.cap}")
             # the parents of sphere k + 1, unless the whole ball is kept; sphere
             # n's only copy is the block
             store = np.empty((2, hi - lo, d, d)) if products is None and k < n else None
             a = lo
-            for p in range(start, lo, step):
-                # children in canonical order: by parent row, then by letter
-                pi, li = np.nonzero(letters != -letter[p:min(p + step, lo), None])
-                pi += p - start
-                i = 0
-                while i < len(pi):
-                    # the pairs that fit in the block
-                    j = min(len(pi), i + BLOCK_ROWS - fill)
-                    pj, lj = pi[i:j], li[i:j]
-                    out = block[:, fill:fill + j - i]
-                    np.matmul(sphere[0][pj], alphabet[lj], out=out[0])
-                    np.matmul(inv_alphabet[lj], sphere[1][pj], out=out[1])
-                    parents, lets = pj + start, letters[lj]
-                    if seen is not None:
-                        keep = np.ones(j - i, dtype=bool)
-                        for r, key in enumerate(dedup_keys(out[0])):
-                            key = key.tobytes()
-                            keep[r] = key not in seen
-                            seen.add(key)
-                        merged += int(np.count_nonzero(~keep))
-                        parents, lets = parents[keep], lets[keep]
-                        out = block[:, fill:fill + len(parents)]
-                        out[...] = block[:, fill:fill + j - i][:, keep]
-                    b = a + len(parents)
-                    parent[a:b], letter[a:b] = parents, lets
-                    if store is not None:
-                        store[:, a - lo:b - lo] = out
-                    fill += b - a
-                    a, i = b, j
-                    if fill == BLOCK_ROWS:
-                        yield a - fill, block[0], block[1]
-                        block = window(a)
-                        fill = 0
+            # children in canonical order: by parent row, then by letter; the
+            # next one is child j of parent row p
+            p, j = start, 0
+            while p < lo:
+                room = BLOCK_ROWS - fill
+                if j == 0 and room >= c:
+                    # the parents whose children all fit, each broadcast over
+                    # its row of the tables
+                    e = min(p + room // c, lo)
+                    lasts = letter[p:e]
+                    rows, shape = (e - p) * c, (e - p, c, d, d)
+                    out = block[:, fill:fill + rows]
+                    np.matmul(sphere[0][p - start:e - start, None], fwd_tab.take(lasts, 0),
+                              out=out[0].reshape(shape))
+                    np.matmul(inv_tab.take(lasts, 0), sphere[1][p - start:e - start, None],
+                              out=out[1].reshape(shape))
+                    parents = np.arange(p, e, dtype=np.int32).repeat(c)
+                    lets = let_tab.take(lasts, 0).ravel()
+                    p = e
+                else:
+                    # a parent whose children straddle the end of the block
+                    rows = min(c - j, room)
+                    last = letter[p]
+                    out = block[:, fill:fill + rows]
+                    np.matmul(sphere[0][p - start], fwd_tab[last, j:j + rows], out=out[0])
+                    np.matmul(inv_tab[last, j:j + rows], sphere[1][p - start], out=out[1])
+                    parents = np.full(rows, p, dtype=np.int32)
+                    lets = let_tab[last, j:j + rows]
+                    j += rows
+                    if j == c:
+                        p, j = p + 1, 0
+                if seen is not None:
+                    keep = np.ones(rows, dtype=bool)
+                    for r, code in enumerate(dedup_keys(out[0])):
+                        code = code.tobytes()
+                        keep[r] = code not in seen
+                        seen.add(code)
+                    merged += int(np.count_nonzero(~keep))
+                    parents, lets = parents[keep], lets[keep]
+                    out = block[:, fill:fill + len(parents)]
+                    out[...] = block[:, fill:fill + rows][:, keep]
+                b = a + len(parents)
+                parent[a:b], letter[a:b] = parents, lets
+                if store is not None:
+                    store[:, a - lo:b - lo] = out
+                fill += b - a
+                a = b
+                if fill == BLOCK_ROWS:
+                    yield a - fill, block[0], block[1]
+                    block = window(a)
+                    fill = 0
             offsets.append(a)
             if store is not None:
                 sphere = store[:, :a - lo]
@@ -339,11 +355,15 @@ def free_ball_size(rank, n):
     return 1 + 2 * rank * (q**n - 1) // (q - 1)
 
 
-def _byte_words(block):
-    """Rows of a (count, k) letter array as byte strings in canonical word order."""
-    # codes start at 1: byte strings drop trailing NUL bytes
-    codes = np.ascontiguousarray(_letter_key(block.astype(np.intp)) + 1, dtype=np.uint8)
-    return codes.view(f"S{block.shape[1]}")[:, 0]
+def _byte_words(codes):
+    """Rows of a (count, k) uint8 code array as byte strings in canonical word order."""
+    return np.ascontiguousarray(codes).view(f"S{codes.shape[1]}")[:, 0]
+
+
+def _inverse_codes(codes):
+    # code c = _letter_key + 1 (byte strings drop trailing NUL bytes, so codes
+    # start at 1); the inverse letter's key is the key ^ 1
+    return ((codes - 1) ^ 1) + 1
 
 
 def conjugacy_classes(P, n, primitive_only=False):
@@ -356,20 +376,31 @@ def conjugacy_classes(P, n, primitive_only=False):
     is larger, as a word equal to a rotation is a proper power.  gamma and
     gamma^-1 give distinct classes.  Only valid for free presentations
     (raises NotFree otherwise).
+
+    Words are compared as byte strings of letter codes, taken once per
+    sphere: rotation i of a word is bytes i:i + k of the word written twice,
+    and the inverse word is the reversed codes, each inverted.
     """
     if not P.assume_free:
         raise NotFree("conjugacy enumeration by cyclic words needs a free presentation")
     ball = word_spheres(P, n)
+    # the code of each letter, negative letters wrapping to the end
+    code_of = np.zeros(2 * P.rank + 1, dtype=np.uint8)
+    for i in range(1, P.rank + 1):
+        code_of[i], code_of[-i] = _letter_key(i) + 1, _letter_key(-i) + 1
     keep = np.zeros(len(ball), dtype=bool)
     inverse = np.zeros(len(ball), dtype=np.intp)
     for k, block in enumerate(ball[1:].sphere_letters(), 1):
         sphere = slice(ball.offsets[k], ball.offsets[k + 1])
-        words = _byte_words(block)
-        keep[sphere] = block[:, 0] != -block[:, -1]
+        codes = code_of[block]
+        words = _byte_words(codes)
+        keep[sphere] = codes[:, 0] != _inverse_codes(codes[:, -1])
+        twice = np.concatenate([codes, codes], axis=1)
         for shift in range(1, k):
-            rotated = _byte_words(np.roll(block, -shift, axis=1))
+            rotated = _byte_words(twice[:, shift:shift + k])
             keep[sphere] &= words < rotated if primitive_only else words <= rotated
-        inverse[sphere] = ball.offsets[k] + np.searchsorted(words, _byte_words(-block[:, ::-1]))
+        inverse[sphere] = ball.offsets[k] + np.searchsorted(
+            words, _byte_words(_inverse_codes(codes[:, ::-1])))
     rows = np.flatnonzero(keep)
     return WordBall(ball.mats[rows], ball.mats[inverse[rows]], ball.parent[rows],
                     ball.letter[rows], np.searchsorted(rows, ball.offsets[1:]), 1,
@@ -476,18 +507,3 @@ def limit_cone_sample(P, theta, n, tol=1e-12):
     keep = norms > tol
     return vecs[keep] / norms[keep, None]
 
-
-def random_words(rank, count, max_len, rng):
-    """Freely reduced random words, for property tests and identity suites."""
-    words = []
-    for _ in range(count):
-        length = int(rng.integers(1, max_len + 1))
-        word = []
-        for _ in range(length):
-            while True:
-                letter = int(rng.integers(1, rank + 1)) * (1 if rng.random() < 0.5 else -1)
-                if not word or word[-1] != -letter:
-                    break
-            word.append(letter)
-        words.append(tuple(word))
-    return words

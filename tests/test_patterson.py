@@ -166,13 +166,16 @@ def test_quasi_invariance_does_not_hold_the_balls_matrices(make, n, theta):
     assert peak < matrices
 
 
-def test_pair_density_matches_gromov_product(rng):
-    from pslab import cocycle, flags
+def pair_density(phi, delta, F, G):
+    """BMS pair density e^{-delta phi(G_theta(F, G))} on transverse pairs."""
+    return float(np.exp(-delta * phi(cocycle.gromov_product(F, G))))
 
+
+def test_pair_density_matches_gromov_product(rng):
     F = flags.make_flag((1, 2), np.eye(3))
     G = flags.make_flag((1, 2), rng.normal(size=(3, 3)))
     phi = cartan.Functional.alpha(1, 3)
-    rho = patterson.pair_density(phi, 0.7, F, G)
+    rho = pair_density(phi, 0.7, F, G)
     assert rho > 0.0
     assert abs(np.log(rho) + 0.7 * phi(cocycle.gromov_product(F, G))) < 1e-12
 
@@ -275,3 +278,49 @@ def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
         tracemalloc.stop()
     matrices = 2 * matgroup.free_ball_size(P.rank, n) * P.dimension**2 * 8
     assert peak < matrices
+
+
+def rotation_group():
+    # the order-4 rotation: its ball of radius 6 ends in empty spheres
+    return matgroup.GroupPresentation(2, [np.array([[0.0, -1.0], [1.0, 0.0]])],
+                                      assume_free=False)
+
+
+def _outcome(estimator, *args):
+    try:
+        return estimator(*args)
+    except WindowEmpty as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("make, n, theta", [
+    (presets.parabolic, 1000, (1,)),
+    (functools.partial(presets.fuchsian_schottky, 1.6), 10, (1,)),
+    (functools.partial(presets.schottky_so21, 1.6), 8, (1, 2)),
+    (rotation_group, 6, (1,)),
+], ids=["parabolic", "schottky", "schottky-d3", "rotation"])
+def test_estimators_match_list_based_reference(make, n, theta):
+    from sphere_oracle import (
+        series_transition_reference,
+        sphere_regression_reference,
+        sphere_sums_reference,
+    )
+
+    P = make()
+    phi = cartan.Functional.alpha(1, P.dimension)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ball, K = patterson._spliced_ball(P, n)
+    values = patterson._sphere_values(P, phi, theta, K)
+    by_sphere = ball.split(values)
+    if not P.assume_free:
+        assert (np.diff(ball.offsets) == 0).any()
+    for s in (0.0, 0.25, 0.5, 1.0, 3.0):
+        sums, slope = patterson._sphere_sums(values, ball.offsets, s)
+        ref_sums, ref_slope = sphere_sums_reference(by_sphere, s)
+        assert np.array_equal(sums, ref_sums), s
+        assert slope == ref_slope, s
+    assert (_outcome(patterson._sphere_regression, values, ball.offsets, n)
+            == _outcome(sphere_regression_reference, by_sphere, n))
+    assert (_outcome(patterson._series_transition, values, ball.offsets, n)
+            == _outcome(series_transition_reference, by_sphere, n))
