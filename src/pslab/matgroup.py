@@ -384,15 +384,11 @@ def conjugacy_classes(P, n, primitive_only=False):
     if not P.assume_free:
         raise NotFree("conjugacy enumeration by cyclic words needs a free presentation")
     ball = word_spheres(P, n)
-    # the code of each letter, negative letters wrapping to the end
-    code_of = np.zeros(2 * P.rank + 1, dtype=np.uint8)
-    for i in range(1, P.rank + 1):
-        code_of[i], code_of[-i] = _letter_key(i) + 1, _letter_key(-i) + 1
     keep = np.zeros(len(ball), dtype=bool)
     inverse = np.zeros(len(ball), dtype=np.intp)
     for k, block in enumerate(ball[1:].sphere_letters(), 1):
         sphere = slice(ball.offsets[k], ball.offsets[k + 1])
-        codes = code_of[block]
+        codes = (_letter_key(block.astype(np.intp)) + 1).astype(np.uint8)
         words = _byte_words(codes)
         keep[sphere] = codes[:, 0] != _inverse_codes(codes[:, -1])
         twice = np.concatenate([codes, codes], axis=1)

@@ -180,12 +180,14 @@ def _sphere_sums(values, offsets, s):
     sizes = np.diff(offsets)
     # reduceat adds a segment as t[0] + (t[1] + ...), while ndarray.sum adds
     # fewer than 8 elements left to right and more pairwise; the two agree on
-    # spheres of up to two rows, so longer ones are summed one by one.  For an
-    # empty sphere (of a non-free ball) reduceat gives a row, not 0.
-    sums = np.add.reduceat(terms, np.minimum(offsets[:-1], len(terms) - 1))
+    # spheres of up to two rows, so longer ones are summed one by one.  The
+    # segments start only at non-empty spheres (of a non-free ball, some are
+    # empty), so each ends where the next non-empty sphere starts.
+    nonempty = sizes > 0
+    sums = np.zeros(len(sizes))
+    sums[nonempty] = np.add.reduceat(terms, offsets[:-1][nonempty])
     for j in np.flatnonzero(sizes > 2):
         sums[j] = terms[offsets[j]:offsets[j + 1]].sum()
-    sums[sizes == 0] = 0.0
     inc = sums[1:]
     inc = inc[inc > 0]
     if inc.size < 2:

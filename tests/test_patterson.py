@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 import warnings
 
@@ -280,9 +281,10 @@ def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
     assert peak < matrices
 
 
-def rotation_group():
-    # the order-4 rotation: its ball of radius 6 ends in empty spheres
-    return matgroup.GroupPresentation(2, [np.array([[0.0, -1.0], [1.0, 0.0]])],
+def rotation_group(order=4):
+    # a finite cyclic group: its ball of radius 6 ends in empty spheres
+    c, s = math.cos(2 * math.pi / order), math.sin(2 * math.pi / order)
+    return matgroup.GroupPresentation(2, [np.array([[c, -s], [s, c]])],
                                       assume_free=False)
 
 
@@ -298,7 +300,10 @@ def _outcome(estimator, *args):
     (functools.partial(presets.fuchsian_schottky, 1.6), 10, (1,)),
     (functools.partial(presets.schottky_so21, 1.6), 8, (1, 2)),
     (rotation_group, 6, (1,)),
-], ids=["parabolic", "schottky", "schottky-d3", "rotation"])
+    # the last non-empty sphere holds two rows
+    (functools.partial(rotation_group, 3), 6, (1,)),
+    (functools.partial(rotation_group, 5), 6, (1,)),
+], ids=["parabolic", "schottky", "schottky-d3", "rotation", "rotation-3", "rotation-5"])
 def test_estimators_match_list_based_reference(make, n, theta):
     from sphere_oracle import (
         series_transition_reference,
