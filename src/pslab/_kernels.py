@@ -11,9 +11,23 @@ Kernels:
     still takes larger matrices, and the 2x2 rows where those steps are not
     exact: non-finite entries, a largest |entry| outside [2**-459, 2**459]
     (dgesdd rescales those), a nonzero first column of norm below 2**-969
-    (dlarfg rescales it) and a fused product that underflows.
+    (dlarfg rescales it), a reflector whose second entry underflows to 0
+    (dlarf shortens it) and a fused product that underflows.
+  * left_singular_2x2 - np.linalg.svd's left singular vectors and singular
+    values of a (N, 2, 2) stack, bit for bit: the same bidiagonal, then
+    dbdsqr's split test, dlasv2 and the sort, and dormbr's reflection of U.
+    LAPACK takes the rows above, those whose reflection of U has a fused
+    product that underflows and those with a non-finite result.
+  * qr_positive_2x2 - the frames of lapack_qr_positive (np.linalg.qr, with
+    columns signed so that R's diagonal is positive) of a (N, 2, 2) stack,
+    bit for bit from dgeqr2 and dorg2r, with the same LAPACK rows.
   * greedy_cover_count - first-fit greedy ball-covering counts for box
     dimension, swept once per centre rather than once per row
+
+The 2x2 kernels are held to the installed LAPACK's bits by the exactness
+tests, checked with OpenBLAS 0.3.31 on x86-64, whose dger fuses one
+multiply-add; a BLAS that does not fuse it would round some entries
+differently.
 """
 
 import numpy as np
@@ -55,10 +69,7 @@ def ray_distances_lifted(W, z):
 # bidiagonal (d1, e1; 0, d2); dbdsdc hands that, through dlasdq, dbdsqr and
 # dlasq1, to dlas2.
 # Each of these steps is one IEEE operation, except that OpenBLAS's dger
-# kernel fuses the multiply-add that gives d2, which _fma reproduces.  The
-# exactness tests hold the result to the installed LAPACK's bits (checked
-# with OpenBLAS 0.3.31 on x86-64); a BLAS whose dger does not fuse would
-# round d2 differently.
+# kernel fuses the multiply-add that gives d2, which _fma reproduces.
 
 # dgesdd rescales A when its largest entry lies outside [SMLNUM, BIGNUM]:
 # SMLNUM = sqrt(dlamch('S')) / dlamch('P')
@@ -70,7 +81,7 @@ _SAFMIN = 2.0**-969
 _FMA_TINY = 2.0**-967
 # Veltkamp's constant: splits a double into two 26-bit halves
 _SPLIT = 2.0**27 + 1.0
-# rows per pass of the 2x2 kernel, which keeps its temporaries small
+# rows per pass of the 2x2 kernels, which keeps their temporaries small
 _CHUNK = 4096
 
 
@@ -159,8 +170,10 @@ def _dlas2(f, g, h, out):
 def _bidiagonal_2x2(x):
     """dgebd2's upper bidiagonal (d1, e1; 0, d2) of each row of the (n, 2, 2) stack x.
 
-    Returns (d1, e1, d2, lapack): lapack marks the rows outside the range
-    where these steps are exact, whose values are not used.
+    Returns (d1, e1, d2, tau, v2, lapack): H = I - tau (1, v2)(1, v2)^T is
+    the reflector of column 1 (tau = 0 and v2 = a21 where a21 == 0), and
+    lapack marks the rows outside the range where these steps are exact,
+    whose values are not used.
     """
     # one contiguous array per entry
     a11, a12, a21, a22 = x.reshape(-1, 4).T.copy()
@@ -177,21 +190,26 @@ def _bidiagonal_2x2(x):
     # t (1, v2) with t = -tau w, its second row fused
     t = -tau * (a12 + a22 * v2)
     d1, e1, d2 = beta, a12 + t, _fma(t, v2, a22)
-    # a21 == 0: dlarfg leaves the column (tau = 0), and dlarf does nothing
+    # a21 == 0: dlarfg leaves the column (tau = 0), and dlarf does nothing;
+    # a zero column 2 is left alone too, signs of zeros included
     identity = a21 == 0
     if identity.any():
-        d1[identity], e1[identity], d2[identity] = a11[identity], a12[identity], a22[identity]
+        d1[identity], tau[identity], v2[identity] = a11[identity], 0.0, a21[identity]
+    keep = identity | ((a12 == 0) & (a22 == 0))
+    if keep.any():
+        e1[keep], d2[keep] = a12[keep], a22[keep]
     amax = np.maximum(big, np.maximum(np.abs(a12), np.abs(a22)))
     lapack = ~((amax >= _SMLNUM) & (amax <= _BIGNUM))
-    lapack |= ~identity & ((norm < _SAFMIN)
-                           | ((np.abs(t * v2) < _FMA_TINY) & (t != 0) & (v2 != 0)))
-    return d1, e1, d2, lapack
+    # v2 == 0 past a nonzero a21 (an underflow) shortens dlarf's reflector
+    lapack |= ~identity & ((norm < _SAFMIN) | (v2 == 0)
+                           | ((np.abs(t * v2) < _FMA_TINY) & (t != 0)))
+    return d1, e1, d2, tau, v2, lapack
 
 
 def _singular_values_2x2(x, out):
     """dgesdd's singular values of the (n, 2, 2) stack x, descending, into out (n, 2)."""
     with np.errstate(all="ignore"):
-        d1, e1, d2, lapack = _bidiagonal_2x2(x)
+        d1, e1, d2, _, _, lapack = _bidiagonal_2x2(x)
         _dlas2(d1, e1, d2, out)
     if lapack.any():
         out[lapack] = np.linalg.svd(x[lapack], compute_uv=False)
@@ -213,6 +231,188 @@ def batch_log_singular_values(mats):
     else:
         sigma = np.linalg.svd(mats, compute_uv=False)
     return np.log(np.maximum(sigma, 1e-300, out=sigma), out=sigma)
+
+
+# ---------------------------------------------------------------------------
+# 2x2 left singular vectors and positive QR frames
+#
+# With vectors, dgesdd(JOBZ='A') runs the same dgebd2, then dbdsdc, which
+# hands the bidiagonal and U = I to dbdsqr (through dlasdq).  dbdsqr splits
+# the bidiagonal where |e1| <= thresh; otherwise dlasv2 gives the signed
+# singular values and a left rotation, which drot applies to U's columns.
+# A negative value changes sign (which moves VT only) and the values are
+# sorted in decreasing order, swapping U's columns.  dormbr then applies
+# dgebd2's reflector to U from the left through dlarf: dgemv takes
+# w = u1 + u2 v2 per column, unfused, and dger adds t (1, v2), t = -tau w,
+# its second row fused.  np.linalg.qr runs dgeqr2, whose reflector and R
+# are dgebd2's, and dorg2r, which builds Q from the reflector alone.
+
+# dlamch('E')
+_EPS = 2.0**-53
+# dbdsqr's relative tolerance max(10, min(100, eps**(-1/8))) * eps, and its
+# threshold floor maxitr * (n * (n * unfl)) at n = 2
+_BDSQR_TOL = max(10.0, min(100.0, _EPS**-0.125)) * _EPS
+_BDSQR_FLOOR = 6 * (2 * (2 * 2.0**-1022))
+
+
+def _dlasv2(f, g, h):
+    """LAPACK dlasv2 on the upper triangles (f, g; 0, h), as dbdsqr uses it.
+
+    Returns (ssmax, ssmin, csl, snl): the singular values as dbdsqr leaves
+    them once it has made them positive, and the left rotation.  dbdsqr
+    negates a negative value, so only a zero ssmin keeps dlasv2's sign,
+    which is worked out for those rows alone.  The general case is evaluated
+    on every row (the floating point warnings of the others are off); the
+    rows of the rare cases, a g so large that |f / g| < eps and a tiny m,
+    are redone on their own.  dlasv2's case g == 0 is left out: dbdsqr
+    splits those rows before it calls dlasv2, and the values returned for
+    them are not used.
+    """
+    fa, ga, ha = np.abs(f), np.abs(g), np.abs(h)
+    # swap: h is the larger diagonal entry, and dlasv2 works on the transpose
+    swap = ha > fa
+    ft, ht = np.where(swap, h, f), np.where(swap, f, h)
+    fa, ha = np.maximum(fa, ha), np.minimum(fa, ha)
+    d = fa - ha
+    l = np.where(d == fa, 1.0, d / fa)
+    m = g / ft
+    t2 = 2.0 - l
+    mm = m * m
+    s = np.sqrt(t2 * t2 + mm)
+    r = np.where(l == 0, np.abs(m), np.sqrt(l * l + mm))
+    a = 0.5 * (s + r)
+    ssmin, ssmax = ha / a, fa * a
+    t = (m / (s + t2) + m / (r + l)) * (1.0 + a)
+    rows = mm == 0
+    if rows.any():
+        t[rows] = np.where(l[rows] == 0, np.copysign(2.0, ft[rows]) * np.copysign(1.0, g[rows]),
+                           g[rows] / np.copysign(d[rows], ft[rows]) + m[rows] / t2[rows])
+    l = np.sqrt(t * t + 4.0)
+    crt, srt = 2.0 / l, t / l
+    clt = (crt + srt * m) / a
+    slt = (ht / ft) * srt / a
+    wide = ga > fa
+    rows = wide & (fa / ga < _EPS)
+    if rows.any():
+        fa_, ga_, ha_, ft_, ht_, g_ = fa[rows], ga[rows], ha[rows], ft[rows], ht[rows], g[rows]
+        ssmax[rows] = ga_
+        ssmin[rows] = np.where(ha_ > 1.0, fa_ / (ga_ / ha_), (fa_ / ga_) * ha_)
+        clt[rows], slt[rows], srt[rows], crt[rows] = 1.0, ht_ / g_, 1.0, ft_ / g_
+    csl, snl = np.where(swap, srt, clt), np.where(swap, crt, slt)
+    # ssmax is zero on a zero matrix only, which is out of range
+    rows = ssmin == 0
+    if rows.any():
+        # dlasv2 gives ssmax the sign of the largest entry's term (g's, else
+        # h's after a swap, else f's), and ssmin that times sign(f h)
+        neg = np.signbit
+        csr, snr = np.where(swap, slt, crt)[rows], np.where(swap, clt, srt)[rows]
+        f, g, h, swap = f[rows], g[rows], h[rows], swap[rows]
+        tsign = np.where(wide[rows], neg(snr) ^ neg(csl[rows]) ^ neg(g),
+                         np.where(swap, neg(snr) ^ neg(snl[rows]) ^ neg(h),
+                                  neg(csr) ^ neg(csl[rows]) ^ neg(f)))
+        ssmin[rows] = np.where(tsign ^ neg(f) ^ neg(h), -0.0, 0.0)
+    return ssmax, ssmin, csl, snl
+
+
+def _left_singular_vectors_2x2(x, u, sigma):
+    """dgesdd's U and singular values of the (n, 2, 2) stack x, into u and sigma (n, 2)."""
+    with np.errstate(all="ignore"):
+        d1, e1, d2, tau, v2, lapack = _bidiagonal_2x2(x)
+        s1, s2, c, s = _dlasv2(d1, e1, d2)
+        # U = I rotated by drot: (c, s) and (-s, c), each entry a sum
+        # c * 1 + s * 0 whose zero signs are worked out where c or s is 0
+        u11, u21, u12, u22 = c, s, -s, c.copy()
+        rows = (c == 0) | (s == 0)
+        if rows.any():
+            c, s = c[rows], s[rows]
+            u11[rows], u21[rows] = c + s * 0.0, c * 0.0 + s
+            u12[rows], u22[rows] = c * 0.0 - s, c - s * 0.0
+        # dbdsqr's split test, with its estimate sminoa of the smallest
+        # value: a split row keeps U = I and its diagonal as the values
+        a1, ae = np.abs(d1), np.abs(e1)
+        sminoa = np.minimum(a1, np.abs(d2) * (a1 / (a1 + ae)))
+        sminoa[a1 == 0] = 0.0
+        rows = ae <= np.maximum(_BDSQR_TOL * (sminoa / np.sqrt(2.0)), _BDSQR_FLOOR)
+        if rows.any():
+            d1, d2 = d1[rows], d2[rows]
+            s1[rows], s2[rows] = np.where(d1 < 0, -d1, d1), np.where(d2 < 0, -d2, d2)
+            u11[rows], u21[rows], u12[rows], u22[rows] = 1.0, 0.0, 0.0, 1.0
+        # the sort: decreasing values, U's columns swapped with them
+        rows = s2 > s1
+        if rows.any():
+            s1[rows], s2[rows] = s2[rows], s1[rows]
+            u11[rows], u12[rows] = u12[rows], u11[rows]
+            u21[rows], u22[rows] = u22[rows], u21[rows]
+        # the reflection keeps finite entries finite (1 <= tau <= 2, |v2| <= 1)
+        lapack |= ~np.isfinite(s1 + s2 + u11 + u12 + u21 + u22)
+        sigma[:, 0], sigma[:, 1] = s1, s2
+        # dormbr: the reflector from the left, column by column.  Where tau
+        # == 0 dlarf does nothing, and adding t = -0.0 * w is no change
+        # either: a zero of U here is +0.0
+        ntau = -tau
+        for j, (p, q) in enumerate(((u11, u21), (u12, u22))):
+            t = ntau * (p + q * v2)
+            u[:, 0, j], u[:, 1, j] = p + t, _fma(t, v2, q)
+            lapack |= (np.abs(t * v2) < _FMA_TINY) & (t != 0)
+    if lapack.any():
+        u[lapack], sigma[lapack], _ = np.linalg.svd(x[lapack])
+
+
+def left_singular_2x2(x):
+    """np.linalg.svd's U and singular values of the (n, 2, 2) stack x, bit for bit.
+
+    _CHUNK rows at a time, the kernel repeats dgesdd(JOBZ='A') on each 2x2
+    matrix: dgebd2, dbdsqr's split test, dlasv2 and the sort, and dormbr's
+    reflection of U.  The rows where those steps are not exact (as
+    for batch_log_singular_values, plus fused products of the reflection
+    below _FMA_TINY and non-finite results) go to LAPACK.
+    """
+    u, sigma = np.empty(x.shape), np.empty(x.shape[:2])
+    for a in range(0, len(x), _CHUNK):
+        _left_singular_vectors_2x2(x[a:a + _CHUNK], u[a:a + _CHUNK], sigma[a:a + _CHUNK])
+    return u, sigma
+
+
+def lapack_qr_positive(M):
+    """Q of np.linalg.qr for each matrix of M, its columns signed so that R's diagonal is positive.
+
+    A zero on R's diagonal counts as positive.
+    """
+    Q, R = np.linalg.qr(M)
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return Q * signs[..., None, :]
+
+
+def _qr_positive_2x2(x, out):
+    """lapack_qr_positive of the (n, 2, 2) stack x, into out."""
+    with np.errstate(all="ignore"):
+        r11, _, r22, tau, v2, lapack = _bidiagonal_2x2(x)
+        # dorg2r: dlarf on the identity's column 2, then dscal of v2 by -tau;
+        # where tau == 0 dlarf does nothing and column 2 stays (0, 1)
+        t = -tau * v2
+        s1, s2 = np.where(r11 < 0, -1.0, 1.0), np.where(r22 < 0, -1.0, 1.0)
+        out[:, 0, 0], out[:, 1, 0] = (1.0 - tau) * s1, t * s1
+        out[:, 0, 1] = np.where(tau == 0, 0.0, t) * s2
+        out[:, 1, 1] = _fma(t, v2, 1.0) * s2
+        lapack |= (np.abs(t * v2) < _FMA_TINY) & (t != 0)
+    if lapack.any():
+        out[lapack] = lapack_qr_positive(x[lapack])
+
+
+def qr_positive_2x2(x):
+    """lapack_qr_positive of the (n, 2, 2) stack x, bit for bit.
+
+    _CHUNK rows at a time, the kernel repeats dgeqr2, dorg2r and the sign
+    step on each 2x2 matrix: Q = [[1 - tau, t], [t, fma(t, v2, 1)]]
+    with t = -tau v2, and at tau == 0 Q21 = -tau a21, a zero that may be
+    -0.0.  The rows of _bidiagonal_2x2's LAPACK mask and those whose fused
+    product falls below _FMA_TINY go to LAPACK.
+    """
+    out = np.empty(x.shape)
+    for a in range(0, len(x), _CHUNK):
+        _qr_positive_2x2(x[a:a + _CHUNK], out[a:a + _CHUNK])
+    return out
 
 
 # ---------------------------------------------------------------------------

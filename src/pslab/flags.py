@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cartan, matgroup
+from . import _kernels, cartan, matgroup
 from .errors import InsufficientGap, NotProximal, ThetaMismatch
 
 GAP_TOLERANCE = 1e-10
@@ -12,11 +12,17 @@ TRANSVERSALITY_TOLERANCE = 1e-10
 
 
 def qr_positive(M):
-    """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames."""
-    Q, R = np.linalg.qr(M)
-    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return Q * signs[..., None, :]
+    """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames.
+
+    Q's columns are signed so that R's diagonal is positive (a zero counts
+    as positive).  2x2 matrices, one or a stack, go to
+    _kernels.qr_positive_2x2, which gives LAPACK's bits and calls LAPACK on
+    its out-of-range rows only; larger matrices go to LAPACK.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape[-2:] == (2, 2):
+        return _kernels.qr_positive_2x2(M.reshape(-1, 2, 2)).reshape(M.shape)
+    return _kernels.lapack_qr_positive(M)
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,12 @@ def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
     (N, d, d) stack, returns (F, ok): ok marks the rows passing the gap test
     and F stacks their flags, in row order.  A stack is read
     matgroup.BLOCK_ROWS rows at a time into preallocated outputs.
+
+    The frames are qr_positive of the left singular vectors.  For 2x2
+    matrices both steps run in numpy (_kernels.left_singular_2x2 and
+    _kernels.qr_positive_2x2) with LAPACK's bits; only their out-of-range
+    rows (non-finite or extreme entries, underflowing products) reach
+    LAPACK, which takes every larger matrix.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 3:
@@ -99,8 +111,15 @@ def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
 
 
 def _left_singular_gaps(A, theta):
-    """Left singular vectors of A and its log singular gaps at each k in theta."""
-    U, sigma, _ = np.linalg.svd(A)
+    """Left singular vectors of A and its log singular gaps at each k in theta.
+
+    2x2 matrices go to _kernels.left_singular_2x2, as np.linalg.svd's bits.
+    """
+    if A.shape[-2:] == (2, 2):
+        U, sigma = _kernels.left_singular_2x2(A.reshape(-1, 2, 2))
+        U, sigma = U.reshape(A.shape), sigma.reshape(A.shape[:-1])
+    else:
+        U, sigma, _ = np.linalg.svd(A)
     logs = np.log(sigma)
     return U, logs[..., np.array(theta) - 1] - logs[..., theta]
 

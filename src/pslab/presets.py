@@ -44,6 +44,18 @@ def fuchsian_schottky(s=2.0):
 FUCHSIAN_SCHOTTKY_PARAMS = [1.6, 2.0, 2.6]
 
 
+def sanov_gamma2():
+    """The level-2 congruence subgroup Gamma(2) of SL(2,Z), as Sanov's free pair.
+
+    <[[1,2],[0,1]], [[1,0],[2,1]]> is free of rank 2 with two parabolic
+    generators and finite covolume, so delta for alpha_1 is exactly 1: an
+    exponentially growing group with cusps and a known exponent.
+    """
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    B = np.array([[1.0, 0.0], [2.0, 1.0]])
+    return matgroup.GroupPresentation(2, [A, B], labels=["a", "b"])
+
+
 def sym_power_presentation(P, d):
     """Image of a 2x2 presentation under the d-dimensional irreducible rep."""
     gens = [matgroup.symmetric_power_rep(g, d) for g in P.generators]
@@ -115,6 +127,7 @@ PRESETS = {
     "fuchsian-schottky-1": lambda: fuchsian_schottky(FUCHSIAN_SCHOTTKY_PARAMS[0]),
     "fuchsian-schottky-2": lambda: fuchsian_schottky(FUCHSIAN_SCHOTTKY_PARAMS[1]),
     "fuchsian-schottky-3": lambda: fuchsian_schottky(FUCHSIAN_SCHOTTKY_PARAMS[2]),
+    "sanov-gamma2": sanov_gamma2,
     "schottky-so21": schottky_so21,
     "sl3-zariski-dense": sl3_zariski_dense,
     "sl2-mild": sl2_mild,

@@ -20,6 +20,31 @@ def random_sl2(count, seed=0):
     return out
 
 
+class CountingLinalg:
+    """A numpy.linalg function, counting the matrices it is given."""
+
+    def __init__(self, function):
+        self.function, self.rows = function, 0
+
+    def __call__(self, a, *args, **kwargs):
+        self.rows += int(np.prod(np.shape(a)[:-2]))
+        return self.function(a, *args, **kwargs)
+
+
+@pytest.fixture
+def counting_svd(monkeypatch):
+    counter = CountingLinalg(np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", counter)
+    return counter
+
+
+@pytest.fixture
+def counting_qr(monkeypatch):
+    counter = CountingLinalg(np.linalg.qr)
+    monkeypatch.setattr(np.linalg, "qr", counter)
+    return counter
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

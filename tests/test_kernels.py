@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from cover_oracle import greedy_cover_count_reference
 
-from pslab import _kernels, matgroup, presets
+from pslab import _kernels, cartan, matgroup, patterson, presets
 
 
 def test_batch_log_singular_values_matches_svd(rng):
@@ -41,10 +41,16 @@ def test_2x2_singular_values_have_lapacks_bits(kind):
     _assert_same_bits(_samples(kind))
 
 
-@pytest.mark.parametrize("make, n", [(lambda: presets.fuchsian_schottky(1.6), 10),
-                                     (lambda: presets.fuchsian_schottky(2.6), 10),
-                                     (presets.parabolic, 2000)],
-                         ids=["schottky-1.6", "schottky-2.6", "parabolic"])
+BALLS = pytest.mark.parametrize("make, n", [
+    (lambda: presets.fuchsian_schottky(1.6), 10),
+    (lambda: presets.fuchsian_schottky(2.6), 10),
+    (presets.parabolic, 2000),
+    # 39,365 rows, 19 of them with a21 == 0
+    (presets.sanov_gamma2, 9),
+], ids=["schottky-1.6", "schottky-2.6", "parabolic", "gamma2"])
+
+
+@BALLS
 def test_2x2_singular_values_of_word_balls_have_lapacks_bits(make, n):
     ball = matgroup.word_spheres(make(), n)
     _assert_same_bits(ball.mats)
@@ -63,25 +69,10 @@ FALLBACK_ROWS = {
     "first-column": [[1e-295, 1.0], [1e-295, 1.0]],
     # t * v2 underflows, and with it the emulated fma's low part
     "product": [[1.0, 1e-160], [1e-160, 1e-160]],
+    # v2 underflows to 0 past a nonzero a21, which shortens dlarf's
+    # reflector; with a12 == 0 no fused product flags the row
+    "reflector": [[1e100, 0.0], [1e-300, 1.0]],
 }
-
-
-class _CountingSvd:
-    """np.linalg.svd, counting the matrices it is given."""
-
-    def __init__(self, svd):
-        self.svd, self.rows = svd, 0
-
-    def __call__(self, a, *args, **kwargs):
-        self.rows += len(a)
-        return self.svd(a, *args, **kwargs)
-
-
-@pytest.fixture
-def counting_svd(monkeypatch):
-    counter = _CountingSvd(np.linalg.svd)
-    monkeypatch.setattr(_kernels.np.linalg, "svd", counter)
-    return counter
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_ROWS))
@@ -122,11 +113,156 @@ def test_2x2_rare_branches_have_lapacks_bits(counting_svd):
     assert got.tobytes() == _lapack_logs(mats).tobytes()
 
 
+def _assert_vectors_have_lapacks_bits(mats):
+    U, S, _ = np.linalg.svd(mats)
+    u, s = _kernels.left_singular_2x2(mats)
+    assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
+    for frames in (mats, U):
+        assert (_kernels.qr_positive_2x2(frames).tobytes()
+                == _kernels.lapack_qr_positive(frames).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["normal", "scaled", "zeros", "integers"])
+def test_2x2_left_singular_vectors_and_qr_frames_have_lapacks_bits(kind):
+    # singular rows included: even the sign of a zero singular value matches
+    _assert_vectors_have_lapacks_bits(_samples(kind, 200_000))
+
+
+@BALLS
+def test_2x2_vectors_of_word_balls_have_lapacks_bits(make, n):
+    ball = matgroup.word_spheres(make(), n)
+    _assert_vectors_have_lapacks_bits(ball.mats)
+    _assert_vectors_have_lapacks_bits(ball.inv_mats)
+
+
+def _split(d1, e1, d2):
+    # dbdsqr's split test
+    a1 = abs(d1)
+    sminoa = 0.0 if a1 == 0 else min(a1, abs(d2) * (a1 / (a1 + abs(e1))))
+    return abs(e1) <= max(_kernels._BDSQR_TOL * (sminoa / math.sqrt(2.0)),
+                          _kernels._BDSQR_FLOOR)
+
+
+def _ordered(d1, e1, d2):
+    # dlasv2's f and h after its swap, and g
+    return max(abs(d1), abs(d2)), abs(e1), min(abs(d1), abs(d2))
+
+
+# in-range rows that take the rare branches of the vector kernels, each with
+# a test on dgebd2's bidiagonal (d1, e1, d2) that the row does take it
+RARE_VECTOR_ROWS = {
+    # dlasv2 swaps f and h when |h| > |f|
+    "swap": ([[1.0, 0.5], [0.0, 3.0]], lambda d1, e1, d2: abs(d2) > abs(d1)),
+    "swap-reflected": ([[0.3, 0.5], [0.2, 3.0]], lambda d1, e1, d2: abs(d2) > abs(d1)),
+    # |g| > |f|: g is the largest entry
+    "wide": ([[1.0, 5.0], [0.0, 0.5]],
+             lambda *d: _ordered(*d)[1] > _ordered(*d)[0] > 2.0**-53 * _ordered(*d)[1]),
+    # |f / g| < eps, with h below and above 1
+    "very-wide": ([[1e-10, 1e10], [0.0, 1e-10]],
+                  lambda *d: _ordered(*d)[0] / _ordered(*d)[1] < 2.0**-53),
+    "very-wide-h": ([[2.5, 1e20], [0.0, 3.0]],
+                    lambda *d: (_ordered(*d)[0] / _ordered(*d)[1] < 2.0**-53
+                                and _ordered(*d)[2] > 1)),
+    # m = g / f squares to 0 (with l != 0; l == 0 as well would split), and
+    # the left rotation's sine is a subnormal that depends on t
+    "mm-zero": ([[1.0, 1e-162], [0.0, 1e-150]],
+                lambda *d: (_ordered(*d)[1] / _ordered(*d)[0]) ** 2 == 0 and not _split(*d)),
+    # l == 0: |f| == |h|
+    "l-zero": ([[1.0, 0.5], [0.0, 1.0]], lambda d1, e1, d2: abs(d1) == abs(d2)),
+    "l-zero-negative": ([[2.0, 1.0], [0.0, -2.0]], lambda d1, e1, d2: abs(d1) == abs(d2)),
+    # a split with the values in order, U = I
+    "split": ([[2.0, 1e-20], [0.0, 1.0]],
+              lambda d1, e1, d2: _split(d1, e1, d2) and abs(d1) >= abs(d2)),
+    # a split that the sort swaps
+    "split-swap": ([[1.0, 1e-20], [0.0, 2.0]],
+                   lambda d1, e1, d2: _split(d1, e1, d2) and abs(d2) > abs(d1)),
+    "split-swap-negative": ([[-1.0, 1e-20], [0.0, -2.0]],
+                            lambda d1, e1, d2: _split(d1, e1, d2) and abs(d2) > abs(d1)),
+    # a split that only the threshold's floor makes (sminoa == 0)
+    "split-floor": ([[0.0, 1e-310], [0.0, 1.0]], lambda d1, e1, d2: _split(d1, e1, d2) and d1 == 0),
+    # orthogonal columns: e1 == 0 after the reflection
+    "split-reflected": ([[3.0, -4.0], [4.0, 3.0]], lambda *d: _split(*d)),
+    "split-swap-reflected": ([[3.0, -8.0], [4.0, 6.0]],
+                             lambda d1, e1, d2: _split(d1, e1, d2) and abs(d2) > abs(d1)),
+    # a21 == 0: no reflection; in the QR tau == 0 and Q21 = -tau * a21,
+    # -0.0 for a21 == +0.0 and +0.0 for a21 == -0.0
+    "a21-zero": ([[3.0, 1.0], [0.0, 2.0]], lambda *d: True),
+    "a21-minus-zero": ([[2.0, 1.0], [-0.0, 3.0]], lambda *d: True),
+    "a21-zero-negative-diagonal": ([[-2.0, 1.0], [0.0, -3.0]], lambda *d: True),
+    # singular: a zero singular value keeps dlasv2's sign, +0.0 and -0.0
+    "singular": ([[0.0, 0.0], [-1.0, 1.5]], lambda d1, e1, d2: d2 == 0 and not _split(d1, e1, d2)),
+    "singular-minus-zero": ([[1.0, 1.0], [0.0, -0.0]],
+                            lambda d1, e1, d2: d2 == 0 and np.signbit(d2)),
+    # rank one, but rounding leaves d2 ~ 2e-16
+    "rank-one": ([[1.0, 2.0], [2.0, 4.0]], lambda d1, e1, d2: 0 < abs(d2) < 1e-15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RARE_VECTOR_ROWS))
+def test_2x2_vector_rare_branches_have_lapacks_bits(name, counting_svd, counting_qr):
+    row, takes_branch = RARE_VECTOR_ROWS[name]
+    mats = np.array([row])
+    with np.errstate(all="ignore"):
+        d1, e1, d2, *_ = _kernels._bidiagonal_2x2(mats)
+    assert takes_branch(d1[0], e1[0], d2[0])
+    U, S, _ = np.linalg.svd(mats)
+    Q = _kernels.lapack_qr_positive(mats)
+    counting_svd.rows = counting_qr.rows = 0
+    u, s = _kernels.left_singular_2x2(mats)
+    q = _kernels.qr_positive_2x2(mats)
+    assert counting_svd.rows == 0 and counting_qr.rows == 0
+    assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
+    assert q.tobytes() == Q.tobytes()
+    if name.startswith("a21-"):
+        # Q21 = (-0.0 * a21) * sign(a11): a zero signed against a21 * sign(a11)
+        assert np.signbit(q[0, 1, 0]) != np.signbit(mats[0, 1, 0] * np.sign(mats[0, 0, 0]))
+
+
+# rows outside the range where the vector kernels' steps are exact, one per
+# class: batch_log_singular_values's classes, and a reflection of U whose
+# fused product underflows (the bidiagonal's own product does not)
+VECTOR_FALLBACK_ROWS = {**FALLBACK_ROWS, "reflection": [[1.0, 1e10], [1e-295, 1.0]]}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FALLBACK_ROWS))
+def test_2x2_vector_fallback_rows_go_to_lapack(name, counting_svd, counting_qr):
+    mats = _samples("normal", 9)
+    mats[4] = VECTOR_FALLBACK_ROWS[name]
+    with np.errstate(all="ignore"):
+        try:
+            want = np.linalg.svd(mats)[:2]
+        except np.linalg.LinAlgError:
+            want = None
+        Q = _kernels.lapack_qr_positive(mats)
+        counting_svd.rows = counting_qr.rows = 0
+        if want is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                _kernels.left_singular_2x2(mats)
+        else:
+            u, s = _kernels.left_singular_2x2(mats)
+            assert u.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
+        q = _kernels.qr_positive_2x2(mats)
+    assert counting_svd.rows == 1 and counting_qr.rows == 1
+    assert q.tobytes() == Q.tobytes()
+
+
 def test_batch_kappa_never_reaches_lapack_in_range(counting_svd):
     # a fallback mask that silently widens fails here, not only in the benchmark
     ball = matgroup.word_spheres(presets.fuchsian_schottky(1.6), 10)
     matgroup.batch_kappa(ball.mats, ball.inv_mats)
     assert counting_svd.rows == 0
+
+
+def test_flag_paths_never_reach_lapack_in_range(counting_svd, counting_qr):
+    # the measure's flags and the quasi-invariance residuals of a 2x2 group
+    # take the numpy kernels only: a fallback mask that silently widens
+    # fails here, not only in the benchmark
+    P = presets.fuchsian_schottky(1.6)
+    phi = cartan.Functional.alpha(1, 2)
+    mu = patterson.patterson_measure(P, phi, 0.35, 10, (1,))
+    patterson.quasi_invariance_residual(P, phi, (1,), None, 8, (1,))
+    assert len(mu.atoms) > 100_000
+    assert counting_svd.rows == 0 and counting_qr.rows == 0
 
 
 def test_fma_rounds_once():

@@ -198,6 +198,28 @@ def test_entropy_drop_gap_positive():
     assert report["delta_subgroup"].delta_hat < 0.5 * report["delta_ambient"].delta_hat
 
 
+# Gamma(2) is a lattice, so delta = 1 exactly.  Both estimators leave out
+# the cusps' correction and converge slowly, from opposite sides; the bounds
+# are the measured errors (sphere-regression 1.157 and 1.100, series-transition
+# 0.957 and 0.965), so the test documents them and claims no accuracy
+@pytest.mark.parametrize("n, sphere_error, series_error", [(8, 0.16, 0.045), (10, 0.105, 0.04)])
+def test_gamma2_exponent_estimates_bracket_one(n, sphere_error, series_error):
+    P = presets.PRESETS["sanov-gamma2"]()
+    sphere = patterson.critical_exponent(P, ALPHA1_2, n, (1,)).delta_hat
+    series = patterson.critical_exponent(P, ALPHA1_2, n, (1,), "series-transition").delta_hat
+    assert 1.0 < sphere <= 1.0 + sphere_error
+    assert 1.0 - series_error <= series < 1.0
+
+
+def test_gamma2_entropy_drop_at_a_cusp():
+    # the parabolic subgroup <a> has delta = 1/2, so the gap is 1/2 (0.481
+    # measured at n = 8), and its limit set is one point of the circle
+    P = presets.PRESETS["sanov-gamma2"]()
+    report = patterson.entropy_drop_experiment(P, [[1]], ALPHA1_2, 8, (1,))
+    assert abs(report["gap"] - 0.5) < 0.03
+    assert report["limit_set_separation"] > 0.95
+
+
 def test_concavity_experiment_normalizes_endpoints():
     P = presets.sl3_zariski_dense()
     a1 = cartan.Functional.alpha(1, 3)
