@@ -36,9 +36,7 @@ def class_lengths(P, phi, n, theta=None, primitive_only=False):
     not a class function.  Returns (lengths, reps): reps is the WordBall of
     matgroup.conjugacy_classes, in canonical class order.
     """
-    theta = cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
+    theta = cartan.validate_theta(theta, P.dimension)
     proj = cartan.projection_matrix(P.dimension, theta)
     f = phi.covector() @ proj
     reps = matgroup.conjugacy_classes(P, n, primitive_only)

@@ -17,7 +17,7 @@ from .errors import (
 DET_TOLERANCE = 1e-6
 
 
-def require_unimodular(A, tol=DET_TOLERANCE):
+def require_unimodular(A):
     """Return A, one matrix or a (N, d, d) stack, as floats after the
     unit-determinant check of every matrix.
 
@@ -33,14 +33,14 @@ def require_unimodular(A, tol=DET_TOLERANCE):
     det = np.linalg.det(A)
     d = A.shape[-1]
     scale = np.maximum(np.sqrt((A * A).sum(axis=(-2, -1))), 1.0)
-    allowance = np.maximum(tol, 64 * d * np.finfo(float).eps * scale**d)
+    allowance = np.maximum(DET_TOLERANCE, 64 * d * np.finfo(float).eps * scale**d)
     ok = np.abs(det - 1.0) <= allowance
     if not ok.all():
         raise NonUnimodular(np.extract(~ok, det)[0])
     return A
 
 
-def kappa(A, tol=DET_TOLERANCE):
+def kappa(A):
     """Cartan projection: log singular values, weakly decreasing, zero-sum.
 
     The zero-sum normalization subtracts the mean log singular value, which
@@ -48,7 +48,7 @@ def kappa(A, tol=DET_TOLERANCE):
     determinant itself is dominated by round-off.  A (N, d, d) stack gives
     one row per matrix.
     """
-    A = require_unimodular(A, tol)
+    A = require_unimodular(A)
     try:
         sigma = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -59,9 +59,9 @@ def kappa(A, tol=DET_TOLERANCE):
     return logs - logs.mean(axis=-1, keepdims=True)
 
 
-def jordan(A, tol=DET_TOLERANCE):
+def jordan(A):
     """Jordan projection: sorted log moduli of (generalized) eigenvalues, per matrix of A."""
-    A = require_unimodular(A, tol)
+    A = require_unimodular(A)
     try:
         eigvals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -73,7 +73,7 @@ def jordan(A, tol=DET_TOLERANCE):
     return logs - logs.mean(axis=-1, keepdims=True)
 
 
-def jordan_spliced(A, A_inv, tol=DET_TOLERANCE):
+def jordan_spliced(A, A_inv):
     """Jordan projection of a long product, stabilized by its inverse product.
 
     Small eigenvalue moduli of an ill-conditioned product carry absolute error
@@ -82,8 +82,8 @@ def jordan_spliced(A, A_inv, tol=DET_TOLERANCE):
     must be the forward product of the inverted word, not a matrix inverse.
     Stacks of both give one row per pair.
     """
-    A = require_unimodular(A, tol)
-    A_inv = require_unimodular(A_inv, tol)
+    A = require_unimodular(A)
+    A_inv = require_unimodular(A_inv)
     try:
         mf = np.sort(np.abs(np.linalg.eigvals(A)))[..., ::-1]
         mi = np.sort(np.abs(np.linalg.eigvals(A_inv)))[..., ::-1]
@@ -102,7 +102,12 @@ def jordan_spliced(A, A_inv, tol=DET_TOLERANCE):
 
 
 def validate_theta(theta, d):
-    """Canonicalize theta to a sorted tuple, checking symmetry k <-> d-k."""
+    """Canonicalize theta to a sorted tuple, checking symmetry k <-> d-k.
+
+    None is the full theta, 1..d-1.
+    """
+    if theta is None:
+        theta = full_theta(d)
     ts = tuple(sorted({int(k) for k in theta}))
     if not ts:
         raise AsymmetricTheta("theta must be non-empty")
@@ -250,10 +255,6 @@ class Functional:
         return f"Functional(d={self.d}, {terms or '0'})"
 
 
-def iota_star(phi, theta=None):
+def iota_star(phi):
     """The dual involution: c_k -> c_{d-k}, so iota(omega_k) = omega_{d-k}."""
-    if theta is not None:
-        theta = validate_theta(theta, phi.d)
-        if any(k not in theta for k in phi.support):
-            raise AsymmetricTheta("functional support not contained in theta")
     return Functional(phi.d, {phi.d - k: c for k, c in phi.coefficients.items()})

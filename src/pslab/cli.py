@@ -22,7 +22,7 @@ from . import (
     patterson,
     presets,
 )
-from .errors import BadIndex, ConfigInvalid, PslabError
+from .errors import BadIndex, ConfigInvalid, NonUnimodular, PslabError
 
 CSV_SCHEMA_VERSION = 1
 
@@ -67,22 +67,19 @@ def build_presentation(config):
             raise ConfigInvalid("preset", f"unknown preset {name!r}")
         return presets.PRESETS[name]()
     d = config["dimension"]
-    gens = [np.array(g, dtype=float) for g in config["generators"]]
-    for i, g in enumerate(gens):
-        if g.shape != (d, d):
+    for i, g in enumerate(config["generators"]):
+        if len(g) != d or any(len(row) != d for row in g):
             raise ConfigInvalid(f"generators.{i}", f"expected a {d}x{d} matrix")
+    gens = [np.array(g, dtype=float) for g in config["generators"]]
     try:
         return matgroup.GroupPresentation(d, gens, labels=config.get("labels"))
-    except PslabError as exc:
+    except NonUnimodular as exc:
         raise ConfigInvalid("generators", str(exc)) from exc
 
 
 def build_theta(config, P):
-    theta = config.get("theta")
-    if theta is None:
-        theta = cartan.full_theta(P.dimension)
     try:
-        return cartan.validate_theta(theta, P.dimension)
+        return cartan.validate_theta(config.get("theta"), P.dimension)
     except PslabError as exc:
         raise ConfigInvalid("theta", str(exc)) from exc
 

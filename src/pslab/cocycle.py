@@ -6,7 +6,7 @@ from . import cartan, flags
 from .errors import NotTransverse
 
 
-def iwasawa(A, F, tol=cartan.DET_TOLERANCE):
+def iwasawa(A, F):
     """Partial Iwasawa cocycle B_theta(A, F) as a zero-sum vector in a_theta.
 
     omega_k of the result is the log wedge-norm growth of A on F^k; the flag
@@ -14,7 +14,7 @@ def iwasawa(A, F, tol=cartan.DET_TOLERANCE):
     completed by alpha_k = 0.  A and the frames broadcast: a matrix or a stack
     against a flag or a stack gives one (..., d) vector per pair.
     """
-    A = cartan.require_unimodular(A, tol)
+    A = cartan.require_unimodular(A)
     omegas = []
     for k in F.theta:
         B = A @ F.subspace(k)
@@ -23,7 +23,7 @@ def iwasawa(A, F, tol=cartan.DET_TOLERANCE):
     return cartan.vector_from_omegas(F.dimension, F.theta, np.stack(omegas, axis=-1))
 
 
-def gromov_product(F, G, transversality_tolerance=flags.TRANSVERSALITY_TOLERANCE):
+def gromov_product(F, G):
     """Gromov product G_theta(F, G) of a transverse flag pair, in a_theta.
 
     omega_k is log |det(f_i(v_j))| over the wedge norms, with f_i an
@@ -37,7 +37,7 @@ def gromov_product(F, G, transversality_tolerance=flags.TRANSVERSALITY_TOLERANCE
         # annihilator of G^(d-k) = orthogonal complement = trailing frame columns
         ann = G.frame[..., d - k :]
         det = np.abs(np.linalg.det(np.swapaxes(ann, -1, -2) @ F.subspace(k)))
-        if (det <= transversality_tolerance).any():
+        if (det <= flags.TRANSVERSALITY_TOLERANCE).any():
             raise NotTransverse(k, det.min())
         omegas.append(np.log(det))
     return cartan.vector_from_omegas(d, F.theta, np.stack(omegas, axis=-1))

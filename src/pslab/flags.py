@@ -73,11 +73,11 @@ def make_flag(theta, columns):
     return Flag(theta, qr_positive(np.asarray(columns, dtype=float)))
 
 
-def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
+def u_theta(A, theta):
     """Flags of leading left singular subspaces ("span of the k largest axes").
 
     For one (d, d) matrix, returns its Flag and raises InsufficientGap when a
-    singular gap at some k in theta is not above gap_tolerance.  For a
+    singular gap at some k in theta is not above GAP_TOLERANCE.  For a
     (N, d, d) stack, returns (F, ok): ok marks the rows passing the gap test
     and F stacks their flags, in row order.  A stack is read
     matgroup.BLOCK_ROWS rows at a time into preallocated outputs.
@@ -93,8 +93,8 @@ def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
         A = cartan.require_unimodular(A)
         theta = cartan.validate_theta(theta, A.shape[-1])
         U, gaps = _left_singular_gaps(A, theta)
-        if (gaps <= gap_tolerance).any():
-            i = int(np.argmax(gaps <= gap_tolerance))
+        if (gaps <= GAP_TOLERANCE).any():
+            i = int(np.argmax(gaps <= GAP_TOLERANCE))
             raise InsufficientGap(theta[i], gaps[i])
         return Flag(theta, qr_positive(U))
     theta = cartan.validate_theta(theta, A.shape[-1])
@@ -103,7 +103,7 @@ def u_theta(A, theta, gap_tolerance=GAP_TOLERANCE):
     for a in range(0, len(A), matgroup.BLOCK_ROWS):
         b = min(a + matgroup.BLOCK_ROWS, len(A))
         U, gaps = _left_singular_gaps(cartan.require_unimodular(A[a:b]), theta)
-        ok[a:b] = good = ~(gaps <= gap_tolerance).any(axis=-1)
+        ok[a:b] = good = ~(gaps <= GAP_TOLERANCE).any(axis=-1)
         count = int(np.count_nonzero(good))
         frames[kept:kept + count] = qr_positive(U[good])
         kept += count
@@ -157,7 +157,7 @@ def flag_distance(F, G):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_limit_set(P, theta, n, gap_tolerance=GAP_TOLERANCE):
+def sample_limit_set(P, theta, n):
     """U_theta over the word sphere of radius n: a finite limit-set stand-in.
 
     Returns (F, skipped, words): F stacks the flags of the sphere elements
@@ -168,7 +168,7 @@ def sample_limit_set(P, theta, n, gap_tolerance=GAP_TOLERANCE):
     walk = matgroup._BallWalk(P, n)
     frames, ok = [], []
     for lo, mats, _ in walk:
-        F, good = u_theta(mats[walk.cut(lo, len(mats), n, n)], theta, gap_tolerance)
+        F, good = u_theta(mats[walk.cut(lo, len(mats), n, n)], theta)
         frames.append(F.frame)
         ok.append(good)
     ok = np.concatenate(ok)
@@ -176,7 +176,7 @@ def sample_limit_set(P, theta, n, gap_tolerance=GAP_TOLERANCE):
     return Flag(F.theta, np.concatenate(frames)), int(np.count_nonzero(~ok)), words[ok]
 
 
-def attracting_fixed_flag(A, theta, gap_tolerance=GAP_TOLERANCE):
+def attracting_fixed_flag(A, theta):
     """Flag of dominant generalized eigenspaces of a theta-proximal matrix."""
     A = cartan.require_unimodular(A)
     d = A.shape[0]
@@ -184,7 +184,7 @@ def attracting_fixed_flag(A, theta, gap_tolerance=GAP_TOLERANCE):
     nu = cartan.jordan(A)
     for k in theta:
         gap = nu[k - 1] - nu[k]
-        if gap <= gap_tolerance:
+        if gap <= GAP_TOLERANCE:
             raise NotProximal(k, gap)
     eigvals, eigvecs = np.linalg.eig(A)
     order = np.argsort(-np.abs(eigvals), kind="stable")

@@ -31,6 +31,8 @@ C_MINKOWSKI = np.array([
 C_MINKOWSKI_INV = np.linalg.inv(C_MINKOWSKI)
 
 FAMILIES = ("so", "sym2")
+# the radii shadow_constants tries, in order
+SHADOW_RADII = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 
 
 class KleinFamily:
@@ -161,16 +163,14 @@ def shadow_masses_to_origin(zs, ws, lifts, r):
     return np.where(full, sbm.total, out)
 
 
-def shadow_constants(P, mu, n, family, r_grid=None):
-    """Empirical (R0, eps0): the smallest grid radius whose shadows from the
-    orbit back to the basepoint all carry positive measure, and that minimal
-    measure."""
+def shadow_constants(P, mu, n, family):
+    """Empirical (R0, eps0): the smallest SHADOW_RADII radius whose shadows
+    from the orbit back to the basepoint all carry positive measure, and that
+    minimal measure."""
     fam = KleinFamily(P, family)
     zs, ws = fam.boundary_point(mu.frames), mu.weights
     lifts = fam.lifted_orbit(matgroup.word_spheres(P, n)[1:].mats)
-    if r_grid is None:
-        r_grid = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
-    for r in r_grid:
+    for r in SHADOW_RADII:
         masses = shadow_masses_to_origin(zs, ws, lifts, r)
         eps0 = float(masses.min())
         if eps0 > 0.0:
@@ -202,7 +202,7 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     bounded spread across spheres is the empirical Shadow Lemma constant.
     """
     fam = KleinFamily(P, family)
-    theta = cartan.validate_theta(theta or cartan.full_theta(P.dimension), P.dimension)
+    theta = cartan.validate_theta(theta, P.dimension)
     zs, ws = fam.boundary_point(mu.frames), mu.weights
     proj = cartan.projection_matrix(P.dimension, theta)
     ball = matgroup.word_spheres(P, n)[1:]

@@ -26,9 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, cartan
-from .errors import BadIndex, BudgetExceeded, NonUnimodular, NotFree
+from .errors import (BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailure,
+                     NonUnimodular, NotFree)
 
-DEFAULT_ELEMENT_CAP = 5_000_000
+# the most elements a ball walk may write
+ELEMENT_CAP = 5_000_000
+# entry rounding under which two matrices of a non-free ball coincide
+DEDUP_TOLERANCE = 1e-8
+# kappa_theta vectors of at most this norm give no limit-cone direction
+CONE_NORM_TOLERANCE = 1e-12
 # rows per block of a ball walk, of batch_kappa and of a u_theta stack: the
 # operands gathered for one step hold at most this many rows
 BLOCK_ROWS = 1 << 13
@@ -45,8 +51,6 @@ class GroupPresentation:
     generators: list
     labels: list = None
     assume_free: bool = True
-    dedup_tolerance: float = 1e-8
-    element_cap: int = DEFAULT_ELEMENT_CAP
 
     def __post_init__(self):
         if not self.generators:
@@ -60,6 +64,8 @@ class GroupPresentation:
         self.generators = gens
         if self.labels is None:
             self.labels = [chr(ord("a") + i) for i in range(len(gens))]
+        elif len(self.labels) != len(gens):
+            raise ConfigInvalid("labels", f"{len(self.labels)} labels for {len(gens)} generators")
         # index 2j -> generator j, 2j+1 -> its inverse (matches _letter_key)
         self._alphabet = []
         for g in gens:
@@ -180,15 +186,14 @@ class _BallWalk:
     between two steps.  For non-free
     presentations the cap is checked against the running total plus the next
     sphere's candidate count before that sphere is written; elements whose
-    matrices coincide (rounded to dedup_tolerance) with an earlier element are
+    matrices coincide (rounded to DEDUP_TOLERANCE) with an earlier element are
     dropped, with a warning recording the merge count.
     """
 
-    def __init__(self, P, n, cap=None, keep_matrices=False):
+    def __init__(self, P, n, keep_matrices=False):
         if n < 0:
             raise BadIndex("n must be >= 0")
-        self.P, self.n = P, n
-        self.cap = P.element_cap if cap is None else cap
+        self.P, self.n, self.cap = P, n, ELEMENT_CAP
         # exact for a free presentation, an upper bound otherwise; a non-free
         # ball is checked sphere by sphere, but its identity needs a row
         rows = free_ball_size(P.rank, n)
@@ -231,7 +236,7 @@ class _BallWalk:
                   (alphabet[allowed], inv_alphabet[allowed], letters[allowed])]
 
         def dedup_keys(M):
-            return np.round(M / P.dedup_tolerance).astype(np.int64)
+            return np.round(M / DEDUP_TOLERANCE).astype(np.int64)
 
         parent, letter, offsets, products = self.parent, self.letter, self.offsets, self.products
         buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
@@ -334,14 +339,14 @@ class _BallWalk:
                         (letter, parent))
 
 
-def word_spheres(P, n, cap=None):
+def word_spheres(P, n):
     """Freely reduced word spheres 0..n with matrices, as one WordBall.
 
     The ball's arrays are allocated once, after the cap check, and a
     _BallWalk writes every row into them; see there for the cap of non-free
     presentations and their merged words.
     """
-    walk = _BallWalk(P, n, cap, keep_matrices=True)
+    walk = _BallWalk(P, n, keep_matrices=True)
     for _ in walk:
         pass
     return walk.ball()
@@ -468,8 +473,11 @@ def batch_kappa(mats, inv_mats, projection=None):
     top = (d + 1) // 2
     for a in range(0, count, BLOCK_ROWS):
         b = min(a + BLOCK_ROWS, count)
-        logs = _kernels.batch_log_singular_values(mats[a:b])
-        inv_logs = _kernels.batch_log_singular_values(inv_mats[a:b])[:, ::-1]
+        try:
+            logs = _kernels.batch_log_singular_values(mats[a:b])
+            inv_logs = _kernels.batch_log_singular_values(inv_mats[a:b])[:, ::-1]
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionFailure(str(exc)) from exc
         block = out[a:b]
         block[:, :top] = logs[:, :top]
         np.negative(inv_logs[:, top:], out=block[:, top:])
@@ -483,7 +491,7 @@ def batch_kappa(mats, inv_mats, projection=None):
     return out
 
 
-def limit_cone_sample(P, theta, n, tol=1e-12):
+def limit_cone_sample(P, theta, n):
     """Unit kappa_theta directions over the word sphere of radius n.
 
     The sphere's matrices are spliced block by block as the walk writes them.
@@ -500,6 +508,6 @@ def limit_cone_sample(P, theta, n, tol=1e-12):
     # one product over the sphere, as batch_kappa makes it
     vecs = np.concatenate(parts) @ proj.T
     norms = np.linalg.norm(vecs, axis=1)
-    keep = norms > tol
+    keep = norms > CONE_NORM_TOLERANCE
     return vecs[keep] / norms[keep, None]
 

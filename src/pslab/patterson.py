@@ -17,6 +17,10 @@ from .errors import (
 WINDOW_DROP_LOW = 0.20
 WINDOW_DROP_HIGH = 0.10
 NEGATIVE_CONE_FRACTION = 0.05
+# s must exceed a given exponent estimate by this fraction of it
+MIN_S_MARGIN = 0.01
+# the largest sphere radius whose limit-set samples the entropy drop separates
+SEPARATION_RADIUS = 6
 # flag pairs per flag_distance call in the limit-set separation
 SEPARATION_CHUNK = 1 << 16
 
@@ -57,7 +61,7 @@ def _spliced_ball(P, n):
     return ball, K
 
 
-def _walk_ball(P, n, flag_spheres=-1, theta=None, gap_tolerance=flags.GAP_TOLERANCE):
+def _walk_ball(P, n, flag_spheres=-1, theta=None):
     """_spliced_ball, plus the flags of the rows of spheres 0..flag_spheres (none at -1).
 
     Returns (ball, K, (frames, ok)): ball holds the words only, and the
@@ -76,7 +80,7 @@ def _walk_ball(P, n, flag_spheres=-1, theta=None, gap_tolerance=flags.GAP_TOLERA
         K[lo:lo + len(mats)] = matgroup.batch_kappa(mats, inv_mats)
         part = walk.cut(lo, len(mats), 0, flag_spheres)
         if part.stop:
-            F, good = flags.u_theta(mats[part], theta, gap_tolerance)
+            F, good = flags.u_theta(mats[part], theta)
             ok[lo:lo + len(good)] = good
             frames[kept:kept + len(F)] = F.frame
             kept += len(F)
@@ -84,29 +88,29 @@ def _walk_ball(P, n, flag_spheres=-1, theta=None, gap_tolerance=flags.GAP_TOLERA
     return ball, K[:len(ball)], (frames[:kept], ok[:ball.offsets[flag_spheres + 1]])
 
 
-def _sphere_values(P, phi, theta, K, fraction=NEGATIVE_CONE_FRACTION):
+def _sphere_values(P, phi, theta, K):
     """phi(kappa_theta) per ball row, from the ball's spliced Cartan vectors K.
 
     The estimators read these with the ball's sphere ``offsets``.  Raises
-    NegativePhiOnCone when phi is negative on more than ``fraction`` of the
-    non-identity elements.
+    NegativePhiOnCone when phi is negative on more than
+    NEGATIVE_CONE_FRACTION of the non-identity elements.
     """
     values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
     neg = np.count_nonzero(values[1:] < -1e-9)
-    if values.size > 1 and neg / (values.size - 1) > fraction:
+    if values.size > 1 and neg / (values.size - 1) > NEGATIVE_CONE_FRACTION:
         raise NegativePhiOnCone(
             f"phi negative on {neg}/{values.size - 1} of the sampled cone"
         )
     return values
 
 
-def _ball_values(P, phi, theta, n, fraction=NEGATIVE_CONE_FRACTION):
+def _ball_values(P, phi, theta, n):
     """_sphere_values of the radius-n ball, and its sphere offsets.
 
     The words and Cartan vectors are dropped before the estimators run.
     """
     ball, K = _spliced_ball(P, n)
-    return _sphere_values(P, phi, theta, K, fraction), ball.offsets
+    return _sphere_values(P, phi, theta, K), ball.offsets
 
 
 def _exponent_theta(P, n_max, theta, method):
@@ -115,14 +119,12 @@ def _exponent_theta(P, n_max, theta, method):
         raise ConfigInvalid("n_max", "must be >= 4")
     if method not in METHODS:
         raise ConfigInvalid("method", f"must be one of {METHODS}, not {method!r}")
-    return cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
+    return cartan.validate_theta(theta, P.dimension)
 
 
-def _require_supercritical(s, delta_hat, min_margin):
-    if delta_hat is not None and s < delta_hat * (1.0 + min_margin):
-        raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + min_margin):g}")
+def _require_supercritical(s, delta_hat):
+    if delta_hat is not None and s < delta_hat * (1.0 + MIN_S_MARGIN):
+        raise SubcriticalS(f"s={s:g} below delta*(1+margin)={delta_hat * (1 + MIN_S_MARGIN):g}")
 
 
 def _measure_from_flags(phi, s, ball, values, frames, ok):
@@ -149,12 +151,12 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     ball, K, (frames, ok) = _walk_ball(P, n_max, n, theta)
     est = _sphere_regression(_sphere_values(P, phi, theta, K), ball.offsets, n_max)
     s = s_of_delta(est.delta_hat)
-    _require_supercritical(s, est.delta_hat, MIN_S_MARGIN)
+    _require_supercritical(s, est.delta_hat)
     values = K[:len(ok)] @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
     return est, _measure_from_flags(phi, s, ball[:n + 1], values, frames, ok)
 
 
-def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTION):
+def poincare_partial_sum(P, phi, theta, s, n):
     """Partial phi-Poincare sum over the word ball of radius n.
 
     Returns (value, tail_slope): tail_slope is the mean log increment of the
@@ -164,7 +166,7 @@ def poincare_partial_sum(P, phi, theta, s, n, cone_fraction=NEGATIVE_CONE_FRACTI
     if s < 0:
         raise ConfigInvalid("s", "must be >= 0")
     theta = cartan.validate_theta(theta, P.dimension)
-    per_sphere, tail_slope = _sphere_sums(*_ball_values(P, phi, theta, n, cone_fraction), s)
+    per_sphere, tail_slope = _sphere_sums(*_ball_values(P, phi, theta, n), s)
     return float(per_sphere.sum()), tail_slope
 
 
@@ -292,23 +294,15 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
             _series_transition(values, offsets, n_max))
 
 
-MIN_S_MARGIN = 0.01
-
-
-def patterson_measure(
-    P, phi, s, n, theta=None, delta_hat=None, min_margin=MIN_S_MARGIN,
-    gap_tolerance=flags.GAP_TOLERANCE,
-):
+def patterson_measure(P, phi, s, n, theta=None, delta_hat=None):
     """Atomic mu_s approximant: atoms at U_theta(gamma), weights ~ e^{-s phi}.
 
     Requires s to sit above the critical exponent estimate when one is given
     (supercriticality keeps the normalization meaningful).
     """
-    theta = cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
-    _require_supercritical(s, delta_hat, min_margin)
-    ball, K, (frames, ok) = _walk_ball(P, n, n, theta, gap_tolerance)
+    theta = cartan.validate_theta(theta, P.dimension)
+    _require_supercritical(s, delta_hat)
+    ball, K, (frames, ok) = _walk_ball(P, n, n, theta)
     values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
     return _measure_from_flags(phi, s, ball, values, frames, ok)
 
@@ -344,9 +338,7 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
     per-sphere dicts with min/median/max.  s is not used.  The ball is walked
     block by block, and only the per-row residuals are kept.
     """
-    theta = cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
+    theta = cartan.validate_theta(theta, P.dimension)
     alpha_mat = P.word_matrix(tuple(alpha_word))
     alpha_inv = P.word_matrix(matgroup.invert_word(tuple(alpha_word)))
     f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
@@ -399,26 +391,21 @@ def subgroup_presentation(P, words):
     """Presentation generated by the matrices of the given words of P."""
     mats = [P.word_matrix(tuple(w)) for w in words]
     labels = [P.word_label(tuple(w)) for w in words]
-    return matgroup.GroupPresentation(
-        P.dimension, mats, labels=labels, assume_free=True,
-        dedup_tolerance=P.dedup_tolerance,
-    )
+    return matgroup.GroupPresentation(P.dimension, mats, labels=labels, assume_free=True)
 
 
-def entropy_drop_experiment(P, subgroup_words, phi, n_max, theta=None, sep_n=None):
+def entropy_drop_experiment(P, subgroup_words, phi, n_max, theta=None):
     """Exponent estimates for Gamma and a subgroup, plus limit-set separation.
 
     Separation is the one-sided Hausdorff excess of the ambient limit-set
     sample over the subgroup sample in flag_distance (positive when the
     subgroup limit set is a proper subset).
     """
-    theta = cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
+    theta = cartan.validate_theta(theta, P.dimension)
     P0 = subgroup_presentation(P, subgroup_words)
     est = critical_exponent(P, phi, n_max, theta)
     est0 = critical_exponent(P0, phi, n_max, theta)
-    sep_n = sep_n or min(n_max, 6)
+    sep_n = min(n_max, SEPARATION_RADIUS)
     amb, _, _ = flags.sample_limit_set(P, theta, sep_n)
     sub, _, _ = flags.sample_limit_set(P0, theta, sep_n)
     return {
@@ -449,9 +436,7 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     c scales delta by 1/c); concavity of the exponent then predicts values
     <= 1 along the segment.
     """
-    theta = cartan.validate_theta(
-        theta if theta is not None else cartan.full_theta(P.dimension), P.dimension
-    )
+    theta = cartan.validate_theta(theta, P.dimension)
     if n_max < 4:
         raise ConfigInvalid("n_max", "must be >= 4")
     ball, K = _spliced_ball(P, n_max)

@@ -14,16 +14,16 @@ from pslab import _kernels, matgroup
 from pslab.errors import BudgetExceeded
 
 
-def word_spheres_reference(P, n, cap=None):
+def word_spheres_reference(P, n):
     """Word spheres 0..n of P as one WordBall, built sphere by sphere."""
-    cap = P.element_cap if cap is None else cap
+    cap = matgroup.ELEMENT_CAP
     letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
                        dtype=np.int8)
     alphabet = np.stack(P._alphabet)
     inv_alphabet = alphabet[np.arange(len(letters)) ^ 1]
 
     def dedup_keys(M):
-        return np.round(M / P.dedup_tolerance).astype(np.int64)
+        return np.round(M / matgroup.DEDUP_TOLERANCE).astype(np.int64)
 
     eye = np.eye(P.dimension)[None]
     mats, inv_mats = [eye], [eye]

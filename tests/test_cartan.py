@@ -61,6 +61,11 @@ def test_validate_theta_symmetry():
         cartan.validate_theta([1], 4)
     with pytest.raises(AsymmetricTheta):
         cartan.validate_theta([0, 4], 4)
+    # None, and only None, is the full theta
+    for d in range(2, 6):
+        assert cartan.validate_theta(None, d) == cartan.full_theta(d)
+    with pytest.raises(AsymmetricTheta):
+        cartan.validate_theta((), 3)
 
 
 def test_project_theta_preserves_omegas_kills_off_theta_roots():

@@ -181,6 +181,28 @@ def test_cli_exit_codes(tmp_path):
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigInvalid" and err["path"] == path
 
+    # a config's own generators: a label count other than the generator count
+    # and a ragged matrix are config errors; products whose entries overflow
+    # are domain errors
+    two = [[[2, 0], [0, 0.5]], [[1, 1], [0, 1]]]
+    huge = [[[1e100, 0], [0, 1e-100]]]
+    for command, config, code, error, path in (
+        ("kappa", {"generators": two, "labels": ["a"]}, 2, "ConfigInvalid", "labels"),
+        ("kappa", {"generators": two, "labels": []}, 2, "ConfigInvalid", "labels"),
+        ("kappa", {"generators": [[[2, 0], [0]]]}, 2, "ConfigInvalid", "generators.0"),
+        ("kappa", {"generators": huge, "params": {"n": 5}}, 3, "DecompositionFailure", None),
+        ("critical-exponent", {"generators": huge, "params": {"n_max": 5}}, 3,
+         "DecompositionFailure", None),
+        ("limit-set", {"generators": huge, "params": {"n": 5}}, 3, "NonUnimodular", None),
+    ):
+        bad.write_text(json.dumps({"dimension": 2, **config}))
+        result = runner.invoke(cli.main, [command, "--config", str(bad),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == code, config
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == error and err.get("path") == path
+
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     result = runner.invoke(cli.main, ["kappa", "--config", str(notjson)])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pslab import flags, hilbert, matgroup, presets
-from pslab.errors import UnsupportedFamily
+from pslab import cartan, flags, hilbert, matgroup, patterson, presets
+from pslab.errors import AsymmetricTheta, UnsupportedFamily
 import shadow_oracle
 
 
@@ -121,3 +121,13 @@ def test_conicality_generator_axis_versus_parabolic_point():
     # a generic circle point misses the limit set: deep spheres leave the ray
     counts_off = hilbert.conicality_score(P, np.array([0.0, 1.0]), 0.5, 7, "so")
     assert counts_off[-1] == 0
+
+
+def test_shadow_measure_check_rejects_an_empty_theta(sl2):
+    # only None is the full theta; an empty one is an error, as everywhere
+    phi = cartan.Functional.alpha(1, 2)
+    mu = patterson.patterson_measure(sl2, phi, 1.0, 3, (1,))
+    report = hilbert.shadow_measure_check(sl2, mu, phi, 1.0, 1.0, 3, "so")
+    assert [row.sphere for row in report.rows] == [1, 2, 3]
+    with pytest.raises(AsymmetricTheta):
+        hilbert.shadow_measure_check(sl2, mu, phi, 1.0, 1.0, 3, "so", theta=())

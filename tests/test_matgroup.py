@@ -76,10 +76,10 @@ def test_ball_is_freed_without_the_cycle_collector(sl2):
         gc.enable()
 
 
-def test_element_cap_checked_before_allocating():
+def test_element_cap_checked_before_allocating(monkeypatch):
     # sphere 10 alone holds 78,732 elements; building it before the check took 70 MB
     P = presets.sl2_mild()
-    P.element_cap = 100_000
+    monkeypatch.setattr(matgroup, "ELEMENT_CAP", 100_000)
     # the whole ball with its matrices, and the streamed ball of the exponent fits
     for build in (matgroup.word_spheres, patterson._spliced_ball):
         tracemalloc.start()
@@ -97,16 +97,13 @@ def rotation_group():
                                       assume_free=False)
 
 
-def test_cap_zero_is_a_cap():
+def test_cap_zero_is_a_cap(monkeypatch):
     phi = cartan.Functional.alpha(1, 2)
+    monkeypatch.setattr(matgroup, "ELEMENT_CAP", 0)
     for P in (presets.fuchsian_schottky(1.6), rotation_group()):
+        # the ball with its matrices and the streamed balls
         for n in (0, 3):
-            with pytest.raises(BudgetExceeded):
-                matgroup.word_spheres(P, n, cap=0)
-        # the streamed balls take the presentation's cap
-        P.element_cap = 0
-        for n in (0, 3):
-            for build in (patterson._spliced_ball,
+            for build in (matgroup.word_spheres, patterson._spliced_ball,
                           lambda P, n: patterson.patterson_measure(P, phi, 1.0, n, (1,))):
                 with pytest.raises(BudgetExceeded):
                     build(P, n)
@@ -141,17 +138,18 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
                               batch_kappa_reference(ref.mats, ref.inv_mats, projection))
 
 
-def test_non_free_cap_is_checked_sphere_by_sphere():
+def test_non_free_cap_is_checked_sphere_by_sphere(monkeypatch):
     from ball_oracle import word_spheres_reference
 
     P = rotation_group()
     for cap in range(8):
+        monkeypatch.setattr(matgroup, "ELEMENT_CAP", cap)
         outcomes = []
         for build in (matgroup.word_spheres, word_spheres_reference):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    outcomes.append(build(P, 6, cap=cap).offsets.tolist())
+                    outcomes.append(build(P, 6).offsets.tolist())
                 except BudgetExceeded:
                     outcomes.append("raised")
         assert outcomes[0] == outcomes[1], cap
