@@ -358,6 +358,18 @@ def _left_singular_vectors_2x2(x, u, sigma):
         u[lapack], sigma[lapack], _ = np.linalg.svd(x[lapack])
 
 
+def left_singular(A):
+    """np.linalg.svd's U and singular values of each matrix of A, one or a stack.
+
+    2x2 matrices go to left_singular_2x2; larger ones to LAPACK.
+    """
+    if A.shape[-2:] == (2, 2):
+        U, sigma = left_singular_2x2(A.reshape(-1, 2, 2))
+        return U.reshape(A.shape), sigma.reshape(A.shape[:-1])
+    U, sigma, _ = np.linalg.svd(A)
+    return U, sigma
+
+
 def left_singular_2x2(x):
     """np.linalg.svd's U and singular values of the (n, 2, 2) stack x, bit for bit.
 
@@ -382,6 +394,20 @@ def lapack_qr_positive(M):
     signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return Q * signs[..., None, :]
+
+
+def qr_positive(M):
+    """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames.
+
+    Q's columns are signed so that R's diagonal is positive (a zero counts
+    as positive).  2x2 matrices, one or a stack, go to qr_positive_2x2, which
+    gives LAPACK's bits and calls LAPACK on its out-of-range rows only;
+    larger matrices go to lapack_qr_positive.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape[-2:] == (2, 2):
+        return qr_positive_2x2(M.reshape(-1, 2, 2)).reshape(M.shape)
+    return lapack_qr_positive(M)
 
 
 def _qr_positive_2x2(x, out):

@@ -36,9 +36,7 @@ def class_lengths(P, phi, n, theta=None, primitive_only=False):
     not a class function.  Returns (lengths, reps): reps is the WordBall of
     matgroup.conjugacy_classes, in canonical class order.
     """
-    theta = cartan.validate_theta(theta, P.dimension)
-    proj = cartan.projection_matrix(P.dimension, theta)
-    f = phi.covector() @ proj
+    f = cartan.theta_covector(phi, theta)
     reps = matgroup.conjugacy_classes(P, n, primitive_only)
     return cartan.jordan_spliced(reps.mats, reps.inv_mats) @ f, reps
 

@@ -7,12 +7,7 @@ decreasing entries).
 
 import numpy as np
 
-from .errors import (
-    AsymmetricTheta,
-    DecompositionFailure,
-    NonUnimodular,
-    SingularSystem,
-)
+from .errors import AsymmetricTheta, DecompositionFailure, NonUnimodular
 
 DET_TOLERANCE = 1e-6
 
@@ -76,10 +71,8 @@ def jordan(A):
 def jordan_spliced(A, A_inv):
     """Jordan projection of a long product, stabilized by its inverse product.
 
-    Small eigenvalue moduli of an ill-conditioned product carry absolute error
-    of order eps * |lambda_1|, so the bottom half of nu is taken from the
-    inverse (negated and reversed), where those moduli are dominant; A_inv
-    must be the forward product of the inverted word, not a matrix inverse.
+    A_inv must be the forward product of the inverted word, not a matrix
+    inverse; the eigenvalue moduli of both are spliced as ``splice`` says.
     Stacks of both give one row per pair.
     """
     A = require_unimodular(A)
@@ -89,16 +82,33 @@ def jordan_spliced(A, A_inv):
         mi = np.sort(np.abs(np.linalg.eigvals(A_inv)))[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    logs_f = np.log(np.maximum(mf, 1e-300))
-    logs_i = -np.log(np.maximum(mi, 1e-300))[..., ::-1]
-    d = A.shape[-1]
+    return splice(np.log(np.maximum(mf, 1e-300)), np.log(np.maximum(mi, 1e-300)),
+                  np.empty(mf.shape))
+
+
+def splice(logs, inv_logs, out):
+    """The zero-sum log spectra of products, read from them and their inverse products.
+
+    logs and inv_logs are the decreasing log singular values (or eigenvalue
+    moduli) of the products and of the forward products of their inverted
+    words, one row each.  Small values of an ill-conditioned product carry
+    absolute error of order eps times its largest one; the inverse product
+    sees them as its large values.  So the top half of each row comes from
+    logs, the bottom half from inv_logs negated and reversed, and an odd d's
+    middle entry is the mean of the two.  The rows are written into out,
+    which is returned.
+    """
+    d = logs.shape[-1]
     top = (d + 1) // 2
-    out = logs_f.copy()
-    out[..., top:] = logs_i[..., top:]
+    out[..., :top] = logs[..., :top]
+    np.negative(inv_logs[..., ::-1][..., top:], out=out[..., top:])
     if d % 2 == 1:
+        # reversal maps the middle entry to itself
         mid = d // 2
-        out[..., mid] = 0.5 * (logs_f[..., mid] + logs_i[..., mid])
-    return out - out.mean(axis=-1, keepdims=True)
+        out[..., mid] = 0.5 * (logs[..., mid] - inv_logs[..., mid])
+    # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
+    out -= out.mean(axis=-1, keepdims=True)
+    return out
 
 
 def validate_theta(theta, d):
@@ -125,6 +135,8 @@ def full_theta(d):
 
 def _constraint_matrix(d, theta):
     # Rows: omega_k for k in theta, alpha_k = 0 for k outside theta, sum = 0.
+    # Nonsingular for every non-empty theta: each run of indices outside
+    # theta lies between two known omegas (omega_0 = omega_d = 0).
     M = np.zeros((d, d))
     row = 0
     for k in theta:
@@ -149,10 +161,7 @@ def vector_from_omegas(d, theta, omega_values):
     omega_values = np.asarray(omega_values, dtype=float)
     rhs = np.zeros(omega_values.shape[:-1] + (d, 1))
     rhs[..., : len(theta), 0] = omega_values
-    try:
-        return np.linalg.solve(M, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    return np.linalg.solve(M, rhs)[..., 0]
 
 
 def project_theta(v, theta):
@@ -171,10 +180,12 @@ def projection_matrix(d, theta):
     R = np.zeros((d, d))
     for row, k in enumerate(theta):
         R[row, :k] = 1.0
-    try:
-        return np.linalg.solve(M, R)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    return np.linalg.solve(M, R)
+
+
+def theta_covector(phi, theta):
+    """The covector f with phi(kappa_theta) = kappa @ f: phi on the a_theta-projection."""
+    return phi.covector() @ projection_matrix(phi.d, theta)
 
 
 def hat_iota(v):

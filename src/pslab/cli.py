@@ -57,7 +57,9 @@ def validate_config(config):
     error = best_match(_validator().iter_errors(config))
     if error is not None:
         path = ".".join(str(p) for p in error.absolute_path) or "(root)"
-        raise ConfigInvalid(path, error.message) from error
+        # the schema's only "not" rejects a field the command does not read
+        message = "not read by this command" if error.validator == "not" else error.message
+        raise ConfigInvalid(path, message) from error
 
 
 def build_presentation(config):
@@ -115,10 +117,11 @@ def run_kappa(P, theta, phi, params):
     proj = cartan.projection_matrix(P.dimension, theta)
     ball = matgroup.word_spheres(P, n)
     ks = matgroup.batch_kappa(ball.mats, ball.inv_mats)
+    # phi of the projected vectors, not ks @ theta_covector: the CSV keeps
+    # the bits of this summation order
+    values = phi(ks @ proj.T)
     header = ["word"] + [f"kappa_{i + 1}" for i in range(P.dimension)] + ["phi_kappa_theta"]
-    rows = [
-        [P.word_label(w), *k, phi(proj @ k)] for w, k in zip(ball.words(), ks)
-    ]
+    rows = [[P.word_label(w), *k, v] for w, k, v in zip(ball.words(), ks, values)]
     return header, rows, {"ball_size": len(ball)}
 
 

@@ -15,10 +15,6 @@ class DecompositionFailure(PslabError):
     pass
 
 
-class SingularSystem(PslabError):
-    pass
-
-
 class AsymmetricTheta(PslabError):
     pass
 

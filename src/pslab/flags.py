@@ -11,20 +11,6 @@ GAP_TOLERANCE = 1e-10
 TRANSVERSALITY_TOLERANCE = 1e-10
 
 
-def qr_positive(M):
-    """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames.
-
-    Q's columns are signed so that R's diagonal is positive (a zero counts
-    as positive).  2x2 matrices, one or a stack, go to
-    _kernels.qr_positive_2x2, which gives LAPACK's bits and calls LAPACK on
-    its out-of-range rows only; larger matrices go to LAPACK.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape[-2:] == (2, 2):
-        return _kernels.qr_positive_2x2(M.reshape(-1, 2, 2)).reshape(M.shape)
-    return _kernels.lapack_qr_positive(M)
-
-
 @dataclass(frozen=True)
 class Flag:
     """Points of F_theta: nested column spans of orthonormal frames.
@@ -70,7 +56,7 @@ class Flag:
 
 def make_flag(theta, columns):
     """Flag from (possibly non-orthonormal) spanning columns, via a QR pass."""
-    return Flag(theta, qr_positive(np.asarray(columns, dtype=float)))
+    return Flag(theta, _kernels.qr_positive(columns))
 
 
 def u_theta(A, theta):
@@ -82,7 +68,7 @@ def u_theta(A, theta):
     and F stacks their flags, in row order.  A stack is read
     matgroup.BLOCK_ROWS rows at a time into preallocated outputs.
 
-    The frames are qr_positive of the left singular vectors.  For 2x2
+    The frames are _kernels.qr_positive of the left singular vectors.  For 2x2
     matrices both steps run in numpy (_kernels.left_singular_2x2 and
     _kernels.qr_positive_2x2) with LAPACK's bits; only their out-of-range
     rows (non-finite or extreme entries, underflowing products) reach
@@ -96,7 +82,7 @@ def u_theta(A, theta):
         if (gaps <= GAP_TOLERANCE).any():
             i = int(np.argmax(gaps <= GAP_TOLERANCE))
             raise InsufficientGap(theta[i], gaps[i])
-        return Flag(theta, qr_positive(U))
+        return Flag(theta, _kernels.qr_positive(U))
     theta = cartan.validate_theta(theta, A.shape[-1])
     frames, ok = np.empty(A.shape), np.empty(len(A), dtype=bool)
     kept = 0
@@ -105,28 +91,21 @@ def u_theta(A, theta):
         U, gaps = _left_singular_gaps(cartan.require_unimodular(A[a:b]), theta)
         ok[a:b] = good = ~(gaps <= GAP_TOLERANCE).any(axis=-1)
         count = int(np.count_nonzero(good))
-        frames[kept:kept + count] = qr_positive(U[good])
+        frames[kept:kept + count] = _kernels.qr_positive(U[good])
         kept += count
     return Flag(theta, frames[:kept]), ok
 
 
 def _left_singular_gaps(A, theta):
-    """Left singular vectors of A and its log singular gaps at each k in theta.
-
-    2x2 matrices go to _kernels.left_singular_2x2, as np.linalg.svd's bits.
-    """
-    if A.shape[-2:] == (2, 2):
-        U, sigma = _kernels.left_singular_2x2(A.reshape(-1, 2, 2))
-        U, sigma = U.reshape(A.shape), sigma.reshape(A.shape[:-1])
-    else:
-        U, sigma, _ = np.linalg.svd(A)
+    """Left singular vectors of A and its log singular gaps at each k in theta."""
+    U, sigma = _kernels.left_singular(A)
     logs = np.log(sigma)
     return U, logs[..., np.array(theta) - 1] - logs[..., theta]
 
 
 def apply_matrix(A, F):
     """The projective action of A on flags, with frame re-orthonormalization."""
-    return Flag(F.theta, qr_positive(np.asarray(A, dtype=float) @ F.frame))
+    return Flag(F.theta, _kernels.qr_positive(np.asarray(A, dtype=float) @ F.frame))
 
 
 def _check_compatible(F, G):

@@ -202,12 +202,11 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     bounded spread across spheres is the empirical Shadow Lemma constant.
     """
     fam = KleinFamily(P, family)
-    theta = cartan.validate_theta(theta, P.dimension)
+    f = cartan.theta_covector(phi, theta)
     zs, ws = fam.boundary_point(mu.frames), mu.weights
-    proj = cartan.projection_matrix(P.dimension, theta)
     ball = matgroup.word_spheres(P, n)[1:]
     masses = shadow_masses(zs, ws, fam.lifted_orbit(ball.mats), r)
-    rho = masses * np.exp(delta * phi(matgroup.batch_kappa(ball.mats, ball.inv_mats, proj)))
+    rho = masses * np.exp(delta * (matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f))
     rows = []
     for sphere_index, (rh, m) in enumerate(zip(ball.split(rho), ball.split(masses)), 1):
         pos = rh[m > 0.0]

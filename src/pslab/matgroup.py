@@ -70,7 +70,12 @@ class GroupPresentation:
         self._alphabet = []
         for g in gens:
             self._alphabet.append(g)
-            self._alphabet.append(np.linalg.inv(g))
+            try:
+                self._alphabet.append(np.linalg.inv(g))
+            except np.linalg.LinAlgError as exc:
+                # the determinant check widens with the entries' scale, so a
+                # singular matrix with huge entries can pass it
+                raise NonUnimodular(float(np.linalg.det(g))) from exc
 
     @property
     def rank(self):
@@ -459,35 +464,22 @@ def symmetric_power_rep(A, d):
     return out
 
 
-def batch_kappa(mats, inv_mats, projection=None):
-    """Cartan vectors of a stack of products, optionally projected to a_theta.
+def batch_kappa(mats, inv_mats):
+    """Cartan vectors of a stack of products, spliced by cartan.splice.
 
     inv_mats[i] is the forward product of the inverted word of mats[i].  The
     vectors are spliced BLOCK_ROWS rows at a time into one output array.
     """
     count, d = len(mats), mats.shape[-1]
     out = np.empty((count, d))
-    # small singular values of a long product carry absolute error on the
-    # order of eps * sigma_1; the inverse-word product sees them as large
-    # singular values, so splice its (negated, reversed) top half in
-    top = (d + 1) // 2
     for a in range(0, count, BLOCK_ROWS):
         b = min(a + BLOCK_ROWS, count)
         try:
             logs = _kernels.batch_log_singular_values(mats[a:b])
-            inv_logs = _kernels.batch_log_singular_values(inv_mats[a:b])[:, ::-1]
+            inv_logs = _kernels.batch_log_singular_values(inv_mats[a:b])
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailure(str(exc)) from exc
-        block = out[a:b]
-        block[:, :top] = logs[:, :top]
-        np.negative(inv_logs[:, top:], out=block[:, top:])
-        if d % 2 == 1:
-            mid = d // 2
-            block[:, mid] = 0.5 * (logs[:, mid] - inv_logs[:, mid])
-        # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
-        block -= block.mean(axis=1, keepdims=True)
-    if projection is not None:
-        out = out @ projection.T
+        cartan.splice(logs, inv_logs, out[a:b])
     return out
 
 

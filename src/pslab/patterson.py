@@ -55,19 +55,14 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _spliced_ball(P, n):
-    """The words of the radius-n ball and its spliced Cartan vectors, one row each."""
-    ball, K, _ = _walk_ball(P, n)
-    return ball, K
-
-
 def _walk_ball(P, n, flag_spheres=-1, theta=None):
-    """_spliced_ball, plus the flags of the rows of spheres 0..flag_spheres (none at -1).
+    """The radius-n ball and its spliced Cartan vectors, plus the flags of the
+    rows of spheres 0..flag_spheres (none at -1).
 
-    Returns (ball, K, (frames, ok)): ball holds the words only, and the
-    matrices are spliced (and passed to u_theta) one block at a time as the
-    walk writes them.  ok marks the flag rows passing the gap test and frames
-    stacks their U_theta frames in row order.
+    Returns (ball, K, (frames, ok)): ball holds the words only, K one Cartan
+    vector per row, and the matrices are spliced (and passed to u_theta) one
+    block at a time as the walk writes them.  ok marks the flag rows passing
+    the gap test and frames stacks their U_theta frames in row order.
     """
     walk = matgroup._BallWalk(P, n)
     d = P.dimension
@@ -88,14 +83,14 @@ def _walk_ball(P, n, flag_spheres=-1, theta=None):
     return ball, K[:len(ball)], (frames[:kept], ok[:ball.offsets[flag_spheres + 1]])
 
 
-def _sphere_values(P, phi, theta, K):
+def _sphere_values(phi, theta, K):
     """phi(kappa_theta) per ball row, from the ball's spliced Cartan vectors K.
 
     The estimators read these with the ball's sphere ``offsets``.  Raises
     NegativePhiOnCone when phi is negative on more than
     NEGATIVE_CONE_FRACTION of the non-identity elements.
     """
-    values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
+    values = K @ cartan.theta_covector(phi, theta)
     neg = np.count_nonzero(values[1:] < -1e-9)
     if values.size > 1 and neg / (values.size - 1) > NEGATIVE_CONE_FRACTION:
         raise NegativePhiOnCone(
@@ -109,8 +104,8 @@ def _ball_values(P, phi, theta, n):
 
     The words and Cartan vectors are dropped before the estimators run.
     """
-    ball, K = _spliced_ball(P, n)
-    return _sphere_values(P, phi, theta, K), ball.offsets
+    ball, K, _ = _walk_ball(P, n)
+    return _sphere_values(phi, theta, K), ball.offsets
 
 
 def _exponent_theta(P, n_max, theta, method):
@@ -149,11 +144,11 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
     ball, K, (frames, ok) = _walk_ball(P, n_max, n, theta)
-    est = _sphere_regression(_sphere_values(P, phi, theta, K), ball.offsets, n_max)
+    values = _sphere_values(phi, theta, K)
+    est = _sphere_regression(values, ball.offsets, n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat)
-    values = K[:len(ok)] @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
-    return est, _measure_from_flags(phi, s, ball[:n + 1], values, frames, ok)
+    return est, _measure_from_flags(phi, s, ball[:n + 1], values[:len(ok)], frames, ok)
 
 
 def poincare_partial_sum(P, phi, theta, s, n):
@@ -303,8 +298,7 @@ def patterson_measure(P, phi, s, n, theta=None, delta_hat=None):
     theta = cartan.validate_theta(theta, P.dimension)
     _require_supercritical(s, delta_hat)
     ball, K, (frames, ok) = _walk_ball(P, n, n, theta)
-    values = K @ (phi.covector() @ cartan.projection_matrix(P.dimension, theta))
-    return _measure_from_flags(phi, s, ball, values, frames, ok)
+    return _measure_from_flags(phi, s, ball, K @ cartan.theta_covector(phi, theta), frames, ok)
 
 
 def outer_sphere_restriction(mu, min_length=None):
@@ -341,7 +335,7 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
     theta = cartan.validate_theta(theta, P.dimension)
     alpha_mat = P.word_matrix(tuple(alpha_word))
     alpha_inv = P.word_matrix(matgroup.invert_word(tuple(alpha_word)))
-    f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
+    f = cartan.theta_covector(phi, theta)
     walk = matgroup._BallWalk(P, n)
     residuals = np.full(walk.rows, np.nan)
     ok = np.zeros(walk.rows, dtype=bool)
@@ -436,13 +430,11 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     c scales delta by 1/c); concavity of the exponent then predicts values
     <= 1 along the segment.
     """
-    theta = cartan.validate_theta(theta, P.dimension)
-    if n_max < 4:
-        raise ConfigInvalid("n_max", "must be >= 4")
-    ball, K = _spliced_ball(P, n_max)
+    theta = _exponent_theta(P, n_max, theta, "sphere-regression")
+    ball, K, _ = _walk_ball(P, n_max)
 
     def fit(phi):
-        return _sphere_regression(_sphere_values(P, phi, theta, K), ball.offsets, n_max)
+        return _sphere_regression(_sphere_values(phi, theta, K), ball.offsets, n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

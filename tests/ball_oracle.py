@@ -58,7 +58,7 @@ def word_spheres_reference(P, n):
                              letter, np.array(offsets), 0, (letter, parent))
 
 
-def batch_kappa_reference(mats, inv_mats, projection=None):
+def batch_kappa_reference(mats, inv_mats):
     """Spliced, zero-sum Cartan vectors of the whole stack at once."""
     logs = _kernels.batch_log_singular_values(mats)
     inv_logs = -_kernels.batch_log_singular_values(inv_mats)[:, ::-1]
@@ -69,7 +69,4 @@ def batch_kappa_reference(mats, inv_mats, projection=None):
     if d % 2 == 1:
         mid = d // 2
         combined[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
-    logs = combined - combined.mean(axis=1, keepdims=True)
-    if projection is not None:
-        logs = logs @ projection.T
-    return logs
+    return combined - combined.mean(axis=1, keepdims=True)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,27 @@ def test_projection_matrix_matches_project_theta(rng):
         v = rng.normal(size=4)
         v -= v.mean()
         assert np.allclose(M @ v, cartan.project_theta(v, theta), atol=1e-12)
+
+
+def test_constraint_matrix_is_nonsingular_for_every_theta():
+    # each run of indices outside theta is pinned by two known omegas
+    # (omega_0 = omega_d = 0), so solving for a_theta vectors cannot fail
+    for d in range(2, 9):
+        pairs = sorted({frozenset((k, d - k)) for k in range(1, d)}, key=min)
+        for r in range(1, len(pairs) + 1):
+            for chosen in itertools.combinations(pairs, r):
+                theta = cartan.validate_theta(set().union(*chosen), d)
+                det = np.linalg.det(cartan._constraint_matrix(d, theta))
+                assert abs(det) >= 1.0 - 1e-9, (d, theta)
+
+
+def test_theta_covector_is_phi_on_the_projection(rng):
+    for d, theta in ((2, (1,)), (3, (1, 2)), (4, (2,)), (4, (1, 3)), (5, (2, 3)),
+                     (6, (1, 3, 5))):
+        phi = cartan.Functional(d, {k: rng.normal() for k in range(1, d)})
+        K = rng.normal(size=(50, d))
+        want = phi(K @ cartan.projection_matrix(d, theta).T)
+        assert np.allclose(K @ cartan.theta_covector(phi, theta), want, rtol=0, atol=1e-12)
 
 
 def test_hat_iota_involution(rng):

@@ -168,6 +168,14 @@ def test_cli_exit_codes(tmp_path):
         ("entropy-drop", {"params": {"subgroup": [[]]}}, "params.subgroup.0"),
         # the exponent fit needs four spheres; the path is shadow-check's own key
         ("shadow-check", {"params": {"mu_n": 3}}, "params.mu_n"),
+        # a field the command does not read is a config error
+        ("orbit", {"phi": {"alpha": 1}}, "phi"),
+        ("orbit", {"theta": [1]}, "theta"),
+        ("limit-set", {"phi": [1.0]}, "phi"),
+        ("limit-cone", {"phi": {"omega": 1}}, "phi"),
+        ("box-dim", {"phi": {"alpha": 2}}, "phi"),
+        ("conicality", {"phi": {"alpha": 1}, "params": {"z": [1, 0]}}, "phi"),
+        ("conicality", {"theta": [1], "params": {"z": [1, 0]}}, "theta"),
         # commands with a required params key need params
         ("quasi-invariance", {}, "(root)"),
         ("entropy-drop", {}, "(root)"),
@@ -181,8 +189,9 @@ def test_cli_exit_codes(tmp_path):
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigInvalid" and err["path"] == path
 
-    # a config's own generators: a label count other than the generator count
-    # and a ragged matrix are config errors; products whose entries overflow
+    # a config's own generators: a label count other than the generator count,
+    # a ragged matrix and a singular matrix whose huge entries pass the
+    # determinant check are config errors; products whose entries overflow
     # are domain errors
     two = [[[2, 0], [0, 0.5]], [[1, 1], [0, 1]]]
     huge = [[[1e100, 0], [0, 1e-100]]]
@@ -190,6 +199,7 @@ def test_cli_exit_codes(tmp_path):
         ("kappa", {"generators": two, "labels": ["a"]}, 2, "ConfigInvalid", "labels"),
         ("kappa", {"generators": two, "labels": []}, 2, "ConfigInvalid", "labels"),
         ("kappa", {"generators": [[[2, 0], [0]]]}, 2, "ConfigInvalid", "generators.0"),
+        ("kappa", {"generators": [[[1e100, 0], [0, 0]]]}, 2, "ConfigInvalid", "generators"),
         ("kappa", {"generators": huge, "params": {"n": 5}}, 3, "DecompositionFailure", None),
         ("critical-exponent", {"generators": huge, "params": {"n_max": 5}}, 3,
          "DecompositionFailure", None),

@@ -1,4 +1,5 @@
-"""Every defaulted parameter and dataclass field of pslab, listed once.
+"""Every defaulted parameter and dataclass field of pslab, listed once, and
+every error class in use.
 
 Each option doubles the configurations a test or a benchmark has to cover,
 so a new one shows up here as a one-line change to OPTIONS.
@@ -8,8 +9,11 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pslab
+from pslab import errors
 
 OPTIONS = {
     "_kernels.greedy_cover_count(metric)",
@@ -30,7 +34,6 @@ OPTIONS = {
     "matgroup.GroupPresentation.assume_free",
     "matgroup.GroupPresentation.labels",
     "matgroup._BallWalk.__init__(keep_matrices)",
-    "matgroup.batch_kappa(projection)",
     "matgroup.conjugacy_classes(primitive_only)",
     "patterson.AtomicMeasure.excluded",
     "patterson._walk_ball(flag_spheres)",
@@ -86,3 +89,18 @@ def test_options_are_the_listed_ones():
     found = collect_options()
     assert sorted(found - OPTIONS) == [], "new options"
     assert sorted(OPTIONS - found) == [], "options gone"
+
+
+def test_every_error_class_is_raised_and_expected():
+    # raised in the library and expected by a test, so no error class is
+    # left behind by a failure the code cannot reach
+    library = "\n".join(path.read_text(encoding="utf-8")
+                        for path in Path(pslab.__file__).parent.glob("*.py")
+                        if path.name != "errors.py")
+    tests = "\n".join(path.read_text(encoding="utf-8")
+                      for path in Path(__file__).parent.glob("test_*.py"))
+    for name, cls in vars(errors).items():
+        if isinstance(cls, type) and issubclass(cls, errors.PslabError) \
+                and cls is not errors.PslabError:
+            assert re.search(rf"raise {name}\b", library), name
+            assert re.search(rf"raises\([^)]*\b{name}\b|\"{name}\"", tests), name

@@ -337,8 +337,8 @@ def test_estimators_match_list_based_reference(make, n, theta):
     phi = cartan.Functional.alpha(1, P.dimension)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ball, K = patterson._spliced_ball(P, n)
-    values = patterson._sphere_values(P, phi, theta, K)
+        ball, K, _ = patterson._walk_ball(P, n)
+    values = patterson._sphere_values(phi, theta, K)
     by_sphere = ball.split(values)
     if not P.assume_free:
         assert (np.diff(ball.offsets) == 0).any()
