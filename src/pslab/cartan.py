@@ -13,25 +13,19 @@ DET_TOLERANCE = 1e-6
 
 
 def require_unimodular(A):
-    """Return A, one matrix or a (N, d, d) stack, as floats after the
-    unit-determinant check of every matrix.
+    """Return the square matrix A as floats after its unit-determinant check.
 
-    Long word products make the determinant numerically ill-determined (its
-    absolute error grows like eps * |A|^d), so the check widens with the
-    matrix scale; actual renormalization happens in log-space downstream.
+    The allowance grows with eps times the product of A's column norms, the
+    determinant's rounding scale (Hadamard's bound).  Only generators are
+    checked: the products of checked generators lie in SL(d) too.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise NonUnimodular(None)
-    if not np.isfinite(A).all():
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
         raise NonUnimodular(None)
     det = np.linalg.det(A)
-    d = A.shape[-1]
-    scale = np.maximum(np.sqrt((A * A).sum(axis=(-2, -1))), 1.0)
-    allowance = np.maximum(DET_TOLERANCE, 64 * d * np.finfo(float).eps * scale**d)
-    ok = np.abs(det - 1.0) <= allowance
-    if not ok.all():
-        raise NonUnimodular(np.extract(~ok, det)[0])
+    hadamard = np.prod(np.sqrt((A * A).sum(axis=0)))
+    if abs(det - 1.0) > max(DET_TOLERANCE, 64 * len(A) * np.finfo(float).eps * hadamard):
+        raise NonUnimodular(float(det))
     return A
 
 
@@ -43,7 +37,7 @@ def kappa(A):
     determinant itself is dominated by round-off.  A (N, d, d) stack gives
     one row per matrix.
     """
-    A = require_unimodular(A)
+    A = np.asarray(A, dtype=float)
     try:
         sigma = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -56,7 +50,7 @@ def kappa(A):
 
 def jordan(A):
     """Jordan projection: sorted log moduli of (generalized) eigenvalues, per matrix of A."""
-    A = require_unimodular(A)
+    A = np.asarray(A, dtype=float)
     try:
         eigvals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -75,8 +69,7 @@ def jordan_spliced(A, A_inv):
     inverse; the eigenvalue moduli of both are spliced as ``splice`` says.
     Stacks of both give one row per pair.
     """
-    A = require_unimodular(A)
-    A_inv = require_unimodular(A_inv)
+    A, A_inv = np.asarray(A, dtype=float), np.asarray(A_inv, dtype=float)
     try:
         mf = np.sort(np.abs(np.linalg.eigvals(A)))[..., ::-1]
         mi = np.sort(np.abs(np.linalg.eigvals(A_inv)))[..., ::-1]
@@ -228,10 +221,6 @@ class Functional:
         if k + 1 <= d - 1:
             coeffs[k + 1] = -1.0
         return cls(d, coeffs)
-
-    @property
-    def support(self):
-        return tuple(sorted(self.coefficients))
 
     def covector(self):
         """Gradient f with phi(v) = f . v (f_i = sum of c_k over k >= i)."""

@@ -14,7 +14,7 @@ def iwasawa(A, F):
     completed by alpha_k = 0.  A and the frames broadcast: a matrix or a stack
     against a flag or a stack gives one (..., d) vector per pair.
     """
-    A = cartan.require_unimodular(A)
+    A = np.asarray(A, dtype=float)
     omegas = []
     for k in F.theta:
         B = A @ F.subspace(k)

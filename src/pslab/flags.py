@@ -19,7 +19,8 @@ class Flag:
     as (N, d, d); the operations below broadcast over the leading axes and
     give a plain value for a single flag.  The k-subspace (k in theta) is the
     span of the first k frame columns.  Equality of flags is span equality,
-    tested through flag_distance.
+    tested through flag_distance.  Frames are not checked: each producer
+    below makes them orthonormal, by _kernels.qr_positive or Gram-Schmidt.
     """
 
     theta: tuple
@@ -27,16 +28,7 @@ class Flag:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(self.theta))
-        frame = np.asarray(self.frame, dtype=float)
-        object.__setattr__(self, "frame", frame)
-        # checked matgroup.BLOCK_ROWS frames at a time, so a stack's check
-        # holds no stack-sized temporaries
-        eye = np.eye(frame.shape[-1])
-        stack = frame.reshape(-1, *frame.shape[-2:])
-        for a in range(0, len(stack), matgroup.BLOCK_ROWS):
-            block = stack[a:a + matgroup.BLOCK_ROWS]
-            if np.max(np.abs(np.swapaxes(block, -1, -2) @ block - eye)) > 1e-8:
-                raise ValueError("flag frame is not orthonormal")
+        object.__setattr__(self, "frame", np.asarray(self.frame, dtype=float))
 
     @property
     def dimension(self):
@@ -62,11 +54,10 @@ def make_flag(theta, columns):
 def u_theta(A, theta):
     """Flags of leading left singular subspaces ("span of the k largest axes").
 
-    For one (d, d) matrix, returns its Flag and raises InsufficientGap when a
-    singular gap at some k in theta is not above GAP_TOLERANCE.  For a
-    (N, d, d) stack, returns (F, ok): ok marks the rows passing the gap test
-    and F stacks their flags, in row order.  A stack is read
-    matgroup.BLOCK_ROWS rows at a time into preallocated outputs.
+    For a (N, d, d) stack, returns (F, ok): ok marks the rows whose singular
+    gaps at every k in theta are above GAP_TOLERANCE, and F stacks their flags
+    in row order, read matgroup.BLOCK_ROWS rows at a time.  One (d, d) matrix
+    is the stack of one row: its Flag, or InsufficientGap at its first bad k.
 
     The frames are _kernels.qr_positive of the left singular vectors.  For 2x2
     matrices both steps run in numpy (_kernels.left_singular_2x2 and
@@ -75,25 +66,24 @@ def u_theta(A, theta):
     LAPACK, which takes every larger matrix.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 3:
-        A = cartan.require_unimodular(A)
-        theta = cartan.validate_theta(theta, A.shape[-1])
-        U, gaps = _left_singular_gaps(A, theta)
-        if (gaps <= GAP_TOLERANCE).any():
-            i = int(np.argmax(gaps <= GAP_TOLERANCE))
-            raise InsufficientGap(theta[i], gaps[i])
-        return Flag(theta, _kernels.qr_positive(U))
+    single = A.ndim == 2
+    stack = A[None] if single else A
     theta = cartan.validate_theta(theta, A.shape[-1])
-    frames, ok = np.empty(A.shape), np.empty(len(A), dtype=bool)
+    frames, ok = np.empty(stack.shape), np.empty(len(stack), dtype=bool)
     kept = 0
-    for a in range(0, len(A), matgroup.BLOCK_ROWS):
-        b = min(a + matgroup.BLOCK_ROWS, len(A))
-        U, gaps = _left_singular_gaps(cartan.require_unimodular(A[a:b]), theta)
-        ok[a:b] = good = ~(gaps <= GAP_TOLERANCE).any(axis=-1)
+    for a in range(0, len(stack), matgroup.BLOCK_ROWS):
+        b = min(a + matgroup.BLOCK_ROWS, len(stack))
+        U, gaps = _left_singular_gaps(stack[a:b], theta)
+        failed = gaps <= GAP_TOLERANCE
+        if single and failed.any():
+            i = int(np.argmax(failed[0]))
+            raise InsufficientGap(theta[i], gaps[0, i])
+        ok[a:b] = good = ~failed.any(axis=-1)
         count = int(np.count_nonzero(good))
         frames[kept:kept + count] = _kernels.qr_positive(U[good])
         kept += count
-    return Flag(theta, frames[:kept]), ok
+    F = Flag(theta, frames[:kept])
+    return F[0] if single else (F, ok)
 
 
 def _left_singular_gaps(A, theta):
@@ -157,7 +147,7 @@ def sample_limit_set(P, theta, n):
 
 def attracting_fixed_flag(A, theta):
     """Flag of dominant generalized eigenspaces of a theta-proximal matrix."""
-    A = cartan.require_unimodular(A)
+    A = np.asarray(A, dtype=float)
     d = A.shape[0]
     theta = cartan.validate_theta(theta, d)
     nu = cartan.jordan(A)

@@ -55,12 +55,9 @@ class GroupPresentation:
     def __post_init__(self):
         if not self.generators:
             raise BadIndex("at least one generator required")
-        gens = []
-        for g in self.generators:
-            g = cartan.require_unimodular(g)
-            if g.shape != (self.dimension, self.dimension):
-                raise NonUnimodular(None)
-            gens.append(g)
+        gens = [cartan.require_unimodular(g) for g in self.generators]
+        if any(g.shape != (self.dimension, self.dimension) for g in gens):
+            raise NonUnimodular(None)
         self.generators = gens
         if self.labels is None:
             self.labels = [chr(ord("a") + i) for i in range(len(gens))]
@@ -73,8 +70,8 @@ class GroupPresentation:
             try:
                 self._alphabet.append(np.linalg.inv(g))
             except np.linalg.LinAlgError as exc:
-                # the determinant check widens with the entries' scale, so a
-                # singular matrix with huge entries can pass it
+                # the determinant check widens with the column norms, so a
+                # singular matrix with large columns can pass it
                 raise NonUnimodular(float(np.linalg.det(g))) from exc
 
     @property
@@ -90,7 +87,7 @@ class GroupPresentation:
         M = np.eye(self.dimension)
         for letter in word:
             M = M @ self.letter_matrix(letter)
-        return M
+        return _require_finite(M)
 
     def word_label(self, word):
         parts = []
@@ -102,6 +99,24 @@ class GroupPresentation:
 
 def invert_word(word):
     return tuple(-x for x in reversed(word))
+
+
+def reduce_word(word):
+    """The freely reduced form of a word."""
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _require_finite(products):
+    """products, checked for overflow once, where they are made: word_matrix, the ball walk."""
+    if not np.isfinite(products).all():
+        raise DecompositionFailure("word products overflowed the float range")
+    return products
 
 
 @dataclass(eq=False, repr=False)
@@ -182,7 +197,7 @@ class _BallWalk:
     those of sphere n; with keep_matrices it keeps every sphere's, in the
     whole-ball ``products`` (forward products first, inverse ones second).
     A walk is iterated once; after that ``ball()`` is the WordBall of the
-    walked rows.
+    walked rows.  A block whose products overflowed raises DecompositionFailure.
 
     Each sphere is written from the previous one, at most BLOCK_ROWS rows
     per step: a step broadcasts a run of parent products over their rows of
@@ -316,6 +331,7 @@ class _BallWalk:
                 fill += b - a
                 a = b
                 if fill == BLOCK_ROWS:
+                    _require_finite(block)
                     yield a - fill, block[0], block[1]
                     block = window(a)
                     fill = 0
@@ -325,6 +341,7 @@ class _BallWalk:
             elif products is not None:
                 sphere = products[:, lo:a]
         if fill:
+            _require_finite(block[:, :fill])
             yield offsets[-1] - fill, block[0, :fill], block[1, :fill]
         if merged:
             warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
@@ -437,7 +454,7 @@ def symmetric_power_rep(A, d):
     Cartan projections behave like the SO(2,1)-model predicts for d=3).
     One 2x2 matrix gives a (d, d) matrix, a (N, 2, 2) stack a (N, d, d) stack.
     """
-    A = cartan.require_unimodular(A)
+    A = np.asarray(A, dtype=float)
     if A.shape[-2:] != (2, 2):
         raise BadIndex("symmetric_power_rep takes 2x2 matrices")
     if d < 2:

@@ -382,9 +382,10 @@ def _row_products(K, f):
 
 
 def subgroup_presentation(P, words):
-    """Presentation generated by the matrices of the given words of P."""
-    mats = [P.word_matrix(tuple(w)) for w in words]
-    labels = [P.word_label(tuple(w)) for w in words]
+    """Presentation generated by the matrices of the given words of P, freely reduced."""
+    words = [matgroup.reduce_word(w) for w in words]
+    mats = [P.word_matrix(w) for w in words]
+    labels = [P.word_label(w) for w in words]
     return matgroup.GroupPresentation(P.dimension, mats, labels=labels, assume_free=True)
 
 

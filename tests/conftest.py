@@ -46,6 +46,13 @@ def counting_qr(monkeypatch):
 
 
 @pytest.fixture
+def counting_det(monkeypatch):
+    counter = CountingLinalg(np.linalg.det)
+    monkeypatch.setattr(np.linalg, "det", counter)
+    return counter
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -190,20 +190,29 @@ def test_cli_exit_codes(tmp_path):
         assert err["error"] == "ConfigInvalid" and err["path"] == path
 
     # a config's own generators: a label count other than the generator count,
-    # a ragged matrix and a singular matrix whose huge entries pass the
-    # determinant check are config errors; products whose entries overflow
-    # are domain errors
+    # a ragged matrix, a singular matrix with huge entries and a huge matrix
+    # of determinant 5 are config errors; products whose entries overflow
+    # are one domain error, wherever the product is made
     two = [[[2, 0], [0, 0.5]], [[1, 1], [0, 1]]]
     huge = [[[1e100, 0], [0, 1e-100]]]
+    overflow = (3, "DecompositionFailure", None)
     for command, config, code, error, path in (
         ("kappa", {"generators": two, "labels": ["a"]}, 2, "ConfigInvalid", "labels"),
         ("kappa", {"generators": two, "labels": []}, 2, "ConfigInvalid", "labels"),
         ("kappa", {"generators": [[[2, 0], [0]]]}, 2, "ConfigInvalid", "generators.0"),
         ("kappa", {"generators": [[[1e100, 0], [0, 0]]]}, 2, "ConfigInvalid", "generators"),
-        ("kappa", {"generators": huge, "params": {"n": 5}}, 3, "DecompositionFailure", None),
-        ("critical-exponent", {"generators": huge, "params": {"n_max": 5}}, 3,
-         "DecompositionFailure", None),
-        ("limit-set", {"generators": huge, "params": {"n": 5}}, 3, "NonUnimodular", None),
+        ("kappa", {"generators": [[[1e100, 0], [0, 5e-100]]], "params": {"n": 1}}, 2,
+         "ConfigInvalid", "generators"),
+        ("kappa", {"generators": huge, "params": {"n": 5}}, *overflow),
+        ("critical-exponent", {"generators": huge, "params": {"n_max": 5}}, *overflow),
+        ("limit-set", {"generators": huge, "params": {"n": 5}}, *overflow),
+        ("orbit", {"generators": huge, "params": {"n": 5}}, *overflow),
+        ("conicality", {"generators": huge, "params": {"z": [1, 0], "n": 5}}, *overflow),
+        ("count-geodesics", {"generators": huge, "params": {"n_max": 5}}, *overflow),
+        ("limit-cone", {"generators": huge, "params": {"n": 5}}, *overflow),
+        # the radius-2 ball is finite; only the word alpha = a^4 overflows
+        ("quasi-invariance", {"generators": huge, "params": {"alpha": [1, 1, 1, 1], "n": 2}},
+         *overflow),
     ):
         bad.write_text(json.dumps({"dimension": 2, **config}))
         result = runner.invoke(cli.main, [command, "--config", str(bad),

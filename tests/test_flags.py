@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pslab import _kernels, cartan, cocycle, flags, matgroup, presets
-from pslab.errors import InsufficientGap, NonUnimodular, NotProximal, ThetaMismatch
+from pslab.errors import InsufficientGap, NotProximal, ThetaMismatch
 
 
 def test_qr_positive_orthonormal_and_deterministic(rng):
@@ -12,9 +12,27 @@ def test_qr_positive_orthonormal_and_deterministic(rng):
     assert np.allclose(Q, _kernels.qr_positive(M))
 
 
-def test_flag_rejects_non_orthonormal_frame():
-    with pytest.raises(ValueError):
-        flags.Flag((1,), np.array([[2.0, 0.0], [0.0, 1.0]]))
+def test_flag_producers_give_orthonormal_frames(rng):
+    # Flag does not check its frames: each producer makes them orthonormal
+    def frames(F):
+        return F.frame.reshape(-1, F.dimension, F.dimension)
+
+    produced = []
+    for P, theta in ((presets.fuchsian_schottky(1.6), (1,)),
+                     (presets.sl3_zariski_dense(), (1, 2))):
+        d = P.dimension
+        mats = matgroup.word_spheres(P, 4)[1:].mats
+        stacked, ok = flags.u_theta(mats, theta)
+        single = flags.u_theta(mats[-1], theta)
+        produced += [stacked, single,
+                     flags.make_flag(theta, rng.normal(size=(d, d))),
+                     flags.apply_matrix(mats[-1], single),
+                     flags.apply_matrix(mats[ok], stacked),
+                     flags.attracting_fixed_flag(P.word_matrix((1, 2)), theta),
+                     flags.sample_limit_set(P, theta, 4)[0]]
+    for F in produced:
+        gram = np.swapaxes(frames(F), -1, -2) @ frames(F)
+        assert len(gram) and np.abs(gram - np.eye(F.dimension)).max() <= 1e-12
 
 
 def test_u_theta_of_diagonal_is_coordinate_flag():
@@ -24,8 +42,13 @@ def test_u_theta_of_diagonal_is_coordinate_flag():
 
 
 def test_u_theta_insufficient_gap():
-    with pytest.raises(InsufficientGap):
+    with pytest.raises(InsufficientGap) as exc:
         flags.u_theta(np.eye(3), (1, 2))
+    assert (exc.value.k, exc.value.value) == (1, 0.0)
+    # the first k of theta whose gap fails is named
+    with pytest.raises(InsufficientGap) as exc:
+        flags.u_theta(np.diag([4.0, 1.0, 0.5, 0.5]), (1, 2, 3))
+    assert exc.value.k == 3 and abs(exc.value.value) < 1e-15
 
 
 def test_apply_matrix_moves_spans(sl3):
@@ -149,16 +172,6 @@ def test_stacked_flag_layer_equals_single_calls(P, theta, monkeypatch):
         assert np.array_equal(nus[i], cartan.jordan_spliced(M, M_inv))
     empty, none_ok = flags.u_theta(mats[:0], theta)
     assert len(empty) == 0 and none_ok.shape == (0,)
-    skewed = mats[ok].copy()
-    skewed[5] *= 1.1
-    with pytest.raises(NonUnimodular):
-        flags.u_theta(skewed, theta)
-    skewed = mats[ok].copy()
-    skewed[-1] *= 1.1
-    with pytest.raises(NonUnimodular):
-        flags.u_theta(skewed, theta)
-    with pytest.raises(NonUnimodular):
-        cocycle.iwasawa(skewed, F)
 
 
 @pytest.mark.parametrize("P, theta, n", [(presets.parabolic(), (1,), 12),

@@ -9,7 +9,8 @@ import pytest
 
 from pslab import cartan, matgroup, patterson, presets
 from pslab.errors import BadIndex, BudgetExceeded, NotFree
-from words import random_words, reduce_word, word_key
+from pslab.matgroup import reduce_word
+from words import random_words, word_key
 
 
 def test_word_reduction_and_inversion():

@@ -188,6 +188,15 @@ def test_subgroup_presentation_labels(sl2):
     assert np.allclose(P0.generators[1], sl2.word_matrix((2, 1, -2)), atol=1e-12)
 
 
+def test_subgroup_generators_from_reduced_words():
+    # a^9 a^-9 b is the element b: its generator carries no rounding of the
+    # cancelled letters, so it passes the determinant check bit for bit
+    P = presets.fuchsian_schottky(1.6)
+    P0 = patterson.subgroup_presentation(P, [[1] * 9 + [-1] * 9 + [2]])
+    assert np.array_equal(P0.generators[0], P.word_matrix((2,)))
+    assert P0.labels == ["b"]
+
+
 def test_entropy_drop_gap_positive():
     P = presets.fuchsian_schottky(1.6)
     report = patterson.entropy_drop_experiment(P, [[1]], ALPHA1_2, 6, (1,))

@@ -1,18 +1,7 @@
-"""Word helpers for tests: free reduction, canonical sort keys and random words.
+"""Word helpers for tests: canonical sort keys and random words.
 
 Words are tuples of signed 1-based generator indices, as in ``pslab.matgroup``.
 """
-
-
-def reduce_word(word):
-    """The freely reduced form of a word."""
-    out = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def word_key(word):
