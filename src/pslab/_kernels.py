@@ -444,15 +444,13 @@ def qr_positive_2x2(x):
 # ---------------------------------------------------------------------------
 # greedy covering counts (box dimension)
 
-METRIC_EUCLIDEAN = 0
-METRIC_CHORDAL = 1  # rows are unit vectors; dist = sin(angle), antipodes identified
-
-
-def greedy_cover_count(features, eps, metric=METRIC_EUCLIDEAN):
+def greedy_cover_count(features, eps):
     """Number of eps-balls a first-fit greedy pass needs to cover the rows.
 
-    Deterministic: points are scanned in the given (canonical) order.  A row
-    becomes a centre iff no earlier centre lies within eps of it.  The sweep
+    The rows are unit vectors, and the distance of two rows is the sine of
+    the angle between their lines, so antipodes coincide.  Deterministic:
+    points are scanned in the given (canonical) order.  A row becomes a
+    centre iff no earlier centre lies within eps of it.  The sweep
     runs once per centre: the first remaining row is a centre, and one
     vectorised distance call drops every remaining row within eps of it.
     The work is O(rows * centres) in a few numpy calls per centre.
@@ -461,13 +459,10 @@ def greedy_cover_count(features, eps, metric=METRIC_EUCLIDEAN):
     count = 0
     while rest.shape[0]:
         center, rest = rest[0], rest[1:]
-        if metric == METRIC_CHORDAL:
-            # a per-pair sum, whose bits do not depend on how many rows
-            # share the call (a BLAS matrix-vector product's may)
-            dot = np.clip((rest * center).sum(axis=1), -1.0, 1.0)
-            dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
-        else:
-            dists = np.linalg.norm(rest - center, axis=1)
+        # a per-pair sum, whose bits do not depend on how many rows share
+        # the call (a BLAS matrix-vector product's may)
+        dot = np.clip((rest * center).sum(axis=1), -1.0, 1.0)
+        dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
         rest = rest[~(dists <= eps)]
         count += 1
     return count

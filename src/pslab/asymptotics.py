@@ -113,44 +113,40 @@ class BoxDimension:
     counts: np.ndarray
 
 
-def _canonical_features(points, metric):
+def _canonical_features(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise BadIndex("points must be a 2-d array of coordinates")
     if not np.isfinite(pts).all():
         raise BadIndex("points must be finite")
-    if metric == _kernels.METRIC_CHORDAL:
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        if not norms.all():
-            raise BadIndex("chordal points must be nonzero directions")
-        pts = pts / norms
-        # antipode identification: fix the sign of the leading nonzero entry
-        lead = pts[np.arange(len(pts)), np.argmax(np.abs(pts) > 1e-12, axis=1)]
-        pts = pts * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    if not norms.all():
+        raise BadIndex("points must be nonzero directions")
+    pts = pts / norms
+    # antipode identification: fix the sign of the leading nonzero entry
+    lead = pts[np.arange(len(pts)), np.argmax(np.abs(pts) > 1e-12, axis=1)]
+    pts = pts * np.where(lead < 0.0, -1.0, 1.0)[:, None]
     # dedup + canonical order makes the greedy cover permutation-invariant
     return np.unique(np.round(pts, 12), axis=0)
 
 
-def box_counting_dimension(points, scale_grid=None, metric="chordal"):
+def box_counting_dimension(points, scale_grid=None):
     """Slope of log(cover count) against log(1/scale) by greedy ball covering.
 
-    ``metric`` is "chordal" (rows are projective directions, distance is the
-    sine of the line angle) or "euclidean".  Points are deduplicated and
-    canonically ordered first.  Raises DegenerateScales when the covering
-    saturates at the sample size on more than 40% of the scales.
+    The rows are projective directions, and the distance of two of them is
+    the sine of their line angle (the chordal metric).  Points are
+    deduplicated and canonically ordered first.  Raises DegenerateScales
+    when the covering saturates at the sample size on more than 40% of the
+    scales.
     """
-    met = {"chordal": _kernels.METRIC_CHORDAL,
-           "euclidean": _kernels.METRIC_EUCLIDEAN}.get(metric)
-    if met is None:
-        raise BadIndex(f"unknown metric {metric!r}")
-    feats = _canonical_features(points, met)
+    feats = _canonical_features(points)
     if scale_grid is None:
         scale_grid = np.geomspace(0.3, 0.003, 10)
     scale_grid = np.asarray(scale_grid, dtype=float)
     if scale_grid.size < 5:
         raise BadIndex("scale grid needs at least 5 scales")
     counts = np.array(
-        [_kernels.greedy_cover_count(feats, eps, met) for eps in scale_grid]
+        [_kernels.greedy_cover_count(feats, eps) for eps in scale_grid]
     )
     n = len(feats)
     if n > 1:
@@ -180,7 +176,7 @@ def hausdorff_vs_exponent_experiment(P, n_max, theta=None, scale_grid=None):
     if not len(samples):
         raise WindowEmpty("limit-set sample is empty")
     lines = np.ascontiguousarray(samples.frame[:, :, 0])
-    box = box_counting_dimension(lines, scale_grid, metric="chordal")
+    box = box_counting_dimension(lines, scale_grid)
     return {
         "delta_hat": est.delta_hat,
         "delta_residual": est.residual,

@@ -16,15 +16,21 @@ def require_unimodular(A):
     """Return the square matrix A as floats after its unit-determinant check.
 
     The allowance grows with eps times the product of A's column norms, the
-    determinant's rounding scale (Hadamard's bound).  Only generators are
-    checked: the products of checked generators lie in SL(d) too.
+    determinant's rounding scale (Hadamard's bound).  The norms and their
+    product are taken without squaring an entry or multiplying the norms, so
+    neither overflows; an allowance or a determinant that does is a
+    rejection.  Only generators are checked: the products of checked
+    generators lie in SL(d) too.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
         raise NonUnimodular(None)
-    det = np.linalg.det(A)
-    hadamard = np.prod(np.sqrt((A * A).sum(axis=0)))
-    if abs(det - 1.0) > max(DET_TOLERANCE, 64 * len(A) * np.finfo(float).eps * hadamard):
+    with np.errstate(over="ignore", divide="ignore"):
+        det = np.linalg.det(A)
+        log_hadamard = np.log(np.hypot.reduce(A, axis=0)).sum()
+        allowance = np.exp(np.log(64 * len(A) * np.finfo(float).eps) + log_hadamard)
+    # an overflowed allowance or determinant fails
+    if not abs(det - 1.0) <= max(DET_TOLERANCE, allowance) < np.inf:
         raise NonUnimodular(float(det))
     return A
 
@@ -42,8 +48,9 @@ def kappa(A):
         sigma = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    if (sigma[..., -1] <= 0.0).any():
-        raise DecompositionFailure("vanishing singular value")
+    # the smallest value may vanish and the largest overflow; NaN fails both
+    if not ((sigma[..., -1] > 0.0) & (sigma[..., 0] < np.inf)).all():
+        raise DecompositionFailure("vanishing or non-finite singular value")
     logs = np.log(sigma)
     return logs - logs.mean(axis=-1, keepdims=True)
 
@@ -56,8 +63,8 @@ def jordan(A):
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
     moduli = np.sort(np.abs(eigvals))[..., ::-1]
-    if (moduli[..., -1] <= 0.0).any():
-        raise DecompositionFailure("vanishing eigenvalue modulus")
+    if not ((moduli[..., -1] > 0.0) & (moduli[..., 0] < np.inf)).all():
+        raise DecompositionFailure("vanishing or non-finite eigenvalue modulus")
     logs = np.log(moduli)
     return logs - logs.mean(axis=-1, keepdims=True)
 

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -51,6 +52,16 @@ def _validator():
     return jsonschema.Draft202012Validator(load_schema())
 
 
+def _floats(value, path):
+    """(path, x) for every float x in a parsed JSON value, in document order."""
+    if isinstance(value, float):
+        yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _floats(item, path + (key,))
+
+
 def validate_config(config):
     from jsonschema.exceptions import best_match
 
@@ -60,6 +71,10 @@ def validate_config(config):
         # the schema's only "not" rejects a field the command does not read
         message = "not read by this command" if error.validator == "not" else error.message
         raise ConfigInvalid(path, message) from error
+    # json.load reads NaN and Infinity, and the schema's "number" admits them
+    for path, x in _floats(config, ()):
+        if not math.isfinite(x):
+            raise ConfigInvalid(".".join(map(str, path)), "must be a finite number")
 
 
 def build_presentation(config):

@@ -23,10 +23,6 @@ class BadIndex(PslabError):
     pass
 
 
-class NotFree(PslabError):
-    pass
-
-
 class BudgetExceeded(PslabError):
     pass
 

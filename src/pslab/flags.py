@@ -74,7 +74,8 @@ def u_theta(A, theta):
     for a in range(0, len(stack), matgroup.BLOCK_ROWS):
         b = min(a + matgroup.BLOCK_ROWS, len(stack))
         U, gaps = _left_singular_gaps(stack[a:b], theta)
-        failed = gaps <= GAP_TOLERANCE
+        # a NaN gap fails the test
+        failed = ~(gaps > GAP_TOLERANCE)
         if single and failed.any():
             i = int(np.argmax(failed[0]))
             raise InsufficientGap(theta[i], gaps[0, i])

@@ -12,27 +12,25 @@ canonical order, so each sphere is a contiguous block of rows and a parent
 row always precedes its children.  Words are rebuilt from ``parent`` and
 ``letter`` only where a label or a word is needed.
 
-Every ball is enumerated by one ``_BallWalk``, which hands out the matrices
-block by block.  ``word_spheres`` keeps them; paths that only need values of
+Every presentation is enumerated as a free group: a ball holds one row per
+freely reduced word, whether or not two words give the same matrix.  Every
+ball is enumerated by one ``_BallWalk``, which hands out the matrices block
+by block.  ``word_spheres`` keeps them; paths that only need values of
 the matrices (spliced Cartan vectors, flags) read each block as it comes
 and keep a words-only ball, whose ``mats`` and ``inv_mats`` are None.
 """
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, cartan
-from .errors import (BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailure,
-                     NonUnimodular, NotFree)
+from .errors import BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailure, NonUnimodular
 
 # the most elements a ball walk may write
 ELEMENT_CAP = 5_000_000
-# entry rounding under which two matrices of a non-free ball coincide
-DEDUP_TOLERANCE = 1e-8
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
 # rows per block of a ball walk, of batch_kappa and of a u_theta stack: the
@@ -50,7 +48,6 @@ class GroupPresentation:
     dimension: int
     generators: list
     labels: list = None
-    assume_free: bool = True
 
     def __post_init__(self):
         if not self.generators:
@@ -188,14 +185,14 @@ class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
     Making a walk checks the element cap and allocates the whole-ball
-    ``parent`` and ``letter`` arrays: ``rows`` rows, exact for a free
-    presentation and an upper bound otherwise.  Iterating fills them and
-    yields ``(lo, mats, inv_mats)``, the products of ball rows lo:lo +
-    len(mats), in blocks of BLOCK_ROWS rows (the last one shorter) that may
-    span spheres; the next block overwrites these arrays.  The walk keeps the
-    matrices of the parent sphere and of the sphere being written, and never
-    those of sphere n; with keep_matrices it keeps every sphere's, in the
-    whole-ball ``products`` (forward products first, inverse ones second).
+    ``parent`` and ``letter`` arrays of ``rows`` rows, the free-group ball
+    size.  Iterating fills them and yields ``(lo, mats, inv_mats)``, the
+    products of ball rows lo:lo + len(mats), in blocks of BLOCK_ROWS rows
+    (the last one shorter) that may span spheres; the next block overwrites
+    these arrays.  The walk keeps the matrices of the parent sphere and of
+    the sphere being written, and never those of sphere n; with
+    keep_matrices it keeps every sphere's, in the whole-ball ``products``
+    (forward products first, inverse ones second).
     A walk is iterated once; after that ``ball()`` is the WordBall of the
     walked rows.  A block whose products overflowed raises DecompositionFailure.
 
@@ -203,23 +200,16 @@ class _BallWalk:
     per step: a step broadcasts a run of parent products over their rows of
     a table of child letters, two matmul calls writing straight into the
     block, and a parent whose children straddle the block's end is split
-    between two steps.  For non-free
-    presentations the cap is checked against the running total plus the next
-    sphere's candidate count before that sphere is written; elements whose
-    matrices coincide (rounded to DEDUP_TOLERANCE) with an earlier element are
-    dropped, with a warning recording the merge count.
+    between two steps.
     """
 
     def __init__(self, P, n, keep_matrices=False):
         if n < 0:
             raise BadIndex("n must be >= 0")
-        self.P, self.n, self.cap = P, n, ELEMENT_CAP
-        # exact for a free presentation, an upper bound otherwise; a non-free
-        # ball is checked sphere by sphere, but its identity needs a row
-        rows = free_ball_size(P.rank, n)
-        if rows > self.cap and (P.assume_free or self.cap < 1):
-            raise BudgetExceeded(f"element count exceeds cap {self.cap}")
-        self.rows = rows = min(rows, self.cap)
+        self.P, self.n = P, n
+        self.rows = rows = free_ball_size(P.rank, n)
+        if rows > ELEMENT_CAP:
+            raise BudgetExceeded(f"element count exceeds cap {ELEMENT_CAP}")
         d = P.dimension
         self.parent, self.letter = np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int8)
         self.products = np.empty((2, rows, d, d)) if keep_matrices else None
@@ -255,9 +245,6 @@ class _BallWalk:
         tables = [(alphabet[None], inv_alphabet[None], letters[None]),
                   (alphabet[allowed], inv_alphabet[allowed], letters[allowed])]
 
-        def dedup_keys(M):
-            return np.round(M / DEDUP_TOLERANCE).astype(np.int64)
-
         parent, letter, offsets, products = self.parent, self.letter, self.offsets, self.products
         buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
 
@@ -270,18 +257,14 @@ class _BallWalk:
         parent[0], letter[0] = -1, 0
         fill = 1  # rows of the block written so far
         sphere = block[:, :1].copy()
-        seen = None if P.assume_free else {dedup_keys(block[0, :1])[0].tobytes()}
-        merged = 0
         for k in range(1, n + 1):
             fwd_tab, inv_tab, let_tab = tables[k > 1]
             c = let_tab.shape[1]  # children per parent
             start, lo = offsets[-2], offsets[-1]
-            hi = lo + (lo - start) * c
-            if hi > self.cap:
-                raise BudgetExceeded(f"element count exceeds cap {self.cap}")
             # the parents of sphere k + 1, unless the whole ball is kept; sphere
             # n's only copy is the block
-            store = np.empty((2, hi - lo, d, d)) if products is None and k < n else None
+            store = (np.empty((2, (lo - start) * c, d, d))
+                     if products is None and k < n else None)
             a = lo
             # children in canonical order: by parent row, then by letter; the
             # next one is child j of parent row p
@@ -314,22 +297,11 @@ class _BallWalk:
                     j += rows
                     if j == c:
                         p, j = p + 1, 0
-                if seen is not None:
-                    keep = np.ones(rows, dtype=bool)
-                    for r, code in enumerate(dedup_keys(out[0])):
-                        code = code.tobytes()
-                        keep[r] = code not in seen
-                        seen.add(code)
-                    merged += int(np.count_nonzero(~keep))
-                    parents, lets = parents[keep], lets[keep]
-                    out = block[:, fill:fill + len(parents)]
-                    out[...] = block[:, fill:fill + rows][:, keep]
-                b = a + len(parents)
-                parent[a:b], letter[a:b] = parents, lets
+                parent[a:a + rows], letter[a:a + rows] = parents, lets
                 if store is not None:
-                    store[:, a - lo:b - lo] = out
-                fill += b - a
-                a = b
+                    store[:, a - lo:a - lo + rows] = out
+                fill += rows
+                a += rows
                 if fill == BLOCK_ROWS:
                     _require_finite(block)
                     yield a - fill, block[0], block[1]
@@ -337,36 +309,25 @@ class _BallWalk:
                     fill = 0
             offsets.append(a)
             if store is not None:
-                sphere = store[:, :a - lo]
+                sphere = store
             elif products is not None:
                 sphere = products[:, lo:a]
         if fill:
             _require_finite(block[:, :fill])
             yield offsets[-1] - fill, block[0, :fill], block[1, :fill]
-        if merged:
-            warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
 
     def ball(self):
         """The walked rows as a WordBall, words only unless the walk kept matrices."""
-        products, parent, letter = self.products, self.parent, self.letter
-        end = self.offsets[-1]
-        if end < self.rows:
-            # only a non-free ball can end short; its rows were deduplicated
-            # one by one in Python, so the copy is small
-            parent, letter = parent[:end].copy(), letter[:end].copy()
-            if products is not None:
-                products = products[:, :end].copy()
-        mats, inv_mats = (None, None) if products is None else products
-        return WordBall(mats, inv_mats, parent, letter, np.array(self.offsets), 0,
-                        (letter, parent))
+        mats, inv_mats = (None, None) if self.products is None else self.products
+        return WordBall(mats, inv_mats, self.parent, self.letter, np.array(self.offsets), 0,
+                        (self.letter, self.parent))
 
 
 def word_spheres(P, n):
     """Freely reduced word spheres 0..n with matrices, as one WordBall.
 
     The ball's arrays are allocated once, after the cap check, and a
-    _BallWalk writes every row into them; see there for the cap of non-free
-    presentations and their merged words.
+    _BallWalk writes every row into them.
     """
     walk = _BallWalk(P, n, keep_matrices=True)
     for _ in walk:
@@ -401,15 +362,12 @@ def conjugacy_classes(P, n, primitive_only=False):
     words.  A cyclically reduced word represents its class when no rotation
     (all lie in its sorted sphere) is smaller; with primitive_only, when each
     is larger, as a word equal to a rotation is a proper power.  gamma and
-    gamma^-1 give distinct classes.  Only valid for free presentations
-    (raises NotFree otherwise).
+    gamma^-1 give distinct classes.
 
     Words are compared as byte strings of letter codes, taken once per
     sphere: rotation i of a word is bytes i:i + k of the word written twice,
     and the inverse word is the reversed codes, each inverted.
     """
-    if not P.assume_free:
-        raise NotFree("conjugacy enumeration by cyclic words needs a free presentation")
     ball = word_spheres(P, n)
     keep = np.zeros(len(ball), dtype=bool)
     inverse = np.zeros(len(ball), dtype=np.intp)

@@ -67,8 +67,7 @@ def _walk_ball(P, n, flag_spheres=-1, theta=None):
     walk = matgroup._BallWalk(P, n)
     d = P.dimension
     K = np.empty((walk.rows, d))
-    flag_rows = (min(matgroup.free_ball_size(P.rank, flag_spheres), walk.rows)
-                 if flag_spheres >= 0 else 0)
+    flag_rows = matgroup.free_ball_size(P.rank, flag_spheres) if flag_spheres >= 0 else 0
     frames, ok = np.empty((flag_rows, d, d)), np.empty(flag_rows, dtype=bool)
     kept = 0
     for lo, mats, inv_mats in walk:
@@ -79,8 +78,7 @@ def _walk_ball(P, n, flag_spheres=-1, theta=None):
             ok[lo:lo + len(good)] = good
             frames[kept:kept + len(F)] = F.frame
             kept += len(F)
-    ball = walk.ball()
-    return ball, K[:len(ball)], (frames[:kept], ok[:ball.offsets[flag_spheres + 1]])
+    return walk.ball(), K, (frames[:kept], ok)
 
 
 def _sphere_values(phi, theta, K):
@@ -174,16 +172,11 @@ def _sphere_sums(values, offsets, s):
     fewer than two do.
     """
     terms = np.exp(-s * values)
-    sizes = np.diff(offsets)
     # reduceat adds a segment as t[0] + (t[1] + ...), while ndarray.sum adds
     # fewer than 8 elements left to right and more pairwise; the two agree on
-    # spheres of up to two rows, so longer ones are summed one by one.  The
-    # segments start only at non-empty spheres (of a non-free ball, some are
-    # empty), so each ends where the next non-empty sphere starts.
-    nonempty = sizes > 0
-    sums = np.zeros(len(sizes))
-    sums[nonempty] = np.add.reduceat(terms, offsets[:-1][nonempty])
-    for j in np.flatnonzero(sizes > 2):
+    # spheres of up to two rows, so longer ones are summed one by one
+    sums = np.add.reduceat(terms, offsets[:-1])
+    for j in np.flatnonzero(np.diff(offsets) > 2):
         sums[j] = terms[offsets[j]:offsets[j + 1]].sum()
     inc = sums[1:]
     inc = inc[inc > 0]
@@ -200,13 +193,10 @@ def _certified_rmax(values, offsets, n_max):
     Uses the minimal observed per-letter displacement m = min phi/|word|;
     the ball of radius n_max then contains every element below n_max * m.
     """
-    lengths = np.flatnonzero(np.diff(offsets))
-    lengths = lengths[lengths > 0]
-    if not lengths.size:
+    if len(offsets) < 3:
         raise WindowEmpty("no non-identity elements enumerated")
-    # the spheres between two non-empty ones are empty, so each segment is
-    # one sphere
-    return n_max * (np.minimum.reduceat(values, offsets[lengths]) / lengths).min()
+    lengths = np.arange(1, len(offsets) - 1)
+    return n_max * (np.minimum.reduceat(values, offsets[1:-1]) / lengths).min()
 
 
 def _sphere_regression(values, offsets, n_max):
@@ -351,8 +341,7 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
         ok[rows] = good
         residuals[rows][good] = np.abs(shifted[good] - base[good]
                                        - phi(cocycle.iwasawa(alpha_inv, F)))
-    ball = walk.ball()
-    residuals, ok, ball = residuals[1:len(ball)], ok[1:len(ball)], ball[1:]
+    residuals, ok, ball = residuals[1:], ok[1:], walk.ball()[1:]
     stats = []
     for j, (arr, keep) in enumerate(zip(ball.split(residuals), ball.split(ok)), 1):
         arr = arr[keep]
@@ -386,7 +375,7 @@ def subgroup_presentation(P, words):
     words = [matgroup.reduce_word(w) for w in words]
     mats = [P.word_matrix(w) for w in words]
     labels = [P.word_label(w) for w in words]
-    return matgroup.GroupPresentation(P.dimension, mats, labels=labels, assume_free=True)
+    return matgroup.GroupPresentation(P.dimension, mats, labels=labels)
 
 
 def entropy_drop_experiment(P, subgroup_words, phi, n_max, theta=None):

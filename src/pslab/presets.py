@@ -59,8 +59,7 @@ def sanov_gamma2():
 def sym_power_presentation(P, d):
     """Image of a 2x2 presentation under the d-dimensional irreducible rep."""
     gens = [matgroup.symmetric_power_rep(g, d) for g in P.generators]
-    return matgroup.GroupPresentation(d, gens, labels=list(P.labels),
-                                      assume_free=P.assume_free)
+    return matgroup.GroupPresentation(d, gens, labels=list(P.labels))
 
 
 def schottky_so21(s=2.0):

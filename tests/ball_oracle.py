@@ -6,53 +6,31 @@ the splice runs once over the whole stack.  The block-filled versions must
 reproduce these arrays bit for bit.
 """
 
-import warnings
-
 import numpy as np
 
 from pslab import _kernels, matgroup
-from pslab.errors import BudgetExceeded
 
 
 def word_spheres_reference(P, n):
     """Word spheres 0..n of P as one WordBall, built sphere by sphere."""
-    cap = matgroup.ELEMENT_CAP
     letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
                        dtype=np.int8)
     alphabet = np.stack(P._alphabet)
     inv_alphabet = alphabet[np.arange(len(letters)) ^ 1]
 
-    def dedup_keys(M):
-        return np.round(M / matgroup.DEDUP_TOLERANCE).astype(np.int64)
-
     eye = np.eye(P.dimension)[None]
     mats, inv_mats = [eye], [eye]
     parents, lasts = [np.full(1, -1, dtype=np.int32)], [np.zeros(1, dtype=np.int8)]
     offsets = [0, 1]
-    seen = None if P.assume_free else {dedup_keys(eye)[0].tobytes()}
-    merged = 0
     for _ in range(n):
-        allowed = letters[None, :] != -lasts[-1][:, None]
-        if offsets[-1] + np.count_nonzero(allowed) > cap:
-            raise BudgetExceeded(f"element count exceeds cap {cap}")
-        pi, li = np.nonzero(allowed)
+        pi, li = np.nonzero(letters[None, :] != -lasts[-1][:, None])
         M = np.matmul(mats[-1][pi], alphabet[li])
         Minv = np.matmul(inv_alphabet[li], inv_mats[-1][pi])
-        if seen is not None:
-            keep = np.ones(len(M), dtype=bool)
-            for i, key in enumerate(dedup_keys(M)):
-                key = key.tobytes()
-                keep[i] = key not in seen
-                seen.add(key)
-            merged += int(np.count_nonzero(~keep))
-            pi, li, M, Minv = pi[keep], li[keep], M[keep], Minv[keep]
         parents.append((pi + offsets[-2]).astype(np.int32))
         lasts.append(letters[li])
         mats.append(M)
         inv_mats.append(Minv)
         offsets.append(offsets[-1] + len(M))
-    if merged:
-        warnings.warn(f"word enumeration merged {merged} matrix-coincident words")
     parent, letter = np.concatenate(parents), np.concatenate(lasts)
     return matgroup.WordBall(np.concatenate(mats), np.concatenate(inv_mats), parent,
                              letter, np.array(offsets), 0, (letter, parent))

@@ -7,23 +7,19 @@ so its count is the first-fit count the per-centre sweep must reproduce.
 
 import numpy as np
 
-from pslab._kernels import METRIC_CHORDAL, METRIC_EUCLIDEAN
 
+def greedy_cover_count_reference(features, eps):
+    """Number of eps-balls a first-fit greedy pass needs to cover the unit rows.
 
-def greedy_cover_count_reference(features, eps, metric=METRIC_EUCLIDEAN):
-    """Number of eps-balls a first-fit greedy pass needs to cover the rows.
-
-    Deterministic: points are scanned in the given (canonical) order.
+    The distance is the sine of the line angle.  Deterministic: points are
+    scanned in the given (canonical) order.
     """
     features = np.asarray(features, dtype=float)
     centers = np.empty((0, features.shape[1]))
     for row in features:
         if centers.shape[0]:
-            if metric == METRIC_CHORDAL:
-                dot = np.clip(centers @ row, -1.0, 1.0)
-                dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
-            else:
-                dists = np.linalg.norm(centers - row, axis=1)
+            dot = np.clip(centers @ row, -1.0, 1.0)
+            dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
             if dists.min() <= eps:
                 continue
         centers = np.vstack([centers, row])

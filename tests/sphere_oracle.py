@@ -15,7 +15,7 @@ from pslab.patterson import WINDOW_DROP_HIGH, WINDOW_DROP_LOW, ExponentEstimate
 
 def sphere_sums_reference(values_by_sphere, s):
     """Per-sphere sums of exp(-s * v) and their outer-half log-slope."""
-    sums = np.array([np.exp(-s * v).sum() if v.size else 0.0 for v in values_by_sphere])
+    sums = np.array([np.exp(-s * v).sum() for v in values_by_sphere])
     inc = sums[1:]
     inc = inc[inc > 0]
     if inc.size < 2:
@@ -27,8 +27,7 @@ def sphere_sums_reference(values_by_sphere, s):
 
 def certified_rmax_reference(values_by_sphere, n_max):
     """n_max times the least phi per letter over the non-identity spheres."""
-    ratios = [vals.min() / length for length, vals in enumerate(values_by_sphere)
-              if length > 0 and vals.size > 0]
+    ratios = [vals.min() / length for length, vals in enumerate(values_by_sphere) if length > 0]
     if not ratios:
         raise WindowEmpty("no non-identity elements enumerated")
     return n_max * min(ratios)
@@ -36,7 +35,7 @@ def certified_rmax_reference(values_by_sphere, n_max):
 
 def sphere_regression_reference(values_by_sphere, n_max):
     """Slope of the log orbit counts over the certified window."""
-    flat = np.concatenate([v for v in values_by_sphere[1:] if v.size])
+    flat = np.concatenate(values_by_sphere[1:])
     if flat.size == 0:
         raise WindowEmpty("no elements to regress on")
     r_max = certified_rmax_reference(values_by_sphere, n_max)

@@ -236,11 +236,12 @@ def test_dimension_comparison():
 
 
 def test_dimension_cantor_control():
+    # unit vectors at angles x, x in the middle-thirds Cantor set: the sine
+    # of an angle below 0.1 is the angle within 0.2%
     digits = np.array(list(itertools.product([0, 2], repeat=12)), dtype=float)
-    scales = 3.0 ** -np.arange(1, 13)
-    points = (digits @ scales).reshape(-1, 1)
-    box = asymptotics.box_counting_dimension(
-        points, np.geomspace(0.1, 0.001, 8), metric="euclidean")
+    angles = digits @ 3.0 ** -np.arange(1, 13)
+    points = np.c_[np.cos(angles), np.sin(angles)]
+    box = asymptotics.box_counting_dimension(points, np.geomspace(0.1, 0.001, 8))
     assert abs(box.dimension - np.log(2.0) / np.log(3.0)) <= 0.05
 
 

@@ -75,23 +75,22 @@ def test_count_log_slope_positive():
 def test_box_dimension_of_uniform_circle_sample():
     ang = np.linspace(0.0, np.pi, 2000, endpoint=False)
     pts = np.c_[np.cos(ang), np.sin(ang)]
-    box = asymptotics.box_counting_dimension(pts, np.geomspace(0.2, 0.01, 6),
-                                             metric="chordal")
+    box = asymptotics.box_counting_dimension(pts, np.geomspace(0.2, 0.01, 6))
     assert abs(box.dimension - 1.0) < 0.1
 
 
 def test_box_dimension_single_point_is_zero():
-    pts = np.tile([0.6, 0.8], (50, 1))
-    box = asymptotics.box_counting_dimension(pts, metric="euclidean")
+    # one direction and its antipode: one line
+    pts = np.tile([[0.6, 0.8], [-0.6, -0.8]], (25, 1))
+    box = asymptotics.box_counting_dimension(pts)
     assert box.dimension == 0.0
 
 
 def test_box_dimension_permutation_invariant(rng):
     pts = rng.normal(size=(300, 3))
     grid = np.geomspace(0.5, 0.05, 6)
-    a = asymptotics.box_counting_dimension(pts, grid, metric="chordal")
-    b = asymptotics.box_counting_dimension(pts[rng.permutation(300)], grid,
-                                           metric="chordal")
+    a = asymptotics.box_counting_dimension(pts, grid)
+    b = asymptotics.box_counting_dimension(pts[rng.permutation(300)], grid)
     assert np.array_equal(a.counts, b.counts)
 
 
@@ -100,8 +99,8 @@ def test_box_dimension_antipode_identification():
     pts = np.c_[np.cos(ang), np.sin(ang)]
     doubled = np.vstack([pts, -pts])
     grid = np.geomspace(0.3, 0.03, 5)
-    a = asymptotics.box_counting_dimension(pts, grid, metric="chordal")
-    b = asymptotics.box_counting_dimension(doubled, grid, metric="chordal")
+    a = asymptotics.box_counting_dimension(pts, grid)
+    b = asymptotics.box_counting_dimension(doubled, grid)
     assert np.array_equal(a.counts, b.counts)
 
 
@@ -110,13 +109,12 @@ def test_box_dimension_rejects_short_grid():
         asymptotics.box_counting_dimension(np.eye(3), np.array([0.1, 0.01]))
 
 
-@pytest.mark.parametrize("metric", ["chordal", "euclidean"])
-def test_box_dimension_rejects_non_finite_rows(rng, metric):
+def test_box_dimension_rejects_non_finite_rows(rng):
     pts = rng.normal(size=(50, 3))
     for bad in (np.nan, np.inf):
         pts[7, 1] = bad
         with pytest.raises(BadIndex):
-            asymptotics.box_counting_dimension(pts, metric=metric)
+            asymptotics.box_counting_dimension(pts)
 
 
 def test_box_dimension_rejects_zero_chordal_row(rng):
@@ -124,18 +122,14 @@ def test_box_dimension_rejects_zero_chordal_row(rng):
     pts = rng.normal(size=(50, 3))
     pts[7] = 0.0
     with pytest.raises(BadIndex):
-        asymptotics.box_counting_dimension(pts, metric="chordal")
-    # the origin is an ordinary Euclidean point
-    box = asymptotics.box_counting_dimension(pts, np.geomspace(3.0, 0.3, 5),
-                                             metric="euclidean")
-    assert np.all(box.counts >= 1)
+        asymptotics.box_counting_dimension(pts)
 
 
 def test_box_dimension_saturation_raises(rng):
+    # 40 random directions, none within the scales of another
     pts = rng.normal(size=(40, 2))
     with pytest.raises(DegenerateScales):
-        asymptotics.box_counting_dimension(pts, np.geomspace(1e-4, 1e-6, 6),
-                                           metric="euclidean")
+        asymptotics.box_counting_dimension(pts, np.geomspace(1e-4, 1e-6, 6))
 
 
 def test_hausdorff_vs_exponent_small_run():

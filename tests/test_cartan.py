@@ -1,15 +1,40 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from pslab import cartan
-from pslab.errors import AsymmetricTheta, NonUnimodular
+from pslab.errors import AsymmetricTheta, DecompositionFailure, NonUnimodular
 
 
 def test_require_unimodular_rejects_scaled_matrix():
     with pytest.raises(NonUnimodular):
         cartan.require_unimodular(2.0 * np.eye(2))
+
+
+def test_require_unimodular_where_column_squares_overflow():
+    # the squares of a 1e200 column overflow; its norm and the product of
+    # the norms do not, and the determinant is checked against them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (np.diag([1e200, 1e-100]), [[1e160, 0.0], [0.0, 1.0]],
+                  np.diag([1e200, 1e200, 1e-154]), np.diag([1e200, 1e200, 1e200])):
+            with pytest.raises(NonUnimodular):
+                cartan.require_unimodular(A)
+        for A in (np.diag([1e100, 1e-100]), np.diag([1e200, 1e-200])):
+            assert np.array_equal(cartan.require_unimodular(A), A)
+
+
+def test_kappa_rejects_non_finite_matrix():
+    # the SVD of an infinite matrix gives NaN singular values without raising
+    with pytest.raises(DecompositionFailure, match="non-finite"):
+        cartan.kappa([[np.inf, 0.0], [0.0, 1.0]])
+    # a finite matrix whose singular values and eigenvalue moduli overflow
+    A = np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])
+    for projection in (cartan.kappa, cartan.jordan):
+        with pytest.raises(DecompositionFailure, match="non-finite"):
+            projection(A)
 
 
 def test_kappa_diagonal():

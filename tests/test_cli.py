@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -125,13 +126,20 @@ def test_measure_commands_build_one_ball(command, params, radii, tmp_path, monke
     assert built == radii
 
 
+def error_record(result):
+    """The error record of a failed run: exactly one JSON line on stderr."""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    return json.loads(lines[0])
+
+
 def test_cli_exit_codes(tmp_path):
     runner = CliRunner()
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"preset": "sl2-mild", "theta": [0]}))
     result = runner.invoke(cli.main, ["kappa", "--config", str(bad)])
     assert result.exit_code == 2
-    err = json.loads(result.stderr.strip().splitlines()[-1])
+    err = error_record(result)
     assert err["error"] == "ConfigInvalid" and err["path"] == "theta.0"
 
     # out-of-range critical-exponent parameters are config errors
@@ -144,7 +152,7 @@ def test_cli_exit_codes(tmp_path):
         assert result.exit_code == 2
         # no traceback: the run ended through the CLI's own exit, not a raise
         assert isinstance(result.exception, SystemExit)
-        err = json.loads(result.stderr.strip().splitlines()[-1])
+        err = error_record(result)
         assert err["error"] == "ConfigInvalid" and err["path"] == path
 
     # a letter outside +-1..+-rank names the word; an unknown or ill-typed
@@ -180,19 +188,29 @@ def test_cli_exit_codes(tmp_path):
         ("quasi-invariance", {}, "(root)"),
         ("entropy-drop", {}, "(root)"),
         ("conicality", {}, "(root)"),
+        # json.load reads NaN and Infinity, and the schema's "number" admits them
+        ("box-dim", {"params": {"scales": [math.inf, 0.1, 0.05, 0.02, 0.01]}},
+         "params.scales.0"),
+        ("concavity", {"params": {"lambdas": [math.nan]}}, "params.lambdas.0"),
+        ("critical-exponent", {"phi": [math.nan]}, "phi.0"),
+        ("ps-measure", {"params": {"s": math.inf}}, "params.s"),
+        ("conicality", {"params": {"r": math.inf, "z": [1, 0]}}, "params.r"),
+        ("shadow-check", {"params": {"r": math.inf}}, "params.r"),
     ):
         bad.write_text(json.dumps({"preset": "fuchsian-schottky-1", **config}))
         result = runner.invoke(cli.main, [command, "--config", str(bad),
                                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        err = json.loads(result.stderr.strip().splitlines()[-1])
+        err = error_record(result)
         assert err["error"] == "ConfigInvalid" and err["path"] == path
 
     # a config's own generators: a label count other than the generator count,
-    # a ragged matrix, a singular matrix with huge entries and a huge matrix
-    # of determinant 5 are config errors; products whose entries overflow
-    # are one domain error, wherever the product is made
+    # a ragged matrix, a singular matrix with huge entries and huge matrices
+    # of determinant 5, 1e100, 1e160 and 1e246 (whose column squares
+    # overflow) are config errors; products whose entries overflow are one
+    # domain error, wherever the product is made, so the huge generator of
+    # determinant 1 passes
     two = [[[2, 0], [0, 0.5]], [[1, 1], [0, 1]]]
     huge = [[[1e100, 0], [0, 1e-100]]]
     overflow = (3, "DecompositionFailure", None)
@@ -203,6 +221,12 @@ def test_cli_exit_codes(tmp_path):
         ("kappa", {"generators": [[[1e100, 0], [0, 0]]]}, 2, "ConfigInvalid", "generators"),
         ("kappa", {"generators": [[[1e100, 0], [0, 5e-100]]], "params": {"n": 1}}, 2,
          "ConfigInvalid", "generators"),
+        ("kappa", {"generators": [[[1e200, 0], [0, 1e-100]]], "params": {"n": 1}}, 2,
+         "ConfigInvalid", "generators"),
+        ("kappa", {"generators": [[[1e160, 0], [0, 1]]], "params": {"n": 1}}, 2,
+         "ConfigInvalid", "generators"),
+        ("kappa", {"dimension": 3, "generators": [np.diag([1e200, 1e200, 1e-154]).tolist()],
+                   "params": {"n": 1}}, 2, "ConfigInvalid", "generators"),
         ("kappa", {"generators": huge, "params": {"n": 5}}, *overflow),
         ("critical-exponent", {"generators": huge, "params": {"n_max": 5}}, *overflow),
         ("limit-set", {"generators": huge, "params": {"n": 5}}, *overflow),
@@ -219,13 +243,14 @@ def test_cli_exit_codes(tmp_path):
                                           "--out", str(tmp_path / "out")])
         assert result.exit_code == code, config
         assert isinstance(result.exception, SystemExit)
-        err = json.loads(result.stderr.strip().splitlines()[-1])
+        err = error_record(result)
         assert err["error"] == error and err.get("path") == path
 
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     result = runner.invoke(cli.main, ["kappa", "--config", str(notjson)])
     assert result.exit_code == 2
+    assert error_record(result)["path"] == "(root)"
 
     # a domain failure inside the run maps to exit 3
     domain = tmp_path / "domain.json"
@@ -236,7 +261,7 @@ def test_cli_exit_codes(tmp_path):
     result = runner.invoke(cli.main, ["ps-measure", "--config", str(domain),
                                       "--out", str(tmp_path / "out")])
     assert result.exit_code == 3
-    err = json.loads(result.stderr.strip().splitlines()[-1])
+    err = error_record(result)
     assert err["error"] == "SubcriticalS"
 
     # a zero conicality direction names no boundary point
@@ -248,7 +273,7 @@ def test_cli_exit_codes(tmp_path):
                                       "--out", str(tmp_path / "out")])
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)
-    err = json.loads(result.stderr.strip().splitlines()[-1])
+    err = error_record(result)
     assert err["error"] == "BoundaryPoint"
 
 

@@ -51,6 +51,16 @@ def test_u_theta_insufficient_gap():
     assert exc.value.k == 3 and abs(exc.value.value) < 1e-15
 
 
+def test_u_theta_fails_the_gap_test_on_nan_gaps():
+    # an infinite matrix has NaN singular values, so NaN gaps
+    A = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(InsufficientGap) as exc:
+        flags.u_theta(A, (1,))
+    assert exc.value.k == 1 and np.isnan(exc.value.value)
+    F, ok = flags.u_theta(np.stack([A, np.diag([2.0, 0.5])]), (1,))
+    assert ok.tolist() == [False, True] and len(F) == 1
+
+
 def test_apply_matrix_moves_spans(sl3):
     A = sl3.generators[0]
     F = flags.u_theta(sl3.word_matrix((2, 1)), (1, 2))

@@ -293,61 +293,61 @@ def test_greedy_cover_extremes(rng):
     k = 5
     ang = 0.3 * np.arange(k)
     spaced = np.c_[np.cos(ang), np.sin(ang), np.zeros(k)]
-    assert _kernels.greedy_cover_count(spaced, 0.25, _kernels.METRIC_CHORDAL) == k
     assert _kernels.greedy_cover_count(spaced, 0.25) == k
     # one ball of radius above every distance covers everything
     pts = rng.normal(size=(200, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    assert _kernels.greedy_cover_count(pts, 2.1, _kernels.METRIC_CHORDAL) == 1
+    assert _kernels.greedy_cover_count(pts, 2.1) == 1
 
 
-METRICS = [_kernels.METRIC_CHORDAL, _kernels.METRIC_EUCLIDEAN]
+def _random_antipodes(rng, rows, flip):
+    # with flip, each row or its antipode at random: the line, and so every
+    # distance to it, is the same
+    if not flip:
+        return rows
+    return rows * rng.choice([-1.0, 1.0], size=(len(rows), 1))
 
 
-@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("flip", [1, 0])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_greedy_cover_matches_per_row_oracle(metric, d):
+def test_greedy_cover_matches_per_row_oracle(flip, d):
     rng = np.random.default_rng(100 + d)
     for n in (1, 2, 37, 300, 800):
         pts = rng.normal(size=(n, d))
-        if metric == _kernels.METRIC_CHORDAL:
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        flipped = _random_antipodes(rng, pts, flip)
         for eps in (0.003, 0.05, 0.3, 1.0, 2.1):
-            assert (_kernels.greedy_cover_count(pts, eps, metric)
-                    == greedy_cover_count_reference(pts, eps, metric)), (n, eps)
+            count = _kernels.greedy_cover_count(flipped, eps)
+            assert count == greedy_cover_count_reference(flipped, eps), (n, eps)
+            assert count == _kernels.greedy_cover_count(pts, eps), (n, eps)
 
 
-def _exact_rows(d):
-    # rows whose products and partial sums are exact in any order, so each
-    # distance has the same bits in every call: the 24-cell vertices (unit
-    # vectors with dots in {0, +-1/2, +-1}) for d = 4, else a half-integer grid
+def _exact_unit_rows(d):
+    # unit rows whose products and partial sums are exact in any order, so
+    # each distance has the same bits in every call: the 24-cell vertices
+    # (dots in {0, +-1/2, +-1}) for d = 4, else the axes and their antipodes
+    axes = np.vstack([np.eye(d), -np.eye(d)])
     if d == 4:
-        axes = np.vstack([np.eye(4), -np.eye(4)])
         halves = np.array(np.meshgrid(*[[-0.5, 0.5]] * 4)).reshape(4, -1).T
         return np.vstack([axes, halves])
-    return np.array(np.meshgrid(*[np.arange(-3, 4) * 0.5] * d)).reshape(d, -1).T
+    return axes
 
 
-@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("flip", [1, 0])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_greedy_cover_ties_count_as_covered(metric, d):
+def test_greedy_cover_ties_count_as_covered(flip, d):
     # eps set exactly to a pairwise distance: rows at distance eps are
     # covered (<= eps), in the sweep as in the per-row oracle
     rng = np.random.default_rng(200 + d)
-    rows = _exact_rows(d)
-    if metric == _kernels.METRIC_CHORDAL:
-        rows = rows[np.linalg.norm(rows, axis=1) == 1.0]
+    rows = _exact_unit_rows(d)
     for _ in range(5):
-        pts = rows[rng.permutation(len(rows))]
+        pts = _random_antipodes(rng, rows[rng.permutation(len(rows))], flip)
         for j in range(1, min(6, len(pts))):
-            if metric == _kernels.METRIC_CHORDAL:
-                dot = np.clip(pts[:1] @ pts[j], -1.0, 1.0)
-                eps = float(np.sqrt(np.maximum(1.0 - dot * dot, 0.0))[0])
-            else:
-                eps = float(np.linalg.norm(pts[:1] - pts[j], axis=1)[0])
+            dot = np.clip(pts[:1] @ pts[j], -1.0, 1.0)
+            eps = float(np.sqrt(np.maximum(1.0 - dot * dot, 0.0))[0])
             for e in (eps, np.nextafter(eps, 0.0)):
-                assert (_kernels.greedy_cover_count(pts, e, metric)
-                        == greedy_cover_count_reference(pts, e, metric)), (j, e)
+                assert (_kernels.greedy_cover_count(pts, e)
+                        == greedy_cover_count_reference(pts, e)), (j, e)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -366,7 +366,7 @@ def test_greedy_cover_chordal_distance_is_per_pair(d):
         for n, pos in ((2, 1), (9, 5), (64, 37), (203, 200)):
             rows = np.tile(c, (n, 1))
             rows[pos] = x
-            assert _kernels.greedy_cover_count(rows, eps, _kernels.METRIC_CHORDAL) == 1, (n, pos)
+            assert _kernels.greedy_cover_count(rows, eps) == 1, (n, pos)
 
 
 def test_ray_distances_lifted_on_axis(rng):

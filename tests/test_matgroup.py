@@ -1,14 +1,13 @@
 import functools
 import gc
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from pslab import cartan, matgroup, patterson, presets
-from pslab.errors import BadIndex, BudgetExceeded, NotFree
+from pslab.errors import BadIndex, BudgetExceeded
 from pslab.matgroup import reduce_word
 from words import random_words, word_key
 
@@ -93,30 +92,25 @@ def test_element_cap_checked_before_allocating(monkeypatch):
         assert peak < 2**16, build
 
 
-def rotation_group():
-    return matgroup.GroupPresentation(2, [np.array([[0.0, -1.0], [1.0, 0.0]])],
-                                      assume_free=False)
-
-
 def test_cap_zero_is_a_cap(monkeypatch):
     phi = cartan.Functional.alpha(1, 2)
     monkeypatch.setattr(matgroup, "ELEMENT_CAP", 0)
-    for P in (presets.fuchsian_schottky(1.6), rotation_group()):
-        # the ball with its matrices and the streamed balls
-        for n in (0, 3):
-            for build in (matgroup.word_spheres, patterson._walk_ball,
-                          lambda P, n: patterson.patterson_measure(P, phi, 1.0, n, (1,))):
-                with pytest.raises(BudgetExceeded):
-                    build(P, n)
+    P = presets.fuchsian_schottky(1.6)
+    # the ball with its matrices and the streamed balls
+    for n in (0, 3):
+        for build in (matgroup.word_spheres, patterson._walk_ball,
+                      lambda P, n: patterson.patterson_measure(P, phi, 1.0, n, (1,))):
+            with pytest.raises(BudgetExceeded):
+                build(P, n)
 
 
 BALL_CASES = [(presets.cyclic_hyperbolic, 9),
               (functools.partial(presets.fuchsian_schottky, 1.6), 6),
               (lambda: rank3_schottky(), 4), (presets.schottky_so21, 5),
-              (presets.sl3_zariski_dense, 4), (rotation_group, 6),
+              (presets.sl3_zariski_dense, 4),
               # deep and narrow: 300 spheres of two rows
               (presets.parabolic, 300)]
-BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "rotation", "parabolic"]
+BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "parabolic"]
 
 
 @pytest.mark.parametrize("make, n", BALL_CASES, ids=BALL_IDS)
@@ -126,9 +120,7 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
     # several blocks per sphere, the last one partial
     monkeypatch.setattr(matgroup, "BLOCK_ROWS", 5)
     P = make()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ball, ref = matgroup.word_spheres(P, n), word_spheres_reference(P, n)
+    ball, ref = matgroup.word_spheres(P, n), word_spheres_reference(P, n)
     for field in ("mats", "inv_mats", "parent", "letter", "offsets"):
         got, want = getattr(ball, field), getattr(ref, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
@@ -138,23 +130,6 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
                 batch_kappa_reference(ref.mats, ref.inv_mats))
     assert np.array_equal(K, ref_K)
     assert np.array_equal(K @ proj.T, ref_K @ proj.T)
-
-
-def test_non_free_cap_is_checked_sphere_by_sphere(monkeypatch):
-    from ball_oracle import word_spheres_reference
-
-    P = rotation_group()
-    for cap in range(8):
-        monkeypatch.setattr(matgroup, "ELEMENT_CAP", cap)
-        outcomes = []
-        for build in (matgroup.word_spheres, word_spheres_reference):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    outcomes.append(build(P, 6).offsets.tolist())
-                except BudgetExceeded:
-                    outcomes.append("raised")
-        assert outcomes[0] == outcomes[1], cap
 
 
 def test_word_spheres_allocates_the_ball_once():
@@ -175,15 +150,6 @@ def test_letter_matrix_rejects_unknown_letters(sl2):
             sl2.letter_matrix(letter)
     with pytest.raises(BadIndex):
         sl2.word_matrix((1, 0))
-
-
-def test_non_free_presentation_merges_coincident_words():
-    # an order-4 rotation: the ball collapses onto 4 distinct elements
-    R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    P = matgroup.GroupPresentation(2, [R], assume_free=False)
-    with pytest.warns(UserWarning, match="merged"):
-        ball = matgroup.word_spheres(P, 6)
-    assert len(ball) == 4
 
 
 def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
@@ -242,12 +208,6 @@ def test_conjugacy_classes_match_tuple_enumeration(make, n, primitive_only):
     assert np.array_equal(reps.mats, np.array([P.word_matrix(w) for w in words]))
     assert np.array_equal(reps.inv_mats, np.array(
         [P.word_matrix(matgroup.invert_word(w)) for w in words]))
-
-
-def test_conjugacy_classes_requires_free():
-    P = matgroup.GroupPresentation(2, [np.eye(2)], assume_free=False)
-    with pytest.raises(NotFree):
-        matgroup.conjugacy_classes(P, 2)
 
 
 def test_exterior_power_rep_multiplicative(rng):

@@ -16,8 +16,6 @@ import pslab
 from pslab import errors
 
 OPTIONS = {
-    "_kernels.greedy_cover_count(metric)",
-    "asymptotics.box_counting_dimension(metric)",
     "asymptotics.box_counting_dimension(scale_grid)",
     "asymptotics.class_lengths(primitive_only)",
     "asymptotics.class_lengths(theta)",
@@ -31,7 +29,6 @@ OPTIONS = {
     "asymptotics.hausdorff_vs_exponent_experiment(theta)",
     "cli.build_phi(field)",
     "hilbert.shadow_measure_check(theta)",
-    "matgroup.GroupPresentation.assume_free",
     "matgroup.GroupPresentation.labels",
     "matgroup._BallWalk.__init__(keep_matrices)",
     "matgroup.conjugacy_classes(primitive_only)",
