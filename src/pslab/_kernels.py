@@ -3,26 +3,27 @@
 Kernels:
   * ray_distances_lifted - distances from hyperboloid lifts to a ray from the
     origin
-  * batch_log_singular_values - log singular values of a stack of matrices.
-    A (N, 2, 2) stack does not call LAPACK: the kernel repeats, row by row in
-    numpy, what LAPACK's dgesdd does to one 2x2 matrix (a dlarfg reflection
-    of column 1, the dlarf update of column 2 with its fused multiply-add
-    emulated exactly, then dlas2), so every value has LAPACK's bits.  LAPACK
-    still takes larger matrices, and the 2x2 rows where those steps are not
-    exact: non-finite entries, a largest |entry| outside [2**-459, 2**459]
-    (dgesdd rescales those), a nonzero first column of norm below 2**-969
-    (dlarfg rescales it), a reflector whose second entry underflows to 0
-    (dlarf shortens it) and a fused product that underflows.
-  * left_singular_2x2 - np.linalg.svd's left singular vectors and singular
-    values of a (N, 2, 2) stack, bit for bit: the same bidiagonal, then
-    dbdsqr's split test, dlasv2 and the sort, and dormbr's reflection of U.
-    LAPACK takes the rows above, those whose reflection of U has a fused
-    product that underflows and those with a non-finite result.
-  * qr_positive_2x2 - the frames of lapack_qr_positive (np.linalg.qr, with
-    columns signed so that R's diagonal is positive) of a (N, 2, 2) stack,
-    bit for bit from dgeqr2 and dorg2r, with the same LAPACK rows.
+  * batch_log_singular_values - log singular values of a stack of matrices
+  * left_singular - np.linalg.svd's left singular vectors and singular values
+  * qr_positive - the frames of lapack_qr_positive (np.linalg.qr, with
+    columns signed so that R's diagonal is positive)
   * greedy_cover_count - first-fit greedy ball-covering counts for box
     dimension, swept once per centre rather than once per row
+
+The three matrix kernels take one matrix or a stack, and each is one call of
+_by_rows, which sends any size but 2x2 to LAPACK.  On 2x2 matrices it runs a
+numpy kernel _CHUNK rows at a time that repeats, row by row, what LAPACK
+does to one 2x2 matrix, so every value has LAPACK's bits: dgesdd's dgebd2 (a
+dlarfg reflection of column 1, the dlarf update of column 2 with its fused
+multiply-add emulated exactly), then dlas2 for the values alone, or dbdsqr's
+split test, dlasv2, the sort and dormbr's reflection of U for the vectors;
+dgeqr2, dorg2r and the sign step for the QR frames.  Each kernel returns
+the mask of the rows where those steps are not exact, and _by_rows hands
+those rows to LAPACK: non-finite entries, a largest |entry| outside
+[2**-459, 2**459] (dgesdd rescales those), a nonzero first column of norm
+below 2**-969 (dlarfg rescales it), a reflector whose second entry
+underflows to 0 (dlarf shortens it), a fused product that underflows and,
+for the vectors, a non-finite result.
 
 The 2x2 kernels are held to the installed LAPACK's bits by the exactness
 tests, checked with OpenBLAS 0.3.31 on x86-64, whose dger fuses one
@@ -62,6 +63,36 @@ def ray_distances_lifted(W, z):
 
 
 # ---------------------------------------------------------------------------
+# the row driver of the 2x2 kernels
+
+# rows per pass of the 2x2 kernels, which keeps their temporaries small
+_CHUNK = 4096
+
+
+def _by_rows(x, kernel, lapack, *shapes):
+    """The outputs of lapack(x), one matrix or a stack, made by kernel where x is 2x2.
+
+    lapack takes a stack and returns a tuple of per-row outputs.  A 2x2
+    stack is read _CHUNK rows at a time: kernel(chunk, *outs) writes outputs
+    of per-row shapes ``shapes`` into outs and returns the mask of the rows
+    where its steps are not exact, whose outputs lapack(chunk[mask]) then
+    writes.  The floating point warnings of the unused values are off.
+    """
+    if x.shape[-2:] != (2, 2):
+        return lapack(x)
+    stack = x.reshape(-1, 2, 2)
+    outs = tuple(np.empty((len(stack),) + shape) for shape in shapes)
+    with np.errstate(all="ignore"):
+        for a in range(0, len(stack), _CHUNK):
+            chunk, parts = stack[a:a + _CHUNK], tuple(out[a:a + _CHUNK] for out in outs)
+            mask = kernel(chunk, *parts)
+            if mask.any():
+                for part, value in zip(parts, lapack(chunk[mask])):
+                    part[mask] = value
+    return tuple(out.reshape(x.shape[:-2] + shape) for out, shape in zip(outs, shapes))
+
+
+# ---------------------------------------------------------------------------
 # batched log singular values
 #
 # On one 2x2 matrix, dgesdd(JOBZ='N') runs dgebd2, which reflects column 1
@@ -81,8 +112,6 @@ _SAFMIN = 2.0**-969
 _FMA_TINY = 2.0**-967
 # Veltkamp's constant: splits a double into two 26-bit halves
 _SPLIT = 2.0**27 + 1.0
-# rows per pass of the 2x2 kernels, which keeps their temporaries small
-_CHUNK = 4096
 
 
 def _two_sum(a, b):
@@ -207,12 +236,13 @@ def _bidiagonal_2x2(x):
 
 
 def _singular_values_2x2(x, out):
-    """dgesdd's singular values of the (n, 2, 2) stack x, descending, into out (n, 2)."""
-    with np.errstate(all="ignore"):
-        d1, e1, d2, _, _, lapack = _bidiagonal_2x2(x)
-        _dlas2(d1, e1, d2, out)
-    if lapack.any():
-        out[lapack] = np.linalg.svd(x[lapack], compute_uv=False)
+    """dgesdd's singular values of the (n, 2, 2) stack x, descending, into out (n, 2).
+
+    Returns the mask of the rows left to LAPACK.
+    """
+    d1, e1, d2, _, _, lapack = _bidiagonal_2x2(x)
+    _dlas2(d1, e1, d2, out)
+    return lapack
 
 
 def batch_log_singular_values(mats):
@@ -220,16 +250,10 @@ def batch_log_singular_values(mats):
 
     Values rounding to 0 are floored at 1e-300 before the log; callers that
     need accurate small singular values recover them from inverse products.
-    A 2x2 stack is computed _CHUNK rows at a time by _singular_values_2x2,
-    bit for bit as LAPACK would; any other size goes to LAPACK.
     """
     mats = np.asarray(mats, dtype=float)
-    if mats.ndim == 3 and mats.shape[1:] == (2, 2):
-        sigma = np.empty(mats.shape[:2])
-        for a in range(0, len(mats), _CHUNK):
-            _singular_values_2x2(mats[a:a + _CHUNK], sigma[a:a + _CHUNK])
-    else:
-        sigma = np.linalg.svd(mats, compute_uv=False)
+    (sigma,) = _by_rows(mats, _singular_values_2x2,
+                        lambda x: (np.linalg.svd(x, compute_uv=False),), (2,))
     return np.log(np.maximum(sigma, 1e-300, out=sigma), out=sigma)
 
 
@@ -315,74 +339,54 @@ def _dlasv2(f, g, h):
 
 
 def _left_singular_vectors_2x2(x, u, sigma):
-    """dgesdd's U and singular values of the (n, 2, 2) stack x, into u and sigma (n, 2)."""
-    with np.errstate(all="ignore"):
-        d1, e1, d2, tau, v2, lapack = _bidiagonal_2x2(x)
-        s1, s2, c, s = _dlasv2(d1, e1, d2)
-        # U = I rotated by drot: (c, s) and (-s, c), each entry a sum
-        # c * 1 + s * 0 whose zero signs are worked out where c or s is 0
-        u11, u21, u12, u22 = c, s, -s, c.copy()
-        rows = (c == 0) | (s == 0)
-        if rows.any():
-            c, s = c[rows], s[rows]
-            u11[rows], u21[rows] = c + s * 0.0, c * 0.0 + s
-            u12[rows], u22[rows] = c * 0.0 - s, c - s * 0.0
-        # dbdsqr's split test, with its estimate sminoa of the smallest
-        # value: a split row keeps U = I and its diagonal as the values
-        a1, ae = np.abs(d1), np.abs(e1)
-        sminoa = np.minimum(a1, np.abs(d2) * (a1 / (a1 + ae)))
-        sminoa[a1 == 0] = 0.0
-        rows = ae <= np.maximum(_BDSQR_TOL * (sminoa / np.sqrt(2.0)), _BDSQR_FLOOR)
-        if rows.any():
-            d1, d2 = d1[rows], d2[rows]
-            s1[rows], s2[rows] = np.where(d1 < 0, -d1, d1), np.where(d2 < 0, -d2, d2)
-            u11[rows], u21[rows], u12[rows], u22[rows] = 1.0, 0.0, 0.0, 1.0
-        # the sort: decreasing values, U's columns swapped with them
-        rows = s2 > s1
-        if rows.any():
-            s1[rows], s2[rows] = s2[rows], s1[rows]
-            u11[rows], u12[rows] = u12[rows], u11[rows]
-            u21[rows], u22[rows] = u22[rows], u21[rows]
-        # the reflection keeps finite entries finite (1 <= tau <= 2, |v2| <= 1)
-        lapack |= ~np.isfinite(s1 + s2 + u11 + u12 + u21 + u22)
-        sigma[:, 0], sigma[:, 1] = s1, s2
-        # dormbr: the reflector from the left, column by column.  Where tau
-        # == 0 dlarf does nothing, and adding t = -0.0 * w is no change
-        # either: a zero of U here is +0.0
-        ntau = -tau
-        for j, (p, q) in enumerate(((u11, u21), (u12, u22))):
-            t = ntau * (p + q * v2)
-            u[:, 0, j], u[:, 1, j] = p + t, _fma(t, v2, q)
-            lapack |= (np.abs(t * v2) < _FMA_TINY) & (t != 0)
-    if lapack.any():
-        u[lapack], sigma[lapack], _ = np.linalg.svd(x[lapack])
+    """dgesdd's U and singular values of the (n, 2, 2) stack x, into u and sigma (n, 2).
+
+    Returns the mask of the rows left to LAPACK.
+    """
+    d1, e1, d2, tau, v2, lapack = _bidiagonal_2x2(x)
+    s1, s2, c, s = _dlasv2(d1, e1, d2)
+    # U = I rotated by drot: (c, s) and (-s, c), each entry a sum
+    # c * 1 + s * 0 whose zero signs are worked out where c or s is 0
+    u11, u21, u12, u22 = c, s, -s, c.copy()
+    rows = (c == 0) | (s == 0)
+    if rows.any():
+        c, s = c[rows], s[rows]
+        u11[rows], u21[rows] = c + s * 0.0, c * 0.0 + s
+        u12[rows], u22[rows] = c * 0.0 - s, c - s * 0.0
+    # dbdsqr's split test, with its estimate sminoa of the smallest
+    # value: a split row keeps U = I and its diagonal as the values
+    a1, ae = np.abs(d1), np.abs(e1)
+    sminoa = np.minimum(a1, np.abs(d2) * (a1 / (a1 + ae)))
+    sminoa[a1 == 0] = 0.0
+    rows = ae <= np.maximum(_BDSQR_TOL * (sminoa / np.sqrt(2.0)), _BDSQR_FLOOR)
+    if rows.any():
+        d1, d2 = d1[rows], d2[rows]
+        s1[rows], s2[rows] = np.where(d1 < 0, -d1, d1), np.where(d2 < 0, -d2, d2)
+        u11[rows], u21[rows], u12[rows], u22[rows] = 1.0, 0.0, 0.0, 1.0
+    # the sort: decreasing values, U's columns swapped with them
+    rows = s2 > s1
+    if rows.any():
+        s1[rows], s2[rows] = s2[rows], s1[rows]
+        u11[rows], u12[rows] = u12[rows], u11[rows]
+        u21[rows], u22[rows] = u22[rows], u21[rows]
+    # the reflection keeps finite entries finite (1 <= tau <= 2, |v2| <= 1)
+    lapack |= ~np.isfinite(s1 + s2 + u11 + u12 + u21 + u22)
+    sigma[:, 0], sigma[:, 1] = s1, s2
+    # dormbr: the reflector from the left, column by column.  Where tau
+    # == 0 dlarf does nothing, and adding t = -0.0 * w is no change
+    # either: a zero of U here is +0.0
+    ntau = -tau
+    for j, (p, q) in enumerate(((u11, u21), (u12, u22))):
+        t = ntau * (p + q * v2)
+        u[:, 0, j], u[:, 1, j] = p + t, _fma(t, v2, q)
+        lapack |= (np.abs(t * v2) < _FMA_TINY) & (t != 0)
+    return lapack
 
 
 def left_singular(A):
-    """np.linalg.svd's U and singular values of each matrix of A, one or a stack.
-
-    2x2 matrices go to left_singular_2x2; larger ones to LAPACK.
-    """
-    if A.shape[-2:] == (2, 2):
-        U, sigma = left_singular_2x2(A.reshape(-1, 2, 2))
-        return U.reshape(A.shape), sigma.reshape(A.shape[:-1])
-    U, sigma, _ = np.linalg.svd(A)
-    return U, sigma
-
-
-def left_singular_2x2(x):
-    """np.linalg.svd's U and singular values of the (n, 2, 2) stack x, bit for bit.
-
-    _CHUNK rows at a time, the kernel repeats dgesdd(JOBZ='A') on each 2x2
-    matrix: dgebd2, dbdsqr's split test, dlasv2 and the sort, and dormbr's
-    reflection of U.  The rows where those steps are not exact (as
-    for batch_log_singular_values, plus fused products of the reflection
-    below _FMA_TINY and non-finite results) go to LAPACK.
-    """
-    u, sigma = np.empty(x.shape), np.empty(x.shape[:2])
-    for a in range(0, len(x), _CHUNK):
-        _left_singular_vectors_2x2(x[a:a + _CHUNK], u[a:a + _CHUNK], sigma[a:a + _CHUNK])
-    return u, sigma
+    """np.linalg.svd's U and singular values of each matrix of A, one or a stack."""
+    return _by_rows(A, _left_singular_vectors_2x2, lambda x: np.linalg.svd(x)[:2],
+                    (2, 2), (2,))
 
 
 def lapack_qr_positive(M):
@@ -399,46 +403,30 @@ def lapack_qr_positive(M):
 def qr_positive(M):
     """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames.
 
-    Q's columns are signed so that R's diagonal is positive (a zero counts
-    as positive).  2x2 matrices, one or a stack, go to qr_positive_2x2, which
-    gives LAPACK's bits and calls LAPACK on its out-of-range rows only;
-    larger matrices go to lapack_qr_positive.
+    lapack_qr_positive's Q, one matrix or a stack: Q's columns are signed so
+    that R's diagonal is positive (a zero counts as positive).
     """
     M = np.asarray(M, dtype=float)
-    if M.shape[-2:] == (2, 2):
-        return qr_positive_2x2(M.reshape(-1, 2, 2)).reshape(M.shape)
-    return lapack_qr_positive(M)
+    (Q,) = _by_rows(M, _qr_frames_2x2, lambda x: (lapack_qr_positive(x),), (2, 2))
+    return Q
 
 
-def _qr_positive_2x2(x, out):
-    """lapack_qr_positive of the (n, 2, 2) stack x, into out."""
-    with np.errstate(all="ignore"):
-        r11, _, r22, tau, v2, lapack = _bidiagonal_2x2(x)
-        # dorg2r: dlarf on the identity's column 2, then dscal of v2 by -tau;
-        # where tau == 0 dlarf does nothing and column 2 stays (0, 1)
-        t = -tau * v2
-        s1, s2 = np.where(r11 < 0, -1.0, 1.0), np.where(r22 < 0, -1.0, 1.0)
-        out[:, 0, 0], out[:, 1, 0] = (1.0 - tau) * s1, t * s1
-        out[:, 0, 1] = np.where(tau == 0, 0.0, t) * s2
-        out[:, 1, 1] = _fma(t, v2, 1.0) * s2
-        lapack |= (np.abs(t * v2) < _FMA_TINY) & (t != 0)
-    if lapack.any():
-        out[lapack] = lapack_qr_positive(x[lapack])
+def _qr_frames_2x2(x, out):
+    """lapack_qr_positive of the (n, 2, 2) stack x, into out; returns the LAPACK rows.
 
-
-def qr_positive_2x2(x):
-    """lapack_qr_positive of the (n, 2, 2) stack x, bit for bit.
-
-    _CHUNK rows at a time, the kernel repeats dgeqr2, dorg2r and the sign
-    step on each 2x2 matrix: Q = [[1 - tau, t], [t, fma(t, v2, 1)]]
-    with t = -tau v2, and at tau == 0 Q21 = -tau a21, a zero that may be
-    -0.0.  The rows of _bidiagonal_2x2's LAPACK mask and those whose fused
-    product falls below _FMA_TINY go to LAPACK.
+    The kernel repeats dgeqr2, dorg2r and the sign step on each 2x2 matrix:
+    Q = [[1 - tau, t], [t, fma(t, v2, 1)]] with t = -tau v2, and at tau == 0
+    Q21 = -tau a21, a zero that may be -0.0.
     """
-    out = np.empty(x.shape)
-    for a in range(0, len(x), _CHUNK):
-        _qr_positive_2x2(x[a:a + _CHUNK], out[a:a + _CHUNK])
-    return out
+    r11, _, r22, tau, v2, lapack = _bidiagonal_2x2(x)
+    # dorg2r: dlarf on the identity's column 2, then dscal of v2 by -tau;
+    # where tau == 0 dlarf does nothing and column 2 stays (0, 1)
+    t = -tau * v2
+    s1, s2 = np.where(r11 < 0, -1.0, 1.0), np.where(r22 < 0, -1.0, 1.0)
+    out[:, 0, 0], out[:, 1, 0] = (1.0 - tau) * s1, t * s1
+    out[:, 0, 1] = np.where(tau == 0, 0.0, t) * s2
+    out[:, 1, 1] = _fma(t, v2, 1.0) * s2
+    return lapack | ((np.abs(t * v2) < _FMA_TINY) & (t != 0))
 
 
 # ---------------------------------------------------------------------------

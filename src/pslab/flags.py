@@ -56,33 +56,28 @@ def u_theta(A, theta):
 
     For a (N, d, d) stack, returns (F, ok): ok marks the rows whose singular
     gaps at every k in theta are above GAP_TOLERANCE, and F stacks their flags
-    in row order, read matgroup.BLOCK_ROWS rows at a time.  One (d, d) matrix
-    is the stack of one row: its Flag, or InsufficientGap at its first bad k.
+    in row order.  One (d, d) matrix is the stack of one row: its Flag, or
+    InsufficientGap at its first bad k.
 
-    The frames are _kernels.qr_positive of the left singular vectors.  For 2x2
-    matrices both steps run in numpy (_kernels.left_singular_2x2 and
-    _kernels.qr_positive_2x2) with LAPACK's bits; only their out-of-range
-    rows (non-finite or extreme entries, underflowing products) reach
-    LAPACK, which takes every larger matrix.
+    The frames are _kernels.qr_positive of the left singular vectors
+    (_kernels.left_singular), both with LAPACK's bits; 2x2 matrices take
+    the numpy kernels.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
     stack = A[None] if single else A
     theta = cartan.validate_theta(theta, A.shape[-1])
-    frames, ok = np.empty(stack.shape), np.empty(len(stack), dtype=bool)
-    kept = 0
-    for a in range(0, len(stack), matgroup.BLOCK_ROWS):
-        b = min(a + matgroup.BLOCK_ROWS, len(stack))
-        U, gaps = _left_singular_gaps(stack[a:b], theta)
-        # a NaN gap fails the test
-        failed = ~(gaps > GAP_TOLERANCE)
-        if single and failed.any():
-            i = int(np.argmax(failed[0]))
-            raise InsufficientGap(theta[i], gaps[0, i])
-        ok[a:b] = good = ~failed.any(axis=-1)
-        count = int(np.count_nonzero(good))
-        frames[kept:kept + count] = _kernels.qr_positive(U[good])
-        kept += count
+    # made before the singular vectors, which keeps the peak footprint lower
+    frames = np.empty(stack.shape)
+    U, gaps = _left_singular_gaps(stack, theta)
+    # a NaN gap fails the test
+    failed = ~(gaps > GAP_TOLERANCE)
+    if single and failed.any():
+        i = int(np.argmax(failed[0]))
+        raise InsufficientGap(theta[i], gaps[0, i])
+    ok = ~failed.any(axis=-1)
+    kept = int(np.count_nonzero(ok))
+    frames[:kept] = _kernels.qr_positive(U[ok])
     F = Flag(theta, frames[:kept])
     return F[0] if single else (F, ok)
 

@@ -33,8 +33,8 @@ from .errors import BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailur
 ELEMENT_CAP = 5_000_000
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
-# rows per block of a ball walk, of batch_kappa and of a u_theta stack: the
-# operands gathered for one step hold at most this many rows
+# rows per block of a ball walk: each block it yields, and the operands
+# gathered for one step, hold at most this many rows
 BLOCK_ROWS = 1 << 13
 
 
@@ -184,12 +184,13 @@ class WordBall:
 class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
-    Making a walk checks the element cap and allocates the whole-ball
+    Making a walk checks the element cap, allocates the whole-ball
     ``parent`` and ``letter`` arrays of ``rows`` rows, the free-group ball
-    size.  Iterating fills them and yields ``(lo, mats, inv_mats)``, the
-    products of ball rows lo:lo + len(mats), in blocks of BLOCK_ROWS rows
-    (the last one shorter) that may span spheres; the next block overwrites
-    these arrays.  The walk keeps the matrices of the parent sphere and of
+    size, and lists the sphere ``offsets`` from the smaller balls' sizes:
+    sphere k is rows offsets[k]:offsets[k + 1].  Iterating fills the arrays
+    and yields ``(lo, mats, inv_mats)``, the products of ball rows
+    lo:lo + len(mats), in blocks of BLOCK_ROWS rows (the last one shorter)
+    that may span spheres; the next block overwrites these arrays.  The walk keeps the matrices of the parent sphere and of
     the sphere being written, and never those of sphere n; with
     keep_matrices it keeps every sphere's, in the whole-ball ``products``
     (forward products first, inverse ones second).
@@ -213,18 +214,11 @@ class _BallWalk:
         d = P.dimension
         self.parent, self.letter = np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int8)
         self.products = np.empty((2, rows, d, d)) if keep_matrices else None
-        self.offsets = [0, 1]
+        self.offsets = [0] + [free_ball_size(P.rank, k) for k in range(n + 1)]
 
     def cut(self, lo, count, first, last):
-        """The slice of the block of ball rows lo:lo + count that holds spheres first..last.
-
-        Call it while that block is the one yielded: a sphere the walk has
-        not begun counts as starting at ``rows``.
-        """
-        def start(k):
-            return self.offsets[k] if k < len(self.offsets) else self.rows
-        return slice(min(max(start(first) - lo, 0), count),
-                     min(max(start(last + 1) - lo, 0), count))
+        """The slice of the block of ball rows lo:lo + count that holds spheres first..last."""
+        return slice(*(min(max(self.offsets[k] - lo, 0), count) for k in (first, last + 1)))
 
     def __iter__(self):
         P, n, d = self.P, self.n, self.P.dimension
@@ -260,7 +254,7 @@ class _BallWalk:
         for k in range(1, n + 1):
             fwd_tab, inv_tab, let_tab = tables[k > 1]
             c = let_tab.shape[1]  # children per parent
-            start, lo = offsets[-2], offsets[-1]
+            start, lo = offsets[k - 1], offsets[k]
             # the parents of sphere k + 1, unless the whole ball is kept; sphere
             # n's only copy is the block
             store = (np.empty((2, (lo - start) * c, d, d))
@@ -307,14 +301,13 @@ class _BallWalk:
                     yield a - fill, block[0], block[1]
                     block = window(a)
                     fill = 0
-            offsets.append(a)
             if store is not None:
                 sphere = store
             elif products is not None:
                 sphere = products[:, lo:a]
         if fill:
             _require_finite(block[:, :fill])
-            yield offsets[-1] - fill, block[0, :fill], block[1, :fill]
+            yield self.rows - fill, block[0, :fill], block[1, :fill]
 
     def ball(self):
         """The walked rows as a WordBall, words only unless the walk kept matrices."""
@@ -442,20 +435,14 @@ def symmetric_power_rep(A, d):
 def batch_kappa(mats, inv_mats):
     """Cartan vectors of a stack of products, spliced by cartan.splice.
 
-    inv_mats[i] is the forward product of the inverted word of mats[i].  The
-    vectors are spliced BLOCK_ROWS rows at a time into one output array.
+    inv_mats[i] is the forward product of the inverted word of mats[i].
     """
-    count, d = len(mats), mats.shape[-1]
-    out = np.empty((count, d))
-    for a in range(0, count, BLOCK_ROWS):
-        b = min(a + BLOCK_ROWS, count)
-        try:
-            logs = _kernels.batch_log_singular_values(mats[a:b])
-            inv_logs = _kernels.batch_log_singular_values(inv_mats[a:b])
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionFailure(str(exc)) from exc
-        cartan.splice(logs, inv_logs, out[a:b])
-    return out
+    try:
+        logs = _kernels.batch_log_singular_values(mats)
+        inv_logs = _kernels.batch_log_singular_values(inv_mats)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailure(str(exc)) from exc
+    return cartan.splice(logs, inv_logs, np.empty(logs.shape))
 
 
 def limit_cone_sample(P, theta, n):

@@ -291,20 +291,16 @@ def patterson_measure(P, phi, s, n, theta=None, delta_hat=None):
     return _measure_from_flags(phi, s, ball, K @ cartan.theta_covector(phi, theta), frames, ok)
 
 
-def outer_sphere_restriction(mu, min_length=None):
-    """Restriction of an atomic measure to its outermost word spheres.
+def outer_sphere_restriction(mu):
+    """Restriction of an atomic measure to its outermost word sphere.
 
-    Keeps atoms with word length >= min_length (default: the maximum length
-    present) and renormalizes.  The restricted approximant is depth
-    self-similar: every shadow at probe depth is filled by atoms from a single
-    sphere, so shadow-mass ratios carry no ball-truncation drift.
+    Keeps the atoms of the maximum word length present and renormalizes.
+    The restricted approximant is depth self-similar: every shadow at probe
+    depth is filled by atoms from a single sphere, so shadow-mass ratios
+    carry no ball-truncation drift.
     """
     lengths = mu.ball.lengths()[mu.atoms]
-    if min_length is None:
-        min_length = lengths.max()
-    keep = lengths >= min_length
-    if not keep.any():
-        raise WindowEmpty(f"no atoms at word length >= {min_length}")
+    keep = lengths == lengths.max()
     w = mu.weights[keep]
     # cumsum adds left to right (w.sum() adds pairwise); the shipped
     # shadow-check CSV depends on this rounding

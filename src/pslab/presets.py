@@ -11,8 +11,9 @@ def parabolic():
                                       labels=["t"])
 
 
-def cyclic_hyperbolic(lam=2.0):
-    return matgroup.GroupPresentation(2, [np.diag([lam, 1.0 / lam])], labels=["h"])
+def cyclic_hyperbolic():
+    """The cyclic hyperbolic group <diag(2, 1/2)> in SL(2,R)."""
+    return matgroup.GroupPresentation(2, [np.diag([2.0, 0.5])], labels=["h"])
 
 
 def rotation(angle):

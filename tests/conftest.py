@@ -21,13 +21,17 @@ def random_sl2(count, seed=0):
 
 
 class CountingLinalg:
-    """A numpy.linalg function, counting the matrices it is given."""
+    """A numpy.linalg function, counting the matrices it is given.
+
+    ``seen`` holds a copy of the argument of each call.
+    """
 
     def __init__(self, function):
-        self.function, self.rows = function, 0
+        self.function, self.rows, self.seen = function, 0, []
 
     def __call__(self, a, *args, **kwargs):
         self.rows += int(np.prod(np.shape(a)[:-2]))
+        self.seen.append(np.array(a))
         return self.function(a, *args, **kwargs)
 
 

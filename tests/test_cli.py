@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import pslab
-from pslab import cli, hilbert, matgroup
+from pslab import cli, hilbert, matgroup, patterson
 from pslab.errors import ConfigInvalid
 
 
@@ -30,6 +30,9 @@ def test_schema_loads_and_lists_all_commands():
     # hilbert.KleinFamily owns the family list; the schema repeats it
     assert tuple(schema["properties"]["params"]["properties"]["family"]["enum"]) \
         == hilbert.FAMILIES
+    # and patterson.METHODS the exponent methods
+    assert tuple(schema["properties"]["params"]["properties"]["method"]["enum"]) \
+        == patterson.METHODS
 
 
 def test_validate_config_reports_field_path():
@@ -42,6 +45,9 @@ def test_validate_config_reports_field_path():
     with pytest.raises(ConfigInvalid) as exc:
         cli.validate_config({"preset": "sl2-mild", "bogus": 1})
     assert exc.value.path == "(root)"
+    # closed-geodesic counting reads words shorter than an exponent fit needs
+    cli.validate_config({"command": "count-geodesics", "preset": "parabolic",
+                         "params": {"n_max": 3}})
 
 
 def test_build_presentation_unknown_preset():
@@ -142,19 +148,6 @@ def test_cli_exit_codes(tmp_path):
     err = error_record(result)
     assert err["error"] == "ConfigInvalid" and err["path"] == "theta.0"
 
-    # out-of-range critical-exponent parameters are config errors
-    for path, params in (("n_max", {"n_max": 3}),
-                         ("method", {"n_max": 10, "method": "bogus"})):
-        bad.write_text(json.dumps({"command": "critical-exponent", "preset": "parabolic",
-                                   "theta": [1], "params": params}))
-        result = runner.invoke(cli.main, ["critical-exponent", "--config", str(bad),
-                                          "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        # no traceback: the run ended through the CLI's own exit, not a raise
-        assert isinstance(result.exception, SystemExit)
-        err = error_record(result)
-        assert err["error"] == "ConfigInvalid" and err["path"] == path
-
     # a letter outside +-1..+-rank names the word; an unknown or ill-typed
     # params key names params, also when the config omits the command
     for command, config, path in (
@@ -174,8 +167,13 @@ def test_cli_exit_codes(tmp_path):
         ("quasi-invariance", {"params": {"alpha": []}}, "params.alpha"),
         ("conicality", {"params": {"fixed_point_of": []}}, "params.fixed_point_of"),
         ("entropy-drop", {"params": {"subgroup": [[]]}}, "params.subgroup.0"),
-        # the exponent fit needs four spheres; the path is shadow-check's own key
+        # the exponent fit needs four spheres; the path is the command's own key
         ("shadow-check", {"params": {"mu_n": 3}}, "params.mu_n"),
+        ("critical-exponent", {"params": {"n_max": 3}}, "params.n_max"),
+        ("box-dim", {"params": {"n_max": 3}}, "params.n_max"),
+        ("concavity", {"params": {"n_max": 3}}, "params.n_max"),
+        ("entropy-drop", {"params": {"subgroup": [[1]], "n_max": 3}}, "params.n_max"),
+        ("critical-exponent", {"params": {"method": "bogus"}}, "params.method"),
         # a field the command does not read is a config error
         ("orbit", {"phi": {"alpha": 1}}, "phi"),
         ("orbit", {"theta": [1]}, "theta"),
@@ -201,6 +199,7 @@ def test_cli_exit_codes(tmp_path):
         result = runner.invoke(cli.main, [command, "--config", str(bad),
                                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+        # no traceback: the run ended through the CLI's own exit, not a raise
         assert isinstance(result.exception, SystemExit)
         err = error_record(result)
         assert err["error"] == "ConfigInvalid" and err["path"] == path

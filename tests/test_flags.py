@@ -154,13 +154,11 @@ def test_attracting_fixed_flag_needs_proximality():
 
 @pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
                                       (presets.sl3_zariski_dense(), (1, 2))])
-def test_stacked_flag_layer_equals_single_calls(P, theta, monkeypatch):
+def test_stacked_flag_layer_equals_single_calls(P, theta):
     ball = matgroup.word_spheres(P, 3)
     d = P.dimension
     # the identity fails the gap test; put a second copy mid-stack
     mats = np.concatenate([ball.mats[:10], np.eye(d)[None], ball.mats[10:]])
-    # u_theta reads a stack in blocks: the two identities fall in different ones
-    monkeypatch.setattr(matgroup, "BLOCK_ROWS", 7)
     F, ok = flags.u_theta(mats, theta)
     assert len(ok) == len(mats) and np.flatnonzero(~ok).tolist() == [0, 10]
     assert len(F) == len(mats) - 2

@@ -115,10 +115,10 @@ def test_2x2_rare_branches_have_lapacks_bits(counting_svd):
 
 def _assert_vectors_have_lapacks_bits(mats):
     U, S, _ = np.linalg.svd(mats)
-    u, s = _kernels.left_singular_2x2(mats)
+    u, s = _kernels.left_singular(mats)
     assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
     for frames in (mats, U):
-        assert (_kernels.qr_positive_2x2(frames).tobytes()
+        assert (_kernels.qr_positive(frames).tobytes()
                 == _kernels.lapack_qr_positive(frames).tobytes())
 
 
@@ -208,8 +208,8 @@ def test_2x2_vector_rare_branches_have_lapacks_bits(name, counting_svd, counting
     U, S, _ = np.linalg.svd(mats)
     Q = _kernels.lapack_qr_positive(mats)
     counting_svd.rows = counting_qr.rows = 0
-    u, s = _kernels.left_singular_2x2(mats)
-    q = _kernels.qr_positive_2x2(mats)
+    u, s = _kernels.left_singular(mats)
+    q = _kernels.qr_positive(mats)
     assert counting_svd.rows == 0 and counting_qr.rows == 0
     assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
     assert q.tobytes() == Q.tobytes()
@@ -237,13 +237,39 @@ def test_2x2_vector_fallback_rows_go_to_lapack(name, counting_svd, counting_qr):
         counting_svd.rows = counting_qr.rows = 0
         if want is None:
             with pytest.raises(np.linalg.LinAlgError):
-                _kernels.left_singular_2x2(mats)
+                _kernels.left_singular(mats)
         else:
-            u, s = _kernels.left_singular_2x2(mats)
+            u, s = _kernels.left_singular(mats)
             assert u.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
-        q = _kernels.qr_positive_2x2(mats)
+        q = _kernels.qr_positive(mats)
     assert counting_svd.rows == 1 and counting_qr.rows == 1
     assert q.tobytes() == Q.tobytes()
+
+
+def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
+        counting_svd, counting_qr, monkeypatch):
+    # chunks of 4 rows over 11: fallback rows at the last row of the first
+    # chunk, the first row of the second and the last row of the short tail
+    monkeypatch.setattr(_kernels, "_CHUNK", 4)
+    mats = _samples("normal", 11)
+    rows = [3, 4, 10]
+    for row, name in zip(rows, ("huge", "reflection", "product")):
+        mats[row] = VECTOR_FALLBACK_ROWS[name]
+    with np.errstate(all="ignore"):
+        logs, (U, S, _) = _lapack_logs(mats), np.linalg.svd(mats)
+        Q = _kernels.lapack_qr_positive(mats)
+        # the "reflection" row's values are exact; its vectors and frame are not
+        for kernel, want, counter, lapack_rows in (
+                (_kernels.batch_log_singular_values, (logs,), counting_svd, [3, 10]),
+                (_kernels.left_singular, (U, S), counting_svd, rows),
+                (_kernels.qr_positive, (Q,), counting_qr, rows)):
+            counter.seen = []
+            got = kernel(mats)
+            got = got if isinstance(got, tuple) else (got,)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel
+            # one LAPACK call per chunk with a fallback row, on that row
+            assert ([m.tobytes() for m in counter.seen]
+                    == [mats[[r]].tobytes() for r in lapack_rows])
 
 
 def test_batch_kappa_never_reaches_lapack_in_range(counting_svd):

@@ -39,11 +39,9 @@ OPTIONS = {
     "patterson.critical_exponent(method)",
     "patterson.critical_exponent(theta)",
     "patterson.entropy_drop_experiment(theta)",
-    "patterson.outer_sphere_restriction(min_length)",
     "patterson.patterson_measure(delta_hat)",
     "patterson.patterson_measure(theta)",
     "patterson.quasi_invariance_residual(theta)",
-    "presets.cyclic_hyperbolic(lam)",
     "presets.fuchsian_schottky(s)",
     "presets.schottky_so21(s)",
 }

@@ -12,7 +12,7 @@ ALPHA1_2 = cartan.Functional.alpha(1, 2)
 
 
 def test_poincare_partial_sum_tail_slope_signs():
-    P = presets.cyclic_hyperbolic(2.0)
+    P = presets.cyclic_hyperbolic()
     # phi(kappa(h^n)) = 2n log 2: the series transitions at s = 0
     _, slope_small = patterson.poincare_partial_sum(P, ALPHA1_2, (1,), 0.01, 30)
     assert slope_small < 0.0
@@ -27,7 +27,7 @@ def test_negative_phi_on_cone_rejected(sl2):
 
 
 def test_critical_exponent_cyclic_hyperbolic_is_zero():
-    P = presets.cyclic_hyperbolic(2.0)
+    P = presets.cyclic_hyperbolic()
     est = patterson.critical_exponent(P, ALPHA1_2, 40, (1,))
     assert est.delta_hat < 0.05
     assert est.method == "sphere-regression"
@@ -93,10 +93,13 @@ def test_outer_sphere_restriction():
     outer = patterson.outer_sphere_restriction(mu)
     assert (outer.ball.lengths()[outer.atoms] == 4).all()
     assert abs(outer.total_mass() - 1.0) < 1e-12
-    partial = patterson.outer_sphere_restriction(mu, min_length=3)
-    assert set(partial.ball.lengths()[partial.atoms].tolist()) == {3, 4}
+
+
+def test_measure_of_an_elliptic_group_has_no_atoms():
+    # every rotation has equal singular values and fails the gap test
+    P = matgroup.GroupPresentation(2, [presets.rotation(0.3)])
     with pytest.raises(WindowEmpty):
-        patterson.outer_sphere_restriction(mu, min_length=5)
+        patterson.patterson_measure(P, ALPHA1_2, 1.0, 4, (1,))
 
 
 def test_quasi_invariance_residuals_decay():
