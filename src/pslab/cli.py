@@ -325,6 +325,8 @@ HANDLERS = {
 
 def execute(command, config, out_dir):
     """Run one subcommand; returns the manifest dict after writing artifacts."""
+    if not isinstance(config, dict):
+        raise ConfigInvalid("(root)", f"a config is a JSON object, not {type(config).__name__}")
     # the invoked command's params schema applies when the config names none
     validate_config({"command": command, **config})
     if "command" in config and config["command"] != command:
@@ -383,7 +385,7 @@ def _make_command(name):
         try:
             with open(config_path, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to read
             click.echo(json.dumps({"error": "ConfigInvalid", "path": "(root)",
                                    "message": str(exc)}), err=True)
             raise SystemExit(2)

@@ -9,8 +9,10 @@ A word ball is one ``WordBall``: row i of its arrays is one element,
 forward product of its inverted word, ``letter[i]`` its last letter and
 ``parent[i]`` the row of its word with that letter removed.  Rows run in
 canonical order, so each sphere is a contiguous block of rows and a parent
-row always precedes its children.  Words are rebuilt from ``parent`` and
-``letter`` only where a label or a word is needed.
+row always precedes its children; as every non-identity word has 2r - 1
+children, ``parent`` follows from the row alone (``_BallWalk.ball``).  Words
+are rebuilt from ``parent`` and ``letter`` only where a label or a word is
+needed.
 
 Every presentation is enumerated as a free group: a ball holds one row per
 freely reduced word, whether or not two words give the same matrix.  Every
@@ -126,7 +128,8 @@ class WordBall:
     slice a run of spheres, as WordBalls over views of the same arrays.
     ``mats`` and ``inv_mats`` are None in a words-only ball.
     ``parent`` holds rows of the whole walked ball, whose
-    ``(letter, parent)`` arrays every view keeps as ``whole``.
+    ``(letter, parent)`` arrays every view keeps as ``whole``; a walked
+    ball's ``parent`` is not walked but made from the row numbers.
     """
 
     mats: np.ndarray  # (N, d, d) float, or None
@@ -185,17 +188,18 @@ class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
     Making a walk checks the element cap, allocates the whole-ball
-    ``parent`` and ``letter`` arrays of ``rows`` rows, the free-group ball
-    size, and lists the sphere ``offsets`` from the smaller balls' sizes:
-    sphere k is rows offsets[k]:offsets[k + 1].  Iterating fills the arrays
-    and yields ``(lo, mats, inv_mats)``, the products of ball rows
-    lo:lo + len(mats), in blocks of BLOCK_ROWS rows (the last one shorter)
-    that may span spheres; the next block overwrites these arrays.  The walk keeps the matrices of the parent sphere and of
-    the sphere being written, and never those of sphere n; with
-    keep_matrices it keeps every sphere's, in the whole-ball ``products``
-    (forward products first, inverse ones second).
+    ``letter`` array of ``rows`` rows, the free-group ball size, and lists
+    the sphere ``offsets`` from the smaller balls' sizes: sphere k is rows
+    offsets[k]:offsets[k + 1].  Iterating fills ``letter`` and yields
+    ``(lo, mats, inv_mats)``, the products of ball rows lo:lo + len(mats),
+    in blocks of BLOCK_ROWS rows (the last one shorter) that may span
+    spheres; the next block overwrites these arrays.  The walk keeps the
+    matrices of the parent sphere and of the sphere being written, and never
+    those of sphere n; with keep_matrices it keeps every sphere's, in the
+    whole-ball ``products`` (forward products first, inverse ones second).
     A walk is iterated once; after that ``ball()`` is the WordBall of the
-    walked rows.  A block whose products overflowed raises DecompositionFailure.
+    walked rows, whose ``parent`` is made there from the row numbers alone.
+    A block whose products overflowed raises DecompositionFailure.
 
     Each sphere is written from the previous one, at most BLOCK_ROWS rows
     per step: a step broadcasts a run of parent products over their rows of
@@ -212,7 +216,7 @@ class _BallWalk:
         if rows > ELEMENT_CAP:
             raise BudgetExceeded(f"element count exceeds cap {ELEMENT_CAP}")
         d = P.dimension
-        self.parent, self.letter = np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int8)
+        self.letter = np.empty(rows, dtype=np.int8)
         self.products = np.empty((2, rows, d, d)) if keep_matrices else None
         self.offsets = [0] + [free_ball_size(P.rank, k) for k in range(n + 1)]
 
@@ -239,7 +243,7 @@ class _BallWalk:
         tables = [(alphabet[None], inv_alphabet[None], letters[None]),
                   (alphabet[allowed], inv_alphabet[allowed], letters[allowed])]
 
-        parent, letter, offsets, products = self.parent, self.letter, self.offsets, self.products
+        letter, offsets, products = self.letter, self.offsets, self.products
         buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
 
         def window(lo):
@@ -248,7 +252,7 @@ class _BallWalk:
 
         block = window(0)
         block[:, 0] = np.eye(d)
-        parent[0], letter[0] = -1, 0
+        letter[0] = 0
         fill = 1  # rows of the block written so far
         sphere = block[:, :1].copy()
         for k in range(1, n + 1):
@@ -276,7 +280,6 @@ class _BallWalk:
                               out=out[0].reshape(shape))
                     np.matmul(inv_tab.take(lasts, 0), sphere[1][p - start:e - start, None],
                               out=out[1].reshape(shape))
-                    parents = np.arange(p, e, dtype=np.int32).repeat(c)
                     lets = let_tab.take(lasts, 0).ravel()
                     p = e
                 else:
@@ -286,12 +289,11 @@ class _BallWalk:
                     out = block[:, fill:fill + rows]
                     np.matmul(sphere[0][p - start], fwd_tab[last, j:j + rows], out=out[0])
                     np.matmul(inv_tab[last, j:j + rows], sphere[1][p - start], out=out[1])
-                    parents = np.full(rows, p, dtype=np.int32)
                     lets = let_tab[last, j:j + rows]
                     j += rows
                     if j == c:
                         p, j = p + 1, 0
-                parent[a:a + rows], letter[a:a + rows] = parents, lets
+                letter[a:a + rows] = lets
                 if store is not None:
                     store[:, a - lo:a - lo + rows] = out
                 fill += rows
@@ -310,10 +312,22 @@ class _BallWalk:
             yield self.rows - fill, block[0, :fill], block[1, :fill]
 
     def ball(self):
-        """The walked rows as a WordBall, words only unless the walk kept matrices."""
+        """The walked rows as a WordBall, words only unless the walk kept matrices.
+
+        ``parent`` is made from the row numbers: -1 at the identity, 0 on
+        sphere 1, and after that the 2r - 1 children of each row are
+        consecutive.  It is made in place, as a walk that kept its matrices
+        is at its peak here.
+        """
         mats, inv_mats = (None, None) if self.products is None else self.products
-        return WordBall(mats, inv_mats, self.parent, self.letter, np.array(self.offsets), 0,
-                        (self.letter, self.parent))
+        head = 2 * self.P.rank + 1  # the identity and sphere 1
+        parent = np.arange(-head, self.rows - head, dtype=np.int32)
+        parent //= 2 * self.P.rank - 1
+        parent += 1
+        parent[:head] = 0
+        parent[0] = -1
+        return WordBall(mats, inv_mats, parent, self.letter, np.array(self.offsets), 0,
+                        (self.letter, parent))
 
 
 def word_spheres(P, n):

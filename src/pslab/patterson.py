@@ -55,55 +55,47 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _walk_ball(P, n, flag_spheres=-1, theta=None):
-    """The radius-n ball and its spliced Cartan vectors, plus the flags of the
-    rows of spheres 0..flag_spheres (none at -1).
+def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
+    """The radius-n ball and one value per row, plus the flags of the rows of
+    spheres 0..flag_spheres (none at -1).
 
-    Returns (ball, K, (frames, ok)): ball holds the words only, K one Cartan
-    vector per row, and the matrices are spliced (and passed to u_theta) one
-    block at a time as the walk writes them.  ok marks the flag rows passing
-    the gap test and frames stacks their U_theta frames in row order.
+    Returns (ball, values, (frames, ok)): ball holds the words only, and
+    values[i] is K @ f for the spliced Cartan vector K of row i, or K itself
+    when f is None.  The matrices are spliced (and passed to u_theta) one
+    block at a time as the walk writes them, so with a covector f the walk
+    keeps one float per row.  ok marks the flag rows passing the gap test and
+    frames stacks their U_theta frames in row order.
     """
     walk = matgroup._BallWalk(P, n)
     d = P.dimension
-    K = np.empty((walk.rows, d))
+    values = np.empty((walk.rows, d) if f is None else walk.rows)
     flag_rows = matgroup.free_ball_size(P.rank, flag_spheres) if flag_spheres >= 0 else 0
     frames, ok = np.empty((flag_rows, d, d)), np.empty(flag_rows, dtype=bool)
     kept = 0
     for lo, mats, inv_mats in walk:
-        K[lo:lo + len(mats)] = matgroup.batch_kappa(mats, inv_mats)
+        K = matgroup.batch_kappa(mats, inv_mats)
+        values[lo:lo + len(mats)] = K if f is None else _row_products(K, f)
         part = walk.cut(lo, len(mats), 0, flag_spheres)
         if part.stop:
             F, good = flags.u_theta(mats[part], theta)
             ok[lo:lo + len(good)] = good
             frames[kept:kept + len(F)] = F.frame
             kept += len(F)
-    return walk.ball(), K, (frames[:kept], ok)
+    return walk.ball(), values, (frames[:kept], ok)
 
 
-def _sphere_values(phi, theta, K):
-    """phi(kappa_theta) per ball row, from the ball's spliced Cartan vectors K.
+def _cone_checked(values):
+    """The per-row phi(kappa_theta) values of a ball (identity first), checked on the cone.
 
-    The estimators read these with the ball's sphere ``offsets``.  Raises
-    NegativePhiOnCone when phi is negative on more than
+    Raises NegativePhiOnCone when phi is negative on more than
     NEGATIVE_CONE_FRACTION of the non-identity elements.
     """
-    values = K @ cartan.theta_covector(phi, theta)
     neg = np.count_nonzero(values[1:] < -1e-9)
     if values.size > 1 and neg / (values.size - 1) > NEGATIVE_CONE_FRACTION:
         raise NegativePhiOnCone(
             f"phi negative on {neg}/{values.size - 1} of the sampled cone"
         )
     return values
-
-
-def _ball_values(P, phi, theta, n):
-    """_sphere_values of the radius-n ball, and its sphere offsets.
-
-    The words and Cartan vectors are dropped before the estimators run.
-    """
-    ball, K, _ = _walk_ball(P, n)
-    return _sphere_values(phi, theta, K), ball.offsets
 
 
 def _exponent_theta(P, n_max, theta, method):
@@ -141,26 +133,11 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     supercritical for that estimate.
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
-    ball, K, (frames, ok) = _walk_ball(P, n_max, n, theta)
-    values = _sphere_values(phi, theta, K)
-    est = _sphere_regression(values, ball.offsets, n_max)
+    ball, values, (frames, ok) = _walk_ball(P, n_max, cartan.theta_covector(phi, theta), n, theta)
+    est = _sphere_regression(_cone_checked(values), ball.offsets, n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat)
     return est, _measure_from_flags(phi, s, ball[:n + 1], values[:len(ok)], frames, ok)
-
-
-def poincare_partial_sum(P, phi, theta, s, n):
-    """Partial phi-Poincare sum over the word ball of radius n.
-
-    Returns (value, tail_slope): tail_slope is the mean log increment of the
-    per-sphere sums over the outer half of the spheres; negative slope points
-    at convergence, positive at divergence, at this s.
-    """
-    if s < 0:
-        raise ConfigInvalid("s", "must be >= 0")
-    theta = cartan.validate_theta(theta, P.dimension)
-    per_sphere, tail_slope = _sphere_sums(*_ball_values(P, phi, theta, n), s)
-    return float(per_sphere.sum()), tail_slope
 
 
 def _sphere_sums(values, offsets, s):
@@ -270,7 +247,9 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     convergence transition of the partial sums), or "both".
     """
     theta = _exponent_theta(P, n_max, theta, method)
-    values, offsets = _ball_values(P, phi, theta, n_max)
+    ball, values, _ = _walk_ball(P, n_max, cartan.theta_covector(phi, theta))
+    values, offsets = _cone_checked(values), ball.offsets
+    del ball  # the estimators read the values and sphere offsets, not the words
     if method == "sphere-regression":
         return _sphere_regression(values, offsets, n_max)
     if method == "series-transition":
@@ -287,8 +266,8 @@ def patterson_measure(P, phi, s, n, theta=None, delta_hat=None):
     """
     theta = cartan.validate_theta(theta, P.dimension)
     _require_supercritical(s, delta_hat)
-    ball, K, (frames, ok) = _walk_ball(P, n, n, theta)
-    return _measure_from_flags(phi, s, ball, K @ cartan.theta_covector(phi, theta), frames, ok)
+    ball, values, (frames, ok) = _walk_ball(P, n, cartan.theta_covector(phi, theta), n, theta)
+    return _measure_from_flags(phi, s, ball, _cone_checked(values), frames, ok)
 
 
 def outer_sphere_restriction(mu):
@@ -417,10 +396,12 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     <= 1 along the segment.
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
-    ball, K, _ = _walk_ball(P, n_max)
+    # one ball of Cartan vectors serves every phi
+    ball, K, _ = _walk_ball(P, n_max, None)
 
     def fit(phi):
-        return _sphere_regression(_sphere_values(phi, theta, K), ball.offsets, n_max)
+        values = _cone_checked(K @ cartan.theta_covector(phi, theta))
+        return _sphere_regression(values, ball.offsets, n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

@@ -245,11 +245,17 @@ def test_cli_exit_codes(tmp_path):
         err = error_record(result)
         assert err["error"] == error and err.get("path") == path
 
+    # a file that is not JSON, not UTF-8, or holds an integer too long to
+    # read, and a top level that is not an object
     notjson = tmp_path / "notjson.json"
-    notjson.write_text("{")
-    result = runner.invoke(cli.main, ["kappa", "--config", str(notjson)])
-    assert result.exit_code == 2
-    assert error_record(result)["path"] == "(root)"
+    for content in (b"{", b"\xff\xfe{}", b"1" * 5000, b"[1, 2]", b'"kappa"', b"3"):
+        notjson.write_bytes(content)
+        result = runner.invoke(cli.main, ["kappa", "--config", str(notjson),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, content
+        assert isinstance(result.exception, SystemExit)
+        err = error_record(result)
+        assert err["error"] == "ConfigInvalid" and err["path"] == "(root)"
 
     # a domain failure inside the run maps to exit 3
     domain = tmp_path / "domain.json"

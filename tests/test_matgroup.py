@@ -81,7 +81,7 @@ def test_element_cap_checked_before_allocating(monkeypatch):
     P = presets.sl2_mild()
     monkeypatch.setattr(matgroup, "ELEMENT_CAP", 100_000)
     # the whole ball with its matrices, and the streamed ball of the exponent fits
-    for build in (matgroup.word_spheres, patterson._walk_ball):
+    for build in (matgroup.word_spheres, lambda P, n: patterson._walk_ball(P, n, None)):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
@@ -98,7 +98,7 @@ def test_cap_zero_is_a_cap(monkeypatch):
     P = presets.fuchsian_schottky(1.6)
     # the ball with its matrices and the streamed balls
     for n in (0, 3):
-        for build in (matgroup.word_spheres, patterson._walk_ball,
+        for build in (matgroup.word_spheres, lambda P, n: patterson._walk_ball(P, n, None),
                       lambda P, n: patterson.patterson_measure(P, phi, 1.0, n, (1,))):
             with pytest.raises(BudgetExceeded):
                 build(P, n)
@@ -109,8 +109,11 @@ BALL_CASES = [(presets.cyclic_hyperbolic, 9),
               (lambda: rank3_schottky(), 4), (presets.schottky_so21, 5),
               (presets.sl3_zariski_dense, 4),
               # deep and narrow: 300 spheres of two rows
-              (presets.parabolic, 300)]
-BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "parabolic"]
+              (presets.parabolic, 300),
+              # no sphere past the identity, and sphere 1 only
+              (presets.sl2_mild, 0), (presets.sl2_mild, 1)]
+BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "parabolic",
+            "radius0", "radius1"]
 
 
 @pytest.mark.parametrize("make, n", BALL_CASES, ids=BALL_IDS)

@@ -12,18 +12,25 @@ ALPHA1_2 = cartan.Functional.alpha(1, 2)
 
 
 def test_poincare_partial_sum_tail_slope_signs():
+    from poincare import poincare_partial_sum
+
     P = presets.cyclic_hyperbolic()
     # phi(kappa(h^n)) = 2n log 2: the series transitions at s = 0
-    _, slope_small = patterson.poincare_partial_sum(P, ALPHA1_2, (1,), 0.01, 30)
+    _, slope_small = poincare_partial_sum(P, ALPHA1_2, (1,), 0.01, 30)
     assert slope_small < 0.0
-    total, _ = patterson.poincare_partial_sum(P, ALPHA1_2, (1,), 1.0, 30)
+    total, _ = poincare_partial_sum(P, ALPHA1_2, (1,), 1.0, 30)
     assert total < 1.0 + 2.0 / (2.0**2 - 1.0) + 1e-6
 
 
 def test_negative_phi_on_cone_rejected(sl2):
+    from poincare import poincare_partial_sum
+
     bad = -1.0 * ALPHA1_2
-    with pytest.raises(NegativePhiOnCone):
-        patterson.poincare_partial_sum(sl2, bad, (1,), 1.0, 5)
+    for estimate in (lambda: poincare_partial_sum(sl2, bad, (1,), 1.0, 5),
+                     lambda: patterson.critical_exponent(sl2, bad, 5, (1,)),
+                     lambda: patterson.patterson_measure(sl2, bad, 1.0, 5, (1,))):
+        with pytest.raises(NegativePhiOnCone):
+            estimate()
 
 
 def test_critical_exponent_cyclic_hyperbolic_is_zero():
@@ -272,13 +279,17 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     ref_K = matgroup.batch_kappa(ref.mats, ref.inv_mats)
     # blocks of 5 rows span the spheres of every ball here
     monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
-    ball, K, (frames, ok) = patterson._walk_ball(P, n, n - 1, theta)
+    ball, K, (frames, ok) = patterson._walk_ball(P, n, None, n - 1, theta)
     assert ball.mats is None and ball.inv_mats is None
     for field in ("parent", "letter", "offsets"):
         got, want = getattr(ball, field), getattr(ref, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
     assert ball.words() == ref.words()
     assert np.array_equal(K, ref_K)
+    # one value per row, block by block, with the bits of the whole-ball product
+    f = cartan.theta_covector(cartan.Functional.alpha(1, P.dimension), theta)
+    _, values, _ = patterson._walk_ball(P, n, f)
+    assert values.shape == (len(ref),) and np.array_equal(values, ref_K @ f)
     # the flags of spheres 0..n-1, as u_theta gives them for the whole stack
     ref_F, ref_ok = flags.u_theta(ref.mats[:ref.offsets[n]], theta)
     assert np.array_equal(ok, ref_ok)
@@ -297,8 +308,15 @@ def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    matrices = 2 * matgroup.free_ball_size(P.rank, n) * P.dimension**2 * 8
-    assert peak < matrices
+    products = 2 * P.dimension**2 * 8  # bytes of a row's forward and inverse products
+    assert peak < matgroup.free_ball_size(P.rank, n) * products
+    # the walk's peak is at sphere n - 1: the stores of spheres n - 1 and
+    # n - 2, one value (float64) and one letter (int8) per ball row, and one
+    # block's products with the kernels' work on them
+    stores = (matgroup.free_ball_size(P.rank, n - 1)
+              - matgroup.free_ball_size(P.rank, n - 3)) * products
+    block = 4 * matgroup.BLOCK_ROWS * products
+    assert peak < stores + 9 * matgroup.free_ball_size(P.rank, n) + block
 
 
 def _outcome(estimator, *args):
@@ -322,8 +340,7 @@ def test_estimators_match_list_based_reference(make, n, theta):
 
     P = make()
     phi = cartan.Functional.alpha(1, P.dimension)
-    ball, K, _ = patterson._walk_ball(P, n)
-    values = patterson._sphere_values(phi, theta, K)
+    ball, values, _ = patterson._walk_ball(P, n, cartan.theta_covector(phi, theta))
     by_sphere = ball.split(values)
     for s in (0.0, 0.25, 0.5, 1.0, 3.0):
         sums, slope = patterson._sphere_sums(values, ball.offsets, s)
