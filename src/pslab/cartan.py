@@ -188,11 +188,6 @@ def theta_covector(phi, theta):
     return phi.covector() @ projection_matrix(phi.d, theta)
 
 
-def hat_iota(v):
-    """The opposition involution on the Cartan subspace: reverse coordinates."""
-    return np.asarray(v, dtype=float)[::-1].copy()
-
-
 class Functional:
     """Linear functional on the Cartan subspace, stored as fundamental-weight
     coefficients: phi = sum_k c_k * omega_k.
@@ -261,7 +256,3 @@ class Functional:
         terms = " + ".join(f"{c:g}*w{k}" for k, c in sorted(self.coefficients.items()))
         return f"Functional(d={self.d}, {terms or '0'})"
 
-
-def iota_star(phi):
-    """The dual involution: c_k -> c_{d-k}, so iota(omega_k) = omega_{d-k}."""
-    return Functional(phi.d, {phi.d - k: c for k, c in phi.coefficients.items()})

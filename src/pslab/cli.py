@@ -65,16 +65,20 @@ def _floats(value, path):
 def validate_config(config):
     from jsonschema.exceptions import best_match
 
-    error = best_match(_validator().iter_errors(config))
-    if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "(root)"
-        # the schema's only "not" rejects a field the command does not read
-        message = "not read by this command" if error.validator == "not" else error.message
-        raise ConfigInvalid(path, message) from error
-    # json.load reads NaN and Infinity, and the schema's "number" admits them
-    for path, x in _floats(config, ()):
-        if not math.isfinite(x):
-            raise ConfigInvalid(".".join(map(str, path)), "must be a finite number")
+    # the schema walk and _floats recurse once per nesting level
+    try:
+        error = best_match(_validator().iter_errors(config))
+        if error is not None:
+            path = ".".join(str(p) for p in error.absolute_path) or "(root)"
+            # the schema's only "not" rejects a field the command does not read
+            message = "not read by this command" if error.validator == "not" else error.message
+            raise ConfigInvalid(path, message) from error
+        # json.load reads NaN and Infinity, and the schema's "number" admits them
+        for path, x in _floats(config, ()):
+            if not math.isfinite(x):
+                raise ConfigInvalid(".".join(map(str, path)), "must be a finite number")
+    except RecursionError as exc:
+        raise ConfigInvalid("(root)", "nested too deeply") from exc
 
 
 def build_presentation(config):
@@ -385,7 +389,8 @@ def _make_command(name):
         try:
             with open(config_path, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to read
+        # not UTF-8, not JSON, an integer too long to read, or nested too deeply
+        except (ValueError, RecursionError) as exc:
             click.echo(json.dumps({"error": "ConfigInvalid", "path": "(root)",
                                    "message": str(exc)}), err=True)
             raise SystemExit(2)

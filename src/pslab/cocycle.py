@@ -1,9 +1,8 @@
-"""Partial Iwasawa cocycle and Gromov product, valued in a_theta."""
+"""Partial Iwasawa cocycle, valued in a_theta."""
 
 import numpy as np
 
-from . import cartan, flags
-from .errors import NotTransverse
+from . import cartan
 
 
 def iwasawa(A, F):
@@ -22,22 +21,3 @@ def iwasawa(A, F):
         omegas.append(0.5 * logdet)
     return cartan.vector_from_omegas(F.dimension, F.theta, np.stack(omegas, axis=-1))
 
-
-def gromov_product(F, G):
-    """Gromov product G_theta(F, G) of a transverse flag pair, in a_theta.
-
-    omega_k is log |det(f_i(v_j))| over the wedge norms, with f_i an
-    orthonormal basis of the annihilator of G^(d-k) and v_j the orthonormal
-    frame of F^k (so both norms are 1 by construction).  Stacks broadcast
-    as in iwasawa; any non-transverse pair raises NotTransverse.
-    """
-    d = F.dimension
-    omegas = []
-    for k in F.theta:
-        # annihilator of G^(d-k) = orthogonal complement = trailing frame columns
-        ann = G.frame[..., d - k :]
-        det = np.abs(np.linalg.det(np.swapaxes(ann, -1, -2) @ F.subspace(k)))
-        if (det <= flags.TRANSVERSALITY_TOLERANCE).any():
-            raise NotTransverse(k, det.min())
-        omegas.append(np.log(det))
-    return cartan.vector_from_omegas(d, F.theta, np.stack(omegas, axis=-1))

@@ -45,13 +45,6 @@ class ThetaMismatch(PslabError):
     pass
 
 
-class NotTransverse(PslabError):
-    def __init__(self, k, witness):
-        super().__init__(f"flags not transverse at k={k} (witness {witness:g})")
-        self.k = k
-        self.witness = witness
-
-
 class NegativePhiOnCone(PslabError):
     pass
 

@@ -8,7 +8,6 @@ from . import _kernels, cartan, matgroup
 from .errors import InsufficientGap, NotProximal, ThetaMismatch
 
 GAP_TOLERANCE = 1e-10
-TRANSVERSALITY_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ from .errors import BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailur
 ELEMENT_CAP = 5_000_000
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
-# rows per block of a ball walk: each block it yields, and the operands
-# gathered for one step, hold at most this many rows
+# rows per block of a ball walk: each block it yields, and each step, hold at
+# most this many rows.  A step's temporaries are its parents' last letters and
+# their rows of one child table at a time, as many matrices as the step has
+# children; its forward products are made in the block rows that its inverse
+# products then overwrite
 BLOCK_ROWS = 1 << 13
 
 
@@ -189,8 +192,8 @@ class _BallWalk:
 
     Making a walk checks the element cap, allocates the whole-ball
     ``letter`` array of ``rows`` rows, the free-group ball size, and lists
-    the sphere ``offsets`` from the smaller balls' sizes: sphere k is rows
-    offsets[k]:offsets[k + 1].  Iterating fills ``letter`` and yields
+    the sphere ``offsets``, the running sums of the sphere sizes: sphere k
+    is rows offsets[k]:offsets[k + 1].  Iterating fills ``letter`` and yields
     ``(lo, mats, inv_mats)``, the products of ball rows lo:lo + len(mats),
     in blocks of BLOCK_ROWS rows (the last one shorter) that may span
     spheres; the next block overwrites these arrays.  The walk keeps the
@@ -202,10 +205,17 @@ class _BallWalk:
     A block whose products overflowed raises DecompositionFailure.
 
     Each sphere is written from the previous one, at most BLOCK_ROWS rows
-    per step: a step broadcasts a run of parent products over their rows of
-    a table of child letters, two matmul calls writing straight into the
-    block, and a parent whose children straddle the block's end is split
-    between two steps.
+    per step.  A step makes one matrix product per parent and side, with the
+    parent's rows of two child tables built once per walk: F @ [g_1 | g_2 |
+    ...] comes out as [i, child, l] and is copied into canonical [child, i,
+    l] order through a view whose element is one matrix row, and [g_1^-1;
+    g_2^-1; ...] @ G is already in that order and is written into the
+    block.  A parent whose children straddle the block's end is split
+    between two steps, which slice the same tables by column.  Unless the
+    walk keeps its matrices, a sphere that ends before its block is handed
+    out is read from there as the next sphere's parents, and copied out only
+    if the block is handed out first; a longer sphere is copied to a store
+    block by block.
     """
 
     def __init__(self, P, n, keep_matrices=False):
@@ -218,7 +228,10 @@ class _BallWalk:
         d = P.dimension
         self.letter = np.empty(rows, dtype=np.int8)
         self.products = np.empty((2, rows, d, d)) if keep_matrices else None
-        self.offsets = [0] + [free_ball_size(P.rank, k) for k in range(n + 1)]
+        # sphere k > 0 holds 2r (2r - 1)^(k - 1) rows
+        q = 2 * P.rank
+        self.offsets = [0, *itertools.accumulate(
+            [1] + [q * (q - 1)**(k - 1) for k in range(1, n + 1)])]
 
     def cut(self, lo, count, first, last):
         """The slice of the block of ball rows lo:lo + count that holds spheres first..last."""
@@ -236,77 +249,106 @@ class _BallWalk:
         # (negative l wrapping to the end): every letter but -l, in canonical
         # order; row 0 is not used.  The identity, with letter 0, is the only
         # parent of sphere 1 and takes every letter, from the one row of the
-        # sphere-1 tables.
+        # sphere-1 tables.  A forward row [g_1 | g_2 | ...] is (d, c d) and an
+        # inverse row [g_1^-1; g_2^-1; ...] is (c d, d), for c children.
         allowed = np.zeros((q + 1, q - 1), dtype=np.intp)
         for j, lt in enumerate(letters):
             allowed[lt] = [i for i in range(q) if i != j ^ 1]
-        tables = [(alphabet[None], inv_alphabet[None], letters[None]),
-                  (alphabet[allowed], inv_alphabet[allowed], letters[allowed])]
+        tables = []
+        for picks in (np.arange(q)[None], allowed):
+            t, c = picks.shape
+            tables.append((alphabet[picks].transpose(0, 2, 1, 3).reshape(t, d, c * d),
+                           inv_alphabet[picks].reshape(t, c * d, d), letters[picks]))
+        # one matrix row as one element: the forward products come out as
+        # [parent, i, child, l] and are copied to [parent, child, i, l] as
+        # rows
+        row = np.dtype((np.void, 8 * d))
 
         letter, offsets, products = self.letter, self.offsets, self.products
         buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
 
         def window(lo):
-            # where the products of rows lo:lo + BLOCK_ROWS are written
-            return buffer if products is None else products[:, lo:lo + BLOCK_ROWS]
+            # where the products of rows lo:lo + BLOCK_ROWS are written, its
+            # forward half as matrix rows and its inverse half
+            block = buffer if products is None else products[:, lo:lo + BLOCK_ROWS]
+            return block, block[0].view(row)[..., 0], block[1]
 
-        block = window(0)
+        block, fwd_rows, inv_half = window(0)
         block[:, 0] = np.eye(d)
         letter[0] = 0
         fill = 1  # rows of the block written so far
-        sphere = block[:, :1].copy()
+        # the parents' forward and inverse products, and whether they are
+        # rows of the buffer
+        fwd_par, inv_par, in_buffer = block[0, :1], block[1, :1], products is None
         for k in range(1, n + 1):
             fwd_tab, inv_tab, let_tab = tables[k > 1]
             c = let_tab.shape[1]  # children per parent
             start, lo = offsets[k - 1], offsets[k]
-            # the parents of sphere k + 1, unless the whole ball is kept; sphere
-            # n's only copy is the block
-            store = (np.empty((2, (lo - start) * c, d, d))
-                     if products is None and k < n else None)
+            # sphere k starts at row `first` of the block; unless the whole
+            # ball is kept, a sphere k < n that does not end before the block
+            # is handed out is copied to `store`, block by block
+            first, size = fill, offsets[k + 1] - lo
+            store = (np.empty((2, size, d, d))
+                     if products is None and k < n and fill + size >= BLOCK_ROWS else None)
             a = lo
             # children in canonical order: by parent row, then by letter; the
-            # next one is child j of parent row p
+            # next one is child j of parent row p.  A step's forward products
+            # are made in the rows its inverse products then overwrite.
             p, j = start, 0
             while p < lo:
                 room = BLOCK_ROWS - fill
                 if j == 0 and room >= c:
-                    # the parents whose children all fit, each broadcast over
-                    # its row of the tables
+                    # the parents whose children all fit: one product per
+                    # parent and side with its rows of the tables
                     e = min(p + room // c, lo)
-                    lasts = letter[p:e]
-                    rows, shape = (e - p) * c, (e - p, c, d, d)
-                    out = block[:, fill:fill + rows]
-                    np.matmul(sphere[0][p - start:e - start, None], fwd_tab.take(lasts, 0),
-                              out=out[0].reshape(shape))
-                    np.matmul(inv_tab.take(lasts, 0), sphere[1][p - start:e - start, None],
-                              out=out[1].reshape(shape))
-                    lets = let_tab.take(lasts, 0).ravel()
+                    # the parents' last letters, as intp take indices
+                    m, lasts = e - p, letter[p:e].astype(np.intp)
+                    rows = m * c
+                    inv = inv_half[fill:fill + rows]
+                    fwd = np.matmul(fwd_par[p - start:e - start], fwd_tab.take(lasts, 0),
+                                    inv.reshape(m, d, c * d))
+                    fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
+                        fwd.view(row).transpose(0, 2, 1)
+                    np.matmul(inv_tab.take(lasts, 0), inv_par[p - start:e - start],
+                              inv.reshape(m, c * d, d))
+                    letter[a:a + rows] = let_tab.take(lasts, 0).ravel()
                     p = e
                 else:
                     # a parent whose children straddle the end of the block
                     rows = min(c - j, room)
                     last = letter[p]
-                    out = block[:, fill:fill + rows]
-                    np.matmul(sphere[0][p - start], fwd_tab[last, j:j + rows], out=out[0])
-                    np.matmul(inv_tab[last, j:j + rows], sphere[1][p - start], out=out[1])
-                    lets = let_tab[last, j:j + rows]
+                    inv = inv_half[fill:fill + rows]
+                    fwd = np.matmul(fwd_par[p - start], fwd_tab[last, :, j * d:(j + rows) * d],
+                                    inv.reshape(d, rows * d))
+                    fwd_rows[fill:fill + rows] = fwd.view(row).T
+                    np.matmul(inv_tab[last, j * d:(j + rows) * d], inv_par[p - start],
+                              inv.reshape(rows * d, d))
+                    letter[a:a + rows] = let_tab[last, j:j + rows]
                     j += rows
                     if j == c:
                         p, j = p + 1, 0
-                letter[a:a + rows] = lets
-                if store is not None:
-                    store[:, a - lo:a - lo + rows] = out
                 fill += rows
                 a += rows
                 if fill == BLOCK_ROWS:
                     _require_finite(block)
                     yield a - fill, block[0], block[1]
-                    block = window(a)
+                    if products is None:
+                        # the next rows overwrite the buffer: first copy out
+                        # what the walk still reads of it
+                        if in_buffer:
+                            fwd_par, inv_par, in_buffer = fwd_par.copy(), inv_par.copy(), False
+                        if store is not None:
+                            store[:, a - lo - fill + first:a - lo] = block[:, first:]
+                        first = 0
+                    block, fwd_rows, inv_half = window(a)
                     fill = 0
-            if store is not None:
-                sphere = store
-            elif products is not None:
-                sphere = products[:, lo:a]
+            if products is not None:
+                fwd_par, inv_par = products[0, lo:a], products[1, lo:a]
+            elif store is None:
+                fwd_par, inv_par, in_buffer = block[0, first:fill], block[1, first:fill], True
+            else:
+                store[:, a - lo - fill + first:] = block[:, first:fill]
+                fwd_par, inv_par = store
         if fill:
             _require_finite(block[:, :fill])
             yield self.rows - fill, block[0, :fill], block[1, :fill]
@@ -361,6 +403,23 @@ def _inverse_codes(codes):
     return ((codes - 1) ^ 1) + 1
 
 
+def _inverse_rows(codes, rank):
+    """Row within its sphere of the inverse of each reduced word, from its (count, k) codes.
+
+    A reduced word's row is its mixed-radix rank: the first letter key, then
+    for each later key one digit of base 2r - 1, the key less one when it is
+    above the inverse of the key before it.  The inverse word is the
+    reversed codes, each inverted.
+    """
+    inv = _inverse_codes(codes[:, ::-1])
+    rows = inv[:, 0].astype(np.intp) - 1
+    for i in range(1, codes.shape[1]):
+        rows *= 2 * rank - 1
+        rows += inv[:, i] - 1
+        rows -= inv[:, i] > _inverse_codes(inv[:, i - 1])
+    return rows
+
+
 def conjugacy_classes(P, n, primitive_only=False):
     """One canonical word per cyclic class of cyclically reduced words, length <= n.
 
@@ -371,9 +430,8 @@ def conjugacy_classes(P, n, primitive_only=False):
     is larger, as a word equal to a rotation is a proper power.  gamma and
     gamma^-1 give distinct classes.
 
-    Words are compared as byte strings of letter codes, taken once per
-    sphere: rotation i of a word is bytes i:i + k of the word written twice,
-    and the inverse word is the reversed codes, each inverted.
+    Rotations are compared as byte strings of letter codes, taken once per
+    sphere: rotation i of a word is bytes i:i + k of the word written twice.
     """
     ball = word_spheres(P, n)
     keep = np.zeros(len(ball), dtype=bool)
@@ -387,28 +445,11 @@ def conjugacy_classes(P, n, primitive_only=False):
         for shift in range(1, k):
             rotated = _byte_words(twice[:, shift:shift + k])
             keep[sphere] &= words < rotated if primitive_only else words <= rotated
-        inverse[sphere] = ball.offsets[k] + np.searchsorted(
-            words, _byte_words(_inverse_codes(codes[:, ::-1])))
+        inverse[sphere] = ball.offsets[k] + _inverse_rows(codes, P.rank)
     rows = np.flatnonzero(keep)
     return WordBall(ball.mats[rows], ball.mats[inverse[rows]], ball.parent[rows],
                     ball.letter[rows], np.searchsorted(rows, ball.offsets[1:]), 1,
                     ball.whole)
-
-
-def exterior_power_rep(A, k):
-    """Induced action on the k-th exterior power, lexicographic wedge basis."""
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    if not 1 <= k <= d - 1:
-        raise BadIndex(f"k={k} outside 1..{d - 1}")
-    combos = list(itertools.combinations(range(d), k))
-    m = len(combos)
-    out = np.empty((m, m))
-    for col, J in enumerate(combos):
-        sub = A[:, J]
-        for row, I in enumerate(combos):
-            out[row, col] = np.linalg.det(sub[I, :])
-    return out
 
 
 def symmetric_power_rep(A, d):

@@ -26,6 +26,7 @@ from pslab import (
     presets,
 )
 from conftest import random_sl2
+from identities import exterior_power_rep, gromov_product, hat_iota
 from words import random_words
 
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
@@ -57,7 +58,7 @@ def test_identity_suite():
             kA = cartan.kappa(A)
 
             # kappa of the inverse is minus the reversed vector
-            assert np.max(np.abs(cartan.kappa(A_inv) + cartan.hat_iota(kA))) < 1e-9
+            assert np.max(np.abs(cartan.kappa(A_inv) + hat_iota(kA))) < 1e-9
 
             # Jordan projection is homogeneous under powers (relative)
             nu = cartan.jordan_spliced(A, A_inv)
@@ -76,10 +77,10 @@ def test_identity_suite():
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
             # Gromov product under the diagonal action
-            glhs = cocycle.gromov_product(
+            glhs = gromov_product(
                 flags.apply_matrix(A, F), flags.apply_matrix(A, G)
-            ) - cocycle.gromov_product(F, G)
-            grhs = -cocycle.iwasawa(A, F) + cartan.hat_iota(cocycle.iwasawa(A, G))
+            ) - gromov_product(F, G)
+            grhs = -cocycle.iwasawa(A, F) + hat_iota(cocycle.iwasawa(A, G))
             assert np.max(np.abs(glhs - grhs)) < 1e-8
 
             # omega_k subadditivity under products
@@ -101,14 +102,14 @@ def test_exterior_power_identity():
     for w in random_words(2, 500, 8, rng):
         A = P.word_matrix(w)
         lhs = a2(cartan.kappa(A))
-        rhs = a1(cartan.kappa(matgroup.exterior_power_rep(A, 2)))
+        rhs = a1(cartan.kappa(exterior_power_rep(A, 2)))
         assert abs(lhs - rhs) < 1e-9
 
     # regression comparison on a presentation whose alpha_2 gap grows
     # uniformly, so the certified window is nondegenerate
     S = presets.sym_power_presentation(presets.fuchsian_schottky(1.6), 4)
     S6 = matgroup.GroupPresentation(
-        6, [matgroup.exterior_power_rep(g, 2) for g in S.generators])
+        6, [exterior_power_rep(g, 2) for g in S.generators])
     est4 = patterson.critical_exponent(S, a2, 7)
     est6 = patterson.critical_exponent(S6, a1, 7)
     assert abs(est4.delta_hat - est6.delta_hat) < 1e-6

@@ -45,6 +45,13 @@ def test_validate_config_reports_field_path():
     with pytest.raises(ConfigInvalid) as exc:
         cli.validate_config({"preset": "sl2-mild", "bogus": 1})
     assert exc.value.path == "(root)"
+    # a value nested deeper than the schema walk recurses
+    deep = 4
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ConfigInvalid) as exc:
+        cli.validate_config({"command": "kappa", "preset": "parabolic", "params": {"n": deep}})
+    assert exc.value.path == "(root)"
     # closed-geodesic counting reads words shorter than an exponent fit needs
     cli.validate_config({"command": "count-geodesics", "preset": "parabolic",
                          "params": {"n_max": 3}})
@@ -245,10 +252,13 @@ def test_cli_exit_codes(tmp_path):
         err = error_record(result)
         assert err["error"] == error and err.get("path") == path
 
-    # a file that is not JSON, not UTF-8, or holds an integer too long to
-    # read, and a top level that is not an object
+    # a file that is not JSON, not UTF-8, holds an integer too long to read
+    # or a list nested deeper than json.load recurses, and a top level that
+    # is not an object (json.dump recurses too, so the deep file is a string)
     notjson = tmp_path / "notjson.json"
-    for content in (b"{", b"\xff\xfe{}", b"1" * 5000, b"[1, 2]", b'"kappa"', b"3"):
+    deep = ('{"command": "kappa", "preset": "parabolic", "params": {"n": '
+            + "[" * 5000 + "4" + "]" * 5000 + "}}").encode()
+    for content in (b"{", b"\xff\xfe{}", b"1" * 5000, deep, b"[1, 2]", b'"kappa"', b"3"):
         notjson.write_bytes(content)
         result = runner.invoke(cli.main, ["kappa", "--config", str(notjson),
                                           "--out", str(tmp_path / "out")])

@@ -3,6 +3,7 @@ import pytest
 
 from pslab import _kernels, cartan, cocycle, flags, matgroup, presets
 from pslab.errors import InsufficientGap, NotProximal, ThetaMismatch
+from identities import TRANSVERSALITY_TOLERANCE
 
 
 def test_qr_positive_orthonormal_and_deterministic(rng):
@@ -70,7 +71,7 @@ def test_apply_matrix_moves_spans(sl3):
     assert abs(abs(v @ G.subspace(1)[:, 0]) - 1.0) < 1e-10
 
 
-def is_transverse(F, G, tolerance=flags.TRANSVERSALITY_TOLERANCE):
+def is_transverse(F, G, tolerance=TRANSVERSALITY_TOLERANCE):
     """(transverse?, witness): F^k + G^(d-k) = R^d for all k in theta.
 
     The witness is the minimum over k of |det[basis F^k | basis G^(d-k)]|.

@@ -9,6 +9,7 @@ import pytest
 from pslab import cartan, matgroup, patterson, presets
 from pslab.errors import BadIndex, BudgetExceeded
 from pslab.matgroup import reduce_word
+from identities import exterior_power_rep
 from words import random_words, word_key
 
 
@@ -108,31 +109,42 @@ BALL_CASES = [(presets.cyclic_hyperbolic, 9),
               (functools.partial(presets.fuchsian_schottky, 1.6), 6),
               (lambda: rank3_schottky(), 4), (presets.schottky_so21, 5),
               (presets.sl3_zariski_dense, 4),
+              # products with exact zeros, whose signs are bits too
+              (presets.sanov_gamma2, 6), (presets.sl4_mild, 4),
               # deep and narrow: 300 spheres of two rows
               (presets.parabolic, 300),
               # no sphere past the identity, and sphere 1 only
               (presets.sl2_mild, 0), (presets.sl2_mild, 1)]
-BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "parabolic",
-            "radius0", "radius1"]
+BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "gamma2", "d4",
+            "parabolic", "radius0", "radius1"]
+
+
+def _bits(a):
+    # array_equal takes -0.0 for +0.0; the int64 view does not
+    return a.view(np.int64) if a.dtype == np.float64 else a
 
 
 @pytest.mark.parametrize("make, n", BALL_CASES, ids=BALL_IDS)
 def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
     from ball_oracle import batch_kappa_reference, word_spheres_reference
 
-    # several blocks per sphere, the last one partial
-    monkeypatch.setattr(matgroup, "BLOCK_ROWS", 5)
     P = make()
-    ball, ref = matgroup.word_spheres(P, n), word_spheres_reference(P, n)
-    for field in ("mats", "inv_mats", "parent", "letter", "offsets"):
-        got, want = getattr(ball, field), getattr(ref, field)
-        assert got.dtype == want.dtype and np.array_equal(got, want), field
-    assert ball.words() == ref.words()
+    ref = word_spheres_reference(P, n)
+    ref_K = batch_kappa_reference(ref.mats, ref.inv_mats)
     proj = cartan.projection_matrix(P.dimension, cartan.full_theta(P.dimension))
-    K, ref_K = (matgroup.batch_kappa(ball.mats, ball.inv_mats),
-                batch_kappa_reference(ref.mats, ref.inv_mats))
-    assert np.array_equal(K, ref_K)
-    assert np.array_equal(K @ proj.T, ref_K @ proj.T)
+    # several blocks per sphere, the last one partial; at 5 and 7 rows the
+    # three children of a rank-2 parent straddle the end of a block at
+    # every child offset
+    for block_rows in (5, 7):
+        monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
+        ball = matgroup.word_spheres(P, n)
+        for field in ("mats", "inv_mats", "parent", "letter", "offsets"):
+            got, want = getattr(ball, field), getattr(ref, field)
+            assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want)), field
+        assert ball.words() == ref.words()
+        K = matgroup.batch_kappa(ball.mats, ball.inv_mats)
+        assert np.array_equal(_bits(K), _bits(ref_K))
+        assert np.array_equal(K @ proj.T, ref_K @ proj.T)
 
 
 def test_word_spheres_allocates_the_ball_once():
@@ -216,8 +228,8 @@ def test_conjugacy_classes_match_tuple_enumeration(make, n, primitive_only):
 def test_exterior_power_rep_multiplicative(rng):
     A, B = rng.normal(size=(2, 4, 4))
     assert np.allclose(
-        matgroup.exterior_power_rep(A @ B, 2),
-        matgroup.exterior_power_rep(A, 2) @ matgroup.exterior_power_rep(B, 2),
+        exterior_power_rep(A @ B, 2),
+        exterior_power_rep(A, 2) @ exterior_power_rep(B, 2),
         atol=1e-10,
     )
 
@@ -225,7 +237,7 @@ def test_exterior_power_rep_multiplicative(rng):
 def test_exterior_power_singular_values(rng):
     A = rng.normal(size=(4, 4))
     s = np.linalg.svd(A, compute_uv=False)
-    s2 = np.linalg.svd(matgroup.exterior_power_rep(A, 2), compute_uv=False)
+    s2 = np.linalg.svd(exterior_power_rep(A, 2), compute_uv=False)
     assert abs(s2[0] - s[0] * s[1]) < 1e-8 * s[0] * s[1]
 
 
