@@ -62,6 +62,23 @@ def _floats(value, path):
         yield from _floats(item, path + (key,))
 
 
+def _schema_message(error):
+    """The schema rule a config value fails, in words that do not quote the value.
+
+    jsonschema's own message holds the repr of the whole offending value,
+    which may be any size.
+    """
+    rule, value = error.validator, error.validator_value
+    if rule == "not":
+        # the schema's only "not" rejects a field the command does not read
+        return "not read by this command"
+    # a rule whose value is a subschema is named, not quoted
+    if isinstance(value, dict) or (isinstance(value, list)
+                                   and any(isinstance(v, dict) for v in value)):
+        return f"fails the schema's {rule}"
+    return f"fails the schema's {rule} {json.dumps(value)}"
+
+
 def validate_config(config):
     from jsonschema.exceptions import best_match
 
@@ -70,9 +87,7 @@ def validate_config(config):
         error = best_match(_validator().iter_errors(config))
         if error is not None:
             path = ".".join(str(p) for p in error.absolute_path) or "(root)"
-            # the schema's only "not" rejects a field the command does not read
-            message = "not read by this command" if error.validator == "not" else error.message
-            raise ConfigInvalid(path, message) from error
+            raise ConfigInvalid(path, _schema_message(error)) from error
         # json.load reads NaN and Infinity, and the schema's "number" admits them
         for path, x in _floats(config, ()):
             if not math.isfinite(x):

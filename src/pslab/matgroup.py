@@ -36,10 +36,12 @@ ELEMENT_CAP = 5_000_000
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
 # rows per block of a ball walk: each block it yields, and each step, hold at
-# most this many rows.  A step's temporaries are its parents' last letters and
-# their rows of one child table at a time, as many matrices as the step has
-# children; its forward products are made in the block rows that its inverse
-# products then overwrite
+# most this many rows.  A walk that does not keep its matrices holds one such
+# block, or two while it writes its last sphere from the one before.  A
+# step's temporaries are its parents' last letters and their rows of one
+# child table at a time, as many matrices as the step has children; its
+# forward products are made in the block rows that its inverse products then
+# overwrite
 BLOCK_ROWS = 1 << 13
 
 
@@ -195,14 +197,19 @@ class _BallWalk:
     the sphere ``offsets``, the running sums of the sphere sizes: sphere k
     is rows offsets[k]:offsets[k + 1].  Iterating fills ``letter`` and yields
     ``(lo, mats, inv_mats)``, the products of ball rows lo:lo + len(mats),
-    in blocks of BLOCK_ROWS rows (the last one shorter) that may span
-    spheres; the next block overwrites these arrays.  The walk keeps the
-    matrices of the parent sphere and of the sphere being written, and never
-    those of sphere n; with keep_matrices it keeps every sphere's, in the
-    whole-ball ``products`` (forward products first, inverse ones second).
-    A walk is iterated once; after that ``ball()`` is the WordBall of the
-    walked rows, whose ``parent`` is made there from the row numbers alone.
-    A block whose products overflowed raises DecompositionFailure.
+    in blocks of at most BLOCK_ROWS rows that may span spheres; the next
+    block overwrites these arrays.  The blocks tile the ball's rows once
+    each, but lo need not increase: sphere n may be handed out between the
+    blocks of sphere n - 1, and its own blocks come in row order.  The walk
+    keeps the matrices of the parent sphere and of the sphere being written,
+    never those of sphere n, and not those of sphere n - 1 either when it
+    writes sphere n from each block of sphere n - 1 (below); with
+    keep_matrices it keeps every sphere's, in the whole-ball ``products``
+    (forward products first, inverse ones second), and hands out blocks in
+    row order.  A walk is iterated once; after that ``ball()`` is the
+    WordBall of the walked rows, whose ``parent`` is made there from the row
+    numbers alone.  A block whose products overflowed raises
+    DecompositionFailure.
 
     Each sphere is written from the previous one, at most BLOCK_ROWS rows
     per step.  A step makes one matrix product per parent and side, with the
@@ -211,11 +218,19 @@ class _BallWalk:
     l] order through a view whose element is one matrix row, and [g_1^-1;
     g_2^-1; ...] @ G is already in that order and is written into the
     block.  A parent whose children straddle the block's end is split
-    between two steps, which slice the same tables by column.  Unless the
+    between two steps, which slice the same tables by column; a parent with
+    one child (rank 1) has its forward product made in place.  Unless the
     walk keeps its matrices, a sphere that ends before its block is handed
     out is read from there as the next sphere's parents, and copied out only
     if the block is handed out first; a longer sphere is copied to a store
-    block by block.
+    block by block.  Sphere n - 1 is not stored when its parents are: each
+    time one of its blocks is handed out, the children of its rows there
+    are written to a second block, the tail, which is handed out each time
+    it fills.  The walk then holds the store of sphere n - 2 and two blocks,
+    where it held the stores of spheres n - 2 and n - 1 and one block.  A
+    sphere n - 1 whose parents are read from the block is still stored:
+    copied out, they would be held through sphere n, and they are smaller
+    than a block.
     """
 
     def __init__(self, P, n, keep_matrices=False):
@@ -263,65 +278,62 @@ class _BallWalk:
         # [parent, i, child, l] and are copied to [parent, child, i, l] as
         # rows
         row = np.dtype((np.void, 8 * d))
-
         letter, offsets, products = self.letter, self.offsets, self.products
-        buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
 
-        def window(lo):
-            # where the products of rows lo:lo + BLOCK_ROWS are written, its
-            # forward half as matrix rows and its inverse half
-            block = buffer if products is None else products[:, lo:lo + BLOCK_ROWS]
-            return block, block[0].view(row)[..., 0], block[1]
+        def halves(block):
+            # where a block's products are written: its forward half, also
+            # as matrix rows, and its inverse half
+            return block[0], block[0].view(row)[..., 0], block[1]
 
-        block, fwd_rows, inv_half = window(0)
-        block[:, 0] = np.eye(d)
-        letter[0] = 0
-        fill = 1  # rows of the block written so far
-        # the parents' forward and inverse products, and whether they are
-        # rows of the buffer
-        fwd_par, inv_par, in_buffer = block[0, :1], block[1, :1], products is None
-        for k in range(1, n + 1):
-            fwd_tab, inv_tab, let_tab = tables[k > 1]
+        def write(out, fill, a, fwd_par, inv_par, base, p, j, end, tabs):
+            """Write children of the parent rows p:end, with the child tables tabs, into out.
+
+            out is halves() of a block.  The first child is child j of row
+            p; it goes to row fill of out and ball row a, and the children
+            follow until out is full.  Parent row p's products are
+            fwd_par[p - base] and inv_par[p - base].  Returns where the walk
+            stands: (p, j, fill).
+            """
+            fwd_tab, inv_tab, let_tab = tabs
             c = let_tab.shape[1]  # children per parent
-            start, lo = offsets[k - 1], offsets[k]
-            # sphere k starts at row `first` of the block; unless the whole
-            # ball is kept, a sphere k < n that does not end before the block
-            # is handed out is copied to `store`, block by block
-            first, size = fill, offsets[k + 1] - lo
-            store = (np.empty((2, size, d, d))
-                     if products is None and k < n and fill + size >= BLOCK_ROWS else None)
-            a = lo
-            # children in canonical order: by parent row, then by letter; the
-            # next one is child j of parent row p.  A step's forward products
-            # are made in the rows its inverse products then overwrite.
-            p, j = start, 0
-            while p < lo:
-                room = BLOCK_ROWS - fill
+            fwd_half, fwd_rows, inv_half = out
+            size = len(inv_half)
+            # children in canonical order: by parent row, then by letter.  A
+            # step's forward products are made in the rows its inverse
+            # products then overwrite.
+            while p < end and fill < size:
+                room = size - fill
                 if j == 0 and room >= c:
                     # the parents whose children all fit: one product per
                     # parent and side with its rows of the tables
-                    e = min(p + room // c, lo)
+                    e = min(p + room // c, end)
                     # the parents' last letters, as intp take indices
                     m, lasts = e - p, letter[p:e].astype(np.intp)
                     rows = m * c
                     inv = inv_half[fill:fill + rows]
-                    fwd = np.matmul(fwd_par[p - start:e - start], fwd_tab.take(lasts, 0),
-                                    inv.reshape(m, d, c * d))
-                    fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
-                        fwd.view(row).transpose(0, 2, 1)
-                    np.matmul(inv_tab.take(lasts, 0), inv_par[p - start:e - start],
+                    if c == 1:
+                        # one child per parent: [i, child, l] is canonical
+                        # order, and the products are made in place
+                        np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
+                                  fwd_half[fill:fill + rows])
+                    else:
+                        fwd = np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
+                                        inv.reshape(m, d, c * d))
+                        fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
+                            fwd.view(row).transpose(0, 2, 1)
+                    np.matmul(inv_tab.take(lasts, 0), inv_par[p - base:e - base],
                               inv.reshape(m, c * d, d))
                     letter[a:a + rows] = let_tab.take(lasts, 0).ravel()
                     p = e
                 else:
-                    # a parent whose children straddle the end of the block
+                    # a parent whose children straddle the end of out
                     rows = min(c - j, room)
                     last = letter[p]
                     inv = inv_half[fill:fill + rows]
-                    fwd = np.matmul(fwd_par[p - start], fwd_tab[last, :, j * d:(j + rows) * d],
+                    fwd = np.matmul(fwd_par[p - base], fwd_tab[last, :, j * d:(j + rows) * d],
                                     inv.reshape(d, rows * d))
                     fwd_rows[fill:fill + rows] = fwd.view(row).T
-                    np.matmul(inv_tab[last, j * d:(j + rows) * d], inv_par[p - start],
+                    np.matmul(inv_tab[last, j * d:(j + rows) * d], inv_par[p - base],
                               inv.reshape(rows * d, d))
                     letter[a:a + rows] = let_tab[last, j:j + rows]
                     j += rows
@@ -329,10 +341,68 @@ class _BallWalk:
                         p, j = p + 1, 0
                 fill += rows
                 a += rows
+            return p, j, fill
+
+        # sphere n, when it is written from each block of sphere n - 1 as
+        # that block is handed out: into `tail`, from ball row tail_lo + tail_fill
+        tail, tail_lo, tail_fill = None, offsets[n], 0
+
+        def write_tail(block, first, fill, a):
+            # the children of the sphere n - 1 rows first:fill of block, ball
+            # rows a - fill + first:a; tail is handed out each time it fills
+            nonlocal tail_lo, tail_fill
+            base = p = a - fill + first
+            j = 0
+            while p < a:
+                p, j, end = write(halves(tail), tail_fill, tail_lo + tail_fill,
+                                  block[0, first:fill], block[1, first:fill], base, p, j, a,
+                                  tables[1])
+                tail_fill = end
+                if tail_fill == len(tail[0]):
+                    _require_finite(tail)
+                    yield tail_lo, tail[0], tail[1]
+                    tail_lo, tail_fill = tail_lo + tail_fill, 0
+
+        buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
+
+        def window(lo):
+            # where the products of rows lo:lo + BLOCK_ROWS are written
+            block = buffer if products is None else products[:, lo:lo + BLOCK_ROWS]
+            return block, halves(block)
+
+        block, out = window(0)
+        block[:, 0] = np.eye(d)
+        letter[0] = 0
+        fill = 1  # rows of the block written so far
+        # the parents' forward and inverse products, and whether they are
+        # rows of the buffer
+        fwd_par, inv_par, in_buffer = block[0, :1], block[1, :1], products is None
+        for k in range(1, n + 1):
+            start, lo, tabs = offsets[k - 1], offsets[k], tables[k > 1]
+            # sphere k starts at row `first` of the block.  Unless the whole
+            # ball is kept, a sphere k < n that does not end inside its block
+            # is copied to `store` block by block; or at k = n - 1, if its
+            # parents are in a store, its children are written to `tail`
+            # from each of its blocks as that block is handed out, and
+            # sphere n needs no step of its own
+            first, size, store = fill, offsets[k + 1] - lo, None
+            if products is None and fill + size >= BLOCK_ROWS and k < n:
+                if k == n - 1 and not in_buffer:
+                    # no larger than the store it replaces
+                    tail = np.empty((2, min(BLOCK_ROWS, size), d, d))
+                else:
+                    store = np.empty((2, size, d, d))
+            p, j, a = start, 0, lo
+            while p < lo:
+                p, j, end = write(out, fill, a, fwd_par, inv_par, start, p, j, lo, tabs)
+                a += end - fill
+                fill = end
                 if fill == BLOCK_ROWS:
                     _require_finite(block)
                     yield a - fill, block[0], block[1]
                     if products is None:
+                        if tail is not None:
+                            yield from write_tail(block, first, fill, a)
                         # the next rows overwrite the buffer: first copy out
                         # what the walk still reads of it
                         if in_buffer:
@@ -340,10 +410,18 @@ class _BallWalk:
                         if store is not None:
                             store[:, a - lo - fill + first:a - lo] = block[:, first:]
                         first = 0
-                    block, fwd_rows, inv_half = window(a)
+                    block, out = window(a)
                     fill = 0
             if products is not None:
                 fwd_par, inv_par = products[0, lo:a], products[1, lo:a]
+            elif tail is not None:
+                if fill:
+                    _require_finite(block[:, :fill])
+                    yield a - fill, block[0, :fill], block[1, :fill]
+                    yield from write_tail(block, first, fill, a)
+                # the rest of sphere n is handed out below
+                block, fill = tail, tail_fill
+                break
             elif store is None:
                 fwd_par, inv_par, in_buffer = block[0, first:fill], block[1, first:fill], True
             else:
@@ -438,7 +516,11 @@ def conjugacy_classes(P, n, primitive_only=False):
     inverse = np.zeros(len(ball), dtype=np.intp)
     for k, block in enumerate(ball[1:].sphere_letters(), 1):
         sphere = slice(ball.offsets[k], ball.offsets[k + 1])
-        codes = (_letter_key(block.astype(np.intp)) + 1).astype(np.uint8)
+        # code 2|l| - 1 + (l < 0) = _letter_key(l) + 1, made in uint8 (rank <= 127)
+        codes = np.abs(block).view(np.uint8)
+        codes <<= 1
+        codes -= 1
+        codes += block < 0
         words = _byte_words(codes)
         keep[sphere] = codes[:, 0] != _inverse_codes(codes[:, -1])
         twice = np.concatenate([codes, codes], axis=1)

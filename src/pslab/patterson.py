@@ -56,22 +56,27 @@ class AtomicMeasure:
 
 
 def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
-    """The radius-n ball and one value per row, plus the flags of the rows of
-    spheres 0..flag_spheres (none at -1).
+    """The walk of the radius-n ball and one value per row, plus the flags of
+    the rows of spheres 0..flag_spheres (none at -1).
 
-    Returns (ball, values, (frames, ok)): ball holds the words only, and
-    values[i] is K @ f for the spliced Cartan vector K of row i, or K itself
-    when f is None.  The matrices are spliced (and passed to u_theta) one
-    block at a time as the walk writes them, so with a covector f the walk
-    keeps one float per row.  ok marks the flag rows passing the gap test and
-    frames stacks their U_theta frames in row order.
+    Returns (walk, values, (frames, ok)): walk is the walked _BallWalk, whose
+    ``offsets`` are the sphere offsets and whose ``ball()`` makes the
+    words-only ball for the callers that read words.  values[i] is K @ f for
+    the spliced Cartan vector K of row i, or K itself when f is None.  The
+    matrices are spliced (and passed to u_theta) one block at a time as the
+    walk writes them, so with a covector f the walk keeps one float per row.
+    ok marks the flag rows passing the gap test and frames stacks their
+    U_theta frames in row order.  The walk's blocks need not come in row
+    order (sphere n may be handed out between the blocks of sphere n - 1),
+    so a block's frames are written from its first row, and moved down over
+    the failed rows once the walk is done, block by block in row order.
     """
     walk = matgroup._BallWalk(P, n)
     d = P.dimension
     values = np.empty((walk.rows, d) if f is None else walk.rows)
     flag_rows = matgroup.free_ball_size(P.rank, flag_spheres) if flag_spheres >= 0 else 0
     frames, ok = np.empty((flag_rows, d, d)), np.empty(flag_rows, dtype=bool)
-    kept = 0
+    parts = []  # (first row, frames) of each block's flags
     for lo, mats, inv_mats in walk:
         K = matgroup.batch_kappa(mats, inv_mats)
         values[lo:lo + len(mats)] = K if f is None else _row_products(K, f)
@@ -79,9 +84,15 @@ def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
         if part.stop:
             F, good = flags.u_theta(mats[part], theta)
             ok[lo:lo + len(good)] = good
-            frames[kept:kept + len(F)] = F.frame
-            kept += len(F)
-    return walk.ball(), values, (frames[:kept], ok)
+            frames[lo:lo + len(F)] = F.frame
+            parts.append((lo, len(F)))
+    kept = 0
+    for lo, count in sorted(parts):
+        # at most lo frames are kept before row lo, so the move overwrites
+        # no block still to be read (numpy buffers an overlapping copy)
+        frames[kept:kept + count] = frames[lo:lo + count]
+        kept += count
+    return walk, values, (frames[:kept], ok)
 
 
 def _cone_checked(values):
@@ -133,7 +144,8 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     supercritical for that estimate.
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
-    ball, values, (frames, ok) = _walk_ball(P, n_max, cartan.theta_covector(phi, theta), n, theta)
+    walk, values, (frames, ok) = _walk_ball(P, n_max, cartan.theta_covector(phi, theta), n, theta)
+    ball = walk.ball()
     est = _sphere_regression(_cone_checked(values), ball.offsets, n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat)
@@ -247,9 +259,11 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     convergence transition of the partial sums), or "both".
     """
     theta = _exponent_theta(P, n_max, theta, method)
-    ball, values, _ = _walk_ball(P, n_max, cartan.theta_covector(phi, theta))
-    values, offsets = _cone_checked(values), ball.offsets
-    del ball  # the estimators read the values and sphere offsets, not the words
+    walk, values, _ = _walk_ball(P, n_max, cartan.theta_covector(phi, theta))
+    values, offsets = _cone_checked(values), np.array(walk.offsets)
+    # the estimators read the values and sphere offsets: no words are made,
+    # and the walk's letters go before the regression sorts its copy
+    del walk
     if method == "sphere-regression":
         return _sphere_regression(values, offsets, n_max)
     if method == "series-transition":
@@ -266,8 +280,8 @@ def patterson_measure(P, phi, s, n, theta=None, delta_hat=None):
     """
     theta = cartan.validate_theta(theta, P.dimension)
     _require_supercritical(s, delta_hat)
-    ball, values, (frames, ok) = _walk_ball(P, n, cartan.theta_covector(phi, theta), n, theta)
-    return _measure_from_flags(phi, s, ball, _cone_checked(values), frames, ok)
+    walk, values, (frames, ok) = _walk_ball(P, n, cartan.theta_covector(phi, theta), n, theta)
+    return _measure_from_flags(phi, s, walk.ball(), _cone_checked(values), frames, ok)
 
 
 def outer_sphere_restriction(mu):
@@ -397,11 +411,12 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
     # one ball of Cartan vectors serves every phi
-    ball, K, _ = _walk_ball(P, n_max, None)
+    walk, K, _ = _walk_ball(P, n_max, None)
+    offsets = np.array(walk.offsets)
 
     def fit(phi):
         values = _cone_checked(K @ cartan.theta_covector(phi, theta))
-        return _sphere_regression(values, ball.offsets, n_max)
+        return _sphere_regression(values, offsets, n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

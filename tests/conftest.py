@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ def random_sl2(count, seed=0):
         d = (1.0 + b * c) / a
         out.append(np.array([[a, b], [c, d]]))
     return out
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class CountingLinalg:

@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import json
 import math
 import os
@@ -167,6 +168,11 @@ def test_cli_exit_codes(tmp_path):
         ("kappa", {"command": "kappa", "params": {"m": 2}}, "params"),
         ("kappa", {"params": {"m": 2}}, "params"),
         ("kappa", {"params": {"n": True}}, "params.n"),
+        # a long list or a deeply nested one is named, not echoed (under the
+        # test runner's deeper stack a list 950 deep already reports (root))
+        ("kappa", {"params": {"n": list(range(100_000))}}, "params.n"),
+        ("kappa", {"params": {"n": functools.reduce(lambda x, _: [x], range(900), 4)}},
+         "params.n"),
         ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
         ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
         ("box-dim", {"params": {"scales": [0.3, 0.1, 0.03, 0.01]}}, "params.scales"),
@@ -210,6 +216,7 @@ def test_cli_exit_codes(tmp_path):
         assert isinstance(result.exception, SystemExit)
         err = error_record(result)
         assert err["error"] == "ConfigInvalid" and err["path"] == path
+        assert len(err["message"]) < 100, err["message"]
 
     # a config's own generators: a label count other than the generator count,
     # a ragged matrix, a singular matrix with huge entries and huge matrices

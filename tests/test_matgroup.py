@@ -1,6 +1,5 @@
 import functools
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from pslab import cartan, matgroup, patterson, presets
 from pslab.errors import BadIndex, BudgetExceeded
 from pslab.matgroup import reduce_word
+from conftest import traced_peak
 from identities import exterior_power_rep
 from words import random_words, word_key
 
@@ -83,13 +83,10 @@ def test_element_cap_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(matgroup, "ELEMENT_CAP", 100_000)
     # the whole ball with its matrices, and the streamed ball of the exponent fits
     for build in (matgroup.word_spheres, lambda P, n: patterson._walk_ball(P, n, None)):
-        tracemalloc.start()
-        try:
+        def over_cap():
             with pytest.raises(BudgetExceeded):
                 build(P, 40)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(over_cap)
         assert peak < 2**16, build
 
 
@@ -147,16 +144,47 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
         assert np.array_equal(K @ proj.T, ref_K @ proj.T)
 
 
+@pytest.mark.parametrize("make, n", BALL_CASES + [(presets.parabolic, 5)],
+                         ids=BALL_IDS + ["parabolic-5"])
+def test_walk_hands_out_every_row_once(make, n, monkeypatch):
+    from ball_oracle import word_spheres_reference
+
+    P = make()
+    ref = word_spheres_reference(P, n)
+    # blocks come as row ranges, not in row order: a walk writes its last
+    # sphere from each block of the sphere before as that block is handed
+    # out.  At 3 rows the radius-5 parabolic walk does so into a tail
+    # shorter than a block.
+    for block_rows in (3, 5, 7, matgroup.BLOCK_ROWS):
+        monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
+        walk = matgroup._BallWalk(P, n)
+        handed = np.zeros(walk.rows, dtype=int)
+        for lo, mats, inv_mats in walk:
+            rows = slice(lo, lo + len(mats))
+            assert 0 < len(mats) <= block_rows and rows.stop <= walk.rows
+            handed[rows] += 1
+            assert np.array_equal(_bits(mats), _bits(ref.mats[rows]))
+            assert np.array_equal(_bits(inv_mats), _bits(ref.inv_mats[rows]))
+        assert (handed == 1).all()
+        assert np.array_equal(walk.letter, ref.letter)
+
+
 def test_word_spheres_allocates_the_ball_once():
     # the list-and-concatenate build peaked at about 2.2 times the ball
-    tracemalloc.start()
-    try:
-        ball = matgroup.word_spheres(presets.fuchsian_schottky(1.6), 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ball, peak = traced_peak(matgroup.word_spheres, presets.fuchsian_schottky(1.6), 10)
     size = sum(a.nbytes for a in (ball.mats, ball.inv_mats, ball.parent, ball.letter))
     assert peak <= 1.2 * size
+
+
+def test_conjugacy_classes_hold_the_ball_and_a_few_bytes_a_row():
+    # the ball's products, and the letter codes, rotations and inverse rows
+    # of one sphere at a time; widening the letters to intp before making
+    # the codes peaked at 23.6 MiB here, against 14.4 MiB
+    P = presets.fuchsian_schottky(1.6)
+    _, peak = traced_peak(matgroup.conjugacy_classes, P, 10)
+    products = 2 * matgroup.free_ball_size(P.rank, 10) * P.dimension**2 * 8
+    last_sphere = matgroup.free_ball_size(P.rank, 10) - matgroup.free_ball_size(P.rank, 9)
+    assert peak < products + 128 * last_sphere
 
 
 def test_letter_matrix_rejects_unknown_letters(sl2):

@@ -1,11 +1,11 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from pslab import cartan, cocycle, flags, matgroup, patterson, presets
 from pslab.errors import NegativePhiOnCone, SubcriticalS, WindowEmpty
+from conftest import traced_peak
 from identities import gromov_product
 
 
@@ -166,12 +166,7 @@ def test_row_products_of_one_row_match_a_longer_stack(rng):
 def test_quasi_invariance_does_not_hold_the_balls_matrices(make, n, theta):
     P = make()
     phi = cartan.Functional.alpha(1, P.dimension)
-    tracemalloc.start()
-    try:
-        patterson.quasi_invariance_residual(P, phi, (1,), None, n, theta)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(patterson.quasi_invariance_residual, P, phi, (1,), None, n, theta)
     matrices = 2 * matgroup.free_ball_size(P.rank, n) * P.dimension**2 * 8
     assert peak < matrices
 
@@ -282,7 +277,8 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     # sphere that fits in one block is read as parents after that block is
     # handed out
     monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
-    ball, K, (frames, ok) = patterson._walk_ball(P, n, None, n - 1, theta)
+    walk, K, _ = patterson._walk_ball(P, n, None)
+    ball = walk.ball()
     assert ball.mats is None and ball.inv_mats is None
     for field in ("parent", "letter", "offsets"):
         got, want = getattr(ball, field), getattr(ref, field)
@@ -293,10 +289,14 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     f = cartan.theta_covector(cartan.Functional.alpha(1, P.dimension), theta)
     _, values, _ = patterson._walk_ball(P, n, f)
     assert values.shape == (len(ref),) and np.array_equal(values, ref_K @ f)
-    # the flags of spheres 0..n-1, as u_theta gives them for the whole stack
-    ref_F, ref_ok = flags.u_theta(ref.mats[:ref.offsets[n]], theta)
-    assert np.array_equal(ok, ref_ok)
-    assert np.array_equal(frames, ref_F.frame)
+    # the flags of spheres 0..n-1 and of the whole ball, as u_theta gives
+    # them for the whole stack; with flags on sphere n, its blocks are handed
+    # out before the last block of sphere n - 1
+    for flag_spheres in (n - 1, n):
+        _, _, (frames, ok) = patterson._walk_ball(P, n, f, flag_spheres, theta)
+        ref_F, ref_ok = flags.u_theta(ref.mats[:ref.offsets[flag_spheres + 1]], theta)
+        assert np.array_equal(ok, ref_ok)
+        assert np.array_equal(frames, ref_F.frame)
 
 
 @pytest.mark.parametrize("make, n", [(functools.partial(presets.schottky_so21, 1.6), 9),
@@ -305,21 +305,22 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
 def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
     P = make()
     phi = cartan.Functional.alpha(1, P.dimension)
-    tracemalloc.start()
-    try:
-        patterson.critical_exponent(P, phi, n, (1,) if P.dimension == 2 else (1, 2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(patterson.critical_exponent, P, phi, n,
+                          (1,) if P.dimension == 2 else (1, 2))
     products = 2 * P.dimension**2 * 8  # bytes of a row's forward and inverse products
     assert peak < matgroup.free_ball_size(P.rank, n) * products
-    # the walk's peak is at sphere n - 1: the stores of spheres n - 1 and
-    # n - 2, one value (float64) and one letter (int8) per ball row, and one
-    # block's products with the kernels' work on them
-    stores = (matgroup.free_ball_size(P.rank, n - 1)
-              - matgroup.free_ball_size(P.rank, n - 3)) * products
-    block = 4 * matgroup.BLOCK_ROWS * products
-    assert peak < stores + 9 * matgroup.free_ball_size(P.rank, n) + block
+    # the walk's peak is in its last two spheres, which it writes together:
+    # the store of sphere n - 2, one value (float64) and one letter (int8)
+    # per ball row, and two blocks' products (sphere n - 1's and sphere n's)
+    # with the kernels' work on one of them.  The store of sphere n - 1,
+    # three times that of sphere n - 2, is not made (with it the radius-10
+    # peak was 1.18 times this bound).  At radius 9 in d = 3, sphere n - 2
+    # ends inside its block and is read from there, and the store of sphere
+    # n - 1 is made in place of the second block.
+    store = (matgroup.free_ball_size(P.rank, n - 2)
+             - matgroup.free_ball_size(P.rank, n - 3)) * products
+    blocks = 5 * matgroup.BLOCK_ROWS * products
+    assert peak < store + 9 * matgroup.free_ball_size(P.rank, n) + blocks
 
 
 def _outcome(estimator, *args):
@@ -343,7 +344,8 @@ def test_estimators_match_list_based_reference(make, n, theta):
 
     P = make()
     phi = cartan.Functional.alpha(1, P.dimension)
-    ball, values, _ = patterson._walk_ball(P, n, cartan.theta_covector(phi, theta))
+    walk, values, _ = patterson._walk_ball(P, n, cartan.theta_covector(phi, theta))
+    ball = walk.ball()
     by_sphere = ball.split(values)
     for s in (0.0, 0.25, 0.5, 1.0, 3.0):
         sums, slope = patterson._sphere_sums(values, ball.offsets, s)
