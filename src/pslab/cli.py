@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import resource
 import sys
 import time
 import warnings
@@ -356,11 +357,12 @@ def execute(command, config, out_dir):
     phi = build_phi(config.get("phi"), P.dimension)
     params = config.get("params", {})
 
-    start = time.time()
+    # perf_counter is monotonic: a step of the system clock does not enter wall_time_s
+    start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         header, rows, results = HANDLERS[command](P, theta, phi, params)
-    wall = time.time() - start
+    wall = time.perf_counter() - start
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{command}.csv")
@@ -382,6 +384,9 @@ def execute(command, config, out_dir):
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(wall, 3),
+        # the process's resident-memory high-water mark so far (ru_maxrss is
+        # in KiB on Linux)
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "warnings": sorted({str(w.message) for w in caught}),
         "artifacts": [os.path.basename(csv_path)],
     }

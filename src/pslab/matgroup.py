@@ -10,16 +10,17 @@ forward product of its inverted word, ``letter[i]`` its last letter and
 ``parent[i]`` the row of its word with that letter removed.  Rows run in
 canonical order, so each sphere is a contiguous block of rows and a parent
 row always precedes its children; as every non-identity word has 2r - 1
-children, ``parent`` follows from the row alone (``_BallWalk.ball``).  Words
-are rebuilt from ``parent`` and ``letter`` only where a label or a word is
-needed.
+children, ``parent`` follows from the row alone, and ``letter`` from the
+letters of the spheres before (``_BallWalk``).  Words are rebuilt from
+``parent`` and ``letter`` only where a label or a word is needed.
 
 Every presentation is enumerated as a free group: a ball holds one row per
 freely reduced word, whether or not two words give the same matrix.  Every
-ball is enumerated by one ``_BallWalk``, which hands out the matrices block
-by block.  ``word_spheres`` keeps them; paths that only need values of
-the matrices (spliced Cartan vectors, flags) read each block as it comes
-and keep a words-only ball, whose ``mats`` and ``inv_mats`` are None.
+ball's matrices are made by one ``_BallWalk``, which hands them out block
+by block.  ``word_spheres`` keeps them, or makes a words-only ball, whose
+``mats`` and ``inv_mats`` are None, with no walk; paths that only need
+values of the matrices (spliced Cartan vectors, flags, the products of a
+few rows) read each block as it comes.
 """
 
 import itertools
@@ -36,12 +37,13 @@ ELEMENT_CAP = 5_000_000
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
 # rows per block of a ball walk: each block it yields, and each step, hold at
-# most this many rows.  A walk that does not keep its matrices holds one such
-# block, or two while it writes its last sphere from the one before.  A
-# step's temporaries are its parents' last letters and their rows of one
-# child table at a time, as many matrices as the step has children; its
-# forward products are made in the block rows that its inverse products then
-# overwrite
+# most this many rows, and a block never spans a multiple of BLOCK_ROWS of
+# ball rows.  A walk that does not keep its matrices holds one such block per
+# sphere that spills out of its block, and at most one block of copied
+# parents.  A step's temporaries are its parents' last letters and their
+# rows of one child table at a time, as many matrices as the step has
+# children; its forward products are made in the block rows that its inverse
+# products then overwrite
 BLOCK_ROWS = 1 << 13
 
 
@@ -133,8 +135,9 @@ class WordBall:
     slice a run of spheres, as WordBalls over views of the same arrays.
     ``mats`` and ``inv_mats`` are None in a words-only ball.
     ``parent`` holds rows of the whole walked ball, whose
-    ``(letter, parent)`` arrays every view keeps as ``whole``; a walked
-    ball's ``parent`` is not walked but made from the row numbers.
+    ``(letter, parent)`` arrays every view keeps as ``whole``; neither is
+    walked: ``parent`` is made from the row numbers and ``letter`` from the
+    letters of the first spheres.
     """
 
     mats: np.ndarray  # (N, d, d) float, or None
@@ -189,48 +192,81 @@ class WordBall:
         return [tuple(w) for block in self.sphere_letters() for w in block.tolist()]
 
 
+class _Writer:
+    """Where a ball walk writes one sphere, and the parents it writes it from.
+
+    Rows first:fill of ``block`` are ball rows lo + first:lo + fill, the
+    rows of sphere k written since the block was last handed out; ``out``
+    is the block's forward half, also as matrix rows, and its inverse half.
+    The children still to be written are those of the ball rows p:end,
+    from child j of row p on; the products of parent row i are
+    fwd[i - base] and inv[i - base], which are rows of ``block`` when
+    ``own`` is set.
+    """
+
+    __slots__ = ("block", "out", "lo", "k", "first", "fill",
+                 "fwd", "inv", "base", "p", "j", "end", "own")
+
+    def __init__(self, block, out, lo, k):
+        self.block, self.out, self.lo, self.k = block, out, lo, k
+        self.first = self.fill = 0
+        self.parents(block[0, :0], block[1, :0], lo)
+
+    def rows(self):
+        """The forward and inverse products of the sphere-k rows of the block."""
+        return self.block[:, self.first:self.fill]
+
+    def parents(self, fwd, inv, base):
+        """Write the children of ball rows base:base + len(fwd) next, from their products."""
+        self.fwd, self.inv, self.base, self.own = fwd, inv, base, False
+        self.p, self.j, self.end = base, 0, base + len(fwd)
+
+
 class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
-    Making a walk checks the element cap, allocates the whole-ball
-    ``letter`` array of ``rows`` rows, the free-group ball size, and lists
-    the sphere ``offsets``, the running sums of the sphere sizes: sphere k
-    is rows offsets[k]:offsets[k + 1].  Iterating fills ``letter`` and yields
-    ``(lo, mats, inv_mats)``, the products of ball rows lo:lo + len(mats),
-    in blocks of at most BLOCK_ROWS rows that may span spheres; the next
-    block overwrites these arrays.  The blocks tile the ball's rows once
-    each, but lo need not increase: sphere n may be handed out between the
-    blocks of sphere n - 1, and its own blocks come in row order.  The walk
-    keeps the matrices of the parent sphere and of the sphere being written,
-    never those of sphere n, and not those of sphere n - 1 either when it
-    writes sphere n from each block of sphere n - 1 (below); with
-    keep_matrices it keeps every sphere's, in the whole-ball ``products``
-    (forward products first, inverse ones second), and hands out blocks in
-    row order.  A walk is iterated once; after that ``ball()`` is the
-    WordBall of the walked rows, whose ``parent`` is made there from the row
-    numbers alone.  A block whose products overflowed raises
-    DecompositionFailure.
+    Making a walk checks the element cap, lists the sphere ``offsets``, the
+    running sums of the sphere sizes (sphere k is rows offsets[k]:offsets[k
+    + 1] of the ``rows``-row free-group ball), and makes the whole-ball
+    ``letter`` array with no walk: the 2r - 1 children of a row take every
+    letter but the inverse of its own, in canonical order, so the letters k
+    levels below a row follow from its own, and spheres k + 1..2k are one
+    lookup of spheres 1..k (log2 n lookups in all).
 
-    Each sphere is written from the previous one, at most BLOCK_ROWS rows
-    per step.  A step makes one matrix product per parent and side, with the
+    Iterating yields ``(lo, mats, inv_mats)``, the products of ball rows
+    lo:lo + len(mats), in blocks that may span spheres but not a multiple
+    of BLOCK_ROWS rows; the next block a walk writes may overwrite these
+    arrays.  The blocks tile the ball's rows once each, and each sphere's
+    blocks come in row order, but lo need not increase: a sphere may be
+    handed out between the blocks of the one before.  With keep_matrices
+    the walk writes every row into the whole-ball ``products`` (forward
+    products first, inverse ones second).  A walk is iterated once;
+    ``ball()`` is the WordBall of its rows.  A block whose products
+    overflowed raises DecompositionFailure.
+
+    Each sphere is written from the one before, at most BLOCK_ROWS rows per
+    step.  A step makes one matrix product per parent and side, with the
     parent's rows of two child tables built once per walk: F @ [g_1 | g_2 |
     ...] comes out as [i, child, l] and is copied into canonical [child, i,
     l] order through a view whose element is one matrix row, and [g_1^-1;
     g_2^-1; ...] @ G is already in that order and is written into the
     block.  A parent whose children straddle the block's end is split
     between two steps, which slice the same tables by column; a parent with
-    one child (rank 1) has its forward product made in place.  Unless the
-    walk keeps its matrices, a sphere that ends before its block is handed
-    out is read from there as the next sphere's parents, and copied out only
-    if the block is handed out first; a longer sphere is copied to a store
-    block by block.  Sphere n - 1 is not stored when its parents are: each
-    time one of its blocks is handed out, the children of its rows there
-    are written to a second block, the tail, which is handed out each time
-    it fills.  The walk then holds the store of sphere n - 2 and two blocks,
-    where it held the stores of spheres n - 2 and n - 1 and one block.  A
-    sphere n - 1 whose parents are read from the block is still stored:
-    copied out, they would be held through sphere n, and they are smaller
-    than a block.
+    one child (rank 1) has its forward product made in place.
+
+    One rule places every sphere.  A sphere that ends inside its block is
+    followed there by the next sphere, whose parents are read from the
+    block (and copied out if the block is handed out first).  A sphere that
+    does not spills: each time one of its blocks is handed out, its rows
+    there are the parents of that many children of the next sphere, which
+    are written at once into a block of the next sphere's own, handed out
+    in turn each time it fills; and when the sphere is done, its last rows
+    are handed out the same way.  A walk that does not keep its matrices
+    thus holds one block per spilled sphere, no whole sphere, and at most a
+    block of copied parents.  The spheres being written form a chain, which
+    the walk follows with a list and an index, not by recursion.  Every
+    block ends at the next multiple of BLOCK_ROWS ball rows, so the blocks
+    are those of a walk in row order, cut where a sphere's own block starts.
     """
 
     def __init__(self, P, n, keep_matrices=False):
@@ -240,21 +276,10 @@ class _BallWalk:
         self.rows = rows = free_ball_size(P.rank, n)
         if rows > ELEMENT_CAP:
             raise BudgetExceeded(f"element count exceeds cap {ELEMENT_CAP}")
-        d = P.dimension
-        self.letter = np.empty(rows, dtype=np.int8)
-        self.products = np.empty((2, rows, d, d)) if keep_matrices else None
+        d, q = P.dimension, 2 * P.rank
         # sphere k > 0 holds 2r (2r - 1)^(k - 1) rows
-        q = 2 * P.rank
-        self.offsets = [0, *itertools.accumulate(
+        self.offsets = offsets = [0, *itertools.accumulate(
             [1] + [q * (q - 1)**(k - 1) for k in range(1, n + 1)])]
-
-    def cut(self, lo, count, first, last):
-        """The slice of the block of ball rows lo:lo + count that holds spheres first..last."""
-        return slice(*(min(max(self.offsets[k] - lo, 0), count) for k in (first, last + 1)))
-
-    def __iter__(self):
-        P, n, d = self.P, self.n, self.P.dimension
-        q = 2 * P.rank
         # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
         letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
                            dtype=np.int8)
@@ -269,175 +294,164 @@ class _BallWalk:
         allowed = np.zeros((q + 1, q - 1), dtype=np.intp)
         for j, lt in enumerate(letters):
             allowed[lt] = [i for i in range(q) if i != j ^ 1]
-        tables = []
+        self.tables = []
         for picks in (np.arange(q)[None], allowed):
             t, c = picks.shape
-            tables.append((alphabet[picks].transpose(0, 2, 1, 3).reshape(t, d, c * d),
-                           inv_alphabet[picks].reshape(t, c * d, d), letters[picks]))
+            self.tables.append((alphabet[picks].transpose(0, 2, 1, 3).reshape(t, d, c * d),
+                                inv_alphabet[picks].reshape(t, c * d, d), letters[picks]))
+        # the last letters of the rows k levels below a row depend on its own
+        # alone: row l of `down` lists them for last letter l, so spheres k +
+        # 1..k + m are one lookup of the letters of spheres 1..m, and `down`
+        # for 2k levels is `down` looked up in itself.  The "wrap" mode takes
+        # a negative l as Python does, and writes out in place.
+        self.letter = letter = np.empty(rows, dtype=np.int8)
+        letter[:q + 1] = np.concatenate([[0], letters])[:rows]
+        down, k = self.tables[1][2], 1
+        while k < n:
+            m = min(k, n - k)
+            lasts = letter[1:offsets[m + 1]]
+            down.take(lasts, 0, letter[offsets[k + 1]:offsets[k + m + 1]].reshape(len(lasts), -1),
+                      "wrap")
+            k += m
+            if k < n:
+                down = down.take(down, 0, mode="wrap").reshape(q + 1, -1)
+        self.products = np.empty((2, rows, d, d)) if keep_matrices else None
+
+    def cut(self, lo, count, first, last):
+        """The slice of the block of ball rows lo:lo + count that holds spheres first..last."""
+        return slice(*(min(max(self.offsets[k] - lo, 0), count) for k in (first, last + 1)))
+
+    def __iter__(self):
+        n, d = self.n, self.P.dimension
+        letter, offsets, products, tables = self.letter, self.offsets, self.products, self.tables
         # one matrix row as one element: the forward products come out as
         # [parent, i, child, l] and are copied to [parent, child, i, l] as
         # rows
         row = np.dtype((np.void, 8 * d))
-        letter, offsets, products = self.letter, self.offsets, self.products
 
-        def halves(block):
-            # where a block's products are written: its forward half, also
-            # as matrix rows, and its inverse half
-            return block[0], block[0].view(row)[..., 0], block[1]
-
-        def write(out, fill, a, fwd_par, inv_par, base, p, j, end, tabs):
-            """Write children of the parent rows p:end, with the child tables tabs, into out.
-
-            out is halves() of a block.  The first child is child j of row
-            p; it goes to row fill of out and ball row a, and the children
-            follow until out is full.  Parent row p's products are
-            fwd_par[p - base] and inv_par[p - base].  Returns where the walk
-            stands: (p, j, fill).
-            """
-            fwd_tab, inv_tab, let_tab = tabs
-            c = let_tab.shape[1]  # children per parent
-            fwd_half, fwd_rows, inv_half = out
-            size = len(inv_half)
-            # children in canonical order: by parent row, then by letter.  A
-            # step's forward products are made in the rows its inverse
-            # products then overwrite.
-            while p < end and fill < size:
-                room = size - fill
-                if j == 0 and room >= c:
-                    # the parents whose children all fit: one product per
-                    # parent and side with its rows of the tables
-                    e = min(p + room // c, end)
-                    # the parents' last letters, as intp take indices
-                    m, lasts = e - p, letter[p:e].astype(np.intp)
-                    rows = m * c
-                    inv = inv_half[fill:fill + rows]
-                    if c == 1:
-                        # one child per parent: [i, child, l] is canonical
-                        # order, and the products are made in place
-                        np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
-                                  fwd_half[fill:fill + rows])
-                    else:
-                        fwd = np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
-                                        inv.reshape(m, d, c * d))
-                        fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
-                            fwd.view(row).transpose(0, 2, 1)
-                    np.matmul(inv_tab.take(lasts, 0), inv_par[p - base:e - base],
-                              inv.reshape(m, c * d, d))
-                    letter[a:a + rows] = let_tab.take(lasts, 0).ravel()
-                    p = e
-                else:
-                    # a parent whose children straddle the end of out
-                    rows = min(c - j, room)
-                    last = letter[p]
-                    inv = inv_half[fill:fill + rows]
-                    fwd = np.matmul(fwd_par[p - base], fwd_tab[last, :, j * d:(j + rows) * d],
-                                    inv.reshape(d, rows * d))
-                    fwd_rows[fill:fill + rows] = fwd.view(row).T
-                    np.matmul(inv_tab[last, j * d:(j + rows) * d], inv_par[p - base],
-                              inv.reshape(rows * d, d))
-                    letter[a:a + rows] = let_tab[last, j:j + rows]
-                    j += rows
-                    if j == c:
-                        p, j = p + 1, 0
-                fill += rows
-                a += rows
-            return p, j, fill
-
-        # sphere n, when it is written from each block of sphere n - 1 as
-        # that block is handed out: into `tail`, from ball row tail_lo + tail_fill
-        tail, tail_lo, tail_fill = None, offsets[n], 0
-
-        def write_tail(block, first, fill, a):
-            # the children of the sphere n - 1 rows first:fill of block, ball
-            # rows a - fill + first:a; tail is handed out each time it fills
-            nonlocal tail_lo, tail_fill
-            base = p = a - fill + first
-            j = 0
-            while p < a:
-                p, j, end = write(halves(tail), tail_fill, tail_lo + tail_fill,
-                                  block[0, first:fill], block[1, first:fill], base, p, j, a,
-                                  tables[1])
-                tail_fill = end
-                if tail_fill == len(tail[0]):
-                    _require_finite(tail)
-                    yield tail_lo, tail[0], tail[1]
-                    tail_lo, tail_fill = tail_lo + tail_fill, 0
-
-        buffer = np.empty((2, BLOCK_ROWS, d, d)) if products is None else None
-
-        def window(lo):
-            # where the products of rows lo:lo + BLOCK_ROWS are written
-            block = buffer if products is None else products[:, lo:lo + BLOCK_ROWS]
-            return block, halves(block)
-
-        block, out = window(0)
-        block[:, 0] = np.eye(d)
-        letter[0] = 0
-        fill = 1  # rows of the block written so far
-        # the parents' forward and inverse products, and whether they are
-        # rows of the buffer
-        fwd_par, inv_par, in_buffer = block[0, :1], block[1, :1], products is None
-        for k in range(1, n + 1):
-            start, lo, tabs = offsets[k - 1], offsets[k], tables[k > 1]
-            # sphere k starts at row `first` of the block.  Unless the whole
-            # ball is kept, a sphere k < n that does not end inside its block
-            # is copied to `store` block by block; or at k = n - 1, if its
-            # parents are in a store, its children are written to `tail`
-            # from each of its blocks as that block is handed out, and
-            # sphere n needs no step of its own
-            first, size, store = fill, offsets[k + 1] - lo, None
-            if products is None and fill + size >= BLOCK_ROWS and k < n:
-                if k == n - 1 and not in_buffer:
-                    # no larger than the store it replaces
-                    tail = np.empty((2, min(BLOCK_ROWS, size), d, d))
-                else:
-                    store = np.empty((2, size, d, d))
-            p, j, a = start, 0, lo
-            while p < lo:
-                p, j, end = write(out, fill, a, fwd_par, inv_par, start, p, j, lo, tabs)
-                a += end - fill
-                fill = end
-                if fill == BLOCK_ROWS:
-                    _require_finite(block)
-                    yield a - fill, block[0], block[1]
-                    if products is None:
-                        if tail is not None:
-                            yield from write_tail(block, first, fill, a)
-                        # the next rows overwrite the buffer: first copy out
-                        # what the walk still reads of it
-                        if in_buffer:
-                            fwd_par, inv_par, in_buffer = fwd_par.copy(), inv_par.copy(), False
-                        if store is not None:
-                            store[:, a - lo - fill + first:a - lo] = block[:, first:]
-                        first = 0
-                    block, out = window(a)
-                    fill = 0
+        def window(lo, block=None):
+            # where rows from lo on are written, the kept ball's rows or a
+            # writer's own buffer, and the halves (_Writer.out) of its rows up
+            # to the next multiple of BLOCK_ROWS: the blocks handed out are
+            # those of a walk in row order, cut where a sphere's writer starts
             if products is not None:
-                fwd_par, inv_par = products[0, lo:a], products[1, lo:a]
-            elif tail is not None:
-                if fill:
-                    _require_finite(block[:, :fill])
-                    yield a - fill, block[0, :fill], block[1, :fill]
-                    yield from write_tail(block, first, fill, a)
-                # the rest of sphere n is handed out below
-                block, fill = tail, tail_fill
-                break
-            elif store is None:
-                fwd_par, inv_par, in_buffer = block[0, first:fill], block[1, first:fill], True
-            else:
-                store[:, a - lo - fill + first:] = block[:, first:fill]
-                fwd_par, inv_par = store
-        if fill:
-            _require_finite(block[:, :fill])
-            yield self.rows - fill, block[0, :fill], block[1, :fill]
+                block = products[:, lo:]
+            elif block is None:
+                block = np.empty((2, BLOCK_ROWS, d, d))
+            part = block[:, :BLOCK_ROWS - lo % BLOCK_ROWS]
+            return block, (part[0], part[0].view(row)[..., 0], part[1])
+
+        def write(w, chain):
+            """Write children of w's parents into its block until all are written or it is full.
+
+            With chain set, a sphere that ends in the block is followed
+            there by the next, whose parents are read from the block, until
+            sphere n is written or the block is full.  Children come in
+            canonical order: by parent row, then by letter.  A step's
+            forward products are made in the rows its inverse products then
+            overwrite.
+            """
+            fwd_half, fwd_rows, inv_half = w.out
+            fwd_par, inv_par, base, end, k, first = w.fwd, w.inv, w.base, w.end, w.k, w.first
+            p, j, fill, size = w.p, w.j, w.fill, len(inv_half)
+            while True:
+                fwd_tab, inv_tab, let_tab = tables[k > 1]
+                c = let_tab.shape[1]  # children per parent
+                while p < end and fill < size:
+                    room = size - fill
+                    if j == 0 and room >= c:
+                        # the parents whose children all fit: one product per
+                        # parent and side with its rows of the tables
+                        e = min(p + room // c, end)
+                        # the parents' last letters, as intp take indices
+                        m, lasts = e - p, letter[p:e].astype(np.intp)
+                        rows = m * c
+                        inv = inv_half[fill:fill + rows]
+                        if c == 1:
+                            # one child per parent: [i, child, l] is canonical
+                            # order, and the products are made in place
+                            np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
+                                      fwd_half[fill:fill + rows])
+                        else:
+                            fwd = np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
+                                            inv.reshape(m, d, c * d))
+                            fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
+                                fwd.view(row).transpose(0, 2, 1)
+                        np.matmul(inv_tab.take(lasts, 0), inv_par[p - base:e - base],
+                                  inv.reshape(m, c * d, d))
+                        p = e
+                    else:
+                        # a parent whose children straddle the end of the block
+                        rows = min(c - j, room)
+                        last = letter[p]
+                        inv = inv_half[fill:fill + rows]
+                        fwd = np.matmul(fwd_par[p - base], fwd_tab[last, :, j * d:(j + rows) * d],
+                                        inv.reshape(d, rows * d))
+                        fwd_rows[fill:fill + rows] = fwd.view(row).T
+                        np.matmul(inv_tab[last, j * d:(j + rows) * d], inv_par[p - base],
+                                  inv.reshape(rows * d, d))
+                        j += rows
+                        if j == c:
+                            p, j = p + 1, 0
+                    fill += rows
+                if p < end or not chain or k == n:
+                    break
+                # sphere k ends in the block: sphere k + 1 follows it there
+                fwd_par, inv_par, w.own = fwd_half[first:fill], inv_half[first:fill], True
+                base = p = offsets[k]
+                end, k, first = offsets[k + 1], k + 1, fill
+            w.fwd, w.inv, w.base, w.end, w.k, w.first = fwd_par, inv_par, base, end, k, first
+            w.p, w.j, w.fill = p, j, fill
+
+        # the writers of the spheres being written, each from the rows of
+        # the one before; the last one written to is writers[top].  Only
+        # writers[0] goes on from sphere to sphere, and only while no sphere
+        # of its own has spilled: it starts at the identity and sphere 0.
+        writers, top = [_Writer(*window(0), 0, 0)], 0
+        writers[0].block[:, 0] = np.eye(d)
+        writers[0].fill = 1
+        while True:
+            w = writers[top]
+            if w.own and not w.fill:
+                # the block was handed out, and the next rows overwrite it:
+                # first copy out the parents the walk still reads there
+                w.fwd, w.inv, w.own = w.fwd.copy(), w.inv.copy(), False
+            write(w, len(writers) == 1)
+            # w stops short of its parents' end only when its block is full
+            full = w.p < w.end
+            if not full and top:
+                # the rows handed to w are written: back to the writer that
+                # handed them out
+                top -= 1
+                continue
+            # the block is full, or sphere k, the last or a spilled one, is
+            # done: hand out what the block holds
+            if w.fill:
+                yield (w.lo, *_require_finite(w.block[:, :w.fill]))
+            if not full and w.k == n:
+                return
+            if w.k < n and w.fill > w.first:
+                # the children of its sphere-k rows, written now
+                if top + 1 == len(writers):
+                    lo = offsets[w.k + 1]
+                    writers.append(_Writer(*window(lo), lo, w.k + 1))
+                writers[top + 1].parents(*w.rows(), w.lo + w.first)
+                top += 1
+            w.lo, w.first, w.fill = w.lo + w.fill, 0, 0
+            w.block, w.out = window(w.lo, w.block)
+            if not full:
+                # the next writer goes on from the spilled sphere's last rows
+                del writers[0]
+                top = 0
 
     def ball(self):
-        """The walked rows as a WordBall, words only unless the walk kept matrices.
+        """The rows as a WordBall, words only unless the walk keeps matrices.
 
         ``parent`` is made from the row numbers: -1 at the identity, 0 on
         sphere 1, and after that the 2r - 1 children of each row are
         consecutive.  It is made in place, as a walk that kept its matrices
-        is at its peak here.
+        is at its peak here.  The words need no walk; a kept ball's
+        matrices are written by iterating the walk first.
         """
         mats, inv_mats = (None, None) if self.products is None else self.products
         head = 2 * self.P.rank + 1  # the identity and sphere 1
@@ -450,15 +464,17 @@ class _BallWalk:
                         (self.letter, parent))
 
 
-def word_spheres(P, n):
+def word_spheres(P, n, matrices=True):
     """Freely reduced word spheres 0..n with matrices, as one WordBall.
 
     The ball's arrays are allocated once, after the cap check, and a
-    _BallWalk writes every row into them.
+    _BallWalk writes every row into them.  Without matrices the ball is
+    words only, and nothing is walked.
     """
-    walk = _BallWalk(P, n, keep_matrices=True)
-    for _ in walk:
-        pass
+    walk = _BallWalk(P, n, keep_matrices=matrices)
+    if matrices:
+        for _ in walk:
+            pass
     return walk.ball()
 
 
@@ -498,6 +514,33 @@ def _inverse_rows(codes, rank):
     return rows
 
 
+def _class_rows(ball, rank, primitive_only):
+    """The rows of the class representatives in a ball, and the rows whose products they keep.
+
+    The second array holds the representatives' rows, then the rows of
+    their inverted words.  Rotations are compared as byte strings of letter codes, taken once per
+    sphere: rotation i of a word is bytes i:i + k of the word written twice.
+    """
+    keep = np.zeros(len(ball), dtype=bool)
+    inverse = []
+    for k, block in enumerate(ball[1:].sphere_letters(), 1):
+        sphere = keep[ball.offsets[k]:ball.offsets[k + 1]]
+        # code 2|l| - 1 + (l < 0) = _letter_key(l) + 1, made in uint8 (rank <= 127)
+        codes = np.abs(block).view(np.uint8)
+        codes <<= 1
+        codes -= 1
+        codes += block < 0
+        words = _byte_words(codes)
+        sphere[:] = codes[:, 0] != _inverse_codes(codes[:, -1])
+        twice = np.concatenate([codes, codes], axis=1)
+        for shift in range(1, k):
+            rotated = _byte_words(twice[:, shift:shift + k])
+            sphere &= words < rotated if primitive_only else words <= rotated
+        inverse.append(ball.offsets[k] + _inverse_rows(codes[sphere], rank))
+    rows = np.flatnonzero(keep)
+    return rows, np.concatenate([rows, *inverse])
+
+
 def conjugacy_classes(P, n, primitive_only=False):
     """One canonical word per cyclic class of cyclically reduced words, length <= n.
 
@@ -508,30 +551,19 @@ def conjugacy_classes(P, n, primitive_only=False):
     is larger, as a word equal to a rotation is a proper power.  gamma and
     gamma^-1 give distinct classes.
 
-    Rotations are compared as byte strings of letter codes, taken once per
-    sphere: rotation i of a word is bytes i:i + k of the word written twice.
+    The representatives and the rows of their inverted words are chosen from
+    the words-only ball, and one walk that keeps no matrices then copies the
+    forward products of those rows out of its blocks.
     """
-    ball = word_spheres(P, n)
-    keep = np.zeros(len(ball), dtype=bool)
-    inverse = np.zeros(len(ball), dtype=np.intp)
-    for k, block in enumerate(ball[1:].sphere_letters(), 1):
-        sphere = slice(ball.offsets[k], ball.offsets[k + 1])
-        # code 2|l| - 1 + (l < 0) = _letter_key(l) + 1, made in uint8 (rank <= 127)
-        codes = np.abs(block).view(np.uint8)
-        codes <<= 1
-        codes -= 1
-        codes += block < 0
-        words = _byte_words(codes)
-        keep[sphere] = codes[:, 0] != _inverse_codes(codes[:, -1])
-        twice = np.concatenate([codes, codes], axis=1)
-        for shift in range(1, k):
-            rotated = _byte_words(twice[:, shift:shift + k])
-            keep[sphere] &= words < rotated if primitive_only else words <= rotated
-        inverse[sphere] = ball.offsets[k] + _inverse_rows(codes, P.rank)
-    rows = np.flatnonzero(keep)
-    return WordBall(ball.mats[rows], ball.mats[inverse[rows]], ball.parent[rows],
-                    ball.letter[rows], np.searchsorted(rows, ball.offsets[1:]), 1,
-                    ball.whole)
+    ball = word_spheres(P, n, matrices=False)
+    rows, wanted = _class_rows(ball, P.rank, primitive_only)
+    products = np.empty((len(wanted), P.dimension, P.dimension))
+    for lo, mats, _ in _BallWalk(P, n):
+        at = np.flatnonzero((wanted >= lo) & (wanted < lo + len(mats)))
+        products[at] = mats[wanted[at] - lo]
+    mats, inv_mats = np.split(products, 2)
+    return WordBall(mats, inv_mats, ball.parent[rows], ball.letter[rows],
+                    np.searchsorted(rows, ball.offsets[1:]), 1, ball.whole)
 
 
 def symmetric_power_rep(A, d):

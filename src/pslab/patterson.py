@@ -67,9 +67,10 @@ def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
     walk writes them, so with a covector f the walk keeps one float per row.
     ok marks the flag rows passing the gap test and frames stacks their
     U_theta frames in row order.  The walk's blocks need not come in row
-    order (sphere n may be handed out between the blocks of sphere n - 1),
-    so a block's frames are written from its first row, and moved down over
-    the failed rows once the walk is done, block by block in row order.
+    order (a sphere may be handed out between the blocks of the one
+    before), so a block's frames are written from its first row, and moved
+    down over the failed rows once the walk is done, block by block in row
+    order.
     """
     walk = matgroup._BallWalk(P, n)
     d = P.dimension
@@ -193,15 +194,20 @@ def _sphere_regression(values, offsets, n_max):
     if flat.size == 0:
         raise WindowEmpty("no elements to regress on")
     r_max = _certified_rmax(values, offsets, n_max)
-    flat = np.sort(flat)
-    r_lo = max(flat[0], 0.0)
+    r_lo = max(flat.min(), 0.0)
     span = r_max - r_lo
     if span <= 0:
         raise WindowEmpty(f"certified window degenerate (Rmax={r_max:g})")
     lo = r_lo + WINDOW_DROP_LOW * span
     hi = r_max - WINDOW_DROP_HIGH * span
     grid = np.linspace(lo, hi, 40)
-    counts = np.searchsorted(flat, grid, side="right")
+    # counts[i] = #{v <= grid[i]}, with no sorted copy of the values: bins[i]
+    # counts the values in (grid[i - 1], grid[i]], a block of values at a time
+    bins = np.zeros(grid.size + 1, dtype=np.intp)
+    for i in range(0, flat.size, matgroup.BLOCK_ROWS):
+        bins += np.bincount(np.searchsorted(grid, flat[i:i + matgroup.BLOCK_ROWS]),
+                            minlength=grid.size + 1)
+    counts = np.cumsum(bins[:-1])
     keep = counts > 0
     if keep.sum() < 2:
         raise WindowEmpty("certified window contains too few orbit points")
@@ -260,10 +266,8 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     """
     theta = _exponent_theta(P, n_max, theta, method)
     walk, values, _ = _walk_ball(P, n_max, cartan.theta_covector(phi, theta))
+    # the estimators read the values and sphere offsets: no words are made
     values, offsets = _cone_checked(values), np.array(walk.offsets)
-    # the estimators read the values and sphere offsets: no words are made,
-    # and the walk's letters go before the regression sorts its copy
-    del walk
     if method == "sphere-regression":
         return _sphere_regression(values, offsets, n_max)
     if method == "series-transition":

@@ -1,9 +1,12 @@
-"""List-and-concatenate word balls and whole-stack spliced Cartan vectors.
+"""List-and-concatenate word balls, whole-stack spliced Cartan vectors and
+whole-ball class representatives.
 
 The reference for ``pslab.matgroup.word_spheres`` and ``batch_kappa``: each
 sphere is built as its own arrays and the ball is their concatenation, and
 the splice runs once over the whole stack.  The block-filled versions must
-reproduce these arrays bit for bit.
+reproduce these arrays bit for bit.  The reference for
+``pslab.matgroup.conjugacy_classes`` selects from a ball that holds every
+product and copies the representatives' rows out of it.
 """
 
 import numpy as np
@@ -48,3 +51,27 @@ def batch_kappa_reference(mats, inv_mats):
         mid = d // 2
         combined[:, mid] = 0.5 * (logs[:, mid] + inv_logs[:, mid])
     return combined - combined.mean(axis=1, keepdims=True)
+
+
+def conjugacy_classes_reference(P, n, primitive_only=False):
+    """The class representatives, chosen and copied out of the whole ball with its matrices."""
+    ball = matgroup.word_spheres(P, n)
+    keep = np.zeros(len(ball), dtype=bool)
+    inverse = np.zeros(len(ball), dtype=np.intp)
+    for k, block in enumerate(ball[1:].sphere_letters(), 1):
+        sphere = slice(ball.offsets[k], ball.offsets[k + 1])
+        codes = np.abs(block).view(np.uint8)
+        codes <<= 1
+        codes -= 1
+        codes += block < 0
+        words = matgroup._byte_words(codes)
+        keep[sphere] = codes[:, 0] != matgroup._inverse_codes(codes[:, -1])
+        twice = np.concatenate([codes, codes], axis=1)
+        for shift in range(1, k):
+            rotated = matgroup._byte_words(twice[:, shift:shift + k])
+            keep[sphere] &= words < rotated if primitive_only else words <= rotated
+        inverse[sphere] = ball.offsets[k] + matgroup._inverse_rows(codes, P.rank)
+    rows = np.flatnonzero(keep)
+    return matgroup.WordBall(ball.mats[rows], ball.mats[inverse[rows]], ball.parent[rows],
+                             ball.letter[rows], np.searchsorted(rows, ball.offsets[1:]), 1,
+                             ball.whole)

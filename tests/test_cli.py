@@ -103,6 +103,7 @@ def test_execute_writes_csv_and_manifest(tmp_path):
     assert on_disk["config"] == config
     assert on_disk["artifacts"] == ["kappa.csv"]
     assert "pslab" in on_disk["versions"]
+    assert on_disk["peak_rss_mb"] > 0 and on_disk["peak_rss_mb"] == manifest["peak_rss_mb"]
 
 
 def test_execute_rejects_command_mismatch(tmp_path):

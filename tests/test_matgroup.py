@@ -176,15 +176,17 @@ def test_word_spheres_allocates_the_ball_once():
     assert peak <= 1.2 * size
 
 
-def test_conjugacy_classes_hold_the_ball_and_a_few_bytes_a_row():
-    # the ball's products, and the letter codes, rotations and inverse rows
-    # of one sphere at a time; widening the letters to intp before making
-    # the codes peaked at 23.6 MiB here, against 14.4 MiB
+def test_conjugacy_classes_hold_the_kept_products_and_a_few_bytes_a_letter():
+    # the kept rows' products, and eight bytes a letter of the last sphere:
+    # its words, their letter codes, the codes written twice and two
+    # rotations.  The ball's words, and the blocks of the walk that the
+    # products are copied from, fit in that.  Taking the products from a
+    # ball that holds them all peaked at 14.4 MiB here, 2.2 times this bound
     P = presets.fuchsian_schottky(1.6)
-    _, peak = traced_peak(matgroup.conjugacy_classes, P, 10)
-    products = 2 * matgroup.free_ball_size(P.rank, 10) * P.dimension**2 * 8
+    reps, peak = traced_peak(matgroup.conjugacy_classes, P, 10)
+    kept = reps.mats.nbytes + reps.inv_mats.nbytes
     last_sphere = matgroup.free_ball_size(P.rank, 10) - matgroup.free_ball_size(P.rank, 9)
-    assert peak < products + 128 * last_sphere
+    assert peak < kept + 8 * 10 * last_sphere
 
 
 def test_letter_matrix_rejects_unknown_letters(sl2):
@@ -251,6 +253,29 @@ def test_conjugacy_classes_match_tuple_enumeration(make, n, primitive_only):
     assert np.array_equal(reps.mats, np.array([P.word_matrix(w) for w in words]))
     assert np.array_equal(reps.inv_mats, np.array(
         [P.word_matrix(matgroup.invert_word(w)) for w in words]))
+
+
+@pytest.mark.parametrize("primitive_only", [False, True])
+@pytest.mark.parametrize("make, n", [(functools.partial(presets.fuchsian_schottky, 1.6), 7),
+                                     (presets.parabolic, 12), (presets.sl3_zariski_dense, 5),
+                                     (presets.sanov_gamma2, 6), (presets.sl4_mild, 4)],
+                         ids=["schottky", "parabolic", "zariski-d3", "gamma2", "d4"])
+def test_conjugacy_classes_match_whole_ball_selection(make, n, primitive_only):
+    # the products copied out of the walk's blocks have the bits of the
+    # whole ball's: the forward products of the words and of their inverted
+    # words, not the walk's inverse products, which multiply in another order
+    from ball_oracle import conjugacy_classes_reference
+
+    P = make()
+    reps = matgroup.conjugacy_classes(P, n, primitive_only)
+    ref = conjugacy_classes_reference(P, n, primitive_only)
+    for field in ("mats", "inv_mats"):
+        got, want = getattr(reps, field), getattr(ref, field)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want)), field
+    for field in ("parent", "letter", "offsets"):
+        got, want = getattr(reps, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert reps.words() == ref.words()
 
 
 def test_exterior_power_rep_multiplicative(rng):

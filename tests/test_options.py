@@ -32,6 +32,7 @@ OPTIONS = {
     "matgroup.GroupPresentation.labels",
     "matgroup._BallWalk.__init__(keep_matrices)",
     "matgroup.conjugacy_classes(primitive_only)",
+    "matgroup.word_spheres(matrices)",
     "patterson.AtomicMeasure.excluded",
     "patterson._walk_ball(flag_spheres)",
     "patterson._walk_ball(theta)",

@@ -300,27 +300,43 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
 
 
 @pytest.mark.parametrize("make, n", [(functools.partial(presets.schottky_so21, 1.6), 9),
-                                     (functools.partial(presets.fuchsian_schottky, 1.6), 10)],
-                         ids=["schottky-d3", "schottky"])
+                                     (functools.partial(presets.fuchsian_schottky, 1.6), 10),
+                                     (functools.partial(presets.fuchsian_schottky, 1.6), 12)],
+                         ids=["schottky-d3", "schottky", "schottky-12"])
 def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
     P = make()
     phi = cartan.Functional.alpha(1, P.dimension)
     _, peak = traced_peak(patterson.critical_exponent, P, phi, n,
                           (1,) if P.dimension == 2 else (1, 2))
     products = 2 * P.dimension**2 * 8  # bytes of a row's forward and inverse products
-    assert peak < matgroup.free_ball_size(P.rank, n) * products
-    # the walk's peak is in its last two spheres, which it writes together:
-    # the store of sphere n - 2, one value (float64) and one letter (int8)
-    # per ball row, and two blocks' products (sphere n - 1's and sphere n's)
-    # with the kernels' work on one of them.  The store of sphere n - 1,
-    # three times that of sphere n - 2, is not made (with it the radius-10
-    # peak was 1.18 times this bound).  At radius 9 in d = 3, sphere n - 2
-    # ends inside its block and is read from there, and the store of sphere
-    # n - 1 is made in place of the second block.
-    store = (matgroup.free_ball_size(P.rank, n - 2)
-             - matgroup.free_ball_size(P.rank, n - 3)) * products
-    blocks = 5 * matgroup.BLOCK_ROWS * products
-    assert peak < store + 9 * matgroup.free_ball_size(P.rank, n) + blocks
+    rows = matgroup.free_ball_size(P.rank, n)
+    assert peak < rows * products
+    # one value (float64) and one letter (int8) per ball row, and one block
+    # of products per sphere that reaches past the first block: each is
+    # written from the blocks of the one before as they are handed out, and
+    # no sphere is stored whole.  Three more blocks hold at most a block of
+    # copied parents and the kernels' work on one block.  With the store of
+    # sphere n - 2 the radius-12 peak was 1.31 times this bound.
+    spilled = sum(matgroup.free_ball_size(P.rank, k) > matgroup.BLOCK_ROWS for k in range(n + 1))
+    assert peak < 9 * rows + (spilled + 3) * matgroup.BLOCK_ROWS * products
+
+
+def test_sphere_regression_counts_values_on_the_grid():
+    # values that repeat and fall exactly on grid points of the regression:
+    # N(R) counts the values at or below R, so a count that took a value on
+    # R as above it would move every estimate here
+    from sphere_oracle import sphere_regression_reference
+
+    spheres = [np.zeros(1), np.array([1.0, 1.0, 1.25, 1.5]),
+               np.array([2.0, 2.0, 2.25, 2.5, 3.0, 3.5]), np.array([3.0, 3.0, 4.5, 6.0])]
+    window = sphere_regression_reference(spheres, 3).window
+    grid = np.linspace(*window, 40)
+    # on sphere 1 they leave the least value and the certified radius as they were
+    spheres[1] = np.concatenate([spheres[1], np.repeat(grid[::3], 3), grid[1::7]])
+    values, offsets = np.concatenate(spheres), np.cumsum([0] + [len(s) for s in spheres])
+    est = patterson._sphere_regression(values, offsets, 3)
+    assert est.window == window
+    assert est == sphere_regression_reference(spheres, 3)
 
 
 def _outcome(estimator, *args):
