@@ -16,14 +16,16 @@ numpy kernel _CHUNK rows at a time that repeats, row by row, what LAPACK
 does to one 2x2 matrix, so every value has LAPACK's bits: dgesdd's dgebd2 (a
 dlarfg reflection of column 1, the dlarf update of column 2 with its fused
 multiply-add emulated exactly), then dlas2 for the values alone, or dbdsqr's
-split test, dlasv2, the sort and dormbr's reflection of U for the vectors;
-dgeqr2, dorg2r and the sign step for the QR frames.  Each kernel returns
-the mask of the rows where those steps are not exact, and _by_rows hands
-those rows to LAPACK: non-finite entries, a largest |entry| outside
-[2**-459, 2**459] (dgesdd rescales those), a nonzero first column of norm
-below 2**-969 (dlarfg rescales it), a reflector whose second entry
-underflows to 0 (dlarf shortens it), a fused product that underflows and,
-for the vectors, a non-finite result.
+split test, dlasv2 and dormbr's reflection of U for the vectors; dgeqr2,
+dorg2r and the sign step for the QR frames.  The kernels copy only the steps
+that measured traffic takes: each returns the mask of every other row, and
+_by_rows hands those rows to LAPACK.  They are non-finite entries, a largest
+|entry| outside [2**-459, 2**459] (dgesdd rescales those), a nonzero first
+column of norm below 2**-969 (dlarfg rescales it), a reflector whose second
+entry underflows to 0 (dlarf shortens it), a fused product that underflows,
+a zero second column and, for the values, a zero on the diagonal; for the
+vectors, dlasv2's cases |f / g| < eps and m * m == 0, a zero smaller value
+or rotation entry, a split that the sort reorders and a non-finite result.
 
 The 2x2 kernels are held to the installed LAPACK's bits by the exactness
 tests, checked with OpenBLAS 0.3.31 on x86-64, whose dger fuses one
@@ -164,7 +166,8 @@ def _dlas2(f, g, h, out):
 
     out[:, 0] is the larger.  The two main branches are evaluated on every
     row (the floating point warnings of the unused one are off) and the taken
-    one kept; the rare fhmn == 0 branch is evaluated on its own rows.
+    one kept.  Returns the mask of the rows of dlas2's other branch, a zero
+    on the diagonal (fhmn == 0), whose values are not used.
     """
     fa, ga, ha = np.abs(f), np.abs(g), np.abs(h)
     fhmn, fhmx = np.minimum(fa, ha), np.maximum(fa, ha)
@@ -186,14 +189,7 @@ def _dlas2(f, g, h, out):
     narrow = ga < fhmx
     out[:, 0] = np.where(narrow, max_b, ga / (c + c))
     out[:, 1] = np.where(narrow, min_b, min_c + min_c)
-    # fhmn == 0
-    rows = fhmn == 0
-    if rows.any():
-        fhmx, ga = fhmx[rows], ga[rows]
-        big, small = np.maximum(fhmx, ga), np.minimum(fhmx, ga)
-        ratio = small / big
-        out[rows, 0] = np.where(fhmx == 0, ga, big * np.sqrt(1.0 + ratio * ratio))
-        out[rows, 1] = 0.0
+    return fhmn == 0
 
 
 def _bidiagonal_2x2(x):
@@ -219,16 +215,14 @@ def _bidiagonal_2x2(x):
     # t (1, v2) with t = -tau w, its second row fused
     t = -tau * (a12 + a22 * v2)
     d1, e1, d2 = beta, a12 + t, _fma(t, v2, a22)
-    # a21 == 0: dlarfg leaves the column (tau = 0), and dlarf does nothing;
-    # a zero column 2 is left alone too, signs of zeros included
+    # a21 == 0: dlarfg leaves the column (tau = 0), and dlarf does nothing
     identity = a21 == 0
     if identity.any():
         d1[identity], tau[identity], v2[identity] = a11[identity], 0.0, a21[identity]
-    keep = identity | ((a12 == 0) & (a22 == 0))
-    if keep.any():
-        e1[keep], d2[keep] = a12[keep], a22[keep]
+        e1[identity], d2[identity] = a12[identity], a22[identity]
     amax = np.maximum(big, np.maximum(np.abs(a12), np.abs(a22)))
-    lapack = ~((amax >= _SMLNUM) & (amax <= _BIGNUM))
+    # dlarf leaves a zero column 2 alone, signs of zeros included
+    lapack = ~((amax >= _SMLNUM) & (amax <= _BIGNUM)) | ((a12 == 0) & (a22 == 0))
     # v2 == 0 past a nonzero a21 (an underflow) shortens dlarf's reflector
     lapack |= ~identity & ((norm < _SAFMIN) | (v2 == 0)
                            | ((np.abs(t * v2) < _FMA_TINY) & (t != 0)))
@@ -241,8 +235,7 @@ def _singular_values_2x2(x, out):
     Returns the mask of the rows left to LAPACK.
     """
     d1, e1, d2, _, _, lapack = _bidiagonal_2x2(x)
-    _dlas2(d1, e1, d2, out)
-    return lapack
+    return lapack | _dlas2(d1, e1, d2, out)
 
 
 def batch_log_singular_values(mats):
@@ -282,15 +275,15 @@ _BDSQR_FLOOR = 6 * (2 * (2 * 2.0**-1022))
 def _dlasv2(f, g, h):
     """LAPACK dlasv2 on the upper triangles (f, g; 0, h), as dbdsqr uses it.
 
-    Returns (ssmax, ssmin, csl, snl): the singular values as dbdsqr leaves
-    them once it has made them positive, and the left rotation.  dbdsqr
-    negates a negative value, so only a zero ssmin keeps dlasv2's sign,
-    which is worked out for those rows alone.  The general case is evaluated
-    on every row (the floating point warnings of the others are off); the
-    rows of the rare cases, a g so large that |f / g| < eps and a tiny m,
-    are redone on their own.  dlasv2's case g == 0 is left out: dbdsqr
-    splits those rows before it calls dlasv2, and the values returned for
-    them are not used.
+    Returns (ssmax, ssmin, csl, snl, rare): the singular values as dbdsqr
+    leaves them once it has made them positive, and the left rotation, from
+    dlasv2's general case evaluated on every row (its floating point
+    warnings on the other rows are off).  rare marks the rows of the other
+    cases, whose outputs are not used: a g so large that |f / g| < eps, an
+    m whose square is 0, and a zero ssmin, which keeps a sign that dlasv2
+    works out from its rotations (dbdsqr negates a negative value).
+    dlasv2's case g == 0 is not marked: dbdsqr splits those rows before it
+    calls dlasv2, and the values returned for them are not used.
     """
     fa, ga, ha = np.abs(f), np.abs(g), np.abs(h)
     # swap: h is the larger diagonal entry, and dlasv2 works on the transpose
@@ -307,35 +300,13 @@ def _dlasv2(f, g, h):
     a = 0.5 * (s + r)
     ssmin, ssmax = ha / a, fa * a
     t = (m / (s + t2) + m / (r + l)) * (1.0 + a)
-    rows = mm == 0
-    if rows.any():
-        t[rows] = np.where(l[rows] == 0, np.copysign(2.0, ft[rows]) * np.copysign(1.0, g[rows]),
-                           g[rows] / np.copysign(d[rows], ft[rows]) + m[rows] / t2[rows])
     l = np.sqrt(t * t + 4.0)
     crt, srt = 2.0 / l, t / l
     clt = (crt + srt * m) / a
     slt = (ht / ft) * srt / a
-    wide = ga > fa
-    rows = wide & (fa / ga < _EPS)
-    if rows.any():
-        fa_, ga_, ha_, ft_, ht_, g_ = fa[rows], ga[rows], ha[rows], ft[rows], ht[rows], g[rows]
-        ssmax[rows] = ga_
-        ssmin[rows] = np.where(ha_ > 1.0, fa_ / (ga_ / ha_), (fa_ / ga_) * ha_)
-        clt[rows], slt[rows], srt[rows], crt[rows] = 1.0, ht_ / g_, 1.0, ft_ / g_
     csl, snl = np.where(swap, srt, clt), np.where(swap, crt, slt)
-    # ssmax is zero on a zero matrix only, which is out of range
-    rows = ssmin == 0
-    if rows.any():
-        # dlasv2 gives ssmax the sign of the largest entry's term (g's, else
-        # h's after a swap, else f's), and ssmin that times sign(f h)
-        neg = np.signbit
-        csr, snr = np.where(swap, slt, crt)[rows], np.where(swap, clt, srt)[rows]
-        f, g, h, swap = f[rows], g[rows], h[rows], swap[rows]
-        tsign = np.where(wide[rows], neg(snr) ^ neg(csl[rows]) ^ neg(g),
-                         np.where(swap, neg(snr) ^ neg(snl[rows]) ^ neg(h),
-                                  neg(csr) ^ neg(csl[rows]) ^ neg(f)))
-        ssmin[rows] = np.where(tsign ^ neg(f) ^ neg(h), -0.0, 0.0)
-    return ssmax, ssmin, csl, snl
+    rare = (mm == 0) | ((ga > fa) & (fa / ga < _EPS)) | (ssmin == 0)
+    return ssmax, ssmin, csl, snl, rare
 
 
 def _left_singular_vectors_2x2(x, u, sigma):
@@ -344,31 +315,24 @@ def _left_singular_vectors_2x2(x, u, sigma):
     Returns the mask of the rows left to LAPACK.
     """
     d1, e1, d2, tau, v2, lapack = _bidiagonal_2x2(x)
-    s1, s2, c, s = _dlasv2(d1, e1, d2)
-    # U = I rotated by drot: (c, s) and (-s, c), each entry a sum
-    # c * 1 + s * 0 whose zero signs are worked out where c or s is 0
-    u11, u21, u12, u22 = c, s, -s, c.copy()
-    rows = (c == 0) | (s == 0)
-    if rows.any():
-        c, s = c[rows], s[rows]
-        u11[rows], u21[rows] = c + s * 0.0, c * 0.0 + s
-        u12[rows], u22[rows] = c * 0.0 - s, c - s * 0.0
+    s1, s2, c, s, rare = _dlasv2(d1, e1, d2)
+    # U = I rotated by drot: (c, s) and (-s, c), each entry a sum c * 1 +
+    # s * 0 whose zero signs differ from c's and s's where c or s is 0
+    u11, u21, u12, u22 = c, s, -s, c
+    rare |= (c == 0) | (s == 0)
     # dbdsqr's split test, with its estimate sminoa of the smallest
     # value: a split row keeps U = I and its diagonal as the values
     a1, ae = np.abs(d1), np.abs(e1)
     sminoa = np.minimum(a1, np.abs(d2) * (a1 / (a1 + ae)))
     sminoa[a1 == 0] = 0.0
-    rows = ae <= np.maximum(_BDSQR_TOL * (sminoa / np.sqrt(2.0)), _BDSQR_FLOOR)
-    if rows.any():
-        d1, d2 = d1[rows], d2[rows]
-        s1[rows], s2[rows] = np.where(d1 < 0, -d1, d1), np.where(d2 < 0, -d2, d2)
-        u11[rows], u21[rows], u12[rows], u22[rows] = 1.0, 0.0, 0.0, 1.0
-    # the sort: decreasing values, U's columns swapped with them
-    rows = s2 > s1
-    if rows.any():
-        s1[rows], s2[rows] = s2[rows], s1[rows]
-        u11[rows], u12[rows] = u12[rows], u11[rows]
-        u21[rows], u22[rows] = u22[rows], u21[rows]
+    split = ae <= np.maximum(_BDSQR_TOL * (sminoa / np.sqrt(2.0)), _BDSQR_FLOOR)
+    if split.any():
+        d1, d2 = d1[split], d2[split]
+        s1[split], s2[split] = np.where(d1 < 0, -d1, d1), np.where(d2 < 0, -d2, d2)
+        u11[split], u21[split], u12[split], u22[split] = 1.0, 0.0, 0.0, 1.0
+    # the sort to decreasing values, which swaps U's columns, moves split
+    # rows only (dlasv2's values are in order): those rows go to LAPACK
+    lapack |= (s2 > s1) | (rare & ~split)
     # the reflection keeps finite entries finite (1 <= tau <= 2, |v2| <= 1)
     lapack |= ~np.isfinite(s1 + s2 + u11 + u12 + u21 + u22)
     sigma[:, 0], sigma[:, 1] = s1, s2

@@ -19,7 +19,8 @@ class Flag:
     give a plain value for a single flag.  The k-subspace (k in theta) is the
     span of the first k frame columns.  Equality of flags is span equality,
     tested through flag_distance.  Frames are not checked: each producer
-    below makes them orthonormal, by _kernels.qr_positive or Gram-Schmidt.
+    below (u_theta, sample_limit_set, attracting_fixed_flag) makes them
+    orthonormal, by _kernels.qr_positive or Gram-Schmidt.
     """
 
     theta: tuple
@@ -43,11 +44,6 @@ class Flag:
 
     def subspace(self, k):
         return self.frame[..., :k]
-
-
-def make_flag(theta, columns):
-    """Flag from (possibly non-orthonormal) spanning columns, via a QR pass."""
-    return Flag(theta, _kernels.qr_positive(columns))
 
 
 def u_theta(A, theta):
@@ -86,11 +82,6 @@ def _left_singular_gaps(A, theta):
     U, sigma = _kernels.left_singular(A)
     logs = np.log(sigma)
     return U, logs[..., np.array(theta) - 1] - logs[..., theta]
-
-
-def apply_matrix(A, F):
-    """The projective action of A on flags, with frame re-orthonormalization."""
-    return Flag(F.theta, _kernels.qr_positive(np.asarray(A, dtype=float) @ F.frame))
 
 
 def _check_compatible(F, G):

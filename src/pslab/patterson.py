@@ -49,7 +49,7 @@ class AtomicMeasure:
     ball: matgroup.WordBall
     s: float
     phi: cartan.Functional
-    excluded: int = 0
+    excluded: int
 
     def total_mass(self):
         return float(self.weights.sum())

@@ -1,5 +1,6 @@
 """Paper identities that no command computes, for tests: the opposition
-involution on the Cartan subspace and on functionals, the Gromov product of a
+involution on the Cartan subspace and on functionals, flags from spanning
+columns and the projective action on flags, the Gromov product of a
 transverse flag pair and the exterior power representation.
 """
 
@@ -7,7 +8,8 @@ import itertools
 
 import numpy as np
 
-from pslab import cartan
+from pslab import _kernels, cartan
+from pslab.flags import Flag
 
 # the Gromov product's and is_transverse's transversality test
 TRANSVERSALITY_TOLERANCE = 1e-10
@@ -21,6 +23,16 @@ def hat_iota(v):
 def iota_star(phi):
     """The dual involution: c_k -> c_{d-k}, so iota(omega_k) = omega_{d-k}."""
     return cartan.Functional(phi.d, {phi.d - k: c for k, c in phi.coefficients.items()})
+
+
+def make_flag(theta, columns):
+    """Flag from (possibly non-orthonormal) spanning columns, via a QR pass."""
+    return Flag(theta, _kernels.qr_positive(columns))
+
+
+def apply_matrix(A, F):
+    """The projective action of A on flags, with frame re-orthonormalization."""
+    return Flag(F.theta, _kernels.qr_positive(np.asarray(A, dtype=float) @ F.frame))
 
 
 def gromov_product(F, G):

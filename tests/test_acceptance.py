@@ -19,14 +19,13 @@ from pslab import (
     cartan,
     cli,
     cocycle,
-    flags,
     hilbert,
     matgroup,
     patterson,
     presets,
 )
 from conftest import random_sl2
-from identities import exterior_power_rep, gromov_product, hat_iota
+from identities import apply_matrix, exterior_power_rep, gromov_product, hat_iota, make_flag
 from words import random_words
 
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
@@ -48,8 +47,8 @@ def test_identity_suite():
         theta = cartan.full_theta(d)
         words = random_words(P.rank, 400, 12, rng)
         short = random_words(P.rank, 400, 3, rng)
-        F = flags.make_flag(theta, rng.normal(size=(d, d)))
-        G = flags.make_flag(theta, rng.normal(size=(d, d)))
+        F = make_flag(theta, rng.normal(size=(d, d)))
+        G = make_flag(theta, rng.normal(size=(d, d)))
         for w, v in zip(words, short):
             A = P.word_matrix(w)
             A_inv = P.word_matrix(matgroup.invert_word(w))
@@ -73,12 +72,12 @@ def test_identity_suite():
 
             # Iwasawa cocycle identity
             lhs = cocycle.iwasawa(A @ B, F)
-            rhs = cocycle.iwasawa(A, flags.apply_matrix(B, F)) + cocycle.iwasawa(B, F)
+            rhs = cocycle.iwasawa(A, apply_matrix(B, F)) + cocycle.iwasawa(B, F)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
             # Gromov product under the diagonal action
             glhs = gromov_product(
-                flags.apply_matrix(A, F), flags.apply_matrix(A, G)
+                apply_matrix(A, F), apply_matrix(A, G)
             ) - gromov_product(F, G)
             grhs = -cocycle.iwasawa(A, F) + hat_iota(cocycle.iwasawa(A, G))
             assert np.max(np.abs(glhs - grhs)) < 1e-8

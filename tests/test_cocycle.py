@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from pslab import cocycle, flags
-from identities import gromov_product, hat_iota
+from pslab import cocycle
+from identities import apply_matrix, gromov_product, hat_iota, make_flag
 
 
 def random_flag(rng, d, theta):
-    return flags.make_flag(theta, rng.normal(size=(d, d)))
+    return make_flag(theta, rng.normal(size=(d, d)))
 
 
 def test_iwasawa_cocycle_identity(rng, sl3):
@@ -16,7 +16,7 @@ def test_iwasawa_cocycle_identity(rng, sl3):
         B = sl3.word_matrix(tuple(rng.choice([1, -1, 2, -2], size=3)))
         F = random_flag(rng, 3, theta)
         lhs = cocycle.iwasawa(A @ B, F)
-        rhs = cocycle.iwasawa(A, flags.apply_matrix(B, F)) + cocycle.iwasawa(B, F)
+        rhs = cocycle.iwasawa(A, apply_matrix(B, F)) + cocycle.iwasawa(B, F)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -27,7 +27,7 @@ def test_iwasawa_identity_element(rng):
 
 def test_iwasawa_diagonal_on_coordinate_flag():
     A = np.diag([2.0, 1.0, 0.5])
-    F = flags.make_flag((1, 2), np.eye(3))
+    F = make_flag((1, 2), np.eye(3))
     b = cocycle.iwasawa(A, F)
     assert np.allclose(b, np.log([2.0, 1.0, 0.5]), atol=1e-12)
 
@@ -67,7 +67,7 @@ def test_gromov_product_nonpositive_omegas(rng):
 
 
 def test_gromov_product_rejects_non_transverse():
-    F = flags.make_flag((1, 2), np.eye(3))
+    F = make_flag((1, 2), np.eye(3))
     with pytest.raises(ValueError, match="not transverse"):
         gromov_product(F, F)
 
@@ -80,7 +80,7 @@ def test_gromov_cocycle_relation(rng, sl3):
         F = random_flag(rng, 3, theta)
         G = random_flag(rng, 3, theta)
         lhs = gromov_product(
-            flags.apply_matrix(A, F), flags.apply_matrix(A, G)
+            apply_matrix(A, F), apply_matrix(A, G)
         ) - gromov_product(F, G)
         rhs = -cocycle.iwasawa(A, F) + hat_iota(cocycle.iwasawa(A, G))
         assert np.allclose(lhs, rhs, atol=1e-9)

@@ -3,7 +3,7 @@ import pytest
 
 from pslab import _kernels, cartan, cocycle, flags, matgroup, presets
 from pslab.errors import InsufficientGap, NotProximal, ThetaMismatch
-from identities import TRANSVERSALITY_TOLERANCE
+from identities import TRANSVERSALITY_TOLERANCE, apply_matrix, make_flag
 
 
 def test_qr_positive_orthonormal_and_deterministic(rng):
@@ -26,9 +26,9 @@ def test_flag_producers_give_orthonormal_frames(rng):
         stacked, ok = flags.u_theta(mats, theta)
         single = flags.u_theta(mats[-1], theta)
         produced += [stacked, single,
-                     flags.make_flag(theta, rng.normal(size=(d, d))),
-                     flags.apply_matrix(mats[-1], single),
-                     flags.apply_matrix(mats[ok], stacked),
+                     make_flag(theta, rng.normal(size=(d, d))),
+                     apply_matrix(mats[-1], single),
+                     apply_matrix(mats[ok], stacked),
                      flags.attracting_fixed_flag(P.word_matrix((1, 2)), theta),
                      flags.sample_limit_set(P, theta, 4)[0]]
     for F in produced:
@@ -65,7 +65,7 @@ def test_u_theta_fails_the_gap_test_on_nan_gaps():
 def test_apply_matrix_moves_spans(sl3):
     A = sl3.generators[0]
     F = flags.u_theta(sl3.word_matrix((2, 1)), (1, 2))
-    G = flags.apply_matrix(A, F)
+    G = apply_matrix(A, F)
     v = A @ F.subspace(1)[:, 0]
     v /= np.linalg.norm(v)
     assert abs(abs(v @ G.subspace(1)[:, 0]) - 1.0) < 1e-10
@@ -85,8 +85,8 @@ def is_transverse(F, G, tolerance=TRANSVERSALITY_TOLERANCE):
 
 
 def test_transversality_and_distance():
-    F = flags.make_flag((1, 2), np.eye(3))
-    G = flags.make_flag((1, 2), np.eye(3)[:, ::-1])
+    F = make_flag((1, 2), np.eye(3))
+    G = make_flag((1, 2), np.eye(3)[:, ::-1])
     ok, witness = is_transverse(F, G)
     assert ok and witness > 0.5
     assert not is_transverse(F, F)[0]
@@ -95,8 +95,8 @@ def test_transversality_and_distance():
 
 
 def test_flag_distance_theta_mismatch():
-    F = flags.make_flag((1, 2), np.eye(3))
-    H = flags.make_flag((1,), np.eye(2))
+    F = make_flag((1, 2), np.eye(3))
+    H = make_flag((1,), np.eye(2))
     with pytest.raises(ThetaMismatch):
         flags.flag_distance(F, H)
 
@@ -116,9 +116,9 @@ def _svd_flag_distance(F, G):
                                       (4, (1, 3)), (4, (2,))])
 def test_flag_distance_matches_svd_bit_for_bit(rng, d, theta):
     # the k = 1 pairing's singular value is abs of its entry; k >= 2 keeps svd
-    F = flags.make_flag(theta, rng.normal(size=(60, d, d)))
+    F = make_flag(theta, rng.normal(size=(60, d, d)))
     near = F.frame + 1e-9 * rng.normal(size=F.frame.shape)
-    G = flags.make_flag(theta, np.concatenate([rng.normal(size=(40, d, d)), near]))
+    G = make_flag(theta, np.concatenate([rng.normal(size=(40, d, d)), near]))
     got = flags.flag_distance(F[:, None], G)
     assert got.shape == (60, 100)
     assert np.array_equal(got, _svd_flag_distance(F[:, None], G))
@@ -136,7 +136,7 @@ def test_attracting_fixed_flag_is_fixed():
     P = presets.fuchsian_schottky(1.6)
     A = P.word_matrix((1, 2))
     F = flags.attracting_fixed_flag(A, (1,))
-    assert flags.flag_distance(flags.apply_matrix(A, F), F) < 1e-7
+    assert flags.flag_distance(apply_matrix(A, F), F) < 1e-7
 
 
 def test_attracting_fixed_flag_matches_deep_cartan_flag():

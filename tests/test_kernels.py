@@ -72,6 +72,12 @@ FALLBACK_ROWS = {
     # v2 underflows to 0 past a nonzero a21, which shortens dlarf's
     # reflector; with a12 == 0 no fused product flags the row
     "reflector": [[1e100, 0.0], [1e-300, 1.0]],
+    # dlas2: a zero on the diagonal
+    "zero-on-diagonal": [[0.0, 1.0], [0.0, 1.0]],
+    # dlas2: a zero diagonal
+    "zero-diagonal": [[0.0, 1.0], [0.0, 0.0]],
+    # a zero second column
+    "zero-column": [[0.0, 0.0], [1.0, 0.0]],
 }
 
 
@@ -96,9 +102,6 @@ def test_2x2_fallback_rows_go_to_lapack(name, counting_svd):
 RARE_ROWS = [
     [[1e-200, 1e130], [0.0, 1e-200]],  # dlas2: fhmx / ga underflows to 0
     [[1e-200, 1e130], [1e-250, 1e-200]],
-    [[0.0, 1.0], [0.0, 1.0]],  # dlas2: a zero on the diagonal
-    [[0.0, 1.0], [0.0, 0.0]],  # dlas2: a zero diagonal
-    [[0.0, 0.0], [1.0, 0.0]],  # a zero second column
     [[2.0, 0.0], [0.0, 3.0]],  # dlarfg: a21 == 0 leaves the column
     [[-0.0, 1.5], [1.3, 0.8]],  # dlarfg: the sign of a zero a11 picks beta's
     [[0.0, 1.5], [1.3, 0.8]],
@@ -157,42 +160,19 @@ RARE_VECTOR_ROWS = {
     # |g| > |f|: g is the largest entry
     "wide": ([[1.0, 5.0], [0.0, 0.5]],
              lambda *d: _ordered(*d)[1] > _ordered(*d)[0] > 2.0**-53 * _ordered(*d)[1]),
-    # |f / g| < eps, with h below and above 1
-    "very-wide": ([[1e-10, 1e10], [0.0, 1e-10]],
-                  lambda *d: _ordered(*d)[0] / _ordered(*d)[1] < 2.0**-53),
-    "very-wide-h": ([[2.5, 1e20], [0.0, 3.0]],
-                    lambda *d: (_ordered(*d)[0] / _ordered(*d)[1] < 2.0**-53
-                                and _ordered(*d)[2] > 1)),
-    # m = g / f squares to 0 (with l != 0; l == 0 as well would split), and
-    # the left rotation's sine is a subnormal that depends on t
-    "mm-zero": ([[1.0, 1e-162], [0.0, 1e-150]],
-                lambda *d: (_ordered(*d)[1] / _ordered(*d)[0]) ** 2 == 0 and not _split(*d)),
     # l == 0: |f| == |h|
     "l-zero": ([[1.0, 0.5], [0.0, 1.0]], lambda d1, e1, d2: abs(d1) == abs(d2)),
     "l-zero-negative": ([[2.0, 1.0], [0.0, -2.0]], lambda d1, e1, d2: abs(d1) == abs(d2)),
     # a split with the values in order, U = I
     "split": ([[2.0, 1e-20], [0.0, 1.0]],
               lambda d1, e1, d2: _split(d1, e1, d2) and abs(d1) >= abs(d2)),
-    # a split that the sort swaps
-    "split-swap": ([[1.0, 1e-20], [0.0, 2.0]],
-                   lambda d1, e1, d2: _split(d1, e1, d2) and abs(d2) > abs(d1)),
-    "split-swap-negative": ([[-1.0, 1e-20], [0.0, -2.0]],
-                            lambda d1, e1, d2: _split(d1, e1, d2) and abs(d2) > abs(d1)),
-    # a split that only the threshold's floor makes (sminoa == 0)
-    "split-floor": ([[0.0, 1e-310], [0.0, 1.0]], lambda d1, e1, d2: _split(d1, e1, d2) and d1 == 0),
     # orthogonal columns: e1 == 0 after the reflection
     "split-reflected": ([[3.0, -4.0], [4.0, 3.0]], lambda *d: _split(*d)),
-    "split-swap-reflected": ([[3.0, -8.0], [4.0, 6.0]],
-                             lambda d1, e1, d2: _split(d1, e1, d2) and abs(d2) > abs(d1)),
     # a21 == 0: no reflection; in the QR tau == 0 and Q21 = -tau * a21,
     # -0.0 for a21 == +0.0 and +0.0 for a21 == -0.0
     "a21-zero": ([[3.0, 1.0], [0.0, 2.0]], lambda *d: True),
     "a21-minus-zero": ([[2.0, 1.0], [-0.0, 3.0]], lambda *d: True),
     "a21-zero-negative-diagonal": ([[-2.0, 1.0], [0.0, -3.0]], lambda *d: True),
-    # singular: a zero singular value keeps dlasv2's sign, +0.0 and -0.0
-    "singular": ([[0.0, 0.0], [-1.0, 1.5]], lambda d1, e1, d2: d2 == 0 and not _split(d1, e1, d2)),
-    "singular-minus-zero": ([[1.0, 1.0], [0.0, -0.0]],
-                            lambda d1, e1, d2: d2 == 0 and np.signbit(d2)),
     # rank one, but rounding leaves d2 ~ 2e-16
     "rank-one": ([[1.0, 2.0], [2.0, 4.0]], lambda d1, e1, d2: 0 < abs(d2) < 1e-15),
 }
@@ -219,9 +199,33 @@ def test_2x2_vector_rare_branches_have_lapacks_bits(name, counting_svd, counting
 
 
 # rows outside the range where the vector kernels' steps are exact, one per
-# class: batch_log_singular_values's classes, and a reflection of U whose
-# fused product underflows (the bidiagonal's own product does not)
-VECTOR_FALLBACK_ROWS = {**FALLBACK_ROWS, "reflection": [[1.0, 1e10], [1e-295, 1.0]]}
+# class: batch_log_singular_values's classes, a reflection of U whose fused
+# product underflows (the bidiagonal's own product does not), and the cases
+# of dlasv2 and of the sort that the kernel leaves to LAPACK
+VECTOR_FALLBACK_ROWS = {
+    **FALLBACK_ROWS,
+    "reflection": [[1.0, 1e10], [1e-295, 1.0]],
+    # |f / g| < eps, with h below and above 1
+    "very-wide": [[1e-10, 1e10], [0.0, 1e-10]],
+    "very-wide-h": [[2.5, 1e20], [0.0, 3.0]],
+    # m = g / f squares to 0 (with l != 0; l == 0 as well would split), and
+    # the left rotation's sine is a subnormal that depends on t
+    "mm-zero": [[1.0, 1e-162], [0.0, 1e-150]],
+    # singular: a zero singular value keeps dlasv2's sign, +0.0 and -0.0
+    "singular": [[0.0, 0.0], [-1.0, 1.5]],
+    "singular-minus-zero": [[1.0, 1.0], [0.0, -0.0]],
+    # a split that only the threshold's floor makes (sminoa == 0)
+    "split-floor": [[0.0, 1e-310], [0.0, 1.0]],
+    # a split that the sort swaps
+    "split-swap": [[1.0, 1e-20], [0.0, 2.0]],
+    "split-swap-negative": [[-1.0, 1e-20], [0.0, -2.0]],
+    "split-swap-reflected": [[3.0, -8.0], [4.0, 6.0]],
+}
+# the rows above whose QR frames the numpy kernel makes: they leave the
+# steps of dlas2, dlasv2 or the sort, none of which the QR takes
+QR_KERNEL_ROWS = {"zero-on-diagonal", "zero-diagonal", "very-wide", "very-wide-h", "mm-zero",
+                  "singular", "singular-minus-zero", "split-floor", "split-swap",
+                  "split-swap-negative", "split-swap-reflected"}
 
 
 @pytest.mark.parametrize("name", sorted(VECTOR_FALLBACK_ROWS))
@@ -242,7 +246,7 @@ def test_2x2_vector_fallback_rows_go_to_lapack(name, counting_svd, counting_qr):
             u, s = _kernels.left_singular(mats)
             assert u.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
         q = _kernels.qr_positive(mats)
-    assert counting_svd.rows == 1 and counting_qr.rows == 1
+    assert counting_svd.rows == 1 and counting_qr.rows == (name not in QR_KERNEL_ROWS)
     assert q.tobytes() == Q.tobytes()
 
 
@@ -272,11 +276,16 @@ def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
                     == [mats[[r]].tobytes() for r in lapack_rows])
 
 
-def test_batch_kappa_never_reaches_lapack_in_range(counting_svd):
-    # a fallback mask that silently widens fails here, not only in the benchmark
-    ball = matgroup.word_spheres(presets.fuchsian_schottky(1.6), 10)
+@BALLS
+def test_batch_kappa_never_reaches_lapack_in_range(make, n, counting_svd, counting_qr):
+    # a fallback mask that silently widens fails here, not only in the
+    # benchmark; the parabolic ball is the a21 == 0 path of every row
+    ball = matgroup.word_spheres(make(), n)
+    counting_svd.rows = counting_qr.rows = 0
     matgroup.batch_kappa(ball.mats, ball.inv_mats)
-    assert counting_svd.rows == 0
+    U, _ = _kernels.left_singular(ball.mats)
+    _kernels.qr_positive(U)
+    assert counting_svd.rows == 0 and counting_qr.rows == 0
 
 
 def test_flag_paths_never_reach_lapack_in_range(counting_svd, counting_qr, counting_det):

@@ -33,7 +33,6 @@ OPTIONS = {
     "matgroup._BallWalk.__init__(keep_matrices)",
     "matgroup.conjugacy_classes(primitive_only)",
     "matgroup.word_spheres(matrices)",
-    "patterson.AtomicMeasure.excluded",
     "patterson._walk_ball(flag_spheres)",
     "patterson._walk_ball(theta)",
     "patterson.concavity_experiment(theta)",

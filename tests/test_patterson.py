@@ -6,7 +6,7 @@ import pytest
 from pslab import cartan, cocycle, flags, matgroup, patterson, presets
 from pslab.errors import NegativePhiOnCone, SubcriticalS, WindowEmpty
 from conftest import traced_peak
-from identities import gromov_product
+from identities import gromov_product, make_flag
 
 
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
@@ -177,8 +177,8 @@ def pair_density(phi, delta, F, G):
 
 
 def test_pair_density_matches_gromov_product(rng):
-    F = flags.make_flag((1, 2), np.eye(3))
-    G = flags.make_flag((1, 2), rng.normal(size=(3, 3)))
+    F = make_flag((1, 2), np.eye(3))
+    G = make_flag((1, 2), rng.normal(size=(3, 3)))
     phi = cartan.Functional.alpha(1, 3)
     rho = pair_density(phi, 0.7, F, G)
     assert rho > 0.0
