@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, cartan, matgroup, patterson
+from . import _kernels, cartan, flags, matgroup, patterson
 from .errors import BadIndex, DegenerateScales, WindowEmpty
 
 ZERO_LENGTH_TOLERANCE = 1e-9
@@ -41,11 +41,10 @@ def class_lengths(P, phi, n, theta=None, primitive_only=False):
     return cartan.jordan_spliced(reps.mats, reps.inv_mats) @ f, reps
 
 
-def count_closed_geodesics(
-    P, phi, t_max, n_max=10, theta=None, primitive_only=False, unoriented=False,
-    delta_hat=None, t_values=None,
-):
-    """N(T) = #{conjugacy classes with 0 < phi(nu_theta) <= T} against e^{dT}/(dT).
+def count_closed_geodesics(P, phi, t_max, n_max=10, theta=None, primitive_only=False,
+                           unoriented=False, delta_hat=None):
+    """N(T) = #{conjugacy classes with 0 < phi(nu_theta) <= T} against e^{dT}/(dT),
+    at 24 evenly spaced T up to t_max.
 
     Classes come from cyclic words of length <= n_max.  A row at T is
     certified complete when T <= n_max * (minimal per-letter length growth
@@ -64,10 +63,8 @@ def count_closed_geodesics(
     if delta_hat is None:
         delta_hat = patterson.critical_exponent(P, phi, max(n_max, 4), theta).delta_hat
     lengths = np.sort(lengths)
-    if t_values is None:
-        t_values = np.linspace(t_max / 24.0, t_max, 24)
     rows = []
-    for T in t_values:
+    for T in np.linspace(t_max / 24.0, t_max, 24):
         count = int(np.searchsorted(lengths, T + ZERO_LENGTH_TOLERANCE, side="left"))
         if unoriented:
             count //= 2
@@ -165,8 +162,6 @@ def box_counting_dimension(points, scale_grid=None):
 
 def hausdorff_vs_exponent_experiment(P, n_max, theta=None, scale_grid=None):
     """Pairs the alpha_1 exponent estimate with the sampled limit-set box dimension."""
-    from . import flags
-
     theta = cartan.validate_theta(
         theta if theta is not None else {1, P.dimension - 1}, P.dimension
     )

@@ -68,6 +68,26 @@ class KleinFamily:
         w = self.minkowski_matrix(mats) @ np.array([0.0, 0.0, 1.0])
         return np.where(w[..., 2:] < 0.0, -w, w)
 
+    def ball_lifts(self, ball, f):
+        """(lifts, values) of the rows of spheres first..n of word_spheres(P, n), block by block.
+
+        lifts holds their lifted_orbit; values holds K @ f for the spliced
+        Cartan vector K of each row (matgroup._row_products), or is None
+        when f is.
+        """
+        first, n = ball.first, ball.first + len(ball.offsets) - 2
+        walk = matgroup._BallWalk(self.P, n)
+        start = walk.offsets[first]
+        lifts, values = np.empty((len(ball), 3)), None if f is None else np.empty(len(ball))
+        for lo, mats, inv_mats in walk:
+            part = walk.cut(lo, len(mats), first, n)
+            rows = slice(lo + part.start - start, lo + part.stop - start)
+            lifts[rows] = self.lifted_orbit(mats[part])
+            if f is not None:
+                values[rows] = matgroup._row_products(
+                    matgroup.batch_kappa(mats[part], inv_mats[part]), f)
+        return lifts, values
+
     def orbit_point(self, M):
         """Image of the basepoint (origin) under one group element or a stack."""
         w = self.lifted_orbit(M)
@@ -169,7 +189,7 @@ def shadow_constants(P, mu, n, family):
     minimal measure."""
     fam = KleinFamily(P, family)
     zs, ws = fam.boundary_point(mu.frames), mu.weights
-    lifts = fam.lifted_orbit(matgroup.word_spheres(P, n)[1:].mats)
+    lifts, _ = fam.ball_lifts(matgroup.word_spheres(P, n)[1:], None)
     for r in SHADOW_RADII:
         masses = shadow_masses_to_origin(zs, ws, lifts, r)
         eps0 = float(masses.min())
@@ -205,8 +225,9 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     f = cartan.theta_covector(phi, theta)
     zs, ws = fam.boundary_point(mu.frames), mu.weights
     ball = matgroup.word_spheres(P, n)[1:]
-    masses = shadow_masses(zs, ws, fam.lifted_orbit(ball.mats), r)
-    rho = masses * np.exp(delta * (matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f))
+    lifts, values = fam.ball_lifts(ball, f)
+    masses = shadow_masses(zs, ws, lifts, r)
+    rho = masses * np.exp(delta * values)
     rows = []
     for sphere_index, (rh, m) in enumerate(zip(ball.split(rho), ball.split(masses)), 1):
         pos = rh[m > 0.0]
@@ -230,5 +251,5 @@ def conicality_score(P, z, r, n, family):
         raise BoundaryPoint(f"conicality direction {z.tolist()} names no boundary point")
     z = z / norm
     ball = matgroup.word_spheres(P, n)[1:]
-    dists = _kernels.ray_distances_lifted(fam.lifted_orbit(ball.mats), z)
+    dists = _kernels.ray_distances_lifted(fam.ball_lifts(ball, None)[0], z)
     return [int(np.count_nonzero(d < r)) for d in ball.split(dists)]

@@ -4,23 +4,20 @@ Words are tuples of signed 1-based generator indices: +i is the i-th
 generator, -i its inverse.  Enumeration order is canonical: by length, then
 lexicographically with letters ordered +1, -1, +2, -2, ...
 
-A word ball is one ``WordBall``: row i of its arrays is one element,
-``mats[i]`` its matrix (the forward product of its word), ``inv_mats[i]`` the
-forward product of its inverted word, ``letter[i]`` its last letter and
-``parent[i]`` the row of its word with that letter removed.  Rows run in
-canonical order, so each sphere is a contiguous block of rows and a parent
-row always precedes its children; as every non-identity word has 2r - 1
-children, ``parent`` follows from the row alone, and ``letter`` from the
-letters of the spheres before (``_BallWalk``).  Words are rebuilt from
-``parent`` and ``letter`` only where a label or a word is needed.
+A word ball is one ``WordBall``: element i is row ``rows[i]`` of the walk
+of the free-group ball, whose rows run in canonical order, so each sphere
+is a contiguous block of rows and a parent row always precedes its
+children.  As every non-identity word has 2r - 1 children, the parent of a
+row (its word less the last letter) is arithmetic on the row, and the last
+letters of all rows follow from the letters of the spheres before
+(``_BallWalk``); words are rebuilt from the two only where a label or a
+word is needed.
 
 Every presentation is enumerated as a free group: a ball holds one row per
 freely reduced word, whether or not two words give the same matrix.  Every
-ball's matrices are made by one ``_BallWalk``, which hands them out block
-by block.  ``word_spheres`` keeps them, or makes a words-only ball, whose
-``mats`` and ``inv_mats`` are None, with no walk; paths that only need
-values of the matrices (spliced Cartan vectors, flags, the products of a
-few rows) read each block as it comes.
+product is made by one ``_BallWalk``, which hands them out block by block
+to the paths that read them; ``word_spheres`` makes the words-only ball,
+with no walk.
 """
 
 import itertools
@@ -38,12 +35,11 @@ ELEMENT_CAP = 5_000_000
 CONE_NORM_TOLERANCE = 1e-12
 # rows per block of a ball walk: each block it yields, and each step, hold at
 # most this many rows, and a block never spans a multiple of BLOCK_ROWS of
-# ball rows.  A walk that does not keep its matrices holds one such block per
-# sphere that spills out of its block, and at most one block of copied
-# parents.  A step's temporaries are its parents' last letters and their
-# rows of one child table at a time, as many matrices as the step has
-# children; its forward products are made in the block rows that its inverse
-# products then overwrite
+# ball rows.  A walk holds one such block per sphere that spills out of its
+# block, and at most one block of copied parents.  A step's temporaries are
+# its parents' last letters and their rows of one child table at a time, as
+# many matrices as the step has children; its forward products are made in
+# the block rows that its inverse products then overwrite
 BLOCK_ROWS = 1 << 13
 
 
@@ -133,25 +129,21 @@ class WordBall:
     length first + j.  ``len`` counts elements; iterating yields the spheres.
     Indexing with an int gives one sphere and with a contiguous
     slice a run of spheres, as WordBalls over views of the same arrays.
-    ``mats`` and ``inv_mats`` are None in a words-only ball.
-    ``parent`` holds rows of the whole walked ball, whose
-    ``(letter, parent)`` arrays every view keeps as ``whole``; neither is
-    walked: ``parent`` is made from the row numbers and ``letter`` from the
-    letters of the first spheres.
+    ``letter`` is the walk's whole-ball array, which every view keeps: the
+    last letter of element i is letter[rows[i]].  ``mats`` and ``inv_mats``
+    are None but in the class representatives of ``conjugacy_classes``.
     """
 
-    mats: np.ndarray  # (N, d, d) float, or None
-    inv_mats: np.ndarray  # (N, d, d) float, or None
-    parent: np.ndarray  # (N,) int32, -1 at the identity
-    letter: np.ndarray  # (N,) int8, 0 at the identity
+    rows: np.ndarray  # (N,) int32 walk rows, 0 at the identity
+    letter: np.ndarray  # (walk rows,) int8 last letters, 0 at the identity
     offsets: np.ndarray  # (spheres + 1,) row offsets, offsets[0] == 0
     first: int  # word length of sphere 0
-    # arrays, not the ball: a ball referring to itself is left to the cycle
-    # collector
-    whole: tuple
+    rank: int  # of the presentation, whose walk rows have 2 rank - 1 children
+    mats: np.ndarray  # (N, d, d) float, or None
+    inv_mats: np.ndarray  # (N, d, d) float, or None
 
     def __len__(self):
-        return len(self.parent)
+        return len(self.rows)
 
     def __iter__(self):
         return (self[j] for j in range(len(self.offsets) - 1))
@@ -163,8 +155,8 @@ class WordBall:
         a, b = self.offsets[lo], self.offsets[hi]
         mats, inv_mats = (None if arr is None else arr[a:b]
                           for arr in (self.mats, self.inv_mats))
-        return WordBall(mats, inv_mats, self.parent[a:b], self.letter[a:b],
-                        self.offsets[lo:hi + 1] - a, self.first + lo, self.whole)
+        return WordBall(self.rows[a:b], self.letter, self.offsets[lo:hi + 1] - a,
+                        self.first + lo, self.rank, mats, inv_mats)
 
     def lengths(self):
         """Word length of every row."""
@@ -177,19 +169,27 @@ class WordBall:
 
     def sphere_letters(self):
         """One (count, k) int8 array of words per sphere of length k."""
-        all_letters, all_parents = self.whole
         for j in range(len(self.offsets) - 1):
             a, b, k = self.offsets[j], self.offsets[j + 1], self.first + j
             out = np.empty((b - a, k), dtype=np.int8)
-            letters, rows = self.letter[a:b], self.parent[a:b]
+            rows = self.rows[a:b]
             for i in range(k - 1, -1, -1):
-                out[:, i] = letters
-                letters, rows = all_letters[rows], all_parents[rows]
+                out[:, i] = self.letter[rows]
+                if i:
+                    rows = _parent_rows(rows, self.rank)
             yield out
 
     def words(self):
         """The words of all rows, as tuples."""
         return [tuple(w) for block in self.sphere_letters() for w in block.tolist()]
+
+
+def _parent_rows(rows, rank):
+    """The parents of walk rows: 0 on sphere 1, then 2r - 1 consecutive children per row."""
+    parents = rows - (2 * rank + 1)
+    parents //= 2 * rank - 1
+    parents += 1
+    return np.maximum(parents, 0, out=parents)
 
 
 class _Writer:
@@ -238,11 +238,9 @@ class _BallWalk:
     of BLOCK_ROWS rows; the next block a walk writes may overwrite these
     arrays.  The blocks tile the ball's rows once each, and each sphere's
     blocks come in row order, but lo need not increase: a sphere may be
-    handed out between the blocks of the one before.  With keep_matrices
-    the walk writes every row into the whole-ball ``products`` (forward
-    products first, inverse ones second).  A walk is iterated once;
-    ``ball()`` is the WordBall of its rows.  A block whose products
-    overflowed raises DecompositionFailure.
+    handed out between the blocks of the one before.  A walk is iterated
+    once; ``ball()`` is the words-only WordBall of its rows.  A block whose
+    products overflowed raises DecompositionFailure.
 
     Each sphere is written from the one before, at most BLOCK_ROWS rows per
     step.  A step makes one matrix product per parent and side, with the
@@ -261,15 +259,15 @@ class _BallWalk:
     there are the parents of that many children of the next sphere, which
     are written at once into a block of the next sphere's own, handed out
     in turn each time it fills; and when the sphere is done, its last rows
-    are handed out the same way.  A walk that does not keep its matrices
-    thus holds one block per spilled sphere, no whole sphere, and at most a
-    block of copied parents.  The spheres being written form a chain, which
-    the walk follows with a list and an index, not by recursion.  Every
-    block ends at the next multiple of BLOCK_ROWS ball rows, so the blocks
-    are those of a walk in row order, cut where a sphere's own block starts.
+    are handed out the same way.  A walk thus holds one block per spilled
+    sphere, no whole sphere, and at most a block of copied parents.  The
+    spheres being written form a chain, which the walk follows with a list
+    and an index, not by recursion.  Every block ends at the next multiple
+    of BLOCK_ROWS ball rows, so the blocks are those of a walk in row order,
+    cut where a sphere's own block starts.
     """
 
-    def __init__(self, P, n, keep_matrices=False):
+    def __init__(self, P, n):
         if n < 0:
             raise BadIndex("n must be >= 0")
         self.P, self.n = P, n
@@ -315,7 +313,6 @@ class _BallWalk:
             k += m
             if k < n:
                 down = down.take(down, 0, mode="wrap").reshape(q + 1, -1)
-        self.products = np.empty((2, rows, d, d)) if keep_matrices else None
 
     def cut(self, lo, count, first, last):
         """The slice of the block of ball rows lo:lo + count that holds spheres first..last."""
@@ -323,20 +320,18 @@ class _BallWalk:
 
     def __iter__(self):
         n, d = self.n, self.P.dimension
-        letter, offsets, products, tables = self.letter, self.offsets, self.products, self.tables
+        letter, offsets, tables = self.letter, self.offsets, self.tables
         # one matrix row as one element: the forward products come out as
         # [parent, i, child, l] and are copied to [parent, child, i, l] as
         # rows
         row = np.dtype((np.void, 8 * d))
 
         def window(lo, block=None):
-            # where rows from lo on are written, the kept ball's rows or a
-            # writer's own buffer, and the halves (_Writer.out) of its rows up
-            # to the next multiple of BLOCK_ROWS: the blocks handed out are
-            # those of a walk in row order, cut where a sphere's writer starts
-            if products is not None:
-                block = products[:, lo:]
-            elif block is None:
+            # a writer's buffer for the rows from lo on, and the halves
+            # (_Writer.out) of its rows up to the next multiple of
+            # BLOCK_ROWS: the blocks handed out are those of a walk in row
+            # order, cut where a sphere's writer starts
+            if block is None:
                 block = np.empty((2, BLOCK_ROWS, d, d))
             part = block[:, :BLOCK_ROWS - lo % BLOCK_ROWS]
             return block, (part[0], part[0].view(row)[..., 0], part[1])
@@ -445,37 +440,17 @@ class _BallWalk:
                 top = 0
 
     def ball(self):
-        """The rows as a WordBall, words only unless the walk keeps matrices.
-
-        ``parent`` is made from the row numbers: -1 at the identity, 0 on
-        sphere 1, and after that the 2r - 1 children of each row are
-        consecutive.  It is made in place, as a walk that kept its matrices
-        is at its peak here.  The words need no walk; a kept ball's
-        matrices are written by iterating the walk first.
-        """
-        mats, inv_mats = (None, None) if self.products is None else self.products
-        head = 2 * self.P.rank + 1  # the identity and sphere 1
-        parent = np.arange(-head, self.rows - head, dtype=np.int32)
-        parent //= 2 * self.P.rank - 1
-        parent += 1
-        parent[:head] = 0
-        parent[0] = -1
-        return WordBall(mats, inv_mats, parent, self.letter, np.array(self.offsets), 0,
-                        (self.letter, parent))
+        """The rows as a words-only WordBall: the words need no walk."""
+        return WordBall(np.arange(self.rows, dtype=np.int32), self.letter,
+                        np.array(self.offsets), 0, self.P.rank, None, None)
 
 
-def word_spheres(P, n, matrices=True):
-    """Freely reduced word spheres 0..n with matrices, as one WordBall.
+def word_spheres(P, n):
+    """Freely reduced word spheres 0..n as one words-only WordBall, with no walk.
 
-    The ball's arrays are allocated once, after the cap check, and a
-    _BallWalk writes every row into them.  Without matrices the ball is
-    words only, and nothing is walked.
+    The products of its rows are read block by block from a _BallWalk.
     """
-    walk = _BallWalk(P, n, keep_matrices=matrices)
-    if matrices:
-        for _ in walk:
-            pass
-    return walk.ball()
+    return _BallWalk(P, n).ball()
 
 
 def free_ball_size(rank, n):
@@ -552,18 +527,18 @@ def conjugacy_classes(P, n, primitive_only=False):
     gamma^-1 give distinct classes.
 
     The representatives and the rows of their inverted words are chosen from
-    the words-only ball, and one walk that keeps no matrices then copies the
-    forward products of those rows out of its blocks.
+    the words-only ball, and one walk then copies the forward products of
+    those rows out of its blocks.
     """
-    ball = word_spheres(P, n, matrices=False)
+    ball = word_spheres(P, n)
     rows, wanted = _class_rows(ball, P.rank, primitive_only)
     products = np.empty((len(wanted), P.dimension, P.dimension))
     for lo, mats, _ in _BallWalk(P, n):
         at = np.flatnonzero((wanted >= lo) & (wanted < lo + len(mats)))
         products[at] = mats[wanted[at] - lo]
     mats, inv_mats = np.split(products, 2)
-    return WordBall(mats, inv_mats, ball.parent[rows], ball.letter[rows],
-                    np.searchsorted(rows, ball.offsets[1:]), 1, ball.whole)
+    return WordBall(ball.rows[rows], ball.letter, np.searchsorted(rows, ball.offsets[1:]), 1,
+                    P.rank, mats, inv_mats)
 
 
 def symmetric_power_rep(A, d):
@@ -612,6 +587,18 @@ def batch_kappa(mats, inv_mats):
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
     return cartan.splice(logs, inv_logs, np.empty(logs.shape))
+
+
+def _row_products(K, f):
+    """K @ f for the rows of K, each with the bits of one product over a longer stack.
+
+    numpy multiplies a single row by f as a dot product and two or more rows
+    by gemv, which may round differently; so a block of one row is
+    multiplied as two.
+    """
+    if len(K) == 1:
+        return (np.repeat(K, 2, axis=0) @ f)[:1]
+    return K @ f
 
 
 def limit_cone_sample(P, theta, n):

@@ -80,7 +80,7 @@ def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
     parts = []  # (first row, frames) of each block's flags
     for lo, mats, inv_mats in walk:
         K = matgroup.batch_kappa(mats, inv_mats)
-        values[lo:lo + len(mats)] = K if f is None else _row_products(K, f)
+        values[lo:lo + len(mats)] = K if f is None else matgroup._row_products(K, f)
         part = walk.cut(lo, len(mats), 0, flag_spheres)
         if part.stop:
             F, good = flags.u_theta(mats[part], theta)
@@ -327,8 +327,9 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
         mats, inv_mats = mats[part], inv_mats[part]
         # spliced batch kappa: the direct SVD of a deep product loses the
         # small singular values, which would swamp the residual
-        base = _row_products(matgroup.batch_kappa(mats, inv_mats), f)
-        shifted = _row_products(matgroup.batch_kappa(alpha_inv @ mats, inv_mats @ alpha_mat), f)
+        base = matgroup._row_products(matgroup.batch_kappa(mats, inv_mats), f)
+        shifted = matgroup._row_products(
+            matgroup.batch_kappa(alpha_inv @ mats, inv_mats @ alpha_mat), f)
         F, good = flags.u_theta(mats, theta)
         rows = slice(lo + part.start, lo + part.stop)
         ok[rows] = good
@@ -349,18 +350,6 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
                 }
             )
     return stats
-
-
-def _row_products(K, f):
-    """K @ f for the rows of K, each with the bits of one product over a longer stack.
-
-    numpy multiplies a single row by f as a dot product and two or more rows
-    by gemv, which may round differently; so a block of one row is
-    multiplied as two.
-    """
-    if len(K) == 1:
-        return (np.repeat(K, 2, axis=0) @ f)[:1]
-    return K @ f
 
 
 def subgroup_presentation(P, words):

@@ -208,10 +208,12 @@ def test_counting_oracle_and_growth_rate():
     distinct = np.unique(np.round(lengths[lengths <= t_cert], 9))
     t_values = np.concatenate([[distinct[0] / 2.0],
                                (distinct[:-1] + distinct[1:]) / 2.0])
-    table = asymptotics.count_closed_geodesics(
-        P, ALPHA1_2, t_cert, n_max=6, theta=(1,), delta_hat=delta,
-        t_values=t_values)
-    for row in table.rows:
+    # the last row of a table is at T = t_max: one table per step of the staircase
+    rows = [asymptotics.count_closed_geodesics(P, ALPHA1_2, T, n_max=6, theta=(1,),
+                                               delta_hat=delta).rows[-1]
+            for T in t_values]
+    for row, T in zip(rows, t_values):
+        assert row.T == T
         assert row.certified
         expected = int(np.count_nonzero(lengths <= row.T))
         assert row.count == expected  # exact, zero tolerance

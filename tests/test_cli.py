@@ -127,13 +127,14 @@ def test_execute_rerun_is_byte_identical(tmp_path):
     ("shadow-check", {"n": 3, "mu_n": 5}, [5, 3, 3]),
 ])
 def test_measure_commands_build_one_ball(command, params, radii, tmp_path, monkeypatch):
-    # every ball, with or without its matrices, is one walk
+    # the products of every ball are made by one walk; a words-only ball is
+    # a walk that is not iterated
     built = []
 
     class Counted(matgroup._BallWalk):
-        def __init__(self, P, n, *args, **kwargs):
-            built.append(n)
-            super().__init__(P, n, *args, **kwargs)
+        def __iter__(self):
+            built.append(self.n)
+            return super().__iter__()
 
     monkeypatch.setattr(matgroup, "_BallWalk", Counted)
     config = {"preset": "fuchsian-schottky-1", "theta": [1], "params": params}

@@ -3,6 +3,7 @@ import pytest
 
 from pslab import _kernels, cartan, cocycle, flags, matgroup, presets
 from pslab.errors import InsufficientGap, NotProximal, ThetaMismatch
+from ball_oracle import word_spheres_reference
 from identities import TRANSVERSALITY_TOLERANCE, apply_matrix, make_flag
 
 
@@ -22,7 +23,7 @@ def test_flag_producers_give_orthonormal_frames(rng):
     for P, theta in ((presets.fuchsian_schottky(1.6), (1,)),
                      (presets.sl3_zariski_dense(), (1, 2))):
         d = P.dimension
-        mats = matgroup.word_spheres(P, 4)[1:].mats
+        mats = word_spheres_reference(P, 4).mats[1:]
         stacked, ok = flags.u_theta(mats, theta)
         single = flags.u_theta(mats[-1], theta)
         produced += [stacked, single,
@@ -156,7 +157,7 @@ def test_attracting_fixed_flag_needs_proximality():
 @pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
                                       (presets.sl3_zariski_dense(), (1, 2))])
 def test_stacked_flag_layer_equals_single_calls(P, theta):
-    ball = matgroup.word_spheres(P, 3)
+    ball = word_spheres_reference(P, 3)
     d = P.dimension
     # the identity fails the gap test; put a second copy mid-stack
     mats = np.concatenate([ball.mats[:10], np.eye(d)[None], ball.mats[10:]])
@@ -187,11 +188,12 @@ def test_stacked_flag_layer_equals_single_calls(P, theta):
                                          (presets.fuchsian_schottky(1.6), (1,), 4),
                                          (presets.sl3_zariski_dense(), (1, 2), 3)])
 def test_limit_set_and_cone_read_one_sphere_of_the_walk(P, theta, n, monkeypatch):
-    sphere = matgroup.word_spheres(P, n)[n]
-    ref_F, ref_ok = flags.u_theta(sphere.mats, theta)
-    (ref_words,) = sphere.sphere_letters()
+    ball = word_spheres_reference(P, n)
+    mats, inv_mats = ball.mats[ball.offsets[n]:], ball.inv_mats[ball.offsets[n]:]
+    ref_F, ref_ok = flags.u_theta(mats, theta)
+    ref_words = list(ball.sphere_letters())[n]
     proj = cartan.projection_matrix(P.dimension, theta)
-    vecs = matgroup.batch_kappa(sphere.mats, sphere.inv_mats) @ proj.T
+    vecs = matgroup.batch_kappa(mats, inv_mats) @ proj.T
     norms = np.linalg.norm(vecs, axis=1)
     ref_dirs = vecs[norms > 1e-12] / norms[norms > 1e-12, None]
     # blocks of 5 rows span spheres

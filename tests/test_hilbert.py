@@ -4,6 +4,8 @@ import pytest
 from pslab import cartan, flags, hilbert, matgroup, patterson, presets
 from pslab.errors import AsymmetricTheta, UnsupportedFamily
 import shadow_oracle
+from ball_oracle import word_spheres_reference
+from conftest import traced_peak
 
 
 def test_klein_family_requires_matching_dimension():
@@ -18,7 +20,7 @@ def test_orbit_distances_match_upper_half_plane():
     # orbit point from the origin, arctanh of its Euclidean norm
     P = presets.fuchsian_schottky(1.6)
     fam = hilbert.KleinFamily(P, "so")
-    for g in matgroup.word_spheres(P, 2).mats:
+    for g in word_spheres_reference(P, 2).mats:
         cosh_d = np.trace(g.T @ g) / 2.0
         x = fam.orbit_point(g)
         assert abs(np.arctanh(np.linalg.norm(x))
@@ -27,7 +29,7 @@ def test_orbit_distances_match_upper_half_plane():
 
 def test_lifted_orbit_consistent_with_chart(sl2):
     fam = hilbert.KleinFamily(sl2, "so")
-    ball = matgroup.word_spheres(sl2, 3)
+    ball = word_spheres_reference(sl2, 3)
     lifts = fam.lifted_orbit(ball.mats)
     pts = fam.orbit_point(ball.mats)
     assert np.allclose(lifts[:, :2] / lifts[:, 2:], pts, atol=1e-10)
@@ -38,7 +40,7 @@ def test_lifted_orbit_consistent_with_chart(sl2):
 def test_stacked_lifts_match_scalar_reference(family):
     P = (presets.fuchsian_schottky if family == "so" else presets.schottky_so21)(1.6)
     fam = hilbert.KleinFamily(P, family)
-    mats = matgroup.word_spheres(P, 6).mats
+    mats = word_spheres_reference(P, 6).mats
     lifts = fam.lifted_orbit(mats)
     reference = np.array([shadow_oracle.lift_reference(M, family) for M in mats])
     assert lifts.shape == (len(mats), 3)
@@ -98,9 +100,9 @@ def test_shadow_masses_agree_with_membership_kernel(rng):
 def test_shadow_masses_to_origin_agree_with_kernel(rng):
     P = presets.fuchsian_schottky(1.6)
     fam = hilbert.KleinFamily(P, "so")
-    ball = matgroup.word_spheres(P, 3)[1:]
-    lifts = fam.lifted_orbit(ball.mats)
-    Minvs = fam.minkowski_matrix(ball.inv_mats)
+    ball = word_spheres_reference(P, 3)
+    lifts = fam.lifted_orbit(ball.mats[1:])
+    Minvs = fam.minkowski_matrix(ball.inv_mats[1:])
     ang = rng.uniform(-np.pi, np.pi, size=300)
     zs = np.c_[np.cos(ang), np.sin(ang)]
     ws = rng.uniform(0.0, 1.0, size=300)
@@ -121,6 +123,15 @@ def test_conicality_generator_axis_versus_parabolic_point():
     # a generic circle point misses the limit set: deep spheres leave the ray
     counts_off = hilbert.conicality_score(P, np.array([0.0, 1.0]), 0.5, 7, "so")
     assert counts_off[-1] == 0
+
+
+def test_conicality_reads_the_walk_block_by_block():
+    # the lifts and ray distances of the ball's rows, and one walk's blocks:
+    # reading the products of a ball that held them all peaked at 32.1 MiB
+    P = presets.fuchsian_schottky(1.6)
+    products = 2 * matgroup.free_ball_size(P.rank, 10) * P.dimension**2 * 8
+    _, peak = traced_peak(hilbert.conicality_score, P, np.array([1.0, 0.0]), 2.0, 10, "so")
+    assert peak < 1.5 * products
 
 
 def test_shadow_measure_check_rejects_an_empty_theta(sl2):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from ball_oracle import word_spheres_reference
 from cover_oracle import greedy_cover_count_reference
 
 from pslab import _kernels, cartan, matgroup, patterson, presets
@@ -52,7 +53,7 @@ BALLS = pytest.mark.parametrize("make, n", [
 
 @BALLS
 def test_2x2_singular_values_of_word_balls_have_lapacks_bits(make, n):
-    ball = matgroup.word_spheres(make(), n)
+    ball = word_spheres_reference(make(), n)
     _assert_same_bits(ball.mats)
     _assert_same_bits(ball.inv_mats)
 
@@ -133,7 +134,7 @@ def test_2x2_left_singular_vectors_and_qr_frames_have_lapacks_bits(kind):
 
 @BALLS
 def test_2x2_vectors_of_word_balls_have_lapacks_bits(make, n):
-    ball = matgroup.word_spheres(make(), n)
+    ball = word_spheres_reference(make(), n)
     _assert_vectors_have_lapacks_bits(ball.mats)
     _assert_vectors_have_lapacks_bits(ball.inv_mats)
 
@@ -280,7 +281,7 @@ def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
 def test_batch_kappa_never_reaches_lapack_in_range(make, n, counting_svd, counting_qr):
     # a fallback mask that silently widens fails here, not only in the
     # benchmark; the parabolic ball is the a21 == 0 path of every row
-    ball = matgroup.word_spheres(make(), n)
+    ball = word_spheres_reference(make(), n)
     counting_svd.rows = counting_qr.rows = 0
     matgroup.batch_kappa(ball.mats, ball.inv_mats)
     U, _ = _kernels.left_singular(ball.mats)

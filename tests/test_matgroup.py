@@ -37,19 +37,21 @@ def test_sphere_order_is_canonical(sl2):
 
 
 def test_word_matrices_consistent(sl2):
-    ball = matgroup.word_spheres(sl2, 3)
-    for matrix, inverse_matrix, word in zip(ball.mats, ball.inv_mats, ball.words()):
-        assert np.allclose(matrix, sl2.word_matrix(word), atol=1e-12)
-        assert np.allclose(
-            inverse_matrix, sl2.word_matrix(matgroup.invert_word(word)),
-            atol=1e-10)
+    words = matgroup.word_spheres(sl2, 3).words()
+    for lo, mats, inv_mats in matgroup._BallWalk(sl2, 3):
+        for matrix, inverse_matrix, word in zip(mats, inv_mats, words[lo:lo + len(mats)]):
+            assert np.allclose(matrix, sl2.word_matrix(word), atol=1e-12)
+            assert np.allclose(
+                inverse_matrix, sl2.word_matrix(matgroup.invert_word(word)),
+                atol=1e-10)
 
 
 def test_ball_matrices_equal_word_products(sl3):
     # the same left-to-right products as word_matrix, so equal to the bit
-    ball = matgroup.word_spheres(sl3, 4)
-    for matrix, word in zip(ball.mats, ball.words()):
-        assert np.array_equal(matrix, sl3.word_matrix(word))
+    words = matgroup.word_spheres(sl3, 4).words()
+    for lo, mats, _ in matgroup._BallWalk(sl3, 4):
+        for matrix, word in zip(mats, words[lo:lo + len(mats)]):
+            assert np.array_equal(matrix, sl3.word_matrix(word))
 
 
 def test_sphere_views_share_the_ball(sl2):
@@ -58,7 +60,7 @@ def test_sphere_views_share_the_ball(sl2):
     assert [len(s) for s in tail] == [12, 36, 108]
     assert tail.words() == ball.words()[5:]
     assert ball[-1].words() == tail[2].words()
-    assert np.shares_memory(tail[1].mats, ball.mats)
+    assert np.shares_memory(tail[1].rows, ball.rows) and tail[1].letter is ball.letter
     assert [v.size for v in ball.split(np.arange(len(ball)))] == [1, 4, 12, 36, 108]
     assert all(len(w) == 4 for w in ball[4].words())
 
@@ -81,7 +83,7 @@ def test_element_cap_checked_before_allocating(monkeypatch):
     # sphere 10 alone holds 78,732 elements; building it before the check took 70 MB
     P = presets.sl2_mild()
     monkeypatch.setattr(matgroup, "ELEMENT_CAP", 100_000)
-    # the whole ball with its matrices, and the streamed ball of the exponent fits
+    # the words-only ball, and the streamed ball of the exponent fits
     for build in (matgroup.word_spheres, lambda P, n: patterson._walk_ball(P, n, None)):
         def over_cap():
             with pytest.raises(BudgetExceeded):
@@ -94,7 +96,7 @@ def test_cap_zero_is_a_cap(monkeypatch):
     phi = cartan.Functional.alpha(1, 2)
     monkeypatch.setattr(matgroup, "ELEMENT_CAP", 0)
     P = presets.fuchsian_schottky(1.6)
-    # the ball with its matrices and the streamed balls
+    # the words-only ball and the streamed balls
     for n in (0, 3):
         for build in (matgroup.word_spheres, lambda P, n: patterson._walk_ball(P, n, None),
                       lambda P, n: patterson.patterson_measure(P, phi, 1.0, n, (1,))):
@@ -135,11 +137,12 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
     for block_rows in (5, 7):
         monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
         ball = matgroup.word_spheres(P, n)
-        for field in ("mats", "inv_mats", "parent", "letter", "offsets"):
-            got, want = getattr(ball, field), getattr(ref, field)
-            assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want)), field
+        assert ball.offsets.dtype == ref.offsets.dtype
+        assert np.array_equal(ball.offsets, ref.offsets)
         assert ball.words() == ref.words()
-        K = matgroup.batch_kappa(ball.mats, ball.inv_mats)
+        K = np.empty_like(ref_K)
+        for lo, mats, inv_mats in matgroup._BallWalk(P, n):
+            K[lo:lo + len(mats)] = matgroup.batch_kappa(mats, inv_mats)
         assert np.array_equal(_bits(K), _bits(ref_K))
         assert np.array_equal(K @ proj.T, ref_K @ proj.T)
 
@@ -166,14 +169,7 @@ def test_walk_hands_out_every_row_once(make, n, monkeypatch):
             assert np.array_equal(_bits(mats), _bits(ref.mats[rows]))
             assert np.array_equal(_bits(inv_mats), _bits(ref.inv_mats[rows]))
         assert (handed == 1).all()
-        assert np.array_equal(walk.letter, ref.letter)
-
-
-def test_word_spheres_allocates_the_ball_once():
-    # the list-and-concatenate build peaked at about 2.2 times the ball
-    ball, peak = traced_peak(matgroup.word_spheres, presets.fuchsian_schottky(1.6), 10)
-    size = sum(a.nbytes for a in (ball.mats, ball.inv_mats, ball.parent, ball.letter))
-    assert peak <= 1.2 * size
+        assert walk.ball().words() == ref.words()
 
 
 def test_conjugacy_classes_hold_the_kept_products_and_a_few_bytes_a_letter():
@@ -270,12 +266,12 @@ def test_conjugacy_classes_match_whole_ball_selection(make, n, primitive_only):
     reps = matgroup.conjugacy_classes(P, n, primitive_only)
     ref = conjugacy_classes_reference(P, n, primitive_only)
     for field in ("mats", "inv_mats"):
-        got, want = getattr(reps, field), getattr(ref, field)
+        got, want = getattr(reps, field), ref[field]
         assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want)), field
-    for field in ("parent", "letter", "offsets"):
-        got, want = getattr(reps, field), getattr(ref, field)
+    for field in ("rows", "offsets"):
+        got, want = getattr(reps, field), ref[field]
         assert got.dtype == want.dtype and np.array_equal(got, want), field
-    assert reps.words() == ref.words()
+    assert reps.words() == ref["words"]
 
 
 def test_exterior_power_rep_multiplicative(rng):
@@ -324,10 +320,22 @@ def test_symmetric_power_rep_rotation_orthogonal():
 
 
 def test_batch_kappa_matches_scalar_kappa(sl3):
-    ball = matgroup.word_spheres(sl3, 4)
+    from ball_oracle import word_spheres_reference
+
+    ball = word_spheres_reference(sl3, 4)
     logs = matgroup.batch_kappa(ball.mats, ball.inv_mats)
     for matrix, row in zip(ball.mats[:40], logs[:40]):
         assert np.allclose(row, cartan.kappa(matrix), atol=1e-9)
+
+
+def test_row_products_of_one_row_match_a_longer_stack(rng):
+    for d in (2, 3, 4):
+        K = rng.normal(size=(200, d)) * np.exp(rng.uniform(-5.0, 5.0, size=(200, d)))
+        f = rng.normal(size=d)
+        whole = K @ f
+        for i in range(len(K)):
+            assert matgroup._row_products(K[i:i + 1], f)[0] == whole[i]
+        assert np.array_equal(matgroup._row_products(K[3:9], f), whole[3:9])
 
 
 def test_limit_cone_sample_unit_directions(sl3):

@@ -22,7 +22,6 @@ OPTIONS = {
     "asymptotics.count_closed_geodesics(delta_hat)",
     "asymptotics.count_closed_geodesics(n_max)",
     "asymptotics.count_closed_geodesics(primitive_only)",
-    "asymptotics.count_closed_geodesics(t_values)",
     "asymptotics.count_closed_geodesics(theta)",
     "asymptotics.count_closed_geodesics(unoriented)",
     "asymptotics.hausdorff_vs_exponent_experiment(scale_grid)",
@@ -30,9 +29,7 @@ OPTIONS = {
     "cli.build_phi(field)",
     "hilbert.shadow_measure_check(theta)",
     "matgroup.GroupPresentation.labels",
-    "matgroup._BallWalk.__init__(keep_matrices)",
     "matgroup.conjugacy_classes(primitive_only)",
-    "matgroup.word_spheres(matrices)",
     "patterson._walk_ball(flag_spheres)",
     "patterson._walk_ball(theta)",
     "patterson.concavity_experiment(theta)",

@@ -123,13 +123,17 @@ def _quasi_invariance_whole_ball(P, phi, alpha_word, n, theta):
     """The per-row residuals of quasi_invariance_residual from whole-ball stacks."""
     alpha_mat = P.word_matrix(tuple(alpha_word))
     alpha_inv = P.word_matrix(matgroup.invert_word(tuple(alpha_word)))
+    from ball_oracle import word_spheres_reference
+
     f = phi.covector() @ cartan.projection_matrix(P.dimension, theta)
-    ball = matgroup.word_spheres(P, n)[1:]
-    base = matgroup.batch_kappa(ball.mats, ball.inv_mats) @ f
-    shifted = matgroup.batch_kappa(alpha_inv @ ball.mats, ball.inv_mats @ alpha_mat) @ f
-    F, ok = flags.u_theta(ball.mats, theta)
+    ball = word_spheres_reference(P, n)
+    mats, inv_mats = ball.mats[1:], ball.inv_mats[1:]
+    base = matgroup.batch_kappa(mats, inv_mats) @ f
+    shifted = matgroup.batch_kappa(alpha_inv @ mats, inv_mats @ alpha_mat) @ f
+    F, ok = flags.u_theta(mats, theta)
     residuals = np.abs(shifted[ok] - base[ok] - phi(cocycle.iwasawa(alpha_inv, F)))
-    return np.split(residuals, np.cumsum([keep.sum() for keep in ball.split(ok)])[:-1])
+    spheres = np.split(ok, ball.offsets[2:-1] - 1)
+    return np.split(residuals, np.cumsum([keep.sum() for keep in spheres])[:-1])
 
 
 @pytest.mark.parametrize("make, alpha, n, theta", [
@@ -147,16 +151,6 @@ def test_quasi_invariance_walk_matches_whole_ball(make, alpha, n, theta):
              "max": float(r.max()), "count": int(r.size)}
             for j, r in enumerate(spheres, 1) if r.size]
     assert stats == want
-
-
-def test_row_products_of_one_row_match_a_longer_stack(rng):
-    for d in (2, 3, 4):
-        K = rng.normal(size=(200, d)) * np.exp(rng.uniform(-5.0, 5.0, size=(200, d)))
-        f = rng.normal(size=d)
-        whole = K @ f
-        for i in range(len(K)):
-            assert patterson._row_products(K[i:i + 1], f)[0] == whole[i]
-        assert np.array_equal(patterson._row_products(K[3:9], f), whole[3:9])
 
 
 @pytest.mark.parametrize("make, n, theta", [
@@ -270,8 +264,10 @@ STREAM_IDS = ["parabolic", "schottky", "schottky-d3", "zariski-d3"]
 @pytest.mark.parametrize("block_rows", [5, 7, matgroup.BLOCK_ROWS])
 @pytest.mark.parametrize("make, n, theta", STREAM_CASES, ids=STREAM_IDS)
 def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatch):
+    from ball_oracle import word_spheres_reference
+
     P = make()
-    ref = matgroup.word_spheres(P, n)
+    ref = word_spheres_reference(P, n)
     ref_K = matgroup.batch_kappa(ref.mats, ref.inv_mats)
     # blocks of 5 and 7 rows span the spheres of every ball here; at 7 rows a
     # sphere that fits in one block is read as parents after that block is
@@ -280,9 +276,7 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     walk, K, _ = patterson._walk_ball(P, n, None)
     ball = walk.ball()
     assert ball.mats is None and ball.inv_mats is None
-    for field in ("parent", "letter", "offsets"):
-        got, want = getattr(ball, field), getattr(ref, field)
-        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert ball.offsets.dtype == ref.offsets.dtype and np.array_equal(ball.offsets, ref.offsets)
     assert ball.words() == ref.words()
     assert np.array_equal(K, ref_K)
     # one value per row, block by block, with the bits of the whole-ball product
