@@ -150,8 +150,10 @@ def _word(P, word, path):
 def run_kappa(P, theta, phi, params):
     n = int(params.get("n", 4))
     proj = cartan.projection_matrix(P.dimension, theta)
-    _, ks, _ = patterson._walk_ball(P, n, None)
     ball = matgroup.word_spheres(P, n)
+    ks = np.empty((len(ball), P.dimension))
+    for lo, mats, inv_mats in ball.walk:
+        ks[lo:lo + len(mats)] = matgroup.batch_kappa(mats, inv_mats)
     # phi of the projected vectors, not ks @ theta_covector: the CSV keeps
     # the bits of this summation order
     values = phi(ks @ proj.T)
@@ -164,8 +166,7 @@ def run_orbit(P, theta, phi, params):
     n = int(params.get("n", 6))
     fam = hilbert.KleinFamily(P, params.get("family", "so" if P.dimension == 2 else "sym2"))
     ball = matgroup.word_spheres(P, n)
-    lifts, _ = fam.ball_lifts(ball, None)
-    pts = lifts[:, :2] / lifts[:, 2:]
+    pts = hilbert.klein_chart(fam.ball_lifts(ball, None)[0])
     header = ["word", "x", "y"]
     rows = [[P.word_label(w), p[0], p[1]] for w, p in zip(ball.words(), pts)]
     return header, rows, {"ball_size": len(ball)}

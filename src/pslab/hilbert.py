@@ -35,6 +35,11 @@ FAMILIES = ("so", "sym2")
 SHADOW_RADII = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 
 
+def klein_chart(w):
+    """Klein-disk points of Minkowski vectors w[..., :3] (orbit lifts or boundary lines)."""
+    return w[..., :2] / w[..., 2:]
+
+
 class KleinFamily:
     """Klein-disk realization of a presentation with an explicit boundary model.
 
@@ -69,14 +74,13 @@ class KleinFamily:
         return np.where(w[..., 2:] < 0.0, -w, w)
 
     def ball_lifts(self, ball, f):
-        """(lifts, values) of the rows of spheres first..n of word_spheres(P, n), block by block.
+        """(lifts, values) of the rows of a walked ball's spheres, block by block from ball.walk.
 
         lifts holds their lifted_orbit; values holds K @ f for the spliced
         Cartan vector K of each row (matgroup._row_products), or is None
         when f is.
         """
-        first, n = ball.first, ball.first + len(ball.offsets) - 2
-        walk = matgroup._BallWalk(self.P, n)
+        first, n, walk = ball.first, ball.first + len(ball.offsets) - 2, ball.walk
         start = walk.offsets[first]
         lifts, values = np.empty((len(ball), 3)), None if f is None else np.empty(len(ball))
         for lo, mats, inv_mats in walk:
@@ -87,11 +91,6 @@ class KleinFamily:
                 values[rows] = matgroup._row_products(
                     matgroup.batch_kappa(mats[part], inv_mats[part]), f)
         return lifts, values
-
-    def orbit_point(self, M):
-        """Image of the basepoint (origin) under one group element or a stack."""
-        w = self.lifted_orbit(M)
-        return w[..., :2] / w[..., 2:]
 
     def boundary_point(self, frames):
         """Unit-circle images of the lines frames[..., :, 0] of limit flags.
@@ -104,8 +103,7 @@ class KleinFamily:
             u = np.stack([2.0 * a * b, a * a - b * b, a * a + b * b], axis=-1)
         else:
             u = (C_MINKOWSKI @ v[..., None])[..., 0]
-        u = np.where(u[..., 2:] < 0.0, -u, u)
-        x = u[..., :2] / u[..., 2:]
+        x = klein_chart(np.where(u[..., 2:] < 0.0, -u, u))
         # a dot per row, as np.linalg.norm takes for one vector (shipped CSV bits)
         n = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
         if (n <= 0.0).any():

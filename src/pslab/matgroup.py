@@ -4,20 +4,20 @@ Words are tuples of signed 1-based generator indices: +i is the i-th
 generator, -i its inverse.  Enumeration order is canonical: by length, then
 lexicographically with letters ordered +1, -1, +2, -2, ...
 
-A word ball is one ``WordBall``: element i is row ``rows[i]`` of the walk
-of the free-group ball, whose rows run in canonical order, so each sphere
-is a contiguous block of rows and a parent row always precedes its
-children.  As every non-identity word has 2r - 1 children, the parent of a
-row (its word less the last letter) is arithmetic on the row, and the last
-letters of all rows follow from the letters of the spheres before
-(``_BallWalk``); words are rebuilt from the two only where a label or a
-word is needed.
+A word ball is one ``WordBall``: element i is row ``rows[i]`` of the
+ball's ``_BallWalk``, whose rows run in canonical order, so each sphere is
+a contiguous block of rows and a parent row always precedes its children.
+As every non-identity word has 2r - 1 children, the parent of a row (its
+word less the last letter) is arithmetic on the row, and the last letters
+of all rows follow from the letters of the spheres before (``_BallWalk``);
+words are rebuilt from the two only where a label or a word is needed.
 
 Every presentation is enumerated as a free group: a ball holds one row per
 freely reduced word, whether or not two words give the same matrix.  Every
-product is made by one ``_BallWalk``, which hands them out block by block
-to the paths that read them; ``word_spheres`` makes the words-only ball,
-with no walk.
+product is made by a ``_BallWalk``, which hands them out block by block to
+the paths that read them.  ``word_spheres`` makes a ball's walk and its
+words without walking it; a reader of its products iterates ``ball.walk``,
+so one walk serves the words and the products of a ball.
 """
 
 import itertools
@@ -129,16 +129,16 @@ class WordBall:
     length first + j.  ``len`` counts elements; iterating yields the spheres.
     Indexing with an int gives one sphere and with a contiguous
     slice a run of spheres, as WordBalls over views of the same arrays.
-    ``letter`` is the walk's whole-ball array, which every view keeps: the
-    last letter of element i is letter[rows[i]].  ``mats`` and ``inv_mats``
-    are None but in the class representatives of ``conjugacy_classes``.
+    Every view keeps the ``walk``: the last letter of element i is
+    walk.letter[rows[i]], and iterating the walk yields the products of its
+    rows.  ``mats`` and ``inv_mats`` are None but in the class
+    representatives of ``conjugacy_classes``.
     """
 
     rows: np.ndarray  # (N,) int32 walk rows, 0 at the identity
-    letter: np.ndarray  # (walk rows,) int8 last letters, 0 at the identity
+    walk: "_BallWalk"  # whose rows these are
     offsets: np.ndarray  # (spheres + 1,) row offsets, offsets[0] == 0
     first: int  # word length of sphere 0
-    rank: int  # of the presentation, whose walk rows have 2 rank - 1 children
     mats: np.ndarray  # (N, d, d) float, or None
     inv_mats: np.ndarray  # (N, d, d) float, or None
 
@@ -155,8 +155,8 @@ class WordBall:
         a, b = self.offsets[lo], self.offsets[hi]
         mats, inv_mats = (None if arr is None else arr[a:b]
                           for arr in (self.mats, self.inv_mats))
-        return WordBall(self.rows[a:b], self.letter, self.offsets[lo:hi + 1] - a,
-                        self.first + lo, self.rank, mats, inv_mats)
+        return WordBall(self.rows[a:b], self.walk, self.offsets[lo:hi + 1] - a,
+                        self.first + lo, mats, inv_mats)
 
     def lengths(self):
         """Word length of every row."""
@@ -169,14 +169,15 @@ class WordBall:
 
     def sphere_letters(self):
         """One (count, k) int8 array of words per sphere of length k."""
+        letter, rank = self.walk.letter, self.walk.P.rank
         for j in range(len(self.offsets) - 1):
             a, b, k = self.offsets[j], self.offsets[j + 1], self.first + j
             out = np.empty((b - a, k), dtype=np.int8)
             rows = self.rows[a:b]
             for i in range(k - 1, -1, -1):
-                out[:, i] = self.letter[rows]
+                out[:, i] = letter[rows]
                 if i:
-                    rows = _parent_rows(rows, self.rank)
+                    rows = _parent_rows(rows, rank)
             yield out
 
     def words(self):
@@ -238,9 +239,9 @@ class _BallWalk:
     of BLOCK_ROWS rows; the next block a walk writes may overwrite these
     arrays.  The blocks tile the ball's rows once each, and each sphere's
     blocks come in row order, but lo need not increase: a sphere may be
-    handed out between the blocks of the one before.  A walk is iterated
-    once; ``ball()`` is the words-only WordBall of its rows.  A block whose
-    products overflowed raises DecompositionFailure.
+    handed out between the blocks of the one before.  Each iteration walks
+    the ball anew; ``ball()`` is the WordBall of its rows, made without
+    iterating.  A block whose products overflowed raises DecompositionFailure.
 
     Each sphere is written from the one before, at most BLOCK_ROWS rows per
     step.  A step makes one matrix product per parent and side, with the
@@ -440,15 +441,15 @@ class _BallWalk:
                 top = 0
 
     def ball(self):
-        """The rows as a words-only WordBall: the words need no walk."""
-        return WordBall(np.arange(self.rows, dtype=np.int32), self.letter,
-                        np.array(self.offsets), 0, self.P.rank, None, None)
+        """The rows as a WordBall of this walk: the words need no iteration."""
+        return WordBall(np.arange(self.rows, dtype=np.int32), self,
+                        np.array(self.offsets), 0, None, None)
 
 
 def word_spheres(P, n):
-    """Freely reduced word spheres 0..n as one words-only WordBall, with no walk.
+    """Freely reduced word spheres 0..n as one WordBall, whose walk is not yet walked.
 
-    The products of its rows are read block by block from a _BallWalk.
+    The products of its rows are read block by block from ``ball.walk``.
     """
     return _BallWalk(P, n).ball()
 
@@ -527,18 +528,18 @@ def conjugacy_classes(P, n, primitive_only=False):
     gamma^-1 give distinct classes.
 
     The representatives and the rows of their inverted words are chosen from
-    the words-only ball, and one walk then copies the forward products of
+    the ball's words, and its walk then copies the forward products of
     those rows out of its blocks.
     """
     ball = word_spheres(P, n)
     rows, wanted = _class_rows(ball, P.rank, primitive_only)
     products = np.empty((len(wanted), P.dimension, P.dimension))
-    for lo, mats, _ in _BallWalk(P, n):
+    for lo, mats, _ in ball.walk:
         at = np.flatnonzero((wanted >= lo) & (wanted < lo + len(mats)))
         products[at] = mats[wanted[at] - lo]
     mats, inv_mats = np.split(products, 2)
-    return WordBall(ball.rows[rows], ball.letter, np.searchsorted(rows, ball.offsets[1:]), 1,
-                    P.rank, mats, inv_mats)
+    return WordBall(ball.rows[rows], ball.walk, np.searchsorted(rows, ball.offsets[1:]), 1,
+                    mats, inv_mats)
 
 
 def symmetric_power_rep(A, d):

@@ -61,7 +61,7 @@ def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
 
     Returns (walk, values, (frames, ok)): walk is the walked _BallWalk, whose
     ``offsets`` are the sphere offsets and whose ``ball()`` makes the
-    words-only ball for the callers that read words.  values[i] is K @ f for
+    WordBall for the callers that read words.  values[i] is K @ f for
     the spliced Cartan vector K of row i, or K itself when f is None.  The
     matrices are spliced (and passed to u_theta) one block at a time as the
     walk writes them, so with a covector f the walk keeps one float per row.

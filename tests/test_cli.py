@@ -125,19 +125,23 @@ def test_execute_rerun_is_byte_identical(tmp_path):
     ("ps-measure", {"n": 3}, [4]),
     # the shadow constants and the shadow check enumerate radius-3 balls of their own
     ("shadow-check", {"n": 3, "mu_n": 5}, [5, 3, 3]),
+    # the words and the products of a ball come from one walk
+    ("kappa", {"n": 3}, [3]),
+    ("orbit", {"n": 3}, [3]),
 ])
 def test_measure_commands_build_one_ball(command, params, radii, tmp_path, monkeypatch):
-    # the products of every ball are made by one walk; a words-only ball is
-    # a walk that is not iterated
+    # every ball, its words and its products, is one walk
     built = []
 
     class Counted(matgroup._BallWalk):
-        def __iter__(self):
-            built.append(self.n)
-            return super().__iter__()
+        def __init__(self, P, n, *args, **kwargs):
+            built.append(n)
+            super().__init__(P, n, *args, **kwargs)
 
     monkeypatch.setattr(matgroup, "_BallWalk", Counted)
     config = {"preset": "fuchsian-schottky-1", "theta": [1], "params": params}
+    if command == "orbit":
+        del config["theta"]  # not read by the orbit command
     cli.execute(command, config, str(tmp_path))
     assert built == radii
 

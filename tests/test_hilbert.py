@@ -22,7 +22,7 @@ def test_orbit_distances_match_upper_half_plane():
     fam = hilbert.KleinFamily(P, "so")
     for g in word_spheres_reference(P, 2).mats:
         cosh_d = np.trace(g.T @ g) / 2.0
-        x = fam.orbit_point(g)
+        x = hilbert.klein_chart(fam.lifted_orbit(g))
         assert abs(np.arctanh(np.linalg.norm(x))
                    - np.arccosh(max(cosh_d, 1.0))) < 1e-8
 
@@ -31,7 +31,7 @@ def test_lifted_orbit_consistent_with_chart(sl2):
     fam = hilbert.KleinFamily(sl2, "so")
     ball = word_spheres_reference(sl2, 3)
     lifts = fam.lifted_orbit(ball.mats)
-    pts = fam.orbit_point(ball.mats)
+    pts = hilbert.klein_chart(fam.lifted_orbit(ball.mats))
     assert np.allclose(lifts[:, :2] / lifts[:, 2:], pts, atol=1e-10)
     assert np.all(lifts[:, 2] >= 1.0 - 1e-12)
 
@@ -45,9 +45,9 @@ def test_stacked_lifts_match_scalar_reference(family):
     reference = np.array([shadow_oracle.lift_reference(M, family) for M in mats])
     assert lifts.shape == (len(mats), 3)
     assert np.array_equal(lifts, reference)
-    assert np.array_equal(fam.orbit_point(mats), reference[:, :2] / reference[:, 2:])
+    assert np.array_equal(hilbert.klein_chart(lifts), reference[:, :2] / reference[:, 2:])
     assert np.array_equal(fam.lifted_orbit(mats[-1]), reference[-1])
-    assert np.array_equal(fam.orbit_point(mats[-1]), reference[-1, :2] / reference[-1, 2])
+    assert np.array_equal(hilbert.klein_chart(reference[-1]), reference[-1, :2] / reference[-1, 2])
 
 
 def test_boundary_points_on_unit_circle():
@@ -67,8 +67,8 @@ def test_sym2_family_matches_so_family():
     fam2 = hilbert.KleinFamily(P2, "so")
     fam3 = hilbert.KleinFamily(P3, "sym2")
     for w in [(1,), (2, -1), (1, 2, 1)]:
-        assert np.allclose(fam2.orbit_point(P2.word_matrix(w)),
-                           fam3.orbit_point(P3.word_matrix(w)), atol=1e-8)
+        assert np.allclose(hilbert.klein_chart(fam2.lifted_orbit(P2.word_matrix(w))),
+                           hilbert.klein_chart(fam3.lifted_orbit(P3.word_matrix(w))), atol=1e-8)
 
 
 def test_sorted_boundary_measure_window_masses(rng):

@@ -60,7 +60,7 @@ def test_sphere_views_share_the_ball(sl2):
     assert [len(s) for s in tail] == [12, 36, 108]
     assert tail.words() == ball.words()[5:]
     assert ball[-1].words() == tail[2].words()
-    assert np.shares_memory(tail[1].rows, ball.rows) and tail[1].letter is ball.letter
+    assert np.shares_memory(tail[1].rows, ball.rows) and tail[1].walk is ball.walk
     assert [v.size for v in ball.split(np.arange(len(ball)))] == [1, 4, 12, 36, 108]
     assert all(len(w) == 4 for w in ball[4].words())
 
