@@ -39,8 +39,11 @@ CONE_NORM_TOLERANCE = 1e-12
 # block, and at most one block of copied parents.  A step's temporaries are
 # its parents' last letters and their rows of one child table at a time, as
 # many matrices as the step has children; its forward products are made in
-# the block rows that its inverse products then overwrite
+# the block rows that its inverse products then overwrite.  A rank-1 walk
+# holds one block, one row longer, and CHAIN_RUN + 1 states of four matrices
 BLOCK_ROWS = 1 << 13
+# spheres a rank-1 walk makes between two copies into its block
+CHAIN_RUN = 64
 
 
 def _letter_key(letter):
@@ -243,17 +246,18 @@ class _BallWalk:
     the ball anew; ``ball()`` is the WordBall of its rows, made without
     iterating.  A block whose products overflowed raises DecompositionFailure.
 
-    Each sphere is written from the one before, at most BLOCK_ROWS rows per
-    step.  A step makes one matrix product per parent and side, with the
-    parent's rows of two child tables built once per walk: F @ [g_1 | g_2 |
-    ...] comes out as [i, child, l] and is copied into canonical [child, i,
-    l] order through a view whose element is one matrix row, and [g_1^-1;
-    g_2^-1; ...] @ G is already in that order and is written into the
-    block.  A parent whose children straddle the block's end is split
-    between two steps, which slice the same tables by column; a parent with
-    one child (rank 1) has its forward product made in place.
+    A rank-1 walk, whose rows each have one child, makes a sphere with one
+    matmul and hands out its blocks in row order (``_chains``).  In higher
+    rank each sphere is written from the one before, at most BLOCK_ROWS rows
+    per step.  A step makes one matrix product per parent and side, with
+    the parent's rows of two child tables built once per walk: F @ [g_1 |
+    g_2 | ...] comes out as [i, child, l] and is copied into canonical
+    [child, i, l] order through a view whose element is one matrix row, and
+    [g_1^-1; g_2^-1; ...] @ G is already in that order and is written into
+    the block.  A parent whose children straddle the block's end is split
+    between two steps, which slice the same tables by column.
 
-    One rule places every sphere.  A sphere that ends inside its block is
+    One rule places every such sphere.  A sphere that ends inside its block is
     followed there by the next sphere, whose parents are read from the
     block (and copied out if the block is handed out first).  A sphere that
     does not spills: each time one of its blocks is handed out, its rows
@@ -319,7 +323,52 @@ class _BallWalk:
         """The slice of the block of ball rows lo:lo + count that holds spheres first..last."""
         return slice(*(min(max(self.offsets[k] - lo, 0), count) for k in (first, last + 1)))
 
+    def _chains(self):
+        """The rank-1 walk: sphere k is rows 2k - 1 and 2k, the words a^k and a^-k.
+
+        Four product chains advance together, one matmul per sphere: the
+        forward products of a^k and a^-k, and the inverse-word products of
+        the same words, carried transposed, as (g^-1 G)^T = G^T (g^-1)^T
+        forms the same products in the same order.  A run of at most
+        CHAIN_RUN spheres is made in a small array of states and copied into
+        the block, the inverse chains transposed back on the way; a sphere
+        that straddles the block's end writes its second row into one row
+        past it, which the next block starts with.
+        """
+        n, d = self.n, self.P.dimension
+        g, g_inv = self.P._alphabet
+        steps = np.stack([g, g_inv, g_inv.T, g.T]).reshape(2, 2, d, d)
+        # sphere 1 is one step from four identities
+        states = np.empty((min(n, CHAIN_RUN) + 1, 2, 2, d, d))
+        states[0] = np.eye(d)
+        chain = list(states)  # a view per state, made once
+        block = np.empty((2, BLOCK_ROWS + 1, d, d))
+        block[:, 0] = np.eye(d)
+        k, lo, fill = 0, 0, 1
+        while True:
+            while fill >= BLOCK_ROWS:
+                yield (lo, *_require_finite(block[:, :BLOCK_ROWS]))
+                # the second row of a sphere that straddled the block's end
+                block[:, 0] = block[:, BLOCK_ROWS]
+                lo, fill = lo + BLOCK_ROWS, fill - BLOCK_ROWS
+            if k == n:
+                break
+            # spheres k + 1..k + t, the last of them holding the block's last row
+            t = min(len(chain) - 1, n - k, (BLOCK_ROWS - fill + 1) // 2)
+            for i in range(t):
+                np.matmul(chain[i], steps, out=chain[i + 1])
+            rows = block[:, fill:fill + 2 * t].reshape(2, t, 2, d, d)
+            rows[0] = states[1:t + 1, 0]
+            rows[1] = states[1:t + 1, 1].swapaxes(-1, -2)
+            states[0] = states[t]
+            k, fill = k + t, fill + 2 * t
+        if fill:
+            yield (lo, *_require_finite(block[:, :fill]))
+
     def __iter__(self):
+        if self.P.rank == 1:
+            yield from self._chains()
+            return
         n, d = self.n, self.P.dimension
         letter, offsets, tables = self.letter, self.offsets, self.tables
         # one matrix row as one element: the forward products come out as
@@ -363,16 +412,10 @@ class _BallWalk:
                         m, lasts = e - p, letter[p:e].astype(np.intp)
                         rows = m * c
                         inv = inv_half[fill:fill + rows]
-                        if c == 1:
-                            # one child per parent: [i, child, l] is canonical
-                            # order, and the products are made in place
-                            np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
-                                      fwd_half[fill:fill + rows])
-                        else:
-                            fwd = np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
-                                            inv.reshape(m, d, c * d))
-                            fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
-                                fwd.view(row).transpose(0, 2, 1)
+                        fwd = np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
+                                        inv.reshape(m, d, c * d))
+                        fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
+                            fwd.view(row).transpose(0, 2, 1)
                         np.matmul(inv_tab.take(lasts, 0), inv_par[p - base:e - base],
                                   inv.reshape(m, c * d, d))
                         p = e

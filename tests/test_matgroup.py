@@ -113,9 +113,14 @@ BALL_CASES = [(presets.cyclic_hyperbolic, 9),
               # deep and narrow: 300 spheres of two rows
               (presets.parabolic, 300),
               # no sphere past the identity, and sphere 1 only
-              (presets.sl2_mild, 0), (presets.sl2_mild, 1)]
+              (presets.sl2_mild, 0), (presets.sl2_mild, 1),
+              # rank-1 chains in d = 3, of a rotation, and at radius 0 and 1
+              (lambda: presets.sym_power_presentation(presets.parabolic(), 3), 40),
+              (lambda: matgroup.GroupPresentation(2, [presets.rotation(0.7)]), 50),
+              (presets.parabolic, 0), (presets.parabolic, 1)]
 BALL_IDS = ["rank1", "schottky", "rank3", "schottky-d3", "zariski-d3", "gamma2", "d4",
-            "parabolic", "radius0", "radius1"]
+            "parabolic", "radius0", "radius1", "rank1-d3", "elliptic", "rank1-radius0",
+            "rank1-radius1"]
 
 
 def _bits(a):
@@ -133,8 +138,9 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
     proj = cartan.projection_matrix(P.dimension, cartan.full_theta(P.dimension))
     # several blocks per sphere, the last one partial; at 5 and 7 rows the
     # three children of a rank-2 parent straddle the end of a block at
-    # every child offset
-    for block_rows in (5, 7):
+    # every child offset, and at 3, 5 and 7 a rank-1 sphere straddles every
+    # other block's end
+    for block_rows in (3, 5, 7, matgroup.BLOCK_ROWS):
         monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
         ball = matgroup.word_spheres(P, n)
         assert ball.offsets.dtype == ref.offsets.dtype
@@ -156,20 +162,47 @@ def test_walk_hands_out_every_row_once(make, n, monkeypatch):
     ref = word_spheres_reference(P, n)
     # blocks come as row ranges, not in row order: a walk writes its last
     # sphere from each block of the sphere before as that block is handed
-    # out.  At 3 rows the radius-5 parabolic walk does so into a tail
-    # shorter than a block.
+    # out.  A rank-1 walk hands out its blocks in row order, each ending at
+    # the next multiple of the block rows.
     for block_rows in (3, 5, 7, matgroup.BLOCK_ROWS):
         monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
         walk = matgroup._BallWalk(P, n)
         handed = np.zeros(walk.rows, dtype=int)
+        stop = 0
         for lo, mats, inv_mats in walk:
             rows = slice(lo, lo + len(mats))
             assert 0 < len(mats) <= block_rows and rows.stop <= walk.rows
+            if P.rank == 1:
+                assert lo == stop and (rows.stop % block_rows == 0 or rows.stop == walk.rows)
+                stop = rows.stop
             handed[rows] += 1
             assert np.array_equal(_bits(mats), _bits(ref.mats[rows]))
             assert np.array_equal(_bits(inv_mats), _bits(ref.inv_mats[rows]))
         assert (handed == 1).all()
         assert walk.ball().words() == ref.words()
+
+
+def test_deep_rank1_walk_keeps_its_bits_across_block_ends():
+    # sphere 4096 straddles the end of the first block; the words of so deep
+    # a ball are not rebuilt, as they hold 10^8 letters
+    from ball_oracle import word_spheres_reference
+
+    P, n = presets.parabolic(), 10_000
+    ref = word_spheres_reference(P, n)
+    for lo, mats, inv_mats in matgroup._BallWalk(P, n):
+        rows = slice(lo, lo + len(mats))
+        assert np.array_equal(_bits(mats), _bits(ref.mats[rows]))
+        assert np.array_equal(_bits(inv_mats), _bits(ref.inv_mats[rows]))
+
+
+def test_rank1_walk_holds_no_block_sized_state():
+    # one block of products and a short run of chain states, not a block of
+    # states
+    P = presets.parabolic()
+    walk = matgroup._BallWalk(P, 10_000)
+    _, peak = traced_peak(lambda: sum(1 for _ in walk))
+    block = 2 * matgroup.BLOCK_ROWS * P.dimension**2 * 8
+    assert peak <= 2 * block + 128 * 1024
 
 
 def test_conjugacy_classes_hold_the_kept_products_and_a_few_bytes_a_letter():
