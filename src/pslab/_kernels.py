@@ -3,7 +3,8 @@
 Kernels:
   * ray_distances_lifted - distances from hyperboloid lifts to a ray from the
     origin
-  * batch_log_singular_values - log singular values of a stack of matrices
+  * batch_log_singular_values - the top ceil(d / 2) log singular values of a
+    stack of matrices, the columns that cartan.splice reads
   * left_singular - np.linalg.svd's left singular vectors and singular values
   * qr_positive - the frames of lapack_qr_positive (np.linalg.qr, with
     columns signed so that R's diagonal is positive)
@@ -15,7 +16,7 @@ _by_rows, which sends any size but 2x2 to LAPACK.  On 2x2 matrices it runs a
 numpy kernel _CHUNK rows at a time that repeats, row by row, what LAPACK
 does to one 2x2 matrix, so every value has LAPACK's bits: dgesdd's dgebd2 (a
 dlarfg reflection of column 1, the dlarf update of column 2 with its fused
-multiply-add emulated exactly), then dlas2 for the values alone, or dbdsqr's
+multiply-add emulated exactly), then dlas2's larger value alone, or dbdsqr's
 split test, dlasv2 and dormbr's reflection of U for the vectors; dgeqr2,
 dorg2r and the sign step for the QR frames.  The kernels copy only the steps
 that measured traffic takes: each returns the mask of every other row, and
@@ -23,9 +24,10 @@ _by_rows hands those rows to LAPACK.  They are non-finite entries, a largest
 |entry| outside [2**-459, 2**459] (dgesdd rescales those), a nonzero first
 column of norm below 2**-969 (dlarfg rescales it), a reflector whose second
 entry underflows to 0 (dlarf shortens it), a fused product that underflows,
-a zero second column and, for the values, a zero on the diagonal; for the
-vectors, dlasv2's cases |f / g| < eps and m * m == 0, a zero smaller value
-or rotation entry, a split that the sort reorders and a non-finite result.
+a zero second column and, for the larger value, a zero on the diagonal;
+for the vectors, dlasv2's cases |f / g| < eps and m * m == 0, a zero
+smaller value or rotation entry, a split that the sort reorders and a
+non-finite result.
 
 The 2x2 kernels are held to the installed LAPACK's bits by the exactness
 tests, checked with OpenBLAS 0.3.31 on x86-64, whose dger fuses one
@@ -100,7 +102,7 @@ def _by_rows(x, kernel, lapack, *shapes):
 # On one 2x2 matrix, dgesdd(JOBZ='N') runs dgebd2, which reflects column 1
 # (dlarfg) and applies the reflector to column 2 (dlarf), leaving the upper
 # bidiagonal (d1, e1; 0, d2); dbdsdc hands that, through dlasdq, dbdsqr and
-# dlasq1, to dlas2.
+# dlasq1, to dlas2, whose larger value is the only one a 2x2 splice reads.
 # Each of these steps is one IEEE operation, except that OpenBLAS's dger
 # kernel fuses the multiply-add that gives d2, which _fma reproduces.
 
@@ -162,12 +164,12 @@ def _fma(a, b, c):
 
 
 def _dlas2(f, g, h, out):
-    """LAPACK dlas2: singular values of the upper triangle (f, g; 0, h), into out (n, 2).
+    """LAPACK dlas2's larger singular value of the upper triangle (f, g; 0, h), into out (n,).
 
-    out[:, 0] is the larger.  The two main branches are evaluated on every
-    row (the floating point warnings of the unused one are off) and the taken
-    one kept.  Returns the mask of the rows of dlas2's other branch, a zero
-    on the diagonal (fhmn == 0), whose values are not used.
+    The two main branches are evaluated on every row (the floating point
+    warnings of the unused one are off) and the taken one kept.  Returns the
+    mask of the rows of dlas2's other branch, a zero on the diagonal (fhmn
+    == 0), whose values are not used.
     """
     fa, ga, ha = np.abs(f), np.abs(g), np.abs(h)
     fhmn, fhmx = np.minimum(fa, ha), np.maximum(fa, ha)
@@ -177,18 +179,13 @@ def _dlas2(f, g, h, out):
     au = ga / fhmx
     au = au * au
     c = 2.0 / (np.sqrt(as_ * as_ + au) + np.sqrt(at * at + au))
-    min_b, max_b = fhmn * c, fhmx / c
-    # ga >= fhmx
+    max_b = fhmx / c
+    # ga >= fhmx; where au underflows to 0 dlas2 gives ga, and so does
+    # ga / (c + c) with c = 1 / 2
     au = fhmx / ga
     p, q = as_ * au, at * au
     c = 1.0 / (np.sqrt(1.0 + p * p) + np.sqrt(1.0 + q * q))
-    min_c = (fhmn * c) * au
-    # dlas2 gives (fhmn * fhmx) / ga and ga where au underflows to 0; with
-    # entries in range ga < 2**462, so there fhmx < 2**-613, fhmn * fhmx is
-    # 0 as min_c is, and ga / (c + c) is ga
-    narrow = ga < fhmx
-    out[:, 0] = np.where(narrow, max_b, ga / (c + c))
-    out[:, 1] = np.where(narrow, min_b, min_c + min_c)
+    out[:] = np.where(ga < fhmx, max_b, ga / (c + c))
     return fhmn == 0
 
 
@@ -230,23 +227,27 @@ def _bidiagonal_2x2(x):
 
 
 def _singular_values_2x2(x, out):
-    """dgesdd's singular values of the (n, 2, 2) stack x, descending, into out (n, 2).
+    """dgesdd's larger singular value of each matrix of the (n, 2, 2) stack x, into out (n, 1).
 
     Returns the mask of the rows left to LAPACK.
     """
     d1, e1, d2, _, _, lapack = _bidiagonal_2x2(x)
-    return lapack | _dlas2(d1, e1, d2, out)
+    return lapack | _dlas2(d1, e1, d2, out[:, 0])
 
 
 def batch_log_singular_values(mats):
-    """log singular values (descending) for a stack of square matrices (n, d, d).
+    """The top ceil(d / 2) log singular values, descending, of a stack (n, d, d).
 
-    Values rounding to 0 are floored at 1e-300 before the log; callers that
-    need accurate small singular values recover them from inverse products.
+    Those are the columns cartan.splice reads of a product and of its
+    inverse product, each with the bits of the same column of LAPACK's
+    values (one matrix gives one row).  Values rounding to 0 are floored at
+    1e-300 before the log; callers that need accurate small singular values
+    recover them from inverse products.
     """
     mats = np.asarray(mats, dtype=float)
+    top = (mats.shape[-1] + 1) // 2
     (sigma,) = _by_rows(mats, _singular_values_2x2,
-                        lambda x: (np.linalg.svd(x, compute_uv=False),), (2,))
+                        lambda x: (np.linalg.svd(x, compute_uv=False)[..., :top],), (top,))
     return np.log(np.maximum(sigma, 1e-300, out=sigma), out=sigma)
 
 

@@ -91,23 +91,30 @@ def splice(logs, inv_logs, out):
 
     logs and inv_logs are the decreasing log singular values (or eigenvalue
     moduli) of the products and of the forward products of their inverted
-    words, one row each.  Small values of an ill-conditioned product carry
-    absolute error of order eps times its largest one; the inverse product
-    sees them as its large values.  So the top half of each row comes from
-    logs, the bottom half from inv_logs negated and reversed, and an odd d's
-    middle entry is the mean of the two.  The rows are written into out,
-    which is returned.
+    words, one row each; only their first ceil(d / 2) columns are read, d
+    being the length of out's rows.  Small values of an ill-conditioned
+    product carry absolute error of order eps times its largest one; the
+    inverse product sees them as its large values.  So the top half of each
+    row comes from logs, the bottom half from inv_logs negated and reversed,
+    and an odd d's middle entry is the mean of the two.  The rows are
+    written into out, which is returned.
     """
-    d = logs.shape[-1]
+    d = out.shape[-1]
     top = (d + 1) // 2
     out[..., :top] = logs[..., :top]
-    np.negative(inv_logs[..., ::-1][..., top:], out=out[..., top:])
+    np.negative(inv_logs[..., :d - top][..., ::-1], out=out[..., top:])
     if d % 2 == 1:
         # reversal maps the middle entry to itself
         mid = d // 2
         out[..., mid] = 0.5 * (logs[..., mid] - inv_logs[..., mid])
-    # zero-sum normalization in log space (robust |det|^(-1/d) rescaling)
-    out -= out.mean(axis=-1, keepdims=True)
+    # zero-sum normalization in log space (robust |det|^(-1/d) rescaling):
+    # the row sums are added column by column, left to right, the order in
+    # which ndarray.mean adds a short contiguous row
+    mean = out[..., 0].copy()
+    for j in range(1, d):
+        mean += out[..., j]
+    mean /= d
+    out -= mean[..., None]
     return out
 
 

@@ -20,7 +20,6 @@ words without walking it; a reader of its products iterates ``ball.walk``,
 so one walk serves the words and the products of a ball.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -229,13 +228,13 @@ class _Writer:
 class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
-    Making a walk checks the element cap, lists the sphere ``offsets``, the
-    running sums of the sphere sizes (sphere k is rows offsets[k]:offsets[k
-    + 1] of the ``rows``-row free-group ball), and makes the whole-ball
-    ``letter`` array with no walk: the 2r - 1 children of a row take every
-    letter but the inverse of its own, in canonical order, so the letters k
-    levels below a row follow from its own, and spheres k + 1..2k are one
-    lookup of spheres 1..k (log2 n lookups in all).
+    Making a walk checks the element cap, makes the sphere ``offsets``, the
+    int64 running sums of the sphere sizes (sphere k is rows
+    offsets[k]:offsets[k + 1] of the ``rows``-row free-group ball), and the
+    whole-ball ``letter`` array with no walk: the 2r - 1 children of a row
+    take every letter but the inverse of its own, in canonical order, so the
+    letters k levels below a row follow from its own, and spheres k + 1..2k
+    are one lookup of spheres 1..k (log2 n lookups in all).
 
     Iterating yields ``(lo, mats, inv_mats)``, the products of ball rows
     lo:lo + len(mats), in blocks that may span spheres but not a multiple
@@ -280,9 +279,9 @@ class _BallWalk:
         if rows > ELEMENT_CAP:
             raise BudgetExceeded(f"element count exceeds cap {ELEMENT_CAP}")
         d, q = P.dimension, 2 * P.rank
-        # sphere k > 0 holds 2r (2r - 1)^(k - 1) rows
-        self.offsets = offsets = [0, *itertools.accumulate(
-            [1] + [q * (q - 1)**(k - 1) for k in range(1, n + 1)])]
+        # sphere k > 0 holds 2r (2r - 1)^(k - 1) rows, which the cap keeps in int64
+        self.offsets = offsets = np.cumsum(np.concatenate(
+            [[0, 1], q * (q - 1) ** np.arange(n, dtype=np.int64)]))
         # letters +1, -1, +2, -2, ...: position j is _letter_key, j ^ 1 its inverse
         letters = np.array([s * i for i in range(1, P.rank + 1) for s in (1, -1)],
                            dtype=np.int8)
@@ -370,7 +369,8 @@ class _BallWalk:
             yield from self._chains()
             return
         n, d = self.n, self.P.dimension
-        letter, offsets, tables = self.letter, self.offsets, self.tables
+        # Python ints, as the steps' row arithmetic is on scalars
+        letter, offsets, tables = self.letter, self.offsets.tolist(), self.tables
         # one matrix row as one element: the forward products come out as
         # [parent, i, child, l] and are copied to [parent, child, i, l] as
         # rows
@@ -484,9 +484,8 @@ class _BallWalk:
                 top = 0
 
     def ball(self):
-        """The rows as a WordBall of this walk: the words need no iteration."""
-        return WordBall(np.arange(self.rows, dtype=np.int32), self,
-                        np.array(self.offsets), 0, None, None)
+        """The rows as a WordBall of this walk and its offsets: the words need no iteration."""
+        return WordBall(np.arange(self.rows, dtype=np.int32), self, self.offsets, 0, None, None)
 
 
 def word_spheres(P, n):
@@ -533,29 +532,43 @@ def _inverse_rows(codes, rank):
     return rows
 
 
+def _letter_codes(letters):
+    """The (count, k) int8 words as uint8 letter codes, made in place.
+
+    Code 2|l| - 1 + (l < 0) is _letter_key(l) + 1 (rank <= 127).
+    """
+    negative = letters < 0
+    codes = np.abs(letters, out=letters).view(np.uint8)
+    codes <<= 1
+    codes -= 1
+    codes += negative
+    return codes
+
+
 def _class_rows(ball, rank, primitive_only):
     """The rows of the class representatives in a ball, and the rows whose products they keep.
 
     The second array holds the representatives' rows, then the rows of
-    their inverted words.  Rotations are compared as byte strings of letter codes, taken once per
-    sphere: rotation i of a word is bytes i:i + k of the word written twice.
+    their inverted words.  Rotations are compared as byte strings of letter
+    codes, sphere by sphere, each rotation only on the cyclically reduced
+    words that the ones before left standing.
     """
     keep = np.zeros(len(ball), dtype=bool)
     inverse = []
-    for k, block in enumerate(ball[1:].sphere_letters(), 1):
-        sphere = keep[ball.offsets[k]:ball.offsets[k + 1]]
-        # code 2|l| - 1 + (l < 0) = _letter_key(l) + 1, made in uint8 (rank <= 127)
-        codes = np.abs(block).view(np.uint8)
-        codes <<= 1
-        codes -= 1
-        codes += block < 0
-        words = _byte_words(codes)
-        sphere[:] = codes[:, 0] != _inverse_codes(codes[:, -1])
-        twice = np.concatenate([codes, codes], axis=1)
+    for k, letters in enumerate(ball[1:].sphere_letters(), 1):
+        codes = _letter_codes(letters)
+        # the cyclically reduced words
+        at = np.flatnonzero(codes[:, 0] != _inverse_codes(codes[:, -1]))
+        codes = codes[at]
+        rotated = np.empty_like(codes)
         for shift in range(1, k):
-            rotated = _byte_words(twice[:, shift:shift + k])
-            sphere &= words < rotated if primitive_only else words <= rotated
-        inverse.append(ball.offsets[k] + _inverse_rows(codes[sphere], rank))
+            rotated[:, :k - shift] = codes[:, shift:]
+            rotated[:, k - shift:] = codes[:, :shift]
+            words, turned = _byte_words(codes), _byte_words(rotated)
+            stand = words < turned if primitive_only else words <= turned
+            at, codes, rotated = at[stand], codes[stand], rotated[:stand.sum()]
+        keep[ball.offsets[k] + at] = True
+        inverse.append(ball.offsets[k] + _inverse_rows(codes, rank))
     rows = np.flatnonzero(keep)
     return rows, np.concatenate([rows, *inverse])
 
@@ -623,14 +636,16 @@ def symmetric_power_rep(A, d):
 def batch_kappa(mats, inv_mats):
     """Cartan vectors of a stack of products, spliced by cartan.splice.
 
-    inv_mats[i] is the forward product of the inverted word of mats[i].
+    inv_mats[i] is the forward product of the inverted word of mats[i].  The
+    kernel makes only the top ceil(d / 2) log singular values of each, the
+    columns that the splice reads.
     """
     try:
         logs = _kernels.batch_log_singular_values(mats)
         inv_logs = _kernels.batch_log_singular_values(inv_mats)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    return cartan.splice(logs, inv_logs, np.empty(logs.shape))
+    return cartan.splice(logs, inv_logs, np.empty(mats.shape[:-1]))
 
 
 def _row_products(K, f):

@@ -267,7 +267,7 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     theta = _exponent_theta(P, n_max, theta, method)
     walk, values, _ = _walk_ball(P, n_max, cartan.theta_covector(phi, theta))
     # the estimators read the values and sphere offsets: no words are made
-    values, offsets = _cone_checked(values), np.array(walk.offsets)
+    values, offsets = _cone_checked(values), walk.offsets
     if method == "sphere-regression":
         return _sphere_regression(values, offsets, n_max)
     if method == "series-transition":
@@ -405,11 +405,10 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
     # one ball of Cartan vectors serves every phi
     walk, K, _ = _walk_ball(P, n_max, None)
-    offsets = np.array(walk.offsets)
 
     def fit(phi):
         values = _cone_checked(K @ cartan.theta_covector(phi, theta))
-        return _sphere_regression(values, offsets, n_max)
+        return _sphere_regression(values, walk.offsets, n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

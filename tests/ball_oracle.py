@@ -5,17 +5,18 @@ The reference for ``pslab.matgroup.word_spheres``, the ball walk and
 ``batch_kappa``: each sphere is built as its own arrays, from the products,
 last letters and rows of its parents, and the ball is their concatenation;
 the words are rebuilt from those parent rows and letters, and the splice
-runs once over the whole stack.  The walk's blocks must reproduce these
-arrays bit for bit.  The reference for ``pslab.matgroup.conjugacy_classes``
-selects from this ball, which holds every product, and copies the
-representatives' rows out of it.
+runs once over the whole stack, on np.linalg.svd's values (LAPACK) and with
+ndarray.mean, not on the kernel and the splice under test.  The walk's
+blocks and ``batch_kappa`` must reproduce these arrays bit for bit.  The
+reference for ``pslab.matgroup.conjugacy_classes`` selects from this ball,
+which holds every product, and copies the representatives' rows out of it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from pslab import _kernels, matgroup
+from pslab import matgroup
 
 
 @dataclass
@@ -69,10 +70,14 @@ def word_spheres_reference(P, n):
                          np.concatenate(lasts), np.array(offsets))
 
 
+def _lapack_logs(mats):
+    return np.log(np.maximum(np.linalg.svd(mats, compute_uv=False), 1e-300))
+
+
 def batch_kappa_reference(mats, inv_mats):
-    """Spliced, zero-sum Cartan vectors of the whole stack at once."""
-    logs = _kernels.batch_log_singular_values(mats)
-    inv_logs = -_kernels.batch_log_singular_values(inv_mats)[:, ::-1]
+    """Spliced, zero-sum Cartan vectors of the whole stack at once, from LAPACK's values."""
+    logs = _lapack_logs(mats)
+    inv_logs = -_lapack_logs(inv_mats)[:, ::-1]
     d = logs.shape[1]
     top = (d + 1) // 2
     combined = logs.copy()

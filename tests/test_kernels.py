@@ -9,15 +9,11 @@ from cover_oracle import greedy_cover_count_reference
 from pslab import _kernels, cartan, matgroup, patterson, presets
 
 
-def test_batch_log_singular_values_matches_svd(rng):
-    mats = rng.normal(size=(64, 3, 3))
-    got = _kernels.batch_log_singular_values(mats)
-    ref = np.log(np.linalg.svd(mats, compute_uv=False))
-    assert np.allclose(got, ref, atol=1e-10)
-
-
 def _lapack_logs(mats):
-    return np.log(np.maximum(np.linalg.svd(mats, compute_uv=False), 1e-300))
+    """LAPACK's log singular values, floored as the kernel floors them, in the
+    top ceil(d / 2) columns that the kernel makes."""
+    top = (mats.shape[-1] + 1) // 2
+    return np.log(np.maximum(np.linalg.svd(mats, compute_uv=False)[..., :top], 1e-300))
 
 
 def _assert_same_bits(mats):
@@ -25,16 +21,23 @@ def _assert_same_bits(mats):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _samples(kind, count=100_000):
+def _samples(kind, count=100_000, d=2):
     rng = np.random.default_rng({"normal": 1, "scaled": 2, "zeros": 3, "integers": 4}[kind])
     if kind == "integers":
-        return rng.integers(-4, 5, size=(count, 2, 2)).astype(float)
-    x = rng.normal(size=(count, 2, 2))
+        return rng.integers(-4, 5, size=(count, d, d)).astype(float)
+    x = rng.normal(size=(count, d, d))
     if kind == "scaled":
         x *= np.exp(rng.uniform(-30.0, 30.0, size=x.shape))
     elif kind == "zeros":
         x[rng.random(x.shape) < 0.3] = 0.0
     return x
+
+
+def test_batch_log_singular_values_matches_svd():
+    # the top ceil(d / 2) values, the columns the splice reads
+    for d in (2, 3, 4):
+        for kind in ("normal", "scaled", "zeros", "integers"):
+            _assert_same_bits(_samples(kind, 2000, d))
 
 
 @pytest.mark.parametrize("kind", ["normal", "scaled", "zeros", "integers"])
@@ -106,7 +109,7 @@ RARE_ROWS = [
     [[2.0, 0.0], [0.0, 3.0]],  # dlarfg: a21 == 0 leaves the column
     [[-0.0, 1.5], [1.3, 0.8]],  # dlarfg: the sign of a zero a11 picks beta's
     [[0.0, 1.5], [1.3, 0.8]],
-    [[1.0, 2.0], [2.0, 4.0]],  # singular
+    [[1.0, 2.0], [2.0, 4.0]],  # singular: the larger value alone is made
 ]
 
 
@@ -275,6 +278,14 @@ def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
             # one LAPACK call per chunk with a fallback row, on that row
             assert ([m.tobytes() for m in counter.seen]
                     == [mats[[r]].tobytes() for r in lapack_rows])
+    # a stack of larger matrices goes to LAPACK whole, and keeps its first columns
+    for d in (3, 4):
+        larger = _samples("normal", 11, d)
+        want = _lapack_logs(larger)
+        counting_svd.seen = []
+        got = _kernels.batch_log_singular_values(larger)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert [m.tobytes() for m in counting_svd.seen] == [larger.tobytes()]
 
 
 @BALLS

@@ -196,26 +196,29 @@ def test_deep_rank1_walk_keeps_its_bits_across_block_ends():
 
 
 def test_rank1_walk_holds_no_block_sized_state():
-    # one block of products and a short run of chain states, not a block of
-    # states
+    # made and walked, a walk holds one block of products, a short run of
+    # chain states and its letters and offsets, 10 bytes a sphere: 0.68 MiB,
+    # not a block of states.  Offsets kept as a list of ints took 0.35 MiB more
     P = presets.parabolic()
-    walk = matgroup._BallWalk(P, 10_000)
-    _, peak = traced_peak(lambda: sum(1 for _ in walk))
+    _, peak = traced_peak(lambda: sum(1 for _ in matgroup._BallWalk(P, 10_000)))
     block = 2 * matgroup.BLOCK_ROWS * P.dimension**2 * 8
-    assert peak <= 2 * block + 128 * 1024
+    assert peak <= block + 256 * 1024
 
 
 def test_conjugacy_classes_hold_the_kept_products_and_a_few_bytes_a_letter():
-    # the kept rows' products, and eight bytes a letter of the last sphere:
-    # its words, their letter codes, the codes written twice and two
-    # rotations.  The ball's words, and the blocks of the walk that the
-    # products are copied from, fit in that.  Taking the products from a
-    # ball that holds them all peaked at 14.4 MiB here, 2.2 times this bound
+    # the kept rows' products, and six bytes a letter of the last sphere:
+    # its words, made into letter codes in place, a copy of the cyclically
+    # reduced ones with their rows, and one rotation of those.  The ball's
+    # words, and the blocks of the walk that the products are copied from,
+    # fit in that, at 4.7 bytes a letter.  Taking the products from a ball
+    # that holds them all peaked at 14.4 MiB here, 2.8 times this bound, and
+    # comparing every rotation of every word, from the codes written twice,
+    # at 6.6 bytes a letter
     P = presets.fuchsian_schottky(1.6)
     reps, peak = traced_peak(matgroup.conjugacy_classes, P, 10)
     kept = reps.mats.nbytes + reps.inv_mats.nbytes
     last_sphere = matgroup.free_ball_size(P.rank, 10) - matgroup.free_ball_size(P.rank, 9)
-    assert peak < kept + 8 * 10 * last_sphere
+    assert peak < kept + 6 * 10 * last_sphere
 
 
 def test_letter_matrix_rejects_unknown_letters(sl2):
