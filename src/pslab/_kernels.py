@@ -8,31 +8,42 @@ Kernels:
   * left_singular - np.linalg.svd's left singular vectors and singular values
   * qr_positive - the frames of lapack_qr_positive (np.linalg.qr, with
     columns signed so that R's diagonal is positive)
+  * spliced_frames - d >= 3 flag frames spliced from products and their
+    inverse-word products, with the log singular values of their gaps
   * greedy_cover_count - first-fit greedy ball-covering counts for box
     dimension, swept once per centre rather than once per row
 
-The three matrix kernels take one matrix or a stack, and each is one call of
-_by_rows, which sends any size but 2x2 to LAPACK.  On 2x2 matrices it runs a
-numpy kernel _CHUNK rows at a time that repeats, row by row, what LAPACK
-does to one 2x2 matrix, so every value has LAPACK's bits: dgesdd's dgebd2 (a
-dlarfg reflection of column 1, the dlarf update of column 2 with its fused
-multiply-add emulated exactly), then dlas2's larger value alone, or dbdsqr's
-split test, dlasv2 and dormbr's reflection of U for the vectors; dgeqr2,
-dorg2r and the sign step for the QR frames.  The kernels copy only the steps
-that measured traffic takes: each returns the mask of every other row, and
-_by_rows hands those rows to LAPACK.  They are non-finite entries, a largest
-|entry| outside [2**-459, 2**459] (dgesdd rescales those), a nonzero first
-column of norm below 2**-969 (dlarfg rescales it), a reflector whose second
-entry underflows to 0 (dlarf shortens it), a fused product that underflows,
-a zero second column and, for the larger value, a zero on the diagonal;
-for the vectors, dlasv2's cases |f / g| < eps and m * m == 0, a zero
-smaller value or rotation entry, a split that the sort reorders and a
-non-finite result.
+The matrix kernels take one matrix or a stack, and each is one call of
+_by_rows, which runs a numpy kernel _CHUNK rows at a time on matrices of
+its size and sends any other size to LAPACK.  The kernels copy only the
+steps that measured traffic takes: each returns the mask of every other
+row, and _by_rows hands those rows to LAPACK.
 
-The 2x2 kernels are held to the installed LAPACK's bits by the exactness
-tests, checked with OpenBLAS 0.3.31 on x86-64, whose dger fuses one
-multiply-add; a BLAS that does not fuse it would round some entries
-differently.
+The 2x2 kernels repeat, row by row, what LAPACK does to one 2x2 matrix, so
+every value has LAPACK's bits: dgesdd's dgebd2 (a dlarfg reflection of
+column 1, the dlarf update of column 2 with its fused multiply-add emulated
+exactly), then dlas2's larger value alone, or dbdsqr's split test, dlasv2
+and dormbr's reflection of U for the vectors; dgeqr2, dorg2r and the sign
+step for the QR frames.  The rows they leave are non-finite entries, a
+largest |entry| outside [2**-459, 2**459] (dgesdd rescales those), a
+nonzero first column of norm below 2**-969 (dlarfg rescales it), a
+reflector whose second entry underflows to 0 (dlarf shortens it), a fused
+product that underflows, a zero second column and, for the larger value, a
+zero on the diagonal; for the vectors, dlasv2's cases |f / g| < eps and
+m * m == 0, a zero smaller value or rotation entry, a split that the sort
+reorders and a non-finite result.  They are held to the installed LAPACK's
+bits by the exactness tests, checked with OpenBLAS 0.3.31 on x86-64, whose
+dger fuses one multiply-add; a BLAS that does not fuse it would round some
+entries differently.
+
+The 3x3 kernel of spliced_frames is a closed form, accurate to a few ulps
+rather than LAPACK's bits: the top eigenpairs of the Gram matrices A A^T
+and A_inv^T A_inv by Smith's formula and a cross product.  The rows it
+leaves are a largest |entry| outside [2**-480, 2**480] (non-finite ones
+included), where a Gram matrix would overflow or underflow; a Gram matrix
+whose eigenvalues spread by at most 2**-40 of their mean, such as the
+identity's or an orthogonal matrix's; and top eigenvalues that meet
+(1 + r <= 1e-2 in Smith's formula), where it loses up to sqrt(eps).
 """
 
 import numpy as np
@@ -67,31 +78,34 @@ def ray_distances_lifted(W, z):
 
 
 # ---------------------------------------------------------------------------
-# the row driver of the 2x2 kernels
+# the row driver of the matrix kernels
 
-# rows per pass of the 2x2 kernels, which keeps their temporaries small
+# rows per pass of the matrix kernels, which keeps their temporaries small
 _CHUNK = 4096
 
 
-def _by_rows(x, kernel, lapack, *shapes):
-    """The outputs of lapack(x), one matrix or a stack, made by kernel where x is 2x2.
+def _by_rows(xs, size, kernel, lapack, *shapes):
+    """The outputs of lapack(*xs), matrices or stacks of one shape, made by kernel where they are size x size.
 
-    lapack takes a stack and returns a tuple of per-row outputs.  A 2x2
-    stack is read _CHUNK rows at a time: kernel(chunk, *outs) writes outputs
-    of per-row shapes ``shapes`` into outs and returns the mask of the rows
-    where its steps are not exact, whose outputs lapack(chunk[mask]) then
-    writes.  The floating point warnings of the unused values are off.
+    lapack takes stacks and returns a tuple of per-row outputs.  Stacks of
+    size x size matrices are read _CHUNK rows at a time: kernel(*chunks,
+    *outs) writes outputs of per-row shapes ``shapes`` into outs and returns
+    the mask of the rows it leaves, whose outputs lapack(*(chunk[mask] for
+    chunk in chunks)) then writes.  The floating point warnings of the
+    unused values are off.
     """
-    if x.shape[-2:] != (2, 2):
-        return lapack(x)
-    stack = x.reshape(-1, 2, 2)
-    outs = tuple(np.empty((len(stack),) + shape) for shape in shapes)
+    x = xs[0]
+    if x.shape[-2:] != (size, size):
+        return lapack(*xs)
+    stacks = tuple(y.reshape(-1, size, size) for y in xs)
+    outs = tuple(np.empty((len(stacks[0]),) + shape) for shape in shapes)
     with np.errstate(all="ignore"):
-        for a in range(0, len(stack), _CHUNK):
-            chunk, parts = stack[a:a + _CHUNK], tuple(out[a:a + _CHUNK] for out in outs)
-            mask = kernel(chunk, *parts)
+        for a in range(0, len(stacks[0]), _CHUNK):
+            chunks = tuple(stack[a:a + _CHUNK] for stack in stacks)
+            parts = tuple(out[a:a + _CHUNK] for out in outs)
+            mask = kernel(*chunks, *parts)
             if mask.any():
-                for part, value in zip(parts, lapack(chunk[mask])):
+                for part, value in zip(parts, lapack(*(chunk[mask] for chunk in chunks))):
                     part[mask] = value
     return tuple(out.reshape(x.shape[:-2] + shape) for out, shape in zip(outs, shapes))
 
@@ -246,7 +260,7 @@ def batch_log_singular_values(mats):
     """
     mats = np.asarray(mats, dtype=float)
     top = (mats.shape[-1] + 1) // 2
-    (sigma,) = _by_rows(mats, _singular_values_2x2,
+    (sigma,) = _by_rows((mats,), 2, _singular_values_2x2,
                         lambda x: (np.linalg.svd(x, compute_uv=False)[..., :top],), (top,))
     return np.log(np.maximum(sigma, 1e-300, out=sigma), out=sigma)
 
@@ -350,7 +364,7 @@ def _left_singular_vectors_2x2(x, u, sigma):
 
 def left_singular(A):
     """np.linalg.svd's U and singular values of each matrix of A, one or a stack."""
-    return _by_rows(A, _left_singular_vectors_2x2, lambda x: np.linalg.svd(x)[:2],
+    return _by_rows((A,), 2, _left_singular_vectors_2x2, lambda x: np.linalg.svd(x)[:2],
                     (2, 2), (2,))
 
 
@@ -372,7 +386,7 @@ def qr_positive(M):
     that R's diagonal is positive (a zero counts as positive).
     """
     M = np.asarray(M, dtype=float)
-    (Q,) = _by_rows(M, _qr_frames_2x2, lambda x: (lapack_qr_positive(x),), (2, 2))
+    (Q,) = _by_rows((M,), 2, _qr_frames_2x2, lambda x: (lapack_qr_positive(x),), (2, 2))
     return Q
 
 
@@ -392,6 +406,167 @@ def _qr_frames_2x2(x, out):
     out[:, 0, 1] = np.where(tau == 0, 0.0, t) * s2
     out[:, 1, 1] = _fma(t, v2, 1.0) * s2
     return lapack | ((np.abs(t * v2) < _FMA_TINY) & (t != 0))
+
+
+# ---------------------------------------------------------------------------
+# spliced frames of d >= 3 products
+#
+# A deep product A is accurate in its large singular directions only: its
+# small ones carry an error of about eps * sigma_1 / sigma_k.  The forward
+# product A_inv of the inverted word sees them as its large ones, with A's
+# left singular vector k as its right singular vector d + 1 - k.  So a
+# spliced frame, like a spliced Cartan vector, takes its first ceil(d / 2)
+# columns from A and the others from A_inv.  For d = 3 it needs two top
+# eigenpairs of symmetric 3x3 Gram matrices, G = A A^T for the line u and
+# H = A_inv^T A_inv for the normal n: Smith's trigonometric formula gives
+# the top eigenvalue (Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM
+# 4(4), 1961) and the longest cross product of two rows of G - lambda I its
+# eigenvector (Kopp, "Efficient numerical diagonalization of hermitian 3x3
+# matrices", arXiv:physics/0610206).
+
+# the largest |entry| of a 3x3 kernel row lies in [_GRAM_MIN, _GRAM_MAX], so
+# that its Gram matrix neither overflows nor underflows
+_GRAM_MIN = 2.0**-480
+_GRAM_MAX = 2.0**480
+# a Gram matrix whose eigenvalues spread by at most this fraction of their
+# mean is taken as scalar (the identity's, or an orthogonal matrix's)
+_SCALAR_SPREAD = 2.0**-40
+# Smith's formula loses up to sqrt(eps) in lambda_max where the top two
+# eigenvalues meet, at r = -1
+_MEET = 1e-2
+
+
+def _signed(Q):
+    """Q with each column signed so that its largest |entry| (the first of a tie) is positive."""
+    lead = np.take_along_axis(Q, np.abs(Q).argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(lead < 0, -Q, Q)
+
+
+def _spliced_orthonormal(M, top):
+    """Orthonormal frames from the columns of M, of which the first top come from A.
+
+    Gram-Schmidt, twice, takes the columns from the last one up to column
+    top + 1, then from the first one down: each is projected off those
+    taken before it.  The last columns keep their spans, and so do the
+    first ones, up to the projection off the last ones; an odd d's middle
+    column comes last, as the completion of the others.
+    """
+    Q = M.copy()
+    d = M.shape[-1]
+    order = list(range(d - 1, top - 1, -1)) + list(range(top))
+    for i, j in enumerate(order):
+        v = Q[..., j]
+        for _ in range(2):
+            for k in order[:i]:
+                v = v - (Q[..., k] * v).sum(axis=-1)[..., None] * Q[..., k]
+        # a column in the span of those before it (the identity's arbitrary
+        # singular vectors may be) is NaN, and so is its flag's gap
+        with np.errstate(invalid="ignore", divide="ignore"):
+            Q[..., j] = v / np.sqrt((v * v).sum(axis=-1))[..., None]
+    return Q
+
+
+def _lapack_spliced_frames(A, A_inv):
+    """spliced_frames of the stacks A and A_inv, from np.linalg.svd.
+
+    dgesdd does not return on some 3x3 matrices with an infinite entry, so
+    the rows with a non-finite entry are not handed to it: their frames
+    and log values are NaN.
+    """
+    d = A.shape[-1]
+    top = (d + 1) // 2
+    values = 1 if d == 3 else top
+    frames = np.full(A.shape, np.nan)
+    logs, inv_logs = np.full((2,) + A.shape[:-2] + (values,), np.nan)
+    finite = np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(A_inv).all(axis=(-2, -1))
+    U, sigma, _ = np.linalg.svd(A[finite])
+    _, inv_sigma, Vt = np.linalg.svd(A_inv[finite])
+    # A_inv's top right singular vectors, reversed, as the last columns
+    columns = np.concatenate([U[..., :top], np.swapaxes(Vt[..., d - top - 1::-1, :], -1, -2)],
+                             axis=-1)
+    frames[finite] = _signed(_spliced_orthonormal(columns, top))
+    logs[finite] = np.log(np.maximum(sigma[..., :values], 1e-300))
+    inv_logs[finite] = np.log(np.maximum(inv_sigma[..., :values], 1e-300))
+    return frames, logs, inv_logs
+
+
+def _top_eigenpair_3x3(g00, g01, g02, g11, g12, g22):
+    """Top eigenvalue and unit eigenvector of the symmetric 3x3 matrices with these entries.
+
+    Returns (lam, v, meet): v is (3, n), of either sign, and meet marks the
+    rows left to LAPACK, whose outputs are not used: a scalar matrix and top
+    eigenvalues that meet.  The formula
+    runs on G / q - I, q being G's mean eigenvalue, whose entries are at
+    most 2 in size.
+    """
+    q = (g00 + g11 + g22) / 3.0
+    scale = 1.0 / q
+    d0, d1, d2 = g00 * scale - 1.0, g11 * scale - 1.0, g22 * scale - 1.0
+    o01, o02, o12 = g01 * scale, g02 * scale, g12 * scale
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (o01 * o01 + o02 * o02 + o12 * o12)) / 6.0)
+    # r = det((G / q - I) / p) / 2, the cosine of three times the top angle
+    r = (d0 * (d1 * d2 - o12 * o12) - o01 * (o01 * d2 - o12 * o02)
+         + o02 * (o01 * o12 - d1 * o02)) / (2.0 * p * p * p)
+    c = 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    meet = ~(p > _SCALAR_SPREAD) | ~(1.0 + r > _MEET)
+    # the rows of G / q - (1 + c) I, and their cross products
+    e0, e1, e2 = d0 - c, d1 - c, d2 - c
+    crosses = np.array([
+        [o01 * o12 - o02 * e1, o02 * o01 - e0 * o12, e0 * e1 - o01 * o01],
+        [o01 * e2 - o02 * o12, o02 * o02 - e0 * e2, e0 * o12 - o01 * o02],
+        [e1 * e2 - o12 * o12, o12 * o02 - o01 * e2, o01 * o12 - e1 * o02],
+    ])
+    lengths = (crosses * crosses).sum(axis=1)
+    longest = lengths.argmax(axis=0)
+    rows = np.arange(len(q))
+    v = crosses[longest, :, rows].T / np.sqrt(lengths[longest, rows])
+    return q * (1.0 + c), v, meet
+
+
+def _spliced_frames_3x3(x, x_inv, frames, logs, inv_logs):
+    """_lapack_spliced_frames of the (n, 3, 3) stacks x and x_inv in closed form, into the outputs.
+
+    The frame is [u', n x u', n], u' being u projected onto the plane
+    normal to n.  Returns the mask of the rows left to LAPACK: those whose
+    largest |entry| lies outside [_GRAM_MIN, _GRAM_MAX] (non-finite ones
+    included) and those where _top_eigenpair_3x3 leaves G or H.
+    """
+    a = x.reshape(-1, 9).T.copy()
+    b = x_inv.reshape(-1, 9).T.copy()
+    amax = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
+    lapack = ~((amax >= _GRAM_MIN) & (amax <= _GRAM_MAX))
+    # G from the rows of A and H from the columns of A_inv, elementwise, so
+    # that a row has the same bits in every stack
+    rows, cols = (a[0:3], a[3:6], a[6:9]), (b[0::3], b[1::3], b[2::3])
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    lam, u, meet = _top_eigenpair_3x3(*((rows[i] * rows[j]).sum(axis=0) for i, j in pairs))
+    lam_inv, n, meet_inv = _top_eigenpair_3x3(*((cols[i] * cols[j]).sum(axis=0) for i, j in pairs))
+    u = u - (u * n).sum(axis=0) * n
+    u /= np.sqrt((u * u).sum(axis=0))
+    middle = np.array([n[1] * u[2] - n[2] * u[1], n[2] * u[0] - n[0] * u[2],
+                       n[0] * u[1] - n[1] * u[0]])
+    frames[:] = _signed(np.stack([u, middle, n]).transpose(2, 1, 0))
+    logs[:, 0] = 0.5 * np.log(lam)
+    inv_logs[:, 0] = 0.5 * np.log(lam_inv)
+    return lapack | meet | meet_inv
+
+
+def spliced_frames(A, A_inv):
+    """Spliced frames of the stacks (n, d, d) A and A_inv, d >= 3, and the log singular values of their gaps.
+
+    A_inv must be the forward products of the inverted words, not matrix
+    inverses.  Returns (frames, logs, inv_logs).  frames[i] is
+    _spliced_orthonormal of A[i]'s top ceil(d / 2) left singular vectors
+    followed by A_inv[i]'s top d - ceil(d / 2) right singular vectors in
+    reverse order, each column signed so that its largest |entry| (the
+    first of a tie) is positive.  logs and inv_logs
+    hold log sigma_1 of A and of A_inv for d = 3, and their top
+    ceil(d / 2) log singular values for d >= 4, floored at 1e-300.  3x3
+    rows take _spliced_frames_3x3, and the rows it leaves and every larger
+    row take _lapack_spliced_frames.
+    """
+    return _by_rows((A, A_inv), 3, _spliced_frames_3x3, _lapack_spliced_frames,
+                    (3, 3), (1,), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ class Flag:
     as (N, d, d); the operations below broadcast over the leading axes and
     give a plain value for a single flag.  The k-subspace (k in theta) is the
     span of the first k frame columns.  Equality of flags is span equality,
-    tested through flag_distance.  Frames are not checked: each producer
-    below (u_theta, sample_limit_set, attracting_fixed_flag) makes them
-    orthonormal, by _kernels.qr_positive or Gram-Schmidt.
+    tested through flag_distance, and no reader depends on a column's sign.
+    Frames are not checked: each producer below (u_theta, sample_limit_set,
+    attracting_fixed_flag) makes them orthonormal, by _kernels.qr_positive
+    (d = 2), _kernels.spliced_frames (d >= 3) or Gram-Schmidt.
     """
 
     theta: tuple
@@ -46,25 +47,37 @@ class Flag:
         return self.frame[..., :k]
 
 
-def u_theta(A, theta):
-    """Flags of leading left singular subspaces ("span of the k largest axes").
+def u_theta(A, A_inv, theta):
+    """Flags of leading singular subspaces ("span of the k largest axes"), spliced for d >= 3.
 
-    For a (N, d, d) stack, returns (F, ok): ok marks the rows whose singular
-    gaps at every k in theta are above GAP_TOLERANCE, and F stacks their flags
-    in row order.  One (d, d) matrix is the stack of one row: its Flag, or
-    InsufficientGap at its first bad k.
+    A_inv holds the forward products of the inverted words of A's rows, not
+    matrix inverses.  For a (N, d, d) stack, returns (F, ok): ok marks the
+    rows whose gaps at every k in theta are above GAP_TOLERANCE, and F
+    stacks their flags in row order.  One (d, d) matrix is the stack of one
+    row: its Flag, or InsufficientGap at its first bad k.
 
-    The frames are _kernels.qr_positive of the left singular vectors
-    (_kernels.left_singular), both with LAPACK's bits; 2x2 matrices take
-    the numpy kernels.
+    For d = 2 the frames are _kernels.qr_positive of A's left singular
+    vectors (_kernels.left_singular), with LAPACK's bits, and the gaps are
+    A's log singular gaps; A_inv is not read.  For d >= 3 a deep product's
+    small singular directions are rounding noise, so the frames are
+    _kernels.spliced_frames: the large subspaces come from A and the small
+    ones from A_inv, as cartan.splice takes a Cartan vector's entries.  The
+    gaps are those of the spliced Cartan vector, whose d = 3 middle entry
+    is minus the sum of the others, so they read log sigma_1 of A and of
+    A_inv alone.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
     stack = A[None] if single else A
-    theta = cartan.validate_theta(theta, A.shape[-1])
-    # made before the singular vectors, which keeps the peak footprint lower
-    frames = np.empty(stack.shape)
-    U, gaps = _left_singular_gaps(stack, theta)
+    d = A.shape[-1]
+    theta = cartan.validate_theta(theta, d)
+    if d == 2:
+        # made before the singular vectors, which keeps the peak footprint lower
+        frames = np.empty(stack.shape)
+        U, gaps = _left_singular_gaps(stack, theta)
+    else:
+        frames, gaps = _spliced_frames_gaps(
+            stack, np.asarray(A_inv, dtype=float).reshape(stack.shape), theta)
     # a NaN gap fails the test
     failed = ~(gaps > GAP_TOLERANCE)
     if single and failed.any():
@@ -72,7 +85,7 @@ def u_theta(A, theta):
         raise InsufficientGap(theta[i], gaps[0, i])
     ok = ~failed.any(axis=-1)
     kept = int(np.count_nonzero(ok))
-    frames[:kept] = _kernels.qr_positive(U[ok])
+    frames[:kept] = _kernels.qr_positive(U[ok]) if d == 2 else frames[ok]
     F = Flag(theta, frames[:kept])
     return F[0] if single else (F, ok)
 
@@ -82,6 +95,18 @@ def _left_singular_gaps(A, theta):
     U, sigma = _kernels.left_singular(A)
     logs = np.log(sigma)
     return U, logs[..., np.array(theta) - 1] - logs[..., theta]
+
+
+def _spliced_frames_gaps(A, A_inv, theta):
+    """Spliced frames of the stacks A and A_inv (d >= 3) and the gaps at each k in theta of their spliced Cartan vectors."""
+    frames, logs, inv_logs = _kernels.spliced_frames(A, A_inv)
+    d = A.shape[-1]
+    if d == 3:
+        # the middle entry is minus the sum of the others (det = 1)
+        K = np.concatenate([logs, inv_logs - logs, -inv_logs], axis=-1)
+    else:
+        K = cartan.splice(logs, inv_logs, np.empty(A.shape[:-1]))
+    return frames, K[..., np.array(theta) - 1] - K[..., theta]
 
 
 def _check_compatible(F, G):
@@ -116,14 +141,16 @@ def sample_limit_set(P, theta, n):
     """U_theta over the word sphere of radius n: a finite limit-set stand-in.
 
     Returns (F, skipped, words): F stacks the flags of the sphere elements
-    passing the singular-gap test, skipped counts the others and words is
-    the (len(F), n) int8 array of the kept elements' words.  The sphere's
-    flags are read block by block as the walk writes its matrices.
+    passing u_theta's gap test, skipped counts the others and words is the
+    (len(F), n) int8 array of the kept elements' words.  The sphere's flags
+    are read block by block as the walk writes its products and their
+    inverse-word products, which u_theta splices for d >= 3.
     """
     walk = matgroup._BallWalk(P, n)
     frames, ok = [], []
-    for lo, mats, _ in walk:
-        F, good = u_theta(mats[walk.cut(lo, len(mats), n, n)], theta)
+    for lo, mats, inv_mats in walk:
+        part = walk.cut(lo, len(mats), n, n)
+        F, good = u_theta(mats[part], inv_mats[part], theta)
         frames.append(F.frame)
         ok.append(good)
     ok = np.concatenate(ok)

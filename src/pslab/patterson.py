@@ -83,7 +83,7 @@ def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
         values[lo:lo + len(mats)] = K if f is None else matgroup._row_products(K, f)
         part = walk.cut(lo, len(mats), 0, flag_spheres)
         if part.stop:
-            F, good = flags.u_theta(mats[part], theta)
+            F, good = flags.u_theta(mats[part], inv_mats[part], theta)
             ok[lo:lo + len(good)] = good
             frames[lo:lo + len(F)] = F.frame
             parts.append((lo, len(F)))
@@ -330,7 +330,7 @@ def quasi_invariance_residual(P, phi, alpha_word, s, n, theta=None):
         base = matgroup._row_products(matgroup.batch_kappa(mats, inv_mats), f)
         shifted = matgroup._row_products(
             matgroup.batch_kappa(alpha_inv @ mats, inv_mats @ alpha_mat), f)
-        F, good = flags.u_theta(mats, theta)
+        F, good = flags.u_theta(mats, inv_mats, theta)
         rows = slice(lo + part.start, lo + part.stop)
         ok[rows] = good
         residuals[rows][good] = np.abs(shifted[good] - base[good]

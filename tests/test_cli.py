@@ -106,6 +106,15 @@ def test_execute_writes_csv_and_manifest(tmp_path):
     assert on_disk["peak_rss_mb"] > 0 and on_disk["peak_rss_mb"] == manifest["peak_rss_mb"]
 
 
+def test_deep_d3_measure_writes_no_warning(tmp_path):
+    # the product's own smallest singular value rounds to 0 on deep words;
+    # the spliced flags read only sigma_1 of the product and of its inverse
+    config = {"preset": "sl3-zariski-dense", "theta": [1, 2], "phi": {"alpha": 1},
+              "params": {"n": 7, "s_factor": 1.1}}
+    manifest = cli.execute("ps-measure", config, str(tmp_path))
+    assert manifest["warnings"] == []
+
+
 def test_execute_rejects_command_mismatch(tmp_path):
     with pytest.raises(ConfigInvalid) as exc:
         cli.execute("orbit", base_config(command="kappa"), str(tmp_path))

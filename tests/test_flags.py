@@ -23,9 +23,10 @@ def test_flag_producers_give_orthonormal_frames(rng):
     for P, theta in ((presets.fuchsian_schottky(1.6), (1,)),
                      (presets.sl3_zariski_dense(), (1, 2))):
         d = P.dimension
-        mats = word_spheres_reference(P, 4).mats[1:]
-        stacked, ok = flags.u_theta(mats, theta)
-        single = flags.u_theta(mats[-1], theta)
+        ball = word_spheres_reference(P, 4)
+        mats, inv_mats = ball.mats[1:], ball.inv_mats[1:]
+        stacked, ok = flags.u_theta(mats, inv_mats, theta)
+        single = flags.u_theta(mats[-1], inv_mats[-1], theta)
         produced += [stacked, single,
                      make_flag(theta, rng.normal(size=(d, d))),
                      apply_matrix(mats[-1], single),
@@ -39,33 +40,48 @@ def test_flag_producers_give_orthonormal_frames(rng):
 
 def test_u_theta_of_diagonal_is_coordinate_flag():
     A = np.diag([3.0, 1.0, 1.0 / 3.0])
-    F = flags.u_theta(A, (1, 2))
+    F = flags.u_theta(A, np.linalg.inv(A), (1, 2))
     assert np.allclose(np.abs(F.frame), np.eye(3), atol=1e-12)
 
 
 def test_u_theta_insufficient_gap():
     with pytest.raises(InsufficientGap) as exc:
-        flags.u_theta(np.eye(3), (1, 2))
+        flags.u_theta(np.eye(3), np.eye(3), (1, 2))
     assert (exc.value.k, exc.value.value) == (1, 0.0)
     # the first k of theta whose gap fails is named
     with pytest.raises(InsufficientGap) as exc:
-        flags.u_theta(np.diag([4.0, 1.0, 0.5, 0.5]), (1, 2, 3))
+        flags.u_theta(np.diag([4.0, 1.0, 0.5, 0.5]), np.diag([0.25, 1.0, 2.0, 2.0]), (1, 2, 3))
     assert exc.value.k == 3 and abs(exc.value.value) < 1e-15
 
 
 def test_u_theta_fails_the_gap_test_on_nan_gaps():
     # an infinite matrix has NaN singular values, so NaN gaps
     A = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    A_inv = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InsufficientGap) as exc:
-        flags.u_theta(A, (1,))
+        flags.u_theta(A, A_inv, (1,))
     assert exc.value.k == 1 and np.isnan(exc.value.value)
-    F, ok = flags.u_theta(np.stack([A, np.diag([2.0, 0.5])]), (1,))
+    F, ok = flags.u_theta(np.stack([A, np.diag([2.0, 0.5])]),
+                          np.stack([A_inv, np.diag([0.5, 2.0])]), (1,))
     assert ok.tolist() == [False, True] and len(F) == 1
+
+
+def test_d3_limit_flags_meet_the_conic_tangent():
+    # the symmetric square maps the circle to the conic x0 x2 = x1^2 / 2,
+    # and a limit flag to a point of it and its tangent plane, whose normal
+    # for the line u is (u[2], -u[1], u[0]); the product's own hyperplane is
+    # rounding noise on most of these words
+    F, skipped, _ = flags.sample_limit_set(presets.schottky_so21(2.0), (1, 2), 8)
+    u, normal = F.frame[:, :, 0], F.frame[:, :, 2]
+    tangent = np.stack([u[:, 2], -u[:, 1], u[:, 0]], axis=1)
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    assert skipped == 0 and len(F) == 4 * 3**7
+    assert np.linalg.norm(np.cross(tangent, normal), axis=1).max() <= 1e-12
 
 
 def test_apply_matrix_moves_spans(sl3):
     A = sl3.generators[0]
-    F = flags.u_theta(sl3.word_matrix((2, 1)), (1, 2))
+    F = flags.u_theta(sl3.word_matrix((2, 1)), sl3.word_matrix((-1, -2)), (1, 2))
     G = apply_matrix(A, F)
     v = A @ F.subspace(1)[:, 0]
     v /= np.linalg.norm(v)
@@ -144,7 +160,8 @@ def test_attracting_fixed_flag_matches_deep_cartan_flag():
     P = presets.fuchsian_schottky(1.6)
     A = P.generators[0]
     F = flags.attracting_fixed_flag(A, (1,))
-    U = flags.u_theta(np.linalg.matrix_power(A, 12), (1,))
+    U = flags.u_theta(np.linalg.matrix_power(A, 12),
+                      np.linalg.matrix_power(P.word_matrix((-1,)), 12), (1,))
     assert flags.flag_distance(F, U) < 1e-6
 
 
@@ -161,26 +178,27 @@ def test_stacked_flag_layer_equals_single_calls(P, theta):
     d = P.dimension
     # the identity fails the gap test; put a second copy mid-stack
     mats = np.concatenate([ball.mats[:10], np.eye(d)[None], ball.mats[10:]])
-    F, ok = flags.u_theta(mats, theta)
+    inv_mats = np.concatenate([ball.inv_mats[:10], np.eye(d)[None], ball.inv_mats[10:]])
+    F, ok = flags.u_theta(mats, inv_mats, theta)
     assert len(ok) == len(mats) and np.flatnonzero(~ok).tolist() == [0, 10]
     assert len(F) == len(mats) - 2
     alpha = P.generators[0]
     B_one = cocycle.iwasawa(alpha, F)
     B_stack = cocycle.iwasawa(mats[ok], F)
-    for i, M in enumerate(mats[ok]):
-        single = flags.u_theta(M, theta)
+    for i, (M, M_inv) in enumerate(zip(mats[ok], inv_mats[ok])):
+        single = flags.u_theta(M, M_inv, theta)
         assert np.array_equal(F.frame[i], single.frame)
         assert np.array_equal(B_one[i], cocycle.iwasawa(alpha, single))
         assert np.array_equal(B_stack[i], cocycle.iwasawa(M, single))
     for i in np.flatnonzero(~ok):
         with pytest.raises(InsufficientGap):
-            flags.u_theta(mats[i], theta)
+            flags.u_theta(mats[i], inv_mats[i], theta)
     # the Cartan and Jordan projections broadcast the same way
     kappas, nus = cartan.kappa(ball.mats), cartan.jordan_spliced(ball.mats, ball.inv_mats)
     for i, (M, M_inv) in enumerate(zip(ball.mats, ball.inv_mats)):
         assert np.array_equal(kappas[i], cartan.kappa(M))
         assert np.array_equal(nus[i], cartan.jordan_spliced(M, M_inv))
-    empty, none_ok = flags.u_theta(mats[:0], theta)
+    empty, none_ok = flags.u_theta(mats[:0], inv_mats[:0], theta)
     assert len(empty) == 0 and none_ok.shape == (0,)
 
 
@@ -190,7 +208,7 @@ def test_stacked_flag_layer_equals_single_calls(P, theta):
 def test_limit_set_and_cone_read_one_sphere_of_the_walk(P, theta, n, monkeypatch):
     ball = word_spheres_reference(P, n)
     mats, inv_mats = ball.mats[ball.offsets[n]:], ball.inv_mats[ball.offsets[n]:]
-    ref_F, ref_ok = flags.u_theta(mats, theta)
+    ref_F, ref_ok = flags.u_theta(mats, inv_mats, theta)
     ref_words = list(ball.sphere_letters())[n]
     proj = cartan.projection_matrix(P.dimension, theta)
     vecs = matgroup.batch_kappa(mats, inv_mats) @ proj.T

@@ -6,7 +6,7 @@ import pytest
 from ball_oracle import word_spheres_reference
 from cover_oracle import greedy_cover_count_reference
 
-from pslab import _kernels, cartan, matgroup, patterson, presets
+from pslab import _kernels, cartan, flags, matgroup, patterson, presets
 
 
 def _lapack_logs(mats):
@@ -312,6 +312,90 @@ def test_flag_paths_never_reach_lapack_in_range(counting_svd, counting_qr, count
     patterson.quasi_invariance_residual(P, phi, (1,), None, 8, (1,))
     assert len(mu.atoms) > 100_000
     assert counting_svd.rows == 0 and counting_qr.rows == 0 and counting_det.rows == 0
+
+
+D3_BALLS = pytest.mark.parametrize("make", [lambda: presets.schottky_so21(1.6),
+                                             presets.sl3_zariski_dense],
+                                    ids=["schottky-so21-1.6", "zariski"])
+
+
+def _cross_norms(x, y):
+    return np.linalg.norm(np.cross(x, y), axis=-1)
+
+
+@D3_BALLS
+def test_3x3_spliced_frames_agree_with_lapack_on_word_balls(make):
+    # the closed form against LAPACK's singular pairs, spliced the same way,
+    # on the 118,097 rows of a radius-10 ball; the identity has no line
+    ball = word_spheres_reference(make(), 10)
+    mats, inv_mats = ball.mats[1:], ball.inv_mats[1:]
+    frames, logs, inv_logs = _kernels.spliced_frames(mats, inv_mats)
+    want_frames, want_logs, want_inv_logs = _kernels._lapack_spliced_frames(mats, inv_mats)
+    assert np.abs(logs - want_logs).max() <= 1e-14
+    assert np.abs(inv_logs - want_inv_logs).max() <= 1e-14
+    for column in (0, 2):
+        assert _cross_norms(frames[..., column], want_frames[..., column]).max() <= 1e-13
+    gram = np.swapaxes(frames, -1, -2) @ frames
+    assert np.abs(gram - np.eye(3)).max() <= 1e-12
+    # the d = 3 gaps: kappa's middle entry is minus the sum of the others
+    sigma, inv_sigma = (np.linalg.svd(m, compute_uv=False)[:, 0] for m in (mats, inv_mats))
+    l, m = np.log(sigma), np.log(inv_sigma)
+    _, gaps = flags._spliced_frames_gaps(mats, inv_mats, (1, 2))
+    assert np.abs(gaps - np.stack([2 * l - m, 2 * m - l], axis=1)).max() <= 1e-12
+
+
+@D3_BALLS
+def test_3x3_spliced_frames_leave_only_the_identity_to_lapack(make, counting_svd, counting_qr):
+    ball = word_spheres_reference(make(), 10)
+    frames, _, _ = _kernels.spliced_frames(ball.mats, ball.inv_mats)
+    assert [m.tobytes() for m in counting_svd.seen] == [np.eye(3)[None].tobytes()] * 2
+    assert counting_qr.rows == 0
+    # the identity's singular vectors are arbitrary, and so is its frame
+    assert np.isfinite(frames[1:]).all()
+
+
+def _rotation3():
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return turn @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+# rows that the 3x3 kernel leaves to LAPACK, one per class
+SPLICED_FALLBACK_ROWS = {
+    "identity": np.eye(3),
+    # sigma_1 = sigma_2: Smith's r is -1
+    "top-pair-meets": np.diag([2.0, 2.0, 0.25]),
+    # a Gram matrix that is the identity up to rounding
+    "rotation": _rotation3(),
+    "huge": np.diag([2.0**490, 1.0, 2.0**-490]),
+    "inf": np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLICED_FALLBACK_ROWS))
+def test_3x3_spliced_fallback_rows_go_to_lapack(name, counting_svd):
+    rng = np.random.default_rng(5)
+    mats = rng.normal(size=(9, 3, 3))
+    mats[4] = SPLICED_FALLBACK_ROWS[name]
+    with np.errstate(all="ignore"):
+        inv_mats = np.linalg.inv(mats)
+    with np.errstate(all="ignore"):
+        mask = _kernels._spliced_frames_3x3(mats, inv_mats, *(np.empty((9,) + shape)
+                                                             for shape in ((3, 3), (1,), (1,))))
+    assert mask.tolist() == [i == 4 for i in range(9)]
+    frames, logs, inv_logs = _kernels.spliced_frames(mats, inv_mats)
+    if name == "inf":
+        # dgesdd does not return on such a 3x3 matrix: the row is NaN
+        assert counting_svd.rows == 0
+        assert np.isnan(frames[4]).all() and np.isnan(logs[4]) and np.isnan(inv_logs[4])
+    else:
+        assert ([m.tobytes() for m in counting_svd.seen]
+                == [mats[[4]].tobytes(), inv_mats[[4]].tobytes()])
+        assert logs[4, 0] == np.log(np.linalg.svd(mats[4], compute_uv=False)[0])
+    others = np.arange(9) != 4
+    want = _kernels._lapack_spliced_frames(mats[others], inv_mats[others])
+    for got, ref in zip((frames, logs, inv_logs), want):
+        assert np.abs(got[others] - ref).max() <= 1e-13
 
 
 def test_fma_rounds_once():

@@ -130,7 +130,7 @@ def _quasi_invariance_whole_ball(P, phi, alpha_word, n, theta):
     mats, inv_mats = ball.mats[1:], ball.inv_mats[1:]
     base = matgroup.batch_kappa(mats, inv_mats) @ f
     shifted = matgroup.batch_kappa(alpha_inv @ mats, inv_mats @ alpha_mat) @ f
-    F, ok = flags.u_theta(mats, theta)
+    F, ok = flags.u_theta(mats, inv_mats, theta)
     residuals = np.abs(shifted[ok] - base[ok] - phi(cocycle.iwasawa(alpha_inv, F)))
     spheres = np.split(ok, ball.offsets[2:-1] - 1)
     return np.split(residuals, np.cumsum([keep.sum() for keep in spheres])[:-1])
@@ -288,7 +288,8 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     # out before the last block of sphere n - 1
     for flag_spheres in (n - 1, n):
         _, _, (frames, ok) = patterson._walk_ball(P, n, f, flag_spheres, theta)
-        ref_F, ref_ok = flags.u_theta(ref.mats[:ref.offsets[flag_spheres + 1]], theta)
+        rows = slice(ref.offsets[flag_spheres + 1])
+        ref_F, ref_ok = flags.u_theta(ref.mats[rows], ref.inv_mats[rows], theta)
         assert np.array_equal(ok, ref_ok)
         assert np.array_equal(frames, ref_F.frame)
 
