@@ -6,8 +6,9 @@ Kernels:
   * batch_log_singular_values - the top ceil(d / 2) log singular values of a
     stack of matrices, the columns that cartan.splice reads
   * left_singular - np.linalg.svd's left singular vectors and singular values
+    of 2x2 matrices
   * qr_positive - the frames of lapack_qr_positive (np.linalg.qr, with
-    columns signed so that R's diagonal is positive)
+    columns signed so that R's diagonal is positive) of 2x2 matrices
   * spliced_frames - d >= 3 flag frames spliced from products and their
     inverse-word products, with the log singular values of their gaps
   * greedy_cover_count - first-fit greedy ball-covering counts for box
@@ -15,9 +16,10 @@ Kernels:
 
 The matrix kernels take one matrix or a stack, and each is one call of
 _by_rows, which runs a numpy kernel _CHUNK rows at a time on matrices of
-its size and sends any other size to LAPACK.  The kernels copy only the
-steps that measured traffic takes: each returns the mask of every other
-row, and _by_rows hands those rows to LAPACK.
+its size and sends any other size to LAPACK; the 2x2 vector kernels,
+left_singular and qr_positive, reject any other size instead.  The kernels
+copy only the steps that measured traffic takes: each returns the mask of
+every other row, and _by_rows hands those rows to LAPACK.
 
 The 2x2 kernels repeat, row by row, what LAPACK does to one 2x2 matrix, so
 every value has LAPACK's bits: dgesdd's dgebd2 (a dlarfg reflection of
@@ -362,10 +364,21 @@ def _left_singular_vectors_2x2(x, u, sigma):
     return lapack
 
 
+def _require_2x2(x):
+    """x, which must be one 2x2 matrix or a stack of them.
+
+    The vector kernels serve d = 2 alone: np.linalg.svd with vectors did not
+    return within 120 s on a 3x3 identity with one inf entry.
+    """
+    if x.shape[-2:] != (2, 2):
+        raise ValueError(f"a 2x2 kernel was given {x.shape[-2:]} matrices")
+    return x
+
+
 def left_singular(A):
-    """np.linalg.svd's U and singular values of each matrix of A, one or a stack."""
-    return _by_rows((A,), 2, _left_singular_vectors_2x2, lambda x: np.linalg.svd(x)[:2],
-                    (2, 2), (2,))
+    """np.linalg.svd's U and singular values of each 2x2 matrix of A, one or a stack."""
+    return _by_rows((_require_2x2(A),), 2, _left_singular_vectors_2x2,
+                    lambda x: np.linalg.svd(x)[:2], (2, 2), (2,))
 
 
 def lapack_qr_positive(M):
@@ -380,12 +393,12 @@ def lapack_qr_positive(M):
 
 
 def qr_positive(M):
-    """QR with positive diagonal of R per matrix of M: deterministic orthonormal frames.
+    """QR with positive diagonal of R per 2x2 matrix of M: deterministic orthonormal frames.
 
     lapack_qr_positive's Q, one matrix or a stack: Q's columns are signed so
     that R's diagonal is positive (a zero counts as positive).
     """
-    M = np.asarray(M, dtype=float)
+    M = _require_2x2(np.asarray(M, dtype=float))
     (Q,) = _by_rows((M,), 2, _qr_frames_2x2, lambda x: (lapack_qr_positive(x),), (2, 2))
     return Q
 

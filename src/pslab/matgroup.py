@@ -15,7 +15,10 @@ words are rebuilt from the two only where a label or a word is needed.
 Every presentation is enumerated as a free group: a ball holds one row per
 freely reduced word, whether or not two words give the same matrix.  Every
 product is made by a ``_BallWalk``, which hands them out block by block to
-the paths that read them.  ``word_spheres`` makes a ball's walk and its
+the paths that read them.  The walk is depth first: past the first block,
+each block is made from one block of its parents and handed out, and its
+own children are made and handed out before the next block of its sphere,
+so no whole sphere is held.  ``word_spheres`` makes a ball's walk and its
 words without walking it; a reader of its products iterates ``ball.walk``,
 so one walk serves the words and the products of a ball.
 """
@@ -32,14 +35,15 @@ from .errors import BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailur
 ELEMENT_CAP = 5_000_000
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
-# rows per block of a ball walk: each block it yields, and each step, hold at
-# most this many rows, and a block never spans a multiple of BLOCK_ROWS of
-# ball rows.  A walk holds one such block per sphere that spills out of its
-# block, and at most one block of copied parents.  A step's temporaries are
-# its parents' last letters and their rows of one child table at a time, as
-# many matrices as the step has children; its forward products are made in
-# the block rows that its inverse products then overwrite.  A rank-1 walk
-# holds one block, one row longer, and CHAIN_RUN + 1 states of four matrices
+# rows per block of a ball walk: each block it yields holds at most this
+# many rows.  A walk in rank 2 and up holds its first block, of the spheres
+# whose ball fits in BLOCK_ROWS rows, and a buffer per later sphere for the
+# children of one run of BLOCK_ROWS // c parents, for c children a parent
+# (of one parent, if c > BLOCK_ROWS).  A run's temporaries are its parents'
+# last letters and their rows of one child table at a time, as many
+# matrices as the run has children; its forward products are made in the
+# buffer rows that its inverse products then overwrite.  A rank-1 walk holds
+# one block, one row longer, and CHAIN_RUN + 1 states of four matrices
 BLOCK_ROWS = 1 << 13
 # spheres a rank-1 walk makes between two copies into its block
 CHAIN_RUN = 64
@@ -195,36 +199,6 @@ def _parent_rows(rows, rank):
     return np.maximum(parents, 0, out=parents)
 
 
-class _Writer:
-    """Where a ball walk writes one sphere, and the parents it writes it from.
-
-    Rows first:fill of ``block`` are ball rows lo + first:lo + fill, the
-    rows of sphere k written since the block was last handed out; ``out``
-    is the block's forward half, also as matrix rows, and its inverse half.
-    The children still to be written are those of the ball rows p:end,
-    from child j of row p on; the products of parent row i are
-    fwd[i - base] and inv[i - base], which are rows of ``block`` when
-    ``own`` is set.
-    """
-
-    __slots__ = ("block", "out", "lo", "k", "first", "fill",
-                 "fwd", "inv", "base", "p", "j", "end", "own")
-
-    def __init__(self, block, out, lo, k):
-        self.block, self.out, self.lo, self.k = block, out, lo, k
-        self.first = self.fill = 0
-        self.parents(block[0, :0], block[1, :0], lo)
-
-    def rows(self):
-        """The forward and inverse products of the sphere-k rows of the block."""
-        return self.block[:, self.first:self.fill]
-
-    def parents(self, fwd, inv, base):
-        """Write the children of ball rows base:base + len(fwd) next, from their products."""
-        self.fwd, self.inv, self.base, self.own = fwd, inv, base, False
-        self.p, self.j, self.end = base, 0, base + len(fwd)
-
-
 class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
@@ -237,38 +211,35 @@ class _BallWalk:
     are one lookup of spheres 1..k (log2 n lookups in all).
 
     Iterating yields ``(lo, mats, inv_mats)``, the products of ball rows
-    lo:lo + len(mats), in blocks that may span spheres but not a multiple
-    of BLOCK_ROWS rows; the next block a walk writes may overwrite these
-    arrays.  The blocks tile the ball's rows once each, and each sphere's
-    blocks come in row order, but lo need not increase: a sphere may be
-    handed out between the blocks of the one before.  Each iteration walks
-    the ball anew; ``ball()`` is the WordBall of its rows, made without
-    iterating.  A block whose products overflowed raises DecompositionFailure.
+    lo:lo + len(mats), in blocks of at most BLOCK_ROWS rows; the next block
+    a walk writes may overwrite these arrays.  The blocks tile the ball's
+    rows once each, and each sphere's blocks come in row order, but lo need
+    not increase: the blocks below a block are handed out before the next
+    block of its sphere.  Each iteration walks the ball anew; ``ball()`` is
+    the WordBall of its rows, made without iterating.  A block whose
+    products overflowed raises DecompositionFailure.
 
     A rank-1 walk, whose rows each have one child, makes a sphere with one
     matmul and hands out its blocks in row order (``_chains``).  In higher
-    rank each sphere is written from the one before, at most BLOCK_ROWS rows
-    per step.  A step makes one matrix product per parent and side, with
-    the parent's rows of two child tables built once per walk: F @ [g_1 |
-    g_2 | ...] comes out as [i, child, l] and is copied into canonical
-    [child, i, l] order through a view whose element is one matrix row, and
-    [g_1^-1; g_2^-1; ...] @ G is already in that order and is written into
-    the block.  A parent whose children straddle the block's end is split
-    between two steps, which slice the same tables by column.
+    rank the walk is depth first.  The spheres whose ball fits in one block
+    are made there, each from the one before, and handed out as the first
+    block.  From then on a block of sphere k is cut into runs of BLOCK_ROWS
+    // c parents, for c children a parent (one parent if c > BLOCK_ROWS);
+    the children of each run are made in the buffer of sphere k + 1 and
+    handed out in blocks of at most BLOCK_ROWS rows, each expanded the same
+    way before the next run is made (``_below``).  Every block after the
+    first thus lies in one sphere, and a walk holds its first block and one
+    buffer per later sphere, no whole sphere.  The recursion is a method
+    that takes the buffers as an argument, not a nested function that calls
+    itself: such a closure is a reference cycle, which kept the buffers of
+    a walk until the cycle collector ran.
 
-    One rule places every such sphere.  A sphere that ends inside its block is
-    followed there by the next sphere, whose parents are read from the
-    block (and copied out if the block is handed out first).  A sphere that
-    does not spills: each time one of its blocks is handed out, its rows
-    there are the parents of that many children of the next sphere, which
-    are written at once into a block of the next sphere's own, handed out
-    in turn each time it fills; and when the sphere is done, its last rows
-    are handed out the same way.  A walk thus holds one block per spilled
-    sphere, no whole sphere, and at most a block of copied parents.  The
-    spheres being written form a chain, which the walk follows with a list
-    and an index, not by recursion.  Every block ends at the next multiple
-    of BLOCK_ROWS ball rows, so the blocks are those of a walk in row order,
-    cut where a sphere's own block starts.
+    Children are made with one matrix product per parent and side, one
+    matmul per run (``_children``), with each parent's rows of two child
+    tables built once per walk: F @ [g_1 | g_2 | ...] comes out as [i,
+    child, l] and is copied into canonical [child, i, l] order through a
+    view whose element is one matrix row, and [g_1^-1; g_2^-1; ...] @ G is
+    already in that order and is written into the buffer.
     """
 
     def __init__(self, P, n):
@@ -368,120 +339,64 @@ class _BallWalk:
         if self.P.rank == 1:
             yield from self._chains()
             return
-        n, d = self.n, self.P.dimension
-        # Python ints, as the steps' row arithmetic is on scalars
-        letter, offsets, tables = self.letter, self.offsets.tolist(), self.tables
+        n, d, offsets = self.n, self.P.dimension, self.offsets.tolist()
+        # spheres 0..top fit in the first block, each made from the one before
+        top = max(k for k in range(n + 1) if offsets[k + 1] <= BLOCK_ROWS)
+        block = np.empty((2, offsets[top + 1], d, d))
+        block[:, 0] = np.eye(d)
+        for k in range(top):
+            self._children(block[:, offsets[k]:offsets[k + 1]], offsets[k],
+                           block[:, offsets[k + 1]:offsets[k + 2]])
+        yield (0, *_require_finite(block))
+        # the buffer of sphere k + 1: the children of one run of sphere-k parents
+        buffers = [None] * top
+        for k in range(top, n):
+            c = self.tables[k > 0][2].shape[1]
+            buffers.append(np.empty((2, max(BLOCK_ROWS // c, 1) * c, d, d)))
+        if top < n:
+            yield from self._below(block[:, offsets[top]:], offsets[top], top, buffers)
+
+    def _below(self, parents, lo, k, buffers):
+        """The blocks of spheres k + 1..n below the sphere-k rows lo:lo + len(parents[0]).
+
+        The children of each run of parents are made in buffers[k] and handed
+        out a block at a time, each block followed by the blocks below it.
+        """
+        out = buffers[k]
+        c = self.tables[k > 0][2].shape[1]
+        step, count = len(out[0]) // c, len(parents[0])
+        # the first child of row lo
+        child = int(self.offsets[k + 1]) + (lo - int(self.offsets[k])) * c
+        for i in range(0, count, step):
+            made = out[:, :min(step, count - i) * c]
+            self._children(parents[:, i:i + step], lo + i, made)
+            for j in range(0, len(made[0]), BLOCK_ROWS):
+                piece = made[:, j:j + BLOCK_ROWS]
+                yield (child + j, *_require_finite(piece))
+                if k + 1 < self.n:
+                    yield from self._below(piece, child + j, k + 1, buffers)
+            child += len(made[0])
+
+    def _children(self, parents, lo, out):
+        """Write the children of ball rows lo:lo + len(parents[0]) into out, from their products.
+
+        Children come in canonical order: by parent row, then by letter.
+        One matrix product per parent and side makes them; the forward
+        products are made in the rows of out that the inverse products then
+        overwrite.
+        """
+        d = self.P.dimension
+        fwd_tab, inv_tab, let_tab = self.tables[lo > 0]
+        m, c = len(parents[0]), let_tab.shape[1]
+        # the parents' last letters, as intp take indices
+        lasts = self.letter[lo:lo + m].astype(np.intp)
+        inv = out[1].reshape(m, d, c * d)
+        fwd = np.matmul(parents[0], fwd_tab.take(lasts, 0), inv)
         # one matrix row as one element: the forward products come out as
-        # [parent, i, child, l] and are copied to [parent, child, i, l] as
-        # rows
+        # [parent, i, child, l] and are copied to [parent, child, i, l] as rows
         row = np.dtype((np.void, 8 * d))
-
-        def window(lo, block=None):
-            # a writer's buffer for the rows from lo on, and the halves
-            # (_Writer.out) of its rows up to the next multiple of
-            # BLOCK_ROWS: the blocks handed out are those of a walk in row
-            # order, cut where a sphere's writer starts
-            if block is None:
-                block = np.empty((2, BLOCK_ROWS, d, d))
-            part = block[:, :BLOCK_ROWS - lo % BLOCK_ROWS]
-            return block, (part[0], part[0].view(row)[..., 0], part[1])
-
-        def write(w, chain):
-            """Write children of w's parents into its block until all are written or it is full.
-
-            With chain set, a sphere that ends in the block is followed
-            there by the next, whose parents are read from the block, until
-            sphere n is written or the block is full.  Children come in
-            canonical order: by parent row, then by letter.  A step's
-            forward products are made in the rows its inverse products then
-            overwrite.
-            """
-            fwd_half, fwd_rows, inv_half = w.out
-            fwd_par, inv_par, base, end, k, first = w.fwd, w.inv, w.base, w.end, w.k, w.first
-            p, j, fill, size = w.p, w.j, w.fill, len(inv_half)
-            while True:
-                fwd_tab, inv_tab, let_tab = tables[k > 1]
-                c = let_tab.shape[1]  # children per parent
-                while p < end and fill < size:
-                    room = size - fill
-                    if j == 0 and room >= c:
-                        # the parents whose children all fit: one product per
-                        # parent and side with its rows of the tables
-                        e = min(p + room // c, end)
-                        # the parents' last letters, as intp take indices
-                        m, lasts = e - p, letter[p:e].astype(np.intp)
-                        rows = m * c
-                        inv = inv_half[fill:fill + rows]
-                        fwd = np.matmul(fwd_par[p - base:e - base], fwd_tab.take(lasts, 0),
-                                        inv.reshape(m, d, c * d))
-                        fwd_rows[fill:fill + rows].reshape(m, c, d)[...] = \
-                            fwd.view(row).transpose(0, 2, 1)
-                        np.matmul(inv_tab.take(lasts, 0), inv_par[p - base:e - base],
-                                  inv.reshape(m, c * d, d))
-                        p = e
-                    else:
-                        # a parent whose children straddle the end of the block
-                        rows = min(c - j, room)
-                        last = letter[p]
-                        inv = inv_half[fill:fill + rows]
-                        fwd = np.matmul(fwd_par[p - base], fwd_tab[last, :, j * d:(j + rows) * d],
-                                        inv.reshape(d, rows * d))
-                        fwd_rows[fill:fill + rows] = fwd.view(row).T
-                        np.matmul(inv_tab[last, j * d:(j + rows) * d], inv_par[p - base],
-                                  inv.reshape(rows * d, d))
-                        j += rows
-                        if j == c:
-                            p, j = p + 1, 0
-                    fill += rows
-                if p < end or not chain or k == n:
-                    break
-                # sphere k ends in the block: sphere k + 1 follows it there
-                fwd_par, inv_par, w.own = fwd_half[first:fill], inv_half[first:fill], True
-                base = p = offsets[k]
-                end, k, first = offsets[k + 1], k + 1, fill
-            w.fwd, w.inv, w.base, w.end, w.k, w.first = fwd_par, inv_par, base, end, k, first
-            w.p, w.j, w.fill = p, j, fill
-
-        # the writers of the spheres being written, each from the rows of
-        # the one before; the last one written to is writers[top].  Only
-        # writers[0] goes on from sphere to sphere, and only while no sphere
-        # of its own has spilled: it starts at the identity and sphere 0.
-        writers, top = [_Writer(*window(0), 0, 0)], 0
-        writers[0].block[:, 0] = np.eye(d)
-        writers[0].fill = 1
-        while True:
-            w = writers[top]
-            if w.own and not w.fill:
-                # the block was handed out, and the next rows overwrite it:
-                # first copy out the parents the walk still reads there
-                w.fwd, w.inv, w.own = w.fwd.copy(), w.inv.copy(), False
-            write(w, len(writers) == 1)
-            # w stops short of its parents' end only when its block is full
-            full = w.p < w.end
-            if not full and top:
-                # the rows handed to w are written: back to the writer that
-                # handed them out
-                top -= 1
-                continue
-            # the block is full, or sphere k, the last or a spilled one, is
-            # done: hand out what the block holds
-            if w.fill:
-                yield (w.lo, *_require_finite(w.block[:, :w.fill]))
-            if not full and w.k == n:
-                return
-            if w.k < n and w.fill > w.first:
-                # the children of its sphere-k rows, written now
-                if top + 1 == len(writers):
-                    lo = offsets[w.k + 1]
-                    writers.append(_Writer(*window(lo), lo, w.k + 1))
-                writers[top + 1].parents(*w.rows(), w.lo + w.first)
-                top += 1
-            w.lo, w.first, w.fill = w.lo + w.fill, 0, 0
-            w.block, w.out = window(w.lo, w.block)
-            if not full:
-                # the next writer goes on from the spilled sphere's last rows
-                del writers[0]
-                top = 0
+        out[0].view(row)[..., 0].reshape(m, c, d)[...] = fwd.view(row).transpose(0, 2, 1)
+        np.matmul(inv_tab.take(lasts, 0), parents[1], out[1].reshape(m, c * d, d))
 
     def ball(self):
         """The rows as a WordBall of this walk and its offsets: the words need no iteration."""

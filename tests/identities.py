@@ -27,12 +27,12 @@ def iota_star(phi):
 
 def make_flag(theta, columns):
     """Flag from (possibly non-orthonormal) spanning columns, via a QR pass."""
-    return Flag(theta, _kernels.qr_positive(columns))
+    return Flag(theta, _kernels.lapack_qr_positive(columns))
 
 
 def apply_matrix(A, F):
     """The projective action of A on flags, with frame re-orthonormalization."""
-    return Flag(F.theta, _kernels.qr_positive(np.asarray(A, dtype=float) @ F.frame))
+    return Flag(F.theta, _kernels.lapack_qr_positive(np.asarray(A, dtype=float) @ F.frame))
 
 
 def gromov_product(F, G):

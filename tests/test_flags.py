@@ -8,10 +8,12 @@ from identities import TRANSVERSALITY_TOLERANCE, apply_matrix, make_flag
 
 
 def test_qr_positive_orthonormal_and_deterministic(rng):
+    # qr_positive takes 2x2 matrices alone; a 4x4 frame is
+    # lapack_qr_positive's, which qr_positive returned for one before
     M = rng.normal(size=(4, 4))
-    Q = _kernels.qr_positive(M)
+    Q = _kernels.lapack_qr_positive(M)
     assert np.allclose(Q.T @ Q, np.eye(4), atol=1e-12)
-    assert np.allclose(Q, _kernels.qr_positive(M))
+    assert np.allclose(Q, _kernels.lapack_qr_positive(M))
 
 
 def test_flag_producers_give_orthonormal_frames(rng):

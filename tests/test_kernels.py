@@ -129,6 +129,22 @@ def _assert_vectors_have_lapacks_bits(mats):
                 == _kernels.lapack_qr_positive(frames).tobytes())
 
 
+def test_2x2_vector_kernels_reject_other_sizes_before_lapack(monkeypatch):
+    # np.linalg.svd with vectors did not return within 120 s on the 3x3
+    # identity with one inf entry
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np.linalg, "svd", lapack)
+    monkeypatch.setattr(np.linalg, "qr", lapack)
+    inf = np.eye(3)
+    inf[0, 1] = np.inf
+    for kernel in (_kernels.left_singular, _kernels.qr_positive):
+        for mats in (np.eye(3), inf, np.stack([np.eye(3), inf]), np.eye(4), np.eye(2)[:, :1]):
+            with pytest.raises(ValueError):
+                kernel(mats)
+
+
 @pytest.mark.parametrize("kind", ["normal", "scaled", "zeros", "integers"])
 def test_2x2_left_singular_vectors_and_qr_frames_have_lapacks_bits(kind):
     # singular rows included: even the sign of a zero singular value matches

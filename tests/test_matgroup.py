@@ -1,5 +1,7 @@
+import collections
 import functools
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -79,6 +81,30 @@ def test_ball_is_freed_without_the_cycle_collector(sl2):
         gc.enable()
 
 
+def test_walk_is_freed_without_the_cycle_collector():
+    # a walk whose recursion referred to itself, as a nested function that
+    # calls itself does, kept its buffers until the cycle collector ran.
+    # Each buffer here is 512 KiB; numpy's cache of small allocations keeps
+    # a few hundred bytes
+    P = presets.fuchsian_schottky(1.6)
+    walk = matgroup._BallWalk(P, 10)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        collections.deque(walk, maxlen=0)
+        assert tracemalloc.get_traced_memory()[0] < before + 4096
+        # abandoned at its third block
+        blocks = iter(walk)
+        for _ in range(3):
+            next(blocks)
+        del blocks, _
+        assert tracemalloc.get_traced_memory()[0] < before + 4096
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
 def test_element_cap_checked_before_allocating(monkeypatch):
     # sphere 10 alone holds 78,732 elements; building it before the check took 70 MB
     P = presets.sl2_mild()
@@ -136,10 +162,10 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
     ref = word_spheres_reference(P, n)
     ref_K = batch_kappa_reference(ref.mats, ref.inv_mats)
     proj = cartan.projection_matrix(P.dimension, cartan.full_theta(P.dimension))
-    # several blocks per sphere, the last one partial; at 5 and 7 rows the
-    # three children of a rank-2 parent straddle the end of a block at
-    # every child offset, and at 3, 5 and 7 a rank-1 sphere straddles every
-    # other block's end
+    # several blocks per sphere, the last one partial; at 3 rows the
+    # children of the identity, or of one rank-3 parent, take two blocks, at
+    # 7 a run of parents holds two of rank 2, and at 3, 5 and 7 a rank-1
+    # sphere straddles every other block's end
     for block_rows in (3, 5, 7, matgroup.BLOCK_ROWS):
         monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
         ball = matgroup.word_spheres(P, n)
@@ -160,21 +186,31 @@ def test_walk_hands_out_every_row_once(make, n, monkeypatch):
 
     P = make()
     ref = word_spheres_reference(P, n)
-    # blocks come as row ranges, not in row order: a walk writes its last
-    # sphere from each block of the sphere before as that block is handed
-    # out.  A rank-1 walk hands out its blocks in row order, each ending at
-    # the next multiple of the block rows.
+    # blocks come as row ranges, not in row order: a walk hands out the
+    # blocks below each block of a sphere before the next block of that
+    # sphere, depth first.  A rank-1 walk hands out its blocks in row order,
+    # each ending at the next multiple of the block rows.
     for block_rows in (3, 5, 7, matgroup.BLOCK_ROWS):
         monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
         walk = matgroup._BallWalk(P, n)
         handed = np.zeros(walk.rows, dtype=int)
         stop = 0
+        # the row where each sphere's next block starts
+        following = walk.offsets[:-1].copy()
         for lo, mats, inv_mats in walk:
             rows = slice(lo, lo + len(mats))
             assert 0 < len(mats) <= block_rows and rows.stop <= walk.rows
             if P.rank == 1:
                 assert lo == stop and (rows.stop % block_rows == 0 or rows.stop == walk.rows)
                 stop = rows.stop
+            else:
+                # each sphere's blocks in row order, and every block after
+                # the first inside one sphere
+                first, last = np.searchsorted(walk.offsets, [lo, rows.stop - 1], "right") - 1
+                assert first == last or not handed.any()
+                for k in range(first, last + 1):
+                    assert max(lo, walk.offsets[k]) == following[k]
+                    following[k] = min(rows.stop, walk.offsets[k + 1])
             handed[rows] += 1
             assert np.array_equal(_bits(mats), _bits(ref.mats[rows]))
             assert np.array_equal(_bits(inv_mats), _bits(ref.inv_mats[rows]))

@@ -269,9 +269,10 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     P = make()
     ref = word_spheres_reference(P, n)
     ref_K = matgroup.batch_kappa(ref.mats, ref.inv_mats)
-    # blocks of 5 and 7 rows span the spheres of every ball here; at 7 rows a
-    # sphere that fits in one block is read as parents after that block is
-    # handed out
+    # at 5 and 7 rows the first block holds spheres 0 and 1 of every rank-2
+    # ball here, whose rows are read as parents after that block is handed
+    # out, and every later block holds the children of one run of parents
+    # or a part of them
     monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
     walk, K, _ = patterson._walk_ball(P, n, None)
     ball = walk.ball()
@@ -284,8 +285,9 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
     _, values, _ = patterson._walk_ball(P, n, f)
     assert values.shape == (len(ref),) and np.array_equal(values, ref_K @ f)
     # the flags of spheres 0..n-1 and of the whole ball, as u_theta gives
-    # them for the whole stack; with flags on sphere n, its blocks are handed
-    # out before the last block of sphere n - 1
+    # them for the whole stack; with flags on sphere n, a block of it is
+    # handed out right after the block of its parents, before the later
+    # blocks of sphere n - 1
     for flag_spheres in (n - 1, n):
         _, _, (frames, ok) = patterson._walk_ball(P, n, f, flag_spheres, theta)
         rows = slice(ref.offsets[flag_spheres + 1])
@@ -307,11 +309,11 @@ def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
     rows = matgroup.free_ball_size(P.rank, n)
     assert peak < rows * products
     # one value (float64) and one letter (int8) per ball row, and one block
-    # of products per sphere that reaches past the first block: each is
-    # written from the blocks of the one before as they are handed out, and
-    # no sphere is stored whole.  Three more blocks hold at most a block of
-    # copied parents and the kernels' work on one block.  With the store of
-    # sphere n - 2 the radius-12 peak was 1.31 times this bound.
+    # of products per sphere that reaches past the first block: the buffer
+    # of its children of one run of parents, and no sphere is stored whole.
+    # Three more blocks hold the first block, a run's rows of the child
+    # tables and the kernels' work on one block.  With the store of sphere
+    # n - 2 the radius-12 peak was 1.31 times this bound.
     spilled = sum(matgroup.free_ball_size(P.rank, k) > matgroup.BLOCK_ROWS for k in range(n + 1))
     assert peak < 9 * rows + (spilled + 3) * matgroup.BLOCK_ROWS * products
 
