@@ -23,10 +23,17 @@ every other row, and _by_rows hands those rows to LAPACK.
 
 The 2x2 kernels repeat, row by row, what LAPACK does to one 2x2 matrix, so
 every value has LAPACK's bits: dgesdd's dgebd2 (a dlarfg reflection of
-column 1, the dlarf update of column 2 with its fused multiply-add emulated
+column 1, the dlarf update of column 2 with its fused multiply-add made
 exactly), then dlas2's larger value alone, or dbdsqr's split test, dlasv2
 and dormbr's reflection of U for the vectors; dgeqr2, dorg2r and the sign
-step for the QR frames.  The rows they leave are non-finite entries, a
+step for the QR frames.  The fused d2 = fma(t, v2, a22) of the values and
+vectors is (a22 + p) + e, p + e = t * v2 by Dekker's TwoProduct, on the
+rows where the sum a22 + p is exact, and one rounding of that sum is the
+FMA's.  On a word-ball product d2 is tiny beside a22, so p and -a22 lie
+within a factor of 2 of each other and Sterbenz's lemma makes the sum
+exact; the other rows, and every other fused product (dormbr's and the QR
+frames', whose inputs are orthonormal), take _fma's round-to-odd
+emulation.  The rows the 2x2 kernels leave are non-finite entries, a
 largest |entry| outside [2**-459, 2**459] (dgesdd rescales those), a
 nonzero first column of norm below 2**-969 (dlarfg rescales it), a
 reflector whose second entry underflows to 0 (dlarf shortens it), a fused
@@ -120,7 +127,12 @@ def _by_rows(xs, size, kernel, lapack, *shapes):
 # bidiagonal (d1, e1; 0, d2); dbdsdc hands that, through dlasdq, dbdsqr and
 # dlasq1, to dlas2, whose larger value is the only one a 2x2 splice reads.
 # Each of these steps is one IEEE operation, except that OpenBLAS's dger
-# kernel fuses the multiply-add that gives d2, which _fma reproduces.
+# kernel fuses the multiply-add that gives d2.  _fma_exact_sum reproduces
+# it: where a22 + fl(t v2) is exact (Sterbenz's lemma makes it so on
+# word-ball products), adding Dekker's low part of t v2 rounds once, and
+# _fma's round-to-odd path makes the other rows.  The kernels run in
+# place, through out= arguments and augmented operators, on the arrays
+# they own.
 
 # dgesdd rescales A when its largest entry lies outside [SMLNUM, BIGNUM]:
 # SMLNUM = sqrt(dlamch('S')) / dlamch('P')
@@ -138,7 +150,11 @@ def _two_sum(a, b):
     """(s, e): s = fl(a + b) and s + e == a + b exactly (Knuth's TwoSum)."""
     s = a + b
     bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
+    e = s - bv
+    np.subtract(a, e, out=e)
+    np.subtract(b, bv, out=bv)
+    e += bv
+    return s, e
 
 
 def _two_product(a, b):
@@ -147,13 +163,21 @@ def _two_product(a, b):
     Exact while the product neither overflows nor underflows.
     """
     p = a * b
-    g = _SPLIT * a
-    ah = g - (g - a)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    g = _SPLIT * b
-    bh = g - (g - b)
+    bh = _SPLIT * b
+    bh -= bh - b
     bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh
+    e -= p
+    ah *= bl
+    e += ah
+    bh *= al
+    e += bh
+    al *= bl
+    e += al
+    return p, e
 
 
 def _fma(a, b, c):
@@ -163,7 +187,9 @@ def _fma(a, b, c):
     algorithms using rounding to odd" (IEEE TC 2008): the low parts of the
     exact a * b + c are summed rounded to odd, so that adding them to the
     high part rounds once.  Exact where a * b is zero or at least _FMA_TINY
-    in magnitude, and nothing overflows.
+    in magnitude, and nothing overflows.  _fma_exact_sum hands it the rows
+    whose sum c + fl(a * b) is inexact; _qr_frames_2x2 and the reflection
+    of U in _left_singular_vectors_2x2 call it on every row.
     """
     uh, ul = _two_product(a, b)
     th, tl = _two_sum(c, uh)
@@ -179,39 +205,93 @@ def _fma(a, b, c):
     return th + bits.view(np.float64)
 
 
-def _dlas2(f, g, h, out):
+def _fma_exact_sum(a, b, c):
+    """(a * b + c rounded once, tiny), where tiny marks the rows on which a * b is nonzero and below _FMA_TINY.
+
+    Dekker's TwoProduct gives p + e == a * b.  Where c + p is exact (its
+    TwoSum rest is 0), a * b + c == (c + p) + e, and one rounding of that
+    sum is the FMA's; the other rows take _fma.  Exact on the rows that
+    tiny leaves, up to the sign of a zero when c and a * b are both zero.
+    dgebd2's d2 = fma(t, v2, a22) = -det / d1 (the reflector's
+    determinant is -1) is tiny beside a22 on word-ball products, so
+    fl(t * v2) and -a22 lie within a factor of 2 of each other, and
+    Sterbenz's lemma makes the sum exact: on the word balls of the presets
+    no row reaches _fma here.
+    """
+    p, e = _two_product(a, b)
+    s, rest = _two_sum(c, p)
+    s += e
+    inexact = rest != 0
+    if inexact.any():
+        s[inexact] = _fma(a[inexact], b[inexact], c[inexact])
+    np.abs(p, out=p)
+    tiny = p < _FMA_TINY
+    tiny &= a != 0
+    return s, tiny
+
+
+def _dlas2(fa, g, h, out):
     """LAPACK dlas2's larger singular value of the upper triangle (f, g; 0, h), into out (n,).
 
-    The two main branches are evaluated on every row (the floating point
-    warnings of the unused one are off) and the taken one kept.  Returns the
+    Takes fa = |f|, which _singular_values_2x2 reads from dlarfg's norm,
+    and overwrites g and h = d2, which _fma_exact_sum makes.  The two main
+    branches are evaluated on every row (the floating point warnings of the
+    unused one are off), in place, and the taken one kept.  Returns the
     mask of the rows of dlas2's other branch, a zero on the diagonal (fhmn
-    == 0), whose values are not used.
+    == 0), whose values are not used, and of the rows where fa is NaN.
     """
-    fa, ga, ha = np.abs(f), np.abs(g), np.abs(h)
-    fhmn, fhmx = np.minimum(fa, ha), np.maximum(fa, ha)
-    as_ = 1.0 + fhmn / fhmx
-    at = (fhmx - fhmn) / fhmx
-    # ga < fhmx
+    ga, ha = np.abs(g, out=g), np.abs(h, out=h)
+    fhmn, fhmx = np.minimum(fa, ha), np.maximum(fa, ha, out=ha)
+    lapack = fhmn > 0
+    np.logical_not(lapack, out=lapack)
+    # as_ = 1 + fhmn / fhmx and at = (fhmx - fhmn) / fhmx
+    at = fhmx - fhmn
+    at /= fhmx
+    as_ = np.divide(fhmn, fhmx, out=fhmn)
+    as_ += 1.0
+    # ga < fhmx: fhmx / c with c = 2 / (sqrt(as_^2 + au) + sqrt(at^2 + au)),
+    # au = (ga / fhmx)^2
     au = ga / fhmx
-    au = au * au
-    c = 2.0 / (np.sqrt(as_ * as_ + au) + np.sqrt(at * at + au))
-    max_b = fhmx / c
-    # ga >= fhmx; where au underflows to 0 dlas2 gives ga, and so does
-    # ga / (c + c) with c = 1 / 2
-    au = fhmx / ga
-    p, q = as_ * au, at * au
-    c = 1.0 / (np.sqrt(1.0 + p * p) + np.sqrt(1.0 + q * q))
-    out[:] = np.where(ga < fhmx, max_b, ga / (c + c))
-    return fhmn == 0
+    au *= au
+    x = as_ * as_
+    x += au
+    np.sqrt(x, out=x)
+    y = at * at
+    y += au
+    np.sqrt(y, out=y)
+    x += y
+    np.divide(2.0, x, out=x)
+    np.divide(fhmx, x, out=out)
+    # ga >= fhmx: ga / (c + c) with c = 1 / (sqrt(1 + p^2) + sqrt(1 + q^2)),
+    # p, q = as_ au, at au and au = fhmx / ga; where au underflows to 0
+    # dlas2 gives ga, and so does ga / (c + c) with c = 1 / 2
+    np.divide(fhmx, ga, out=au)
+    as_ *= au
+    as_ *= as_
+    as_ += 1.0
+    np.sqrt(as_, out=as_)
+    at *= au
+    at *= at
+    at += 1.0
+    np.sqrt(at, out=at)
+    as_ += at
+    np.divide(1.0, as_, out=as_)
+    as_ += as_
+    np.divide(ga, as_, out=out, where=ga >= fhmx)
+    return lapack
 
 
 def _bidiagonal_2x2(x):
-    """dgebd2's upper bidiagonal (d1, e1; 0, d2) of each row of the (n, 2, 2) stack x.
+    """dgebd2 on each row of the (n, 2, 2) stack x, all but the fused step of d2.
 
-    Returns (d1, e1, d2, tau, v2, lapack): H = I - tau (1, v2)(1, v2)^T is
-    the reflector of column 1 (tau = 0 and v2 = a21 where a21 == 0), and
-    lapack marks the rows outside the range where these steps are exact,
-    whose values are not used.
+    Returns (norm, d1, e1, t, v2, a22, tau, lapack).  dgebd2's upper
+    bidiagonal is (d1, e1; 0, d2), |d1| = norm but where the first column
+    is zero (norm is NaN there), and d2 = fma(t, v2, a22), which each
+    caller forms; H = I - tau (1, v2)(1, v2)^T is the reflector of column
+    1.  Where a21 == 0, tau = t = 0 and v2 = a21, and d2 is a22 up to the
+    sign of a zero.  lapack marks the rows outside the range where these
+    steps are exact, whose values are not used, but for a fused product
+    that underflows, which the step of d2 marks.
     """
     # one contiguous array per entry
     a11, a12, a21, a22 = x.reshape(-1, 4).T.copy()
@@ -219,27 +299,39 @@ def _bidiagonal_2x2(x):
     # reflector (1, v2) and its tau
     abs11, abs21 = np.abs(a11), np.abs(a21)
     big = np.maximum(abs11, abs21)
-    ratio = np.minimum(abs11, abs21) / big
-    norm = big * np.sqrt(1.0 + ratio * ratio)
-    beta = -np.copysign(norm, a11)
-    tau = (beta - a11) / beta
-    v2 = a21 * (1.0 / (a11 - beta))
+    norm = np.minimum(abs11, abs21, out=abs11)
+    norm /= big
+    norm *= norm
+    norm += 1.0
+    np.sqrt(norm, out=norm)
+    norm *= big
+    beta = np.copysign(norm, a11)
+    np.negative(beta, out=beta)
+    tau = beta - a11
+    tau /= beta
+    v2 = a11 - beta
+    np.divide(1.0, v2, out=v2)
+    v2 *= a21
     # dlarf on column 2: dgemv gives w = a12 + a22 v2, and dger adds
     # t (1, v2) with t = -tau w, its second row fused
-    t = -tau * (a12 + a22 * v2)
-    d1, e1, d2 = beta, a12 + t, _fma(t, v2, a22)
+    t = a22 * v2
+    t += a12
+    t *= tau
+    np.negative(t, out=t)
+    e1 = a12 + t
     # a21 == 0: dlarfg leaves the column (tau = 0), and dlarf does nothing
     identity = a21 == 0
+    lapack = ~identity
     if identity.any():
-        d1[identity], tau[identity], v2[identity] = a11[identity], 0.0, a21[identity]
-        e1[identity], d2[identity] = a12[identity], a22[identity]
-    amax = np.maximum(big, np.maximum(np.abs(a12), np.abs(a22)))
-    # dlarf leaves a zero column 2 alone, signs of zeros included
-    lapack = ~((amax >= _SMLNUM) & (amax <= _BIGNUM)) | ((a12 == 0) & (a22 == 0))
+        beta[identity], tau[identity], v2[identity] = a11[identity], 0.0, a21[identity]
+        e1[identity], t[identity] = a12[identity], 0.0
     # v2 == 0 past a nonzero a21 (an underflow) shortens dlarf's reflector
-    lapack |= ~identity & ((norm < _SAFMIN) | (v2 == 0)
-                           | ((np.abs(t * v2) < _FMA_TINY) & (t != 0)))
-    return d1, e1, d2, tau, v2, lapack
+    lapack &= (norm < _SAFMIN) | (v2 == 0)
+    amax = np.maximum(big, np.maximum(np.abs(a12), np.abs(a22)))
+    lapack |= ~((amax >= _SMLNUM) & (amax <= _BIGNUM))
+    # dlarf leaves a zero column 2 alone, signs of zeros included
+    lapack |= (a12 == 0) & (a22 == 0)
+    return norm, beta, e1, t, v2, a22, tau, lapack
 
 
 def _singular_values_2x2(x, out):
@@ -247,8 +339,11 @@ def _singular_values_2x2(x, out):
 
     Returns the mask of the rows left to LAPACK.
     """
-    d1, e1, d2, _, _, lapack = _bidiagonal_2x2(x)
-    return lapack | _dlas2(d1, e1, d2, out[:, 0])
+    norm, _, e1, t, v2, a22, _, lapack = _bidiagonal_2x2(x)
+    d2, tiny = _fma_exact_sum(t, v2, a22)
+    lapack |= tiny
+    lapack |= _dlas2(norm, e1, d2, out[:, 0])
+    return lapack
 
 
 def batch_log_singular_values(mats):
@@ -331,7 +426,11 @@ def _left_singular_vectors_2x2(x, u, sigma):
 
     Returns the mask of the rows left to LAPACK.
     """
-    d1, e1, d2, tau, v2, lapack = _bidiagonal_2x2(x)
+    _, d1, e1, t, v2, a22, tau, lapack = _bidiagonal_2x2(x)
+    d2, tiny = _fma_exact_sum(t, v2, a22)
+    lapack |= tiny
+    # where a21 == 0 (tau == 0) d2 is a22, signs of zeros included
+    d2 = np.where(tau == 0, a22, d2)
     s1, s2, c, s, rare = _dlasv2(d1, e1, d2)
     # U = I rotated by drot: (c, s) and (-s, c), each entry a sum c * 1 +
     # s * 0 whose zero signs differ from c's and s's where c or s is 0
@@ -410,7 +509,13 @@ def _qr_frames_2x2(x, out):
     Q = [[1 - tau, t], [t, fma(t, v2, 1)]] with t = -tau v2, and at tau == 0
     Q21 = -tau a21, a zero that may be -0.0.
     """
-    r11, _, r22, tau, v2, lapack = _bidiagonal_2x2(x)
+    _, r11, _, t, v2, a22, tau, lapack = _bidiagonal_2x2(x)
+    # only the sign of r22 is read.  It keeps _fma: the inputs here are
+    # orthonormal frames, on which a22 + fl(t v2) is inexact on most rows
+    # (92,757 of the 118,096 left singular frames of the radius-10
+    # fuchsian_schottky(1.6) ball), so _fma_exact_sum would only add work
+    r22 = _fma(t, v2, a22)
+    lapack |= (np.abs(t * v2) < _FMA_TINY) & (t != 0)
     # dorg2r: dlarf on the identity's column 2, then dscal of v2 by -tau;
     # where tau == 0 dlarf does nothing and column 2 stays (0, 1)
     t = -tau * v2

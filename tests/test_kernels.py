@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -203,7 +204,8 @@ def test_2x2_vector_rare_branches_have_lapacks_bits(name, counting_svd, counting
     row, takes_branch = RARE_VECTOR_ROWS[name]
     mats = np.array([row])
     with np.errstate(all="ignore"):
-        d1, e1, d2, *_ = _kernels._bidiagonal_2x2(mats)
+        _, d1, e1, t, v2, a22, *_ = _kernels._bidiagonal_2x2(mats)
+        d2 = _kernels._fma(t, v2, a22)
     assert takes_branch(d1[0], e1[0], d2[0])
     U, S, _ = np.linalg.svd(mats)
     Q = _kernels.lapack_qr_positive(mats)
@@ -414,6 +416,17 @@ def test_3x3_spliced_fallback_rows_go_to_lapack(name, counting_svd):
         assert np.abs(got[others] - ref).max() <= 1e-13
 
 
+def _fma_steps(a, b, c):
+    """a * b + c from _fma and from _fma_exact_sum, whose products here never underflow."""
+    exact_sum, tiny = _kernels._fma_exact_sum(a, b, c)
+    assert not tiny.any()
+    return _kernels._fma(a, b, c), exact_sum
+
+
+def _rounded_once(a, b, c):
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
 def test_fma_rounds_once():
     rng = np.random.default_rng(7)
     count = 3000
@@ -423,15 +436,116 @@ def test_fma_rounds_once():
     # c close to -a * b: the sum cancels to its low bits
     near = rng.random(count) < 0.5
     c[near] = -(a * b)[near] * (1.0 + rng.normal(size=near.sum()) * 2.0**-40)
-    got = _kernels._fma(a, b, c)
-    for x, y, z, r in zip(a, b, c, got):
-        assert r == float(Fraction(x) * Fraction(y) + Fraction(z)), (x, y, z)
+    for got in _fma_steps(a, b, c):
+        for x, y, z, r in zip(a, b, c, got):
+            assert r == _rounded_once(x, y, z), (x, y, z)
     # a * b + c lies just above the midpoint between 1 and 1 + 2**-52; the
     # low parts summed to nearest end on that midpoint, so rounding them to
     # nearest, or a round-to-odd step that does not move, gives 1 (ties go
     # to even)
     one = np.array([1.0])
     assert _kernels._fma(one + 2.0**-52, one * 2.0**-53 * (1 - 2.0**-53), one)[0] == 1 + 2.0**-52
+    # a * b + c is the midpoint 1 + 2**-53 itself, with a low part 2**-54
+    # in a * b: the tie goes to even, 1
+    x = one + 2.0**-27
+    z = -(one * 2.0**-26 - 2.0**-54)
+    for got in _fma_steps(x, x, z):
+        assert got[0] == _rounded_once(x[0], x[0], z[0]) == 1.0
+    # ties that _fma_exact_sum makes without _fma: c + fl(a * b) is exactly
+    # s, with last bit even or odd, and the low part 2**-54 of a * b is half
+    # of s's last place; each tie goes to the even neighbour
+    for s, want in ((0.75, 0.75), (0.75 + 2.0**-53, 0.75 + 2.0**-52)):
+        z = one * (s - float(x[0] * x[0]))
+        assert Fraction(z[0]) + Fraction(float(x[0] * x[0])) == Fraction(s)
+        for got in _fma_steps(x, x, z):
+            assert got[0] == _rounded_once(x[0], x[0], z[0]) == want
+    # an exact cancellation is +0.0, with or without a zero operand
+    for x, y, z in ((3.0, 5.0, -15.0), (-1.5, 2.0**-30, 1.5 * 2.0**-30), (0.0, 2.0, 0.0)):
+        for got in _fma_steps(*(one * v for v in (x, y, z))):
+            assert got[0] == 0.0 and not np.signbit(got[0]), (x, y, z)
+
+
+def _d2_sum_is_inexact(mats):
+    """The rows on which a22 + fl(t * v2), the sum of dgebd2's d2 = fma(t, v2, a22), is not exact or not finite."""
+    with np.errstate(all="ignore"):
+        _, _, _, t, v2, a22, _, _ = _kernels._bidiagonal_2x2(mats)
+        p = t * v2
+    return np.array([not math.isfinite(c + q) or Fraction(c) + Fraction(q) != Fraction(c + q)
+                     for c, q in zip(a22.tolist(), p.tolist())])
+
+
+def _mixed_2x2_stack():
+    """Walked word-ball products, scaled random rows, rows of signed zeros, and the rare and fallback rows, shuffled."""
+    walked = [np.concatenate([mats, inv_mats])
+              for _, mats, inv_mats in matgroup._BallWalk(presets.fuchsian_schottky(1.6), 5)]
+    zeros = np.array(list(itertools.product([0.0, -0.0, 1.5, -0.75], repeat=4))).reshape(-1, 2, 2)
+    # np.linalg.svd raises on the NaN row
+    fallback = [row for name, row in VECTOR_FALLBACK_ROWS.items() if name != "nan"]
+    rows = np.concatenate(walked + [_samples("scaled", 500), zeros, np.array(fallback),
+                                    np.array(RARE_ROWS)])
+    return rows[np.random.default_rng(8).permutation(len(rows))]
+
+
+@pytest.mark.parametrize("chunk", [4, _kernels._CHUNK])
+def test_2x2_d2_is_an_exact_sum_or_fma_with_lapacks_bits(chunk, monkeypatch):
+    # d2 is (a22 + p) + e, p + e = t * v2 (Dekker), where the sum a22 + p
+    # is exact; _fma makes it on exactly the other rows
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    mats = _mixed_2x2_stack()
+    with np.errstate(all="ignore"):
+        U, S, _ = np.linalg.svd(mats)
+    inexact = _d2_sum_is_inexact(mats)
+    assert 0 < inexact.sum() < len(mats)
+    fma, seen = _kernels._fma, []
+
+    def spy(a, b, c):
+        seen.append(np.stack([a, b, c]))
+        return fma(a, b, c)
+
+    monkeypatch.setattr(_kernels, "_fma", spy)
+    got = _kernels.batch_log_singular_values(mats)
+    assert got.tobytes() == _lapack_logs(mats).tobytes()
+    with np.errstate(all="ignore"):
+        _, _, _, t, v2, a22, _, _ = _kernels._bidiagonal_2x2(mats)
+    assert np.concatenate(seen, axis=1).tobytes() == np.stack([t, v2, a22])[:, inexact].tobytes()
+    u, s = _kernels.left_singular(mats)
+    assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
+
+
+def _assert_d2_never_reaches_fma(monkeypatch, stacks):
+    """No row of the stacks reaches _fma through d2, in the values kernel or in left_singular.
+
+    left_singular's reflection of U takes _fma on every row, once per
+    column: two calls per chunk of the chunk's rows.
+    """
+    fma, calls = _kernels._fma, []
+
+    def spy(a, b, c):
+        calls.append(len(a))
+        return fma(a, b, c)
+
+    monkeypatch.setattr(_kernels, "_fma", spy)
+    for mats in stacks:
+        _kernels.batch_log_singular_values(mats)
+        assert calls == []
+        _kernels.left_singular(mats)
+        chunks = [min(_kernels._CHUNK, len(mats) - a) for a in range(0, len(mats), _kernels._CHUNK)]
+        assert calls == [rows for rows in chunks for _ in range(2)]
+        calls.clear()
+
+
+@BALLS
+def test_2x2_d2_of_word_balls_never_reaches_fma(make, n, monkeypatch):
+    # d2 = -+det / d1 is tiny beside a22 on a word-ball product, so fl(t v2)
+    # and -a22 lie within a factor of 2 and their sum is exact (Sterbenz)
+    ball = word_spheres_reference(make(), n)
+    _assert_d2_never_reaches_fma(monkeypatch, (ball.mats, ball.inv_mats))
+
+
+def test_2x2_d2_of_the_ball_walk_never_reaches_fma(monkeypatch):
+    walk = matgroup._BallWalk(presets.fuchsian_schottky(1.6), 10)
+    for _, mats, inv_mats in walk:
+        _assert_d2_never_reaches_fma(monkeypatch, (mats, inv_mats))
 
 
 def test_greedy_cover_extremes(rng):
