@@ -98,7 +98,9 @@ def count_log_slope(table):
     x = np.array([t for t, _ in pts])
     y = np.log([c for _, c in pts])
     A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < 2:
+        raise WindowEmpty("log N(T) on the certified T fits no slope (rank 1)")
     return float(coef[0])
 
 
@@ -155,7 +157,9 @@ def box_counting_dimension(points, scale_grid=None):
     x = np.log(1.0 / scale_grid)
     y = np.log(counts)
     A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < 2:
+        raise DegenerateScales("log counts on log(1 / scale) fit no slope (rank 1)")
     resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
     return BoxDimension(float(coef[0]), resid, scale_grid, counts)
 

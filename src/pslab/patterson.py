@@ -96,6 +96,100 @@ def _walk_ball(P, n, f, flag_spheres=-1, theta=None):
     return walk, values, (frames[:kept], ok)
 
 
+# a 2x2 row's value is c s to within VALUE_ULPS eps g (1 + s), for
+# s = log sigma_1(A) + log sigma_1(A_inv) >= 0, c = (f[0] - f[1]) / 2 and
+# g = |f[0]| + |f[1]| (see _far_cut).  The kernel's sigma_1 (dgesdd's 2x2
+# steps, backward stable) is within 32 ulps, which the two logs turn into
+# 32 eps each; their own rounding (4 ulps), splice's three and the two of
+# the product with f add under 4 eps s.  So the error is at most
+# g eps (32 + 4 s), under half of this bound
+VALUE_ULPS = 64
+
+
+def _squared_norms(mats):
+    """The squared Frobenius norms of a stack of 2x2 matrices, each within 4 roundings."""
+    flat = mats.reshape(len(mats), 4)
+    return np.square(flat) @ np.ones(4)
+
+
+def _near_rows(mats, inv_mats, cut):
+    """The rows of a 2x2 block that _far_cut's bound cut leaves in the window.
+
+    A row is left out where a b > cut for the squared norms a, b of its
+    product and inverse product, each at least 2 (1 + 4 eps); a NaN norm
+    keeps its row.
+    """
+    a, b = _squared_norms(mats), _squared_norms(inv_mats)
+    far = np.minimum(a, b) >= 2 * (1 + 4 * np.finfo(float).eps)
+    far &= np.multiply(a, b, out=a) > cut
+    return np.flatnonzero(~far)
+
+
+def _far_cut(offsets, first, n, f):
+    """The least product of squared norms past which a 2x2 row is above the regression's window.
+
+    first holds the values of the walk's first block, of the rows
+    0..len(first) of the radius-n ball.  R = n min_k (least value of sphere
+    k) / k over the spheres k >= 1 it holds whole is at least the certified
+    radius r_max, and _sphere_regression reads no value above r_max except
+    the least value of each sphere and of the ball: a value v > R (1 + 4 eps) is above
+    every grid point, and v / k >= R / n leaves the least value of the ball
+    and the certified radius as they are.  So such a row may be given any
+    value above R.
+
+    For a 2x2 M, sigma_1(M)^2 >= |M|_F^2 / 2.  So where the computed
+    squared norms a, b of A and A_inv are at least 2 (1 + 4 eps), both log
+    sigma_1 are >= 0 and their sum s is >= log(a b / 4) / 2, up to the
+    rounding of a and b.  A value is within err (1 + s) of c s, err = VALUE_ULPS eps g, so it
+    exceeds R (1 + 4 eps) once s > s_cut = (R (1 + 4 eps) + err) / (c - err).
+    The slack in the returned cut T covers the rounding of s_cut and of T
+    (a relative error of a few eps, which the exponent turns into one of
+    2 s_cut times that) and of a b (9 roundings): a b > T gives s > s_cut.
+
+    Returns inf, which cuts no row, unless d = 2, c > 2 err and R > 0, and
+    the first block holds a whole non-identity sphere.
+    """
+    whole = np.searchsorted(offsets, len(first), "right") - 2  # spheres 0..whole
+    if len(f) != 2 or whole < 1:
+        return math.inf
+    eps = np.finfo(float).eps
+    c, err = (f[0] - f[1]) / 2, VALUE_ULPS * eps * (abs(f[0]) + abs(f[1]))
+    R = _certified_rmax(first[:offsets[whole + 1]], offsets[:whole + 2], n)
+    if not (c > 2 * err and R > 0):
+        return math.inf
+    s_cut = (R * (1 + 4 * eps) + err) / (c - err)
+    arg = 2 * s_cut * (1 + 16 * eps) + 32 * eps
+    return 4 * math.exp(arg) if arg < 700 else math.inf
+
+
+def _window_values(P, n, f):
+    """The walk of the radius-n ball and one value per row, for the sphere regression alone.
+
+    Every row of the first block is spliced.  Past it, a row of a 2x2 ball
+    whose squared norms exceed _far_cut's bound is given +inf, a value above
+    the regression's window, and only the other rows are spliced.  They
+    keep the bits that _walk_ball gives them, since the kernel, the splice
+    and _row_products work row by row, so the estimate is the same.
+    """
+    walk = matgroup._BallWalk(P, n)
+    values = np.empty(walk.rows)
+    cut = math.inf
+    for lo, mats, inv_mats in walk:
+        out = values[lo:lo + len(mats)]
+        near = _near_rows(mats, inv_mats, cut) if cut < math.inf else None
+        # a block that keeps more than half its rows is spliced whole, so the
+        # copy of the kept rows' products is at most half a block
+        if near is not None and 2 * len(near) <= len(mats):
+            out.fill(np.inf)
+            K = matgroup.batch_kappa(mats.take(near, 0), inv_mats.take(near, 0))
+            out[near] = matgroup._row_products(K, f)
+            continue
+        out[:] = matgroup._row_products(matgroup.batch_kappa(mats, inv_mats), f)
+        if lo == 0:
+            cut = _far_cut(walk.offsets, out, n, f)
+    return walk, values
+
+
 def _cone_checked(values):
     """The per-row phi(kappa_theta) values of a ball (identity first), checked on the cone.
 
@@ -214,7 +308,9 @@ def _sphere_regression(values, offsets, n_max):
     x = grid[keep]
     y = np.log(counts[keep])
     A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < 2:
+        raise WindowEmpty(f"log N(R) on R in [{lo:.3g}, {hi:.3g}] fits no slope (rank 1)")
     resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
     return ExponentEstimate(
         delta_hat=max(float(coef[0]), 0.0),
@@ -263,13 +359,26 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     ``method`` is "sphere-regression" (slope of log-counts against R over the
     certified-complete window), "series-transition" (bisect the divergence/
     convergence transition of the partial sums), or "both".
+
+    The sphere regression of a 2x2 ball splices the walk's first block, and
+    after it only the rows whose product and inverse product have squared
+    Frobenius norms small enough that their value may lie below R = n_max
+    min_k (least value of sphere k) / k over that block's whole spheres
+    (_window_values); the others are given +inf.  R is at least the
+    certified radius, so those rows lie above the regression's grid and are
+    not the least value of any sphere: the counts, the window, the fit and
+    sample_count are the numbers that splicing every row gives, bit for bit.
+    Series-transition and "both" read every value, and d >= 3, whose middle
+    Cartan entry no norm bounds, splices every row.
     """
     theta = _exponent_theta(P, n_max, theta, method)
-    walk, values, _ = _walk_ball(P, n_max, cartan.theta_covector(phi, theta))
+    f = cartan.theta_covector(phi, theta)
     # the estimators read the values and sphere offsets: no words are made
-    values, offsets = _cone_checked(values), walk.offsets
     if method == "sphere-regression":
-        return _sphere_regression(values, offsets, n_max)
+        walk, values = _window_values(P, n_max, f)
+        return _sphere_regression(_cone_checked(values), walk.offsets, n_max)
+    walk, values, _ = _walk_ball(P, n_max, f)
+    values, offsets = _cone_checked(values), walk.offsets
     if method == "series-transition":
         return _series_transition(values, offsets, n_max)
     return (_sphere_regression(values, offsets, n_max),

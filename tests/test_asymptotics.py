@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pslab import asymptotics, cartan, matgroup, presets
-from pslab.errors import BadIndex, DegenerateScales
+from pslab.errors import BadIndex, DegenerateScales, WindowEmpty
 from words import word_key
 
 
@@ -129,6 +129,19 @@ def test_box_dimension_saturation_raises(rng):
     pts = rng.normal(size=(40, 2))
     with pytest.raises(DegenerateScales):
         asymptotics.box_counting_dimension(pts, np.geomspace(1e-4, 1e-6, 6))
+
+
+def test_rank_one_fits_raise():
+    # lstsq truncates the slope of a rank-1 fit instead of failing: with five
+    # equal scales log(1 / scale) has no spread, and certified rows at one T
+    # leave T none
+    ang = np.linspace(0.0, np.pi, 2000, endpoint=False)
+    pts = np.c_[np.cos(ang), np.sin(ang)]
+    with pytest.raises(DegenerateScales, match="rank 1"):
+        asymptotics.box_counting_dimension(pts, np.full(5, 0.1))
+    rows = [asymptotics.CountRow(5.0, count, np.nan, np.nan, True) for count in (3, 4, 5)]
+    with pytest.raises(WindowEmpty, match="rank 1"):
+        asymptotics.count_log_slope(asymptotics.CountTable(rows, 0.3, 5.0, False, False))
 
 
 def test_hausdorff_vs_exponent_small_run():

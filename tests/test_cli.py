@@ -191,6 +191,8 @@ def test_cli_exit_codes(tmp_path):
         ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
         ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
         ("box-dim", {"params": {"scales": [0.3, 0.1, 0.03, 0.01]}}, "params.scales"),
+        # repeated scales leave the fit's log(1 / scale) column no spread
+        ("box-dim", {"params": {"scales": [0.1] * 5}}, "params.scales"),
         # an empty word is a config error, not an identity element
         ("quasi-invariance", {"params": {"alpha": []}}, "params.alpha"),
         ("conicality", {"params": {"fixed_point_of": []}}, "params.fixed_point_of"),
@@ -289,17 +291,21 @@ def test_cli_exit_codes(tmp_path):
         err = error_record(result)
         assert err["error"] == "ConfigInvalid" and err["path"] == "(root)"
 
-    # a domain failure inside the run maps to exit 3
+    # a domain failure inside the run maps to exit 3: a subcritical s, and a
+    # phi so small that the regression's grid column is rounding noise
+    # beside its offset column, so the fit has rank 1 and no slope
     domain = tmp_path / "domain.json"
-    domain.write_text(json.dumps({
-        "preset": "fuchsian-schottky-1", "command": "ps-measure",
-        "params": {"n": 4, "s": 0.01},
-    }))
-    result = runner.invoke(cli.main, ["ps-measure", "--config", str(domain),
-                                      "--out", str(tmp_path / "out")])
-    assert result.exit_code == 3
-    err = error_record(result)
-    assert err["error"] == "SubcriticalS"
+    for config, error in (
+        ({"command": "ps-measure", "params": {"n": 4, "s": 0.01}}, "SubcriticalS"),
+        ({"command": "critical-exponent", "phi": [1e-16],
+          "params": {"n_max": 8, "method": "sphere-regression"}}, "WindowEmpty"),
+    ):
+        domain.write_text(json.dumps({"preset": "fuchsian-schottky-1", **config}))
+        result = runner.invoke(cli.main, [config["command"], "--config", str(domain),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert error_record(result)["error"] == error
 
     # a zero conicality direction names no boundary point
     domain.write_text(json.dumps({

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from ball_oracle import word_spheres_reference
+from conftest import random_sl2
 from cover_oracle import greedy_cover_count_reference
 
 from pslab import _kernels, cartan, flags, matgroup, patterson, presets
@@ -316,6 +317,21 @@ def test_batch_kappa_never_reaches_lapack_in_range(make, n, counting_svd, counti
     U, _ = _kernels.left_singular(ball.mats)
     _kernels.qr_positive(U)
     assert counting_svd.rows == 0 and counting_qr.rows == 0
+
+
+@BALLS
+def test_frobenius_bound_is_below_the_spliced_alpha1(make, n):
+    # sigma_1(M)^2 >= |M|_F^2 / 2 for a 2x2 M, the bound by which the sphere
+    # regression leaves out the rows above its window; the random rows come
+    # with their adjugates, their exact inverses
+    ball = word_spheres_reference(make(), n)
+    A = np.array(random_sl2(2000, seed=7))
+    adj = np.stack([A[:, 1, 1], -A[:, 0, 1], -A[:, 1, 0], A[:, 0, 0]], axis=-1).reshape(A.shape)
+    f = cartan.theta_covector(cartan.Functional.alpha(1, 2), (1,))
+    for mats, inv_mats in ((ball.mats, ball.inv_mats), (A, adj)):
+        a, b = patterson._squared_norms(mats), patterson._squared_norms(inv_mats)
+        bound = 0.5 * np.log(a / 2) + 0.5 * np.log(b / 2)
+        assert (bound <= matgroup.batch_kappa(mats, inv_mats) @ f).all()
 
 
 def test_flag_paths_never_reach_lapack_in_range(counting_svd, counting_qr, counting_det):

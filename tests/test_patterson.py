@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from pslab import cartan, cocycle, flags, matgroup, patterson, presets
+from pslab import _kernels, cartan, cocycle, flags, matgroup, patterson, presets
 from pslab.errors import NegativePhiOnCone, SubcriticalS, WindowEmpty
 from conftest import traced_peak
 from identities import gromov_product, make_flag
@@ -54,6 +54,16 @@ def test_critical_exponent_scaling():
     d1 = patterson.critical_exponent(P, ALPHA1_2, 8, (1,)).delta_hat
     d2 = patterson.critical_exponent(P, 2.0 * ALPHA1_2, 8, (1,)).delta_hat
     assert abs(d2 - d1 / 2.0) < 1e-9
+
+
+def test_rank_one_regression_raises():
+    # at these scales R and the fit's column of ones differ so much that
+    # lstsq's fit has rank 1: it gave 2.99e-14 and 7.2e-15 for the true
+    # 3.16e-14 and 3.2e15
+    P = presets.fuchsian_schottky(1.6)
+    for c in (1e13, 1e-16):
+        with pytest.raises(WindowEmpty, match="rank 1"):
+            patterson.critical_exponent(P, c * ALPHA1_2, 8, (1,))
 
 
 def test_patterson_measure_normalized_and_supercritical():
@@ -339,8 +349,8 @@ def test_sphere_regression_counts_values_on_the_grid():
 def _outcome(estimator, *args):
     try:
         return estimator(*args)
-    except WindowEmpty as exc:
-        return str(exc)
+    except (WindowEmpty, NegativePhiOnCone) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("make, n, theta", [
@@ -369,3 +379,90 @@ def test_estimators_match_list_based_reference(make, n, theta):
             == _outcome(sphere_regression_reference, by_sphere, n))
     assert (_outcome(patterson._series_transition, values, ball.offsets, n)
             == _outcome(series_transition_reference, by_sphere, n))
+
+
+def _rotation_and_hyperbolic():
+    # the rotation's sphere-1 value is zero up to rounding, and with it R
+    return matgroup.GroupPresentation(2, [presets.rotation(0.7), presets.hyp_axis(-1.0, 1.0, 0.5)])
+
+
+# (make, radius at the default BLOCK_ROWS, radius at 3, 5 and 7 rows, the
+# block sizes at which the regression path gives some row of the ball +inf)
+DEFAULT_ROWS = matgroup.BLOCK_ROWS
+PRUNE_CASES = [(functools.partial(presets.fuchsian_schottky, 1.6), 12, 5, {5, 7, DEFAULT_ROWS}),
+               (functools.partial(presets.fuchsian_schottky, 2.6), 11, 5, {5, 7, DEFAULT_ROWS}),
+               (presets.sanov_gamma2, 10, 5, {DEFAULT_ROWS}),
+               (presets.parabolic, 2000, 60, set()),
+               (presets.cyclic_hyperbolic, 40, 40, set()),
+               (_rotation_and_hyperbolic, 8, 5, set()),
+               (functools.partial(presets.schottky_so21, 1.6), 8, 4, set())]
+PRUNE_IDS = ["schottky-1.6", "schottky-2.6", "gamma2", "parabolic", "cyclic", "rotation",
+             "schottky-d3"]
+
+
+@pytest.mark.parametrize("block_rows", [3, 5, 7, DEFAULT_ROWS])
+@pytest.mark.parametrize("make, n, small_n, prunes", PRUNE_CASES, ids=PRUNE_IDS)
+def test_window_pruned_regression_matches_full_values(make, n, small_n, prunes, block_rows,
+                                                      monkeypatch):
+    P = make()
+    d = P.dimension
+    n = n if block_rows == DEFAULT_ROWS else small_n
+    theta = (1,) if d == 2 else (1, 2)
+    monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
+    # _walk_ball's values for a covector f are these K @ f, row for row
+    # (test_streamed_ball_matches_whole_ball)
+    walk, K, _ = patterson._walk_ball(P, n, None)
+    alpha = cartan.Functional.alpha(1, d)
+    for phi in (alpha, 2.0 * alpha, cartan.Functional.omega(1, d), 1e-3 * alpha,
+                -1.0 * alpha, 0.0 * alpha):
+        f = cartan.theta_covector(phi, theta)
+        values = matgroup._row_products(K, f)
+        want = _outcome(lambda: patterson._sphere_regression(
+            patterson._cone_checked(values), walk.offsets, n))
+        got = _outcome(patterson.critical_exponent, P, phi, n, theta)
+        assert got == want, phi.coefficients
+        if not isinstance(got, str):
+            assert (np.float64(got.delta_hat).view(np.int64)
+                    == np.float64(want.delta_hat).view(np.int64))
+        # the rows the regression path splices keep their bits, and the others
+        # lie above the certified radius; d = 3 and a phi that is not
+        # positive on the 2x2 Cartan vectors splice every row
+        _, pruned = patterson._window_values(P, n, f)
+        kept = np.isfinite(pruned)
+        assert np.array_equal(pruned[kept], values[kept])
+        assert kept.all() != (d == 2 and f[0] > f[1] and block_rows in prunes)
+        if not kept.all():
+            assert values[~kept].min() > patterson._certified_rmax(values, walk.offsets, n)
+
+
+def test_far_cut_leaves_out_only_rows_above_R():
+    # A = x I and A_inv = y I meet sigma_1(M)^2 >= |M|_F^2 / 2 with equality,
+    # so the rows just past the cut have the least values it leaves out
+    offsets = np.array([0, 1, 3, 5])
+    eps = np.finfo(float).eps
+    for f in ([2.0, 0.0], [1.0, 0.0], [2e-3, 0.0], [1.5, -0.5]):
+        f = np.array(f)
+        c = (f[0] - f[1]) / 2
+        # R / c of 18, 250 and 300, with exp(2 R / c) below the float range
+        for n, v in ((12, 1.5), (1000, 0.25), (5, 60.0)):
+            first = c * np.array([0.0, v, 1.5 * v, 2.5 * v])
+            R = patterson._certified_rmax(first, offsets, n)
+            cut = patterson._far_cut(offsets, first, n, f)
+            x = (cut / 4) ** 0.25 * (1 + eps * np.arange(-40, 41))
+            A = x[:, None, None] * np.eye(2)
+            far = np.setdiff1d(np.arange(len(x)), patterson._near_rows(A, A, cut))
+            assert 0 < len(far) < len(x)
+            values = matgroup._row_products(matgroup.batch_kappa(A[far], A[far]), f)
+            assert (values > R * (1 + 4 * eps)).all()
+
+
+def test_window_pruned_regression_splices_few_rows(monkeypatch):
+    rows, kernel = [], _kernels.batch_log_singular_values
+    monkeypatch.setattr(_kernels, "batch_log_singular_values",
+                        lambda mats: rows.append(len(mats)) or kernel(mats))
+    est = patterson.critical_exponent(presets.fuchsian_schottky(1.6), ALPHA1_2, 12, (1,))
+    assert est.delta_hat == 0.30764260671045124
+    # 1,062,881 products and as many inverse products; 15% are spliced
+    products = 2 * matgroup.free_ball_size(2, 12)
+    assert products == 2_125_762
+    assert sum(rows) <= 0.2 * products
