@@ -5,10 +5,9 @@ Kernels:
     origin
   * batch_log_singular_values - the top ceil(d / 2) log singular values of a
     stack of matrices, the columns that cartan.splice reads
-  * left_singular - np.linalg.svd's left singular vectors and singular values
-    of 2x2 matrices
-  * qr_positive - the frames of lapack_qr_positive (np.linalg.qr, with
-    columns signed so that R's diagonal is positive) of 2x2 matrices
+  * frames_2x2 - the d = 2 flag frames: lapack_qr_positive (np.linalg.qr,
+    with columns signed so that R's diagonal is positive) of np.linalg.svd's
+    left singular vectors, and the singular values, of 2x2 matrices
   * spliced_frames - d >= 3 flag frames spliced from products and their
     inverse-word products, with the log singular values of their gaps
   * greedy_cover_count - first-fit greedy ball-covering counts for box
@@ -16,10 +15,10 @@ Kernels:
 
 The matrix kernels take one matrix or a stack, and each is one call of
 _by_rows, which runs a numpy kernel _CHUNK rows at a time on matrices of
-its size and sends any other size to LAPACK; the 2x2 vector kernels,
-left_singular and qr_positive, reject any other size instead.  The kernels
-copy only the steps that measured traffic takes: each returns the mask of
-every other row, and _by_rows hands those rows to LAPACK.
+its size and sends any other size to LAPACK; the 2x2 frame kernel,
+frames_2x2, rejects any other size instead.  The kernels copy only the
+steps that measured traffic takes: each returns the mask of every other
+row, and _by_rows hands those rows to LAPACK.
 
 The 2x2 kernels repeat, row by row, what LAPACK does to one 2x2 matrix, so
 every value has LAPACK's bits: dgesdd's dgebd2 (a dlarfg reflection of
@@ -466,18 +465,12 @@ def _left_singular_vectors_2x2(x, u, sigma):
 def _require_2x2(x):
     """x, which must be one 2x2 matrix or a stack of them.
 
-    The vector kernels serve d = 2 alone: np.linalg.svd with vectors did not
+    The frame kernel serves d = 2 alone: np.linalg.svd with vectors did not
     return within 120 s on a 3x3 identity with one inf entry.
     """
     if x.shape[-2:] != (2, 2):
         raise ValueError(f"a 2x2 kernel was given {x.shape[-2:]} matrices")
     return x
-
-
-def left_singular(A):
-    """np.linalg.svd's U and singular values of each 2x2 matrix of A, one or a stack."""
-    return _by_rows((_require_2x2(A),), 2, _left_singular_vectors_2x2,
-                    lambda x: np.linalg.svd(x)[:2], (2, 2), (2,))
 
 
 def lapack_qr_positive(M):
@@ -489,17 +482,6 @@ def lapack_qr_positive(M):
     signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return Q * signs[..., None, :]
-
-
-def qr_positive(M):
-    """QR with positive diagonal of R per 2x2 matrix of M: deterministic orthonormal frames.
-
-    lapack_qr_positive's Q, one matrix or a stack: Q's columns are signed so
-    that R's diagonal is positive (a zero counts as positive).
-    """
-    M = _require_2x2(np.asarray(M, dtype=float))
-    (Q,) = _by_rows((M,), 2, _qr_frames_2x2, lambda x: (lapack_qr_positive(x),), (2, 2))
-    return Q
 
 
 def _qr_frames_2x2(x, out):
@@ -524,6 +506,31 @@ def _qr_frames_2x2(x, out):
     out[:, 0, 1] = np.where(tau == 0, 0.0, t) * s2
     out[:, 1, 1] = _fma(t, v2, 1.0) * s2
     return lapack | ((np.abs(t * v2) < _FMA_TINY) & (t != 0))
+
+
+def _frames_2x2(x, frames, sigma):
+    """frames_2x2 of the (n, 2, 2) stack x, into the outputs; returns the rows either step leaves to LAPACK."""
+    u = np.empty_like(x)
+    return _left_singular_vectors_2x2(x, u, sigma) | _qr_frames_2x2(u, frames)
+
+
+def _lapack_frames_2x2(x):
+    """frames_2x2 of the stack x from LAPACK, whose svd raises on a NaN: a non-finite row is left NaN."""
+    frames, sigma = np.full(x.shape, np.nan), np.full(x.shape[:-1], np.nan)
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    U, sigma[finite], _ = np.linalg.svd(x[finite])
+    frames[finite] = lapack_qr_positive(U)
+    return frames, sigma
+
+
+def frames_2x2(A):
+    """(frames, sigma) of each 2x2 matrix of A, one or a stack, in one pass: u_theta's d = 2 frames.
+
+    frames is lapack_qr_positive of np.linalg.svd's U and sigma its values,
+    with LAPACK's bits; a matrix with a non-finite entry has NaN ones.
+    """
+    A = _require_2x2(np.asarray(A, dtype=float))
+    return _by_rows((A,), 2, _frames_2x2, _lapack_frames_2x2, (2, 2), (2,))
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,8 @@ def count_log_slope(table):
         pts = deep
     x = np.array([t for t, _ in pts])
     y = np.log([c for _, c in pts])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 2:
-        raise WindowEmpty("log N(T) on the certified T fits no slope (rank 1)")
-    return float(coef[0])
+    return patterson._line_fit(
+        x, y, WindowEmpty("log N(T) on the certified T fits no slope (rank 1)"))[0]
 
 
 @dataclass
@@ -154,14 +151,10 @@ def box_counting_dimension(points, scale_grid=None):
             raise DegenerateScales(
                 f"cover saturates at the sample size on {saturated}/{counts.size} scales"
             )
-    x = np.log(1.0 / scale_grid)
-    y = np.log(counts)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 2:
-        raise DegenerateScales("log counts on log(1 / scale) fit no slope (rank 1)")
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return BoxDimension(float(coef[0]), resid, scale_grid, counts)
+    slope, resid = patterson._line_fit(
+        np.log(1.0 / scale_grid), np.log(counts),
+        DegenerateScales("log counts on log(1 / scale) fit no slope (rank 1)"))
+    return BoxDimension(slope, resid, scale_grid, counts)
 
 
 def hausdorff_vs_exponent_experiment(P, n_max, theta=None, scale_grid=None):

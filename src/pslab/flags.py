@@ -20,7 +20,7 @@ class Flag:
     span of the first k frame columns.  Equality of flags is span equality,
     tested through flag_distance, and no reader depends on a column's sign.
     Frames are not checked: each producer below (u_theta, sample_limit_set,
-    attracting_fixed_flag) makes them orthonormal, by _kernels.qr_positive
+    attracting_fixed_flag) makes them orthonormal, by _kernels.frames_2x2
     (d = 2), _kernels.spliced_frames (d >= 3) or Gram-Schmidt.
     """
 
@@ -56,15 +56,17 @@ def u_theta(A, A_inv, theta):
     stacks their flags in row order.  One (d, d) matrix is the stack of one
     row: its Flag, or InsufficientGap at its first bad k.
 
-    For d = 2 the frames are _kernels.qr_positive of A's left singular
-    vectors (_kernels.left_singular), with LAPACK's bits, and the gaps are
-    A's log singular gaps; A_inv is not read.  For d >= 3 a deep product's
-    small singular directions are rounding noise, so the frames are
-    _kernels.spliced_frames: the large subspaces come from A and the small
-    ones from A_inv, as cartan.splice takes a Cartan vector's entries.  The
-    gaps are those of the spliced Cartan vector, whose d = 3 middle entry
-    is minus the sum of the others, so they read log sigma_1 of A and of
-    A_inv alone.
+    Each branch makes its frames and gaps in one kernel pass over the
+    stack.  For d = 2 the frames are _kernels.frames_2x2, the positive QR
+    frames of A's left singular vectors with LAPACK's bits, and the gaps
+    are A's log singular gaps; A_inv is not read.  For d >= 3 a deep
+    product's small singular directions are rounding noise, so the frames
+    are _kernels.spliced_frames: the large subspaces come from A and the
+    small ones from A_inv, as cartan.splice takes a Cartan vector's
+    entries.  The gaps are those of the spliced Cartan vector, whose d = 3
+    middle entry is minus the sum of the others, so they read log sigma_1
+    of A and of A_inv alone.  A row with a non-finite entry fails the gap
+    test.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
@@ -72,9 +74,9 @@ def u_theta(A, A_inv, theta):
     d = A.shape[-1]
     theta = cartan.validate_theta(theta, d)
     if d == 2:
-        # made before the singular vectors, which keeps the peak footprint lower
-        frames = np.empty(stack.shape)
-        U, gaps = _left_singular_gaps(stack, theta)
+        frames, sigma = _kernels.frames_2x2(stack)
+        logs = np.log(sigma)
+        gaps = logs[..., np.array(theta) - 1] - logs[..., theta]
     else:
         frames, gaps = _spliced_frames_gaps(
             stack, np.asarray(A_inv, dtype=float).reshape(stack.shape), theta)
@@ -85,16 +87,9 @@ def u_theta(A, A_inv, theta):
         raise InsufficientGap(theta[i], gaps[0, i])
     ok = ~failed.any(axis=-1)
     kept = int(np.count_nonzero(ok))
-    frames[:kept] = _kernels.qr_positive(U[ok]) if d == 2 else frames[ok]
+    frames[:kept] = frames[ok]
     F = Flag(theta, frames[:kept])
     return F[0] if single else (F, ok)
-
-
-def _left_singular_gaps(A, theta):
-    """Left singular vectors of A and its log singular gaps at each k in theta."""
-    U, sigma = _kernels.left_singular(A)
-    logs = np.log(sigma)
-    return U, logs[..., np.array(theta) - 1] - logs[..., theta]
 
 
 def _spliced_frames_gaps(A, A_inv, theta):
@@ -188,7 +183,4 @@ def attracting_fixed_flag(A, theta):
             kept.append(v / norm)
         if len(kept) == d:
             break
-    frame = np.column_stack(kept)
-    signs = np.sign(frame[np.abs(frame).argmax(axis=0), np.arange(d)])
-    signs[signs == 0] = 1.0
-    return Flag(theta, frame * signs)
+    return Flag(theta, _kernels._signed(np.column_stack(kept)))

@@ -190,13 +190,14 @@ def _window_values(P, n, f):
     return walk, values
 
 
-def _cone_checked(values):
-    """The per-row phi(kappa_theta) values of a ball (identity first), checked on the cone.
+def _cone_checked(values, f):
+    """The per-row phi(kappa_theta) = kappa @ f values of a ball (identity first), checked on the cone.
 
-    Raises NegativePhiOnCone when phi is negative on more than
+    Raises NegativePhiOnCone when phi is below -1e-9 |f|_1, a rounding
+    allowance that scales as the values do, on more than
     NEGATIVE_CONE_FRACTION of the non-identity elements.
     """
-    neg = np.count_nonzero(values[1:] < -1e-9)
+    neg = np.count_nonzero(values[1:] < -1e-9 * np.abs(f).sum())
     if values.size > 1 and neg / (values.size - 1) > NEGATIVE_CONE_FRACTION:
         raise NegativePhiOnCone(
             f"phi negative on {neg}/{values.size - 1} of the sampled cone"
@@ -239,9 +240,10 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     supercritical for that estimate.
     """
     theta = _exponent_theta(P, n_max, theta, "sphere-regression")
-    walk, values, (frames, ok) = _walk_ball(P, n_max, cartan.theta_covector(phi, theta), n, theta)
+    f = cartan.theta_covector(phi, theta)
+    walk, values, (frames, ok) = _walk_ball(P, n_max, f, n, theta)
     ball = walk.ball()
-    est = _sphere_regression(_cone_checked(values), ball.offsets, n_max)
+    est = _sphere_regression(_cone_checked(values, f), ball.offsets, n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat)
     return est, _measure_from_flags(phi, s, ball[:n + 1], values[:len(ok)], frames, ok)
@@ -283,6 +285,15 @@ def _certified_rmax(values, offsets, n_max):
     return n_max * (np.minimum.reduceat(values, offsets[1:-1]) / lengths).min()
 
 
+def _line_fit(x, y, degenerate):
+    """(slope, RMS residual) of the least-squares line through (x, y); raises degenerate at rank 1."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < 2:
+        raise degenerate
+    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+
+
 def _sphere_regression(values, offsets, n_max):
     flat = values[offsets[1]:]
     if flat.size == 0:
@@ -305,15 +316,10 @@ def _sphere_regression(values, offsets, n_max):
     keep = counts > 0
     if keep.sum() < 2:
         raise WindowEmpty("certified window contains too few orbit points")
-    x = grid[keep]
-    y = np.log(counts[keep])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 2:
-        raise WindowEmpty(f"log N(R) on R in [{lo:.3g}, {hi:.3g}] fits no slope (rank 1)")
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+    slope, resid = _line_fit(grid[keep], np.log(counts[keep]), WindowEmpty(
+        f"log N(R) on R in [{lo:.3g}, {hi:.3g}] fits no slope (rank 1)"))
     return ExponentEstimate(
-        delta_hat=max(float(coef[0]), 0.0),
+        delta_hat=max(slope, 0.0),
         method="sphere-regression",
         window=(float(lo), float(hi)),
         residual=resid,
@@ -376,9 +382,9 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     # the estimators read the values and sphere offsets: no words are made
     if method == "sphere-regression":
         walk, values = _window_values(P, n_max, f)
-        return _sphere_regression(_cone_checked(values), walk.offsets, n_max)
+        return _sphere_regression(_cone_checked(values, f), walk.offsets, n_max)
     walk, values, _ = _walk_ball(P, n_max, f)
-    values, offsets = _cone_checked(values), walk.offsets
+    values, offsets = _cone_checked(values, f), walk.offsets
     if method == "series-transition":
         return _series_transition(values, offsets, n_max)
     return (_sphere_regression(values, offsets, n_max),
@@ -393,8 +399,9 @@ def patterson_measure(P, phi, s, n, theta=None, delta_hat=None):
     """
     theta = cartan.validate_theta(theta, P.dimension)
     _require_supercritical(s, delta_hat)
-    walk, values, (frames, ok) = _walk_ball(P, n, cartan.theta_covector(phi, theta), n, theta)
-    return _measure_from_flags(phi, s, walk.ball(), _cone_checked(values), frames, ok)
+    f = cartan.theta_covector(phi, theta)
+    walk, values, (frames, ok) = _walk_ball(P, n, f, n, theta)
+    return _measure_from_flags(phi, s, walk.ball(), _cone_checked(values, f), frames, ok)
 
 
 def outer_sphere_restriction(mu):
@@ -516,8 +523,8 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
     walk, K, _ = _walk_ball(P, n_max, None)
 
     def fit(phi):
-        values = _cone_checked(K @ cartan.theta_covector(phi, theta))
-        return _sphere_regression(values, walk.offsets, n_max)
+        f = cartan.theta_covector(phi, theta)
+        return _sphere_regression(_cone_checked(K @ f, f), walk.offsets, n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

@@ -12,7 +12,8 @@ def poincare_partial_sum(P, phi, theta, s, n):
     NegativePhiOnCone as the exponent estimators do.
     """
     theta = cartan.validate_theta(theta, P.dimension)
-    walk, values, _ = patterson._walk_ball(P, n, cartan.theta_covector(phi, theta))
-    per_sphere, tail_slope = patterson._sphere_sums(patterson._cone_checked(values),
+    f = cartan.theta_covector(phi, theta)
+    walk, values, _ = patterson._walk_ball(P, n, f)
+    per_sphere, tail_slope = patterson._sphere_sums(patterson._cone_checked(values, f),
                                                     walk.ball().offsets, s)
     return float(per_sphere.sum()), tail_slope

@@ -8,8 +8,8 @@ from identities import TRANSVERSALITY_TOLERANCE, apply_matrix, make_flag
 
 
 def test_qr_positive_orthonormal_and_deterministic(rng):
-    # qr_positive takes 2x2 matrices alone; a 4x4 frame is
-    # lapack_qr_positive's, which qr_positive returned for one before
+    # lapack_qr_positive, the QR step of frames_2x2's LAPACK rows, also
+    # makes the frames of larger matrices (tests/identities.py)
     M = rng.normal(size=(4, 4))
     Q = _kernels.lapack_qr_positive(M)
     assert np.allclose(Q.T @ Q, np.eye(4), atol=1e-12)
@@ -66,6 +66,47 @@ def test_u_theta_fails_the_gap_test_on_nan_gaps():
     F, ok = flags.u_theta(np.stack([A, np.diag([2.0, 0.5])]),
                           np.stack([A_inv, np.diag([0.5, 2.0])]), (1,))
     assert ok.tolist() == [False, True] and len(F) == 1
+
+
+@pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
+                                      (presets.sl3_zariski_dense(), (1, 2))])
+def test_u_theta_fails_the_gap_test_on_non_finite_rows(P, theta):
+    # a product or inverse product with a NaN or infinite entry is not ok,
+    # alone or in a stack, where the other rows keep the frames they have
+    # without it; d = 2 reads the product alone
+    d = P.dimension
+    ball = word_spheres_reference(P, 3)
+    mats, inv_mats = ball.mats[1:], ball.inv_mats[1:]
+    nan, inf = np.full((d, d), np.nan), np.eye(d)
+    inf[-1, 0] = -np.inf
+    bad = [(nan, nan), (inf, np.eye(d)), (nan, inf)] + ([(mats[5], inf)] if d > 2 else [])
+    rows = [0, 7, 20, len(mats)][:len(bad)]
+    A = np.insert(mats, rows, [a for a, _ in bad], axis=0)
+    A_inv = np.insert(inv_mats, rows, [b for _, b in bad], axis=0)
+    at = np.array(rows) + np.arange(len(bad))
+    F, ok = flags.u_theta(A, A_inv, theta)
+    want_F, want_ok = flags.u_theta(mats, inv_mats, theta)
+    assert not ok[at].any() and np.delete(ok, at).tolist() == want_ok.tolist()
+    assert F.frame.tobytes() == want_F.frame.tobytes()
+    for i in at:
+        with pytest.raises(InsufficientGap):
+            flags.u_theta(A[i], A_inv[i], theta)
+
+
+@pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
+                                      (presets.sl3_zariski_dense(), (1, 2))])
+def test_u_theta_makes_one_kernel_pass_per_stack(P, theta, monkeypatch):
+    # the frames and the gaps of a stack come from one row-driver call
+    by_rows, calls = _kernels._by_rows, []
+
+    def spy(xs, *args):
+        calls.append(len(xs[0]))
+        return by_rows(xs, *args)
+
+    monkeypatch.setattr(_kernels, "_by_rows", spy)
+    ball = word_spheres_reference(P, 4)
+    F, ok = flags.u_theta(ball.mats, ball.inv_mats, theta)
+    assert calls == [len(ball.mats)] and not ok.all() and len(F) == np.count_nonzero(ok)
 
 
 def test_d3_limit_flags_meet_the_conic_tangent():

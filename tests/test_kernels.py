@@ -122,13 +122,18 @@ def test_2x2_rare_branches_have_lapacks_bits(counting_svd):
     assert got.tobytes() == _lapack_logs(mats).tobytes()
 
 
-def _assert_vectors_have_lapacks_bits(mats):
+def _lapack_frames(mats):
+    """frames_2x2 from LAPACK: the positive QR frames of np.linalg.svd's U, and its values."""
     U, S, _ = np.linalg.svd(mats)
-    u, s = _kernels.left_singular(mats)
-    assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
-    for frames in (mats, U):
-        assert (_kernels.qr_positive(frames).tobytes()
-                == _kernels.lapack_qr_positive(frames).tobytes())
+    return _kernels.lapack_qr_positive(U), S
+
+
+def _assert_same_bytes(got, want):
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def _assert_vectors_have_lapacks_bits(mats):
+    _assert_same_bytes(_kernels.frames_2x2(mats), _lapack_frames(mats))
 
 
 def test_2x2_vector_kernels_reject_other_sizes_before_lapack(monkeypatch):
@@ -141,10 +146,9 @@ def test_2x2_vector_kernels_reject_other_sizes_before_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lapack)
     inf = np.eye(3)
     inf[0, 1] = np.inf
-    for kernel in (_kernels.left_singular, _kernels.qr_positive):
-        for mats in (np.eye(3), inf, np.stack([np.eye(3), inf]), np.eye(4), np.eye(2)[:, :1]):
-            with pytest.raises(ValueError):
-                kernel(mats)
+    for mats in (np.eye(3), inf, np.stack([np.eye(3), inf]), np.eye(4), np.eye(2)[:, :1]):
+        with pytest.raises(ValueError):
+            _kernels.frames_2x2(mats)
 
 
 @pytest.mark.parametrize("kind", ["normal", "scaled", "zeros", "integers"])
@@ -188,10 +192,11 @@ RARE_VECTOR_ROWS = {
     # a split with the values in order, U = I
     "split": ([[2.0, 1e-20], [0.0, 1.0]],
               lambda d1, e1, d2: _split(d1, e1, d2) and abs(d1) >= abs(d2)),
+    "identity": ([[1.0, 0.0], [0.0, 1.0]],
+                 lambda d1, e1, d2: _split(d1, e1, d2) and abs(d1) >= abs(d2)),
     # orthogonal columns: e1 == 0 after the reflection
     "split-reflected": ([[3.0, -4.0], [4.0, 3.0]], lambda *d: _split(*d)),
-    # a21 == 0: no reflection; in the QR tau == 0 and Q21 = -tau * a21,
-    # -0.0 for a21 == +0.0 and +0.0 for a21 == -0.0
+    # a21 == 0: dgebd2 makes no reflection (tau == 0)
     "a21-zero": ([[3.0, 1.0], [0.0, 2.0]], lambda *d: True),
     "a21-minus-zero": ([[2.0, 1.0], [-0.0, 3.0]], lambda *d: True),
     "a21-zero-negative-diagonal": ([[-2.0, 1.0], [0.0, -3.0]], lambda *d: True),
@@ -208,17 +213,19 @@ def test_2x2_vector_rare_branches_have_lapacks_bits(name, counting_svd, counting
         _, d1, e1, t, v2, a22, *_ = _kernels._bidiagonal_2x2(mats)
         d2 = _kernels._fma(t, v2, a22)
     assert takes_branch(d1[0], e1[0], d2[0])
-    U, S, _ = np.linalg.svd(mats)
-    Q = _kernels.lapack_qr_positive(mats)
+    want = _lapack_frames(mats)
     counting_svd.rows = counting_qr.rows = 0
-    u, s = _kernels.left_singular(mats)
-    q = _kernels.qr_positive(mats)
+    got = _kernels.frames_2x2(mats)
     assert counting_svd.rows == 0 and counting_qr.rows == 0
-    assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
-    assert q.tobytes() == Q.tobytes()
-    if name.startswith("a21-"):
-        # Q21 = (-0.0 * a21) * sign(a11): a zero signed against a21 * sign(a11)
-        assert np.signbit(q[0, 1, 0]) != np.signbit(mats[0, 1, 0] * np.sign(mats[0, 0, 0]))
+    _assert_same_bytes(got, want)
+    if name in ("split", "identity"):
+        # the kernel's U is I, so the QR step takes its tau == 0 branch:
+        # Q21 = -tau * U21 = -0.0
+        u = np.empty_like(mats)
+        with np.errstate(all="ignore"):
+            assert not _kernels._left_singular_vectors_2x2(mats, u, np.empty((1, 2))).any()
+        assert u.tobytes() == np.eye(2)[None].tobytes()
+        assert got[0][0, 1, 0] == 0.0 and np.signbit(got[0][0, 1, 0])
 
 
 # rows outside the range where the vector kernels' steps are exact, one per
@@ -244,33 +251,28 @@ VECTOR_FALLBACK_ROWS = {
     "split-swap-negative": [[-1.0, 1e-20], [0.0, -2.0]],
     "split-swap-reflected": [[3.0, -8.0], [4.0, 6.0]],
 }
-# the rows above whose QR frames the numpy kernel makes: they leave the
-# steps of dlas2, dlasv2 or the sort, none of which the QR takes
-QR_KERNEL_ROWS = {"zero-on-diagonal", "zero-diagonal", "very-wide", "very-wide-h", "mm-zero",
-                  "singular", "singular-minus-zero", "split-floor", "split-swap",
-                  "split-swap-negative", "split-swap-reflected"}
 
 
 @pytest.mark.parametrize("name", sorted(VECTOR_FALLBACK_ROWS))
 def test_2x2_vector_fallback_rows_go_to_lapack(name, counting_svd, counting_qr):
     mats = _samples("normal", 9)
     mats[4] = VECTOR_FALLBACK_ROWS[name]
+    finite = np.isfinite(mats[4]).all()
     with np.errstate(all="ignore"):
-        try:
-            want = np.linalg.svd(mats)[:2]
-        except np.linalg.LinAlgError:
-            want = None
-        Q = _kernels.lapack_qr_positive(mats)
+        # np.linalg.svd raises on the NaN row: a non-finite row is not
+        # handed to LAPACK, and its frame and values are NaN
+        want = _lapack_frames(mats if finite else np.delete(mats, 4, axis=0))
         counting_svd.rows = counting_qr.rows = 0
-        if want is None:
-            with pytest.raises(np.linalg.LinAlgError):
-                _kernels.left_singular(mats)
-        else:
-            u, s = _kernels.left_singular(mats)
-            assert u.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
-        q = _kernels.qr_positive(mats)
-    assert counting_svd.rows == 1 and counting_qr.rows == (name not in QR_KERNEL_ROWS)
-    assert q.tobytes() == Q.tobytes()
+        counting_svd.seen = []
+        got = _kernels.frames_2x2(mats)
+    if finite:
+        _assert_same_bytes(got, want)
+        assert [m.tobytes() for m in counting_svd.seen] == [mats[[4]].tobytes()]
+        assert counting_qr.rows == 1
+    else:
+        _assert_same_bytes((np.delete(g, 4, axis=0) for g in got), want)
+        assert np.isnan(got[0][4]).all() and np.isnan(got[1][4]).all()
+        assert counting_svd.rows == 0 and counting_qr.rows == 0
 
 
 def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
@@ -283,20 +285,21 @@ def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
     for row, name in zip(rows, ("huge", "reflection", "product")):
         mats[row] = VECTOR_FALLBACK_ROWS[name]
     with np.errstate(all="ignore"):
-        logs, (U, S, _) = _lapack_logs(mats), np.linalg.svd(mats)
-        Q = _kernels.lapack_qr_positive(mats)
+        logs, frames = _lapack_logs(mats), _lapack_frames(mats)
+        row_U = [np.linalg.svd(mats[[r]])[0] for r in rows]
         # the "reflection" row's values are exact; its vectors and frame are not
-        for kernel, want, counter, lapack_rows in (
-                (_kernels.batch_log_singular_values, (logs,), counting_svd, [3, 10]),
-                (_kernels.left_singular, (U, S), counting_svd, rows),
-                (_kernels.qr_positive, (Q,), counting_qr, rows)):
-            counter.seen = []
+        for kernel, want, lapack_rows in (
+                (_kernels.batch_log_singular_values, (logs,), [3, 10]),
+                (_kernels.frames_2x2, frames, rows)):
+            counting_svd.seen, counting_qr.seen = [], []
             got = kernel(mats)
             got = got if isinstance(got, tuple) else (got,)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel
             # one LAPACK call per chunk with a fallback row, on that row
-            assert ([m.tobytes() for m in counter.seen]
+            assert ([m.tobytes() for m in counting_svd.seen]
                     == [mats[[r]].tobytes() for r in lapack_rows])
+    # the frames' QR takes the U of each of those rows
+    assert [m.tobytes() for m in counting_qr.seen] == [u.tobytes() for u in row_U]
     # a stack of larger matrices goes to LAPACK whole, and keeps its first columns
     for d in (3, 4):
         larger = _samples("normal", 11, d)
@@ -314,8 +317,7 @@ def test_batch_kappa_never_reaches_lapack_in_range(make, n, counting_svd, counti
     ball = word_spheres_reference(make(), n)
     counting_svd.rows = counting_qr.rows = 0
     matgroup.batch_kappa(ball.mats, ball.inv_mats)
-    U, _ = _kernels.left_singular(ball.mats)
-    _kernels.qr_positive(U)
+    _kernels.frames_2x2(ball.mats)
     assert counting_svd.rows == 0 and counting_qr.rows == 0
 
 
@@ -508,8 +510,9 @@ def test_2x2_d2_is_an_exact_sum_or_fma_with_lapacks_bits(chunk, monkeypatch):
     # is exact; _fma makes it on exactly the other rows
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     mats = _mixed_2x2_stack()
+    finite = np.isfinite(mats).all(axis=(1, 2))
     with np.errstate(all="ignore"):
-        U, S, _ = np.linalg.svd(mats)
+        want = _lapack_frames(mats[finite])
     inexact = _d2_sum_is_inexact(mats)
     assert 0 < inexact.sum() < len(mats)
     fma, seen = _kernels._fma, []
@@ -524,15 +527,19 @@ def test_2x2_d2_is_an_exact_sum_or_fma_with_lapacks_bits(chunk, monkeypatch):
     with np.errstate(all="ignore"):
         _, _, _, t, v2, a22, _, _ = _kernels._bidiagonal_2x2(mats)
     assert np.concatenate(seen, axis=1).tobytes() == np.stack([t, v2, a22])[:, inexact].tobytes()
-    u, s = _kernels.left_singular(mats)
-    assert u.tobytes() == U.tobytes() and s.tobytes() == S.tobytes()
+    monkeypatch.setattr(_kernels, "_fma", fma)
+    got = _kernels.frames_2x2(mats)
+    _assert_same_bytes((g[finite] for g in got), want)
+    # the non-finite rows' frames and values are NaN
+    assert np.isnan(got[0][~finite]).all() and np.isnan(got[1][~finite]).all()
 
 
 def _assert_d2_never_reaches_fma(monkeypatch, stacks):
-    """No row of the stacks reaches _fma through d2, in the values kernel or in left_singular.
+    """No row of the stacks reaches _fma through d2, in the values kernel or in frames_2x2.
 
-    left_singular's reflection of U takes _fma on every row, once per
-    column: two calls per chunk of the chunk's rows.
+    frames_2x2 takes _fma on every row: dormbr's reflection of U once per
+    column, then the QR step's r22 and Q22, four calls per chunk of the
+    chunk's rows.
     """
     fma, calls = _kernels._fma, []
 
@@ -544,9 +551,9 @@ def _assert_d2_never_reaches_fma(monkeypatch, stacks):
     for mats in stacks:
         _kernels.batch_log_singular_values(mats)
         assert calls == []
-        _kernels.left_singular(mats)
+        _kernels.frames_2x2(mats)
         chunks = [min(_kernels._CHUNK, len(mats) - a) for a in range(0, len(mats), _kernels._CHUNK)]
-        assert calls == [rows for rows in chunks for _ in range(2)]
+        assert calls == [rows for rows in chunks for _ in range(4)]
         calls.clear()
 
 

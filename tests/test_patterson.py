@@ -26,12 +26,14 @@ def test_poincare_partial_sum_tail_slope_signs():
 def test_negative_phi_on_cone_rejected(sl2):
     from poincare import poincare_partial_sum
 
-    bad = -1.0 * ALPHA1_2
-    for estimate in (lambda: poincare_partial_sum(sl2, bad, (1,), 1.0, 5),
-                     lambda: patterson.critical_exponent(sl2, bad, 5, (1,)),
-                     lambda: patterson.patterson_measure(sl2, bad, 1.0, 5, (1,))):
-        with pytest.raises(NegativePhiOnCone):
-            estimate()
+    # a value counts as negative below -1e-9 |f|_1, so a tiny negative
+    # multiple of alpha_1 is rejected as -alpha_1 is
+    for bad in (-1.0 * ALPHA1_2, -1e-12 * ALPHA1_2):
+        for estimate in (lambda: poincare_partial_sum(sl2, bad, (1,), 1.0, 5),
+                         lambda: patterson.critical_exponent(sl2, bad, 5, (1,)),
+                         lambda: patterson.patterson_measure(sl2, bad, 1.0, 5, (1,))):
+            with pytest.raises(NegativePhiOnCone):
+                estimate()
 
 
 def test_critical_exponent_cyclic_hyperbolic_is_zero():
@@ -418,7 +420,7 @@ def test_window_pruned_regression_matches_full_values(make, n, small_n, prunes, 
         f = cartan.theta_covector(phi, theta)
         values = matgroup._row_products(K, f)
         want = _outcome(lambda: patterson._sphere_regression(
-            patterson._cone_checked(values), walk.offsets, n))
+            patterson._cone_checked(values, f), walk.offsets, n))
         got = _outcome(patterson.critical_exponent, P, phi, n, theta)
         assert got == want, phi.coefficients
         if not isinstance(got, str):
