@@ -122,8 +122,11 @@ def _canonical_features(points):
     # antipode identification: fix the sign of the leading nonzero entry
     lead = pts[np.arange(len(pts)), np.argmax(np.abs(pts) > 1e-12, axis=1)]
     pts = pts * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    # dedup + canonical order makes the greedy cover permutation-invariant
-    return np.unique(np.round(pts, 12), axis=0)
+    # dedup + canonical order makes the greedy cover permutation-invariant: the
+    # distinct rows sorted as np.unique(pts, axis=0) sorts them, by a stable lexsort
+    pts = np.round(pts, 12)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts[np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])]
 
 
 def box_counting_dimension(points, scale_grid=None):

@@ -1,7 +1,7 @@
 """JSON-config CLI: experiment orchestration and deterministic CSV/manifest output."""
 
-import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,13 +34,48 @@ def load_schema():
         return json.load(fh)
 
 
-def _fmt(x):
-    """17 significant digits for floats; everything else verbatim."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return x
+# csv.writer quotes a cell holding one of these
+_SPECIAL = frozenset(',"\r\n')
+
+
+def _quoted(strings, alone):
+    """String cells as csv.writer writes them, with minimal quoting.
+
+    A cell holding a comma, a quote or a line break is quoted and its quotes
+    doubled; a table of one column (alone) writes an empty cell as "".
+    """
+    if not _SPECIAL.isdisjoint("".join(strings)):
+        strings = [s if _SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
+                   for s in strings]
+    return [s or '""' for s in strings] if alone else strings
+
+
+def _cells(columns, part, alone):
+    """The cells of rows `part` of a table, row by row, as the writer's % format takes them."""
+    cells = [_quoted(col[part], alone) if isinstance(col, list)
+             else np.where(col[part], "true", "false").tolist() if col.dtype == bool
+             else col[part].tolist() for col in columns]
+    return tuple(itertools.chain.from_iterable(zip(*cells)))
+
+
+def _write_csv(path, header, columns):
+    """Write a table as csv.writer writes it by default: floats at %.17g, bools true/false.
+
+    Each column is a 1-D float, integer or bool array or a list of str, all
+    of one length.  The rows are formatted BLOCK_ROWS at a time, each block
+    with one % format string, so no whole-table text is held.
+    """
+    count = len(columns[0])
+    if any(len(col) != count for col in columns):
+        raise ValueError("table columns differ in length")
+    alone = len(columns) == 1
+    line = ",".join("%s" if isinstance(col, list) or col.dtype == bool
+                    else "%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_quoted(header, alone)) + "\r\n")
+        for lo in range(0, count, matgroup.BLOCK_ROWS):
+            rows = min(count - lo, matgroup.BLOCK_ROWS)
+            fh.write((line + "\r\n") * rows % _cells(columns, slice(lo, lo + rows), alone))
 
 
 @functools.cache
@@ -158,8 +193,7 @@ def run_kappa(P, theta, phi, params):
     # the bits of this summation order
     values = phi(ks @ proj.T)
     header = ["word"] + [f"kappa_{i + 1}" for i in range(P.dimension)] + ["phi_kappa_theta"]
-    rows = [[P.word_label(w), *k, v] for w, k, v in zip(ball.words(), ks, values)]
-    return header, rows, {"ball_size": len(ball)}
+    return header, [ball.labels(), *ks.T, values], {"ball_size": len(ball)}
 
 
 def run_orbit(P, theta, phi, params):
@@ -167,9 +201,7 @@ def run_orbit(P, theta, phi, params):
     fam = hilbert.KleinFamily(P, params.get("family", "so" if P.dimension == 2 else "sym2"))
     ball = matgroup.word_spheres(P, n)
     pts = hilbert.klein_chart(fam.ball_lifts(ball, None)[0])
-    header = ["word", "x", "y"]
-    rows = [[P.word_label(w), p[0], p[1]] for w, p in zip(ball.words(), pts)]
-    return header, rows, {"ball_size": len(ball)}
+    return ["word", "x", "y"], [ball.labels(), pts[:, 0], pts[:, 1]], {"ball_size": len(ball)}
 
 
 def run_limit_set(P, theta, phi, params):
@@ -178,8 +210,8 @@ def run_limit_set(P, theta, phi, params):
     d = P.dimension
     m = d if len(F) else 0
     header = ["word"] + [f"frame_{i + 1}_{j + 1}" for i in range(d) for j in range(m)]
-    rows = [[P.word_label(w), *f.ravel()] for w, f in zip(words.tolist(), F.frame)]
-    return header, rows, {"sample_size": len(F), "skipped": skipped}
+    columns = [P.word_labels(words), *F.frame.reshape(len(F), d * m).T]
+    return header, columns, {"sample_size": len(F), "skipped": skipped}
 
 
 def run_critical_exponent(P, theta, phi, params):
@@ -189,11 +221,9 @@ def run_critical_exponent(P, theta, phi, params):
     if not isinstance(ests, tuple):
         ests = (ests,)
     header = ["method", "delta_hat", "window_lo", "window_hi", "residual", "samples"]
-    rows = [
-        [e.method, e.delta_hat, e.window[0], e.window[1], e.residual, e.sample_count]
-        for e in ests
-    ]
-    return header, rows, {"delta_hat": ests[0].delta_hat}
+    columns = [[e.method for e in ests]] + [np.array(values) for values in zip(*(
+        (e.delta_hat, *e.window, e.residual, e.sample_count) for e in ests))]
+    return header, columns, {"delta_hat": ests[0].delta_hat}
 
 
 def run_ps_measure(P, theta, phi, params):
@@ -201,12 +231,11 @@ def run_ps_measure(P, theta, phi, params):
     est, mu = patterson._exponent_and_measure(
         P, phi, max(n, 4), n, theta,
         lambda delta: params.get("s", delta * params.get("s_factor", 1.05)))
-    header = ["word", "weight"]
-    words = mu.ball.words()
-    rows = [[P.word_label(words[i]), w] for i, w in zip(mu.atoms, mu.weights)]
+    labels = mu.ball.labels()
+    columns = [[labels[i] for i in mu.atoms.tolist()], mu.weights]
     lengths = mu.ball.lengths()[mu.atoms]
     inner = sum(mu.weights[lengths <= lengths.max() // 2].tolist())
-    return header, rows, {
+    return ["word", "weight"], columns, {
         "s": mu.s, "delta_hat": est.delta_hat, "excluded": mu.excluded,
         "inner_half_mass": inner,
     }
@@ -217,8 +246,8 @@ def run_quasi_invariance(P, theta, phi, params):
     n = int(params.get("n", 8))
     stats = patterson.quasi_invariance_residual(P, phi, alpha, None, n, theta)
     header = ["sphere", "min", "median", "max", "count"]
-    rows = [[st["sphere"], st["min"], st["median"], st["max"], st["count"]] for st in stats]
-    return header, rows, {"alpha": P.word_label(alpha)}
+    columns = [np.array([st[key] for st in stats]) for key in header]
+    return header, columns, {"alpha": P.word_label(alpha)}
 
 
 def run_shadow_check(P, theta, phi, params):
@@ -233,11 +262,8 @@ def run_shadow_check(P, theta, phi, params):
     r = params.get("r", 2.0 * r0)
     report = hilbert.shadow_measure_check(P, mu, phi, est.delta_hat, r, n, fam, theta)
     header = ["sphere", "count", "rho_min", "rho_max", "spread"]
-    rows = [
-        [row.sphere, row.count, row.rho_min, row.rho_max, row.spread]
-        for row in report.rows
-    ]
-    return header, rows, {
+    columns = [np.array([getattr(row, key) for row in report.rows]) for key in header]
+    return header, columns, {
         "delta_hat": est.delta_hat, "s": mu.s, "r_0": r0, "eps_0": eps0, "r": r,
         "spread": report.spread,
         "bound": float(np.exp(2 * r * est.delta_hat) / eps0),
@@ -257,9 +283,8 @@ def run_conicality(P, theta, phi, params):
                                         if P.dimension > 2 else (1,))
         z = family.boundary_point(F.frame)
     counts = hilbert.conicality_score(P, np.asarray(z, dtype=float), r, n, fam)
-    header = ["sphere", "count"]
-    rows = [[i + 1, c] for i, c in enumerate(counts)]
-    return header, rows, {"r": r, "tail_count": counts[-1]}
+    columns = [np.arange(1, len(counts) + 1), np.array(counts)]
+    return ["sphere", "count"], columns, {"r": r, "tail_count": counts[-1]}
 
 
 def run_count_geodesics(P, theta, phi, params):
@@ -271,11 +296,8 @@ def run_count_geodesics(P, theta, phi, params):
         unoriented=params.get("unoriented", False),
     )
     header = ["T", "count", "prediction", "ratio", "certified"]
-    rows = [
-        [row.T, row.count, row.prediction, row.ratio, row.certified]
-        for row in table.rows
-    ]
-    return header, rows, {
+    columns = [np.array([getattr(row, key) for row in table.rows]) for key in header]
+    return header, columns, {
         "delta_hat": table.delta_hat,
         "t_certified": table.t_certified,
         "log_slope": asymptotics.count_log_slope(table),
@@ -287,10 +309,8 @@ def run_box_dim(P, theta, phi, params):
     report = asymptotics.hausdorff_vs_exponent_experiment(
         P, n_max, theta=theta, scale_grid=params.get("scales"),
     )
-    header = ["scale", "cover_count"]
-    rows = [[s, int(c)] for s, c in zip(report["scales"], report["counts"])]
     summary = {k: v for k, v in report.items() if k not in ("scales", "counts")}
-    return header, rows, summary
+    return ["scale", "cover_count"], [report["scales"], report["counts"]], summary
 
 
 def run_entropy_drop(P, theta, phi, params):
@@ -298,13 +318,10 @@ def run_entropy_drop(P, theta, phi, params):
     n_max = int(params.get("n_max", 9))
     report = patterson.entropy_drop_experiment(P, words, phi, n_max, theta)
     header = ["delta_ambient", "delta_subgroup", "gap", "limit_set_separation"]
-    rows = [[
-        report["delta_ambient"].delta_hat,
-        report["delta_subgroup"].delta_hat,
-        report["gap"],
-        report["limit_set_separation"],
-    ]]
-    return header, rows, {"gap": report["gap"]}
+    columns = [np.array([v]) for v in (report["delta_ambient"].delta_hat,
+                                        report["delta_subgroup"].delta_hat,
+                                        report["gap"], report["limit_set_separation"])]
+    return header, columns, {"gap": report["gap"]}
 
 
 def run_concavity(P, theta, phi, params):
@@ -313,8 +330,8 @@ def run_concavity(P, theta, phi, params):
     n_max = int(params.get("n_max", 9))
     report = patterson.concavity_experiment(P, phi, phi2, lambdas, n_max, theta)
     header = ["lambda", "delta_hat", "residual"]
-    rows = [[row["lambda"], row["delta_hat"], row["residual"]] for row in report["rows"]]
-    return header, rows, {
+    columns = [np.array([row[key] for row in report["rows"]]) for key in header]
+    return header, columns, {
         "delta_phi1": report["delta_phi1"], "delta_phi2": report["delta_phi2"],
         "max_delta": max(row["delta_hat"] for row in report["rows"]),
     }
@@ -324,25 +341,12 @@ def run_limit_cone(P, theta, phi, params):
     n = int(params.get("n", 8))
     dirs = matgroup.limit_cone_sample(P, theta, n)
     header = [f"dir_{i + 1}" for i in range(dirs.shape[1])]
-    rows = [list(v) for v in dirs]
-    return header, rows, {"sample_size": len(rows)}
+    return header, list(dirs.T), {"sample_size": len(dirs)}
 
 
-HANDLERS = {
-    "kappa": run_kappa,
-    "orbit": run_orbit,
-    "limit-set": run_limit_set,
-    "critical-exponent": run_critical_exponent,
-    "ps-measure": run_ps_measure,
-    "quasi-invariance": run_quasi_invariance,
-    "shadow-check": run_shadow_check,
-    "conicality": run_conicality,
-    "count-geodesics": run_count_geodesics,
-    "box-dim": run_box_dim,
-    "entropy-drop": run_entropy_drop,
-    "concavity": run_concavity,
-    "limit-cone": run_limit_cone,
-}
+# the command of run_box_dim is "box-dim", and so on, in the order of definition
+HANDLERS = {name[4:].replace("_", "-"): handler for name, handler in list(globals().items())
+            if name.startswith("run_")}
 
 
 def execute(command, config, out_dir):
@@ -363,22 +367,18 @@ def execute(command, config, out_dir):
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        header, rows, results = HANDLERS[command](P, theta, phi, params)
+        header, columns, results = HANDLERS[command](P, theta, phi, params)
     wall = time.perf_counter() - start
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{command}.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    _write_csv(csv_path, header, columns)
 
     manifest = {
         "command": command,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "config": config,
-        "results": {k: _fmt(v) if isinstance(v, float) else v
+        "results": {k: f"{v:.17g}" if isinstance(v, float) else v
                     for k, v in results.items()},
         "versions": {
             "pslab": __version__,

@@ -98,11 +98,14 @@ class GroupPresentation:
         return _require_finite(M)
 
     def word_label(self, word):
-        parts = []
-        for letter in word:
-            lab = self.labels[abs(letter) - 1]
-            parts.append(lab if letter > 0 else lab + "'")
-        return ".".join(parts) or "e"
+        return self.word_labels(np.array(word, dtype=np.int8).reshape(1, -1))[0]
+
+    def word_labels(self, letters):
+        """The label of each row of a (count, k) int8 word array: its letters' names joined by ".",
+        a letter named by its generator's label, primed for the inverse, and "" named "e"."""
+        names = np.array([lab + p for lab in self.labels for p in ("", "'")], dtype=object)
+        keys = _letter_key(letters.astype(np.intp))
+        return [label or "e" for label in map(".".join, names[keys].tolist())]
 
 
 def invert_word(word):
@@ -186,9 +189,10 @@ class WordBall:
                     rows = _parent_rows(rows, rank)
             yield out
 
-    def words(self):
-        """The words of all rows, as tuples."""
-        return [tuple(w) for block in self.sphere_letters() for w in block.tolist()]
+    def labels(self):
+        """The labels of all rows, as GroupPresentation.word_labels makes them."""
+        word_labels = self.walk.P.word_labels
+        return [lab for block in self.sphere_letters() for lab in word_labels(block)]
 
 
 def _parent_rows(rows, rank):

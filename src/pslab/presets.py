@@ -70,12 +70,8 @@ def schottky_so21(s=2.0):
 
 def rotation3(axis, angle):
     R = np.eye(3)
-    i, j = [(1, 2), (0, 2), (0, 1)][axis]
-    c, s = np.cos(angle), np.sin(angle)
-    R[i, i] = c
-    R[j, j] = c
-    R[i, j] = -s
-    R[j, i] = s
+    plane = [(1, 2), (0, 2), (0, 1)][axis]
+    R[np.ix_(plane, plane)] = rotation(angle)
     return R
 
 
@@ -103,11 +99,7 @@ def sl2_mild():
 def sl3_mild():
     """Well-conditioned SL(3,R) pair for identity and property tests."""
     A = np.diag([1.3, 1.0, 1.0 / 1.3])
-    R1 = np.eye(3)
-    R1[:2, :2] = rotation(0.5)
-    R2 = np.eye(3)
-    R2[1:, 1:] = rotation(0.9)
-    B = R1 @ np.diag([1.25, 0.95, 1.0 / (1.25 * 0.95)]) @ R2
+    B = rotation3(2, 0.5) @ np.diag([1.25, 0.95, 1.0 / (1.25 * 0.95)]) @ rotation3(0, 0.9)
     return matgroup.GroupPresentation(3, [A, B], labels=["a", "b"])
 
 

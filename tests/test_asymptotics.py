@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pslab import asymptotics, cartan, matgroup, presets
+from pslab import _kernels, asymptotics, cartan, flags, matgroup, presets
 from pslab.errors import BadIndex, DegenerateScales, WindowEmpty
-from words import word_key
+from words import ball_words, word_key
 
 
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
@@ -12,7 +12,7 @@ ALPHA1_2 = cartan.Functional.alpha(1, 2)
 def test_class_lengths_match_translation_lengths():
     P = presets.fuchsian_schottky(1.6)
     lengths, reps = asymptotics.class_lengths(P, ALPHA1_2, 3, (1,))
-    by_word = dict(zip(reps.words(), lengths))
+    by_word = dict(zip(ball_words(reps), lengths))
     # a hyperbolic element with eigenvalues e^s, e^-s has alpha_1(nu) = 2s
     assert abs(by_word[(1,)] - 3.2) < 1e-9
     assert abs(by_word[(1, 1)] - 6.4) < 1e-9
@@ -23,7 +23,7 @@ def test_class_lengths_match_translation_lengths():
 def test_class_lengths_inverse_symmetric():
     P = presets.fuchsian_schottky(1.6)
     lengths, reps = asymptotics.class_lengths(P, ALPHA1_2, 4, (1,))
-    by_word = dict(zip(reps.words(), lengths))
+    by_word = dict(zip(ball_words(reps), lengths))
     for w, ell in by_word.items():
         canon = min(
             (matgroup.invert_word(w)[i:] + matgroup.invert_word(w)[:i]
@@ -39,7 +39,7 @@ def test_class_lengths_match_per_class_jordan(primitive_only):
     lengths, reps = asymptotics.class_lengths(P, ALPHA1_2, 7, (1,), primitive_only)
     f = ALPHA1_2.covector() @ cartan.projection_matrix(2, (1,))
     per_class = [float(f @ cartan.jordan_spliced(
-        P.word_matrix(w), P.word_matrix(matgroup.invert_word(w)))) for w in reps.words()]
+        P.word_matrix(w), P.word_matrix(matgroup.invert_word(w)))) for w in ball_words(reps)]
     assert len(per_class) == len(reps) > 0
     assert np.array_equal(lengths, np.array(per_class))
 
@@ -101,6 +101,52 @@ def test_box_dimension_antipode_identification():
     a = asymptotics.box_counting_dimension(pts, grid)
     b = asymptotics.box_counting_dimension(doubled, grid)
     assert np.array_equal(a.counts, b.counts)
+
+
+def unique_features(points):
+    """_canonical_features with np.unique(..., axis=0) as its dedup and sort."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    lead = pts[np.arange(len(pts)), np.argmax(np.abs(pts) > 1e-12, axis=1)]
+    pts = pts * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    return np.unique(np.round(pts, 12), axis=0)
+
+
+def assert_same_bits(a, b):
+    # array_equal takes -0.0 for +0.0; the int64 view does not
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_canonical_features_match_unique_on_limit_set(n):
+    F, _, _ = flags.sample_limit_set(presets.schottky_so21(1.6), (1, 2), n)
+    lines = F.frame[:, :, 0]
+    assert_same_bits(asymptotics._canonical_features(lines), unique_features(lines))
+
+
+def test_canonical_features_match_unique_on_ties(rng):
+    # duplicates in any order
+    pts = rng.normal(size=(200, 3))
+    pts = np.vstack([pts, pts[:70], -pts[50:90]])[rng.permutation(310)]
+    assert_same_bits(asymptotics._canonical_features(pts), unique_features(pts))
+    # unit rows with zeros of either sign (a negative lead flips them),
+    # -0.5e-12 rounding to -0.0, and halves at 12 decimals rounding to even;
+    # up to 16 rows np.unique sorts stably, so both keep the first of two
+    # rows that differ in the sign of a zero alone
+    rows = np.array([[1, 0.0, 0.0], [1, -0.0, 0.0], [1, 0.0, -0.0], [-1, 0.0, 0.0],
+                     [1, -0.5e-12, 0.0], [1, 0.5e-12, 1.5e-12], [1, 1e-12, 2e-12],
+                     [1, 0.0, 2.5e-12], [1, 2.5e-12, -1.5e-12], [0.0, -1, 0.5e-12],
+                     [1, 0.0, 0.0], [0.0, 1, -0.0]])
+    for order in (np.arange(len(rows)), rng.permutation(len(rows)), np.arange(len(rows))[::-1]):
+        assert_same_bits(asymptotics._canonical_features(rows[order]),
+                         unique_features(rows[order]))
+    # in longer arrays np.unique's sort may keep either of two such rows;
+    # they are the same direction, and the covers count the same
+    rows = np.vstack([rows] * 20)[rng.permutation(240)]
+    a, b = asymptotics._canonical_features(rows), unique_features(rows)
+    assert np.array_equal(a, b)
+    for eps in (0.5, 1e-12, 1e-13):
+        assert _kernels.greedy_cover_count(a, eps) == _kernels.greedy_cover_count(b, eps)
 
 
 def test_box_dimension_rejects_short_grid():

@@ -14,8 +14,11 @@ import pytest
 from click.testing import CliRunner
 
 import pslab
-from pslab import cli, hilbert, matgroup, patterson
+from pslab import cli, flags, hilbert, matgroup, patterson, presets
 from pslab.errors import ConfigInvalid
+from conftest import traced_peak
+import csv_oracle
+from words import ball_words
 
 
 def base_config(**overrides):
@@ -83,10 +86,77 @@ def test_build_phi_variants():
     assert cli.build_phi(None, 3).coefficients == {1: 2.0, 2: -1.0}
 
 
-def test_fmt_float_and_bool():
-    assert cli._fmt(True) == "true"
-    assert cli._fmt(np.float64(0.1)) == "0.10000000000000001"
-    assert cli._fmt("word") == "word"
+# floats and labels that probe the CSV rules: signed zero, the float range's
+# ends, non-finite values, and labels that the csv module quotes
+ODD_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 0.1]
+ODD_LABELS = ["a,b", 'c"d', "e\nf", "g\rh", "", "\u00e9\u4e2d", 'q",\r\n"', "plain"]
+
+
+def odd_table(rows):
+    """A 4-column table of rows rows: labels, floats, integers and bools, each cycled."""
+    labels = [ODD_LABELS[i % len(ODD_LABELS)] for i in range(rows)]
+    ints = np.array([0, -7, 2**62, np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    return (["word", "x,y", 'q"', "flag"],
+            [labels, np.resize(np.array(ODD_FLOATS), rows), np.resize(ints, rows),
+             np.resize(np.array([True, False, False]), rows)])
+
+
+def assert_rows_match(path, header, columns, tmp_path):
+    """path holds what the row-by-row oracle writes, from numpy and from Python scalars."""
+    for cells in (columns, [col if isinstance(col, list) else col.tolist() for col in columns]):
+        csv_oracle.write_csv(tmp_path / "oracle.csv", header, zip(*cells))
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header, columns", [
+    # no rows (header only), one row, and more than one block of rows
+    *(odd_table(rows) for rows in (0, 1, 11, 2 * matgroup.BLOCK_ROWS + 3)),
+    # a table of one column writes an empty cell as ""
+    (["word"], [ODD_LABELS]),
+    ([""], [[]]),
+    (["x"], [np.array(ODD_FLOATS)]),
+    # integers and bools of other widths
+    (["i", "u", "b"], [np.arange(-3, 3, dtype=np.int8), np.arange(6, dtype=np.uint32),
+                       np.ones(6, dtype=bool)]),
+], ids=["rows0", "rows1", "rows11", "two-blocks", "one-label-column", "empty-header-only",
+        "one-float-column", "narrow-ints"])
+def test_write_csv_matches_row_writer(header, columns, tmp_path):
+    cli._write_csv(tmp_path / "table.csv", header, columns)
+    assert_rows_match(tmp_path / "table.csv", header, columns, tmp_path)
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "table.csv", ["a", "b"], [["x"], np.zeros(2)])
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["word", "x", "n", "ok"],
+                   [["a,b", 'c"d'], np.array([0.1, -0.0]), np.array([3, -4]),
+                    np.array([True, False])])
+    assert path.read_bytes() == (b'word,x,n,ok\r\n"a,b",0.10000000000000001,3,true\r\n'
+                                 b'"c""d",-0,-4,false\r\n')
+
+
+def test_write_csv_memory_is_one_block(tmp_path):
+    rows = 100_000
+    header, columns = odd_table(rows)
+    # while it formats a block, the writer holds per cell of the block at
+    # most: a slot in its column's cell list and in the block's row tuple
+    # (8 B each); one new object, a float (24 B), an int (32 B), a bool's
+    # "false" (54 B) or a quoted label (60 B for the longest,
+    # '"q"",\r\n"""'); its format in the block's format string (at most
+    # 6 B, "%.17g,"); and its text twice, as str, 2 B a character as the
+    # block holds a character above U+00FF (at most 50 B for
+    # "-1.7976931348623157e+308,"), and as the UTF-8 bytes the file writes
+    # (at most 25 B).  That is 161 B, and 64 KiB more for the file buffer
+    # and the header
+    bound = matgroup.BLOCK_ROWS * len(columns) * 161 + 2**16
+    # the whole table's text alone, at even 25 B a cell, would not fit
+    assert rows * len(columns) * 25 > bound
+    _, peak = traced_peak(cli._write_csv, tmp_path / "table.csv", header, columns)
+    assert peak < bound
 
 
 def test_execute_writes_csv_and_manifest(tmp_path):
@@ -153,6 +223,81 @@ def test_measure_commands_build_one_ball(command, params, radii, tmp_path, monke
         del config["theta"]  # not read by the orbit command
     cli.execute(command, config, str(tmp_path))
     assert built == radii
+
+
+def capture_tables(monkeypatch):
+    """Every cli.HANDLERS entry, wrapped to keep what it returns: {command: (header, columns)}."""
+    tables = {}
+
+    def wrap(command, handler):
+        def run(*args):
+            header, columns, results = handler(*args)
+            tables[command] = header, columns
+            return header, columns, results
+        return run
+
+    for command, handler in list(cli.HANDLERS.items()):
+        monkeypatch.setitem(cli.HANDLERS, command, wrap(command, handler))
+    return tables
+
+
+def test_shipped_config_tables_are_columns(tmp_path, monkeypatch):
+    # each handler returns one column per header name, every column a 1-D
+    # float, integer or bool array or a list of str, all of the CSV's row count
+    tables = capture_tables(monkeypatch)
+    cfg_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for command in cli.HANDLERS:
+        with open(os.path.join(cfg_dir, f"{command}.json")) as fh:
+            cli.execute(command, json.load(fh), str(tmp_path / command))
+        with open(tmp_path / command / f"{command}.csv", newline="") as fh:
+            count = len(list(csv.reader(fh))) - 1
+        header, columns = tables[command]
+        assert len(columns) == len(header), command
+        for col in columns:
+            if isinstance(col, list):
+                assert all(type(x) is str for x in col), command
+            else:
+                assert type(col) is np.ndarray and col.ndim == 1, command
+                assert col.dtype.kind in "fiub", (command, col.dtype)
+            assert len(col) == count, command
+        assert count > 0, command
+
+
+# labels that the csv module quotes
+QUOTED_LABELS = ["a,b", 'c"d']
+
+
+@pytest.mark.parametrize("command, n", [("kappa", 3), ("orbit", 3), ("limit-set", 3),
+                                        ("ps-measure", 4)])
+def test_labels_are_quoted_end_to_end(command, n, tmp_path, monkeypatch):
+    tables = capture_tables(monkeypatch)
+    P = presets.fuchsian_schottky(1.6)
+    config = {"dimension": 2, "generators": [g.tolist() for g in P.generators],
+              "labels": QUOTED_LABELS, "params": {"n": n}}
+    cli.execute(command, config, str(tmp_path))
+    path = tmp_path / f"{command}.csv"
+    header, columns = tables[command]
+    assert_rows_match(path, header, columns, tmp_path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        labels = [row[0] for row in csv.reader(fh)][1:]
+    if command == "limit-set":
+        words = flags.sample_limit_set(P, (1,), n)[2].tolist()
+    else:
+        words = ball_words(matgroup.word_spheres(P, n))
+        if command == "ps-measure":
+            # every element but the identity is an atom of this measure
+            words = words[1:]
+    assert labels == [csv_oracle.word_label(QUOTED_LABELS, w) for w in words]
+    assert b'"a,b' in path.read_bytes() and b'c""d' in path.read_bytes()
+
+
+def test_limit_set_without_samples_writes_header_only(tmp_path):
+    # every product of an identity generator fails the gap test
+    config = {"dimension": 2, "generators": [[[1, 0], [0, 1]]], "labels": ["a,b"],
+              "params": {"n": 2}}
+    manifest = cli.execute("limit-set", config, str(tmp_path))
+    assert manifest["results"]["sample_size"] == 0
+    assert (tmp_path / "limit-set.csv").read_bytes() == b"word\r\n"
 
 
 def error_record(result):

@@ -11,8 +11,9 @@ from pslab import cartan, matgroup, patterson, presets
 from pslab.errors import BadIndex, BudgetExceeded
 from pslab.matgroup import reduce_word
 from conftest import traced_peak
+import csv_oracle
 from identities import exterior_power_rep
-from words import random_words, word_key
+from words import ball_words, random_words, word_key
 
 
 def test_word_reduction_and_inversion():
@@ -35,11 +36,24 @@ def test_sphere_sizes_match_free_group(sl2):
 
 def test_sphere_order_is_canonical(sl2):
     sphere1 = matgroup.word_spheres(sl2, 1)[1]
-    assert sphere1.words() == [(1,), (-1,), (2,), (-2,)]
+    assert ball_words(sphere1) == [(1,), (-1,), (2,), (-2,)]
+
+
+def test_word_labels_match_per_word_rule():
+    # one rule for the array labeler and word_label, on labels with
+    # separators, primes and quotes of their own, and on a 3-letter alphabet
+    labels = ["a", "b.c", "d'\"", ""]
+    P = matgroup.GroupPresentation(2, [np.eye(2)] * len(labels), labels=labels)
+    ball = matgroup.word_spheres(P, 3)
+    expected = [csv_oracle.word_label(labels, w) for w in ball_words(ball)]
+    assert ball.labels() == expected
+    assert ball[2:].labels() == expected[ball.offsets[2]:]
+    assert [P.word_label(w) for w in ball_words(ball)] == expected
+    assert P.word_label(()) == "e" and P.word_labels(np.zeros((2, 0), np.int8)) == ["e", "e"]
 
 
 def test_word_matrices_consistent(sl2):
-    words = matgroup.word_spheres(sl2, 3).words()
+    words = ball_words(matgroup.word_spheres(sl2, 3))
     for lo, mats, inv_mats in matgroup._BallWalk(sl2, 3):
         for matrix, inverse_matrix, word in zip(mats, inv_mats, words[lo:lo + len(mats)]):
             assert np.allclose(matrix, sl2.word_matrix(word), atol=1e-12)
@@ -50,7 +64,7 @@ def test_word_matrices_consistent(sl2):
 
 def test_ball_matrices_equal_word_products(sl3):
     # the same left-to-right products as word_matrix, so equal to the bit
-    words = matgroup.word_spheres(sl3, 4).words()
+    words = ball_words(matgroup.word_spheres(sl3, 4))
     for lo, mats, _ in matgroup._BallWalk(sl3, 4):
         for matrix, word in zip(mats, words[lo:lo + len(mats)]):
             assert np.array_equal(matrix, sl3.word_matrix(word))
@@ -60,11 +74,11 @@ def test_sphere_views_share_the_ball(sl2):
     ball = matgroup.word_spheres(sl2, 4)
     tail = ball[2:]
     assert [len(s) for s in tail] == [12, 36, 108]
-    assert tail.words() == ball.words()[5:]
-    assert ball[-1].words() == tail[2].words()
+    assert ball_words(tail) == ball_words(ball)[5:]
+    assert ball_words(ball[-1]) == ball_words(tail[2])
     assert np.shares_memory(tail[1].rows, ball.rows) and tail[1].walk is ball.walk
     assert [v.size for v in ball.split(np.arange(len(ball)))] == [1, 4, 12, 36, 108]
-    assert all(len(w) == 4 for w in ball[4].words())
+    assert all(len(w) == 4 for w in ball_words(ball[4]))
 
 
 def test_ball_is_freed_without_the_cycle_collector(sl2):
@@ -171,7 +185,7 @@ def test_block_filled_ball_matches_concatenated_spheres(make, n, monkeypatch):
         ball = matgroup.word_spheres(P, n)
         assert ball.offsets.dtype == ref.offsets.dtype
         assert np.array_equal(ball.offsets, ref.offsets)
-        assert ball.words() == ref.words()
+        assert ball_words(ball) == ref.words()
         K = np.empty_like(ref_K)
         for lo, mats, inv_mats in matgroup._BallWalk(P, n):
             K[lo:lo + len(mats)] = matgroup.batch_kappa(mats, inv_mats)
@@ -215,7 +229,7 @@ def test_walk_hands_out_every_row_once(make, n, monkeypatch):
             assert np.array_equal(_bits(mats), _bits(ref.mats[rows]))
             assert np.array_equal(_bits(inv_mats), _bits(ref.inv_mats[rows]))
         assert (handed == 1).all()
-        assert walk.ball().words() == ref.words()
+        assert ball_words(walk.ball()) == ref.words()
 
 
 def test_deep_rank1_walk_keeps_its_bits_across_block_ends():
@@ -267,7 +281,7 @@ def test_letter_matrix_rejects_unknown_letters(sl2):
 
 def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
     reps = matgroup.conjugacy_classes(sl2, 2)
-    words = set(reps.words())
+    words = set(ball_words(reps))
     # one representative per necklace; (1, 2) covers (2, 1)
     assert (1, 2) in words and (2, 1) not in words
     # a word and its inverse are distinct classes
@@ -278,7 +292,7 @@ def test_conjugacy_classes_cyclic_and_inverse_distinct(sl2):
 
 def test_conjugacy_classes_primitive_only(sl2):
     reps = matgroup.conjugacy_classes(sl2, 4, primitive_only=True)
-    words = set(reps.words())
+    words = set(ball_words(reps))
     assert (1,) in words and (1, 1) not in words
 
 
@@ -289,7 +303,7 @@ def tuple_conjugacy_classes(P, n, primitive_only=False):
                    for per in range(1, len(word)))
 
     reps, seen = [], set()
-    for w in matgroup.word_spheres(P, n)[1:].words():
+    for w in ball_words(matgroup.word_spheres(P, n)[1:]):
         if len(w) > 1 and w[0] == -w[-1]:
             continue
         canon = min((w[i:] + w[:i] for i in range(len(w))), key=word_key)
@@ -314,7 +328,7 @@ def rank3_schottky():
 def test_conjugacy_classes_match_tuple_enumeration(make, n, primitive_only):
     P = make()
     reps = matgroup.conjugacy_classes(P, n, primitive_only)
-    words = reps.words()
+    words = ball_words(reps)
     assert words == tuple_conjugacy_classes(P, n, primitive_only)
     assert len(reps) == len(words)
     assert reps.lengths().tolist() == [len(w) for w in words]
@@ -343,7 +357,7 @@ def test_conjugacy_classes_match_whole_ball_selection(make, n, primitive_only):
     for field in ("rows", "offsets"):
         got, want = getattr(reps, field), ref[field]
         assert got.dtype == want.dtype and np.array_equal(got, want), field
-    assert reps.words() == ref["words"]
+    assert ball_words(reps) == ref["words"]
 
 
 def test_exterior_power_rep_multiplicative(rng):

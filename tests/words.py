@@ -1,4 +1,4 @@
-"""Word helpers for tests: canonical sort keys and random words.
+"""Word helpers for tests: canonical sort keys, random words and a ball's words.
 
 Words are tuples of signed 1-based generator indices, as in ``pslab.matgroup``.
 """
@@ -23,3 +23,8 @@ def random_words(rank, count, max_len, rng):
             word.append(letter)
         words.append(tuple(word))
     return words
+
+
+def ball_words(ball):
+    """The words of a WordBall's rows, as tuples, in row order."""
+    return [tuple(w) for block in ball.sphere_letters() for w in block.tolist()]
