@@ -20,6 +20,17 @@ frames_2x2, rejects any other size instead.  The kernels copy only the
 steps that measured traffic takes: each returns the mask of every other
 row, and _by_rows hands those rows to LAPACK.
 
+Every LAPACK call of _by_rows goes through _lapack_rows, which cuts a
+stack of at least 2 * _THREAD_ROWS rows into up to lapack_threads()
+contiguous row ranges and runs them at once, one on the calling thread and
+each other one on a thread started for the call, under a copy of the
+caller's context (np.errstate lives there).  numpy's LAPACK gufuncs work
+matrix by matrix and release the GIL, so the ranges run in parallel and
+every row keeps the bits of one call over the whole stack.  BLAS stays
+single-threaded within each call where OPENBLAS_NUM_THREADS=1 asks it to.
+A smaller stack, or a process with one CPU, makes one call and starts no
+thread; no thread outlives the call.
+
 The 2x2 kernels repeat, row by row, what LAPACK does to one 2x2 matrix, so
 every value has LAPACK's bits: dgesdd's dgebd2 (a dlarfg reflection of
 column 1, the dlarf update of column 2 with its fused multiply-add made
@@ -53,6 +64,10 @@ whose eigenvalues spread by at most 2**-40 of their mean, such as the
 identity's or an orthogonal matrix's; and top eigenvalues that meet
 (1 + r <= 1e-2 in Smith's formula), where it loses up to sqrt(eps).
 """
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -90,21 +105,81 @@ def ray_distances_lifted(W, z):
 
 # rows per pass of the matrix kernels, which keeps their temporaries small
 _CHUNK = 4096
+# least rows per LAPACK range: a stack is cut into at most rows //
+# _THREAD_ROWS ranges, so one of fewer than 2 * _THREAD_ROWS rows makes one
+# call; a thread costs tens of microseconds to start and join
+_THREAD_ROWS = 1024
+
+
+def lapack_threads():
+    """The CPUs this process may run on: the most LAPACK ranges _lapack_rows runs at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _lapack_range(lapack, xs, outs, i):
+    """outs[i] = lapack(*xs), or the exception it raises."""
+    try:
+        outs[i] = lapack(*xs)
+    except BaseException as exc:
+        outs[i] = exc
+        # the traceback holds this frame: drop its reference to outs
+        outs = None
+
+
+def _lapack_rows(lapack, *xs):
+    """lapack(*xs), a tuple of per-row outputs, made in up to lapack_threads() row ranges at once.
+
+    A stack of n rows is cut into k = min(lapack_threads(), n //
+    _THREAD_ROWS) contiguous ranges.  The calling thread runs the first
+    and a thread started here each other one, under a copy of the caller's
+    context; all are joined before this returns, even when one raises.
+    The first exception in row order is raised, else the outputs are
+    concatenated in row order.  k <= 1 makes the one call lapack(*xs).
+    """
+    rows = len(xs[0]) if xs[0].ndim > 2 else 0
+    k = min(lapack_threads(), rows // _THREAD_ROWS)
+    if k <= 1:
+        return lapack(*xs)
+    cuts = [rows * i // k for i in range(k + 1)]
+    ranges = [tuple(x[lo:hi] for x in xs) for lo, hi in zip(cuts, cuts[1:])]
+    outs = [None] * k
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(_lapack_range, lapack, ranges[i], outs, i))
+               for i in range(1, k)]
+    try:
+        for thread in threads:
+            thread.start()
+        _lapack_range(lapack, ranges[0], outs, 0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    for out in outs:
+        if isinstance(out, BaseException):
+            try:
+                raise out
+            finally:
+                # the traceback holds this frame
+                out = outs = None
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 def _by_rows(xs, size, kernel, lapack, *shapes):
     """The outputs of lapack(*xs), matrices or stacks of one shape, made by kernel where they are size x size.
 
-    lapack takes stacks and returns a tuple of per-row outputs.  Stacks of
-    size x size matrices are read _CHUNK rows at a time: kernel(*chunks,
-    *outs) writes outputs of per-row shapes ``shapes`` into outs and returns
-    the mask of the rows it leaves, whose outputs lapack(*(chunk[mask] for
-    chunk in chunks)) then writes.  The floating point warnings of the
-    unused values are off.
+    lapack takes stacks and returns a tuple of per-row outputs; _lapack_rows
+    makes each of its calls.  Stacks of size x size matrices are read
+    _CHUNK rows at a time: kernel(*chunks, *outs) writes outputs of per-row
+    shapes ``shapes`` into outs and returns the mask of the rows it leaves,
+    whose outputs lapack(*(chunk[mask] for chunk in chunks)) then writes.
+    The floating point warnings of the unused values are off.
     """
     x = xs[0]
     if x.shape[-2:] != (size, size):
-        return lapack(*xs)
+        return _lapack_rows(lapack, *xs)
     stacks = tuple(y.reshape(-1, size, size) for y in xs)
     outs = tuple(np.empty((len(stacks[0]),) + shape) for shape in shapes)
     with np.errstate(all="ignore"):
@@ -113,7 +188,7 @@ def _by_rows(xs, size, kernel, lapack, *shapes):
             parts = tuple(out[a:a + _CHUNK] for out in outs)
             mask = kernel(*chunks, *parts)
             if mask.any():
-                for part, value in zip(parts, lapack(*(chunk[mask] for chunk in chunks))):
+                for part, value in zip(parts, _lapack_rows(lapack, *(chunk[mask] for chunk in chunks))):
                     part[mask] = value
     return tuple(out.reshape(x.shape[:-2] + shape) for out, shape in zip(outs, shapes))
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import (
     __version__,
+    _kernels,
     asymptotics,
     cartan,
     flags,
@@ -385,6 +386,8 @@ def execute(command, config, out_dir):
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
+        # the CPUs over which the row driver may run LAPACK row ranges at once
+        "kernels": {"lapack_threads": _kernels.lapack_threads()},
         "wall_time_s": round(wall, 3),
         # the process's resident-memory high-water mark so far (ru_maxrss is
         # in KiB on Linux)

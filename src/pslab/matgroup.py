@@ -71,6 +71,12 @@ class GroupPresentation:
             self.labels = [chr(ord("a") + i) for i in range(len(gens))]
         elif len(self.labels) != len(gens):
             raise ConfigInvalid("labels", f"{len(self.labels)} labels for {len(gens)} generators")
+        # an empty label would name its one-letter word "e", the identity's
+        # label, and two equal labels two words: each label names one row
+        elif "" in self.labels:
+            raise ConfigInvalid("labels", "a label is empty")
+        elif len(set(self.labels)) != len(self.labels):
+            raise ConfigInvalid("labels", "two generators share a label")
         # index 2j -> generator j, 2j+1 -> its inverse (matches _letter_key)
         self._alphabet = []
         for g in gens:
@@ -102,7 +108,7 @@ class GroupPresentation:
 
     def word_labels(self, letters):
         """The label of each row of a (count, k) int8 word array: its letters' names joined by ".",
-        a letter named by its generator's label, primed for the inverse, and "" named "e"."""
+        a letter named by its generator's label, primed for the inverse, and the empty word "e"."""
         names = np.array([lab + p for lab in self.labels for p in ("", "'")], dtype=object)
         keys = _letter_key(letters.astype(np.intp))
         return [label or "e" for label in map(".".join, names[keys].tolist())]

@@ -1,10 +1,11 @@
 import functools
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pslab import presets
+from pslab import _kernels, presets
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,15 +35,19 @@ def traced_peak(fn, *args):
 class CountingLinalg:
     """A numpy.linalg function, counting the matrices it is given.
 
-    ``seen`` holds a copy of the argument of each call.
+    ``seen`` holds a copy of the argument of each call, in the order the
+    calls began; the row driver's LAPACK ranges call it from several
+    threads, so the count is taken under a lock.
     """
 
     def __init__(self, function):
         self.function, self.rows, self.seen = function, 0, []
+        self._lock = threading.Lock()
 
     def __call__(self, a, *args, **kwargs):
-        self.rows += int(np.prod(np.shape(a)[:-2]))
-        self.seen.append(np.array(a))
+        with self._lock:
+            self.rows += int(np.prod(np.shape(a)[:-2]))
+            self.seen.append(np.array(a))
         return self.function(a, *args, **kwargs)
 
 
@@ -65,6 +70,13 @@ def counting_det(monkeypatch):
     counter = CountingLinalg(np.linalg.det)
     monkeypatch.setattr(np.linalg, "det", counter)
     return counter
+
+
+@pytest.fixture
+def three_ranges(monkeypatch):
+    """The row driver on 3 CPUs with LAPACK ranges of at least 4 rows: n rows make min(3, n // 4) calls."""
+    monkeypatch.setattr(_kernels, "_THREAD_ROWS", 4)
+    monkeypatch.setattr(_kernels, "lapack_threads", lambda: 3)
 
 
 @pytest.fixture

@@ -1,12 +1,15 @@
 import ast
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
 
 import jsonschema
 import numpy as np
@@ -185,6 +188,44 @@ def test_deep_d3_measure_writes_no_warning(tmp_path):
     assert manifest["warnings"] == []
 
 
+def test_manifest_names_the_lapack_threads_of_every_shipped_config(tmp_path, three_ranges):
+    # with every stack of 8 rows or more cut into row ranges, each shipped
+    # config keeps its pinned CSV bytes, and its manifest names the count
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "perfbench", "expected_csv_sha256.json")) as fh:
+        expected = json.load(fh)
+    for command in cli.HANDLERS:
+        with open(os.path.join(root, "configs", f"{command}.json")) as fh:
+            manifest = cli.execute(command, json.load(fh), str(tmp_path / command))
+        assert manifest["kernels"] == {"lapack_threads": 3}, command
+        on_disk = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert on_disk["kernels"] == manifest["kernels"], command
+        csv_bytes = (tmp_path / command / f"{command}.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == expected[command], command
+
+
+def test_lapack_threads_are_the_cpus_of_the_process(tmp_path):
+    manifest = cli.execute("kappa", base_config(command="kappa"), str(tmp_path))
+    assert manifest["kernels"] == {"lapack_threads": len(os.sched_getaffinity(0))}
+
+
+def test_a_warning_in_a_worker_range_reaches_the_manifest(tmp_path, three_ranges, monkeypatch):
+    # the 17 rows of the radius-2 sl3-mild ball make three LAPACK ranges per
+    # stack; only the threads started for the second and third warn
+    svd = np.linalg.svd
+
+    def warning_svd(a, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            warnings.warn("a worker range warned")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", warning_svd)
+    config = {"preset": "sl3-mild", "theta": [1, 2], "params": {"n": 2}}
+    manifest = cli.execute("kappa", config, str(tmp_path))
+    assert manifest["results"]["ball_size"] == 17
+    assert manifest["warnings"] == ["a worker range warned"]
+
+
 def test_execute_rejects_command_mismatch(tmp_path):
     with pytest.raises(ConfigInvalid) as exc:
         cli.execute("orbit", base_config(command="kappa"), str(tmp_path))
@@ -305,6 +346,24 @@ def error_record(result):
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("labels", [["", "b"], ["a", "a"]], ids=["empty", "duplicate"])
+def test_labels_that_would_name_two_rows_alike_exit_2(labels, tmp_path):
+    # an empty label would write its one-letter word as "e", the identity's
+    # label, and two equal labels would write two words alike
+    P = presets.fuchsian_schottky(1.6)
+    cfg = tmp_path / "labels.json"
+    cfg.write_text(json.dumps({"command": "kappa", "dimension": 2, "labels": labels,
+                               "generators": [g.tolist() for g in P.generators],
+                               "params": {"n": 2}}))
+    result = CliRunner().invoke(cli.main, ["kappa", "--config", str(cfg),
+                                           "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    err = error_record(result)
+    assert err["error"] == "ConfigInvalid" and err["path"] == "labels"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_sl2
 from cover_oracle import greedy_cover_count_reference
 
 from pslab import _kernels, cartan, flags, matgroup, patterson, presets
+from pslab.errors import DecompositionFailure
 
 
 def _lapack_logs(mats):
@@ -308,6 +310,108 @@ def test_row_driver_sends_the_fallback_rows_of_every_chunk_to_lapack(
         got = _kernels.batch_log_singular_values(larger)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert [m.tobytes() for m in counting_svd.seen] == [larger.tobytes()]
+
+
+def _rows_seen(counter):
+    """The rows of every call a CountingLinalg saw, as a sorted multiset of bytes."""
+    return sorted(row.tobytes() for call in counter.seen for row in call)
+
+
+def _sorted_rows(*stacks):
+    return sorted(row.tobytes() for stack in stacks for row in stack)
+
+
+# 1 and 4 rows make one call; 11 rows two ranges, 5 + 6; 13 rows three, 4 + 4 + 5
+RANGE_ROWS = pytest.mark.parametrize("n", [1, 4, 11, 13])
+
+
+def _calls(n):
+    return max(1, min(3, n // 4))
+
+
+@RANGE_ROWS
+def test_row_ranges_keep_lapacks_values_and_row_order(n, three_ranges, counting_svd):
+    for d in (3, 4):
+        mats = _samples("normal", n, d)
+        want = _lapack_logs(mats)
+        counting_svd.seen = []
+        got = _kernels.batch_log_singular_values(mats)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # each row goes to LAPACK once; threads append out of order
+        assert len(counting_svd.seen) == _calls(n)
+        assert _rows_seen(counting_svd) == _sorted_rows(mats)
+
+
+@RANGE_ROWS
+def test_row_ranges_keep_lapacks_spliced_frames_and_row_order(n, three_ranges, counting_svd):
+    # d = 4 rows go to LAPACK whole; row 5 % n, the first of the second
+    # range at 11 rows, has an inf entry and is never handed to LAPACK
+    mats = _samples("normal", n, 4)
+    inv_mats = np.linalg.inv(mats)
+    bad = 5 % n
+    mats[bad, 1, 2] = np.inf
+    want = _kernels._lapack_spliced_frames(mats, inv_mats)
+    counting_svd.seen = []
+    got = _kernels.spliced_frames(mats, inv_mats)
+    _assert_same_bytes(got, want)
+    assert np.isnan(got[0][bad]).all() and np.isnan(got[1][bad]).all()
+    assert len(counting_svd.seen) == 2 * _calls(n)
+    finite = np.arange(n) != bad
+    assert _rows_seen(counting_svd) == _sorted_rows(mats[finite], inv_mats[finite])
+
+
+def test_row_ranges_start_no_thread_on_one_cpu(monkeypatch, counting_svd):
+    monkeypatch.setattr(_kernels, "_THREAD_ROWS", 4)
+    monkeypatch.setattr(_kernels, "lapack_threads", lambda: 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    mats = _samples("normal", 40, 3)
+    want = _lapack_logs(mats)
+    counting_svd.seen = []
+    assert _kernels.batch_log_singular_values(mats).tobytes() == want.tobytes()
+    assert [m.tobytes() for m in counting_svd.seen] == [mats.tobytes()]
+
+
+def test_the_first_lapack_error_in_row_order_reaches_the_caller(three_ranges, monkeypatch):
+    # ranges of 4 rows over 12: the second and third raise, the first and
+    # the inverse products' stack do not
+    mats, inv_mats = _samples("normal", 12, 3), _samples("scaled", 12, 3)
+    svd = np.linalg.svd
+
+    def failing(a, *args, **kwargs):
+        for i in (1, 2):
+            if a[0].tobytes() == mats[4 * i].tobytes():
+                raise np.linalg.LinAlgError(f"range {i + 1} failed")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    before = threading.active_count()
+    with pytest.raises(DecompositionFailure, match="^range 2 failed$"):
+        matgroup.batch_kappa(mats, inv_mats)
+    assert threading.active_count() == before
+    # the other stack alone splices
+    assert matgroup.batch_kappa(inv_mats, inv_mats).shape == (12, 3)
+
+
+def test_worker_ranges_run_under_the_callers_errstate(three_ranges):
+    # rows 4 to 11, the second and third ranges, divide by zero; warnings
+    # are errors here, so a worker that starts at np.errstate's default
+    # raises
+    x = np.ones((12, 3, 3))
+    x[4:] = 0.0
+
+    def divide(x):
+        return (1.0 / x,)
+
+    with np.errstate(all="ignore"):
+        (got,) = _kernels._lapack_rows(divide, x)
+        want = 1.0 / x
+    assert got.tobytes() == want.tobytes() and np.isinf(got[4:]).all()
+    with np.errstate(divide="warn"), pytest.raises(RuntimeWarning):
+        _kernels._lapack_rows(divide, x)
 
 
 @BALLS
