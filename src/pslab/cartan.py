@@ -7,6 +7,7 @@ decreasing entries).
 
 import numpy as np
 
+from . import _kernels
 from .errors import AsymmetricTheta, DecompositionFailure, NonUnimodular
 
 DET_TOLERANCE = 1e-6
@@ -78,12 +79,18 @@ def jordan_spliced(A, A_inv):
     """
     A, A_inv = np.asarray(A, dtype=float), np.asarray(A_inv, dtype=float)
     try:
-        mf = np.sort(np.abs(np.linalg.eigvals(A)))[..., ::-1]
-        mi = np.sort(np.abs(np.linalg.eigvals(A_inv)))[..., ::-1]
+        # LAPACK's dgeev works matrix by matrix, so the row ranges keep every bit
+        mf, mi = _kernels._lapack_rows(_eigenvalue_moduli, A, A_inv)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
+    mf, mi = np.sort(mf)[..., ::-1], np.sort(mi)[..., ::-1]
     return splice(np.log(np.maximum(mf, 1e-300)), np.log(np.maximum(mi, 1e-300)),
                   np.empty(mf.shape))
+
+
+def _eigenvalue_moduli(A, A_inv):
+    """The eigenvalue moduli of A and of A_inv, stacks or matrices."""
+    return np.abs(np.linalg.eigvals(A)), np.abs(np.linalg.eigvals(A_inv))
 
 
 def splice(logs, inv_logs, out):

@@ -125,17 +125,17 @@ def _near_rows(mats, inv_mats, cut):
     return np.flatnonzero(~far)
 
 
-def _far_cut(offsets, first, n, f):
+def _far_cut(least, n, f):
     """The least product of squared norms past which a 2x2 row is above the regression's window.
 
-    first holds the values of the walk's first block, of the rows
-    0..len(first) of the radius-n ball.  R = n min_k (least value of sphere
-    k) / k over the spheres k >= 1 it holds whole is at least the certified
-    radius r_max, and _sphere_regression reads no value above r_max except
-    the least value of each sphere and of the ball: a value v > R (1 + 4 eps) is above
-    every grid point, and v / k >= R / n leaves the least value of the ball
-    and the certified radius as they are.  So such a row may be given any
-    value above R.
+    least holds the least values of spheres 0..len(least) - 1 of the
+    radius-n ball, the spheres that the walk's first block holds whole.  R =
+    n min_k least[k] / k over its spheres k >= 1 is at least the certified
+    radius r_max.  _sphere_regression reads no value above r_max but through
+    the least value of each sphere and of the ball: a value v > R (1 + 4 eps)
+    is above every grid point, and v / k >= R / n leaves the least value of
+    the ball and the certified radius as they are.  So such a row may be
+    left out of the values the regression reads.
 
     For a 2x2 M, sigma_1(M)^2 >= |M|_F^2 / 2.  So where the computed
     squared norms a, b of A and A_inv are at least 2 (1 + 4 eps), both log
@@ -147,14 +147,13 @@ def _far_cut(offsets, first, n, f):
     2 s_cut times that) and of a b (9 roundings): a b > T gives s > s_cut.
 
     Returns inf, which cuts no row, unless d = 2, c > 2 err and R > 0, and
-    the first block holds a whole non-identity sphere.
+    least holds a non-identity sphere.
     """
-    whole = np.searchsorted(offsets, len(first), "right") - 2  # spheres 0..whole
-    if len(f) != 2 or whole < 1:
+    if len(f) != 2 or len(least) < 2:
         return math.inf
     eps = np.finfo(float).eps
     c, err = (f[0] - f[1]) / 2, VALUE_ULPS * eps * (abs(f[0]) + abs(f[1]))
-    R = _certified_rmax(first[:offsets[whole + 1]], offsets[:whole + 2], n)
+    R = _certified_rmax(least, n)
     if not (c > 2 * err and R > 0):
         return math.inf
     s_cut = (R * (1 + 4 * eps) + err) / (c - err)
@@ -163,45 +162,69 @@ def _far_cut(offsets, first, n, f):
 
 
 def _window_values(P, n, f):
-    """The walk of the radius-n ball and one value per row, for the sphere regression alone.
+    """What the sphere regression reads of the radius-n ball: (values, least, rows).
+
+    values is a list of per-block arrays, in no stated order, of the values
+    of non-identity rows: of every such row that can reach the regression's
+    window.  least[k] is the least value of sphere k over the rows it keeps
+    (inf where it keeps none), and rows is the ball's row count.
 
     Every row of the first block is spliced.  Past it, a row of a 2x2 ball
-    whose squared norms exceed _far_cut's bound is given +inf, a value above
-    the regression's window, and only the other rows are spliced.  They
-    keep the bits that _walk_ball gives them, since the kernel, the splice
-    and _row_products work row by row, so the estimate is the same.
+    whose squared norms exceed _far_cut's bound lies above the window and is
+    left out, and only the other rows are spliced.  They keep the bits that
+    _walk_ball gives them, since the kernel, the splice and _row_products
+    work row by row.  A block may span several spheres (the first block,
+    and every block of a rank-1 walk), so its least values are taken
+    sphere by sphere.
     """
     walk = matgroup._BallWalk(P, n)
-    values = np.empty(walk.rows)
-    cut = math.inf
+    offsets = walk.offsets
+    least = np.full(n + 1, np.inf)
+    parts, cut = [], math.inf
     for lo, mats, inv_mats in walk:
-        out = values[lo:lo + len(mats)]
+        count = len(mats)
         near = _near_rows(mats, inv_mats, cut) if cut < math.inf else None
         # a block that keeps more than half its rows is spliced whole, so the
         # copy of the kept rows' products is at most half a block
-        if near is not None and 2 * len(near) <= len(mats):
-            out.fill(np.inf)
-            K = matgroup.batch_kappa(mats.take(near, 0), inv_mats.take(near, 0))
-            out[near] = matgroup._row_products(K, f)
-            continue
-        out[:] = matgroup._row_products(matgroup.batch_kappa(mats, inv_mats), f)
+        if near is not None and 2 * len(near) <= count:
+            mats, inv_mats = mats.take(near, 0), inv_mats.take(near, 0)
+        else:
+            near = None
+        values = matgroup._row_products(matgroup.batch_kappa(mats, inv_mats), f)
+        # the spheres k, k + 1, ... that meet the block, and where each starts
+        # in values; one whose rows the block all leaves out is not lowered
+        k = np.searchsorted(offsets, lo, "right") - 1
+        starts = np.maximum(offsets[k:np.searchsorted(offsets, lo + count)] - lo, 0)
+        if near is not None:
+            starts = np.searchsorted(near, starts)
+        some = starts < np.append(starts[1:], len(values))
+        spheres = least[k:k + len(starts)]
+        spheres[some] = np.minimum(spheres[some], np.minimum.reduceat(values, starts[some]))
         if lo == 0:
-            cut = _far_cut(walk.offsets, out, n, f)
-    return walk, values
+            cut = _far_cut(least[:np.searchsorted(offsets, count, "right") - 1], n, f)
+            values = values[1:]
+        parts.append(values)
+    return parts, least, walk.rows
+
+
+def _check_cone(values, rows, f):
+    """Check phi(kappa_theta) = kappa @ f on the cone of a ball of `rows` rows.
+
+    values is a list of arrays that hold the values of the ball's
+    non-identity rows, or of all of them that may be negative.  Raises
+    NegativePhiOnCone when phi is below -1e-9 |f|_1, a rounding allowance
+    that scales as the values do, on more than NEGATIVE_CONE_FRACTION of the
+    non-identity elements.
+    """
+    tol = -1e-9 * np.abs(f).sum()
+    neg = sum(np.count_nonzero(part < tol) for part in values)
+    if rows > 1 and neg / (rows - 1) > NEGATIVE_CONE_FRACTION:
+        raise NegativePhiOnCone(f"phi negative on {neg}/{rows - 1} of the sampled cone")
 
 
 def _cone_checked(values, f):
-    """The per-row phi(kappa_theta) = kappa @ f values of a ball (identity first), checked on the cone.
-
-    Raises NegativePhiOnCone when phi is below -1e-9 |f|_1, a rounding
-    allowance that scales as the values do, on more than
-    NEGATIVE_CONE_FRACTION of the non-identity elements.
-    """
-    neg = np.count_nonzero(values[1:] < -1e-9 * np.abs(f).sum())
-    if values.size > 1 and neg / (values.size - 1) > NEGATIVE_CONE_FRACTION:
-        raise NegativePhiOnCone(
-            f"phi negative on {neg}/{values.size - 1} of the sampled cone"
-        )
+    """The per-row phi(kappa_theta) values of a ball (identity first), checked by _check_cone."""
+    _check_cone([values[1:]], values.size, f)
     return values
 
 
@@ -243,7 +266,7 @@ def _exponent_and_measure(P, phi, n_max, n, theta, s_of_delta):
     f = cartan.theta_covector(phi, theta)
     walk, values, (frames, ok) = _walk_ball(P, n_max, f, n, theta)
     ball = walk.ball()
-    est = _sphere_regression(_cone_checked(values, f), ball.offsets, n_max)
+    est = _sphere_regression(*_regression_input(_cone_checked(values, f), ball.offsets), n_max)
     s = s_of_delta(est.delta_hat)
     _require_supercritical(s, est.delta_hat)
     return est, _measure_from_flags(phi, s, ball[:n + 1], values[:len(ok)], frames, ok)
@@ -273,16 +296,16 @@ def _sphere_sums(values, offsets, s):
     return sums, float(np.mean(np.diff(half))) if half.size >= 2 else float(np.diff(logs)[-1])
 
 
-def _certified_rmax(values, offsets, n_max):
+def _certified_rmax(least, n_max):
     """R up to which the word ball provably exhausts the phi-sublevel set.
 
-    Uses the minimal observed per-letter displacement m = min phi/|word|;
-    the ball of radius n_max then contains every element below n_max * m.
+    least[k] is the least value of sphere k.  Uses the minimal observed
+    per-letter displacement m = min phi/|word|; the ball of radius n_max
+    then contains every element below n_max * m.
     """
-    if len(offsets) < 3:
+    if len(least) < 2:
         raise WindowEmpty("no non-identity elements enumerated")
-    lengths = np.arange(1, len(offsets) - 1)
-    return n_max * (np.minimum.reduceat(values, offsets[1:-1]) / lengths).min()
+    return n_max * (least[1:] / np.arange(1, len(least))).min()
 
 
 def _line_fit(x, y, degenerate):
@@ -294,12 +317,23 @@ def _line_fit(x, y, degenerate):
     return float(coef[0]), float(np.sqrt(np.mean((A @ coef - y) ** 2)))
 
 
-def _sphere_regression(values, offsets, n_max):
-    flat = values[offsets[1]:]
-    if flat.size == 0:
+def _regression_input(values, offsets):
+    """_sphere_regression's (values, least, rows) of one value per ball row (identity first)."""
+    return [values[1:]], np.minimum.reduceat(values, offsets[:-1]), len(values)
+
+
+def _sphere_regression(values, least, rows, n_max):
+    """The slope of log N(R) on R over the certified window of a ball of `rows` rows.
+
+    values is a list of arrays, in any order, of the values of the ball's
+    non-identity rows, or of all of them that can reach the window
+    (_window_values); least[k] is the least value of sphere k.  Rows left
+    out lie above the window, so they are not counted.
+    """
+    if rows < 2:
         raise WindowEmpty("no elements to regress on")
-    r_max = _certified_rmax(values, offsets, n_max)
-    r_lo = max(flat.min(), 0.0)
+    r_max = _certified_rmax(least, n_max)
+    r_lo = max(least[1:].min(), 0.0)
     span = r_max - r_lo
     if span <= 0:
         raise WindowEmpty(f"certified window degenerate (Rmax={r_max:g})")
@@ -309,9 +343,10 @@ def _sphere_regression(values, offsets, n_max):
     # counts[i] = #{v <= grid[i]}, with no sorted copy of the values: bins[i]
     # counts the values in (grid[i - 1], grid[i]], a block of values at a time
     bins = np.zeros(grid.size + 1, dtype=np.intp)
-    for i in range(0, flat.size, matgroup.BLOCK_ROWS):
-        bins += np.bincount(np.searchsorted(grid, flat[i:i + matgroup.BLOCK_ROWS]),
-                            minlength=grid.size + 1)
+    for part in values:
+        for i in range(0, part.size, matgroup.BLOCK_ROWS):
+            bins += np.bincount(np.searchsorted(grid, part[i:i + matgroup.BLOCK_ROWS]),
+                                minlength=grid.size + 1)
     counts = np.cumsum(bins[:-1])
     keep = counts > 0
     if keep.sum() < 2:
@@ -323,7 +358,7 @@ def _sphere_regression(values, offsets, n_max):
         method="sphere-regression",
         window=(float(lo), float(hi)),
         residual=resid,
-        sample_count=int(flat.size),
+        sample_count=int(rows - 1),
     )
 
 
@@ -346,7 +381,7 @@ def _series_transition(values, offsets, n_max):
                 hi = mid
         delta = 0.5 * (lo + hi)
     count = len(values) - offsets[1]
-    r_max = _certified_rmax(values, offsets, n_max)
+    r_max = _certified_rmax(np.minimum.reduceat(values, offsets[:-1]), n_max)
     return ExponentEstimate(
         delta_hat=delta,
         method="series-transition",
@@ -370,24 +405,27 @@ def critical_exponent(P, phi, n_max, theta=None, method="sphere-regression"):
     after it only the rows whose product and inverse product have squared
     Frobenius norms small enough that their value may lie below R = n_max
     min_k (least value of sphere k) / k over that block's whole spheres
-    (_window_values); the others are given +inf.  R is at least the
-    certified radius, so those rows lie above the regression's grid and are
-    not the least value of any sphere: the counts, the window, the fit and
-    sample_count are the numbers that splicing every row gives, bit for bit.
+    (_window_values).  It keeps those values, the least value of each
+    sphere and the row count, and no array of one value per row.  R is at
+    least the certified radius, so the rows left out lie above the
+    regression's grid and move neither the certified radius nor the least
+    value of the ball: the counts, the window, the fit and sample_count are
+    the numbers that splicing every row gives, bit for bit.
     Series-transition and "both" read every value, and d >= 3, whose middle
     Cartan entry no norm bounds, splices every row.
     """
     theta = _exponent_theta(P, n_max, theta, method)
     f = cartan.theta_covector(phi, theta)
-    # the estimators read the values and sphere offsets: no words are made
+    # the estimators read values and spheres: no words are made
     if method == "sphere-regression":
-        walk, values = _window_values(P, n_max, f)
-        return _sphere_regression(_cone_checked(values, f), walk.offsets, n_max)
+        values, least, rows = _window_values(P, n_max, f)
+        _check_cone(values, rows, f)
+        return _sphere_regression(values, least, rows, n_max)
     walk, values, _ = _walk_ball(P, n_max, f)
     values, offsets = _cone_checked(values, f), walk.offsets
     if method == "series-transition":
         return _series_transition(values, offsets, n_max)
-    return (_sphere_regression(values, offsets, n_max),
+    return (_sphere_regression(*_regression_input(values, offsets), n_max),
             _series_transition(values, offsets, n_max))
 
 
@@ -524,7 +562,8 @@ def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):
 
     def fit(phi):
         f = cartan.theta_covector(phi, theta)
-        return _sphere_regression(_cone_checked(K @ f, f), walk.offsets, n_max)
+        return _sphere_regression(*_regression_input(_cone_checked(K @ f, f), walk.offsets),
+                                  n_max)
 
     d1 = fit(phi1).delta_hat
     d2 = fit(phi2).delta_hat

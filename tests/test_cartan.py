@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pslab import cartan
+from pslab import cartan, presets
 from pslab.errors import AsymmetricTheta, DecompositionFailure, NonUnimodular
 from identities import hat_iota, iota_star
 
@@ -80,6 +80,25 @@ def test_jordan_spliced_survives_ill_conditioned_product(sl2):
     assert abs(nu.sum()) < 1e-9
     assert nu[0] > 0.0
     assert abs(nu[0] + nu[1]) < 1e-9
+
+
+def test_jordan_spliced_row_ranges_keep_every_bit(three_ranges):
+    # 13 rows make three LAPACK ranges: rotations (complex eigenvalues) fill
+    # the first, hyperbolic matrices (real ones) the second, and the third
+    # mixes both, so the ranges' eigvals come out in different dtypes
+    mats = [presets.rotation(0.1 + 0.2 * i) for i in range(4)]
+    mats += [presets.hyp_axis(-1.0 - i, 0.5 * i, 0.3 + i) for i in range(6)]
+    mats += [presets.rotation(2.0), presets.hyp_axis(2.0, -3.0, 4.0), presets.rotation(0.7)]
+    for A in (np.stack(mats), np.stack([presets.rotation3(i % 3, 0.2 + i) @ np.diag(
+            [np.exp(0.1 * i), 1.0, np.exp(-0.1 * i)]) for i in range(13)])):
+        A_inv = np.linalg.inv(A)
+        nu = cartan.jordan_spliced(A, A_inv)
+        for i in range(len(A)):
+            assert np.array_equal(nu[i], cartan.jordan_spliced(A[i], A_inv[i])), i
+        # a row LAPACK rejects, in the second range, fails the whole stack
+        A[5] = np.inf
+        with pytest.raises(DecompositionFailure):
+            cartan.jordan_spliced(A, A_inv)
 
 
 def test_validate_theta_symmetry():

@@ -316,19 +316,32 @@ def test_streamed_ball_matches_whole_ball(make, n, theta, block_rows, monkeypatc
 def test_critical_exponent_does_not_hold_the_balls_matrices(make, n):
     P = make()
     phi = cartan.Functional.alpha(1, P.dimension)
-    _, peak = traced_peak(patterson.critical_exponent, P, phi, n,
-                          (1,) if P.dimension == 2 else (1, 2))
+    theta = (1,) if P.dimension == 2 else (1, 2)
+    _, peak = traced_peak(patterson.critical_exponent, P, phi, n, theta)
     products = 2 * P.dimension**2 * 8  # bytes of a row's forward and inverse products
     rows = matgroup.free_ball_size(P.rank, n)
     assert peak < rows * products
-    # one value (float64) and one letter (int8) per ball row, and one block
-    # of products per sphere that reaches past the first block: the buffer
-    # of its children of one run of parents, and no sphere is stored whole.
-    # Three more blocks hold the first block, a run's rows of the child
-    # tables and the kernels' work on one block.  With the store of sphere
-    # n - 2 the radius-12 peak was 1.31 times this bound.
+    # one letter (int8) per ball row and one value (float64) per row the
+    # regression keeps: every row of a d = 3 ball, and of a 2x2 ball only the
+    # rows that may reach its window, with no value for the others.  One
+    # block of products per sphere that reaches past the first block: the
+    # buffer of its children of one run of parents, and no sphere is stored
+    # whole.  Three more blocks hold the first block, a run's rows of the
+    # child tables and the kernels' work on one block.  With the store of
+    # sphere n - 2 the radius-12 peak was 1.31 times this bound (with a
+    # value for every row).
+    if P.dimension == 2:
+        kept = sum(map(len, patterson._window_values(
+            P, n, cartan.theta_covector(phi, theta))[0]))
+        assert kept < rows / 5
+        values = rows + 8 * kept
+    else:
+        values = 9 * rows
     spilled = sum(matgroup.free_ball_size(P.rank, k) > matgroup.BLOCK_ROWS for k in range(n + 1))
-    assert peak < 9 * rows + (spilled + 3) * matgroup.BLOCK_ROWS * products
+    assert peak < values + (spilled + 3) * matgroup.BLOCK_ROWS * products
+    if n == 12:
+        # 12.65 MiB with a value for every row
+        assert peak < 6.5 * 2**20
 
 
 def test_sphere_regression_counts_values_on_the_grid():
@@ -344,7 +357,7 @@ def test_sphere_regression_counts_values_on_the_grid():
     # on sphere 1 they leave the least value and the certified radius as they were
     spheres[1] = np.concatenate([spheres[1], np.repeat(grid[::3], 3), grid[1::7]])
     values, offsets = np.concatenate(spheres), np.cumsum([0] + [len(s) for s in spheres])
-    est = patterson._sphere_regression(values, offsets, 3)
+    est = patterson._sphere_regression(*patterson._regression_input(values, offsets), 3)
     assert est.window == window
     assert est == sphere_regression_reference(spheres, 3)
 
@@ -378,7 +391,8 @@ def test_estimators_match_list_based_reference(make, n, theta):
         ref_sums, ref_slope = sphere_sums_reference(by_sphere, s)
         assert np.array_equal(sums, ref_sums), s
         assert slope == ref_slope, s
-    assert (_outcome(patterson._sphere_regression, values, ball.offsets, n)
+    assert (_outcome(patterson._sphere_regression,
+                     *patterson._regression_input(values, ball.offsets), n)
             == _outcome(sphere_regression_reference, by_sphere, n))
     assert (_outcome(patterson._series_transition, values, ball.offsets, n)
             == _outcome(series_transition_reference, by_sphere, n))
@@ -403,6 +417,30 @@ PRUNE_IDS = ["schottky-1.6", "schottky-2.6", "gamma2", "parabolic", "cyclic", "r
              "schottky-d3"]
 
 
+def _window_rows(P, n, f, values):
+    """The ball rows of each block that _window_values(P, n, f) splices, in walk order.
+
+    values holds one value per ball row.  The first block's rows are all
+    spliced, and the identity's value is not kept; a later block splices
+    the rows that _near_rows leaves under the cut of the first block's whole
+    spheres, or all of them when they are more than half the block.
+    """
+    walk = matgroup._BallWalk(P, n)
+    rows, cut = [], np.inf
+    for lo, mats, inv_mats in walk:
+        near = np.arange(len(mats))
+        if lo == 0:
+            whole = walk.offsets[:np.searchsorted(walk.offsets, len(mats), "right") - 1]
+            cut = patterson._far_cut(np.minimum.reduceat(values, whole), n, f)
+            near = near[1:]
+        elif cut < np.inf:
+            pruned = patterson._near_rows(mats, inv_mats, cut)
+            if 2 * len(pruned) <= len(mats):
+                near = pruned
+        rows.append(lo + near)
+    return rows
+
+
 @pytest.mark.parametrize("block_rows", [3, 5, 7, DEFAULT_ROWS])
 @pytest.mark.parametrize("make, n, small_n, prunes", PRUNE_CASES, ids=PRUNE_IDS)
 def test_window_pruned_regression_matches_full_values(make, n, small_n, prunes, block_rows,
@@ -421,7 +459,7 @@ def test_window_pruned_regression_matches_full_values(make, n, small_n, prunes, 
         f = cartan.theta_covector(phi, theta)
         values = matgroup._row_products(K, f)
         want = _outcome(lambda: patterson._sphere_regression(
-            patterson._cone_checked(values, f), walk.offsets, n))
+            *patterson._regression_input(patterson._cone_checked(values, f), walk.offsets), n))
         got = _outcome(patterson.critical_exponent, P, phi, n, theta)
         assert got == want, phi.coefficients
         if not isinstance(got, str):
@@ -430,12 +468,45 @@ def test_window_pruned_regression_matches_full_values(make, n, small_n, prunes, 
         # the rows the regression path splices keep their bits, and the others
         # lie above the certified radius; d = 3 and a phi that is not
         # positive on the 2x2 Cartan vectors splice every row
-        _, pruned = patterson._window_values(P, n, f)
-        kept = np.isfinite(pruned)
-        assert np.array_equal(pruned[kept], values[kept])
-        assert kept.all() != (d == 2 and f[0] > f[1] and block_rows in prunes)
-        if not kept.all():
-            assert values[~kept].min() > patterson._certified_rmax(values, walk.offsets, n)
+        parts, least, rows = patterson._window_values(P, n, f)
+        assert rows == len(values)
+        kept = np.zeros(rows, dtype=bool)
+        for part, at in zip(parts, _window_rows(P, n, f, values), strict=True):
+            assert np.array_equal(part, values[at])
+            kept[at] = True
+        assert not kept[0] and len(np.concatenate(parts)) == np.count_nonzero(kept)
+        pruned = not kept[1:].all()
+        assert pruned == (d == 2 and f[0] > f[1] and block_rows in prunes)
+        if pruned:
+            R = patterson._certified_rmax(np.minimum.reduceat(values, walk.offsets[:-1]), n)
+            assert values[1:][~kept[1:]].min() > R
+
+
+@pytest.mark.parametrize("block_rows", [3, 5, 7, DEFAULT_ROWS])
+@pytest.mark.parametrize("make, n, small_n, prunes", PRUNE_CASES, ids=PRUNE_IDS)
+def test_window_least_values_are_the_spheres_least_values(make, n, small_n, prunes,
+                                                          block_rows, monkeypatch):
+    # the first block, and every block of a rank-1 walk, spans several
+    # spheres: each of them gets the least of its own rows
+    P = make()
+    d = P.dimension
+    n = n if block_rows == DEFAULT_ROWS else small_n
+    theta = (1,) if d == 2 else (1, 2)
+    monkeypatch.setattr(matgroup, "BLOCK_ROWS", block_rows)
+    for phi in (cartan.Functional.alpha(1, d), cartan.Functional.omega(1, d)):
+        f = cartan.theta_covector(phi, theta)
+        walk, values, _ = patterson._walk_ball(P, n, f)
+        offsets = walk.offsets
+        _, least, _ = patterson._window_values(P, n, f)
+        kept = np.zeros(len(values), dtype=bool)
+        for at in _window_rows(P, n, f, values):
+            kept[at] = True
+        kept[0] = True
+        keeps = np.add.reduceat(kept, offsets[:-1]) > 0
+        assert keeps.any()
+        assert np.array_equal(least[keeps], np.minimum.reduceat(values, offsets[:-1])[keeps])
+        # a sphere that keeps no row has no least value
+        assert (least[~keeps] == np.inf).all()
 
 
 def test_far_cut_leaves_out_only_rows_above_R():
@@ -449,8 +520,10 @@ def test_far_cut_leaves_out_only_rows_above_R():
         # R / c of 18, 250 and 300, with exp(2 R / c) below the float range
         for n, v in ((12, 1.5), (1000, 0.25), (5, 60.0)):
             first = c * np.array([0.0, v, 1.5 * v, 2.5 * v])
-            R = patterson._certified_rmax(first, offsets, n)
-            cut = patterson._far_cut(offsets, first, n, f)
+            # the block holds spheres 0 and 1 whole
+            least = np.minimum.reduceat(first[:3], offsets[:2])
+            R = patterson._certified_rmax(least, n)
+            cut = patterson._far_cut(least, n, f)
             x = (cut / 4) ** 0.25 * (1 + eps * np.arange(-40, 41))
             A = x[:, None, None] * np.eye(2)
             far = np.setdiff1d(np.arange(len(x)), patterson._near_rows(A, A, cut))
