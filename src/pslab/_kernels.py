@@ -11,7 +11,9 @@ Kernels:
   * spliced_frames - d >= 3 flag frames spliced from products and their
     inverse-word products, with the log singular values of their gaps
   * greedy_cover_count - first-fit greedy ball-covering counts for box
-    dimension, swept once per centre rather than once per row
+    dimension, swept once per centre rather than once per row, each centre
+    testing only the rows in two windows of the first coordinate, sorted
+    once (_cover_window proves their half-width)
 
 The matrix kernels take one matrix or a stack, and each is one call of
 _by_rows, which runs a numpy kernel _CHUNK rows at a time on matrices of
@@ -66,6 +68,7 @@ identity's or an orthogonal matrix's; and top eigenvalues that meet
 """
 
 import contextvars
+import math
 import os
 import threading
 
@@ -772,6 +775,45 @@ def spliced_frames(A, A_inv):
 # ---------------------------------------------------------------------------
 # greedy covering counts (box dimension)
 
+def _cover_window(rows, eps):
+    """The half-width r of greedy_cover_count's windows, or inf.
+
+    A row x that the cover's distance test puts within eps of a centre c
+    has x[0] within r of c[0] or of -c[0].  r is inf where no bound is
+    proven: non-finite rows or eps, squared norms that stray from 1 by more
+    than 1/4, or eps near 1.
+
+    Let e = 2**-52, d the row length, and nu the measured largest
+    |x . x - 1| over the rows plus d e, so that |x|^2 is within nu of 1 for
+    every row x (its sum of squares, in any order, rounds by under d e / 2,
+    and the subtraction of 1 is exact).  Write t for the angle between the
+    lines of x and c, and C for the cosine of the angle of the vectors, so
+    that sin^2 t = 1 - C^2.
+      * |x| and |c| lie in [1 - nu, 1 + nu / 2], so rho = |x| |c| is within
+        2 nu of 1.
+      * The per-pair sum s of x[i] c[i] is within (d e / 2) 1.01 rho of
+        x . c = rho C, so within 2 nu + d e of C, and clipping s to [-1, 1]
+        keeps it there.
+      * q = 1 - s * s, computed, is within e of 1 - s^2, and |C^2 - s^2|
+        <= 2 |C - s|, so q is within kappa = 4 nu + (2 d + 1) e of sin^2 t.
+      * The computed sqrt(max(q, 0)) <= eps gives q <= eps^2 (1 + 2 e), so
+        sin^2 t <= sigma^2 = eps^2 (1 + 2 e) + kappa.
+    With sign g of C, the unit vectors x / |x| and g c / |c| then lie at
+    chord 2 sin(t / 2) = sqrt(2 sigma^2 / (1 + sqrt(1 - sigma^2))) at most,
+    which bounds the gap of their first coordinates, and x[0] and c[0] are
+    each within nu of those.  The returned r adds 4 e for the rounding of
+    c[0] +- r and a relative 1e-12 for the rounding of r itself.
+    """
+    machine = np.finfo(float).eps
+    d = rows.shape[1]
+    nu = float(np.abs(np.square(rows) @ np.ones(d) - 1.0).max()) + d * machine
+    sigma2 = max(eps, 0.0) ** 2 * (1 + 2 * machine) + 4 * nu + (2 * d + 1) * machine
+    if not (nu <= 0.25 and sigma2 < 1.0):
+        return math.inf
+    chord = math.sqrt(2 * sigma2 / (1 + math.sqrt(1 - sigma2)))
+    return chord * (1 + 1e-12) + 2 * nu + 4 * machine
+
+
 def greedy_cover_count(features, eps):
     """Number of eps-balls a first-fit greedy pass needs to cover the rows.
 
@@ -779,18 +821,48 @@ def greedy_cover_count(features, eps):
     the angle between their lines, so antipodes coincide.  Deterministic:
     points are scanned in the given (canonical) order.  A row becomes a
     centre iff no earlier centre lies within eps of it.  The sweep
-    runs once per centre: the first remaining row is a centre, and one
-    vectorised distance call drops every remaining row within eps of it.
-    The work is O(rows * centres) in a few numpy calls per centre.
+    runs once per centre: the first row no centre covers is the next
+    centre, and one vectorised distance call drops every remaining row
+    within eps of it.  Only the rows whose first coordinate lies within r of
+    the centre's or of its negative can be within eps (_cover_window proves
+    r from eps and the rows' measured distance from unit norm), so the rows
+    are sorted by their first coordinate once, and each centre tests only
+    the remaining rows of its two windows, found by binary search; where no
+    r is proven it tests every remaining row.  Each pair's distance is the
+    same per-pair expression either way, so the count is the all-rows
+    sweep's.
     """
-    rest = np.asarray(features, dtype=float)
-    count = 0
-    while rest.shape[0]:
-        center, rest = rest[0], rest[1:]
-        # a per-pair sum, whose bits do not depend on how many rows share
-        # the call (a BLAS matrix-vector product's may)
-        dot = np.clip((rest * center).sum(axis=1), -1.0, 1.0)
-        dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
-        rest = rest[~(dists <= eps)]
+    rows = np.asarray(features, dtype=float)
+    if not len(rows):
+        return 0
+    r = _cover_window(rows, eps)
+    if r < math.inf:
+        order = np.argsort(rows[:, 0], kind="stable")
+        firsts = rows[order, 0]
+    alive = np.ones(len(rows), dtype=bool)
+    count = i = 0
+    while True:
+        center = rows[i]
+        alive[i] = False
         count += 1
-    return count
+        if r < math.inf:
+            # the sorted positions of the windows about center[0] and
+            # -center[0], as one range where they meet
+            lo = np.searchsorted(firsts, (center[0] - r, -center[0] - r), "left")
+            hi = np.searchsorted(firsts, (center[0] + r, -center[0] + r), "right")
+            (lo0, hi0), (lo1, hi1) = sorted(zip(lo, hi))
+            near = (order[lo0:max(hi0, hi1)] if lo1 <= hi0
+                    else np.concatenate((order[lo0:hi0], order[lo1:hi1])))
+            near = near[alive[near]]
+        else:
+            near = np.flatnonzero(alive)
+        if len(near):
+            # a per-pair sum, whose bits do not depend on how many rows share
+            # the call (a BLAS matrix-vector product's may)
+            dot = np.clip((rows[near] * center).sum(axis=1), -1.0, 1.0)
+            dists = np.sqrt(np.maximum(1.0 - dot * dot, 0.0))
+            alive[near[dists <= eps]] = False
+        # the first remaining row; none remains where alive[i] stays False
+        i += int(alive[i:].argmax())
+        if not alive[i]:
+            return count

@@ -145,9 +145,11 @@ def _window_half_width(sh, r):
     return np.where(sh <= s, np.pi, np.arcsin(np.minimum(s / np.maximum(sh, s), 1.0)))
 
 
-def shadow_masses(zs, ws, lifts, r):
-    """mu-mass of the r-shadow from the basepoint of each lifted orbit point."""
-    sbm = SortedBoundaryMeasure(zs, ws)
+def shadow_masses(sbm, lifts, r):
+    """mu-mass of the r-shadow from the basepoint of each lifted orbit point.
+
+    sbm is mu as a SortedBoundaryMeasure.
+    """
     sh = np.hypot(lifts[:, 0], lifts[:, 1])
     centers = np.arctan2(lifts[:, 1], lifts[:, 0])
     half = _window_half_width(sh, r)
@@ -155,16 +157,16 @@ def shadow_masses(zs, ws, lifts, r):
     return np.where(half >= np.pi, sbm.total, out)
 
 
-def shadow_masses_to_origin(zs, ws, lifts, r):
+def shadow_masses_to_origin(sbm, lifts, r):
     """mu-mass of O_r(gamma b0, b0) per lifted orbit point.
 
-    The geodesic from the orbit point toward z stays within r of the
-    basepoint iff the angle delta between z and the orbit direction satisfies
-    cos(delta) <= c_b, the smaller root of the tangency quadratic
+    sbm is mu as a SortedBoundaryMeasure.  The geodesic from the orbit
+    point toward z stays within r of the basepoint iff the angle delta
+    between z and the orbit direction satisfies cos(delta) <= c_b, the
+    smaller root of the tangency quadratic
     cosh^2(r) c^2 - 2 sinh^2(r) (ch/sh) c + sinh^2(r)(2 + 1/sh^2) - cosh^2(r),
     so each shadow is an exact arc around the antipodal direction.
     """
-    sbm = SortedBoundaryMeasure(zs, ws)
     sh = np.hypot(lifts[:, 0], lifts[:, 1])
     ch = lifts[:, 2]
     sigma2 = np.sinh(r + _kernels.TIE) ** 2
@@ -184,12 +186,12 @@ def shadow_masses_to_origin(zs, ws, lifts, r):
 def shadow_constants(P, mu, n, family):
     """Empirical (R0, eps0): the smallest SHADOW_RADII radius whose shadows
     from the orbit back to the basepoint all carry positive measure, and that
-    minimal measure."""
+    minimal measure.  The boundary measure is sorted once for every radius."""
     fam = KleinFamily(P, family)
-    zs, ws = fam.boundary_point(mu.frames), mu.weights
+    sbm = SortedBoundaryMeasure(fam.boundary_point(mu.frames), mu.weights)
     lifts, _ = fam.ball_lifts(matgroup.word_spheres(P, n)[1:], None)
     for r in SHADOW_RADII:
-        masses = shadow_masses_to_origin(zs, ws, lifts, r)
+        masses = shadow_masses_to_origin(sbm, lifts, r)
         eps0 = float(masses.min())
         if eps0 > 0.0:
             return float(r), eps0
@@ -221,10 +223,10 @@ def shadow_measure_check(P, mu, phi, delta, r, n, family, theta=None):
     """
     fam = KleinFamily(P, family)
     f = cartan.theta_covector(phi, theta)
-    zs, ws = fam.boundary_point(mu.frames), mu.weights
+    sbm = SortedBoundaryMeasure(fam.boundary_point(mu.frames), mu.weights)
     ball = matgroup.word_spheres(P, n)[1:]
     lifts, values = fam.ball_lifts(ball, f)
-    masses = shadow_masses(zs, ws, lifts, r)
+    masses = shadow_masses(sbm, lifts, r)
     rho = masses * np.exp(delta * values)
     rows = []
     for sphere_index, (rh, m) in enumerate(zip(ball.split(rho), ball.split(masses)), 1):

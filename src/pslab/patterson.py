@@ -175,12 +175,15 @@ def _window_values(P, n, f):
     _walk_ball gives them, since the kernel, the splice and _row_products
     work row by row.  A block may span several spheres (the first block,
     and every block of a rank-1 walk), so its least values are taken
-    sphere by sphere.
+    sphere by sphere.  After that, for any d, a block keeps only its values
+    at most R (1 + 4 eps), where R is _far_cut's radius bound of the first
+    block's whole spheres: the others are above every grid point and not
+    negative, so neither the counts nor the cone check read them.
     """
     walk = matgroup._BallWalk(P, n)
     offsets = walk.offsets
     least = np.full(n + 1, np.inf)
-    parts, cut = [], math.inf
+    parts, cut, top = [], math.inf, math.inf
     for lo, mats, inv_mats in walk:
         count = len(mats)
         near = _near_rows(mats, inv_mats, cut) if cut < math.inf else None
@@ -201,8 +204,15 @@ def _window_values(P, n, f):
         spheres = least[k:k + len(starts)]
         spheres[some] = np.minimum(spheres[some], np.minimum.reduceat(values, starts[some]))
         if lo == 0:
-            cut = _far_cut(least[:np.searchsorted(offsets, count, "right") - 1], n, f)
+            whole = least[:np.searchsorted(offsets, count, "right") - 1]
+            cut = _far_cut(whole, n, f)
+            R = _certified_rmax(whole, n) if len(whole) > 1 else math.nan
+            top = R * (1 + 4 * np.finfo(float).eps) if R > 0 else math.inf
             values = values[1:]
+        # values above top reach no grid point (see _far_cut)
+        above = values > top
+        if above.any():
+            values = values[~above]
         parts.append(values)
     return parts, least, walk.rows
 
@@ -539,14 +549,52 @@ def entropy_drop_experiment(P, subgroup_words, phi, n_max, theta=None):
 def limit_set_separation(F, G):
     """max over flags f of F of min over flags g of G of flag_distance(f, g).
 
-    F and G are flag stacks; 0.0 when either is empty.  The pairs are taken
-    SEPARATION_CHUNK at a time.
+    F and G are flag stacks; 0.0 when either is empty.  The rows of F that
+    can hold the maximum (every row for d >= 3, _line_candidates for d = 2)
+    are paired with every row of G, SEPARATION_CHUNK pairs at a time; the
+    other rows are not read, so the result has the bits of the all-pairs
+    maximum.
     """
     if not (len(F) and len(G)):
         return 0.0
-    rows = max(1, SEPARATION_CHUNK // len(G))
-    return float(max(flags.flag_distance(F[i:i + rows, None], G).min(axis=1).max()
-                     for i in range(0, len(F), rows)))
+    rows = _line_candidates(F, G) if F.dimension == 2 else np.arange(len(F))
+    step = max(1, SEPARATION_CHUNK // len(G))
+    return float(max(flags.flag_distance(F[rows[i:i + step], None], G).min(axis=1).max()
+                     for i in range(0, len(rows), step)))
+
+
+def _line_candidates(F, G):
+    """The rows of the d = 2 flag stack F whose distance to G may be the largest.
+
+    A d = 2 flag is a line, and flag_distance is the sine of the angle t
+    between two lines, which grows with t in [0, pi / 2].  So the line of G
+    nearest a row f is one of f's two neighbours among G's line angles,
+    sorted mod pi (cyclically, across the wrap at 0 / pi), up to the
+    rounding of the angles (under 1e-15).  The lesser flag_distance b of f
+    to those two is then within 2 e of f's least distance D over G, where e
+    bounds the error of one computed distance.  With the squared norms of
+    the frames' lines measured to lie within nu of 1 (so truly within
+    nu + 2 eps), the computed pairing s is within 2 nu + 6 eps of cos t,
+    1 - s^2 within 4 nu + 13 eps of sin^2 t, and its square root within the
+    root of that: e is 2 sqrt(nu + 3.25 eps) and a rounding, 5.4e-8 at
+    nu = 0 (the cancellation of sqrt(1 - s^2) near 0).  The margin
+    8 sqrt(nu + 8 eps) + 64 eps, at least 1e-7, covers 4 e and the angles:
+    a row whose b is below max(b) - margin has a D below another row's D,
+    and is left out.  Every row is a candidate where the frames are not
+    finite.
+    """
+    f, g = F.frame[:, :, 0], G.frame[:, :, 0]
+    lines = np.arctan2(g[:, 1], g[:, 0]) % np.pi
+    order = np.argsort(lines)
+    after = np.searchsorted(lines[order], np.arctan2(f[:, 1], f[:, 0]) % np.pi)
+    near = np.minimum(flags.flag_distance(F, G[order[after - 1]]),
+                      flags.flag_distance(F, G[order[after % len(G)]]))
+    eps = np.finfo(float).eps
+    nu = max(np.abs(np.square(v) @ np.ones(2) - 1.0).max() for v in (f, g))
+    margin = 8 * math.sqrt(nu + 8 * eps) + 64 * eps
+    if not margin < 1:
+        return np.arange(len(F))
+    return np.flatnonzero(near >= near.max() - margin)
 
 
 def concavity_experiment(P, phi1, phi2, lambdas, n_max, theta=None):

@@ -92,7 +92,7 @@ def test_shadow_masses_agree_with_membership_kernel(rng):
     oa = rng.uniform(-np.pi, np.pi, size=40)
     lifts = np.c_[np.sinh(d) * np.cos(oa), np.sinh(d) * np.sin(oa), np.cosh(d)]
 
-    fast = hilbert.shadow_masses(zs, ws, lifts, 1.2)
+    fast = hilbert.shadow_masses(hilbert.SortedBoundaryMeasure(zs, ws), lifts, 1.2)
     slow = shadow_oracle._shadow_from_origin_np(lifts, zs, 1.2) @ ws
     assert np.allclose(fast, slow, atol=1e-12)
 
@@ -108,7 +108,8 @@ def test_shadow_masses_to_origin_agree_with_kernel(rng):
     ws = rng.uniform(0.0, 1.0, size=300)
     ws /= ws.sum()
 
-    fast = hilbert.shadow_masses_to_origin(zs, ws, lifts, 1.5)
+    fast = hilbert.shadow_masses_to_origin(hilbert.SortedBoundaryMeasure(zs, ws), lifts,
+                                            1.5)
     slow = shadow_oracle._shadow_to_origin_np(Minvs, zs, 1.5) @ ws
     assert np.allclose(fast, slow, atol=1e-10)
 

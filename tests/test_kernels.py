@@ -9,7 +9,7 @@ from ball_oracle import word_spheres_reference
 from conftest import random_sl2
 from cover_oracle import greedy_cover_count_reference
 
-from pslab import _kernels, cartan, flags, matgroup, patterson, presets
+from pslab import _kernels, asymptotics, cartan, flags, matgroup, patterson, presets
 from pslab.errors import DecompositionFailure
 
 
@@ -755,6 +755,88 @@ def test_greedy_cover_chordal_distance_is_per_pair(d):
             rows = np.tile(c, (n, 1))
             rows[pos] = x
             assert _kernels.greedy_cover_count(rows, eps) == 1, (n, pos)
+
+
+def _assert_cover_is_first_fit(pts, grid):
+    for eps in grid:
+        assert (_kernels.greedy_cover_count(pts, eps)
+                == greedy_cover_count_reference(pts, eps)), eps
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_greedy_cover_windows_that_overlap(d):
+    # rows with first coordinate near 0, of both signs: the windows about
+    # c[0] and -c[0] overlap (c[0] < r) and hold rows of either sign
+    rng = np.random.default_rng(400 + d)
+    pts = rng.normal(size=(400, d))
+    pts[:300, 0] = rng.uniform(-0.03, 0.03, 300)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    _assert_cover_is_first_fit(pts, (0.01, 0.05, 0.1, 0.3, 0.7))
+    _assert_cover_is_first_fit(_random_antipodes(rng, pts, 1), (0.02, 0.2))
+
+
+def test_greedy_cover_eps_of_1_and_more(rng):
+    # every computed distance is at most 1, so one ball covers all
+    pts = rng.normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for eps in (1.0, np.nextafter(1.0, 0.0), 1.5, 3.0, np.inf):
+        assert _kernels.greedy_cover_count(pts, eps) == greedy_cover_count_reference(pts, eps)
+    for eps in (1.0, 1.5, 3.0, np.inf):
+        assert _kernels.greedy_cover_count(pts, eps) == 1
+    # and no ball of negative or NaN radius covers a row
+    for eps in (-0.1, np.nan):
+        assert _kernels.greedy_cover_count(pts, eps) == len(pts)
+
+
+def _so21_features(n):
+    P = presets.schottky_so21(1.6)
+    S, _, _ = flags.sample_limit_set(P, (1, 2), n)
+    return asymptotics._canonical_features(np.ascontiguousarray(S.frame[:, :, 0]))
+
+
+def test_greedy_cover_rows_not_sorted_by_first_coordinate():
+    # canonical features come sorted by their first coordinate; the sweep
+    # takes any order, and first fit follows the given one
+    rng = np.random.default_rng(500)
+    feats = _so21_features(5)
+    for order in (rng.permutation(len(feats)), np.arange(len(feats))[::-1]):
+        _assert_cover_is_first_fit(feats[order], (0.005, 0.02, 0.08, 0.3))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_greedy_cover_rows_off_unit_norm(d):
+    # canonical features are rounded to 12 digits, so their norms stray from
+    # 1 by about 1e-12; the windows widen by what the rows measure
+    rng = np.random.default_rng(600 + d)
+    pts = rng.normal(size=(500, d))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts *= 1 + 1e-12 * rng.uniform(-1, 1, size=(500, 1))
+    _assert_cover_is_first_fit(pts, (0.003, 0.03, 0.3))
+    _assert_cover_is_first_fit(np.round(pts, 12), (0.003, 0.03, 0.3))
+    # a pair whose first coordinates differ by more than the chord of its
+    # computed distance: the row lies across the line of the centre, and
+    # both are 1e-12 long, which shrinks the computed distance; eps set to
+    # it covers the row wherever it stands
+    for t in (1e-6, 1e-5, 1e-4):
+        e = np.zeros(d)
+        c = e.copy()
+        c[1] = 1 + 1e-12
+        x = e.copy()
+        x[0], x[1] = np.sin(t) * (1 + 1e-12), np.cos(t) * (1 + 1e-12)
+        dot = np.clip((x[None] * c).sum(axis=1), -1.0, 1.0)
+        eps = float(np.sqrt(np.maximum(1.0 - dot * dot, 0.0))[0])
+        assert x[0] - c[0] > 2 * np.sin(np.arcsin(eps) / 2)
+        for n, pos in ((2, 1), (64, 37)):
+            rows = np.tile(c, (n, 1))
+            rows[pos] = x
+            assert _kernels.greedy_cover_count(rows, eps) == 1, (t, n, pos)
+
+
+def test_greedy_cover_of_shipped_so21_features():
+    # box-dim's input: the canonical radius-8 sphere of schottky_so21(1.6)
+    # at the default scale grid
+    feats = _so21_features(8)
+    _assert_cover_is_first_fit(feats, np.geomspace(0.3, 0.003, 10))
 
 
 def test_ray_distances_lifted_on_axis(rng):

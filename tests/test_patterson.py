@@ -267,6 +267,119 @@ def test_limit_set_separation_matches_scalar_double_loop(monkeypatch):
     assert patterson.limit_set_separation(F[:0], G) == 0.0
 
 
+def _separation_oracle(F, G):
+    """limit_set_separation as one all-pairs flag_distance call."""
+    return float(flags.flag_distance(F[:, None], G).min(axis=1).max())
+
+
+def _line_flags(angles):
+    """d = 2 flags (rotation frames) whose lines lie at the given angles."""
+    c, s = np.cos(angles), np.sin(angles)
+    return flags.Flag((1,), np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2))
+
+
+def _assert_separation_is_all_pairs(F, G):
+    got = patterson.limit_set_separation(F, G)
+    want = _separation_oracle(F, G)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
+
+
+def test_limit_set_separation_d2_matches_all_pairs_oracle():
+    rng = np.random.default_rng(11)
+    for size_f, size_g in ((300, 200), (1, 200), (200, 1), (1, 1), (37, 5)):
+        for _ in range(4):
+            F = _line_flags(rng.uniform(-np.pi, np.pi, size_f))
+            G = _line_flags(rng.uniform(-np.pi, np.pi, size_g))
+            _assert_separation_is_all_pairs(F, G)
+            _assert_separation_is_all_pairs(G, F)
+    # duplicated rows on both sides, and antipodal frames of one line
+    a = rng.uniform(0, np.pi, 40)
+    F = _line_flags(np.concatenate([a, a, a[:7] + np.pi]))
+    G = _line_flags(np.concatenate([a[::3], a[::3], a[1::5] - np.pi]))
+    _assert_separation_is_all_pairs(F, G)
+    _assert_separation_is_all_pairs(G, F)
+    # clusters straddling the wrap at 0 / pi: each row's nearest line lies
+    # across it
+    near0 = np.concatenate([rng.uniform(-1e-3, 1e-3, 50), np.pi + rng.uniform(-1e-3, 1e-3, 50)])
+    F = _line_flags(near0)
+    G = _line_flags(np.concatenate([near0[::7] + 2e-3, [0.5, 2.0]]))
+    _assert_separation_is_all_pairs(F, G)
+    _assert_separation_is_all_pairs(G, F)
+    for lone in (1e-12, np.pi - 1e-12, -1e-12, 0.0):
+        F = _line_flags(np.array([lone]))
+        for G in (_line_flags(near0), _line_flags(np.array([np.pi / 2, 1e-4]))):
+            _assert_separation_is_all_pairs(F, G)
+            _assert_separation_is_all_pairs(G, F)
+
+
+def test_limit_set_separation_d2_near_zero_matches_all_pairs_oracle():
+    # G holds F: every least distance is 0 up to the rounding of
+    # sqrt(1 - s^2) near 0 (about 1e-8), where the margin decides which
+    # rows the exact pass reads
+    P = presets.fuchsian_schottky(1.6)
+    F, _, _ = flags.sample_limit_set(P, (1,), 5)
+    rng = np.random.default_rng(12)
+    for G in (F, F[rng.permutation(len(F))],
+              flags.Flag((1,), np.concatenate([F.frame, -F.frame[::3]])[rng.permutation(
+                  len(F) + len(F.frame[::3]))])):
+        _assert_separation_is_all_pairs(F, G)
+    # lines turned by 1e-10 to 1e-7 rad from F's: the least distances lie
+    # in the rounding noise of the nearest pair
+    turn = rng.uniform(1e-10, 1e-7, len(F)) * rng.choice([-1.0, 1.0], len(F))
+    c, s = np.cos(turn)[:, None, None], np.sin(turn)[:, None, None]
+    R = np.concatenate([np.concatenate([c, -s], 2), np.concatenate([s, c], 2)], 1)
+    G = flags.Flag((1,), R @ F.frame)
+    _assert_separation_is_all_pairs(F, G)
+    _assert_separation_is_all_pairs(G, F)
+    lines = _line_flags(np.linspace(0, np.pi, 500, endpoint=False))
+    _assert_separation_is_all_pairs(lines, flags.Flag((1,), lines.frame[::-1]))
+    # the first row's nearer line by angle (2.0e-10 rad) computes to 2.1e-8
+    # and its farther one (5.0e-10 rad) to 0, while the second row's nearest
+    # line computes to 1.5e-8: the first row's bound is the largest, and only
+    # the margin sends the second row, which holds the maximum, to the exact
+    # pass
+    a = 0.5278481612616994
+    F = _line_flags(np.array([a, 2.0]))
+    G = _line_flags(np.array([a + 2.0349407232407503e-10, a + 4.986547241998592e-10,
+                              2.0 + 1.02e-08]))
+    _assert_separation_is_all_pairs(F, G)
+
+
+def test_limit_set_separation_d3_matches_all_pairs_oracle():
+    P = presets.sl3_zariski_dense()
+    F, _, _ = flags.sample_limit_set(P, (1, 2), 3)
+    G, _, _ = flags.sample_limit_set(
+        patterson.subgroup_presentation(P, [[1], [2, 1, -2]]), (1, 2), 3)
+    _assert_separation_is_all_pairs(F, G)
+    _assert_separation_is_all_pairs(G, F)
+    _assert_separation_is_all_pairs(F[:1], G)
+    _assert_separation_is_all_pairs(F, G[:1])
+
+
+def test_entropy_drop_separation_reads_few_rows_of_the_ambient_sample(monkeypatch):
+    # the shipped entropy-drop config: of its 972 ambient flags, only the few
+    # whose nearest subgroup flag lies within the margin of the farthest go
+    # to the exact pass, paired with every subgroup flag
+    exact_rows, distance = [], flags.flag_distance
+
+    def counting(F, G):
+        if F.frame.ndim == 4:
+            exact_rows.append(F.frame.shape[0])
+        return distance(F, G)
+
+    monkeypatch.setattr(flags, "flag_distance", counting)
+    P = presets.PRESETS["fuchsian-schottky-1"]()
+    report = patterson.entropy_drop_experiment(P, [[1], [2, 1, -2]], ALPHA1_2, 8, (1,))
+    assert report["limit_set_separation"] == 0.23511435548458906
+    assert 1 <= sum(exact_rows) <= 16
+    monkeypatch.setattr(flags, "flag_distance", distance)
+    amb, _, _ = flags.sample_limit_set(P, (1,), patterson.SEPARATION_RADIUS)
+    sub, _, _ = flags.sample_limit_set(
+        patterson.subgroup_presentation(P, [[1], [2, 1, -2]]), (1,), patterson.SEPARATION_RADIUS)
+    assert len(amb) == 972
+    assert _separation_oracle(amb, sub) == 0.23511435548458906
+
+
 STREAM_CASES = [(presets.parabolic, 60, (1,)),
                 (functools.partial(presets.fuchsian_schottky, 1.6), 6, (1,)),
                 (functools.partial(presets.schottky_so21, 1.6), 5, (1, 2)),
@@ -418,27 +531,33 @@ PRUNE_IDS = ["schottky-1.6", "schottky-2.6", "gamma2", "parabolic", "cyclic", "r
 
 
 def _window_rows(P, n, f, values):
-    """The ball rows of each block that _window_values(P, n, f) splices, in walk order.
+    """The ball rows of each block that _window_values(P, n, f) splices, in walk order, and top.
 
     values holds one value per ball row.  The first block's rows are all
     spliced, and the identity's value is not kept; a later block splices
     the rows that _near_rows leaves under the cut of the first block's whole
-    spheres, or all of them when they are more than half the block.
+    spheres, or all of them when they are more than half the block.  top is
+    R (1 + 4 eps) for the certified radius R of those spheres when R > 0,
+    else inf: a block keeps the values of the rows it splices that are not
+    above top.
     """
     walk = matgroup._BallWalk(P, n)
-    rows, cut = [], np.inf
+    rows, cut, top = [], np.inf, np.inf
     for lo, mats, inv_mats in walk:
         near = np.arange(len(mats))
         if lo == 0:
             whole = walk.offsets[:np.searchsorted(walk.offsets, len(mats), "right") - 1]
-            cut = patterson._far_cut(np.minimum.reduceat(values, whole), n, f)
+            least = np.minimum.reduceat(values, whole)
+            cut = patterson._far_cut(least, n, f)
+            R = patterson._certified_rmax(least, n) if len(least) > 1 else np.nan
+            top = R * (1 + 4 * np.finfo(float).eps) if R > 0 else np.inf
             near = near[1:]
         elif cut < np.inf:
             pruned = patterson._near_rows(mats, inv_mats, cut)
             if 2 * len(pruned) <= len(mats):
                 near = pruned
         rows.append(lo + near)
-    return rows
+    return rows, top
 
 
 @pytest.mark.parametrize("block_rows", [3, 5, 7, DEFAULT_ROWS])
@@ -465,19 +584,23 @@ def test_window_pruned_regression_matches_full_values(make, n, small_n, prunes, 
         if not isinstance(got, str):
             assert (np.float64(got.delta_hat).view(np.int64)
                     == np.float64(want.delta_hat).view(np.int64))
-        # the rows the regression path splices keep their bits, and the others
-        # lie above the certified radius; d = 3 and a phi that is not
-        # positive on the 2x2 Cartan vectors splice every row
+        # the values the regression path keeps are those of the rows it
+        # splices that are not above top, with their bits, and the others lie
+        # above the certified radius; d = 3 and a phi that is not positive on
+        # the 2x2 Cartan vectors splice every row
         parts, least, rows = patterson._window_values(P, n, f)
         assert rows == len(values)
-        kept = np.zeros(rows, dtype=bool)
-        for part, at in zip(parts, _window_rows(P, n, f, values), strict=True):
+        spliced, kept = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
+        at_rows, top = _window_rows(P, n, f, values)
+        for part, at in zip(parts, at_rows, strict=True):
+            spliced[at] = True
+            at = at[~(values[at] > top)]
             assert np.array_equal(part, values[at])
             kept[at] = True
-        assert not kept[0] and len(np.concatenate(parts)) == np.count_nonzero(kept)
-        pruned = not kept[1:].all()
+        assert not spliced[0] and len(np.concatenate(parts)) == np.count_nonzero(kept)
+        pruned = not spliced[1:].all()
         assert pruned == (d == 2 and f[0] > f[1] and block_rows in prunes)
-        if pruned:
+        if not kept[1:].all():
             R = patterson._certified_rmax(np.minimum.reduceat(values, walk.offsets[:-1]), n)
             assert values[1:][~kept[1:]].min() > R
 
@@ -499,7 +622,7 @@ def test_window_least_values_are_the_spheres_least_values(make, n, small_n, prun
         offsets = walk.offsets
         _, least, _ = patterson._window_values(P, n, f)
         kept = np.zeros(len(values), dtype=bool)
-        for at in _window_rows(P, n, f, values):
+        for at in _window_rows(P, n, f, values)[0]:
             kept[at] = True
         kept[0] = True
         keeps = np.add.reduceat(kept, offsets[:-1]) > 0
@@ -507,6 +630,25 @@ def test_window_least_values_are_the_spheres_least_values(make, n, small_n, prun
         assert np.array_equal(least[keeps], np.minimum.reduceat(values, offsets[:-1])[keeps])
         # a sphere that keeps no row has no least value
         assert (least[~keeps] == np.inf).all()
+
+
+@pytest.mark.parametrize("make, n, theta, count, kept", [
+    (functools.partial(presets.fuchsian_schottky, 1.6), 12, (1,), 1_062_881, 112_726),
+    (functools.partial(presets.schottky_so21, 1.6), 9, (1, 2), 39_365, 6_174)],
+    ids=["schottky-12", "schottky-d3-9"])
+def test_window_values_keep_no_value_far_above_the_certified_radius(make, n, theta, count,
+                                                                    kept):
+    # once a block's least values are taken it keeps no value above R (1 +
+    # 4 eps) for R of the first block's spheres, for d = 3 as for d = 2:
+    # 43,530 of the 156,256 values that the radius-12 ball kept before lay
+    # above its certified radius 38.40, as did 33,191 of the d = 3 ball's
+    # 39,364
+    P = make()
+    f = cartan.theta_covector(cartan.Functional.alpha(1, P.dimension), theta)
+    parts, least, rows = patterson._window_values(P, n, f)
+    values = np.concatenate(parts)
+    assert (rows, len(values)) == (count, kept)
+    assert np.count_nonzero(values > patterson._certified_rmax(least, n)) <= 1
 
 
 def test_far_cut_leaves_out_only_rows_above_R():
