@@ -827,35 +827,35 @@ def greedy_cover_count(features, eps):
     the centre's or of its negative can be within eps (_cover_window proves
     r from eps and the rows' measured distance from unit norm), so the rows
     are sorted by their first coordinate once, and each centre tests only
-    the remaining rows of its two windows, found by binary search; where no
-    r is proven it tests every remaining row.  Each pair's distance is the
-    same per-pair expression either way, so the count is the all-rows
-    sweep's.
+    the remaining rows of its two windows, found by binary search.  Where no
+    r is proven, r is inf, and the windows leave out a row only where its
+    first coordinate or the centre's is NaN (NaN sorts last): its product
+    with the centre, and so its distance, is then NaN, and no eps covers it.
+    Each pair's distance is the same per-pair expression as in a sweep over
+    all rows, so the count is that sweep's.
     """
     rows = np.asarray(features, dtype=float)
     if not len(rows):
         return 0
     r = _cover_window(rows, eps)
-    if r < math.inf:
-        order = np.argsort(rows[:, 0], kind="stable")
-        firsts = rows[order, 0]
+    order = np.argsort(rows[:, 0], kind="stable")
+    firsts = rows[order, 0]
     alive = np.ones(len(rows), dtype=bool)
     count = i = 0
     while True:
         center = rows[i]
         alive[i] = False
         count += 1
-        if r < math.inf:
-            # the sorted positions of the windows about center[0] and
-            # -center[0], as one range where they meet
-            lo = np.searchsorted(firsts, (center[0] - r, -center[0] - r), "left")
-            hi = np.searchsorted(firsts, (center[0] + r, -center[0] + r), "right")
-            (lo0, hi0), (lo1, hi1) = sorted(zip(lo, hi))
-            near = (order[lo0:max(hi0, hi1)] if lo1 <= hi0
-                    else np.concatenate((order[lo0:hi0], order[lo1:hi1])))
-            near = near[alive[near]]
-        else:
-            near = np.flatnonzero(alive)
+        # the sorted positions of the windows about c0 = center[0] and -c0,
+        # as one range where they meet; float arithmetic makes inf - inf a
+        # NaN without numpy's warning
+        c0 = float(center[0])
+        lo = np.searchsorted(firsts, (c0 - r, -c0 - r), "left")
+        hi = np.searchsorted(firsts, (c0 + r, -c0 + r), "right")
+        (lo0, hi0), (lo1, hi1) = sorted(zip(lo, hi))
+        near = (order[lo0:max(hi0, hi1)] if lo1 <= hi0
+                else np.concatenate((order[lo0:hi0], order[lo1:hi1])))
+        near = near[alive[near]]
         if len(near):
             # a per-pair sum, whose bits do not depend on how many rows share
             # the call (a BLAS matrix-vector product's may)

@@ -125,8 +125,8 @@ def _near_rows(mats, inv_mats, cut):
     return np.flatnonzero(~far)
 
 
-def _far_cut(least, n, f):
-    """The least product of squared norms past which a 2x2 row is above the regression's window.
+def _window_top(least, n):
+    """The bound above which a value reaches none of the regression's grid points, or inf.
 
     least holds the least values of spheres 0..len(least) - 1 of the
     radius-n ball, the spheres that the walk's first block holds whole.  R =
@@ -134,29 +134,41 @@ def _far_cut(least, n, f):
     radius r_max.  _sphere_regression reads no value above r_max but through
     the least value of each sphere and of the ball: a value v > R (1 + 4 eps)
     is above every grid point, and v / k >= R / n leaves the least value of
-    the ball and the certified radius as they are.  So such a row may be
+    the ball and the certified radius as they are.  So such a value may be
     left out of the values the regression reads.
 
-    For a 2x2 M, sigma_1(M)^2 >= |M|_F^2 / 2.  So where the computed
-    squared norms a, b of A and A_inv are at least 2 (1 + 4 eps), both log
-    sigma_1 are >= 0 and their sum s is >= log(a b / 4) / 2, up to the
-    rounding of a and b.  A value is within err (1 + s) of c s, err = VALUE_ULPS eps g, so it
-    exceeds R (1 + 4 eps) once s > s_cut = (R (1 + 4 eps) + err) / (c - err).
-    The slack in the returned cut T covers the rounding of s_cut and of T
-    (a relative error of a few eps, which the exponent turns into one of
-    2 s_cut times that) and of a b (9 roundings): a b > T gives s > s_cut.
-
-    Returns inf, which cuts no row, unless d = 2, c > 2 err and R > 0, and
-    least holds a non-identity sphere.
+    Returns R (1 + 4 eps), or inf unless least holds a non-identity sphere
+    and R > 0.
     """
-    if len(f) != 2 or len(least) < 2:
+    if len(least) < 2:
+        return math.inf
+    R = _certified_rmax(least, n)
+    return R * (1 + 4 * np.finfo(float).eps) if R > 0 else math.inf
+
+
+def _far_cut(top, f):
+    """The least product of squared norms past which a 2x2 row's value is above top.
+
+    top is _window_top's bound, so such a row is above the regression's
+    window and may be left out.  For a 2x2 M, sigma_1(M)^2 >= |M|_F^2 / 2.
+    So where the computed squared norms a, b of A and A_inv are at least
+    2 (1 + 4 eps), both log sigma_1 are >= 0 and their sum s is >= log(a b /
+    4) / 2, up to the rounding of a and b.  A value is within err (1 + s) of
+    c s, err = VALUE_ULPS eps g, so it exceeds top once s > s_cut = (top +
+    err) / (c - err).  The slack in the returned cut T covers the rounding
+    of s_cut and of T (a relative error of a few eps, which the exponent
+    turns into one of 2 s_cut times that) and of a b (9 roundings): a b > T
+    gives s > s_cut.
+
+    Returns inf, which cuts no row, unless d = 2, c > 2 err and top < inf.
+    """
+    if len(f) != 2 or not top < math.inf:
         return math.inf
     eps = np.finfo(float).eps
     c, err = (f[0] - f[1]) / 2, VALUE_ULPS * eps * (abs(f[0]) + abs(f[1]))
-    R = _certified_rmax(least, n)
-    if not (c > 2 * err and R > 0):
+    if not c > 2 * err:
         return math.inf
-    s_cut = (R * (1 + 4 * eps) + err) / (c - err)
+    s_cut = (top + err) / (c - err)
     arg = 2 * s_cut * (1 + 16 * eps) + 32 * eps
     return 4 * math.exp(arg) if arg < 700 else math.inf
 
@@ -176,9 +188,9 @@ def _window_values(P, n, f):
     work row by row.  A block may span several spheres (the first block,
     and every block of a rank-1 walk), so its least values are taken
     sphere by sphere.  After that, for any d, a block keeps only its values
-    at most R (1 + 4 eps), where R is _far_cut's radius bound of the first
-    block's whole spheres: the others are above every grid point and not
-    negative, so neither the counts nor the cone check read them.
+    at most _window_top of the first block's whole spheres: the others are
+    above every grid point and not negative, so neither the counts nor the
+    cone check read them.
     """
     walk = matgroup._BallWalk(P, n)
     offsets = walk.offsets
@@ -205,11 +217,10 @@ def _window_values(P, n, f):
         spheres[some] = np.minimum(spheres[some], np.minimum.reduceat(values, starts[some]))
         if lo == 0:
             whole = least[:np.searchsorted(offsets, count, "right") - 1]
-            cut = _far_cut(whole, n, f)
-            R = _certified_rmax(whole, n) if len(whole) > 1 else math.nan
-            top = R * (1 + 4 * np.finfo(float).eps) if R > 0 else math.inf
+            top = _window_top(whole, n)
+            cut = _far_cut(top, f)
             values = values[1:]
-        # values above top reach no grid point (see _far_cut)
+        # values above top reach no grid point (see _window_top)
         above = values > top
         if above.any():
             values = values[~above]
@@ -559,8 +570,9 @@ def limit_set_separation(F, G):
         return 0.0
     rows = _line_candidates(F, G) if F.dimension == 2 else np.arange(len(F))
     step = max(1, SEPARATION_CHUNK // len(G))
-    return float(max(flags.flag_distance(F[rows[i:i + step], None], G).min(axis=1).max()
-                     for i in range(0, len(rows), step)))
+    # np.max, like the all-pairs maximum and unlike max, keeps a NaN of any chunk
+    return float(np.max([flags.flag_distance(F[rows[i:i + step], None], G).min(axis=1).max()
+                         for i in range(0, len(rows), step)]))
 
 
 def _line_candidates(F, G):
@@ -585,12 +597,16 @@ def _line_candidates(F, G):
     """
     f, g = F.frame[:, :, 0], G.frame[:, :, 0]
     lines = np.arctan2(g[:, 1], g[:, 0]) % np.pi
-    order = np.argsort(lines)
+    # the stable sort is the one the library's other argsorts run; the
+    # default quicksort maps numpy's SIMD sort code, which added about
+    # 128 kB of resident pages to a run (numpy 2.4, x86-64)
+    order = np.argsort(lines, kind="stable")
     after = np.searchsorted(lines[order], np.arctan2(f[:, 1], f[:, 0]) % np.pi)
     near = np.minimum(flags.flag_distance(F, G[order[after - 1]]),
                       flags.flag_distance(F, G[order[after % len(G)]]))
     eps = np.finfo(float).eps
-    nu = max(np.abs(np.square(v) @ np.ones(2) - 1.0).max() for v in (f, g))
+    # np.max, unlike max, keeps a NaN of either stack
+    nu = np.max([np.abs(np.square(v) @ np.ones(2) - 1.0).max() for v in (f, g)])
     margin = 8 * math.sqrt(nu + 8 * eps) + 64 * eps
     if not margin < 1:
         return np.arange(len(F))

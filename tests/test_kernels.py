@@ -788,6 +788,41 @@ def test_greedy_cover_eps_of_1_and_more(rng):
         assert _kernels.greedy_cover_count(pts, eps) == len(pts)
 
 
+def _first_fit_any_centre(features, eps):
+    """First-fit count where a row is covered iff some centre's per-pair distance is <= eps.
+
+    greedy_cover_count's rule, which the per-row oracle's least distance
+    over the centres only matches while no distance is NaN.
+    """
+    centers = []
+    for row in np.asarray(features, dtype=float):
+        if centers:
+            dot = np.clip((np.array(centers) * row).sum(axis=1), -1.0, 1.0)
+            if (np.sqrt(np.maximum(1.0 - dot * dot, 0.0)) <= eps).any():
+                continue
+        centers.append(row)
+    return len(centers)
+
+
+def test_greedy_cover_non_finite_rows():
+    # no window is proven, and the windows of r = inf leave out only rows
+    # whose first coordinate, or the centre's, is NaN: those are at NaN
+    # distance and never covered, as in a sweep over every row
+    rng = np.random.default_rng(700)
+    pts = rng.normal(size=(60, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    odd = np.array([[np.nan, 0.6, 0.8], [0.6, np.nan, 0.8], [np.nan] * 3, [np.inf, 0.0, 0.0],
+                    [-np.inf, 1.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]])
+    for rows in (np.vstack([odd, pts]), np.vstack([pts[:30], odd, pts[30:]]),
+                 np.vstack([odd[::-1], pts, odd])):
+        for eps in (0.05, 0.3, 1.0, np.inf):
+            # inf * 0 in a row's products with the centre is NaN
+            with np.errstate(invalid="ignore"):
+                got, want = (_kernels.greedy_cover_count(rows, eps),
+                             _first_fit_any_centre(rows, eps))
+            assert got == want, eps
+
+
 def _so21_features(n):
     P = presets.schottky_so21(1.6)
     S, _, _ = flags.sample_limit_set(P, (1, 2), n)

@@ -284,7 +284,7 @@ def _assert_separation_is_all_pairs(F, G):
     assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
 
 
-def test_limit_set_separation_d2_matches_all_pairs_oracle():
+def test_limit_set_separation_d2_matches_all_pairs_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     for size_f, size_g in ((300, 200), (1, 200), (200, 1), (1, 1), (37, 5)):
         for _ in range(4):
@@ -310,6 +310,18 @@ def test_limit_set_separation_d2_matches_all_pairs_oracle():
         for G in (_line_flags(near0), _line_flags(np.array([np.pi / 2, 1e-4]))):
             _assert_separation_is_all_pairs(F, G)
             _assert_separation_is_all_pairs(G, F)
+    # a NaN line in either sample makes the all-pairs maximum NaN, also
+    # where it sorts past the largest angle, as the wrap's neighbour of F's
+    # rows there, and where it lies in a later chunk than the largest
+    # finite distance
+    F = _line_flags(np.concatenate([rng.uniform(0, np.pi, 30), [np.pi - 1e-6]]))
+    G = _line_flags(np.concatenate([rng.uniform(0, np.pi, 20), [np.nan]]))
+    for a, b in ((F, G), (G, F), (F, G[::-1])):
+        assert np.isnan(_separation_oracle(a, b))
+        assert np.isnan(patterson.limit_set_separation(a, b))
+    # 100 pairs a chunk: G's rows go 3 to a chunk, its NaN line in the last
+    monkeypatch.setattr(patterson, "SEPARATION_CHUNK", 100)
+    assert np.isnan(patterson.limit_set_separation(G, F))
 
 
 def test_limit_set_separation_d2_near_zero_matches_all_pairs_oracle():
@@ -537,9 +549,8 @@ def _window_rows(P, n, f, values):
     spliced, and the identity's value is not kept; a later block splices
     the rows that _near_rows leaves under the cut of the first block's whole
     spheres, or all of them when they are more than half the block.  top is
-    R (1 + 4 eps) for the certified radius R of those spheres when R > 0,
-    else inf: a block keeps the values of the rows it splices that are not
-    above top.
+    _window_top of those spheres: a block keeps the values of the rows it
+    splices that are not above top.
     """
     walk = matgroup._BallWalk(P, n)
     rows, cut, top = [], np.inf, np.inf
@@ -548,9 +559,8 @@ def _window_rows(P, n, f, values):
         if lo == 0:
             whole = walk.offsets[:np.searchsorted(walk.offsets, len(mats), "right") - 1]
             least = np.minimum.reduceat(values, whole)
-            cut = patterson._far_cut(least, n, f)
-            R = patterson._certified_rmax(least, n) if len(least) > 1 else np.nan
-            top = R * (1 + 4 * np.finfo(float).eps) if R > 0 else np.inf
+            top = patterson._window_top(least, n)
+            cut = patterson._far_cut(top, f)
             near = near[1:]
         elif cut < np.inf:
             pruned = patterson._near_rows(mats, inv_mats, cut)
@@ -665,13 +675,15 @@ def test_far_cut_leaves_out_only_rows_above_R():
             # the block holds spheres 0 and 1 whole
             least = np.minimum.reduceat(first[:3], offsets[:2])
             R = patterson._certified_rmax(least, n)
-            cut = patterson._far_cut(least, n, f)
+            top = patterson._window_top(least, n)
+            assert top == R * (1 + 4 * eps)
+            cut = patterson._far_cut(top, f)
             x = (cut / 4) ** 0.25 * (1 + eps * np.arange(-40, 41))
             A = x[:, None, None] * np.eye(2)
             far = np.setdiff1d(np.arange(len(x)), patterson._near_rows(A, A, cut))
             assert 0 < len(far) < len(x)
             values = matgroup._row_products(matgroup.batch_kappa(A[far], A[far]), f)
-            assert (values > R * (1 + 4 * eps)).all()
+            assert (values > top).all()
 
 
 def test_window_pruned_regression_splices_few_rows(monkeypatch):
