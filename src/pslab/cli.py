@@ -79,14 +79,92 @@ def _write_csv(path, header, columns):
             fh.write((line + "\r\n") * rows % _cells(columns, slice(lo, lo + rows), alone))
 
 
-@functools.cache
-def _validator():
-    # the schema is checked once by the test suite, not on every run;
-    # jsonschema is imported here, as its import costs every start-up and
-    # only validation needs it
-    import jsonschema
+# schema.json's "type" values; JSON's true is no number, and 1.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
 
-    return jsonschema.Draft202012Validator(load_schema())
+
+@functools.cache
+def _schema():
+    return load_schema()
+
+
+def _canon(value):
+    """value as a hashable key under JSON equality: true is not 1, and 1 is 1.0."""
+    if isinstance(value, list):
+        return "array", tuple(map(_canon, value))
+    if isinstance(value, dict):
+        return "object", frozenset((k, _canon(v)) for k, v in value.items())
+    return isinstance(value, bool), value
+
+
+def _valid(value, schema):
+    return next(_schema_errors(value, schema, ()), None) is None
+
+
+# the rules that fail at their own path: rule -> fails(value, rule value, schema);
+# a rule of one JSON type passes a value of another
+_FAILS = {
+    "enum": lambda v, a, s: _canon(v) not in map(_canon, a),
+    "const": lambda v, a, s: _canon(v) != _canon(a),
+    "minimum": lambda v, a, s: _TYPES["number"](v) and v < a,
+    "exclusiveMinimum": lambda v, a, s: _TYPES["number"](v) and v <= a,
+    "minItems": lambda v, a, s: isinstance(v, list) and len(v) < a,
+    "maxItems": lambda v, a, s: isinstance(v, list) and len(v) > a,
+    "uniqueItems": lambda v, a, s: (a and isinstance(v, list)
+                                    and len(set(map(_canon, v))) < len(v)),
+    "required": lambda v, a, s: isinstance(v, dict) and not v.keys() >= set(a),
+    "additionalProperties": lambda v, a, s: (isinstance(v, dict) and a is False and not
+                                             v.keys() <= s.get("properties", {}).keys()),
+    "minProperties": lambda v, a, s: isinstance(v, dict) and len(v) < a,
+    "maxProperties": lambda v, a, s: isinstance(v, dict) and len(v) > a,
+    "anyOf": lambda v, a, s: not any(_valid(v, sub) for sub in a),
+    "oneOf": lambda v, a, s: sum(_valid(v, sub) for sub in a) != 1,
+    "not": lambda v, a, s: _valid(v, a),
+}
+
+
+def _schema_errors(value, schema, path):
+    """(path, rule, rule value) for each rule of schema that value fails.
+
+    Covers the keywords schema.json uses, as JSON Schema 2020-12 reads them;
+    a local $ref names a part of schema.json.  A value of the wrong type
+    fails "type" alone, so the walk recurses once per level of the schema,
+    never once per level of the value.  anyOf, oneOf and not fail at their
+    own path; allOf, if/then and $ref yield their subschemas' failures.
+    """
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        yield path, "type", schema["type"]
+        return
+    for rule, arg in schema.items():
+        if rule in _FAILS:
+            if _FAILS[rule](value, arg, schema):
+                yield path, rule, arg
+        elif rule == "$ref":
+            target = _schema()
+            for key in arg.removeprefix("#/").split("/"):
+                target = target[key]
+            yield from _schema_errors(value, target, path)
+        elif rule == "allOf":
+            for sub in arg:
+                yield from _schema_errors(value, sub, path)
+        elif rule == "if":
+            if _valid(value, arg):
+                yield from _schema_errors(value, schema.get("then", {}), path)
+        elif rule == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (i,))
+        elif rule == "properties" and isinstance(value, dict):
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _schema_errors(value[key], sub, path + (key,))
 
 
 def _floats(value, path):
@@ -99,16 +177,11 @@ def _floats(value, path):
         yield from _floats(item, path + (key,))
 
 
-def _schema_message(error):
-    """The schema rule a config value fails, in words that do not quote the value.
-
-    jsonschema's own message holds the repr of the whole offending value,
-    which may be any size.
-    """
-    rule, value = error.validator, error.validator_value
+def _schema_message(rule, value):
+    """The schema rule a config value fails, in words that do not quote the value."""
     if rule == "not":
-        # the schema's only "not" rejects a field the command does not read
-        return "not read by this command"
+        # each "not" in the schema rejects a field that the run would not read
+        return "not read by this run"
     # a rule whose value is a subschema is named, not quoted
     if isinstance(value, dict) or (isinstance(value, list)
                                    and any(isinstance(v, dict) for v in value)):
@@ -117,14 +190,15 @@ def _schema_message(error):
 
 
 def validate_config(config):
-    from jsonschema.exceptions import best_match
-
-    # the schema walk and _floats recurse once per nesting level
+    # _floats, and uniqueItems' equality of items, recurse once per nesting level
     try:
-        error = best_match(_validator().iter_errors(config))
+        # the shallowest failing rule, the first of its depth in schema order
+        error = min(_schema_errors(config, _schema(), ()), key=lambda e: len(e[0]),
+                    default=None)
         if error is not None:
-            path = ".".join(str(p) for p in error.absolute_path) or "(root)"
-            raise ConfigInvalid(path, _schema_message(error)) from error
+            path, rule, value = error
+            raise ConfigInvalid(".".join(map(str, path)) or "(root)",
+                                _schema_message(rule, value))
         # json.load reads NaN and Infinity, and the schema's "number" admits them
         for path, x in _floats(config, ()):
             if not math.isfinite(x):

@@ -1,7 +1,10 @@
 import ast
+import copy
 import csv
 import functools
 import hashlib
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -22,6 +25,16 @@ from pslab.errors import ConfigInvalid
 from conftest import traced_peak
 import csv_oracle
 from words import ball_words
+
+
+def shipped_configs():
+    """The configs under configs/, by file name without .json, in name order."""
+    cfg_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
+    configs = {}
+    for name in sorted(f for f in os.listdir(cfg_dir) if f.endswith(".json")):
+        with open(os.path.join(cfg_dir, name)) as fh:
+            configs[name[:-5]] = json.load(fh)
+    return configs
 
 
 def base_config(**overrides):
@@ -52,16 +65,130 @@ def test_validate_config_reports_field_path():
     with pytest.raises(ConfigInvalid) as exc:
         cli.validate_config({"preset": "sl2-mild", "bogus": 1})
     assert exc.value.path == "(root)"
-    # a value nested deeper than the schema walk recurses
+    # the shallowest failing rule is reported
+    with pytest.raises(ConfigInvalid) as exc:
+        cli.validate_config({"preset": "sl2-mild", "theta": [0], "bogus": 1})
+    assert exc.value.path == "(root)"
+    # a value of the wrong type fails "type" without a walk into its levels,
+    # however deep it is nested
     deep = 4
     for _ in range(5000):
         deep = [deep]
     with pytest.raises(ConfigInvalid) as exc:
         cli.validate_config({"command": "kappa", "preset": "parabolic", "params": {"n": deep}})
-    assert exc.value.path == "(root)"
+    assert exc.value.path == "params.n"
     # closed-geodesic counting reads words shorter than an exponent fit needs
     cli.validate_config({"command": "count-geodesics", "preset": "parabolic",
                          "params": {"n_max": 3}})
+
+
+def _schema_keywords(schema):
+    """(keyword, value) for every keyword of a schema and of its subschemas."""
+    for rule, arg in schema.items():
+        yield rule, arg
+        subs = (arg.values() if rule in ("properties", "$defs")
+                else arg if rule in ("anyOf", "oneOf", "allOf")
+                else [arg] if rule in ("items", "not", "if", "then") else [])
+        for sub in subs:
+            yield from _schema_keywords(sub)
+
+
+# the keywords cli._schema_errors implements
+VALIDATED = {"type", "enum", "const", "minimum", "exclusiveMinimum", "items", "minItems",
+             "maxItems", "uniqueItems", "properties", "required", "additionalProperties",
+             "minProperties", "maxProperties", "anyOf", "oneOf", "allOf", "if", "then", "not",
+             "$ref"}
+
+
+def test_schema_uses_only_keywords_the_validator_implements():
+    # the validator passes over a keyword it does not know, so a new one
+    # fails here rather than being ignored; $schema, title and $defs need no code
+    rules = list(_schema_keywords(cli.load_schema()))
+    assert {rule for rule, _ in rules} <= VALIDATED | {"$schema", "title", "$defs"}
+    # and each keyword takes only the values the validator reads
+    assert {arg for rule, arg in rules if rule == "type"} <= cli._TYPES.keys()
+    assert {arg for rule, arg in rules if rule == "additionalProperties"} == {False}
+    assert all(arg.startswith("#/") for rule, arg in rules if rule == "$ref")
+
+
+def _slots(value):
+    """(container, key) for every value inside a parsed JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield value, key
+        yield from _slots(item)
+
+
+def _mutant(config, rng, donors, names):
+    """config with one or two random edits: a value replaced by a donor, a key
+    or item deleted, or a donor added under a schema property name."""
+    config = copy.deepcopy(config)
+    for _ in range(rng.integers(1, 3)):
+        slots = list(_slots(config))
+        op = rng.integers(3) if slots else 2
+        if op < 2:
+            container, key = slots[rng.integers(len(slots))]
+            if op:
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(donors[rng.integers(len(donors))])
+            continue
+        containers = [config] + [c[k] for c, k in slots if isinstance(c[k], (dict, list))]
+        container = containers[rng.integers(len(containers))]
+        donor = copy.deepcopy(donors[rng.integers(len(donors))])
+        if isinstance(container, dict):
+            container[names[rng.integers(len(names))]] = donor
+        else:
+            container.append(donor)
+    return config
+
+
+def _bench_bad_configs():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.BAD_CONFIGS.values())
+
+
+def _dotted(path):
+    return ".".join(map(str, path)) or "(root)"
+
+
+def test_validator_agrees_with_jsonschema():
+    # jsonschema is the oracle: a config fails some rule iff it fails one of
+    # the oracle's, each rule it fails is one the oracle names (a value of the
+    # wrong type fails "type" alone), and validate_config reports a path of
+    # the oracle's shallowest errors
+    schema = cli.load_schema()
+    oracle = jsonschema.Draft202012Validator(schema)
+    seeds = list(shipped_configs().values()) + _bench_bad_configs()
+    names = sorted({"bogus", *itertools.chain.from_iterable(
+        arg for rule, arg in _schema_keywords(schema) if rule == "properties")})
+    donors = [c[k] for config in seeds for c, k in _slots(config)] + [
+        True, False, None, 0, -1, 1, 1.0, 2.5, "a", [], {}, [1, "a"], [1, 1.0], [True, 1],
+        [[1]], {"alpha": 1, "omega": 1}, {"omega": 0}]
+    rng = np.random.default_rng(35)
+    mutants = [_mutant(seeds[rng.integers(len(seeds))], rng, donors, names)
+               for _ in range(2000)]
+    pinned = [{"command": command, "preset": "fuchsian-schottky-1", **config}
+              for command, config, _ in CONFIG_ERRORS]
+    invalid = 0
+    for config in seeds + pinned + mutants:
+        errors = list(oracle.iter_errors(config))
+        failed = {(path, rule) for path, rule, _ in cli._schema_errors(config, schema, ())}
+        assert bool(failed) == bool(errors), config
+        assert failed <= {(tuple(e.absolute_path), e.validator) for e in errors}, config
+        if errors:
+            invalid += 1
+            with pytest.raises(ConfigInvalid) as exc:
+                cli.validate_config(config)
+            depth = min(len(e.absolute_path) for e in errors)
+            assert exc.value.path in {_dotted(e.absolute_path) for e in errors
+                                      if len(e.absolute_path) == depth}, config
+    # neither side of the comparison is empty
+    assert 0.2 < invalid / (len(seeds) + len(pinned) + len(mutants)) < 0.9
 
 
 def test_build_presentation_unknown_preset():
@@ -366,6 +493,76 @@ def test_labels_that_would_name_two_rows_alike_exit_2(labels, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# (command, config, path): a config that exits 2 naming path, run with the
+# preset fuchsian-schottky-1
+CONFIG_ERRORS = (
+    # a letter outside +-1..+-rank names the word; an unknown or ill-typed
+    # params key names params, also when the config omits the command
+    ("entropy-drop", {"params": {"subgroup": [[0]]}}, "params.subgroup.0"),
+    ("entropy-drop", {"params": {"subgroup": [[1], [5]]}}, "params.subgroup.1"),
+    ("quasi-invariance", {"params": {"alpha": [7]}}, "params.alpha"),
+    # quasi_invariance_residual does not read s
+    ("quasi-invariance", {"params": {"alpha": [1], "s": 0.5}}, "params"),
+    ("conicality", {"params": {"fixed_point_of": [3]}}, "params.fixed_point_of"),
+    ("kappa", {"command": "kappa", "params": {"m": 2}}, "params"),
+    ("kappa", {"params": {"m": 2}}, "params"),
+    ("kappa", {"params": {"n": True}}, "params.n"),
+    # a long list or a deeply nested one is named, not echoed
+    ("kappa", {"params": {"n": list(range(100_000))}}, "params.n"),
+    ("kappa", {"params": {"n": functools.reduce(lambda x, _: [x], range(900), 4)}},
+     "params.n"),
+    ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
+    ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
+    ("box-dim", {"params": {"scales": [0.3, 0.1, 0.03, 0.01]}}, "params.scales"),
+    # repeated scales leave the fit's log(1 / scale) column no spread
+    ("box-dim", {"params": {"scales": [0.1] * 5}}, "params.scales"),
+    # JSON's true is no number, and no repeat of 1
+    ("box-dim", {"params": {"scales": [1, True, 0.5, 0.25, 0.125]}}, "params.scales.1"),
+    # an empty word is a config error, not an identity element
+    ("quasi-invariance", {"params": {"alpha": []}}, "params.alpha"),
+    ("conicality", {"params": {"fixed_point_of": []}}, "params.fixed_point_of"),
+    ("entropy-drop", {"params": {"subgroup": [[]]}}, "params.subgroup.0"),
+    # the exponent fit needs four spheres; the path is the command's own key
+    ("shadow-check", {"params": {"mu_n": 3}}, "params.mu_n"),
+    ("critical-exponent", {"params": {"n_max": 3}}, "params.n_max"),
+    ("box-dim", {"params": {"n_max": 3}}, "params.n_max"),
+    ("concavity", {"params": {"n_max": 3}}, "params.n_max"),
+    ("entropy-drop", {"params": {"subgroup": [[1]], "n_max": 3}}, "params.n_max"),
+    ("critical-exponent", {"params": {"method": "bogus"}}, "params.method"),
+    # a field the command does not read is a config error
+    ("orbit", {"phi": {"alpha": 1}}, "phi"),
+    ("orbit", {"theta": [1]}, "theta"),
+    ("limit-set", {"phi": [1.0]}, "phi"),
+    ("limit-cone", {"phi": {"omega": 1}}, "phi"),
+    ("box-dim", {"phi": {"alpha": 2}}, "phi"),
+    ("conicality", {"phi": {"alpha": 1}, "params": {"z": [1, 0]}}, "phi"),
+    ("conicality", {"theta": [1], "params": {"z": [1, 0]}}, "theta"),
+    # so is a field that another field of the config overrides: the point z
+    # and the word whose fixed point it would be, s and s_factor, and a
+    # matrix group's own fields beside a preset
+    ("conicality", {"params": {"z": [1, 0], "fixed_point_of": [1]}}, "params"),
+    ("ps-measure", {"params": {"s": 1.5, "s_factor": 1.1}}, "params.s_factor"),
+    ("kappa", {"dimension": 2}, "dimension"),
+    ("kappa", {"generators": [[[2, 0], [0, 0.5]]]}, "generators"),
+    ("kappa", {"labels": ["a", "b"]}, "labels"),
+    # a phi that is neither a coefficient list nor a weight fails oneOf at
+    # phi, not at the first item that no branch admits
+    ("critical-exponent", {"phi": [1.0, "a"]}, "phi"),
+    # commands with a required params key need params
+    ("quasi-invariance", {}, "(root)"),
+    ("entropy-drop", {}, "(root)"),
+    ("conicality", {}, "(root)"),
+    # json.load reads NaN and Infinity, and the schema's "number" admits them
+    ("box-dim", {"params": {"scales": [math.inf, 0.1, 0.05, 0.02, 0.01]}},
+     "params.scales.0"),
+    ("concavity", {"params": {"lambdas": [math.nan]}}, "params.lambdas.0"),
+    ("critical-exponent", {"phi": [math.nan]}, "phi.0"),
+    ("ps-measure", {"params": {"s": math.inf}}, "params.s"),
+    ("conicality", {"params": {"r": math.inf, "z": [1, 0]}}, "params.r"),
+    ("shadow-check", {"params": {"r": math.inf}}, "params.r"),
+)
+
+
 def test_cli_exit_codes(tmp_path):
     runner = CliRunner()
     bad = tmp_path / "bad.json"
@@ -375,60 +572,7 @@ def test_cli_exit_codes(tmp_path):
     err = error_record(result)
     assert err["error"] == "ConfigInvalid" and err["path"] == "theta.0"
 
-    # a letter outside +-1..+-rank names the word; an unknown or ill-typed
-    # params key names params, also when the config omits the command
-    for command, config, path in (
-        ("entropy-drop", {"params": {"subgroup": [[0]]}}, "params.subgroup.0"),
-        ("entropy-drop", {"params": {"subgroup": [[1], [5]]}}, "params.subgroup.1"),
-        ("quasi-invariance", {"params": {"alpha": [7]}}, "params.alpha"),
-        # quasi_invariance_residual does not read s
-        ("quasi-invariance", {"params": {"alpha": [1], "s": 0.5}}, "params"),
-        ("conicality", {"params": {"fixed_point_of": [3]}}, "params.fixed_point_of"),
-        ("kappa", {"command": "kappa", "params": {"m": 2}}, "params"),
-        ("kappa", {"params": {"m": 2}}, "params"),
-        ("kappa", {"params": {"n": True}}, "params.n"),
-        # a long list or a deeply nested one is named, not echoed (under the
-        # test runner's deeper stack a list 950 deep already reports (root))
-        ("kappa", {"params": {"n": list(range(100_000))}}, "params.n"),
-        ("kappa", {"params": {"n": functools.reduce(lambda x, _: [x], range(900), 4)}},
-         "params.n"),
-        ("conicality", {"params": {"z": ["a", 1]}}, "params.z.0"),
-        ("box-dim", {"params": {"scales": "x"}}, "params.scales"),
-        ("box-dim", {"params": {"scales": [0.3, 0.1, 0.03, 0.01]}}, "params.scales"),
-        # repeated scales leave the fit's log(1 / scale) column no spread
-        ("box-dim", {"params": {"scales": [0.1] * 5}}, "params.scales"),
-        # an empty word is a config error, not an identity element
-        ("quasi-invariance", {"params": {"alpha": []}}, "params.alpha"),
-        ("conicality", {"params": {"fixed_point_of": []}}, "params.fixed_point_of"),
-        ("entropy-drop", {"params": {"subgroup": [[]]}}, "params.subgroup.0"),
-        # the exponent fit needs four spheres; the path is the command's own key
-        ("shadow-check", {"params": {"mu_n": 3}}, "params.mu_n"),
-        ("critical-exponent", {"params": {"n_max": 3}}, "params.n_max"),
-        ("box-dim", {"params": {"n_max": 3}}, "params.n_max"),
-        ("concavity", {"params": {"n_max": 3}}, "params.n_max"),
-        ("entropy-drop", {"params": {"subgroup": [[1]], "n_max": 3}}, "params.n_max"),
-        ("critical-exponent", {"params": {"method": "bogus"}}, "params.method"),
-        # a field the command does not read is a config error
-        ("orbit", {"phi": {"alpha": 1}}, "phi"),
-        ("orbit", {"theta": [1]}, "theta"),
-        ("limit-set", {"phi": [1.0]}, "phi"),
-        ("limit-cone", {"phi": {"omega": 1}}, "phi"),
-        ("box-dim", {"phi": {"alpha": 2}}, "phi"),
-        ("conicality", {"phi": {"alpha": 1}, "params": {"z": [1, 0]}}, "phi"),
-        ("conicality", {"theta": [1], "params": {"z": [1, 0]}}, "theta"),
-        # commands with a required params key need params
-        ("quasi-invariance", {}, "(root)"),
-        ("entropy-drop", {}, "(root)"),
-        ("conicality", {}, "(root)"),
-        # json.load reads NaN and Infinity, and the schema's "number" admits them
-        ("box-dim", {"params": {"scales": [math.inf, 0.1, 0.05, 0.02, 0.01]}},
-         "params.scales.0"),
-        ("concavity", {"params": {"lambdas": [math.nan]}}, "params.lambdas.0"),
-        ("critical-exponent", {"phi": [math.nan]}, "phi.0"),
-        ("ps-measure", {"params": {"s": math.inf}}, "params.s"),
-        ("conicality", {"params": {"r": math.inf, "z": [1, 0]}}, "params.r"),
-        ("shadow-check", {"params": {"r": math.inf}}, "params.r"),
-    ):
+    for command, config, path in CONFIG_ERRORS:
         bad.write_text(json.dumps({"preset": "fuchsian-schottky-1", **config}))
         result = runner.invoke(cli.main, [command, "--config", str(bad),
                                           "--out", str(tmp_path / "out")])
@@ -537,14 +681,11 @@ def test_cli_success_prints_summary(tmp_path):
 
 
 def test_shipped_configs_validate():
-    cfg_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
-    names = sorted(f for f in os.listdir(cfg_dir) if f.endswith(".json"))
-    assert len(names) == len(cli.HANDLERS)
-    for name in names:
-        with open(os.path.join(cfg_dir, name)) as fh:
-            config = json.load(fh)
+    configs = shipped_configs()
+    assert len(configs) == len(cli.HANDLERS)
+    for name, config in configs.items():
         cli.validate_config(config)
-        assert config["command"] == name[:-5]
+        assert config["command"] == name
 
 
 def _imported_with_cli(module):
@@ -560,11 +701,6 @@ def _imported_with_cli(module):
 def test_cli_import_leaves_scipy_out():
     # the library does not use scipy, whose import costs start-up time and RSS
     assert not _imported_with_cli("scipy")
-
-
-def test_cli_import_leaves_jsonschema_out():
-    # only config validation needs jsonschema, which it imports when called
-    assert not _imported_with_cli("jsonschema")
 
 
 def test_third_party_imports_match_declared_dependencies():
@@ -586,6 +722,9 @@ def test_third_party_imports_match_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"pslab"}
     pyproject = os.path.join(os.path.dirname(os.path.dirname(pkg)), "pyproject.toml")
     with open(pyproject, "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[\w.-]+", dep)[0] for dep in deps}
-    assert third_party == declared == {"numpy", "click", "jsonschema"}
+        project = tomllib.load(fh)["project"]
+    declared = {re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]}
+    assert third_party == declared == {"numpy", "click"}
+    # the tests take jsonschema as the oracle of the config validator
+    assert "jsonschema" in {re.match(r"[\w.-]+", dep)[0]
+                            for dep in project["optional-dependencies"]["test"]}

@@ -788,22 +788,6 @@ def test_greedy_cover_eps_of_1_and_more(rng):
         assert _kernels.greedy_cover_count(pts, eps) == len(pts)
 
 
-def _first_fit_any_centre(features, eps):
-    """First-fit count where a row is covered iff some centre's per-pair distance is <= eps.
-
-    greedy_cover_count's rule, which the per-row oracle's least distance
-    over the centres only matches while no distance is NaN.
-    """
-    centers = []
-    for row in np.asarray(features, dtype=float):
-        if centers:
-            dot = np.clip((np.array(centers) * row).sum(axis=1), -1.0, 1.0)
-            if (np.sqrt(np.maximum(1.0 - dot * dot, 0.0)) <= eps).any():
-                continue
-        centers.append(row)
-    return len(centers)
-
-
 def test_greedy_cover_non_finite_rows():
     # no window is proven, and the windows of r = inf leave out only rows
     # whose first coordinate, or the centre's, is NaN: those are at NaN
@@ -819,7 +803,7 @@ def test_greedy_cover_non_finite_rows():
             # inf * 0 in a row's products with the centre is NaN
             with np.errstate(invalid="ignore"):
                 got, want = (_kernels.greedy_cover_count(rows, eps),
-                             _first_fit_any_centre(rows, eps))
+                             greedy_cover_count_reference(rows, eps))
             assert got == want, eps
 
 
