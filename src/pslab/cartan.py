@@ -1,8 +1,8 @@
 """Cartan subspace of sl(d,R): roots, weights, projections, involutions.
 
 Vectors in the Cartan subspace are plain length-d numpy arrays (natural-log
-scale, zero-sum).  ``kappa`` and ``jordan`` return dominant vectors (weakly
-decreasing entries).
+scale, zero-sum).  ``matgroup.batch_kappa`` (Cartan) and ``jordan_spliced``
+(Jordan) return dominant vectors (weakly decreasing entries).
 """
 
 import numpy as np
@@ -34,40 +34,6 @@ def require_unimodular(A):
     if not abs(det - 1.0) <= max(DET_TOLERANCE, allowance) < np.inf:
         raise NonUnimodular(float(det))
     return A
-
-
-def kappa(A):
-    """Cartan projection: log singular values, weakly decreasing, zero-sum.
-
-    The zero-sum normalization subtracts the mean log singular value, which
-    equals the spec'd |det|^(-1/d) rescaling but stays accurate when the
-    determinant itself is dominated by round-off.  A (N, d, d) stack gives
-    one row per matrix.
-    """
-    A = np.asarray(A, dtype=float)
-    try:
-        sigma = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
-    # the smallest value may vanish and the largest overflow; NaN fails both
-    if not ((sigma[..., -1] > 0.0) & (sigma[..., 0] < np.inf)).all():
-        raise DecompositionFailure("vanishing or non-finite singular value")
-    logs = np.log(sigma)
-    return logs - logs.mean(axis=-1, keepdims=True)
-
-
-def jordan(A):
-    """Jordan projection: sorted log moduli of (generalized) eigenvalues, per matrix of A."""
-    A = np.asarray(A, dtype=float)
-    try:
-        eigvals = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
-    moduli = np.sort(np.abs(eigvals))[..., ::-1]
-    if not ((moduli[..., -1] > 0.0) & (moduli[..., 0] < np.inf)).all():
-        raise DecompositionFailure("vanishing or non-finite eigenvalue modulus")
-    logs = np.log(moduli)
-    return logs - logs.mean(axis=-1, keepdims=True)
 
 
 def jordan_spliced(A, A_inv):
@@ -178,17 +144,8 @@ def vector_from_omegas(d, theta, omega_values):
     return np.linalg.solve(M, rhs)[..., 0]
 
 
-def project_theta(v, theta):
-    """Project onto a_theta: preserves omega_k for k in theta, kills alpha_k off theta."""
-    v = np.asarray(v, dtype=float)
-    d = v.shape[0]
-    theta = validate_theta(theta, d)
-    omegas = [np.sum(v[:k]) for k in theta]
-    return vector_from_omegas(d, theta, omegas)
-
-
 def projection_matrix(d, theta):
-    """Matrix of project_theta, for batch application."""
+    """The projection onto a_theta: keeps omega_k for k in theta, kills alpha_k off theta."""
     theta = validate_theta(theta, d)
     M = _constraint_matrix(d, theta)
     R = np.zeros((d, d))

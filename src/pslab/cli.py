@@ -390,6 +390,13 @@ def run_box_dim(P, theta, phi, params):
 
 def run_entropy_drop(P, theta, phi, params):
     words = [_word(P, w, f"params.subgroup.{i}") for i, w in enumerate(params["subgroup"])]
+    # one label per subgroup generator
+    seen = {}
+    for i, w in enumerate(words):
+        j = seen.setdefault(P.word_label(matgroup.reduce_word(w)), i)
+        if j != i:
+            raise ConfigInvalid(f"params.subgroup.{i}",
+                                f"reduces to the label of params.subgroup.{j}")
     n_max = int(params.get("n_max", 9))
     report = patterson.entropy_drop_experiment(P, words, phi, n_max, theta)
     header = ["delta_ambient", "delta_subgroup", "gap", "limit_set_separation"]

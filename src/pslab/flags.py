@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, cartan, matgroup
-from .errors import InsufficientGap, NotProximal, ThetaMismatch
+from .errors import DecompositionFailure, InsufficientGap, NotProximal, ThetaMismatch
 
 GAP_TOLERANCE = 1e-10
 
@@ -154,17 +154,28 @@ def sample_limit_set(P, theta, n):
 
 
 def attracting_fixed_flag(A, theta):
-    """Flag of dominant generalized eigenspaces of a theta-proximal matrix."""
+    """Flag of dominant generalized eigenspaces of a theta-proximal matrix.
+
+    One eig call gives the Jordan gaps and the frame's eigenvectors.
+    """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
     theta = cartan.validate_theta(theta, d)
-    nu = cartan.jordan(A)
+    try:
+        eigvals, eigvecs = np.linalg.eig(A)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailure(str(exc)) from exc
+    order = np.argsort(-np.abs(eigvals), kind="stable")
+    moduli = np.abs(eigvals)[order]
+    # NaN fails both tests
+    if not moduli[-1] > 0.0 or not moduli[0] < np.inf:
+        raise DecompositionFailure("vanishing or non-finite eigenvalue modulus")
+    nu = np.log(moduli)
+    nu -= nu.mean()
     for k in theta:
         gap = nu[k - 1] - nu[k]
         if gap <= GAP_TOLERANCE:
             raise NotProximal(k, gap)
-    eigvals, eigvecs = np.linalg.eig(A)
-    order = np.argsort(-np.abs(eigvals), kind="stable")
     cols = []
     for idx in order:
         v = eigvecs[:, idx]

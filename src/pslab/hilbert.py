@@ -29,6 +29,8 @@ C_MINKOWSKI = np.array([
     [1.0, 0.0, 1.0],
 ])
 C_MINKOWSKI_INV = np.linalg.inv(C_MINKOWSKI)
+# the SO(2,1) defect a "sym2" generator may have; rounding leaves 1e-16
+FORM_TOLERANCE = 1e-6
 
 FAMILIES = ("so", "sym2")
 # the radii shadow_constants tries, in order
@@ -45,7 +47,7 @@ class KleinFamily:
 
     family "so": 2x2 generators acting on the hyperbolic plane; pushed through
     the symmetric square.  family "sym2": 3x3 generators already in the image
-    of the symmetric square (Bombieri coordinates).
+    of the symmetric square (Bombieri coordinates), so in SO(2,1).
     """
 
     def __init__(self, P, family):
@@ -55,6 +57,13 @@ class KleinFamily:
             raise UnsupportedFamily("family 'so' needs a 2x2 presentation")
         if family == "sym2" and P.dimension != 3:
             raise UnsupportedFamily("family 'sym2' needs a 3x3 presentation")
+        if family == "sym2":
+            J = np.diag([1.0, 1.0, -1.0])
+            for i, g in enumerate(P.generators, 1):
+                M = C_MINKOWSKI @ g @ C_MINKOWSKI_INV
+                defect = np.abs(M.T @ J @ M - J).max() / np.sum(M * M)
+                if not defect <= FORM_TOLERANCE:
+                    raise UnsupportedFamily(f"generator {i} is not in SO(2,1): {defect:.3g}")
         self.P = P
         self.family = family
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels, cartan
 from .errors import BadIndex, BudgetExceeded, ConfigInvalid, DecompositionFailure, NonUnimodular
 
-# the most elements a ball walk may write
+# the most elements a ball walk of 2x2 matrices may write (of d x d, 4 / d^2 as many)
 ELEMENT_CAP = 5_000_000
 # kappa_theta vectors of at most this norm give no limit-cone direction
 CONE_NORM_TOLERANCE = 1e-12
@@ -212,7 +212,8 @@ def _parent_rows(rows, rank):
 class _BallWalk:
     """The rows of the word ball of radius n, written once each in canonical order.
 
-    Making a walk checks the element cap, makes the sphere ``offsets``, the
+    Making a walk checks the element cap on its matrix entries, makes the
+    sphere ``offsets``, the
     int64 running sums of the sphere sizes (sphere k is rows
     offsets[k]:offsets[k + 1] of the ``rows``-row free-group ball), and the
     whole-ball ``letter`` array with no walk: the 2r - 1 children of a row
@@ -257,9 +258,10 @@ class _BallWalk:
             raise BadIndex("n must be >= 0")
         self.P, self.n = P, n
         self.rows = rows = free_ball_size(P.rank, n)
-        if rows > ELEMENT_CAP:
-            raise BudgetExceeded(f"element count exceeds cap {ELEMENT_CAP}")
         d, q = P.dimension, 2 * P.rank
+        # the walk's arrays grow with its matrix entries
+        if rows * d * d > 4 * ELEMENT_CAP:
+            raise BudgetExceeded(f"{rows} {d}x{d} matrices exceed the cap")
         # sphere k > 0 holds 2r (2r - 1)^(k - 1) rows, which the cap keeps in int64
         self.offsets = offsets = np.cumsum(np.concatenate(
             [[0, 1], q * (q - 1) ** np.arange(n, dtype=np.int64)]))

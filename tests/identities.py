@@ -1,7 +1,8 @@
-"""Paper identities that no command computes, for tests: the opposition
-involution on the Cartan subspace and on functionals, flags from spanning
-columns and the projective action on flags, the Gromov product of a
-transverse flag pair and the exterior power representation.
+"""Paper identities that no command computes, for tests: the unspliced
+Cartan projection of one matrix, the opposition involution on the Cartan
+subspace and on functionals, flags from spanning columns and the projective
+action on flags, the Gromov product of a transverse flag pair and the
+exterior power representation.
 """
 
 import itertools
@@ -13,6 +14,12 @@ from pslab.flags import Flag
 
 # the Gromov product's and is_transverse's transversality test
 TRANSVERSALITY_TOLERANCE = 1e-10
+
+
+def kappa(A):
+    """The Cartan projection of one matrix: its zero-sum log singular values, from one SVD."""
+    logs = np.log(np.linalg.svd(A, compute_uv=False))
+    return logs - logs.mean()
 
 
 def hat_iota(v):

@@ -31,6 +31,11 @@ from words import random_words
 ALPHA1_2 = cartan.Functional.alpha(1, 2)
 
 
+def spliced_kappa(A, A_inv):
+    """The Cartan projection that the commands compute, of one product and its inverse product."""
+    return matgroup.batch_kappa(A[None], A_inv[None])[0]
+
+
 @functools.lru_cache(maxsize=None)
 def schottky_delta_hat():
     P = presets.fuchsian_schottky(1.6)
@@ -54,10 +59,10 @@ def test_identity_suite():
             A_inv = P.word_matrix(matgroup.invert_word(w))
             B = P.word_matrix(v)
             B_inv = P.word_matrix(matgroup.invert_word(v))
-            kA = cartan.kappa(A)
+            kA = spliced_kappa(A, A_inv)
 
             # kappa of the inverse is minus the reversed vector
-            assert np.max(np.abs(cartan.kappa(A_inv) + hat_iota(kA))) < 1e-9
+            assert np.max(np.abs(spliced_kappa(A_inv, A) + hat_iota(kA))) < 1e-9
 
             # Jordan projection is homogeneous under powers (relative)
             nu = cartan.jordan_spliced(A, A_inv)
@@ -83,8 +88,8 @@ def test_identity_suite():
             assert np.max(np.abs(glhs - grhs)) < 1e-8
 
             # omega_k subadditivity under products
-            kB = cartan.kappa(B)
-            kAB = cartan.kappa(A @ B)
+            kB = spliced_kappa(B, B_inv)
+            kAB = spliced_kappa(A @ B, B_inv @ A_inv)
             for k in range(1, d):
                 assert kAB[:k].sum() <= kA[:k].sum() + kB[:k].sum() + 1e-9
             total += 1
@@ -100,8 +105,9 @@ def test_exterior_power_identity():
     a1 = cartan.Functional.alpha(1, 6)
     for w in random_words(2, 500, 8, rng):
         A = P.word_matrix(w)
-        lhs = a2(cartan.kappa(A))
-        rhs = a1(cartan.kappa(exterior_power_rep(A, 2)))
+        A_inv = P.word_matrix(matgroup.invert_word(w))
+        lhs = a2(spliced_kappa(A, A_inv))
+        rhs = a1(spliced_kappa(exterior_power_rep(A, 2), exterior_power_rep(A_inv, 2)))
         assert abs(lhs - rhs) < 1e-9
 
     # regression comparison on a presentation whose alpha_2 gap grows
@@ -122,8 +128,9 @@ def test_hyperbolic_compatibility():
     fam = hilbert.KleinFamily(presets.sl2_mild(), "so")
     for B in random_sl2(500, seed=11):
         sym = matgroup.symmetric_power_rep(B, 3)
+        sym_inv = matgroup.symmetric_power_rep(np.linalg.inv(B), 3)
         dist = np.arccosh(max(np.trace(B.T @ B) / 2.0, 1.0))
-        assert abs(a1(cartan.kappa(sym)) - dist) < 1e-8
+        assert abs(a1(spliced_kappa(sym, sym_inv)) - dist) < 1e-8
         assert abs(np.arccosh(max(fam.lifted_orbit(B)[2], 1.0)) - dist) < 1e-8
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pslab import cartan, presets
+from pslab import cartan, matgroup, presets
 from pslab.errors import AsymmetricTheta, DecompositionFailure, NonUnimodular
 from identities import hat_iota, iota_star
 
@@ -27,20 +27,14 @@ def test_require_unimodular_where_column_squares_overflow():
             assert np.array_equal(cartan.require_unimodular(A), A)
 
 
-def test_kappa_rejects_non_finite_matrix():
-    # the SVD of an infinite matrix gives NaN singular values without raising
-    with pytest.raises(DecompositionFailure, match="non-finite"):
-        cartan.kappa([[np.inf, 0.0], [0.0, 1.0]])
-    # a finite matrix whose singular values and eigenvalue moduli overflow
-    A = np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])
-    for projection in (cartan.kappa, cartan.jordan):
-        with pytest.raises(DecompositionFailure, match="non-finite"):
-            projection(A)
+def spliced_kappa(A):
+    """batch_kappa of one matrix, whose inverse is its inverted word's product."""
+    return matgroup.batch_kappa(A[None], np.linalg.inv(A)[None])[0]
 
 
 def test_kappa_diagonal():
     A = np.diag([4.0, 1.0, 0.25])
-    k = cartan.kappa(A)
+    k = spliced_kappa(A)
     assert np.allclose(k, [np.log(4.0), 0.0, -np.log(4.0)])
     assert abs(k.sum()) < 1e-12
 
@@ -49,7 +43,7 @@ def test_kappa_sorted_and_zero_sum(rng):
     for _ in range(50):
         A = rng.normal(size=(3, 3))
         A /= np.sign(np.linalg.det(A)) * abs(np.linalg.det(A)) ** (1.0 / 3.0)
-        k = cartan.kappa(A)
+        k = spliced_kappa(A)
         assert np.all(np.diff(k) <= 1e-12)
         assert abs(k.sum()) < 1e-9
 
@@ -58,22 +52,24 @@ def test_jordan_conjugation_invariant(rng):
     A = np.diag([3.0, 1.0, 1.0 / 3.0])
     Q = rng.normal(size=(3, 3))
     Q /= np.sign(np.linalg.det(Q)) * abs(np.linalg.det(Q)) ** (1.0 / 3.0)
-    assert np.allclose(cartan.jordan(Q @ A @ np.linalg.inv(Q)), cartan.jordan(A),
-                       atol=1e-9)
+    Q_inv = np.linalg.inv(Q)
+    A_inv = np.linalg.inv(A)
+    assert np.allclose(cartan.jordan_spliced(Q @ A @ Q_inv, Q @ A_inv @ Q_inv),
+                       cartan.jordan_spliced(A, A_inv), atol=1e-9)
 
 
 def test_jordan_spliced_matches_jordan_when_well_conditioned():
+    # the Jordan projection of a diagonal matrix is its zero-sum log diagonal
     A = np.diag([2.0, 1.0, 0.5])
     A_inv = np.linalg.inv(A)
-    assert np.allclose(cartan.jordan_spliced(A, A_inv), cartan.jordan(A), atol=1e-12)
+    assert np.allclose(cartan.jordan_spliced(A, A_inv), [np.log(2.0), 0.0, -np.log(2.0)],
+                       atol=1e-12)
 
 
 def test_jordan_spliced_survives_ill_conditioned_product(sl2):
     # a long alternating word whose direct eigenvalue computation loses the
     # small modulus to cancellation
     word = (1, 1, -2, 1, 2, -1, 2, -1, 2) * 3
-    from pslab import matgroup
-
     A = sl2.word_matrix(word)
     A_inv = sl2.word_matrix(matgroup.invert_word(word))
     nu = cartan.jordan_spliced(A, A_inv)
@@ -115,23 +111,16 @@ def test_validate_theta_symmetry():
         cartan.validate_theta((), 3)
 
 
-def test_project_theta_preserves_omegas_kills_off_theta_roots():
-    v = np.array([3.0, 1.0, -1.0, -3.0])
-    theta = (1, 3)
-    p = cartan.project_theta(v, theta)
-    assert abs(p.sum()) < 1e-12
-    assert abs(p[0] - v[0]) < 1e-12            # omega_1 preserved
-    assert abs(p[:3].sum() - v[:3].sum()) < 1e-12  # omega_3 preserved
-    assert abs(p[1] - p[2]) < 1e-12            # alpha_2 = 0 off theta
-
-
-def test_projection_matrix_matches_project_theta(rng):
+def test_projection_matrix_preserves_omegas_kills_off_theta_roots(rng):
     theta = (1, 3)
     M = cartan.projection_matrix(4, theta)
-    for _ in range(20):
-        v = rng.normal(size=4)
-        v -= v.mean()
-        assert np.allclose(M @ v, cartan.project_theta(v, theta), atol=1e-12)
+    for v in [np.array([3.0, 1.0, -1.0, -3.0]), *rng.normal(size=(20, 4))]:
+        v = v - v.mean()
+        p = M @ v
+        assert abs(p.sum()) < 1e-12
+        assert abs(p[0] - v[0]) < 1e-12            # omega_1 preserved
+        assert abs(p[:3].sum() - v[:3].sum()) < 1e-12  # omega_3 preserved
+        assert abs(p[1] - p[2]) < 1e-12            # alpha_2 = 0 off theta
 
 
 def test_constraint_matrix_is_nonsingular_for_every_theta():

@@ -500,6 +500,9 @@ CONFIG_ERRORS = (
     # params key names params, also when the config omits the command
     ("entropy-drop", {"params": {"subgroup": [[0]]}}, "params.subgroup.0"),
     ("entropy-drop", {"params": {"subgroup": [[1], [5]]}}, "params.subgroup.1"),
+    # two subgroup words that reduce alike would label two generators alike
+    ("entropy-drop", {"params": {"subgroup": [[1], [1]]}}, "params.subgroup.1"),
+    ("entropy-drop", {"params": {"subgroup": [[2], [1, -1, 2], [1]]}}, "params.subgroup.1"),
     ("quasi-invariance", {"params": {"alpha": [7]}}, "params.alpha"),
     # quasi_invariance_residual does not read s
     ("quasi-invariance", {"params": {"alpha": [1], "s": 0.5}}, "params"),
@@ -666,6 +669,22 @@ def test_cli_exit_codes(tmp_path):
     assert isinstance(result.exception, SystemExit)
     err = error_record(result)
     assert err["error"] == "BoundaryPoint"
+
+
+def test_sym2_family_needs_so21_generators(tmp_path):
+    # a 3x3 group outside SO(2,1) has no Klein-disk orbit: its points leave the disk
+    runner = CliRunner()
+    cfg = tmp_path / "cfg.json"
+    for preset in ("sl3-zariski-dense", "sl3-mild"):
+        for command, params in (("orbit", {"n": 3}),
+                                ("shadow-check", {"n": 3, "mu_n": 5}),
+                                ("conicality", {"z": [1, 0], "n": 3})):
+            cfg.write_text(json.dumps({"command": command, "preset": preset, "params": params}))
+            result = runner.invoke(cli.main, [command, "--config", str(cfg),
+                                              "--out", str(tmp_path / "out")])
+            assert result.exit_code == 3, (preset, command)
+            assert isinstance(result.exception, SystemExit)
+            assert error_record(result)["error"] == "UnsupportedFamily"
 
 
 def test_cli_success_prints_summary(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pslab import _kernels, cartan, cocycle, flags, matgroup, presets
-from pslab.errors import InsufficientGap, NotProximal, ThetaMismatch
+from pslab.errors import DecompositionFailure, InsufficientGap, NotProximal, ThetaMismatch
 from ball_oracle import word_spheres_reference
 from identities import TRANSVERSALITY_TOLERANCE, apply_matrix, make_flag
 
@@ -214,6 +214,33 @@ def test_attracting_fixed_flag_needs_proximality():
         flags.attracting_fixed_flag(R, (1,))
 
 
+def test_attracting_fixed_flag_makes_one_eig_call(monkeypatch):
+    # the proximality gaps and the frame come from the same eigen call
+    calls = []
+    for name in ("eig", "eigvals"):
+        def counted(*args, real=getattr(np.linalg, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for P, theta in ((presets.fuchsian_schottky(1.6), (1,)),
+                     (presets.sl3_zariski_dense(), (1, 2))):
+        calls.clear()
+        flags.attracting_fixed_flag(P.word_matrix((1, 2)), theta)
+        assert calls == ["eig"]
+    calls.clear()
+    with pytest.raises(NotProximal):
+        flags.attracting_fixed_flag(presets.rotation(0.3), (1,))
+    assert calls == ["eig"]
+
+
+def test_attracting_fixed_flag_rejects_overflowing_matrix():
+    # a finite matrix whose eigenvalue moduli overflow, and an infinite one
+    with pytest.raises(DecompositionFailure, match="non-finite"):
+        flags.attracting_fixed_flag([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]], (1,))
+    with pytest.raises(DecompositionFailure):
+        flags.attracting_fixed_flag([[np.inf, 0.0], [0.0, 1.0]], (1,))
+
+
 @pytest.mark.parametrize("P, theta", [(presets.fuchsian_schottky(1.6), (1,)),
                                       (presets.sl3_zariski_dense(), (1, 2))])
 def test_stacked_flag_layer_equals_single_calls(P, theta):
@@ -237,9 +264,10 @@ def test_stacked_flag_layer_equals_single_calls(P, theta):
         with pytest.raises(InsufficientGap):
             flags.u_theta(mats[i], inv_mats[i], theta)
     # the Cartan and Jordan projections broadcast the same way
-    kappas, nus = cartan.kappa(ball.mats), cartan.jordan_spliced(ball.mats, ball.inv_mats)
+    kappas = matgroup.batch_kappa(ball.mats, ball.inv_mats)
+    nus = cartan.jordan_spliced(ball.mats, ball.inv_mats)
     for i, (M, M_inv) in enumerate(zip(ball.mats, ball.inv_mats)):
-        assert np.array_equal(kappas[i], cartan.kappa(M))
+        assert np.array_equal(kappas[i], matgroup.batch_kappa(M[None], M_inv[None])[0])
         assert np.array_equal(nus[i], cartan.jordan_spliced(M, M_inv))
     empty, none_ok = flags.u_theta(mats[:0], inv_mats[:0], theta)
     assert len(empty) == 0 and none_ok.shape == (0,)

@@ -13,6 +13,11 @@ def test_klein_family_requires_matching_dimension():
         hilbert.KleinFamily(presets.sl3_mild(), "so")
     with pytest.raises(UnsupportedFamily):
         hilbert.KleinFamily(presets.sl2_mild(), "sym2")
+    # and 3x3 generators in SO(2,1), in Bombieri coordinates, for "sym2"
+    for P in (presets.sl3_zariski_dense(), presets.sl3_mild()):
+        with pytest.raises(UnsupportedFamily, match="SO\\(2,1\\)"):
+            hilbert.KleinFamily(P, "sym2")
+    hilbert.KleinFamily(presets.sym_power_presentation(presets.sanov_gamma2(), 3), "sym2")
 
 
 def test_orbit_distances_match_upper_half_plane():

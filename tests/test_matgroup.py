@@ -132,6 +132,24 @@ def test_element_cap_checked_before_allocating(monkeypatch):
         assert peak < 2**16, build
 
 
+def test_element_cap_counts_matrix_entries(monkeypatch):
+    # rows times d^2 is capped at 4 ELEMENT_CAP, so 2x2 balls keep ELEMENT_CAP
+    # rows; the walks are made, never iterated
+    rows = matgroup.free_ball_size(2, 5)
+    monkeypatch.setattr(matgroup, "ELEMENT_CAP", rows)
+    assert matgroup._BallWalk(presets.fuchsian_schottky(1.6), 5).rows == rows
+    for P, n in ((presets.fuchsian_schottky(1.6), 6), (presets.sl3_zariski_dense(), 5)):
+        with pytest.raises(BudgetExceeded):
+            matgroup._BallWalk(P, n)
+    monkeypatch.undo()
+    # a radius-12 ball of 64x64 matrices would take a 512 MiB run buffer
+    logs = np.zeros(64)
+    logs[:2], logs[2:4] = (0.5, -0.5), (0.25, -0.25)
+    P = matgroup.GroupPresentation(64, [np.diag(np.exp(logs)), np.diag(np.exp(logs[::-1]))])
+    with pytest.raises(BudgetExceeded):
+        matgroup._BallWalk(P, 12)
+
+
 def test_cap_zero_is_a_cap(monkeypatch):
     phi = cartan.Functional.alpha(1, 2)
     monkeypatch.setattr(matgroup, "ELEMENT_CAP", 0)
@@ -407,11 +425,12 @@ def test_symmetric_power_rep_rotation_orthogonal():
 
 def test_batch_kappa_matches_scalar_kappa(sl3):
     from ball_oracle import word_spheres_reference
+    from identities import kappa
 
     ball = word_spheres_reference(sl3, 4)
     logs = matgroup.batch_kappa(ball.mats, ball.inv_mats)
     for matrix, row in zip(ball.mats[:40], logs[:40]):
-        assert np.allclose(row, cartan.kappa(matrix), atol=1e-9)
+        assert np.allclose(row, kappa(matrix), atol=1e-9)
 
 
 def test_row_products_of_one_row_match_a_longer_stack(rng):
