@@ -1,8 +1,8 @@
 """Paper identities that no command computes, for tests: the unspliced
-Cartan projection of one matrix, the opposition involution on the Cartan
-subspace and on functionals, flags from spanning columns and the projective
-action on flags, the Gromov product of a transverse flag pair and the
-exterior power representation.
+Cartan projection of one matrix, the a_theta-projection of one vector, the
+opposition involution on the Cartan subspace and on functionals, flags from
+spanning columns and the projective action on flags, the Gromov product of a
+transverse flag pair and the exterior power representation.
 """
 
 import itertools
@@ -20,6 +20,14 @@ def kappa(A):
     """The Cartan projection of one matrix: its zero-sum log singular values, from one SVD."""
     logs = np.log(np.linalg.svd(A, compute_uv=False))
     return logs - logs.mean()
+
+
+def project_theta(v, theta):
+    """Project one vector onto a_theta by solving for its theta-omegas, one solve per vector."""
+    v = np.asarray(v, dtype=float)
+    d = v.shape[0]
+    theta = cartan.validate_theta(theta, d)
+    return cartan.vector_from_omegas(d, theta, [np.sum(v[:k]) for k in theta])
 
 
 def hat_iota(v):

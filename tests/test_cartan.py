@@ -6,7 +6,7 @@ import pytest
 
 from pslab import cartan, matgroup, presets
 from pslab.errors import AsymmetricTheta, DecompositionFailure, NonUnimodular
-from identities import hat_iota, iota_star
+from identities import hat_iota, iota_star, project_theta
 
 
 def test_require_unimodular_rejects_scaled_matrix():
@@ -111,7 +111,7 @@ def test_validate_theta_symmetry():
         cartan.validate_theta((), 3)
 
 
-def test_projection_matrix_preserves_omegas_kills_off_theta_roots(rng):
+def test_project_theta_preserves_omegas_kills_off_theta_roots(rng):
     theta = (1, 3)
     M = cartan.projection_matrix(4, theta)
     for v in [np.array([3.0, 1.0, -1.0, -3.0]), *rng.normal(size=(20, 4))]:
@@ -121,6 +121,15 @@ def test_projection_matrix_preserves_omegas_kills_off_theta_roots(rng):
         assert abs(p[0] - v[0]) < 1e-12            # omega_1 preserved
         assert abs(p[:3].sum() - v[:3].sum()) < 1e-12  # omega_3 preserved
         assert abs(p[1] - p[2]) < 1e-12            # alpha_2 = 0 off theta
+
+
+def test_projection_matrix_matches_project_theta(rng):
+    for d, theta in ((4, (1, 3)), (4, (2,)), (5, (2, 3)), (6, (1, 3, 5))):
+        M = cartan.projection_matrix(d, theta)
+        for _ in range(20):
+            v = rng.normal(size=d)
+            v -= v.mean()
+            assert np.allclose(M @ v, project_theta(v, theta), atol=1e-12)
 
 
 def test_constraint_matrix_is_nonsingular_for_every_theta():
